@@ -26,6 +26,24 @@ from .sharing import ShareVector
 ALL_ONES = np.uint64(MASK)
 
 
+# -- batching -------------------------------------------------------------------
+
+def flatten(parts: list[ShareVector]) -> ShareVector:
+    """Concatenate sharings of any shapes into one flat sharing."""
+    return ShareVector(np.concatenate([p.a.ravel() for p in parts]),
+                       np.concatenate([p.b.ravel() for p in parts]))
+
+
+def unflatten(flat: ShareVector, like: list) -> list[ShareVector]:
+    """Split a flat sharing back into pieces shaped like ``like``."""
+    out, off = [], 0
+    for x in like:
+        n = x.size
+        out.append(ShareVector(flat.a[off:off + n].reshape(x.shape), flat.b[off:off + n].reshape(x.shape)))
+        off += n
+    return out
+
+
 # -- arithmetic multiplication ------------------------------------------------
 
 def mul_shares(party: Party, x: ShareVector, y: ShareVector) -> ShareVector:
@@ -44,12 +62,7 @@ def mul_shares_many(party: Party, pairs) -> list[ShareVector]:
     z = flat_cross + party.zero_add(flat_cross.shape)
     party.send_words(party.prev_pid, z)
     nxt = party.recv_words(party.next_pid)
-    out, off = [], 0
-    for c in crosses:
-        n = c.size
-        out.append(ShareVector(z[off:off + n].reshape(c.shape), nxt[off:off + n].reshape(c.shape)))
-        off += n
-    return out
+    return unflatten(ShareVector(z, nxt), crosses)
 
 
 def matmul_shares(party: Party, x: ShareVector, y: ShareVector) -> ShareVector:
@@ -91,21 +104,8 @@ def and_packed(party: Party, x: ShareVector, y: ShareVector) -> ShareVector:
 
 def and_packed_many(party: Party, pairs) -> list[ShareVector]:
     """Batch several same-round ANDs into one message per party."""
-    xs = ShareVector(
-        np.concatenate([p[0].a.ravel() for p in pairs]),
-        np.concatenate([p[0].b.ravel() for p in pairs]),
-    )
-    ys = ShareVector(
-        np.concatenate([p[1].a.ravel() for p in pairs]),
-        np.concatenate([p[1].b.ravel() for p in pairs]),
-    )
-    flat = and_packed(party, xs, ys)
-    out, off = [], 0
-    for x, _ in pairs:
-        n = x.size
-        out.append(ShareVector(flat.a[off:off + n].reshape(x.shape), flat.b[off:off + n].reshape(x.shape)))
-        off += n
-    return out
+    xs = [p[0] for p in pairs]
+    return unflatten(and_packed(party, flatten(xs), flatten([p[1] for p in pairs])), xs)
 
 
 def or_packed(party: Party, x: ShareVector, y: ShareVector) -> ShareVector:
@@ -183,17 +183,7 @@ def b2a(party: Party, bits: ShareVector) -> ShareVector:
 
 
 def b2a_many(party: Party, bit_words: list[ShareVector]) -> list[ShareVector]:
-    stacked = ShareVector(
-        np.concatenate([w.a.ravel() for w in bit_words]),
-        np.concatenate([w.b.ravel() for w in bit_words]),
-    )
-    flat = b2a(party, stacked)
-    out, off = [], 0
-    for w in bit_words:
-        n = w.size
-        out.append(ShareVector(flat.a[off:off + n].reshape(w.shape), flat.b[off:off + n].reshape(w.shape)))
-        off += n
-    return out
+    return unflatten(b2a(party, flatten(bit_words)), bit_words)
 
 
 # -- deterministic truncation -----------------------------------------------------
@@ -226,3 +216,10 @@ def trunc_shares(party: Party, x: ShareVector, shift) -> ShareVector:
     res = local + d1 + d2 - (c1 + c2).scale_by(wrap)
     unoffset = (np.uint64(1) << (np.uint64(63) - sh)) * np.ones(x.shape, dtype=np.uint64)
     return party.add_public(res, np.uint64(0) - unoffset)
+
+
+def trunc_shares_many(party: Party, pairs) -> list[ShareVector]:
+    """Truncate several (sharing, shift) pairs in one trunc_shares schedule."""
+    xs = [x for x, _ in pairs]
+    shifts = np.concatenate([np.full(x.size, shift, dtype=np.uint64) for x, shift in pairs])
+    return unflatten(trunc_shares(party, flatten(xs), shifts), xs)

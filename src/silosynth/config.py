@@ -39,7 +39,10 @@ def parse_config(text: str) -> PipelineConfig:
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: {exc}") from None
     cfg = PipelineConfig(**values)
-    cfg.validate()
+    try:
+        cfg.validate()
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     return cfg
 
 

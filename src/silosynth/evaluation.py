@@ -7,9 +7,12 @@ marginals of the real and synthetic datasets over the measured workload
 The logistic-regression utility metric trains a multiclass model by
 full-batch gradient descent on secret shares. Binned gene values {0..3} are
 fed directly as integer features (plus a constant bias column), so forward
-and gradient matmuls need no truncation; softmax uses a max-subtracted
-degree-5 polynomial exponential on [-8, 0] normalized by the reciprocal
-primitive. Inference (accuracy) needs only an argmax over logits.
+and gradient matmuls need no truncation. Softmax subtracts the row maximum,
+clamps to [-8, 0], takes a degree-5 polynomial exponential evaluated by
+Estrin's scheme, and divides by the row sum with Goldschmidt steps that rely
+on the sum's public range [1, 5]: one epoch costs 155 rounds, 143 of them in
+softmax. The general reciprocal primitive is not used here. Inference
+(accuracy) needs only an argmax over logits.
 """
 
 from __future__ import annotations
@@ -19,9 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fixedpoint as fx
-from .circuits import matmul_shares, mul_shares, trunc_shares
+from .circuits import matmul_shares, mul_shares, mul_shares_many, trunc_shares, trunc_shares_many
 from .marginals import flatten_marginals, marginal_counts
-from .primitives import abs_shares, div_fx, eq, is_negative, lt, mul_fx, reciprocal_fx
+from .primitives import abs_shares, div_fx, eq, is_negative, lt, mul_fx
 from .runtime import Party
 from .sharing import ShareMatrix, ShareVector, concat_shares
 
@@ -32,6 +35,17 @@ EXP_POLY = (1.0, 1.0, 0.49851800548831027, 0.16104815581810794,
             0.03400828206221408, 0.003579794786255805)
 SOFTMAX_FLOOR = -8.0
 N_CLASSES = 5
+# Every exponential lies in [0, 1] and the row maximum's is exactly 1.0, so
+# a softmax denominator lies in [1, DENOM_MAX]. x0 = RECIP_ALPHA -
+# RECIP_BETA * den is the minimax linear guess of 1/den there.
+DENOM_MAX = float(N_CLASSES)
+RECIP_ALPHA = 6 / 7
+RECIP_BETA = 1 / 7
+GOLDSCHMIDT_STEPS = 3
+GUARD_BITS = 8
+# The exponential holds products at scale 3f below 2^61; PipelineConfig
+# refuses larger frac_bits.
+MAX_FRAC_BITS = 20
 
 
 @dataclass
@@ -88,14 +102,54 @@ def _row_max(party: Party, z: ShareVector) -> ShareVector:
     return max_pair(m2, z[:, 4])
 
 
-def _poly_exp(party: Party, t: ShareVector) -> ShareVector:
+def _exp(party: Party, t: ShareVector) -> ShareVector:
+    """exp(t) for t in [SOFTMAX_FLOOR, 0] as p(t/4)^4, p evaluated by Estrin.
+
+    p = (1 + u) + u^2 (c2 + c3 u) + u^4 (c4 + c5 u) with u = t/4 takes three
+    multiplicative levels. The public-coefficient terms stay at scale 2f and
+    their products at scale 3f, so only u, u^2, u^4 and the sum are
+    truncated; c0 = c1 = 1 makes the linear term 1 + t/4 exact.
+    """
     f = party.fp.frac_bits
-    u = trunc_shares(party, t, 2)  # exact t/4 into the fit interval
-    acc = party.const_share(np.full(t.shape, np.uint64(fx.encode_scalar(EXP_POLY[5], f))))
-    for k in (4, 3, 2, 1, 0):
-        acc = party.add_public(mul_fx(party, acc, u), fx.encode_scalar(EXP_POLY[k], f))
-    sq = mul_fx(party, acc, acc)
+    one = np.uint64(1) << np.uint64(f)
+    c = [np.uint64(fx.encode_scalar(k, f)) for k in EXP_POLY]
+    u, u2 = trunc_shares_many(party, [(t, 2), (mul_shares(party, t, t), f + 4)])
+    lin = party.add_public(t.scale_by(one >> np.uint64(2)), one * one)
+    quad = party.add_public(u.scale_by(c[3]), c[2] * one)
+    quart = party.add_public(u.scale_by(c[5]), c[4] * one)
+    u4, mid = mul_shares_many(party, [(u2, u2), (u2, quad)])
+    u4 = trunc_shares(party, u4, f)
+    p = trunc_shares(party, lin.scale_by(one) + mid + mul_shares(party, u4, quart), 2 * f)
+    sq = mul_fx(party, p, p)
     return mul_fx(party, sq, sq)
+
+
+def bounded_div(party: Party, num: ShareVector, den: ShareVector) -> ShareVector:
+    """num / den row-wise for num (N, k) and den (N,) in the public range [1, DENOM_MAX].
+
+    Goldschmidt division: the linear guess x0 = alpha - beta den leaves a
+    relative error e0 = 1 - den x0 with |e0| <= 2/7 on [1, 5]; each step
+    multiplies the numerators by 1 + e and squares e, and three steps leave
+    e0^8 (below 3 ulp at f = 16). e and the numerators carry GUARD_BITS
+    extra fractional bits, so the steps' truncations cost well below an ulp;
+    the last step rounds to nearest. Four multiplicative levels.
+    """
+    f = party.fp.frac_bits
+    one = np.uint64(1) << np.uint64(f)
+    one_w = np.uint64(1) << np.uint64(f + GUARD_BITS)
+    x0 = party.add_public(-den.scale_by(fx.encode_scalar(RECIP_BETA, f)),
+                          np.uint64(fx.encode_scalar(RECIP_ALPHA, f)) * one)    # scale 2f
+    dx, nx = mul_shares_many(party, [(den, x0), (num, x0.reshape(-1, 1))])    # scale 3f
+    e, n = trunc_shares_many(party, [(party.add_public(-dx, one * one * one), 2 * f - GUARD_BITS),
+                                     (nx, 2 * f - GUARD_BITS)])              # scale f + guard
+    for _ in range(GOLDSCHMIDT_STEPS - 1):
+        factor = party.add_public(e, one_w).reshape(-1, 1)
+        nf, ee = mul_shares_many(party, [(n, factor), (e, e)])
+        n, e = trunc_shares_many(party, [(nf, f + GUARD_BITS), (ee, f + GUARD_BITS)])
+    factor = party.add_public(e, one_w).reshape(-1, 1)
+    last = mul_shares(party, n, factor)
+    half = np.uint64(1) << np.uint64(f + 2 * GUARD_BITS - 1)
+    return trunc_shares(party, party.add_public(last, half), f + 2 * GUARD_BITS)
 
 
 def _softmax_probs(party: Party, z: ShareVector) -> ShareVector:
@@ -107,10 +161,9 @@ def _softmax_probs(party: Party, z: ShareVector) -> ShareVector:
     under = is_negative(party, party.add_public(t, fx.encode_scalar(-SOFTMAX_FLOOR, f)))
     floor_minus_t = party.add_public(-t, fx.encode_scalar(SOFTMAX_FLOOR, f))
     t = t + mul_shares(party, under, floor_minus_t)
-    p = _poly_exp(party, t)
+    p = _exp(party, t)
     denom = ShareVector(p.a.sum(axis=1, dtype=np.uint64), p.b.sum(axis=1, dtype=np.uint64))
-    r = reciprocal_fx(party, denom)
-    return mul_fx(party, p, r.reshape(-1, 1))
+    return bounded_div(party, p, denom)
 
 
 def _label_onehot(party: Party, labels: ShareVector) -> ShareVector:

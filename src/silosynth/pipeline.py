@@ -22,7 +22,7 @@ import numpy as np
 
 from .binning import bin_train, bin_with_cuts, inv_bin
 from .circuits import mul_shares
-from .evaluation import MetricPair, evaluate
+from .evaluation import MAX_FRAC_BITS, MetricPair, evaluate
 from .generator import generate_bridge
 from .marginals import DomainSpec, calibrate, noisy_marginals
 from .primitives import eq_public, lt
@@ -74,6 +74,9 @@ class PipelineConfig:
             raise ValueError("need at least one custodian")
         if self.mode not in (FIRST_PASS, EXHAUSTIVE):
             raise ValueError(f"unknown mode {self.mode!r}")
+        if not 8 <= self.frac_bits <= MAX_FRAC_BITS:
+            raise ValueError(f"frac_bits must be in [8, {MAX_FRAC_BITS}]: secure LR's softmax "
+                             f"holds products at scale 3*frac_bits")
 
 
 @dataclass

@@ -187,9 +187,6 @@ def rand_uniform01(party: Party, n: int) -> ShareVector:
     the XOR of the three is converted to an arithmetic sharing bit by bit.
     """
     f = party.fp.frac_bits
-    if party._test_uniform_override is not None:
-        word = fx.encode_scalar(party._test_uniform_override, f)
-        return party.const_share(np.full(n, np.uint64(word), dtype=np.uint64))
     words = party.shared_random_words((n,))
     low = ShareVector(words.a & np.uint64((1 << f) - 1), words.b & np.uint64((1 << f) - 1))
     bit_words = [bit_extract(low, t) for t in range(f)]

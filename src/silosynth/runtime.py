@@ -61,7 +61,11 @@ class LedgerEntry:
 
 
 class CommLedger:
-    """Per-protocol-label accounting of one party's outgoing traffic."""
+    """Per-protocol-label accounting of one party's outgoing traffic.
+
+    Bytes, messages, rounds and seconds are all exclusive: a nested label's
+    share is not counted again in the enclosing label, so totals add up.
+    """
 
     def __init__(self):
         self.entries: dict[str, LedgerEntry] = {}
@@ -153,21 +157,24 @@ def write_frame(sock: socket.socket, label_id: int, seq: int, words: np.ndarray)
     sock.sendall(_FRAME_HEADER.pack(2 + 8 + len(payload), label_id, seq) + payload)
 
 
-def read_exact(sock: socket.socket, n: int) -> bytes:
-    buf = b""
-    while len(buf) < n:
-        chunk = sock.recv(n - len(buf))
-        if not chunk:
+def read_exact(sock: socket.socket, n: int) -> bytearray:
+    """Read exactly n bytes into one preallocated buffer."""
+    buf = bytearray(n)
+    view = memoryview(buf)
+    got = 0
+    while got < n:
+        k = sock.recv_into(view[got:])
+        if k == 0:
             raise ProtocolAbort("peer closed connection")
-        buf += chunk
+        got += k
     return buf
 
 
 def read_frame(sock: socket.socket):
     (length,) = struct.unpack(">I", read_exact(sock, 4))
     body = read_exact(sock, length)
-    label_id, seq = struct.unpack(">HQ", body[:10])
-    words = np.frombuffer(body[10:], dtype="<u8").astype(np.uint64)
+    label_id, seq = struct.unpack_from(">HQ", body)
+    words = np.frombuffer(body, dtype="<u8", offset=10).astype(np.uint64)
     return label_id, seq, words
 
 
@@ -240,8 +247,8 @@ class Party:
         self.opening_log: list[tuple[str, int]] = []
         self.reveal_log: list[tuple[str, int]] = []
         self._label_stack: list[str] = []
+        self._child_seconds: list[float] = []  # per open label: time inside nested labels
         self._sent_since_round = False
-        self._test_uniform_override: float | None = None  # test hook only
 
     @property
     def next_pid(self) -> int:
@@ -259,15 +266,20 @@ class Party:
 
     @contextmanager
     def protocol(self, label: str):
+        """Scope traffic to ``label``; its seconds exclude those of nested labels."""
         if label in self._label_stack:
             raise AccountingError(f"nested identical protocol label {label!r}")
         self._label_stack.append(label)
+        self._child_seconds.append(0.0)
         t0 = time.perf_counter()
         try:
             yield
         finally:
-            self.ledger.add_time(label, time.perf_counter() - t0)
+            dt = time.perf_counter() - t0
             self._label_stack.pop()
+            self.ledger.add_time(label, dt - self._child_seconds.pop())
+            if self._child_seconds:
+                self._child_seconds[-1] += dt
 
     # -- transport ---------------------------------------------------------
 

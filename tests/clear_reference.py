@@ -14,7 +14,15 @@ from __future__ import annotations
 import numpy as np
 
 from silosynth import fixedpoint as fx
-from silosynth.evaluation import EXP_POLY, N_CLASSES, SOFTMAX_FLOOR
+from silosynth.evaluation import (
+    EXP_POLY,
+    GOLDSCHMIDT_STEPS,
+    GUARD_BITS,
+    N_CLASSES,
+    RECIP_ALPHA,
+    RECIP_BETA,
+    SOFTMAX_FLOOR,
+)
 from silosynth.marginals import GENE_DOMAIN, LABEL_DOMAIN
 from silosynth.primitives import NR_ITERATIONS, RECIP_INIT
 
@@ -122,7 +130,34 @@ def bin_dataset_fx(genes_words: np.ndarray, f=F):
 
 # -- logistic-regression fixed-point mirror ---------------------------------------
 
-ENC_EXP_POLY = tuple(fx.encode_scalar(c) for c in EXP_POLY)
+def clear_exp(t, f=F):
+    """Mirror of the secure Estrin exponential on [SOFTMAX_FLOOR, 0]."""
+    t = fx.to_u64(t)
+    one = np.uint64(1 << f)
+    c = [np.uint64(fx.encode_scalar(k, f)) for k in EXP_POLY]
+    u, u2 = fx.truncate(t, 2), fx.truncate(t * t, f + 4)
+    lin = one * one + t * (one >> np.uint64(2))
+    quad = c[2] * one + u * c[3]
+    quart = c[4] * one + u * c[5]
+    u4 = fx.truncate(u2 * u2, f)
+    p = fx.truncate(lin * one + u2 * quad + u4 * quart, 2 * f)
+    sq = fx.truncate(p * p, f)
+    return fx.truncate(sq * sq, f)
+
+
+def clear_bounded_div(num, den, f=F):
+    """Mirror of the secure Goldschmidt division num (N, k) / den (N,)."""
+    num, den = fx.to_u64(num), fx.to_u64(den)
+    one = np.uint64(1 << f)
+    w = f + GUARD_BITS
+    x0 = np.uint64(fx.encode_scalar(RECIP_ALPHA, f)) * one - den * np.uint64(fx.encode_scalar(RECIP_BETA, f))
+    e = fx.truncate(one * one * one - den * x0, 2 * f - GUARD_BITS)
+    n = fx.truncate(num * x0[:, None], 2 * f - GUARD_BITS)
+    for _ in range(GOLDSCHMIDT_STEPS - 1):
+        factor = (np.uint64(1 << w) + e)[:, None]
+        n, e = fx.truncate(n * factor, w), fx.truncate(e * e, w)
+    last = n * (np.uint64(1 << w) + e)[:, None] + np.uint64(1 << (w + GUARD_BITS - 1))
+    return fx.truncate(last, w + GUARD_BITS)
 
 
 def clear_softmax(z: np.ndarray, f=F) -> np.ndarray:
@@ -130,15 +165,8 @@ def clear_softmax(z: np.ndarray, f=F) -> np.ndarray:
     t = z - m[:, None]
     floor_w = np.uint64(fx.encode_scalar(SOFTMAX_FLOOR, f))
     t = np.where(fx.signed(t) < fx.signed(np.full(t.shape, floor_w)), floor_w, t)
-    u = fx.truncate(t, 2)
-    acc = np.full(t.shape, np.uint64(ENC_EXP_POLY[5]))
-    for k in (4, 3, 2, 1, 0):
-        acc = fx.truncate(acc * u, f) + np.uint64(ENC_EXP_POLY[k])
-    sq = fx.truncate(acc * acc, f)
-    acc = fx.truncate(sq * sq, f)
-    denom = acc.sum(axis=1, dtype=np.uint64)
-    r = clear_reciprocal(denom, f)
-    return fx.truncate(acc * r[:, None], f)
+    p = clear_exp(t, f)
+    return clear_bounded_div(p, p.sum(axis=1, dtype=np.uint64), f)
 
 
 def clear_lr_train(genes_binned: np.ndarray, labels: np.ndarray, epochs: int,

@@ -126,6 +126,13 @@ def test_run_local_threshold_count_mismatch(workdir, capsys):
     assert code == 2
 
 
+def test_run_local_refuses_frac_bits_above_lr_bound(workdir, capsys):
+    workdir["config"].write_text(CONFIG.replace("frac_bits = 16", "frac_bits = 24"))
+    code = main(run_local_args(workdir))
+    assert code == 2
+    assert "frac_bits must be in [8, 20]" in capsys.readouterr().err
+
+
 def test_run_local_deterministic_output_bytes(workdir):
     code = main(run_local_args(workdir))
     assert code == 0

@@ -2,11 +2,23 @@ import numpy as np
 import pytest
 
 import clear_reference as ref
-from conftest import run3, shared_matrix
+from conftest import run3, shared, shared_matrix
 
 from silosynth import fixedpoint as fx
-from silosynth.evaluation import evaluate, lr_accuracy, lr_train, wle
+from silosynth.evaluation import (
+    DENOM_MAX,
+    N_CLASSES,
+    SOFTMAX_FLOOR,
+    _softmax_probs,
+    bounded_div,
+    evaluate,
+    lr_accuracy,
+    lr_train,
+    wle,
+)
 from silosynth.sharing import reconstruct
+
+ULP = 2.0**-16
 
 
 def open_scalar(results):
@@ -239,3 +251,74 @@ def test_lr_ledger_doubles_with_epochs(rng):
         _, parties = run3(body)
         totals[epochs] = sum(p.ledger.entry("lr").bytes_sent for p in parties)
     assert totals[20] == 2 * totals[10]
+
+
+# -- softmax arithmetic ---------------------------------------------------------
+
+def test_exp_exhaustive_grid_bounds():
+    """Every grid point of [SOFTMAX_FLOOR, 0]: exp(0) is exactly 1.0 and every
+    value lies in [0, 1], so a row sum lies in bounded_div's range [1, DENOM_MAX]."""
+    n = int(-SOFTMAX_FLOOR) * 2**16 + 1
+    grid = (-np.arange(n, dtype=np.int64)).view(np.uint64)
+    values = fx.signed(ref.clear_exp(grid))
+    one = fx.encode_scalar(1.0)
+    assert values[0] == one
+    assert values.min() >= 0 and values.max() <= one
+    assert N_CLASSES * values.max() <= fx.encode_scalar(DENOM_MAX)
+    # the polynomial tracks exp to within its fit error plus rounding
+    assert np.max(np.abs(fx.decode(values) - np.exp(fx.decode(grid)))) <= 16 * ULP
+
+
+def test_bounded_div_sweep_within_four_ulp():
+    """Every grid denominator in [1, DENOM_MAX]; the secure run equals the mirror."""
+    den = np.arange(2**16, int(DENOM_MAX) * 2**16 + 1, dtype=np.uint64)
+    ones = np.full((den.size, 1), np.uint64(fx.encode_scalar(1.0)))
+    recip = ref.clear_bounded_div(ones, den)[:, 0]
+    assert np.max(np.abs(fx.decode(recip) - 1.0 / fx.decode(den))) <= 4 * ULP
+
+    sample = den[::97]
+    num = fx.encode(np.linspace(0.0, 1.0, N_CLASSES)) * np.ones((sample.size, 1), dtype=np.uint64)
+    s_num, s_den = shared(num, 111), shared(sample, 112)
+
+    def body(p):
+        return bounded_div(p, s_num[p.pid - 1], s_den[p.pid - 1])
+
+    results, _ = run3(body)
+    got = reconstruct(results)
+    assert np.array_equal(got, ref.clear_bounded_div(num, sample))
+    assert np.max(np.abs(fx.decode(got) - fx.decode(num) / fx.decode(sample)[:, None])) <= 4 * ULP
+
+
+def test_softmax_random_logits_vs_float(rng):
+    z = fx.encode(rng.normal(0.0, 3.0, size=(400, N_CLASSES)))
+    sz = shared(z, 113)
+
+    def body(p):
+        return _softmax_probs(p, sz[p.pid - 1])
+
+    results, _ = run3(body)
+    got = reconstruct(results)
+    assert np.array_equal(got, ref.clear_softmax(z))
+    zf = fx.decode(z)
+    want = np.exp(zf - zf.max(axis=1, keepdims=True))
+    want /= want.sum(axis=1, keepdims=True)
+    assert np.max(np.abs(fx.decode(got) - want)) <= 1.5e-3
+
+
+def test_lr_epoch_rounds_pinned(rng):
+    """One epoch costs at most 190 rounds, whatever the secret inputs."""
+    per_epoch = []
+    for tag in (114, 115):
+        genes = rng.integers(0, 4, size=(40, 3))
+        labels = rng.integers(0, 5, size=40)
+        mats = shared_matrix(genes.astype(np.uint64), labels, tag)
+        rounds = {}
+        for epochs in (1, 2):
+            def body(p):
+                lr_train(p, mats[p.pid - 1], epochs=epochs, learning_rate=0.05)
+
+            _, parties = run3(body)
+            rounds[epochs] = [p.ledger.entry("lr").rounds for p in parties]
+        per_epoch.append([b - a for a, b in zip(rounds[1], rounds[2])])
+    assert per_epoch[0] == per_epoch[1]
+    assert max(per_epoch[0]) <= 190

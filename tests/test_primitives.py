@@ -3,6 +3,7 @@
 import numpy as np
 
 from silosynth import fixedpoint as fx
+from silosynth import primitives
 from silosynth.fixedpoint import FixedPointConfig
 from silosynth.primitives import (
     abs_shares,
@@ -195,9 +196,13 @@ def test_uniform01_reproducible():
     assert np.array_equal(open_result(r1), open_result(r2))
 
 
-def test_gauss_forced_uniforms_hit_zero():
+def test_gauss_forced_uniforms_hit_zero(monkeypatch):
+    def halves(party, n):
+        return party.const_share(np.full(n, np.uint64(fx.encode_scalar(0.5)), dtype=np.uint64))
+
+    monkeypatch.setattr(primitives, "rand_uniform01", halves)
+
     def body(p):
-        p._test_uniform_override = 0.5
         return gauss01(p, 4)
 
     results, _ = run3(body)

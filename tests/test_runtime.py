@@ -1,5 +1,6 @@
 import socket
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -181,3 +182,43 @@ def test_tcp_frame_wire_layout():
     assert raw[6:14] == (1).to_bytes(8, "big")
     assert raw[14:] == (0x0102030405060708).to_bytes(8, "little")
     a.close(), b.close()
+
+
+def test_tcp_frame_roundtrip_32mb():
+    a, b = socket.socketpair()
+    words = np.arange(4 << 20, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)  # 32 MB
+    writer = threading.Thread(target=write_frame, args=(a, 5, 2, words))
+    writer.start()
+    label_id, seq, got = read_frame(b)
+    writer.join()
+    assert label_id == 5 and seq == 2
+    assert np.array_equal(got, words)
+    a.close(), b.close()
+
+
+def test_tcp_read_frame_reports_closed_peer():
+    a, b = socket.socketpair()
+    a.sendall((100).to_bytes(4, "big") + b"\x00" * 20)
+    a.close()
+    with pytest.raises(ProtocolAbort):
+        read_frame(b)
+    b.close()
+
+
+def test_nested_label_seconds_are_exclusive():
+    def body(p):
+        t0 = time.perf_counter()
+        with p.protocol("eval"):
+            time.sleep(0.02)
+            with p.protocol("lr"):
+                time.sleep(0.1)
+            with p.protocol("acc"):
+                time.sleep(0.02)
+        return time.perf_counter() - t0, {k: e.seconds for k, e in p.ledger.entries.items()}
+
+    results, _ = run3(body)
+    for wall, seconds in results:
+        assert sum(seconds.values()) <= wall
+        assert seconds["lr"] >= 0.1 and seconds["acc"] >= 0.02
+        # eval's own sleep only; counted inclusively it would be >= 0.14
+        assert 0.02 <= seconds["eval"] < 0.07
