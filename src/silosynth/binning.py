@@ -2,10 +2,11 @@
 
 Training columns are obliviously sorted, the 0.25/0.5/0.75 cut points are
 linearly interpolated at public positions, and every cell is mapped to
-3 - (x < Q0) - (x < Q1) - (x < Q2). Strict less-than follows the comparison
-primitive, so a value equal to a cut is not below it. Per-bin means and
-counters are kept secret-shared for later inverse discretization; held-out
-data is binned with the training cuts only (no sort, no means).
+3 - (x < Q0) - (x < Q1) - (x < Q2). Every function works on all folds of a
+tuning loop at once, on a leading fold axis. Strict less-than follows the
+comparison primitive, so a value equal to a cut is not below it. Per-bin
+means and counters are kept secret-shared for later inverse discretization;
+held-out data is binned with the training cuts only (no sort, no means).
 """
 
 from __future__ import annotations
@@ -29,103 +30,85 @@ class DegenerateInputError(ValueError):
 
 @dataclass
 class QuantileCuts:
-    """Secret cut points, shape (n_genes, 3), non-decreasing per gene."""
+    """Secret cut points, shape (K, n_genes, 3), non-decreasing per gene."""
 
     cuts: ShareVector
 
 
 @dataclass
 class BinMeans:
-    """Secret per-bin means and occupancy counters, shape (n_genes, 4)."""
+    """Secret per-bin means and occupancy counters, shape (K, n_genes, 4)."""
 
     means: ShareVector
     counters: ShareVector
 
 
-def compute_quantiles(party: Party, sorted_cols: ShareVector, n_rows: int) -> QuantileCuts:
-    """Interpolated quantiles of pre-sorted columns at public positions."""
-    if n_rows < 2:
+def compute_quantiles(party: Party, sorted_cols: ShareVector, rows) -> QuantileCuts:
+    """Interpolated quantiles of pre-sorted (K, N, d) columns at per-fold public positions.
+
+    Fold k's data are its first rows[k] sorted rows.
+    """
+    rows = np.asarray(rows)
+    if np.any(rows < 2):
         raise DegenerateInputError("quantile binning needs at least 2 rows")
     f = party.fp.frac_bits
-    per_r = []
-    needs_trunc = []
-    for r in QUANTILES:
-        pos = (n_rows - 1) * r
-        i = int(np.floor(pos))
-        frac = pos - i
-        base = sorted_cols[i, :]
-        if frac == 0.0:
-            per_r.append(base)
-            needs_trunc.append(None)
-        else:
-            diff = sorted_cols[i + 1, :] - base
-            per_r.append(base)
-            needs_trunc.append(diff.scale_by(fx.encode_scalar(frac, f)))
-    pending = [t for t in needs_trunc if t is not None]
-    if pending:
-        stacked = ShareVector(np.stack([t.a for t in pending]), np.stack([t.b for t in pending]))
-        corrected = trunc_shares(party, stacked, f)
-        j = 0
-        for idx, t in enumerate(needs_trunc):
-            if t is not None:
-                per_r[idx] = per_r[idx] + corrected[j]
-                j += 1
-    cuts = ShareVector(np.stack([q.a for q in per_r], axis=1), np.stack([q.b for q in per_r], axis=1))
-    return QuantileCuts(cuts)
+    pos = (rows[:, None] - 1) * np.array(QUANTILES)          # (K, 3)
+    i = np.floor(pos).astype(np.int64)
+    frac = pos - i
+    fold = np.arange(rows.size)[:, None]
+    base = sorted_cols[fold, i]                               # (K, 3, d)
+    # positions where every fold sits on a row need no interpolation
+    inter = np.any(frac != 0.0, axis=0)
+    if np.any(inter):
+        diff = sorted_cols[fold, i[:, inter] + 1] - base[:, inter]
+        scaled = diff.scale_by(fx.encode(frac[:, inter], f)[:, :, None])
+        step = trunc_shares(party, scaled, f)
+        base.a[:, inter] += step.a
+        base.b[:, inter] += step.b
+    return QuantileCuts(base.map(np.swapaxes, 1, 2))
 
 
 def bin_columns(party: Party, data: ShareVector, cuts: QuantileCuts) -> ShareVector:
-    """Map every cell to its bin index in {0,1,2,3} via three comparisons."""
-    n, d = data.shape
-    tiled = ShareVector(np.tile(data.a, (3, 1, 1)), np.tile(data.b, (3, 1, 1)))
-    cut_t = ShareVector(
-        np.broadcast_to(cuts.cuts.a.T[:, None, :], (3, n, d)).copy(),
-        np.broadcast_to(cuts.cuts.b.T[:, None, :], (3, n, d)).copy(),
-    )
-    below = lt(party, tiled, cut_t)
-    total = ShareVector(below.a.sum(axis=0, dtype=np.uint64), below.b.sum(axis=0, dtype=np.uint64))
-    return party.add_public(-total, np.uint64(3))
+    """Map every cell to its bin index 3 - (x < Q0) - (x < Q1) - (x < Q2) in {0,1,2,3}.
+
+    Two levels of one comparison each: with b = (x < Q1), the bin is
+    3 - 2b - (x < Q2 + b (Q0 - Q2)), which is the same because the cuts are
+    non-decreasing. Shapes: data (..., N, d), cuts (..., d, 3).
+    """
+    q0, q1, q2 = (cuts.cuts[..., None, :, j] for j in range(3))   # (..., 1, d)
+    b = lt(party, data, q1)
+    c = lt(party, data, q2 + mul_shares(party, b, q0 - q2))
+    return party.add_public(-(b.scale_by(2) + c), np.uint64(3))
+
+
+def one_hot4(party: Party, binned: ShareVector) -> ShareVector:
+    """(4, ...) secret indicator bits of the bin values 0..3."""
+    offsets = np.uint64(0) - np.arange(4, dtype=np.uint64).reshape((4,) + (1,) * binned.a.ndim)
+    return eq_zero(party, party.add_public(binned.map(np.broadcast_to, (4,) + binned.shape), offsets))
 
 
 def compute_bin_means(party: Party, binned: ShareVector, originals: ShareVector,
-                      cuts: QuantileCuts) -> BinMeans:
-    """Per-bin means with oblivious empty-bin fallback to cut midpoints."""
-    n, d = binned.shape
+                      cuts: QuantileCuts, mask: np.ndarray) -> BinMeans:
+    """Per-bin means over the (K, N) ``mask``ed rows, with oblivious empty-bin
+    fallback to cut midpoints."""
     f = party.fp.frac_bits
-    offsets = np.arange(4, dtype=np.uint64).reshape(4, 1, 1)
-    stacked = ShareVector(np.tile(binned.a, (4, 1, 1)), np.tile(binned.b, (4, 1, 1)))
-    indicator = eq_zero(party, party.add_public(stacked, (np.uint64(0) - offsets) * np.ones((4, n, d), dtype=np.uint64)))
-    orig_b = ShareVector(
-        np.broadcast_to(originals.a, (4, n, d)).copy(),
-        np.broadcast_to(originals.b, (4, n, d)).copy(),
-    )
-    weighted = mul_shares(party, indicator, orig_b)
-    sums = ShareVector(weighted.a.sum(axis=1, dtype=np.uint64), weighted.b.sum(axis=1, dtype=np.uint64))
-    counters = ShareVector(indicator.a.sum(axis=1, dtype=np.uint64), indicator.b.sum(axis=1, dtype=np.uint64))
+    indicator = one_hot4(party, binned).scale_by(mask[..., None])     # (4, K, N, d)
+    sums = mul_shares(party, indicator, originals).sum(axis=2)        # (4, K, d)
+    counters = indicator.sum(axis=2)
 
     empty = eq_zero(party, counters)
     denom = (counters + empty).scale_by(np.uint64(1) << np.uint64(f))
     raw_means = div_fx(party, sums, denom)
 
-    c = cuts.cuts  # (d, 3)
-    inner = trunc_shares(
-        party,
-        ShareVector(
-            np.stack([c.a[:, 0] + c.a[:, 1], c.a[:, 1] + c.a[:, 2]]),
-            np.stack([c.b[:, 0] + c.b[:, 1], c.b[:, 1] + c.b[:, 2]]),
-        ),
-        1,
-    )
-    fallback = ShareVector(
-        np.stack([c.a[:, 0], inner.a[0], inner.a[1], c.a[:, 2]]),
-        np.stack([c.b[:, 0], inner.b[0], inner.b[1], c.b[:, 2]]),
-    )
+    c = cuts.cuts.map(np.moveaxis, -1, 0)                             # (3, K, d)
+    inner = trunc_shares(party, c[:2] + c[1:], 1)
+    fallback = concat_shares([c[:1], inner, c[2:]], axis=0)
     means = raw_means + mul_shares(party, empty, fallback - raw_means)
-    return BinMeans(means.transpose(), counters.transpose())
+    return BinMeans(means.map(np.moveaxis, 0, -1), counters.map(np.moveaxis, 0, -1))
 
 
 def bin_train(party: Party, matrix: ShareMatrix, compute_means: bool = True):
-    """Quantile binning of the gene columns (training path).
+    """Quantile binning of every fold's gene columns (training path).
 
     Returns the binned matrix (labels pass through), the cuts, and the bin
     means (None when compute_means is off, the optimization for folds that
@@ -134,37 +117,26 @@ def bin_train(party: Party, matrix: ShareMatrix, compute_means: bool = True):
     genes = matrix.genes()
     with party.protocol("bin"):
         with party.protocol("sort"):
-            sorted_cols = sort_columns(party, genes)
-        cuts = compute_quantiles(party, sorted_cols, matrix.n_rows)
+            sorted_cols = sort_columns(party, genes, matrix.rows)
+        cuts = compute_quantiles(party, sorted_cols, matrix.rows)
         binned = bin_columns(party, genes, cuts)
-        means = compute_bin_means(party, binned, genes, cuts) if compute_means else None
-    data = concat_shares([binned, matrix.labels().reshape(-1, 1)], axis=1)
-    return ShareMatrix(data, matrix.n_genes), cuts, means
+        means = compute_bin_means(party, binned, genes, cuts, matrix.mask) if compute_means else None
+    return matrix.with_columns(binned), cuts, means
 
 
 def bin_with_cuts(party: Party, matrix: ShareMatrix, cuts: QuantileCuts) -> ShareMatrix:
-    """Bin held-out rows with training cuts: three comparisons per cell only."""
+    """Bin held-out rows with training cuts: two comparisons and a product per cell."""
     with party.protocol("bin_test"):
         if matrix.n_rows == 0:
             return matrix
         binned = bin_columns(party, matrix.genes(), cuts)
-    data = concat_shares([binned, matrix.labels().reshape(-1, 1)], axis=1)
-    return ShareMatrix(data, matrix.n_genes)
+    return matrix.with_columns(binned)
 
 
 def inv_bin(party: Party, matrix: ShareMatrix, means: BinMeans) -> ShareMatrix:
     """Replace every binned gene cell with its bin's secret mean."""
     with party.protocol("inv_bin"):
-        binned = matrix.genes()
-        n, d = binned.shape
-        offsets = np.arange(4, dtype=np.uint64).reshape(4, 1, 1)
-        stacked = ShareVector(np.tile(binned.a, (4, 1, 1)), np.tile(binned.b, (4, 1, 1)))
-        indicator = eq_zero(party, party.add_public(stacked, (np.uint64(0) - offsets) * np.ones((4, n, d), dtype=np.uint64)))
-        means_b = ShareVector(
-            np.broadcast_to(means.means.a.T[:, None, :], (4, n, d)).copy(),
-            np.broadcast_to(means.means.b.T[:, None, :], (4, n, d)).copy(),
-        )
-        selected = mul_shares(party, indicator, means_b)
-        debinned = ShareVector(selected.a.sum(axis=0, dtype=np.uint64), selected.b.sum(axis=0, dtype=np.uint64))
-    data = concat_shares([debinned, matrix.labels().reshape(-1, 1)], axis=1)
-    return ShareMatrix(data, matrix.n_genes)
+        indicator = one_hot4(party, matrix.genes())                   # (4, K, N, d)
+        per_bin = means.means.map(np.moveaxis, -1, 0)[:, :, None]     # (4, K, 1, d)
+        debinned = mul_shares(party, indicator, per_bin).sum(axis=0)
+    return matrix.with_columns(debinned)

@@ -9,10 +9,11 @@ word-level SIMD for free.
 
 Share splitting: the three additive components of x are each known to
 exactly the two parties that replicate them, so XOR (or arithmetic)
-sharings of the individual components cost no communication. Summing the
-three components inside a carry-save + Kogge-Stone adder yields the bits of
-x, plus the exact inter-component carries needed for deterministic
-truncation.
+sharings of the individual components cost no communication, and a gate on
+components forms its cross terms from the pair each party already holds.
+Summing the three components inside a carry-save + Kogge-Stone adder yields
+the bits of x, plus the exact inter-component carries needed for
+deterministic truncation.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ from .runtime import Party
 from .sharing import ShareVector
 
 ALL_ONES = np.uint64(MASK)
+ONE = np.uint64(1)
+ZERO = np.uint64(0)
 
 
 # -- batching -------------------------------------------------------------------
@@ -34,43 +37,65 @@ def flatten(parts: list[ShareVector]) -> ShareVector:
                        np.concatenate([p.b.ravel() for p in parts]))
 
 
-def unflatten(flat: ShareVector, like: list) -> list[ShareVector]:
-    """Split a flat sharing back into pieces shaped like ``like``."""
+def unflatten(flat: ShareVector, shapes: list) -> list[ShareVector]:
+    """Split a flat sharing back into pieces of the given shapes."""
     out, off = [], 0
-    for x in like:
-        n = x.size
-        out.append(ShareVector(flat.a[off:off + n].reshape(x.shape), flat.b[off:off + n].reshape(x.shape)))
+    for shape in shapes:
+        n = int(np.prod(shape))
+        out.append(ShareVector(flat.a[off:off + n].reshape(shape), flat.b[off:off + n].reshape(shape)))
         off += n
     return out
 
 
+def reshare(party: Party, z: np.ndarray) -> ShareVector:
+    """Replicate a local additive term: mask it with a zero sharing (in place,
+    so ``z`` must be a fresh array) and send it to the previous party. One round."""
+    party.add_zero_sharing(z)
+    party.send_words(party.prev_pid, z)
+    return ShareVector(z, party.recv_words(party.next_pid).reshape(z.shape))
+
+
+def reshare_xor(party: Party, z: np.ndarray) -> ShareVector:
+    """``reshare`` for XOR sharings of packed words."""
+    party.xor_zero_sharing(z)
+    party.send_words(party.prev_pid, z)
+    return ShareVector(z, party.recv_words(party.next_pid).reshape(z.shape))
+
+
+def _gate_many(party: Party, pairs, cross, share) -> list[ShareVector]:
+    """Write every pair's local cross term into one buffer and re-share it once."""
+    shapes = [np.broadcast_shapes(x.shape, y.shape) for x, y in pairs]
+    flat = np.empty(sum(int(np.prod(s)) for s in shapes), dtype=np.uint64)
+    off = 0
+    for (x, y), shape in zip(pairs, shapes):
+        n = int(np.prod(shape))
+        cross(x, y, flat[off:off + n].reshape(shape))
+        off += n
+    return unflatten(share(party, flat), shapes)
+
+
 # -- arithmetic multiplication ------------------------------------------------
 
+def _cross(x: ShareVector, y: ShareVector, out: np.ndarray):
+    """This party's local term of x*y: x_i (y_i + y_(i+1)) + x_(i+1) y_i."""
+    np.add(y.a, y.b, out=out)
+    out *= x.a
+    out += x.b * y.a
+
+
 def mul_shares(party: Party, x: ShareVector, y: ShareVector) -> ShareVector:
-    """Integer ring product; one ring element sent per party."""
-    cross = x.a * y.a + x.a * y.b + x.b * y.a
-    z = cross + party.zero_add(cross.shape)
-    party.send_words(party.prev_pid, z)
-    nxt = party.recv_words(party.next_pid).reshape(z.shape)
-    return ShareVector(z, nxt)
+    """Integer ring product (shapes broadcast); one ring element sent per party."""
+    return _gate_many(party, [(x, y)], _cross, reshare)[0]
 
 
 def mul_shares_many(party: Party, pairs) -> list[ShareVector]:
     """Batch independent products into one message per party."""
-    crosses = [p[0].a * p[1].a + p[0].a * p[1].b + p[0].b * p[1].a for p in pairs]
-    flat_cross = np.concatenate([c.ravel() for c in crosses])
-    z = flat_cross + party.zero_add(flat_cross.shape)
-    party.send_words(party.prev_pid, z)
-    nxt = party.recv_words(party.next_pid)
-    return unflatten(ShareVector(z, nxt), crosses)
+    return _gate_many(party, pairs, _cross, reshare)
 
 
 def matmul_shares(party: Party, x: ShareVector, y: ShareVector) -> ShareVector:
-    """Secure matrix product: local cross matmuls plus one resharing round."""
-    z = x.a @ y.a + x.a @ y.b + x.b @ y.a + party.zero_add((x.shape[0], y.shape[1]))
-    party.send_words(party.prev_pid, z)
-    nxt = party.recv_words(party.next_pid).reshape(z.shape)
-    return ShareVector(z, nxt)
+    """Secure matrix product, batched over leading axes: local cross matmuls plus one round."""
+    return reshare(party, x.a @ (y.a + y.b) + x.b @ y.a)
 
 
 # -- boolean layer -------------------------------------------------------------
@@ -94,41 +119,23 @@ def shift_packed(x: ShareVector, k: int) -> ShareVector:
     return ShareVector(x.a >> -k, x.b >> -k)
 
 
+def _cross_and(x: ShareVector, y: ShareVector, out: np.ndarray):
+    np.bitwise_xor(y.a, y.b, out=out)
+    out &= x.a
+    out ^= x.b & y.a
+
+
 def and_packed(party: Party, x: ShareVector, y: ShareVector) -> ShareVector:
-    cross = (x.a & y.a) ^ (x.a & y.b) ^ (x.b & y.a)
-    z = cross ^ party.zero_xor(cross.shape)
-    party.send_words(party.prev_pid, z)
-    nxt = party.recv_words(party.next_pid).reshape(z.shape)
-    return ShareVector(z, nxt)
+    return _gate_many(party, [(x, y)], _cross_and, reshare_xor)[0]
 
 
 def and_packed_many(party: Party, pairs) -> list[ShareVector]:
     """Batch several same-round ANDs into one message per party."""
-    xs = [p[0] for p in pairs]
-    return unflatten(and_packed(party, flatten(xs), flatten([p[1] for p in pairs])), xs)
+    return _gate_many(party, pairs, _cross_and, reshare_xor)
 
 
 def or_packed(party: Party, x: ShareVector, y: ShareVector) -> ShareVector:
     return xor_packed(xor_packed(x, y), and_packed(party, x, y))
-
-
-def split_components(party: Party, x: ShareVector) -> list[ShareVector]:
-    """Zero-cost sharings of the three additive components of x.
-
-    Works for both XOR and arithmetic semantics: component i is placed in
-    slot i, which is exactly the slot replicated by the two parties that
-    already know it.
-    """
-    zeros = np.zeros(x.shape, dtype=np.uint64)
-    out = []
-    for slot in (1, 2, 3):
-        if slot == party.pid:
-            out.append(party.component_share(x.a, slot))
-        elif slot == party.next_pid:
-            out.append(party.component_share(x.b, slot))
-        else:
-            out.append(party.component_share(zeros, slot))
-    return out
 
 
 def add_components(party: Party, x: ShareVector):
@@ -139,26 +146,26 @@ def add_components(party: Party, x: ShareVector):
     ``carry`` the Kogge-Stone generate word of the final two-term addition.
     Bit t of maj plus bit t of carry is the exact number of carries crossing
     from position t to t+1.
-    """
-    x1, x2, x3 = split_components(party, x)
-    s = xor_packed(xor_packed(x1, x2), x3)
-    a12, a13, a23 = and_packed_many(party, [(x1, x2), (x1, x3), (x2, x3)])
-    maj = xor_packed(xor_packed(a12, a13), a23)
-    cw = shift_packed(maj, 1)
 
-    g = and_packed(party, s, cw)
-    p = xor_packed(s, cw)
-    big_g, big_p = g, p
+    Read as an XOR sharing, x's own pair (x_i, x_(i+1)) shares x1 ^ x2 ^ x3,
+    the carry-save sum. The majority x1 x2 ^ x2 x3 ^ x3 x1 is one AND gate
+    whose cross term at party i is x_i & x_(i+1), which it holds.
+    """
+    maj = reshare_xor(party, x.a & x.b)
+    cw = shift_packed(maj, 1)
+    big_g = and_packed(party, x, cw)
+    p = xor_packed(x, cw)
+    del cw
+    big_p = p
     for k in (1, 2, 4, 8, 16, 32):
         gs = shift_packed(big_g, k)
-        ps = shift_packed(big_p, k)
         if k < 32:
-            t1, t2 = and_packed_many(party, [(big_p, gs), (big_p, ps)])
-            big_g = xor_packed(big_g, t1)
-            big_p = t2
+            t1, big_p = and_packed_many(party, [(big_p, gs), (big_p, shift_packed(big_p, k))])
         else:
             t1 = and_packed(party, big_p, gs)
-            big_g = xor_packed(big_g, t1)
+        del gs
+        big_g = xor_packed(big_g, t1)
+    del big_p, t1
     sum_bits = xor_packed(p, shift_packed(big_g, 1))
     return sum_bits, maj, big_g
 
@@ -172,18 +179,47 @@ def bit_extract(x: ShareVector, position) -> ShareVector:
     return ShareVector((x.a >> pos) & one, (x.b >> pos) & one)
 
 
-def b2a(party: Party, bits: ShareVector) -> ShareVector:
-    """XOR-shared 0/1 words to arithmetic 0/1 shares (two multiplications).
+def b2a_sum(party: Party, lanes: list[ShareVector], weights) -> ShareVector:
+    """Arithmetic sum of ``weights[t] * lanes[t]`` for XOR-shared 0/1 lanes of one shape.
 
-    Components must already be 0/1 valued, as bit_extract produces.
+    Lane components must already be 0/1 valued, as bit_extract produces. With
+    c_i the components, each lane is u + c3 - 2 u c3 where u = c1 + c2 - 2 c1 c2.
+    Party 1 holds c1 and c2, and parties 2 and 3 hold c3, so every cross term
+    is local: round 1 re-shares c1 c2 per lane; round 2 re-shares the weighted
+    sum of the u c3 terms, one word per output element for any lane count.
+    The local arithmetic runs lane by lane to keep temporaries one lane wide.
     """
-    z1, z2, z3 = split_components(party, bits)
-    u = z1 + z2 - mul_shares(party, z1, z2).scale_by(2)
-    return u + z3 - mul_shares(party, u, z3).scale_by(2)
+    pid = party.pid
+    shape = lanes[0].shape
+    c12 = np.zeros((len(lanes),) + shape, dtype=np.uint64)
+    if pid == 1:
+        for t, lane in enumerate(lanes):
+            np.multiply(lane.a, lane.b, out=c12[t])
+    c12 = reshare(party, c12)
+    sum_a, sum_b, cross = (np.zeros(shape, dtype=np.uint64) for _ in range(3))
+    for t, (lane, w) in enumerate(zip(lanes, weights)):
+        w = to_u64(w)
+        # u = z1 + z2 - 2 c1 c2, where z1 + z2 is (c1, c2) at party 1, (c2, 0) at 2, (0, c1) at 3
+        u_a = (lane.a if pid != 3 else ZERO) - (c12.a[t] << ONE)
+        u_b = (lane.b if pid != 2 else ZERO) - (c12.b[t] << ONE)
+        if pid == 2:                    # holds (u_2, u_3) and c3 as b
+            cross += w * u_a * lane.b
+            u_b += lane.b
+        elif pid == 3:                  # holds (u_3, u_1) and c3 as a
+            cross += w * (u_a + u_b) * lane.a
+            u_a += lane.a
+        sum_a += w * u_a
+        sum_b += w * u_b
+    del c12
+    uc3 = reshare(party, cross)
+    sum_a -= uc3.a << ONE
+    sum_b -= uc3.b << ONE
+    return ShareVector(sum_a, sum_b)
 
 
-def b2a_many(party: Party, bit_words: list[ShareVector]) -> list[ShareVector]:
-    return unflatten(b2a(party, flatten(bit_words)), bit_words)
+def b2a(party: Party, bits: ShareVector) -> ShareVector:
+    """XOR-shared 0/1 words to arithmetic 0/1 shares (two rounds)."""
+    return b2a_sum(party, [bits], [ONE])
 
 
 # -- deterministic truncation -----------------------------------------------------
@@ -199,27 +235,27 @@ def trunc_shares(party: Party, x: ShareVector, shift) -> ShareVector:
     shift-1) and the two top-word wraps (same bits at position 63) are
     extracted from the component adder and applied as corrections, so the
     result is exactly floor(signed(x) / 2^shift) with no failure probability.
+    The four correction bits are converted as one weighted b2a_sum.
     """
     shift_arr = np.asarray(shift)
     if shift_arr.ndim == 0 and int(shift_arr) == 0:
         return x.copy()
     offset = party.add_public(x, SIGN_OFFSET)
-    _, maj, carry = add_components(party, offset)
     sh = to_u64(shift_arr)
-    local = ShareVector(offset.a >> sh, offset.b >> sh)
-    low_pos = sh - np.uint64(1)
-    d1, d2, c1, c2 = b2a_many(party, [
-        bit_extract(maj, low_pos), bit_extract(carry, low_pos),
-        bit_extract(maj, 63), bit_extract(carry, 63),
-    ])
-    wrap = np.uint64(1) << (np.uint64(64) - sh)
-    res = local + d1 + d2 - (c1 + c2).scale_by(wrap)
-    unoffset = (np.uint64(1) << (np.uint64(63) - sh)) * np.ones(x.shape, dtype=np.uint64)
-    return party.add_public(res, np.uint64(0) - unoffset)
+    _, maj, carry = add_components(party, offset)
+    low_pos = sh - ONE
+    lanes = [bit_extract(maj, low_pos), bit_extract(carry, low_pos),
+             bit_extract(maj, 63), bit_extract(carry, 63)]
+    del maj, carry
+    neg_wrap = np.negative(ONE << (np.uint64(64) - sh))
+    res = ShareVector(offset.a >> sh, offset.b >> sh)
+    del offset
+    res += b2a_sum(party, lanes, [ONE, ONE, neg_wrap, neg_wrap])
+    return party.add_public(res, np.negative(ONE << (np.uint64(63) - sh)))
 
 
 def trunc_shares_many(party: Party, pairs) -> list[ShareVector]:
     """Truncate several (sharing, shift) pairs in one trunc_shares schedule."""
     xs = [x for x, _ in pairs]
-    shifts = np.concatenate([np.full(x.size, shift, dtype=np.uint64) for x, shift in pairs])
-    return unflatten(trunc_shares(party, flatten(xs), shifts), xs)
+    shifts = np.concatenate([np.broadcast_to(to_u64(shift), x.shape).ravel() for x, shift in pairs])
+    return unflatten(trunc_shares(party, flatten(xs), shifts), [x.shape for x in xs])

@@ -26,7 +26,7 @@ from .circuits import matmul_shares, mul_shares, mul_shares_many, trunc_shares, 
 from .marginals import flatten_marginals, marginal_counts
 from .primitives import abs_shares, div_fx, eq, is_negative, lt, mul_fx
 from .runtime import Party
-from .sharing import ShareMatrix, ShareVector, concat_shares
+from .sharing import ShareMatrix, ShareVector, concat_shares, stack_shares
 
 # exp(t) on [-8, 0] as p(t/4)^4 with p a degree-5 least-squares fit of exp on
 # [-2, 0] constrained to value/slope 1 at 0; composite relative error < 0.03%
@@ -50,7 +50,7 @@ MAX_FRAC_BITS = 20
 
 @dataclass
 class LrModel:
-    """Secret weights, shape (d+2, 5): gene rows, then the bias row."""
+    """Secret weights per fold, shape (K, d+1, 5): gene rows, then the bias row."""
 
     weights: ShareVector
     epochs: int
@@ -59,34 +59,30 @@ class LrModel:
 
 @dataclass
 class MetricPair:
-    """Secret evaluation metrics; never opened inside the tuning loop."""
+    """Secret evaluation metrics per fold, shape (K,); never opened inside the tuning loop."""
 
     wle: ShareVector
     accuracy: ShareVector
 
 
 def wle(party: Party, real: ShareMatrix, synth: ShareMatrix) -> ShareVector:
-    """Normalized workload error between two binned datasets."""
+    """Normalized workload error between two binned datasets, per fold: (K,)."""
     d = real.n_genes
     with party.protocol("wle"):
         f = party.fp.frac_bits
         mu_real = flatten_marginals(marginal_counts(party, real))
         mu_synth = flatten_marginals(marginal_counts(party, synth))
-        scaled_real = mu_real.scale_by(fx.encode_scalar(1.0 / real.n_rows, f))
-        scaled_synth = mu_synth.scale_by(fx.encode_scalar(1.0 / synth.n_rows, f))
-        diffs = abs_shares(party, scaled_real - scaled_synth)
-        total = ShareVector(
-            diffs.a.sum(dtype=np.uint64, keepdims=True),
-            diffs.b.sum(dtype=np.uint64, keepdims=True),
-        )
+        scaled_real = mu_real.scale_by(fx.encode(1.0 / real.rows, f)[:, None])
+        scaled_synth = mu_synth.scale_by(fx.encode(1.0 / synth.rows, f)[:, None])
+        total = abs_shares(party, scaled_real - scaled_synth).sum(axis=1)
         n_measurements = 2 * d + 1
         err = trunc_shares(party, total.scale_by(fx.encode_scalar(1.0 / n_measurements, f)), f)
-    return err.reshape(())
+    return err
 
 
-def _with_bias(party: Party, features: ShareVector) -> ShareVector:
-    ones = party.const_share(np.ones((features.shape[0], 1), dtype=np.uint64))
-    return concat_shares([features, ones], axis=1)
+def _with_bias(party: Party, data: ShareMatrix) -> ShareVector:
+    """(K, N, d+1) features: the gene columns and a bias column that is 0 on padding rows."""
+    return concat_shares([data.genes(), party.const_share(data.mask[..., None])], axis=2)
 
 
 def _row_max(party: Party, z: ShareVector) -> ShareVector:
@@ -95,11 +91,8 @@ def _row_max(party: Party, z: ShareVector) -> ShareVector:
         b = lt(party, x, y)
         return x + mul_shares(party, b, y - x)
 
-    pair_lo = ShareVector(np.stack([z.a[:, 0], z.a[:, 2]]), np.stack([z.b[:, 0], z.b[:, 2]]))
-    pair_hi = ShareVector(np.stack([z.a[:, 1], z.a[:, 3]]), np.stack([z.b[:, 1], z.b[:, 3]]))
-    m = max_pair(pair_lo, pair_hi)          # (2, N): max01, max23
-    m2 = max_pair(m[0], m[1])               # (N,)
-    return max_pair(m2, z[:, 4])
+    m = max_pair(stack_shares([z[..., 0], z[..., 2]]), stack_shares([z[..., 1], z[..., 3]]))
+    return max_pair(max_pair(m[0], m[1]), z[..., 4])
 
 
 def _exp(party: Party, t: ShareVector) -> ShareVector:
@@ -125,7 +118,7 @@ def _exp(party: Party, t: ShareVector) -> ShareVector:
 
 
 def bounded_div(party: Party, num: ShareVector, den: ShareVector) -> ShareVector:
-    """num / den row-wise for num (N, k) and den (N,) in the public range [1, DENOM_MAX].
+    """num / den row-wise for num (..., k) and den (...) in the public range [1, DENOM_MAX].
 
     Goldschmidt division: the linear guess x0 = alpha - beta den leaves a
     relative error e0 = 1 - den x0 with |e0| <= 2/7 on [1, 5]; each step
@@ -139,14 +132,14 @@ def bounded_div(party: Party, num: ShareVector, den: ShareVector) -> ShareVector
     one_w = np.uint64(1) << np.uint64(f + GUARD_BITS)
     x0 = party.add_public(-den.scale_by(fx.encode_scalar(RECIP_BETA, f)),
                           np.uint64(fx.encode_scalar(RECIP_ALPHA, f)) * one)    # scale 2f
-    dx, nx = mul_shares_many(party, [(den, x0), (num, x0.reshape(-1, 1))])    # scale 3f
+    dx, nx = mul_shares_many(party, [(den, x0), (num, x0[..., None])])        # scale 3f
     e, n = trunc_shares_many(party, [(party.add_public(-dx, one * one * one), 2 * f - GUARD_BITS),
                                      (nx, 2 * f - GUARD_BITS)])              # scale f + guard
     for _ in range(GOLDSCHMIDT_STEPS - 1):
-        factor = party.add_public(e, one_w).reshape(-1, 1)
+        factor = party.add_public(e, one_w)[..., None]
         nf, ee = mul_shares_many(party, [(n, factor), (e, e)])
         n, e = trunc_shares_many(party, [(nf, f + GUARD_BITS), (ee, f + GUARD_BITS)])
-    factor = party.add_public(e, one_w).reshape(-1, 1)
+    factor = party.add_public(e, one_w)[..., None]
     last = mul_shares(party, n, factor)
     half = np.uint64(1) << np.uint64(f + 2 * GUARD_BITS - 1)
     return trunc_shares(party, party.add_public(last, half), f + 2 * GUARD_BITS)
@@ -154,42 +147,38 @@ def bounded_div(party: Party, num: ShareVector, den: ShareVector) -> ShareVector
 
 def _softmax_probs(party: Party, z: ShareVector) -> ShareVector:
     f = party.fp.frac_bits
-    m = _row_max(party, z)
-    t = z - ShareVector(np.broadcast_to(m.a[:, None], z.shape).copy(),
-                        np.broadcast_to(m.b[:, None], z.shape).copy())
+    t = z - _row_max(party, z)[..., None]
     # clamp to the polynomial's domain floor
     under = is_negative(party, party.add_public(t, fx.encode_scalar(-SOFTMAX_FLOOR, f)))
     floor_minus_t = party.add_public(-t, fx.encode_scalar(SOFTMAX_FLOOR, f))
     t = t + mul_shares(party, under, floor_minus_t)
     p = _exp(party, t)
-    denom = ShareVector(p.a.sum(axis=1, dtype=np.uint64), p.b.sum(axis=1, dtype=np.uint64))
-    return bounded_div(party, p, denom)
+    return bounded_div(party, p, p.sum(axis=-1))
 
 
 def _label_onehot(party: Party, labels: ShareVector) -> ShareVector:
     from .marginals import indicator5
 
-    bits = indicator5(party, labels)                       # (5, N)
+    bits = indicator5(party, labels)                       # (5, ...)
     lifted = bits.scale_by(np.uint64(1) << np.uint64(party.fp.frac_bits))
-    return lifted.transpose()                              # (N, 5)
+    return lifted.map(np.moveaxis, 0, -1)                  # (..., 5)
 
 
 def lr_train(party: Party, train: ShareMatrix, epochs: int, learning_rate: float) -> LrModel:
-    """Full-batch softmax-regression training on shares; deterministic.
+    """Full-batch softmax-regression training on shares, one model per fold; deterministic.
 
-    Input prep (bias column, one-hot labels) happens outside the lr ledger
-    label so recorded bytes scale exactly linearly with the epoch count.
+    Padding rows have all-zero features, bias included, so they add nothing
+    to the gradient; fold k's step is learning_rate / rows[k]. Input prep
+    (bias column, one-hot labels) happens outside the lr ledger label so
+    recorded bytes scale exactly linearly with the epoch count.
     """
     f = party.fp.frac_bits
-    x = _with_bias(party, train.genes())                   # (N, d+1), integer scale
-    n = train.n_rows
-    onehot = _label_onehot(party, train.labels())          # (N, 5), scale f
-    w = ShareVector(
-        np.zeros((x.shape[1], N_CLASSES), dtype=np.uint64),
-        np.zeros((x.shape[1], N_CLASSES), dtype=np.uint64),
-    )
-    eta = fx.encode_scalar(learning_rate / n, f)
-    xt = x.transpose()
+    x = _with_bias(party, train)                           # (K, N, d+1), integer scale
+    onehot = _label_onehot(party, train.labels())          # (K, N, 5), scale f
+    shape = (train.folds, x.shape[2], N_CLASSES)
+    w = ShareVector(np.zeros(shape, dtype=np.uint64), np.zeros(shape, dtype=np.uint64))
+    eta = fx.encode(learning_rate / train.rows, f)[:, None, None]
+    xt = x.map(np.swapaxes, 1, 2)
     with party.protocol("lr"):
         for _ in range(epochs):
             logits = matmul_shares(party, x, w)            # scale f
@@ -202,10 +191,10 @@ def lr_train(party: Party, train: ShareMatrix, epochs: int, learning_rate: float
 
 def _argmax_logits(party: Party, z: ShareVector) -> ShareVector:
     """Row argmax with lowest-index tie-break (strict comparisons)."""
-    best = z[:, 0]
-    idx = party.const_share(np.zeros(z.shape[0], dtype=np.uint64))
+    best = z[..., 0]
+    idx = party.const_share(np.zeros(z.shape[:-1], dtype=np.uint64))
     for c in range(1, N_CLASSES):
-        zc = z[:, c]
+        zc = z[..., c]
         b = lt(party, best, zc)
         best = best + mul_shares(party, b, zc - best)
         idx = idx + mul_shares(party, b, party.add_public(-idx, np.uint64(c)))
@@ -213,27 +202,24 @@ def _argmax_logits(party: Party, z: ShareVector) -> ShareVector:
 
 
 def lr_accuracy(party: Party, model: LrModel, test: ShareMatrix) -> ShareVector:
-    """Secret fraction of test rows whose predicted class equals the label."""
-    if test.n_rows == 0:
+    """Secret fraction of each fold's test rows whose predicted class equals the label: (K,)."""
+    if np.any(test.rows == 0):
         raise ValueError("empty test set")
     f = party.fp.frac_bits
     with party.protocol("acc"):
-        x = _with_bias(party, test.genes())
-        logits = matmul_shares(party, x, model.weights)
+        logits = matmul_shares(party, _with_bias(party, test), model.weights)
         predicted = _argmax_logits(party, logits)
-        hits = eq(party, predicted, test.labels())
-        count = ShareVector(hits.a.sum(dtype=np.uint64, keepdims=True),
-                            hits.b.sum(dtype=np.uint64, keepdims=True))
+        hits = eq(party, predicted, test.labels()).scale_by(test.mask)
         scale = np.uint64(1) << np.uint64(f)
-        acc = div_fx(party, count.scale_by(scale),
-                     party.const_share(np.full(1, np.uint64(test.n_rows) * scale, dtype=np.uint64)))
-    return acc.reshape(())
+        acc = div_fx(party, hits.sum(axis=1).scale_by(scale),
+                     party.const_share(test.rows.astype(np.uint64) * scale))
+    return acc
 
 
 def evaluate(party: Party, synth_train: ShareMatrix, real_test: ShareMatrix,
              real_train: ShareMatrix, epochs: int, learning_rate: float) -> MetricPair:
     """Fidelity (workload error vs real train) and utility (train on synthetic,
-    test on held-out real rows); both metrics stay secret-shared."""
+    test on held-out real rows), per fold; both metrics stay secret-shared."""
     with party.protocol("eval"):
         fidelity = wle(party, real_train, synth_train)
         model = lr_train(party, synth_train, epochs, learning_rate)

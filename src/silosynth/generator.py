@@ -6,7 +6,8 @@ marginal (negatives clipped) and iteratively proportionally fitted to the
 1-way gene and label targets; rows are sampled as y ~ p(y) followed by
 g_i ~ p(g_i | y) independently per gene. Inside the secure pipeline the
 marginals are revealed to a generator enclave co-located with party 1 only,
-and the sampled rows are re-shared before any downstream use.
+and the sampled rows are re-shared before any downstream use; all folds of
+a tuning loop share one reveal and one re-share.
 """
 
 from __future__ import annotations
@@ -92,21 +93,30 @@ def generator_rng(master_seed: int, context: tuple[int, ...]) -> np.random.Gener
     return CounterStream(derive_key(master_seed, "generator", *context)).generator_at()
 
 
-def generate_bridge(party: Party, ms: MarginalSet, n_out: int, iterations: int,
-                    master_seed: int, context: tuple[int, ...]) -> ShareMatrix:
-    """Reveal noisy marginals to the party-1 enclave, generate, re-share."""
-    d = ms.gene.shape[0]
+def generate_bridge(party: Party, ms: MarginalSet, rows, iterations: int,
+                    master_seed: int, contexts: list[tuple[int, ...]]) -> ShareMatrix:
+    """Reveal every fold's noisy marginals to the party-1 enclave, generate, re-share.
+
+    Fold k gets rows[k] rows from the generator stream of contexts[k], padded
+    with all-zero rows to the longest fold; one reveal and one input round
+    serve all folds.
+    """
+    k, d = ms.gene.shape[:2]
+    rows = np.asarray(rows, dtype=np.int64)
+    shape = (k, int(rows.max()), d + 1)
     f = party.fp.frac_bits
     with party.protocol("sdg"):
-        flat = flatten_marginals(ms)
-        opened = party.reveal_to(flat, 1, "noisy-marginals")
+        opened = party.reveal_to(flatten_marginals(ms), 1, "noisy-marginals")
         cells = None
         if party.pid == 1:
             vals = fx.decode(opened, f)
-            gene = vals[: 4 * d].reshape(d, 4)
-            label = vals[4 * d: 4 * d + 5]
-            two_way = vals[4 * d + 5:].reshape(d, 20)
-            rng = generator_rng(master_seed, context)
-            cells = fx.to_u64(generate_synthetic(gene, label, two_way, n_out, iterations, rng))
-        shares = party.input_values(cells, owner=1, shape=(n_out, d + 1))
-    return ShareMatrix(shares, d)
+            cells = np.zeros(shape, dtype=np.uint64)
+            for j in range(k):
+                gene = vals[j, : 4 * d].reshape(d, 4)
+                label = vals[j, 4 * d: 4 * d + 5]
+                two_way = vals[j, 4 * d + 5:].reshape(d, 20)
+                rng = generator_rng(master_seed, contexts[j])
+                synth = generate_synthetic(gene, label, two_way, int(rows[j]), iterations, rng)
+                cells[j, : rows[j]] = fx.to_u64(synth)
+        shares = party.input_values(cells, owner=1, shape=shape)
+    return ShareMatrix(shares, d, rows)

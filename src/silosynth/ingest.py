@@ -43,9 +43,10 @@ def replicate_component(party: Party, component: np.ndarray) -> ShareVector:
 
 def ingest_all(party: Party, data_components: list[np.ndarray],
                thr_components: list[np.ndarray], n_genes: int):
-    """Replicate every custodian's uploaded components; returns matrices + thresholds."""
+    """Replicate every custodian's uploaded components; returns matrices (each a
+    batch of one) and thresholds."""
     with party.protocol("ingest"):
-        matrices = [ShareMatrix(replicate_component(party, c), n_genes) for c in data_components]
+        matrices = [ShareMatrix(replicate_component(party, c)[None], n_genes) for c in data_components]
         thr_rows = [replicate_component(party, t) for t in thr_components]
     thresholds = ShareVector(
         np.stack([t.a for t in thr_rows]), np.stack([t.b for t in thr_rows])

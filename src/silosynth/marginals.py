@@ -20,10 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fixedpoint as fx
-from .circuits import mul_shares_many, trunc_shares
+from .circuits import matmul_shares, mul_shares_many, trunc_shares, trunc_shares_many
 from .primitives import gauss01
 from .runtime import Party
-from .sharing import ShareMatrix, ShareVector
+from .sharing import ShareMatrix, ShareVector, concat_shares, stack_shares
 
 GENE_DOMAIN = 4
 LABEL_DOMAIN = 5
@@ -70,15 +70,18 @@ def calibrate(eps_s: float, delta_s: float, measurement_count: int) -> NoiseCali
 
 @dataclass
 class MarginalSet:
-    """Secret marginals at fixed-point scale: (d,4) gene, (5,) label, (d,20) two-way."""
+    """Secret marginals at fixed-point scale, per fold: (K,d,4) gene, (K,5) label,
+    (K,d,20) two-way."""
 
     gene: ShareVector
     label: ShareVector
     gene_label: ShareVector
 
 
-def _exact_divide(party: Party, acc: ShareVector, divisors: np.ndarray) -> ShareVector:
-    """acc holds divisor*count exactly; recover count via inverse-of-odd-part + shift."""
+def _odd_part_scale(acc: ShareVector, divisors: np.ndarray):
+    """acc holds divisor*count exactly. Returns acc times the sign and the inverse
+    of the divisor's odd part, and the divisor's power-of-two exponent: an exact
+    truncation by it finishes the division."""
     div = np.asarray(divisors)
     sign = np.where(div < 0, -1, 1)
     mag = np.abs(div).astype(np.int64)
@@ -90,9 +93,12 @@ def _exact_divide(party: Party, acc: ShareVector, divisors: np.ndarray) -> Share
         v[even] += 1
     inv = np.array([pow(int(o), -1, 1 << 64) for o in m.ravel()], dtype=object)
     inv = fx.to_u64(inv.reshape(m.shape))
-    signed_acc = acc.scale_by(fx.to_u64(sign.astype(np.int64)))
-    scaled = signed_acc.scale_by(inv)
-    return trunc_shares(party, scaled, np.broadcast_to(v, scaled.shape))
+    scaled = acc.scale_by(fx.to_u64(sign.astype(np.int64))).scale_by(inv)
+    return scaled, np.broadcast_to(v, scaled.shape)
+
+
+def _exact_divide(party: Party, acc: ShareVector, divisors: np.ndarray) -> ShareVector:
+    return trunc_shares(party, *_odd_part_scale(acc, divisors))
 
 
 def gene_indicator_numerators(party: Party, x: ShareVector) -> ShareVector:
@@ -103,8 +109,7 @@ def gene_indicator_numerators(party: Party, x: ShareVector) -> ShareVector:
     s11 = party.add_public(x, fx.neg_const(1))
     s21 = party.add_public(x, fx.neg_const(2))
     u, v = mul_shares_many(party, [(s2, s3), (x, s11)])
-    n0, n1, n2, n3 = mul_shares_many(party, [(s1, u), (x, u), (v, s3), (v, s21)])
-    return ShareVector(np.stack([n0.a, n1.a, n2.a, n3.a]), np.stack([n0.b, n1.b, n2.b, n3.b]))
+    return stack_shares(mul_shares_many(party, [(s1, u), (x, u), (v, s3), (v, s21)]))
 
 
 def label_indicator_numerators(party: Party, y: ShareVector) -> ShareVector:
@@ -115,11 +120,7 @@ def label_indicator_numerators(party: Party, y: ShareVector) -> ShareVector:
     pre4, suf0, l1, l2, l3 = mul_shares_many(
         party, [(pre3, s[3]), (s[1], suf1), (s[0], suf1), (pre2, suf2), (pre3, s[4])]
     )
-    l0, l4 = suf0, pre4
-    return ShareVector(
-        np.stack([l0.a, l1.a, l2.a, l3.a, l4.a]),
-        np.stack([l0.b, l1.b, l2.b, l3.b, l4.b]),
-    )
+    return stack_shares([suf0, l1, l2, l3, pre4])
 
 
 def indicator4(party: Party, x: ShareVector) -> ShareVector:
@@ -136,48 +137,44 @@ def indicator5(party: Party, y: ShareVector) -> ShareVector:
 
 
 def marginal_counts(party: Party, matrix: ShareMatrix) -> MarginalSet:
-    """Exact secret counts (integer scale) of the measured workload."""
-    d = matrix.n_genes
-    y = matrix.labels()
-    x = matrix.genes()
+    """Exact secret counts (integer scale) of the measured workload, per fold.
 
-    ln = label_indicator_numerators(party, y)          # (5, N)
-    label_acc = ShareVector(ln.a.sum(axis=1, dtype=np.uint64), ln.b.sum(axis=1, dtype=np.uint64))
-    label = _exact_divide(party, label_acc, np.array(LABEL_DIVISORS))
+    Padding rows are masked out of the numerators. The two-way block is one
+    matrix product per fold: gene numerators (4d x N) times label numerators
+    (N x 5).
+    """
+    k, n, d = matrix.folds, matrix.n_rows, matrix.n_genes
+    mask = matrix.mask                                              # (K, N)
+    ln = label_indicator_numerators(party, matrix.labels()).scale_by(mask)          # (5, K, N)
+    gn = gene_indicator_numerators(party, matrix.genes()).scale_by(mask[..., None])  # (4, K, N, d)
 
-    gn = gene_indicator_numerators(party, x)           # (4, N, d)
-    gene_acc = ShareVector(gn.a.sum(axis=1, dtype=np.uint64), gn.b.sum(axis=1, dtype=np.uint64))
-    gene = _exact_divide(party, gene_acc, np.broadcast_to(np.array(GENE_DIVISORS)[:, None], (4, d)))
-
-    pairs = []
-    for r in range(GENE_DOMAIN):
-        for f_ in range(LABEL_DOMAIN):
-            lf = ShareVector(ln.a[f_][:, None], ln.b[f_][:, None])
-            pairs.append((gn[r], lf))
-    prods = mul_shares_many(party, pairs)              # each (N, d)
+    lhs = gn.map(lambda w: np.moveaxis(w, 0, 1).swapaxes(2, 3).reshape(k, GENE_DOMAIN * d, n))
+    rhs = ln.map(lambda w: np.moveaxis(w, 0, -1))                   # (K, N, 5)
+    acc2 = matmul_shares(party, lhs, rhs)                           # (K, 4d, 5)
+    acc2 = acc2.map(lambda w: w.reshape(k, GENE_DOMAIN, d, LABEL_DOMAIN)
+                    .transpose(1, 3, 0, 2).reshape(GENE_DOMAIN * LABEL_DOMAIN, k, d))
     cell_divs = np.array([GENE_DIVISORS[r] * LABEL_DIVISORS[f_]
                           for r in range(GENE_DOMAIN) for f_ in range(LABEL_DOMAIN)])
-    acc2 = ShareVector(
-        np.stack([p.a.sum(axis=0, dtype=np.uint64) for p in prods]),   # (20, d)
-        np.stack([p.b.sum(axis=0, dtype=np.uint64) for p in prods]),
-    )
-    two_way = _exact_divide(party, acc2, np.broadcast_to(cell_divs[:, None], (20, d)))
-
-    return MarginalSet(gene.transpose(), label, two_way.transpose())
+    gene, label, two_way = trunc_shares_many(party, [
+        _odd_part_scale(gn.sum(axis=2), np.array(GENE_DIVISORS)[:, None, None]),   # (4, K, d)
+        _odd_part_scale(ln.sum(axis=2), np.array(LABEL_DIVISORS)[:, None]),        # (5, K)
+        _odd_part_scale(acc2, cell_divs[:, None, None]),                           # (20, K, d)
+    ])
+    return MarginalSet(gene.map(np.moveaxis, 0, -1), label.map(np.moveaxis, 0, -1),
+                       two_way.map(np.moveaxis, 0, -1))
 
 
 def flatten_marginals(ms: MarginalSet) -> ShareVector:
-    """Canonical cell order: gene block (row-major), label, two-way block."""
-    return ShareVector(
-        np.concatenate([ms.gene.a.ravel(), ms.label.a.ravel(), ms.gene_label.a.ravel()]),
-        np.concatenate([ms.gene.b.ravel(), ms.label.b.ravel(), ms.gene_label.b.ravel()]),
-    )
+    """Canonical per-fold cell order: gene block (row-major), label, two-way block."""
+    k = ms.label.shape[0]
+    return concat_shares([m.reshape(k, -1) for m in (ms.gene, ms.label, ms.gene_label)], axis=1)
 
 
 def unflatten_marginals(flat: ShareVector, d: int) -> MarginalSet:
-    g = flat[np.arange(0, 4 * d)].reshape(d, 4)
-    lab = flat[np.arange(4 * d, 4 * d + 5)]
-    gl = flat[np.arange(4 * d + 5, 4 * d + 5 + 20 * d)].reshape(d, 20)
+    k = flat.shape[0]
+    g = flat[:, :4 * d].reshape(k, d, 4)
+    lab = flat[:, 4 * d:4 * d + 5]
+    gl = flat[:, 4 * d + 5:].reshape(k, d, 20)
     return MarginalSet(g, lab, gl)
 
 
@@ -188,7 +185,7 @@ def noisy_marginals(party: Party, matrix: ShareMatrix, sigma_q: float) -> Margin
         counts = marginal_counts(party, matrix)
         flat = flatten_marginals(counts).scale_by(np.uint64(1) << np.uint64(f))
         if sigma_q > 0.0:
-            noise = gauss01(party, flat.size)
+            noise = gauss01(party, flat.shape[1], folds=flat.shape[0])
             scaled = trunc_shares(party, noise.scale_by(fx.encode_scalar(sigma_q, f)), f)
             flat = flat + scaled
         return unflatten_marginals(flat, matrix.n_genes)

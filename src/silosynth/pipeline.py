@@ -3,11 +3,13 @@
 One loop per hyperparameter candidate (in configured order): split by a
 seeded public fold plan, bin the training rows, bin the held-out rows with
 the training cuts, measure noisy marginals, generate synthetic rows via the
-enclave bridge, and evaluate. Fold metrics are summed and the unanimous
-threshold vote compares the sums against K-scaled thresholds (met-at-
-equality semantics, exact). The only value ever opened during tuning is the
-per-loop vote bit; at publish, additionally the final de-binned synthetic
-matrix.
+enclave bridge, and evaluate. The K folds of a loop are independent once
+the public plan is fixed, so they run as one batch on a leading fold axis,
+padded to the longest fold, and every round serves all of them. Fold
+metrics are summed and the unanimous threshold vote compares the sums
+against K-scaled thresholds (met-at-equality semantics, exact). The only
+value ever opened during tuning is the per-loop vote bit; at publish,
+additionally the final de-binned synthetic matrix.
 
 The tuning loop spends no cumulative budget: nothing it computes is ever
 published, so the allotted (eps_s, delta_s) reset every loop and the final
@@ -105,7 +107,7 @@ def concat_matrices(party: Party, mats: list[ShareMatrix]) -> ShareMatrix:
         widths = {m.n_genes for m in mats}
         if len(widths) != 1:
             raise IngestionError(f"custodian schemas disagree on gene count: {sorted(widths)}")
-        data = concat_shares([m.data for m in mats], axis=0)
+        data = concat_shares([m.data for m in mats], axis=1)
     return ShareMatrix(data, mats[0].n_genes)
 
 
@@ -122,11 +124,23 @@ def fold_plan(master_seed: int, loop_index: int, n_rows: int, k: int):
     return folds
 
 
-def kfold_split(matrix: ShareMatrix, plan, j: int):
-    if not 0 <= j < len(plan):
-        raise ValueError(f"fold index {j} out of range")
-    train_idx, test_idx = plan[j]
-    return matrix.take_rows(train_idx), matrix.take_rows(test_idx)
+def _fold_rows(matrix: ShareMatrix, index_sets) -> ShareMatrix:
+    """Gather each fold's rows of a single dataset, padded to the longest fold."""
+    rows = np.array([len(idx) for idx in index_sets])
+    width = int(rows.max())
+    gather = np.zeros((len(index_sets), width), dtype=np.int64)   # padding repeats row 0
+    for j, idx in enumerate(index_sets):
+        gather[j, : len(idx)] = idx
+    return ShareMatrix(matrix.data[0][gather], matrix.n_genes, rows)
+
+
+def kfold_split(matrix: ShareMatrix, plan):
+    """All K (train, test) splits of a single dataset as two padded fold batches."""
+    for train_idx, test_idx in plan:
+        if len(train_idx) < 2 or len(test_idx) == 0:
+            raise ValueError(f"{len(plan)} folds of {matrix.n_rows} rows leave a fold with "
+                             f"{len(train_idx)} training and {len(test_idx)} test rows")
+    return _fold_rows(matrix, [t for t, _ in plan]), _fold_rows(matrix, [t for _, t in plan])
 
 
 def secret_vote(party: Party, wle_sum: ShareVector, acc_sum: ShareVector,
@@ -141,32 +155,25 @@ def secret_vote(party: Party, wle_sum: ShareVector, acc_sum: ShareVector,
     n_cust = thresholds.shares.shape[0]
     with party.protocol("vote"):
         scaled = thresholds.shares.scale_by(np.uint64(k_folds))
-        w_caps = scaled[:, 0]
-        a_floors = scaled[:, 1]
-        w_rep = ShareVector(np.broadcast_to(wle_sum.a, (n_cust,)).copy(),
-                            np.broadcast_to(wle_sum.b, (n_cust,)).copy())
-        a_rep = ShareVector(np.broadcast_to(acc_sum.a, (n_cust,)).copy(),
-                            np.broadcast_to(acc_sum.b, (n_cust,)).copy())
-        fail_w = lt(party, w_caps, w_rep)       # cap strictly below the metric
-        fail_a = lt(party, a_rep, a_floors)     # metric strictly below the floor
+        fail_w = lt(party, scaled[:, 0], wle_sum)     # cap strictly below the metric
+        fail_a = lt(party, acc_sum, scaled[:, 1])     # metric strictly below the floor
         pass_w = party.add_public(-fail_w, 1)
         pass_a = party.add_public(-fail_a, 1)
-        pass_bits = mul_shares(party, pass_w, pass_a)
-        tally = ShareVector(pass_bits.a.sum(dtype=np.uint64, keepdims=True),
-                            pass_bits.b.sum(dtype=np.uint64, keepdims=True))
+        tally = mul_shares(party, pass_w, pass_a).sum(keepdims=True)
         unanimous = eq_public(party, tally, np.uint64(n_cust))
         bit = party.open(unanimous, "vote")
     return int(bit[0])
 
 
-def run_fold(party: Party, matrix: ShareMatrix, plan, loop_index: int, fold_index: int,
+def run_fold(party: Party, matrix: ShareMatrix, plan, loop_index: int,
              h: int, config: PipelineConfig, sigma_q: float) -> MetricPair:
-    train, test = kfold_split(matrix, plan, fold_index)
+    """Every fold of one tuning loop in one round schedule: (K,) metrics."""
+    train, test = kfold_split(matrix, plan)
     binned_train, cuts, _ = bin_train(party, train, compute_means=False)
     binned_test = bin_with_cuts(party, test, cuts)
     ms = noisy_marginals(party, binned_train, sigma_q)
-    synth = generate_bridge(party, ms, binned_train.n_rows, h,
-                            config.seed, (loop_index, fold_index))
+    synth = generate_bridge(party, ms, binned_train.rows, h, config.seed,
+                            [(loop_index, j) for j in range(len(plan))])
     return evaluate(party, synth, binned_test, binned_train,
                     config.lr_epochs, config.lr_rate)
 
@@ -181,22 +188,19 @@ def tuning_loop(party: Party, matrix: ShareMatrix, thresholds: ThresholdSet,
     for loop_index in range(n_loops):
         h = config.hyperparams[loop_index]
         plan = fold_plan(config.seed, loop_index, matrix.n_rows, config.k_folds)
-        wle_sum = acc_sum = None
-        for fold_index in range(config.k_folds):
-            metrics = run_fold(party, matrix, plan, loop_index, fold_index,
-                               h, config, sigma_q)
-            wle_sum = metrics.wle if wle_sum is None else wle_sum + metrics.wle
-            acc_sum = metrics.accuracy if acc_sum is None else acc_sum + metrics.accuracy
+        metrics = run_fold(party, matrix, plan, loop_index, h, config, sigma_q)
         # fold averaging folds into the vote: sums compare against K-scaled
         # thresholds, which keeps met-at-equality semantics exact
-        bit = secret_vote(party, wle_sum, acc_sum, thresholds, config.k_folds)
+        wle_sum = metrics.wle.sum(keepdims=True)
+        bit = secret_vote(party, wle_sum, metrics.accuracy.sum(keepdims=True),
+                          thresholds, config.k_folds)
         result.loops.append(LoopRecord(h, bit))
         if bit == 1:
             if config.mode == FIRST_PASS:
                 result.publish = True
                 result.h_selected = h
                 return result
-            candidates.append((loop_index, wle_sum.reshape(1)))
+            candidates.append((loop_index, wle_sum))
     if config.mode == EXHAUSTIVE and candidates:
         result.publish = True
         result.h_selected = config.hyperparams[_select_lowest(party, candidates)]
@@ -231,10 +235,10 @@ def publish_path(party: Party, matrix: ShareMatrix, h_selected: int,
     binned, cuts, means = bin_train(party, matrix, compute_means=True)
     ms = noisy_marginals(party, binned, sigma_q)
     n_out = config.synthetic_rows or matrix.n_rows
-    synth = generate_bridge(party, ms, n_out, h_selected, config.seed, PUBLISH_CONTEXT)
+    synth = generate_bridge(party, ms, [n_out], h_selected, config.seed, [PUBLISH_CONTEXT])
     debinned = inv_bin(party, synth, means)
     with party.protocol("publish"):
-        cells = party.open(debinned.data, "publish")
+        cells = party.open(debinned.data[0], "publish")
     return PublishOutput(cells, n_out)
 
 

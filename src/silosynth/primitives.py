@@ -16,7 +16,7 @@ from .circuits import (
     add_components,
     and_packed,
     b2a,
-    b2a_many,
+    b2a_sum,
     bit_extract,
     mul_shares,
     not_packed,
@@ -93,11 +93,8 @@ def reciprocal_fx(party: Party, b: ShareVector) -> ShareVector:
     leading = xor_packed(pref, shift_packed(pref, -1))
     # factor = 2^(2f-1-t) for leading bit t; bits above 2f-1 are zero by the
     # range precondition, so the weighted recomposition stays in the ring.
-    bit_words = [bit_extract(leading, t) for t in range(2 * f)]
-    bits_arith = b2a_many(party, bit_words)
-    factor = bits_arith[0].scale_by(np.uint64(1) << np.uint64(2 * f - 1))
-    for t in range(1, 2 * f):
-        factor = factor + bits_arith[t].scale_by(np.uint64(1) << np.uint64(2 * f - 1 - t))
+    factor = b2a_sum(party, [bit_extract(leading, t) for t in range(2 * f)],
+                     [np.uint64(1) << np.uint64(2 * f - 1 - t) for t in range(2 * f)])
 
     b_norm = trunc_shares(party, mul_shares(party, b, factor), f)
     two = fx.encode_scalar(2.0, f)
@@ -158,24 +155,32 @@ def sort_shares(party: Party, values: ShareVector) -> ShareVector:
     return arr[np.arange(n)]
 
 
-def sort_columns(party: Party, matrix: ShareVector) -> ShareVector:
-    """Sort each column of a (N, d) share matrix in one batched schedule."""
-    n, d = matrix.shape
+def sort_columns(party: Party, matrix: ShareVector, rows=None) -> ShareVector:
+    """Sort each column of (..., N, d) shares along axis -2 in one batched schedule.
+
+    ``rows`` (shaped like the leading axes) counts the data rows of each
+    batch; the rows after them are replaced by the sentinel, which sorts
+    last, so the first rows[k] outputs of batch k are its sorted data.
+    """
+    n = matrix.shape[-2]
     if n <= 1:
         return matrix.copy()
     m = 1 << (n - 1).bit_length()
-    sentinel = np.uint64(1) << np.uint64(31 + party.fp.frac_bits)
-    pad = party.const_share(np.full((m - n, d), sentinel, dtype=np.uint64))
-    arr = ShareVector(np.concatenate([matrix.a, pad.a], axis=0), np.concatenate([matrix.b, pad.b], axis=0))
+    lead, d = matrix.shape[:-2], matrix.shape[-1]
+    live = np.arange(m) < np.reshape(n if rows is None else rows, lead + (1,))
+    sentinel = party.const_share(np.full(lead + (m, d), np.uint64(1) << np.uint64(31 + party.fp.frac_bits)))
+    pad = [(0, 0)] * len(lead) + [(0, m - n), (0, 0)]
+    arr = ShareVector(np.where(live[..., None], np.pad(matrix.a, pad), sentinel.a),
+                      np.where(live[..., None], np.pad(matrix.b, pad), sentinel.b))
     for p_idx, q_idx in _bitonic_layers(m):
-        xp, xq = arr[p_idx, :], arr[q_idx, :]
+        xp, xq = arr[..., p_idx, :], arr[..., q_idx, :]
         swap = lt(party, xq, xp)
         delta = mul_shares(party, swap, xq - xp)
-        arr.a[p_idx, :] = xp.a + delta.a
-        arr.b[p_idx, :] = xp.b + delta.b
-        arr.a[q_idx, :] = xq.a - delta.a
-        arr.b[q_idx, :] = xq.b - delta.b
-    return arr[np.arange(n), :]
+        arr.a[..., p_idx, :] = xp.a + delta.a
+        arr.b[..., p_idx, :] = xp.b + delta.b
+        arr.a[..., q_idx, :] = xq.a - delta.a
+        arr.b[..., q_idx, :] = xq.b - delta.b
+    return arr[..., :n, :]
 
 
 # -- shared randomness -----------------------------------------------------------
@@ -189,19 +194,18 @@ def rand_uniform01(party: Party, n: int) -> ShareVector:
     f = party.fp.frac_bits
     words = party.shared_random_words((n,))
     low = ShareVector(words.a & np.uint64((1 << f) - 1), words.b & np.uint64((1 << f) - 1))
-    bit_words = [bit_extract(low, t) for t in range(f)]
-    bits = b2a_many(party, bit_words)
-    acc = bits[0]
-    for t in range(1, f):
-        acc = acc + bits[t].scale_by(np.uint64(1) << np.uint64(t))
-    return acc
+    return b2a_sum(party, [bit_extract(low, t) for t in range(f)],
+                   [np.uint64(1) << np.uint64(t) for t in range(f)])
 
 
-def gauss01(party: Party, n: int) -> ShareVector:
-    """Standard normal samples by the 12-uniform sum approximation."""
-    u = rand_uniform01(party, 12 * n).reshape(12, n)
-    total = ShareVector(u.a.sum(axis=0, dtype=np.uint64), u.b.sum(axis=0, dtype=np.uint64))
-    return party.add_public(total, fx.neg_const(fx.encode_scalar(6.0, party.fp.frac_bits)))
+def gauss01(party: Party, n: int, folds: int = 1) -> ShareVector:
+    """(folds, n) standard normal samples by the 12-uniform sum approximation.
+
+    The uniforms are drawn fold-major, (folds, 12, n), so one call consumes
+    the shared random stream exactly as ``folds`` calls of n samples would.
+    """
+    u = rand_uniform01(party, folds * 12 * n).reshape(folds, 12, n)
+    return party.add_public(u.sum(axis=1), fx.neg_const(fx.encode_scalar(6.0, party.fp.frac_bits)))
 
 
 def avg_shares(party: Party, metric_sum: ShareVector, k: int) -> ShareVector:

@@ -300,16 +300,17 @@ class Party:
 
     # -- correlated randomness ----------------------------------------------
 
-    def zero_add(self, shape) -> np.ndarray:
-        """Fresh additive sharing of zero: this party's summand."""
-        n = int(np.prod(shape))
-        u = self.streams_a.words("zero-add", n) - self.streams_b.words("zero-add", n)
-        return u.reshape(shape)
+    def add_zero_sharing(self, z: np.ndarray) -> np.ndarray:
+        """Add this party's summand of a fresh additive zero sharing to z, in place."""
+        z += self.streams_a.words("zero-add", z.size).reshape(z.shape)
+        z -= self.streams_b.words("zero-add", z.size).reshape(z.shape)
+        return z
 
-    def zero_xor(self, shape) -> np.ndarray:
-        n = int(np.prod(shape))
-        u = self.streams_a.words("zero-xor", n) ^ self.streams_b.words("zero-xor", n)
-        return u.reshape(shape)
+    def xor_zero_sharing(self, z: np.ndarray) -> np.ndarray:
+        """XOR this party's part of a fresh XOR zero sharing into z, in place."""
+        z ^= self.streams_a.words("zero-xor", z.size).reshape(z.shape)
+        z ^= self.streams_b.words("zero-xor", z.size).reshape(z.shape)
+        return z
 
     def shared_random_words(self, shape) -> ShareVector:
         """XOR-replicated sharing of jointly random words, no communication."""
@@ -337,20 +338,6 @@ class Party:
         if self.pid == 3:
             return ShareVector(x.a, x.b + c)
         return ShareVector(x.a.copy(), x.b.copy())
-
-    def component_share(self, values: np.ndarray, slot: int) -> ShareVector:
-        """Sharing whose component #slot equals ``values`` and the rest are 0.
-
-        Valid only when ``values`` is already known to both holders of the
-        slot (parties slot and slot-1); used for share splitting.
-        """
-        v = to_u64(values)
-        zero = np.zeros(v.shape, dtype=np.uint64)
-        if self.pid == slot:
-            return ShareVector(v, zero)
-        if self.pid == (slot - 2) % 3 + 1:  # previous party holds it as b
-            return ShareVector(zero, v)
-        return ShareVector(zero, zero.copy())
 
     # -- openings ------------------------------------------------------------
 

@@ -63,14 +63,19 @@ class ShareVector:
     def __getitem__(self, idx) -> "ShareVector":
         return ShareVector(self.a[idx], self.b[idx])
 
+    def map(self, fn, *args, **kwargs) -> "ShareVector":
+        """Apply a shape function (reshape, moveaxis, ...) to both components."""
+        return ShareVector(fn(self.a, *args, **kwargs), fn(self.b, *args, **kwargs))
+
     def reshape(self, *shape) -> "ShareVector":
         return ShareVector(self.a.reshape(*shape), self.b.reshape(*shape))
 
     def ravel(self) -> "ShareVector":
         return ShareVector(self.a.ravel(), self.b.ravel())
 
-    def transpose(self) -> "ShareVector":
-        return ShareVector(np.ascontiguousarray(self.a.T), np.ascontiguousarray(self.b.T))
+    def sum(self, axis=None, keepdims=False) -> "ShareVector":
+        return ShareVector(self.a.sum(axis=axis, dtype=np.uint64, keepdims=keepdims),
+                           self.b.sum(axis=axis, dtype=np.uint64, keepdims=keepdims))
 
     def copy(self) -> "ShareVector":
         return ShareVector(self.a.copy(), self.b.copy())
@@ -114,29 +119,52 @@ def reconstruct(shares: list[ShareVector]) -> np.ndarray:
 
 @dataclass
 class ShareMatrix:
-    """Secret-shared dataset: rows are samples, the last column is the label."""
+    """Secret-shared datasets on a leading fold axis: (K, N, n_genes + 1).
 
-    data: ShareVector  # shape (N, n_genes + 1)
+    Rows are samples and the last column is the label. Fold k holds rows[k]
+    data rows (public); the rest pad it to the common length N and are
+    ignored by every consumer through ``mask``. A single dataset is a batch
+    of one.
+    """
+
+    data: ShareVector
     n_genes: int
+    rows: np.ndarray | None = None   # (K,) public row counts; None: no padding
 
     def __post_init__(self):
-        if self.data.a.ndim != 2:
-            raise ValueError("ShareMatrix data must be 2-D")
-        if self.data.shape[1] != self.n_genes + 1:
+        if self.data.a.ndim != 3:
+            raise ValueError("ShareMatrix data must be (folds, rows, columns)")
+        if self.data.shape[2] != self.n_genes + 1:
             raise ValueError("column count does not match n_genes + 1")
+        k, n = self.data.shape[:2]
+        if self.rows is None:
+            self.rows = np.full(k, n)
+            return
+        self.rows = np.asarray(self.rows, dtype=np.int64)
+        if self.rows.shape != (k,) or self.rows.max(initial=0) > n or self.rows.min(initial=0) < 0:
+            raise ValueError("row counts must give 0..N data rows per fold")
+
+    @property
+    def folds(self) -> int:
+        return self.data.shape[0]
 
     @property
     def n_rows(self) -> int:
-        return self.data.shape[0]
+        """Padded rows per fold."""
+        return self.data.shape[1]
 
-    def gene_column(self, g: int) -> ShareVector:
-        return self.data[:, g]
+    @property
+    def mask(self) -> np.ndarray:
+        """(K, N) public 0/1 words: 1 on data rows, 0 on padding."""
+        return (np.arange(self.n_rows) < self.rows[:, None]).astype(np.uint64)
 
     def genes(self) -> ShareVector:
-        return self.data[:, : self.n_genes]
+        return self.data[:, :, : self.n_genes]
 
     def labels(self) -> ShareVector:
-        return self.data[:, self.n_genes]
+        return self.data[:, :, self.n_genes]
 
-    def take_rows(self, idx: np.ndarray) -> "ShareMatrix":
-        return ShareMatrix(self.data[idx, :], self.n_genes)
+    def with_columns(self, genes: ShareVector) -> "ShareMatrix":
+        """Same folds and labels with new gene columns."""
+        return ShareMatrix(concat_shares([genes, self.labels()[..., None]], axis=2),
+                           self.n_genes, self.rows)

@@ -19,14 +19,16 @@ def shared(values, tag, namespace="t"):
 
 
 def shared_matrix(genes, labels, tag, namespace="tm"):
-    """Share a cleartext dataset: gene columns encoded fixed-point or integer bins."""
+    """Share a cleartext dataset as a batch of one: gene columns encoded
+    fixed-point or integer bins."""
     cells = np.concatenate([fx.to_u64(genes), fx.to_u64(labels).reshape(-1, 1)], axis=1)
-    parts = share_values(cells, CounterStream(derive_key(9000, namespace, tag)))
+    parts = share_values(cells[None], CounterStream(derive_key(9000, namespace, tag)))
     return [ShareMatrix(p, genes.shape[1]) for p in parts]
 
 
 def open_matrix(results):
-    return reconstruct([r.data for r in results])
+    """The single dataset of batch-of-one results."""
+    return reconstruct([r.data for r in results])[0]
 
 
 @pytest.fixture

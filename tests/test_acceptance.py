@@ -55,14 +55,14 @@ def preprocessing_corpus():
             return binned, cuts, means, ms
 
         results, _ = run3(body, seed=5000 + trial)
-        binned = reconstruct([r[0].data for r in results])
-        cuts = reconstruct([r[1].cuts for r in results])
-        means = reconstruct([r[2].means for r in results])
-        counters = reconstruct([r[2].counters for r in results])
+        binned = reconstruct([r[0].data for r in results])[0]
+        cuts = reconstruct([r[1].cuts for r in results])[0]
+        means = reconstruct([r[2].means for r in results])[0]
+        counters = reconstruct([r[2].counters for r in results])[0]
         marg = {
-            "gene": fx.decode(reconstruct([r[3].gene for r in results])),
-            "label": fx.decode(reconstruct([r[3].label for r in results])),
-            "two": fx.decode(reconstruct([r[3].gene_label for r in results])),
+            "gene": fx.decode(reconstruct([r[3].gene for r in results])[0]),
+            "label": fx.decode(reconstruct([r[3].label for r in results])[0]),
+            "two": fx.decode(reconstruct([r[3].gene_label for r in results])[0]),
         }
         runs.append(dict(genes=genes, labels=labels, binned=binned, cuts=cuts,
                          means=means, counters=counters, marg=marg))
@@ -207,7 +207,7 @@ def test_criterion_6_secure_lr_vs_cleartext(lr_dataset):
             return model.weights
 
         results, parties = run3(body, seed=909)
-        weights[epochs] = reconstruct(results)
+        weights[epochs] = reconstruct(results)[0]
         bytes_by_epochs[epochs] = sum(p.ledger.entry("lr").bytes_sent for p in parties)
 
     w_clear = ref.clear_lr_train(genes, labels, 150, 0.05)

@@ -22,13 +22,13 @@ def run_bin_train(genes, labels, tag, compute_means=True):
         return bin_train(p, mats[p.pid - 1], compute_means=compute_means)
 
     results, parties = run3(body)
-    binned = reconstruct([r[0].data for r in results])
-    cuts = reconstruct([r[1].cuts for r in results])
+    binned = reconstruct([r[0].data for r in results])[0]
+    cuts = reconstruct([r[1].cuts for r in results])[0]
     means = None
     counters = None
     if compute_means:
-        means = reconstruct([r[2].means for r in results])
-        counters = reconstruct([r[2].counters for r in results])
+        means = reconstruct([r[2].means for r in results])[0]
+        counters = reconstruct([r[2].counters for r in results])[0]
     return binned, cuts, means, counters, results, parties
 
 
@@ -39,10 +39,10 @@ def test_quantiles_hand_example():
     def body(p):
         from silosynth.primitives import sort_columns
         s = sort_columns(p, shares[p.pid - 1])
-        return compute_quantiles(p, s, 5)
+        return compute_quantiles(p, s[None], [5])
 
     results, _ = run3(body)
-    cuts = fx.decode(reconstruct([r.cuts for r in results]))
+    cuts = fx.decode(reconstruct([r.cuts for r in results])[0])
     assert list(cuts[0]) == [20.0, 30.0, 40.0]
 
 
@@ -51,10 +51,10 @@ def test_quantiles_constant_column():
     shares = shared(vals, 21)
 
     def body(p):
-        return compute_quantiles(p, shares[p.pid - 1], 4)
+        return compute_quantiles(p, shares[p.pid - 1][None], [4])
 
     results, _ = run3(body)
-    cuts = fx.decode(reconstruct([r.cuts for r in results]))
+    cuts = fx.decode(reconstruct([r.cuts for r in results])[0])
     assert list(cuts[0]) == [7.5, 7.5, 7.5]
 
 
@@ -63,10 +63,10 @@ def test_quantile_interpolation_two_values():
     shares = shared(vals, 22)
 
     def body(p):
-        return compute_quantiles(p, shares[p.pid - 1], 2)
+        return compute_quantiles(p, shares[p.pid - 1][None], [2])
 
     results, _ = run3(body)
-    cuts = fx.decode(reconstruct([r.cuts for r in results]))
+    cuts = fx.decode(reconstruct([r.cuts for r in results])[0])
     assert cuts[0][1] == 50.0  # median of {0,100} interpolates to 50
 
 
@@ -75,7 +75,7 @@ def test_quantiles_degenerate_rows():
     shares = shared(vals, 23)
 
     def body(p):
-        return compute_quantiles(p, shares[p.pid - 1], 1)
+        return compute_quantiles(p, shares[p.pid - 1][None], [1])
 
     with pytest.raises(Exception):
         run3(body)
@@ -156,35 +156,41 @@ def test_bin_test_with_train_cuts(rng):
     assert all("sort" not in p.ledger.entries or True for p in parties)
 
 
-def test_bin_test_ledger_is_three_lt_per_cell(rng):
-    """Transcript check: binning test rows costs exactly one batched 3-way lt."""
+def test_bin_test_ledger_is_two_lt_and_one_mul_per_cell(rng):
+    """Transcript check: binning test rows costs exactly two n*d-wide lt and
+    one n*d-wide product, and no sort."""
+    from silosynth.circuits import mul_shares
     from silosynth.primitives import lt
 
     genes = rng.normal(0, 2, size=(10, 2))
     labels = rng.integers(0, 5, size=10)
     cuts_clear = np.stack([ref.quantile_cuts_fx(fx.encode(genes[:, g])) for g in range(2)])
     test_mats = shared_matrix(fx.encode(genes), labels, 32)
-    cut_shares = shared(cuts_clear, 33)
+    cut_shares = shared(cuts_clear[None], 33)
 
     def body_bin(p):
         from silosynth.binning import QuantileCuts
         return bin_with_cuts(p, test_mats[p.pid - 1], QuantileCuts(cut_shares[p.pid - 1]))
 
-    _, parties_bin = run3(body_bin)
+    results, parties_bin = run3(body_bin)
+    want_bins = ref.clear_bin_test(fx.encode(genes), cuts_clear)
+    assert np.array_equal(open_matrix(results)[:, :2], want_bins)
 
-    x = shared(fx.encode(rng.normal(size=(3, 10, 2))), 34)
-    y = shared(fx.encode(rng.normal(size=(3, 10, 2))), 35)
+    x = shared(fx.encode(rng.normal(size=(10, 2))), 34)
+    y = shared(fx.encode(rng.normal(size=(10, 2))), 35)
 
     def body_lt(p):
         with p.protocol("bin_test"):
-            lt(p, x[p.pid - 1], y[p.pid - 1])
+            b = lt(p, x[p.pid - 1], y[p.pid - 1])
+            lt(p, x[p.pid - 1], mul_shares(p, b, y[p.pid - 1]))
 
     _, parties_lt = run3(body_lt)
     for pb, pl in zip(parties_bin, parties_lt):
         got = pb.ledger.entry("bin_test")
         want = pl.ledger.entry("bin_test")
-        assert got.bytes_sent == want.bytes_sent
-        assert got.messages_sent == want.messages_sent
+        assert (got.bytes_sent, got.messages_sent, got.rounds) == \
+            (want.bytes_sent, want.messages_sent, want.rounds)
+        assert got.rounds == 21
         assert "sort" not in pb.ledger.entries
 
 
@@ -192,7 +198,7 @@ def test_bin_test_empty_split():
     genes = np.zeros((0, 2))
     labels = np.zeros(0, dtype=np.int64)
     test_mats = shared_matrix(fx.encode(genes), labels, 36)
-    cut_shares = shared(fx.encode(np.zeros((2, 3))), 37)
+    cut_shares = shared(fx.encode(np.zeros((1, 2, 3))), 37)
 
     def body(p):
         from silosynth.binning import QuantileCuts
@@ -213,7 +219,7 @@ def test_inv_bin_selection_and_roundtrip(rng):
 
     results, _ = run3(body)
     got = open_matrix([r[0] for r in results])
-    means = reconstruct([r[1].means for r in results])
+    means = reconstruct([r[1].means for r in results])[0]
     want_binned, _, want_means, _ = ref.bin_dataset_fx(fx.encode(genes))
     assert np.array_equal(means, want_means)
     for g in range(3):

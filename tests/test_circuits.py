@@ -74,7 +74,7 @@ def test_mul_by_zero():
 
 def test_zero_sharing_sums_to_zero_each_step():
     def body(p):
-        return [p.zero_add((8,)) for _ in range(5)]
+        return [p.add_zero_sharing(np.zeros(8, dtype=np.uint64)) for _ in range(5)]
 
     results, _ = run3(body)
     for step in range(5):

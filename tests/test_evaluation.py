@@ -139,7 +139,7 @@ def test_lr_learns_separable_toy(rng):
 
     results, _ = run3(body)
     acc = fx.decode(np.atleast_1d(reconstruct([r[0] for r in results])))[0]
-    w = reconstruct([r[1] for r in results])
+    w = reconstruct([r[1] for r in results])[0]
     w_clear = ref.clear_lr_train(genes, labels, 150, 0.05)
     assert np.array_equal(w, w_clear)  # secure == clear mirror, ulp for ulp
     assert abs(acc - 1.0) <= 2**-14
@@ -187,7 +187,7 @@ def test_gradient_step0_matches_finite_differences(rng):
 
     results, _ = run3(body)
     # after one epoch with lr=1: W = -grad_mean (eta = 1/n)
-    w = fx.decode(reconstruct(results))
+    w = fx.decode(reconstruct(results)[0])
     secure_grad = -w
 
     x = np.concatenate([genes, np.ones((10, 1))], axis=1).astype(np.float64)

@@ -88,10 +88,10 @@ def test_bridge_reshares_enclave_output(rng):
 
     def body(p):
         ms = noisy_marginals(p, mats[p.pid - 1], 1.0)
-        return generate_bridge(p, ms, 30, 10, master_seed=77, context=(1, 2))
+        return generate_bridge(p, ms, [30], 10, master_seed=77, contexts=[(1, 2)])
 
     results, parties = run3(body)
-    opened = reconstruct([r.data for r in results])
+    opened = reconstruct([r.data for r in results])[0]
     assert opened.shape == (30, 4)
     assert np.all(opened[:, :3] < 4)
     assert np.all(opened[:, 3] < 5)
@@ -112,10 +112,10 @@ def test_bridge_matches_cleartext_generation(rng):
 
     def body(p):
         ms = noisy_marginals(p, mats[p.pid - 1], 0.0)
-        return generate_bridge(p, ms, 40, 10, master_seed=55, context=(0, 0))
+        return generate_bridge(p, ms, [40], 10, master_seed=55, contexts=[(0, 0)])
 
     results, _ = run3(body, seed=55)
-    opened = reconstruct([r.data for r in results])
+    opened = reconstruct([r.data for r in results])[0]
     g, l, t = ref.brute_marginals(genes, labels)
     want = generate_synthetic(g.astype(float), l.astype(float), t.astype(float),
                               40, 10, generator_rng(55, (0, 0)))

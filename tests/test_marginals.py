@@ -82,9 +82,9 @@ def marginals_sigma0(genes_binned, labels, tag):
         return noisy_marginals(p, mats[p.pid - 1], 0.0)
 
     results, _ = run3(body)
-    gene = fx.decode(reconstruct([r.gene for r in results]))
-    label = fx.decode(reconstruct([r.label for r in results]))
-    two = fx.decode(reconstruct([r.gene_label for r in results]))
+    gene = fx.decode(reconstruct([r.gene for r in results])[0])
+    label = fx.decode(reconstruct([r.label for r in results])[0])
+    two = fx.decode(reconstruct([r.gene_label for r in results])[0])
     return gene, label, two
 
 
@@ -150,9 +150,9 @@ def test_noise_changes_cells_and_is_seeded(rng):
     r1, _ = run3(body, seed=101)
     r2, _ = run3(body, seed=101)
     r3, _ = run3(body, seed=102)
-    m1 = reconstruct([r.gene for r in r1])
-    m2 = reconstruct([r.gene for r in r2])
-    m3 = reconstruct([r.gene for r in r3])
+    m1 = reconstruct([r.gene for r in r1])[0]
+    m2 = reconstruct([r.gene for r in r2])[0]
+    m3 = reconstruct([r.gene for r in r3])[0]
     assert np.array_equal(m1, m2)
     assert not np.array_equal(m1, m3)
     bg, _, _ = ref.brute_marginals(genes, labels)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import clear_reference as ref
-from conftest import run3, shared, shared_matrix
+from conftest import open_matrix, run3, shared, shared_matrix
 
 from silosynth import fixedpoint as fx
 from silosynth.config import canonical_text
@@ -64,8 +64,8 @@ def test_concat_stacking_order(rng):
         return concat_matrices(p, [m1[p.pid - 1], m2[p.pid - 1]])
 
     results, parties = run3(body)
-    combined = reconstruct([r.data for r in results])
-    want = np.vstack([reconstruct([m.data for m in m1]), reconstruct([m.data for m in m2])])
+    combined = open_matrix(results)
+    want = np.vstack([open_matrix(m1), open_matrix(m2)])
     assert np.array_equal(combined, want)
     assert combined.shape == (7, 3)
     assert all(p.ledger.entry("concat").bytes_sent == 0 for p in parties)
@@ -109,11 +109,21 @@ def test_fold_plan_partitions():
 
 
 def test_kfold_split_bounds(rng):
-    mats = shared_matrix(rng.integers(0, 4, (10, 2)).astype(np.uint64),
-                         rng.integers(0, 5, 10), 125)
-    plan = fold_plan(1, 0, 10, 5)
+    cells = rng.integers(0, 4, (11, 2)).astype(np.uint64)
+    mats = shared_matrix(cells, rng.integers(0, 5, 11), 125)
+    plan = fold_plan(1, 0, 11, 3)
+    train, test = kfold_split(mats[0], plan)
+    # folds of 8/7/7 training and 3/4/4 test rows, padded to the longest
+    assert list(train.rows) == [8, 7, 7] and list(test.rows) == [3, 4, 4]
+    assert train.data.shape == (3, 8, 3) and test.data.shape == (3, 4, 3)
+    opened = reconstruct([m.data for m in mats])[0]
+    for j, (train_idx, test_idx) in enumerate(plan):
+        got = reconstruct([kfold_split(m, plan)[1].data for m in mats])[j]
+        assert np.array_equal(got[: len(test_idx)], opened[test_idx])
+    assert list(train.mask.sum(axis=1)) == [8, 7, 7]
+    # a fold without test rows (or with fewer than 2 training rows) is refused
     with pytest.raises(ValueError):
-        kfold_split(mats[0], plan, 5)
+        kfold_split(mats[0], fold_plan(1, 0, 11, 12))
 
 
 def test_secret_vote_boundary_equality():
@@ -247,3 +257,46 @@ def test_exhaustive_mode_tracks_best(rng):
     assert np.array_equal(clear["synthetic"], r.synthetic)
     # exhaustive mode opens one extra value: the winning candidate index
     assert r.opening_log == [("vote", 1), ("vote", 1), ("h-select", 1), ("publish", r.synthetic.size)]
+
+
+@pytest.mark.parametrize("k_folds", [3, 4])
+@pytest.mark.parametrize("mode", ["first-pass", EXHAUSTIVE])
+def test_unequal_folds_match_clear_pipeline(k_folds, mode):
+    # 22 rows do not split evenly into 3 or 4 folds: train and test folds are
+    # padded to the longest, and the padding must not reach any output
+    datasets = two_datasets(np.random.default_rng(400 + k_folds), n_each=11)
+    thresholds = np.array([[1000.0, 0.0], [1000.0, 0.0]])
+    config = small_config(k_folds=k_folds, hyperparams=(10, 15), max_loops=2, lr_epochs=3, mode=mode)
+    results, _ = run_full(config, datasets, thresholds)
+    clear = ref.clear_pipeline(datasets, thresholds, config)
+    for r in results:
+        assert (r.publish, r.h_selected) == (clear["publish"], clear["h_selected"])
+        assert [(rec.hyperparam, rec.vote_bit) for rec in r.loops] == clear["loops"]
+        assert r.synthetic.tobytes() == clear["synthetic"].tobytes()
+
+
+def test_loop_lr_rounds_do_not_grow_with_folds(rng):
+    datasets = two_datasets(rng, n_each=12)
+    thresholds = np.array([[1000.0, 0.0], [1000.0, 0.0]])
+    lr_rounds = {}
+    for k in (2, 3):
+        config = small_config(k_folds=k, hyperparams=(10,), max_loops=1, lr_epochs=2)
+        _, parties = run_full(config, datasets, thresholds)
+        lr_rounds[k] = [p.ledger.entry("lr").rounds for p in parties]
+    assert lr_rounds[2] == lr_rounds[3]
+
+
+# (rounds, bytes sent) per party; rounds are counted as in runtime.CommLedger
+PINNED_TINY_TRAFFIC = [(1321, 1383552), (1323, 1382328), (1321, 1380480)]
+
+
+def test_tiny_run_traffic_pinned(rng):
+    """Exact per-party rounds and bytes of a 2x12x3 run (K=2, 2 epochs): any
+    change to the protocol's round schedule or message sizes shows here."""
+    datasets = two_datasets(rng, n_each=12)
+    thresholds = np.array([[1000.0, 0.0], [1000.0, 0.0]])
+    config = small_config(k_folds=2, hyperparams=(10,), max_loops=1, lr_epochs=2)
+    results, parties = run_full(config, datasets, thresholds)
+    assert results[0].publish
+    totals = [p.ledger.totals() for p in parties]
+    assert [(t.rounds, t.bytes_sent) for t in totals] == PINNED_TINY_TRAFFIC
