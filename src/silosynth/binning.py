@@ -5,18 +5,17 @@ linearly interpolated at public positions, and every cell is mapped to
 3 - (x < Q0) - (x < Q1) - (x < Q2). Every function works on all folds of a
 tuning loop at once, on a leading fold axis. Strict less-than follows the
 comparison primitive, so a value equal to a cut is not below it. Per-bin
-means and counters are kept secret-shared for later inverse discretization;
+means are kept secret-shared for later inverse discretization;
 held-out data is binned with the training cuts only (no sort, no means).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import fixedpoint as fx
 from .circuits import mul_shares, trunc_shares
+from .marginals import indicator4
 from .primitives import div_fx, eq_zero, lt, sort_columns
 from .runtime import Party
 from .sharing import ShareMatrix, ShareVector, concat_shares
@@ -28,25 +27,11 @@ class DegenerateInputError(ValueError):
     pass
 
 
-@dataclass
-class QuantileCuts:
-    """Secret cut points, shape (K, n_genes, 3), non-decreasing per gene."""
-
-    cuts: ShareVector
-
-
-@dataclass
-class BinMeans:
-    """Secret per-bin means and occupancy counters, shape (K, n_genes, 4)."""
-
-    means: ShareVector
-    counters: ShareVector
-
-
-def compute_quantiles(party: Party, sorted_cols: ShareVector, rows) -> QuantileCuts:
+def compute_quantiles(party: Party, sorted_cols: ShareVector, rows) -> ShareVector:
     """Interpolated quantiles of pre-sorted (K, N, d) columns at per-fold public positions.
 
-    Fold k's data are its first rows[k] sorted rows.
+    Fold k's data are its first rows[k] sorted rows. Returns the secret cut
+    points, shape (K, d, 3), non-decreasing per gene.
     """
     rows = np.asarray(rows)
     if np.any(rows < 2):
@@ -65,34 +50,28 @@ def compute_quantiles(party: Party, sorted_cols: ShareVector, rows) -> QuantileC
         step = trunc_shares(party, scaled, f)
         base.a[:, inter] += step.a
         base.b[:, inter] += step.b
-    return QuantileCuts(base.map(np.swapaxes, 1, 2))
+    return base.map(np.swapaxes, 1, 2)
 
 
-def bin_columns(party: Party, data: ShareVector, cuts: QuantileCuts) -> ShareVector:
+def bin_columns(party: Party, data: ShareVector, cuts: ShareVector) -> ShareVector:
     """Map every cell to its bin index 3 - (x < Q0) - (x < Q1) - (x < Q2) in {0,1,2,3}.
 
     Two levels of one comparison each: with b = (x < Q1), the bin is
     3 - 2b - (x < Q2 + b (Q0 - Q2)), which is the same because the cuts are
     non-decreasing. Shapes: data (..., N, d), cuts (..., d, 3).
     """
-    q0, q1, q2 = (cuts.cuts[..., None, :, j] for j in range(3))   # (..., 1, d)
+    q0, q1, q2 = (cuts[..., None, :, j] for j in range(3))   # (..., 1, d)
     b = lt(party, data, q1)
     c = lt(party, data, q2 + mul_shares(party, b, q0 - q2))
     return party.add_public(-(b.scale_by(2) + c), np.uint64(3))
 
 
-def one_hot4(party: Party, binned: ShareVector) -> ShareVector:
-    """(4, ...) secret indicator bits of the bin values 0..3."""
-    offsets = np.uint64(0) - np.arange(4, dtype=np.uint64).reshape((4,) + (1,) * binned.a.ndim)
-    return eq_zero(party, party.add_public(binned.map(np.broadcast_to, (4,) + binned.shape), offsets))
-
-
 def compute_bin_means(party: Party, binned: ShareVector, originals: ShareVector,
-                      cuts: QuantileCuts, mask: np.ndarray) -> BinMeans:
-    """Per-bin means over the (K, N) ``mask``ed rows, with oblivious empty-bin
-    fallback to cut midpoints."""
+                      cuts: ShareVector, mask: np.ndarray) -> ShareVector:
+    """Secret per-bin means, shape (K, d, 4), over the (K, N) ``mask``ed rows,
+    with oblivious empty-bin fallback to cut midpoints."""
     f = party.fp.frac_bits
-    indicator = one_hot4(party, binned).scale_by(mask[..., None])     # (4, K, N, d)
+    indicator = indicator4(party, binned).scale_by(mask[..., None])   # (4, K, N, d)
     sums = mul_shares(party, indicator, originals).sum(axis=2)        # (4, K, d)
     counters = indicator.sum(axis=2)
 
@@ -100,11 +79,11 @@ def compute_bin_means(party: Party, binned: ShareVector, originals: ShareVector,
     denom = (counters + empty).scale_by(np.uint64(1) << np.uint64(f))
     raw_means = div_fx(party, sums, denom)
 
-    c = cuts.cuts.map(np.moveaxis, -1, 0)                             # (3, K, d)
+    c = cuts.map(np.moveaxis, -1, 0)                                  # (3, K, d)
     inner = trunc_shares(party, c[:2] + c[1:], 1)
     fallback = concat_shares([c[:1], inner, c[2:]], axis=0)
     means = raw_means + mul_shares(party, empty, fallback - raw_means)
-    return BinMeans(means.map(np.moveaxis, 0, -1), counters.map(np.moveaxis, 0, -1))
+    return means.map(np.moveaxis, 0, -1)
 
 
 def bin_train(party: Party, matrix: ShareMatrix, compute_means: bool = True):
@@ -124,7 +103,7 @@ def bin_train(party: Party, matrix: ShareMatrix, compute_means: bool = True):
     return matrix.with_columns(binned), cuts, means
 
 
-def bin_with_cuts(party: Party, matrix: ShareMatrix, cuts: QuantileCuts) -> ShareMatrix:
+def bin_with_cuts(party: Party, matrix: ShareMatrix, cuts: ShareVector) -> ShareMatrix:
     """Bin held-out rows with training cuts: two comparisons and a product per cell."""
     with party.protocol("bin_test"):
         if matrix.n_rows == 0:
@@ -133,10 +112,10 @@ def bin_with_cuts(party: Party, matrix: ShareMatrix, cuts: QuantileCuts) -> Shar
     return matrix.with_columns(binned)
 
 
-def inv_bin(party: Party, matrix: ShareMatrix, means: BinMeans) -> ShareMatrix:
-    """Replace every binned gene cell with its bin's secret mean."""
+def inv_bin(party: Party, matrix: ShareMatrix, means: ShareVector) -> ShareMatrix:
+    """Replace every binned gene cell with its bin's secret mean (``means`` (K, d, 4))."""
     with party.protocol("inv_bin"):
-        indicator = one_hot4(party, matrix.genes())                   # (4, K, N, d)
-        per_bin = means.means.map(np.moveaxis, -1, 0)[:, :, None]     # (4, K, 1, d)
+        indicator = indicator4(party, matrix.genes())                 # (4, K, N, d)
+        per_bin = means.map(np.moveaxis, -1, 0)[:, :, None]           # (4, K, 1, d)
         debinned = mul_shares(party, indicator, per_bin).sum(axis=0)
     return matrix.with_columns(debinned)

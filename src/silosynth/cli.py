@@ -24,7 +24,7 @@ from .config import ConfigError, canonical_text, load_config
 from .datafile import DatasetError, read_dataset, read_thresholds, write_dataset
 from .fixedpoint import FixedPointConfig
 from .ingest import custodian_components, ingest_all
-from .pipeline import RunResult, ThresholdSet, run_pipeline
+from .pipeline import IngestionError, PipelineConfig, RunResult, ThresholdSet, check_fold_plan, run_pipeline
 from .report import render_report
 from .runtime import (
     LABEL_IDS,
@@ -54,13 +54,18 @@ def _decode_synthetic(cells: np.ndarray, n_genes: int, frac_bits: int):
     return genes, labels
 
 
-def _load_inputs(args):
+def _load_config(args) -> PipelineConfig:
+    """The config file with the --seed and (run-local only) --mode overrides."""
     config = load_config(args.config)
     if args.seed is not None:
         config.seed = args.seed
-    if args.mode is not None:
+    if getattr(args, "mode", None) is not None:
         config.mode = args.mode
-    config.validate()
+    return config
+
+
+def _load_inputs(args):
+    config = _load_config(args)
     datasets = [read_dataset(p) for p in args.data]
     thresholds = read_thresholds(args.thresholds)
     if len(datasets) != thresholds.shape[0]:
@@ -70,13 +75,14 @@ def _load_inputs(args):
     widths = {g.shape[1] for g, _ in datasets}
     if len(widths) != 1:
         raise DatasetError(f"custodian datasets disagree on gene count: {sorted(widths)}")
+    check_fold_plan(sum(g.shape[0] for g, _ in datasets), config.k_folds)
     return config, datasets, thresholds
 
 
 def run_local(args) -> int:
     try:
         config, datasets, thresholds = _load_inputs(args)
-    except (ConfigError, DatasetError, FileNotFoundError) as exc:
+    except (ConfigError, DatasetError, IngestionError, FileNotFoundError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
@@ -139,10 +145,7 @@ def _connect_with_retry(addr, timeout: float) -> socket.socket:
 
 def run_party(args) -> int:
     try:
-        config = load_config(args.config)
-        if args.seed is not None:
-            config.seed = args.seed
-        config.validate()
+        config = _load_config(args)
     except (ConfigError, FileNotFoundError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -215,6 +218,14 @@ def run_party(args) -> int:
     except (ProtocolAbort, OSError) as exc:
         print(f"custodian upload failed: {exc}", file=sys.stderr)
         return EXIT_CONNECT
+    try:
+        check_fold_plan(sum(u[0].shape[0] for u in uploads.values()), config.k_folds)
+    except IngestionError as exc:
+        print(f"input error: {exc}", file=sys.stderr)
+        transport.close()
+        for conn in custodian_socks.values():
+            conn.close()
+        return EXIT_INPUT
 
     n_genes = uploads[0][2]
     try:
@@ -248,9 +259,7 @@ def run_party(args) -> int:
 
 def run_custodian(args) -> int:
     try:
-        config = load_config(args.config)
-        if args.seed is not None:
-            config.seed = args.seed
+        config = _load_config(args)
         genes, labels = read_dataset(args.data)
         thresholds = read_thresholds(args.thresholds)
         if thresholds.shape[0] != 1:

@@ -23,8 +23,8 @@ import numpy as np
 
 from . import fixedpoint as fx
 from .circuits import matmul_shares, mul_shares, mul_shares_many, trunc_shares, trunc_shares_many
-from .marginals import flatten_marginals, marginal_counts
-from .primitives import abs_shares, div_fx, eq, is_negative, lt, mul_fx
+from .marginals import MarginalSet, flatten_marginals, indicator5, marginal_counts, measurement_count
+from .primitives import abs_shares, div_fx, eq_zero, is_negative, lt, mul_fx
 from .runtime import Party
 from .sharing import ShareMatrix, ShareVector, concat_shares, stack_shares
 
@@ -49,15 +49,6 @@ MAX_FRAC_BITS = 20
 
 
 @dataclass
-class LrModel:
-    """Secret weights per fold, shape (K, d+1, 5): gene rows, then the bias row."""
-
-    weights: ShareVector
-    epochs: int
-    learning_rate: float
-
-
-@dataclass
 class MetricPair:
     """Secret evaluation metrics per fold, shape (K,); never opened inside the tuning loop."""
 
@@ -65,18 +56,17 @@ class MetricPair:
     accuracy: ShareVector
 
 
-def wle(party: Party, real: ShareMatrix, synth: ShareMatrix) -> ShareVector:
-    """Normalized workload error between two binned datasets, per fold: (K,)."""
-    d = real.n_genes
+def wle(party: Party, real: MarginalSet, real_rows, synth: ShareMatrix) -> ShareVector:
+    """Normalized workload error per fold, (K,), between the exact marginal
+    counts ``real`` of datasets with ``real_rows`` rows and a binned batch."""
     with party.protocol("wle"):
         f = party.fp.frac_bits
-        mu_real = flatten_marginals(marginal_counts(party, real))
         mu_synth = flatten_marginals(marginal_counts(party, synth))
-        scaled_real = mu_real.scale_by(fx.encode(1.0 / real.rows, f)[:, None])
+        scaled_real = flatten_marginals(real).scale_by(fx.encode(1.0 / real_rows, f)[:, None])
         scaled_synth = mu_synth.scale_by(fx.encode(1.0 / synth.rows, f)[:, None])
         total = abs_shares(party, scaled_real - scaled_synth).sum(axis=1)
-        n_measurements = 2 * d + 1
-        err = trunc_shares(party, total.scale_by(fx.encode_scalar(1.0 / n_measurements, f)), f)
+        inv_count = fx.encode_scalar(1.0 / measurement_count(synth.n_genes), f)
+        err = trunc_shares(party, total.scale_by(inv_count), f)
     return err
 
 
@@ -157,15 +147,15 @@ def _softmax_probs(party: Party, z: ShareVector) -> ShareVector:
 
 
 def _label_onehot(party: Party, labels: ShareVector) -> ShareVector:
-    from .marginals import indicator5
-
     bits = indicator5(party, labels)                       # (5, ...)
     lifted = bits.scale_by(np.uint64(1) << np.uint64(party.fp.frac_bits))
     return lifted.map(np.moveaxis, 0, -1)                  # (..., 5)
 
 
-def lr_train(party: Party, train: ShareMatrix, epochs: int, learning_rate: float) -> LrModel:
+def lr_train(party: Party, train: ShareMatrix, epochs: int, learning_rate: float) -> ShareVector:
     """Full-batch softmax-regression training on shares, one model per fold; deterministic.
+
+    Returns the secret weights, (K, d+1, 5): gene rows, then the bias row.
 
     Padding rows have all-zero features, bias included, so they add nothing
     to the gradient; fold k's step is learning_rate / rows[k]. Input prep
@@ -186,7 +176,7 @@ def lr_train(party: Party, train: ShareMatrix, epochs: int, learning_rate: float
             delta = probs - onehot
             grad = matmul_shares(party, xt, delta)         # scale f
             w = w - trunc_shares(party, grad.scale_by(eta), f)
-    return LrModel(w, epochs, learning_rate)
+    return w
 
 
 def _argmax_logits(party: Party, z: ShareVector) -> ShareVector:
@@ -201,15 +191,15 @@ def _argmax_logits(party: Party, z: ShareVector) -> ShareVector:
     return idx
 
 
-def lr_accuracy(party: Party, model: LrModel, test: ShareMatrix) -> ShareVector:
+def lr_accuracy(party: Party, weights: ShareVector, test: ShareMatrix) -> ShareVector:
     """Secret fraction of each fold's test rows whose predicted class equals the label: (K,)."""
     if np.any(test.rows == 0):
         raise ValueError("empty test set")
     f = party.fp.frac_bits
     with party.protocol("acc"):
-        logits = matmul_shares(party, _with_bias(party, test), model.weights)
+        logits = matmul_shares(party, _with_bias(party, test), weights)
         predicted = _argmax_logits(party, logits)
-        hits = eq(party, predicted, test.labels()).scale_by(test.mask)
+        hits = eq_zero(party, predicted - test.labels()).scale_by(test.mask)
         scale = np.uint64(1) << np.uint64(f)
         acc = div_fx(party, hits.sum(axis=1).scale_by(scale),
                      party.const_share(test.rows.astype(np.uint64) * scale))
@@ -217,11 +207,12 @@ def lr_accuracy(party: Party, model: LrModel, test: ShareMatrix) -> ShareVector:
 
 
 def evaluate(party: Party, synth_train: ShareMatrix, real_test: ShareMatrix,
-             real_train: ShareMatrix, epochs: int, learning_rate: float) -> MetricPair:
-    """Fidelity (workload error vs real train) and utility (train on synthetic,
-    test on held-out real rows), per fold; both metrics stay secret-shared."""
+             real_counts: MarginalSet, real_rows, epochs: int, learning_rate: float) -> MetricPair:
+    """Fidelity (workload error vs the real training rows' exact marginal
+    counts) and utility (train on synthetic, test on held-out real rows), per
+    fold; both metrics stay secret-shared."""
     with party.protocol("eval"):
-        fidelity = wle(party, real_train, synth_train)
+        fidelity = wle(party, real_counts, real_rows, synth_train)
         model = lr_train(party, synth_train, epochs, learning_rate)
         acc = lr_accuracy(party, model, real_test)
     return MetricPair(fidelity, acc)

@@ -35,15 +35,6 @@ class FixedPointConfig:
         if not 8 <= self.frac_bits <= 24:
             raise ValueError(f"frac_bits must be in [8, 24], got {self.frac_bits}")
 
-    @property
-    def scale(self) -> int:
-        return 1 << self.frac_bits
-
-    @property
-    def input_limit(self) -> float:
-        # |x| < 2^(63-f-1) / 2^f: one product of in-range values keeps headroom.
-        return float(1 << (63 - self.frac_bits - 1)) / float(1 << self.frac_bits)
-
 
 def to_u64(values) -> np.ndarray:
     """Coerce ints / arrays to uint64 ring words (wrapping negatives)."""
@@ -71,6 +62,7 @@ def signed(words: np.ndarray) -> np.ndarray:
 
 def encode(x, frac_bits: int = 16) -> np.ndarray:
     arr = np.asarray(x, dtype=np.float64)
+    # |x| < 2^(63-f-1) / 2^f: one product of in-range values keeps headroom.
     limit = float(1 << (63 - frac_bits - 1)) / float(1 << frac_bits)
     if np.any(np.abs(arr) >= limit):
         raise RangeError(f"value out of encodable range (|x| < {limit})")
@@ -94,7 +86,3 @@ def truncate(words, shift: int) -> np.ndarray:
 
 def encode_scalar(x: float, frac_bits: int = 16) -> int:
     return int(encode(np.full(1, x), frac_bits)[0])
-
-
-def decode_scalar(word: int, frac_bits: int = 16) -> float:
-    return float(decode(np.full(1, int(word) & MASK, dtype=np.uint64), frac_bits)[0])

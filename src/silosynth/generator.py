@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import fixedpoint as fx
-from .marginals import GENE_DOMAIN, LABEL_DOMAIN, MarginalSet, flatten_marginals
+from .marginals import GENE_DOMAIN, LABEL_DOMAIN, MarginalSet, flatten_marginals, unflatten_marginals
 from .rng import CounterStream, derive_key
 from .runtime import Party
 from .sharing import ShareMatrix
@@ -109,14 +109,12 @@ def generate_bridge(party: Party, ms: MarginalSet, rows, iterations: int,
         opened = party.reveal_to(flatten_marginals(ms), 1, "noisy-marginals")
         cells = None
         if party.pid == 1:
-            vals = fx.decode(opened, f)
+            vals = unflatten_marginals(fx.decode(opened, f), d)
             cells = np.zeros(shape, dtype=np.uint64)
             for j in range(k):
-                gene = vals[j, : 4 * d].reshape(d, 4)
-                label = vals[j, 4 * d: 4 * d + 5]
-                two_way = vals[j, 4 * d + 5:].reshape(d, 20)
                 rng = generator_rng(master_seed, contexts[j])
-                synth = generate_synthetic(gene, label, two_way, int(rows[j]), iterations, rng)
+                synth = generate_synthetic(vals.gene[j], vals.label[j], vals.gene_label[j],
+                                           int(rows[j]), iterations, rng)
                 cells[j, : rows[j]] = fx.to_u64(synth)
         shares = party.input_values(cells, owner=1, shape=shape)
     return ShareMatrix(shares, d, rows)

@@ -14,7 +14,7 @@ import numpy as np
 from . import fixedpoint as fx
 from .rng import CounterStream, derive_key
 from .runtime import Party
-from .sharing import ShareMatrix, ShareVector
+from .sharing import ShareMatrix, ShareVector, stack_shares
 
 
 def custodian_components(genes: np.ndarray, labels: np.ndarray,
@@ -47,8 +47,5 @@ def ingest_all(party: Party, data_components: list[np.ndarray],
     batch of one) and thresholds."""
     with party.protocol("ingest"):
         matrices = [ShareMatrix(replicate_component(party, c)[None], n_genes) for c in data_components]
-        thr_rows = [replicate_component(party, t) for t in thr_components]
-    thresholds = ShareVector(
-        np.stack([t.a for t in thr_rows]), np.stack([t.b for t in thr_rows])
-    )
+        thresholds = stack_shares([replicate_component(party, t) for t in thr_components])
     return matrices, thresholds

@@ -33,17 +33,9 @@ GENE_DIVISORS = (6, 2, 2, 6)          # all positive with the factor order used
 LABEL_DIVISORS = (24, -6, 4, -6, 24)
 
 
-@dataclass(frozen=True)
-class DomainSpec:
-    n_genes: int
-
-    @property
-    def measurement_count(self) -> int:
-        return 2 * self.n_genes + 1
-
-    @property
-    def cells_per_dataset(self) -> int:
-        return self.n_genes * GENE_DOMAIN + LABEL_DOMAIN + self.n_genes * GENE_DOMAIN * LABEL_DOMAIN
+def measurement_count(n_genes: int) -> int:
+    """Marginals in the measured workload: d gene, 1 label, d gene-label."""
+    return 2 * n_genes + 1
 
 
 @dataclass(frozen=True)
@@ -94,7 +86,7 @@ def _odd_part_scale(acc: ShareVector, divisors: np.ndarray):
     inv = np.array([pow(int(o), -1, 1 << 64) for o in m.ravel()], dtype=object)
     inv = fx.to_u64(inv.reshape(m.shape))
     scaled = acc.scale_by(fx.to_u64(sign.astype(np.int64))).scale_by(inv)
-    return scaled, np.broadcast_to(v, scaled.shape)
+    return scaled, v
 
 
 def _exact_divide(party: Party, acc: ShareVector, divisors: np.ndarray) -> ShareVector:
@@ -124,16 +116,15 @@ def label_indicator_numerators(party: Party, y: ShareVector) -> ShareVector:
 
 
 def indicator4(party: Party, x: ShareVector) -> ShareVector:
-    """The four gene indicator bits (exactly one opens to 1 on the domain)."""
-    nums = gene_indicator_numerators(party, x)
-    div = np.array(GENE_DIVISORS).reshape((4,) + (1,) * x.a.ndim)
-    return _exact_divide(party, nums, np.broadcast_to(div, nums.shape))
+    """The four gene indicator bits, (4, ...): exactly one opens to 1 on the domain."""
+    div = np.array(GENE_DIVISORS).reshape((GENE_DOMAIN,) + (1,) * x.a.ndim)
+    return _exact_divide(party, gene_indicator_numerators(party, x), div)
 
 
 def indicator5(party: Party, y: ShareVector) -> ShareVector:
-    nums = label_indicator_numerators(party, y)
-    div = np.array(LABEL_DIVISORS).reshape((5,) + (1,) * y.a.ndim)
-    return _exact_divide(party, nums, np.broadcast_to(div, nums.shape))
+    """The five label indicator bits, (5, ...)."""
+    div = np.array(LABEL_DIVISORS).reshape((LABEL_DOMAIN,) + (1,) * y.a.ndim)
+    return _exact_divide(party, label_indicator_numerators(party, y), div)
 
 
 def marginal_counts(party: Party, matrix: ShareMatrix) -> MarginalSet:
@@ -170,16 +161,21 @@ def flatten_marginals(ms: MarginalSet) -> ShareVector:
     return concat_shares([m.reshape(k, -1) for m in (ms.gene, ms.label, ms.gene_label)], axis=1)
 
 
-def unflatten_marginals(flat: ShareVector, d: int) -> MarginalSet:
+def unflatten_marginals(flat, d: int) -> MarginalSet:
+    """Inverse of flatten_marginals; also reads opened (K, cells) arrays."""
     k = flat.shape[0]
-    g = flat[:, :4 * d].reshape(k, d, 4)
-    lab = flat[:, 4 * d:4 * d + 5]
-    gl = flat[:, 4 * d + 5:].reshape(k, d, 20)
+    g = flat[:, :GENE_DOMAIN * d].reshape(k, d, GENE_DOMAIN)
+    lab = flat[:, GENE_DOMAIN * d:GENE_DOMAIN * d + LABEL_DOMAIN]
+    gl = flat[:, GENE_DOMAIN * d + LABEL_DOMAIN:].reshape(k, d, GENE_DOMAIN * LABEL_DOMAIN)
     return MarginalSet(g, lab, gl)
 
 
-def noisy_marginals(party: Party, matrix: ShareMatrix, sigma_q: float) -> MarginalSet:
-    """Exact counts lifted to fixed-point scale plus independent Gaussian noise."""
+def noisy_marginals(party: Party, matrix: ShareMatrix, sigma_q: float):
+    """Exact counts lifted to fixed-point scale plus independent Gaussian noise.
+
+    Returns the exact counts (integer scale) and the noisy marginals, so the
+    workload error can reuse the counts.
+    """
     f = party.fp.frac_bits
     with party.protocol("noisy_marg"):
         counts = marginal_counts(party, matrix)
@@ -188,4 +184,4 @@ def noisy_marginals(party: Party, matrix: ShareMatrix, sigma_q: float) -> Margin
             noise = gauss01(party, flat.shape[1], folds=flat.shape[0])
             scaled = trunc_shares(party, noise.scale_by(fx.encode_scalar(sigma_q, f)), f)
             flat = flat + scaled
-        return unflatten_marginals(flat, matrix.n_genes)
+        return counts, unflatten_marginals(flat, matrix.n_genes)

@@ -22,12 +22,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import fixedpoint as fx
 from .binning import bin_train, bin_with_cuts, inv_bin
 from .circuits import mul_shares
 from .evaluation import MAX_FRAC_BITS, MetricPair, evaluate
 from .generator import generate_bridge
-from .marginals import DomainSpec, calibrate, noisy_marginals
-from .primitives import eq_public, lt
+from .marginals import calibrate, measurement_count, noisy_marginals
+from .primitives import eq_zero, lt
 from .rng import CounterStream, derive_key
 from .runtime import Party
 from .sharing import ShareMatrix, ShareVector, concat_shares
@@ -134,12 +135,20 @@ def _fold_rows(matrix: ShareMatrix, index_sets) -> ShareMatrix:
     return ShareMatrix(matrix.data[0][gather], matrix.n_genes, rows)
 
 
+def check_fold_plan(n_rows: int, k: int):
+    """Refuse a K-fold plan of n_rows rows that leaves a fold with no test row
+    or fewer than 2 training rows (binning needs 2); public shapes only."""
+    fewest_test, most_test = n_rows // k, -(-n_rows // k)
+    if fewest_test < 1 or n_rows - most_test < 2:
+        raise IngestionError(
+            f"{k} folds of {n_rows} rows give a fold {fewest_test}-{most_test} test and "
+            f"{n_rows - most_test}-{n_rows - fewest_test} training rows; every fold needs "
+            f"at least 1 test row and 2 training rows")
+
+
 def kfold_split(matrix: ShareMatrix, plan):
     """All K (train, test) splits of a single dataset as two padded fold batches."""
-    for train_idx, test_idx in plan:
-        if len(train_idx) < 2 or len(test_idx) == 0:
-            raise ValueError(f"{len(plan)} folds of {matrix.n_rows} rows leave a fold with "
-                             f"{len(train_idx)} training and {len(test_idx)} test rows")
+    check_fold_plan(matrix.n_rows, len(plan))
     return _fold_rows(matrix, [t for t, _ in plan]), _fold_rows(matrix, [t for _, t in plan])
 
 
@@ -160,7 +169,7 @@ def secret_vote(party: Party, wle_sum: ShareVector, acc_sum: ShareVector,
         pass_w = party.add_public(-fail_w, 1)
         pass_a = party.add_public(-fail_a, 1)
         tally = mul_shares(party, pass_w, pass_a).sum(keepdims=True)
-        unanimous = eq_public(party, tally, np.uint64(n_cust))
+        unanimous = eq_zero(party, party.add_public(tally, fx.neg_const(n_cust)))
         bit = party.open(unanimous, "vote")
     return int(bit[0])
 
@@ -171,17 +180,16 @@ def run_fold(party: Party, matrix: ShareMatrix, plan, loop_index: int,
     train, test = kfold_split(matrix, plan)
     binned_train, cuts, _ = bin_train(party, train, compute_means=False)
     binned_test = bin_with_cuts(party, test, cuts)
-    ms = noisy_marginals(party, binned_train, sigma_q)
+    counts, ms = noisy_marginals(party, binned_train, sigma_q)
     synth = generate_bridge(party, ms, binned_train.rows, h, config.seed,
                             [(loop_index, j) for j in range(len(plan))])
-    return evaluate(party, synth, binned_test, binned_train,
+    return evaluate(party, synth, binned_test, counts, binned_train.rows,
                     config.lr_epochs, config.lr_rate)
 
 
 def tuning_loop(party: Party, matrix: ShareMatrix, thresholds: ThresholdSet,
                 config: PipelineConfig) -> TuningResult:
-    sigma_q = calibrate(config.eps_s, config.delta_s,
-                        DomainSpec(matrix.n_genes).measurement_count).sigma_q
+    sigma_q = calibrate(config.eps_s, config.delta_s, measurement_count(matrix.n_genes)).sigma_q
     result = TuningResult(publish=False, h_selected=None)
     candidates: list[tuple[int, ShareVector]] = []  # (loop idx, secret wle sum) of passers
     n_loops = min(config.max_loops, len(config.hyperparams))
@@ -221,25 +229,18 @@ def _select_lowest(party: Party, candidates: list[tuple[int, ShareVector]]) -> i
     return int(opened[0])
 
 
-@dataclass
-class PublishOutput:
-    cells: np.ndarray          # opened ring words, shape (rows, d+1)
-    n_rows: int
-
-
 def publish_path(party: Party, matrix: ShareMatrix, h_selected: int,
-                 config: PipelineConfig) -> PublishOutput:
-    """Re-run preprocessing and generation on the full data, de-bin, reveal."""
-    sigma_q = calibrate(config.eps_s, config.delta_s,
-                        DomainSpec(matrix.n_genes).measurement_count).sigma_q
+                 config: PipelineConfig) -> np.ndarray:
+    """Re-run preprocessing and generation on the full data, de-bin, and
+    reveal the synthetic rows: opened ring words, shape (rows, d+1)."""
+    sigma_q = calibrate(config.eps_s, config.delta_s, measurement_count(matrix.n_genes)).sigma_q
     binned, cuts, means = bin_train(party, matrix, compute_means=True)
-    ms = noisy_marginals(party, binned, sigma_q)
+    _, ms = noisy_marginals(party, binned, sigma_q)
     n_out = config.synthetic_rows or matrix.n_rows
     synth = generate_bridge(party, ms, [n_out], h_selected, config.seed, [PUBLISH_CONTEXT])
     debinned = inv_bin(party, synth, means)
     with party.protocol("publish"):
-        cells = party.open(debinned.data[0], "publish")
-    return PublishOutput(cells, n_out)
+        return party.open(debinned.data[0], "publish")
 
 
 @dataclass
@@ -260,8 +261,7 @@ def run_pipeline(party: Party, custodian_matrices: list[ShareMatrix],
     tuning = tuning_loop(party, combined, thresholds, config)
     synthetic = None
     if tuning.publish:
-        out = publish_path(party, combined, tuning.h_selected, config)
-        synthetic = out.cells
+        synthetic = publish_path(party, combined, tuning.h_selected, config)
     return RunResult(
         publish=tuning.publish,
         h_selected=tuning.h_selected,

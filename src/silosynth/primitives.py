@@ -34,32 +34,19 @@ RECIP_INIT = 2.9142
 NR_ITERATIONS = 5
 
 
-def lt(party: Party, x: ShareVector, y: ShareVector) -> ShareVector:
-    """Secret bit: 1 iff x < y under the signed interpretation (strict)."""
-    diff = x - y
-    sum_bits, _, _ = add_components(party, diff)
-    return b2a(party, bit_extract(sum_bits, 63))
-
-
 def is_negative(party: Party, x: ShareVector) -> ShareVector:
+    """Secret bit: 1 iff x < 0 under the signed interpretation."""
     sum_bits, _, _ = add_components(party, x)
     return b2a(party, bit_extract(sum_bits, 63))
 
 
-def lt_public(party: Party, x: ShareVector, c) -> ShareVector:
-    return is_negative(party, party.add_public(x, fx.neg_const(int(fx.to_u64(c)))))
-
-
-def eq(party: Party, x: ShareVector, y: ShareVector) -> ShareVector:
-    """Secret bit: 1 iff x == y."""
-    return eq_zero(party, x - y)
-
-
-def eq_public(party: Party, x: ShareVector, c) -> ShareVector:
-    return eq_zero(party, party.add_public(x, fx.neg_const(int(fx.to_u64(c)))))
+def lt(party: Party, x: ShareVector, y: ShareVector) -> ShareVector:
+    """Secret bit: 1 iff x < y under the signed interpretation (strict)."""
+    return is_negative(party, x - y)
 
 
 def eq_zero(party: Party, x: ShareVector) -> ShareVector:
+    """Secret bit: 1 iff x == 0."""
     sum_bits, _, _ = add_components(party, x)
     t = not_packed(party, sum_bits)
     for k in (32, 16, 8, 4, 2, 1):
@@ -135,26 +122,6 @@ def _bitonic_layers(m: int):
     return layers
 
 
-def sort_shares(party: Party, values: ShareVector) -> ShareVector:
-    """Bitonic sort; opens to the input multiset in non-decreasing order."""
-    n = values.size
-    if n <= 1:
-        return values.copy()
-    m = 1 << (n - 1).bit_length()
-    sentinel = np.uint64(1) << np.uint64(31 + party.fp.frac_bits)
-    pad = party.const_share(np.full(m - n, sentinel, dtype=np.uint64))
-    arr = ShareVector(np.concatenate([values.a, pad.a]), np.concatenate([values.b, pad.b]))
-    for p_idx, q_idx in _bitonic_layers(m):
-        xp, xq = arr[p_idx], arr[q_idx]
-        swap = lt(party, xq, xp)
-        delta = mul_shares(party, swap, xq - xp)
-        arr.a[p_idx] = xp.a + delta.a
-        arr.b[p_idx] = xp.b + delta.b
-        arr.a[q_idx] = xq.a - delta.a
-        arr.b[q_idx] = xq.b - delta.b
-    return arr[np.arange(n)]
-
-
 def sort_columns(party: Party, matrix: ShareVector, rows=None) -> ShareVector:
     """Sort each column of (..., N, d) shares along axis -2 in one batched schedule.
 
@@ -207,11 +174,3 @@ def gauss01(party: Party, n: int, folds: int = 1) -> ShareVector:
     u = rand_uniform01(party, folds * 12 * n).reshape(folds, 12, n)
     return party.add_public(u.sum(axis=1), fx.neg_const(fx.encode_scalar(6.0, party.fp.frac_bits)))
 
-
-def avg_shares(party: Party, metric_sum: ShareVector, k: int) -> ShareVector:
-    """Fold average as a zero-communication local scaling by encode(1/K).
-
-    The result carries doubled fractional scale (2f); callers that need the
-    plain scale compare against K-scaled values instead (see secret_vote).
-    """
-    return metric_sum.scale_by(fx.encode_scalar(1.0 / k, party.fp.frac_bits))

@@ -27,11 +27,10 @@ from .sharing import ShareVector
 # Protocol catalog; ids go on the wire, names into ledgers and reports.
 PROTOCOL_LABELS = [
     "setup", "ingest", "concat", "sort", "bin", "bin_test", "inv_bin",
-    "noisy_marg", "sdg", "lr", "acc", "wle", "eval", "avg", "vote",
+    "noisy_marg", "sdg", "lr", "acc", "wle", "eval", "vote",
     "h_select", "publish", "adhoc",
 ]
 LABEL_IDS = {name: i for i, name in enumerate(PROTOCOL_LABELS)}
-ID_LABELS = {i: name for name, i in LABEL_IDS.items()}
 
 WORD = 8  # payload bytes per ring element
 
@@ -93,15 +92,6 @@ class CommLedger:
             for k, e in sorted(self.entries.items())
         }
 
-    def totals(self) -> LedgerEntry:
-        t = LedgerEntry()
-        for e in self.entries.values():
-            t.bytes_sent += e.bytes_sent
-            t.messages_sent += e.messages_sent
-            t.rounds += e.rounds
-            t.seconds += e.seconds
-        return t
-
     def reset(self):
         self.entries.clear()
 
@@ -112,9 +102,6 @@ class LocalRouter:
     def __init__(self, timeout: float = 300.0):
         self.queues = {(s, d): queue.SimpleQueue() for s in (1, 2, 3) for d in (1, 2, 3) if s != d}
         self.timeout = timeout
-
-    def transport_for(self, pid: int) -> "LocalTransport":
-        return LocalTransport(pid, self)
 
 
 class LocalTransport:
@@ -412,7 +399,7 @@ def run_parties(body, master_seed: int, fp: FixedPointConfig, timeout: float = 6
     indexed by party. Any party's exception aborts the run.
     """
     router = LocalRouter(timeout=timeout)
-    parties = [Party(pid, router.transport_for(pid), master_seed, fp) for pid in (1, 2, 3)]
+    parties = [Party(pid, LocalTransport(pid, router), master_seed, fp) for pid in (1, 2, 3)]
     results: list = [None, None, None]
     errors: list = [None, None, None]
 

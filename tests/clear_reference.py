@@ -313,15 +313,14 @@ def clear_pipeline(datasets, threshold_rows, config):
     datasets: list of (genes float array, labels int array) per custodian.
     """
     from silosynth.generator import generate_synthetic, generator_rng
-    from silosynth.marginals import DomainSpec, calibrate
+    from silosynth.marginals import calibrate, measurement_count
     from silosynth.pipeline import EXHAUSTIVE, FIRST_PASS, PUBLISH_CONTEXT, fold_plan
 
     f = config.frac_bits
     genes = np.concatenate([fx.encode(g, f) for g, _ in datasets], axis=0)
     labels = np.concatenate([l for _, l in datasets])
     n, d = genes.shape
-    spec = DomainSpec(d)
-    sigma_q = calibrate(config.eps_s, config.delta_s, spec.measurement_count).sigma_q
+    sigma_q = calibrate(config.eps_s, config.delta_s, measurement_count(d)).sigma_q
     noise = NoiseReplay(config.seed, f)
     thr = fx.encode(np.asarray(threshold_rows, dtype=np.float64), f)  # (C, 2)
     k = config.k_folds

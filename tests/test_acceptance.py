@@ -51,21 +51,20 @@ def preprocessing_corpus():
 
         def body(p):
             binned, cuts, means = bin_train(p, mats[p.pid - 1], compute_means=True)
-            ms = noisy_marginals(p, binned, 0.0)
+            _, ms = noisy_marginals(p, binned, 0.0)
             return binned, cuts, means, ms
 
         results, _ = run3(body, seed=5000 + trial)
         binned = reconstruct([r[0].data for r in results])[0]
-        cuts = reconstruct([r[1].cuts for r in results])[0]
-        means = reconstruct([r[2].means for r in results])[0]
-        counters = reconstruct([r[2].counters for r in results])[0]
+        cuts = reconstruct([r[1] for r in results])[0]
+        means = reconstruct([r[2] for r in results])[0]
         marg = {
             "gene": fx.decode(reconstruct([r[3].gene for r in results])[0]),
             "label": fx.decode(reconstruct([r[3].label for r in results])[0]),
             "two": fx.decode(reconstruct([r[3].gene_label for r in results])[0]),
         }
         runs.append(dict(genes=genes, labels=labels, binned=binned, cuts=cuts,
-                         means=means, counters=counters, marg=marg))
+                         means=means, marg=marg))
     elapsed = time.time() - t0
     return runs, elapsed
 
@@ -159,6 +158,7 @@ def test_criterion_4_dp_noise_and_calibration():
 
 def test_criterion_5_wle_properties(rng):
     from silosynth.evaluation import wle
+    from silosynth.marginals import marginal_counts
 
     genes = rng.integers(0, 4, size=(25, 3))
     labels = rng.integers(0, 5, size=25)
@@ -170,10 +170,13 @@ def test_criterion_5_wle_properties(rng):
     toy_synth = shared_matrix(np.zeros((2, 0), dtype=np.uint64), np.array([0, 1]), 1204, namespace="acc")
 
     def body(p):
-        zero = wle(p, m_same1[p.pid - 1], m_same2[p.pid - 1])
-        a = wle(p, m_same1[p.pid - 1], m_perm[p.pid - 1])
-        b = wle(p, m_perm[p.pid - 1], m_same1[p.pid - 1])
-        toy = wle(p, toy_real[p.pid - 1], toy_synth[p.pid - 1])
+        def wle_of(real, synth):
+            return wle(p, marginal_counts(p, real), real.rows, synth)
+
+        zero = wle_of(m_same1[p.pid - 1], m_same2[p.pid - 1])
+        a = wle_of(m_same1[p.pid - 1], m_perm[p.pid - 1])
+        b = wle_of(m_perm[p.pid - 1], m_same1[p.pid - 1])
+        toy = wle_of(toy_real[p.pid - 1], toy_synth[p.pid - 1])
         return zero, a, b, toy
 
     results, _ = run3(body)
@@ -203,8 +206,7 @@ def test_criterion_6_secure_lr_vs_cleartext(lr_dataset):
     weights = {}
     for epochs in (150, 300):
         def body(p):
-            model = lr_train(p, mats[p.pid - 1], epochs=epochs, learning_rate=0.05)
-            return model.weights
+            return lr_train(p, mats[p.pid - 1], epochs=epochs, learning_rate=0.05)
 
         results, parties = run3(body, seed=909)
         weights[epochs] = reconstruct(results)[0]
@@ -395,8 +397,8 @@ def local_binning_publish(datasets, config):
     merged_means = np.divide(sums, ctrs, out=np.zeros_like(sums), where=ctrs > 0)
     binned_all = np.vstack(binned_blocks)
     labels_all = np.concatenate([l for _, l in datasets])
-    from silosynth.marginals import DomainSpec
-    sigma_q = calibrate(config.eps_s, config.delta_s, DomainSpec(d).measurement_count).sigma_q
+    from silosynth.marginals import measurement_count
+    sigma_q = calibrate(config.eps_s, config.delta_s, measurement_count(d)).sigma_q
     noise = ref.NoiseReplay(config.seed, f)
     mg, ml, mt = ref.clear_noisy_marginals(binned_all, labels_all, sigma_q, noise, f)
     synth = generate_synthetic(fx.decode(mg, f), fx.decode(ml, f), fx.decode(mt, f),

@@ -23,12 +23,13 @@ def run_bin_train(genes, labels, tag, compute_means=True):
 
     results, parties = run3(body)
     binned = reconstruct([r[0].data for r in results])[0]
-    cuts = reconstruct([r[1].cuts for r in results])[0]
+    cuts = reconstruct([r[1] for r in results])[0]
     means = None
     counters = None
     if compute_means:
-        means = reconstruct([r[2].means for r in results])[0]
-        counters = reconstruct([r[2].counters for r in results])[0]
+        means = reconstruct([r[2] for r in results])[0]
+        # per-bin row counts (d, 4), counted from the opened bins
+        counters = (binned[:, :-1, None] == np.arange(4)).sum(axis=0).astype(np.uint64)
     return binned, cuts, means, counters, results, parties
 
 
@@ -42,7 +43,7 @@ def test_quantiles_hand_example():
         return compute_quantiles(p, s[None], [5])
 
     results, _ = run3(body)
-    cuts = fx.decode(reconstruct([r.cuts for r in results])[0])
+    cuts = fx.decode(reconstruct(results)[0])
     assert list(cuts[0]) == [20.0, 30.0, 40.0]
 
 
@@ -54,7 +55,7 @@ def test_quantiles_constant_column():
         return compute_quantiles(p, shares[p.pid - 1][None], [4])
 
     results, _ = run3(body)
-    cuts = fx.decode(reconstruct([r.cuts for r in results])[0])
+    cuts = fx.decode(reconstruct(results)[0])
     assert list(cuts[0]) == [7.5, 7.5, 7.5]
 
 
@@ -66,7 +67,7 @@ def test_quantile_interpolation_two_values():
         return compute_quantiles(p, shares[p.pid - 1][None], [2])
 
     results, _ = run3(body)
-    cuts = fx.decode(reconstruct([r.cuts for r in results])[0])
+    cuts = fx.decode(reconstruct(results)[0])
     assert cuts[0][1] == 50.0  # median of {0,100} interpolates to 50
 
 
@@ -88,8 +89,7 @@ def test_bin_values_against_cut_semantics():
     sc, sv = shared(cuts_words, 24), shared(vals, 25)
 
     def body(p):
-        from silosynth.binning import QuantileCuts
-        return bin_columns(p, sv[p.pid - 1], QuantileCuts(sc[p.pid - 1]))
+        return bin_columns(p, sv[p.pid - 1], sc[p.pid - 1])
 
     results, _ = run3(body)
     got = reconstruct(results)
@@ -169,8 +169,7 @@ def test_bin_test_ledger_is_two_lt_and_one_mul_per_cell(rng):
     cut_shares = shared(cuts_clear[None], 33)
 
     def body_bin(p):
-        from silosynth.binning import QuantileCuts
-        return bin_with_cuts(p, test_mats[p.pid - 1], QuantileCuts(cut_shares[p.pid - 1]))
+        return bin_with_cuts(p, test_mats[p.pid - 1], cut_shares[p.pid - 1])
 
     results, parties_bin = run3(body_bin)
     want_bins = ref.clear_bin_test(fx.encode(genes), cuts_clear)
@@ -201,8 +200,7 @@ def test_bin_test_empty_split():
     cut_shares = shared(fx.encode(np.zeros((1, 2, 3))), 37)
 
     def body(p):
-        from silosynth.binning import QuantileCuts
-        return bin_with_cuts(p, test_mats[p.pid - 1], QuantileCuts(cut_shares[p.pid - 1]))
+        return bin_with_cuts(p, test_mats[p.pid - 1], cut_shares[p.pid - 1])
 
     results, _ = run3(body)
     assert open_matrix(results).shape == (0, 3)
@@ -219,7 +217,7 @@ def test_inv_bin_selection_and_roundtrip(rng):
 
     results, _ = run3(body)
     got = open_matrix([r[0] for r in results])
-    means = reconstruct([r[1].means for r in results])[0]
+    means = reconstruct([r[1] for r in results])[0]
     want_binned, _, want_means, _ = ref.bin_dataset_fx(fx.encode(genes))
     assert np.array_equal(means, want_means)
     for g in range(3):

@@ -120,6 +120,18 @@ def test_run_local_input_error_exit_2(workdir, capsys):
     assert "row 1" in capsys.readouterr().err
 
 
+def test_run_local_refuses_folds_without_test_rows(workdir, rng, capsys):
+    # two 2-row custodians and 5 folds: a fold would get no test row
+    for c in range(2):
+        write_dataset(str(workdir[f"data{c}"]), rng.normal(0, 2, size=(2, 3)), rng.integers(0, 5, size=2))
+    workdir["config"].write_text(CONFIG.replace("k_folds = 2", "k_folds = 5"))
+    code = main(run_local_args(workdir))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "5 folds of 4 rows" in err and "at least 1 test row and 2 training rows" in err
+    assert not workdir["out"].exists()
+
+
 def test_run_local_threshold_count_mismatch(workdir, capsys):
     write_thresholds(str(workdir["thresholds"]), np.array([[1000.0, 0.0]]))
     code = main(run_local_args(workdir))

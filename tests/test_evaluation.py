@@ -16,6 +16,7 @@ from silosynth.evaluation import (
     lr_train,
     wle,
 )
+from silosynth.marginals import marginal_counts
 from silosynth.sharing import reconstruct
 
 ULP = 2.0**-16
@@ -25,6 +26,11 @@ def open_scalar(results):
     return fx.decode(np.atleast_1d(reconstruct(results)))[0]
 
 
+def wle_of(p, real, synth):
+    """wle of a real batch against a synthetic one, from the real batch's exact counts."""
+    return wle(p, marginal_counts(p, real), real.rows, synth)
+
+
 def test_wle_identical_datasets_zero(rng):
     genes = rng.integers(0, 4, size=(25, 3))
     labels = rng.integers(0, 5, size=25)
@@ -32,7 +38,7 @@ def test_wle_identical_datasets_zero(rng):
     m2 = shared_matrix(genes.astype(np.uint64), labels, 91)
 
     def body(p):
-        return wle(p, m1[p.pid - 1], m2[p.pid - 1])
+        return wle_of(p, m1[p.pid - 1], m2[p.pid - 1])
 
     results, _ = run3(body)
     assert open_scalar(results) == 0.0
@@ -44,7 +50,7 @@ def test_wle_hand_computed_toy():
     synth = shared_matrix(np.zeros((2, 0), dtype=np.uint64), np.array([0, 1]), 93)
 
     def body(p):
-        return wle(p, real[p.pid - 1], synth[p.pid - 1])
+        return wle_of(p, real[p.pid - 1], synth[p.pid - 1])
 
     results, _ = run3(body)
     assert open_scalar(results) == 1.0
@@ -61,8 +67,8 @@ def test_wle_permutation_invariance(rng):
     s1 = shared_matrix(synth_g.astype(np.uint64), synth_l, 96)
 
     def body(p):
-        return (wle(p, m1[p.pid - 1], s1[p.pid - 1]),
-                wle(p, m2[p.pid - 1], s1[p.pid - 1]))
+        return (wle_of(p, m1[p.pid - 1], s1[p.pid - 1]),
+                wle_of(p, m2[p.pid - 1], s1[p.pid - 1]))
 
     results, _ = run3(body)
     a = reconstruct([r[0] for r in results])
@@ -79,8 +85,8 @@ def test_wle_symmetry_same_n(rng):
     m2 = shared_matrix(g2.astype(np.uint64), l2, 98)
 
     def body(p):
-        return (wle(p, m1[p.pid - 1], m2[p.pid - 1]),
-                wle(p, m2[p.pid - 1], m1[p.pid - 1]))
+        return (wle_of(p, m1[p.pid - 1], m2[p.pid - 1]),
+                wle_of(p, m2[p.pid - 1], m1[p.pid - 1]))
 
     results, _ = run3(body)
     a = reconstruct([r[0] for r in results])
@@ -97,14 +103,14 @@ def test_wle_matches_clear_mirror(rng):
     m2 = shared_matrix(sg.astype(np.uint64), sl, 100)
 
     def body(p):
-        return wle(p, m1[p.pid - 1], m2[p.pid - 1])
+        return wle_of(p, m1[p.pid - 1], m2[p.pid - 1])
 
     results, _ = run3(body)
     got = int(np.atleast_1d(reconstruct(results))[0])
     want = int(ref.clear_wle(genes, labels, sg, sl))
     assert got == want
     # float sanity
-    assert abs(fx.decode_scalar(got) - ref.float_wle(genes, labels, sg, sl)) < 1e-3
+    assert abs(fx.decode(np.uint64(got))[0] - ref.float_wle(genes, labels, sg, sl)) < 1e-3
 
 
 def make_separable_toy(rng, n=20):
@@ -121,8 +127,7 @@ def test_lr_zero_epochs_uniform_scores(rng):
     mats = shared_matrix(genes.astype(np.uint64), labels, 101)
 
     def body(p):
-        model = lr_train(p, mats[p.pid - 1], epochs=0, learning_rate=0.05)
-        return model.weights
+        return lr_train(p, mats[p.pid - 1], epochs=0, learning_rate=0.05)
 
     results, _ = run3(body)
     w = reconstruct(results)
@@ -135,7 +140,7 @@ def test_lr_learns_separable_toy(rng):
 
     def body(p):
         model = lr_train(p, mats[p.pid - 1], epochs=150, learning_rate=0.05)
-        return lr_accuracy(p, model, mats[p.pid - 1]), model.weights
+        return lr_accuracy(p, model, mats[p.pid - 1]), model
 
     results, _ = run3(body)
     acc = fx.decode(np.atleast_1d(reconstruct([r[0] for r in results])))[0]
@@ -182,8 +187,7 @@ def test_gradient_step0_matches_finite_differences(rng):
     mats = shared_matrix(genes.astype(np.uint64), labels, 106)
 
     def body(p):
-        model = lr_train(p, mats[p.pid - 1], epochs=1, learning_rate=1.0)
-        return model.weights
+        return lr_train(p, mats[p.pid - 1], epochs=1, learning_rate=1.0)
 
     results, _ = run3(body)
     # after one epoch with lr=1: W = -grad_mean (eta = 1/n)
@@ -221,7 +225,8 @@ def test_evaluate_identity_synthetic(rng):
     test = shared_matrix(test_g.astype(np.uint64), test_l, 109)
 
     def body(p):
-        m = evaluate(p, synth[p.pid - 1], test[p.pid - 1], train[p.pid - 1],
+        real = train[p.pid - 1]
+        m = evaluate(p, synth[p.pid - 1], test[p.pid - 1], marginal_counts(p, real), real.rows,
                      epochs=20, learning_rate=0.05)
         return m.wle, m.accuracy
 

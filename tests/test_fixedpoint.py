@@ -14,9 +14,7 @@ def test_encode_negative_half():
 
 
 def test_decode_roundtrip_examples():
-    assert fx.decode_scalar(65536) == 1.0
-    assert fx.decode_scalar(0) == 0.0
-    assert fx.decode_scalar(2**64 - 32768) == -0.5
+    assert list(fx.decode(np.array([65536, 0, 2**64 - 32768], dtype=np.uint64))) == [1.0, 0.0, -0.5]
 
 
 def test_encode_out_of_range():
@@ -28,10 +26,10 @@ def test_truncate_products():
     one = fx.encode_scalar(1.0)
     assert int(fx.truncate(np.array([one * one], dtype=np.uint64), 16)[0]) == one
     half = fx.encode_scalar(0.5)
-    assert fx.decode_scalar(int(fx.truncate(np.array([half * half], dtype=np.uint64), 16)[0])) == 0.25
+    assert fx.decode(fx.truncate(np.array([half * half], dtype=np.uint64), 16))[0] == 0.25
     a, b = fx.encode_scalar(-1.5), fx.encode_scalar(2.0)
     prod = np.array([(a * b) & fx.MASK], dtype=np.uint64)
-    assert fx.decode_scalar(int(fx.truncate(prod, 16)[0])) == -3.0
+    assert fx.decode(fx.truncate(prod, 16))[0] == -3.0
 
 
 def test_grid_roundtrip_random():
@@ -67,5 +65,4 @@ def test_round_half_away_from_zero():
 def test_config_validation():
     with pytest.raises(ValueError):
         fx.FixedPointConfig(frac_bits=4)
-    cfg = fx.FixedPointConfig()
-    assert cfg.scale == 65536
+    assert fx.FixedPointConfig().frac_bits == 16

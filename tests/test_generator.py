@@ -87,7 +87,7 @@ def test_bridge_reshares_enclave_output(rng):
     mats = shared_matrix(genes.astype(np.uint64), labels, 80)
 
     def body(p):
-        ms = noisy_marginals(p, mats[p.pid - 1], 1.0)
+        _, ms = noisy_marginals(p, mats[p.pid - 1], 1.0)
         return generate_bridge(p, ms, [30], 10, master_seed=77, contexts=[(1, 2)])
 
     results, parties = run3(body)
@@ -111,7 +111,7 @@ def test_bridge_matches_cleartext_generation(rng):
     mats = shared_matrix(genes.astype(np.uint64), labels, 81)
 
     def body(p):
-        ms = noisy_marginals(p, mats[p.pid - 1], 0.0)
+        _, ms = noisy_marginals(p, mats[p.pid - 1], 0.0)
         return generate_bridge(p, ms, [40], 10, master_seed=55, contexts=[(0, 0)])
 
     results, _ = run3(body, seed=55)

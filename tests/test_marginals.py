@@ -8,10 +8,10 @@ from conftest import run3, shared, shared_matrix
 
 from silosynth import fixedpoint as fx
 from silosynth.marginals import (
-    DomainSpec,
     calibrate,
     indicator4,
     indicator5,
+    measurement_count,
     noisy_marginals,
 )
 from silosynth.sharing import reconstruct
@@ -56,30 +56,33 @@ def test_indicators_partition_of_unity():
     assert np.all(i5.sum(axis=0) == 1)
 
 
-def test_indicators_agree_with_equality_tests():
-    """Polynomial route equals four/five eq tests on every domain value."""
-    from silosynth.primitives import eq_public
+def test_indicators_agree_with_equality_tests(rng):
+    """Polynomial route equals four eq tests on every domain value, also on a
+    (K, N, d) batch as batched binning passes it."""
+    from silosynth.primitives import eq_zero
 
-    vals4 = np.arange(4, dtype=np.uint64)
-    s4 = shared(vals4, 54)
+    for tag, vals4 in ((54, np.arange(4, dtype=np.uint64)),
+                       (55, rng.integers(0, 4, size=(3, 7, 2)).astype(np.uint64))):
+        s4 = shared(vals4, tag)
 
-    def body(p):
-        polys = indicator4(p, s4[p.pid - 1])
-        eqs = [eq_public(p, s4[p.pid - 1], b) for b in range(4)]
-        return polys, eqs
+        def body(p):
+            polys = indicator4(p, s4[p.pid - 1])
+            eqs = [eq_zero(p, p.add_public(s4[p.pid - 1], fx.neg_const(b))) for b in range(4)]
+            return polys, eqs
 
-    results, _ = run3(body)
-    polys = reconstruct([r[0] for r in results])
-    for b in range(4):
-        eq_b = reconstruct([r[1][b] for r in results])
-        assert np.array_equal(polys[b], eq_b)
+        results, _ = run3(body)
+        polys = reconstruct([r[0] for r in results])
+        assert polys.shape == (4,) + vals4.shape
+        for b in range(4):
+            eq_b = reconstruct([r[1][b] for r in results])
+            assert np.array_equal(polys[b], eq_b)
 
 
 def marginals_sigma0(genes_binned, labels, tag):
     mats = shared_matrix(genes_binned.astype(np.uint64), labels, tag)
 
     def body(p):
-        return noisy_marginals(p, mats[p.pid - 1], 0.0)
+        return noisy_marginals(p, mats[p.pid - 1], 0.0)[1]
 
     results, _ = run3(body)
     gene = fx.decode(reconstruct([r.gene for r in results])[0])
@@ -133,10 +136,9 @@ def test_calibration_rejects_bad_budget():
         calibrate(1.0, 0.0, 10)
 
 
-def test_domain_spec_counts():
-    spec = DomainSpec(958)
-    assert spec.measurement_count == 1917
-    assert DomainSpec(10).measurement_count == 21
+def test_measurement_count():
+    assert measurement_count(958) == 1917
+    assert measurement_count(10) == 21
 
 
 def test_noise_changes_cells_and_is_seeded(rng):
@@ -145,7 +147,7 @@ def test_noise_changes_cells_and_is_seeded(rng):
     mats = shared_matrix(genes.astype(np.uint64), labels, 72)
 
     def body(p):
-        return noisy_marginals(p, mats[p.pid - 1], 3.0)
+        return noisy_marginals(p, mats[p.pid - 1], 3.0)[1]
 
     r1, _ = run3(body, seed=101)
     r2, _ = run3(body, seed=101)
@@ -169,7 +171,7 @@ def test_noise_independence_across_cells(rng):
         mats = shared_matrix(genes.astype(np.uint64), labels, 300 + trial)
 
         def body(p):
-            return noisy_marginals(p, mats[p.pid - 1], 1.0)
+            return noisy_marginals(p, mats[p.pid - 1], 1.0)[1]
 
         results, _ = run3(body, seed=5000 + trial)
         flat = np.concatenate([

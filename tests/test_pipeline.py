@@ -286,8 +286,8 @@ def test_loop_lr_rounds_do_not_grow_with_folds(rng):
     assert lr_rounds[2] == lr_rounds[3]
 
 
-# (rounds, bytes sent) per party; rounds are counted as in runtime.CommLedger
-PINNED_TINY_TRAFFIC = [(1321, 1383552), (1323, 1382328), (1321, 1380480)]
+# (rounds, bytes sent) per party, summed over the ledger labels
+PINNED_TINY_TRAFFIC = [(1297, 1348320), (1299, 1347096), (1297, 1345248)]
 
 
 def test_tiny_run_traffic_pinned(rng):
@@ -298,5 +298,6 @@ def test_tiny_run_traffic_pinned(rng):
     config = small_config(k_folds=2, hyperparams=(10,), max_loops=1, lr_epochs=2)
     results, parties = run_full(config, datasets, thresholds)
     assert results[0].publish
-    totals = [p.ledger.totals() for p in parties]
-    assert [(t.rounds, t.bytes_sent) for t in totals] == PINNED_TINY_TRAFFIC
+    snaps = [p.ledger.snapshot().values() for p in parties]
+    totals = [(sum(e["rounds"] for e in s), sum(e["bytes_sent"] for e in s)) for s in snaps]
+    assert totals == PINNED_TINY_TRAFFIC

@@ -7,14 +7,12 @@ from silosynth import primitives
 from silosynth.fixedpoint import FixedPointConfig
 from silosynth.primitives import (
     abs_shares,
-    avg_shares,
     div_fx,
-    eq,
-    eq_public,
+    eq_zero,
     gauss01,
     lt,
     rand_uniform01,
-    sort_shares,
+    sort_columns,
 )
 from silosynth.rng import CounterStream, derive_key
 from silosynth.runtime import run_parties
@@ -68,7 +66,7 @@ def test_eq_oracle_sweep():
     sa, sb = shared(b, 5), shared(b, 6)
 
     def body(p):
-        return eq(p, sa[p.pid - 1], sb[p.pid - 1])
+        return eq_zero(p, sa[p.pid - 1] - sb[p.pid - 1])
 
     results, _ = run3(body)
     assert np.all(open_result(results) == 1)
@@ -79,7 +77,7 @@ def test_eq_examples():
     sa = shared(vals, 7)
 
     def body(p):
-        return eq_public(p, sa[p.pid - 1], 0)
+        return eq_zero(p, sa[p.pid - 1])
 
     results, _ = run3(body)
     assert list(open_result(results)) == [1, 0]
@@ -149,31 +147,31 @@ def test_div_random_sweep():
 
 
 def test_sort_small_example():
-    vals = fx.encode(np.array([3.0, 1.0, 2.0]))
+    vals = fx.encode(np.array([[3.0], [1.0], [2.0]]))
     sv = shared(vals, 15)
 
     def body(p):
-        return sort_shares(p, sv[p.pid - 1])
+        return sort_columns(p, sv[p.pid - 1])
 
     results, _ = run3(body)
-    assert list(fx.decode(open_result(results))) == [1.0, 2.0, 3.0]
+    assert list(fx.decode(open_result(results))[:, 0]) == [1.0, 2.0, 3.0]
 
 
 def test_sort_random_multiset_and_fixedpoint():
     rng = np.random.default_rng(6)
     for trial in range(20):
         n = int(rng.integers(2, 60))
-        vals = fx.encode(rng.uniform(-50, 50, size=n))
+        vals = fx.encode(rng.uniform(-50, 50, size=(n, 1)))
         sv = shared(vals, 100 + trial)
 
         def body(p):
-            first = sort_shares(p, sv[p.pid - 1])
-            return first, sort_shares(p, first)
+            first = sort_columns(p, sv[p.pid - 1])
+            return first, sort_columns(p, first)
 
         results, _ = run3(body)
         got = fx.signed(reconstruct([r[0] for r in results]))
         again = fx.signed(reconstruct([r[1] for r in results]))
-        assert np.array_equal(got, np.sort(fx.signed(vals)))
+        assert np.array_equal(got, np.sort(fx.signed(vals), axis=0))
         assert np.array_equal(again, got)  # sorting a sorted vector is a fixed point
 
 
@@ -220,35 +218,6 @@ def test_gauss_statistics_and_support():
     assert 0.9 <= float(g.var()) <= 1.1
 
 
-def test_avg_examples():
-    vals = fx.encode(np.array([2.0, 4.0, 6.0]))
-    sv = shared(vals, 16)
-
-    def body(p):
-        with p.protocol("avg"):
-            total = sv[p.pid - 1][0] + sv[p.pid - 1][1] + sv[p.pid - 1][2]
-            return avg_shares(p, total, 3)
-
-    results, parties = run3(body)
-    # doubled fractional scale by contract
-    got = fx.signed(open_result(results)).astype(np.float64) / 2.0**32
-    assert abs(float(got[0]) - 4.0) <= 2.0**-14
-    assert all(p.ledger.entry("avg").bytes_sent == 0 for p in parties)
-
-
-def test_avg_of_k_copies_is_identity():
-    x = fx.encode(np.array([3.75]))
-    sv = shared(x, 40)
-
-    def body(p):
-        total = sv[p.pid - 1].scale_by(5)  # sum of 5 copies
-        return avg_shares(p, total, 5)
-
-    results, _ = run3(body)
-    got = fx.signed(open_result(results)).astype(np.float64) / 2.0**32
-    assert abs(float(got[0]) - 3.75) <= 2.0**-14
-
-
 def test_div_nonpositive_denominator_no_leak():
     """Out-of-contract denominators still run obliviously (garbage out, no branch)."""
     good = shared(fx.encode(np.array([4.0, 2.0])), 41)
@@ -279,10 +248,10 @@ def test_obliviousness_ledgers_match_across_inputs():
         def body(p):
             with p.protocol("adhoc"):
                 lt(p, sv[p.pid - 1], so[p.pid - 1])
-                eq(p, sv[p.pid - 1], so[p.pid - 1])
+                eq_zero(p, sv[p.pid - 1] - so[p.pid - 1])
                 abs_shares(p, sv[p.pid - 1])
                 div_fx(p, sv[p.pid - 1], so[p.pid - 1])
-                sort_shares(p, sv[p.pid - 1])
+                sort_columns(p, sv[p.pid - 1].reshape(-1, 1))
             return None
 
         _, parties = run3(body)

@@ -12,6 +12,7 @@ from silosynth.fixedpoint import FixedPointConfig
 from silosynth.runtime import (
     AccountingError,
     LocalRouter,
+    LocalTransport,
     Party,
     ProtocolAbort,
     SetupError,
@@ -48,7 +49,7 @@ def test_handshake_rejects_frac_bits_mismatch():
     fp = config_fingerprint("config A")
     router = LocalRouter(timeout=10.0)
     parties = [
-        Party(pid, router.transport_for(pid), 5,
+        Party(pid, LocalTransport(pid, router), 5,
               FixedPointConfig(16 if pid != 3 else 18))
         for pid in (1, 2, 3)
     ]

@@ -68,10 +68,10 @@ def test_public_scaling_fixed_point():
 
 def test_add_public_linearity():
     from silosynth.fixedpoint import FixedPointConfig
-    from silosynth.runtime import LocalRouter, Party
+    from silosynth.runtime import LocalRouter, LocalTransport, Party
 
     router = LocalRouter()
-    parties = [Party(pid, router.transport_for(pid), 3, FixedPointConfig()) for pid in (1, 2, 3)]
+    parties = [Party(pid, LocalTransport(pid, router), 3, FixedPointConfig()) for pid in (1, 2, 3)]
     sx = share_values(np.array([100], dtype=np.uint64), fresh_stream(6))
     shifted = [p.add_public(s, np.uint64(23)) for p, s in zip(parties, sx)]
     assert int(reconstruct(shifted)[0]) == 123

@@ -148,6 +148,44 @@ def test_config_mismatch_exits_4_before_data_flows(setup_files):
                 proc.kill()
 
 
+def test_party_refuses_folds_without_test_rows(setup_files):
+    """The fold plan is checked against the uploaded row counts before the
+    protocol runs: every party exits 2 and names the bound."""
+    tmp_path, cfg, data_paths, (thr0, thr1, _) = setup_files
+    cfg.write_text(CONFIG.replace("k_folds = 2", "k_folds = 17"))
+    ports = free_ports(3)
+    addrs = {i + 1: f"127.0.0.1:{ports[i]}" for i in range(3)}
+    procs, custodians = [], []
+    try:
+        for pid in (1, 2, 3):
+            peers = [f"--peer={j}={addrs[j]}" for j in (1, 2, 3) if j != pid]
+            procs.append(subprocess.Popen(
+                [sys.executable, "-m", "silosynth.cli", "party", "--id", str(pid),
+                 "--listen", addrs[pid], *peers, "--config", str(cfg), "--timeout", "30"],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE))
+        servers = ",".join(addrs[i] for i in (1, 2, 3))
+        custodians = [
+            subprocess.Popen(
+                [sys.executable, "-m", "silosynth.cli", "custodian",
+                 "--data", str(data_paths[c]), "--thresholds", str((thr0, thr1)[c]),
+                 "--servers", servers, "--config", str(cfg), "--index", str(c), "--timeout", "30"],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+            for c in range(2)
+        ]
+        for proc in procs:
+            _, err = proc.communicate(timeout=90)
+            assert proc.returncode == 2, err.decode()
+            assert "17 folds of 16 rows" in err.decode()
+            assert "at least 1 test row" in err.decode()
+        for proc in custodians:
+            proc.communicate(timeout=90)
+            assert proc.returncode != 0
+    finally:
+        for proc in procs + custodians:
+            if proc.poll() is None:
+                proc.kill()
+
+
 def test_custodian_upload_is_three_component_streams(rng):
     from silosynth.ingest import custodian_components
 
