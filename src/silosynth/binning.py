@@ -16,7 +16,7 @@ import numpy as np
 from . import fixedpoint as fx
 from .circuits import mul_shares, trunc_shares
 from .marginals import indicator4
-from .primitives import div_fx, eq_zero, lt, sort_columns
+from .primitives import div_fx, eq_zero, lt, select, sort_columns
 from .runtime import Party
 from .sharing import ShareMatrix, ShareVector, concat_shares
 
@@ -47,9 +47,7 @@ def compute_quantiles(party: Party, sorted_cols: ShareVector, rows) -> ShareVect
     if np.any(inter):
         diff = sorted_cols[fold, i[:, inter] + 1] - base[:, inter]
         scaled = diff.scale_by(fx.encode(frac[:, inter], f)[:, :, None])
-        step = trunc_shares(party, scaled, f)
-        base.a[:, inter] += step.a
-        base.b[:, inter] += step.b
+        base[:, inter] = base[:, inter] + trunc_shares(party, scaled, f)
     return base.map(np.swapaxes, 1, 2)
 
 
@@ -62,7 +60,7 @@ def bin_columns(party: Party, data: ShareVector, cuts: ShareVector) -> ShareVect
     """
     q0, q1, q2 = (cuts[..., None, :, j] for j in range(3))   # (..., 1, d)
     b = lt(party, data, q1)
-    c = lt(party, data, q2 + mul_shares(party, b, q0 - q2))
+    c = lt(party, data, select(party, b, q2, q0))
     return party.add_public(-(b.scale_by(2) + c), np.uint64(3))
 
 
@@ -82,8 +80,7 @@ def compute_bin_means(party: Party, binned: ShareVector, originals: ShareVector,
     c = cuts.map(np.moveaxis, -1, 0)                                  # (3, K, d)
     inner = trunc_shares(party, c[:2] + c[1:], 1)
     fallback = concat_shares([c[:1], inner, c[2:]], axis=0)
-    means = raw_means + mul_shares(party, empty, fallback - raw_means)
-    return means.map(np.moveaxis, 0, -1)
+    return select(party, empty, raw_means, fallback).map(np.moveaxis, 0, -1)
 
 
 def bin_train(party: Party, matrix: ShareMatrix, compute_means: bool = True):

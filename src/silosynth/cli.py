@@ -143,6 +143,17 @@ def _connect_with_retry(addr, timeout: float) -> socket.socket:
             time.sleep(0.2)
 
 
+def _send_custodians(custodian_socks, frames):
+    """Send every custodian the (label, words) frames, then close its socket."""
+    for _, conn in custodian_socks:
+        try:
+            for seq, (label, words) in enumerate(frames):
+                write_frame(conn, LABEL_IDS[label], seq, words)
+        except OSError:
+            pass
+        conn.close()
+
+
 def run_party(args) -> int:
     try:
         config = _load_config(args)
@@ -165,7 +176,7 @@ def run_party(args) -> int:
     listener.settimeout(args.timeout)
 
     peer_socks: dict[int, socket.socket] = {}
-    custodian_socks: dict[int, socket.socket] = {}
+    custodian_socks: list[tuple[int, socket.socket]] = []   # (claimed index, socket)
 
     def accept_until(need_peers: set[int], need_custodians: int):
         while (need_peers - set(peer_socks)) or len(custodian_socks) < need_custodians:
@@ -179,7 +190,7 @@ def run_party(args) -> int:
             if kind == HELLO_PARTY and idx in need_peers:
                 peer_socks[idx] = conn
             elif kind == HELLO_CUSTODIAN:
-                custodian_socks[idx] = conn
+                custodian_socks.append((idx, conn))
             else:
                 conn.close()
 
@@ -209,7 +220,7 @@ def run_party(args) -> int:
     try:
         accept_until(set(), config.n_custodians)
         # custodian uploads: header frame (n_rows, n_genes), then data + thresholds
-        for idx, conn in sorted(custodian_socks.items()):
+        for idx, conn in custodian_socks:
             _, _, header = read_frame(conn)
             n_rows, n_genes = int(header[0]), int(header[1])
             _, _, data_words = read_frame(conn)
@@ -219,12 +230,18 @@ def run_party(args) -> int:
         print(f"custodian upload failed: {exc}", file=sys.stderr)
         return EXIT_CONNECT
     try:
+        indices = [idx for idx, _ in custodian_socks]
+        for idx in indices:
+            if not 0 <= idx < config.n_custodians:
+                raise IngestionError(f"custodian index {idx} is outside 0..{config.n_custodians - 1}")
+            if indices.count(idx) > 1:
+                raise IngestionError(f"custodian index {idx} was claimed by two custodians")
         check_fold_plan(sum(u[0].shape[0] for u in uploads.values()), config.k_folds)
     except IngestionError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         transport.close()
-        for conn in custodian_socks.values():
-            conn.close()
+        # the refusal: the message's bytes under the ingest label
+        _send_custodians(custodian_socks, [("ingest", np.frombuffer(str(exc).encode(), np.uint8))])
         return EXIT_INPUT
 
     n_genes = uploads[0][2]
@@ -242,14 +259,8 @@ def run_party(args) -> int:
     # reveal to custodians: party 1 sends the opened matrix, others a decision stub
     decision = np.array([1 if result.publish else 0, result.h_selected or 0,
                          n_genes], dtype=np.uint64)
-    for idx, conn in sorted(custodian_socks.items()):
-        try:
-            write_frame(conn, LABEL_IDS["publish"], 0, decision)
-            if pid == 1 and result.publish:
-                write_frame(conn, LABEL_IDS["publish"], 1, result.synthetic)
-            conn.close()
-        except OSError:
-            pass
+    revealed = [("publish", result.synthetic)] if pid == 1 and result.publish else []
+    _send_custodians(custodian_socks, [("publish", decision)] + revealed)
     if args.report:
         with open(args.report, "w") as fh:
             fh.write(render_report(result, config, party_label=f"party-{pid}"))
@@ -289,7 +300,10 @@ def run_custodian(args) -> int:
 
     try:
         socks[0].settimeout(args.timeout)  # bound the wait for the run to finish
-        _, _, decision = read_frame(socks[0])
+        label_id, _, decision = read_frame(socks[0])
+        if label_id == LABEL_IDS["ingest"]:   # the servers refused the inputs
+            print(f"input error: {decision.astype(np.uint8).tobytes().decode()}", file=sys.stderr)
+            return EXIT_INPUT
         publish = bool(int(decision[0]))
         n_genes = int(decision[2])
         if publish and args.out:

@@ -11,8 +11,9 @@ and gradient matmuls need no truncation. Softmax subtracts the row maximum,
 clamps to [-8, 0], takes a degree-5 polynomial exponential evaluated by
 Estrin's scheme, and divides by the row sum with Goldschmidt steps that rely
 on the sum's public range [1, 5]: one epoch costs 155 rounds, 143 of them in
-softmax. The general reciprocal primitive is not used here. Inference
-(accuracy) needs only an argmax over logits.
+softmax. The general reciprocal primitive is not used here. The softmax
+row maximum and the accuracy argmax are each one ``select_max`` tournament
+over the 5 classes: 3 levels of a comparison and a select, 33 rounds.
 """
 
 from __future__ import annotations
@@ -24,9 +25,9 @@ import numpy as np
 from . import fixedpoint as fx
 from .circuits import matmul_shares, mul_shares, mul_shares_many, trunc_shares, trunc_shares_many
 from .marginals import MarginalSet, flatten_marginals, indicator5, marginal_counts, measurement_count
-from .primitives import abs_shares, div_fx, eq_zero, is_negative, lt, mul_fx
+from .primitives import div_fx, eq_zero, is_negative, mul_fx, select, select_max
 from .runtime import Party
-from .sharing import ShareMatrix, ShareVector, concat_shares, stack_shares
+from .sharing import ShareMatrix, ShareVector, concat_shares
 
 # exp(t) on [-8, 0] as p(t/4)^4 with p a degree-5 least-squares fit of exp on
 # [-2, 0] constrained to value/slope 1 at 0; composite relative error < 0.03%
@@ -62,9 +63,9 @@ def wle(party: Party, real: MarginalSet, real_rows, synth: ShareMatrix) -> Share
     with party.protocol("wle"):
         f = party.fp.frac_bits
         mu_synth = flatten_marginals(marginal_counts(party, synth))
-        scaled_real = flatten_marginals(real).scale_by(fx.encode(1.0 / real_rows, f)[:, None])
-        scaled_synth = mu_synth.scale_by(fx.encode(1.0 / synth.rows, f)[:, None])
-        total = abs_shares(party, scaled_real - scaled_synth).sum(axis=1)
+        diff = (flatten_marginals(real).scale_by(fx.encode(1.0 / real_rows, f)[:, None])
+                - mu_synth.scale_by(fx.encode(1.0 / synth.rows, f)[:, None]))
+        total = select(party, is_negative(party, diff), diff, -diff).sum(axis=1)
         inv_count = fx.encode_scalar(1.0 / measurement_count(synth.n_genes), f)
         err = trunc_shares(party, total.scale_by(inv_count), f)
     return err
@@ -73,16 +74,6 @@ def wle(party: Party, real: MarginalSet, real_rows, synth: ShareMatrix) -> Share
 def _with_bias(party: Party, data: ShareMatrix) -> ShareVector:
     """(K, N, d+1) features: the gene columns and a bias column that is 0 on padding rows."""
     return concat_shares([data.genes(), party.const_share(data.mask[..., None])], axis=2)
-
-
-def _row_max(party: Party, z: ShareVector) -> ShareVector:
-    """Row-wise maximum over the 5 class columns (oblivious tree)."""
-    def max_pair(x, y):
-        b = lt(party, x, y)
-        return x + mul_shares(party, b, y - x)
-
-    m = max_pair(stack_shares([z[..., 0], z[..., 2]]), stack_shares([z[..., 1], z[..., 3]]))
-    return max_pair(max_pair(m[0], m[1]), z[..., 4])
 
 
 def _exp(party: Party, t: ShareVector) -> ShareVector:
@@ -137,11 +128,10 @@ def bounded_div(party: Party, num: ShareVector, den: ShareVector) -> ShareVector
 
 def _softmax_probs(party: Party, z: ShareVector) -> ShareVector:
     f = party.fp.frac_bits
-    t = z - _row_max(party, z)[..., None]
+    t = z - select_max(party, z)[0][..., None]
     # clamp to the polynomial's domain floor
     under = is_negative(party, party.add_public(t, fx.encode_scalar(-SOFTMAX_FLOOR, f)))
-    floor_minus_t = party.add_public(-t, fx.encode_scalar(SOFTMAX_FLOOR, f))
-    t = t + mul_shares(party, under, floor_minus_t)
+    t = select(party, under, t, party.const_share(fx.encode_scalar(SOFTMAX_FLOOR, f)))
     p = _exp(party, t)
     return bounded_div(party, p, p.sum(axis=-1))
 
@@ -179,18 +169,6 @@ def lr_train(party: Party, train: ShareMatrix, epochs: int, learning_rate: float
     return w
 
 
-def _argmax_logits(party: Party, z: ShareVector) -> ShareVector:
-    """Row argmax with lowest-index tie-break (strict comparisons)."""
-    best = z[..., 0]
-    idx = party.const_share(np.zeros(z.shape[:-1], dtype=np.uint64))
-    for c in range(1, N_CLASSES):
-        zc = z[..., c]
-        b = lt(party, best, zc)
-        best = best + mul_shares(party, b, zc - best)
-        idx = idx + mul_shares(party, b, party.add_public(-idx, np.uint64(c)))
-    return idx
-
-
 def lr_accuracy(party: Party, weights: ShareVector, test: ShareMatrix) -> ShareVector:
     """Secret fraction of each fold's test rows whose predicted class equals the label: (K,)."""
     if np.any(test.rows == 0):
@@ -198,7 +176,7 @@ def lr_accuracy(party: Party, weights: ShareVector, test: ShareMatrix) -> ShareV
     f = party.fp.frac_bits
     with party.protocol("acc"):
         logits = matmul_shares(party, _with_bias(party, test), weights)
-        predicted = _argmax_logits(party, logits)
+        _, predicted = select_max(party, logits, party.const_share(np.arange(N_CLASSES)))
         hits = eq_zero(party, predicted - test.labels()).scale_by(test.mask)
         scale = np.uint64(1) << np.uint64(f)
         acc = div_fx(party, hits.sum(axis=1).scale_by(scale),

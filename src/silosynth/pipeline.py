@@ -24,11 +24,10 @@ import numpy as np
 
 from . import fixedpoint as fx
 from .binning import bin_train, bin_with_cuts, inv_bin
-from .circuits import mul_shares
 from .evaluation import MAX_FRAC_BITS, MetricPair, evaluate
 from .generator import generate_bridge
 from .marginals import calibrate, measurement_count, noisy_marginals
-from .primitives import eq_zero, lt
+from .primitives import eq_zero, lt, select, select_max
 from .rng import CounterStream, derive_key
 from .runtime import Party
 from .sharing import ShareMatrix, ShareVector, concat_shares
@@ -166,10 +165,9 @@ def secret_vote(party: Party, wle_sum: ShareVector, acc_sum: ShareVector,
         scaled = thresholds.shares.scale_by(np.uint64(k_folds))
         fail_w = lt(party, scaled[:, 0], wle_sum)     # cap strictly below the metric
         fail_a = lt(party, acc_sum, scaled[:, 1])     # metric strictly below the floor
-        pass_w = party.add_public(-fail_w, 1)
-        pass_a = party.add_public(-fail_a, 1)
-        tally = mul_shares(party, pass_w, pass_a).sum(keepdims=True)
-        unanimous = eq_zero(party, party.add_public(tally, fx.neg_const(n_cust)))
+        # a custodian passes when it fails neither bar: its accuracy pass bit, or 0 on a wle fail
+        passed = select(party, fail_w, party.add_public(-fail_a, 1), party.const_share(0))
+        unanimous = eq_zero(party, party.add_public(passed.sum(keepdims=True), fx.neg_const(n_cust)))
         bit = party.open(unanimous, "vote")
     return int(bit[0])
 
@@ -216,17 +214,12 @@ def tuning_loop(party: Party, matrix: ShareMatrix, thresholds: ThresholdSet,
 
 
 def _select_lowest(party: Party, candidates: list[tuple[int, ShareVector]]) -> int:
-    """Oblivious argmin of secret fold sums among (publicly) passing loops."""
+    """Oblivious argmin of secret fold sums among (publicly) passing loops:
+    the maximum of the negated sums keeps the earliest loop on ties."""
+    loops, sums = zip(*candidates)
     with party.protocol("h_select"):
-        best_val = candidates[0][1]
-        best_idx = party.const_share(np.full(1, np.uint64(candidates[0][0])))
-        for loop_index, value in candidates[1:]:
-            b = lt(party, value, best_val)
-            best_val = best_val + mul_shares(party, b, value - best_val)
-            delta = party.add_public(-best_idx, np.uint64(loop_index))
-            best_idx = best_idx + mul_shares(party, b, delta)
-        opened = party.open(best_idx, "h-select")
-    return int(opened[0])
+        _, best = select_max(party, -concat_shares(list(sums)), party.const_share(np.array(loops)))
+        return int(party.open(best[None], "h-select")[0])
 
 
 def publish_path(party: Party, matrix: ShareMatrix, h_selected: int,

@@ -26,7 +26,7 @@ from .circuits import (
     xor_packed,
 )
 from .runtime import Party
-from .sharing import ShareVector
+from .sharing import ShareVector, concat_shares, stack_shares
 
 # Newton-Raphson reciprocal: public linear initial guess on [0.5, 1) and a
 # fixed, public iteration count.
@@ -54,10 +54,26 @@ def eq_zero(party: Party, x: ShareVector) -> ShareVector:
     return b2a(party, bit_extract(t, 0))
 
 
-def abs_shares(party: Party, x: ShareVector) -> ShareVector:
-    """|x| as s = (x < 0); x - 2*s*x."""
-    s = is_negative(party, x)
-    return x - mul_shares(party, s, x).scale_by(2)
+def select(party: Party, bit: ShareVector, x: ShareVector, y: ShareVector) -> ShareVector:
+    """y where the secret 0/1 bit is 1, x elsewhere (shapes broadcast): one product."""
+    return x + mul_shares(party, bit, y - x)
+
+
+def select_max(party: Party, z: ShareVector, *payloads: ShareVector) -> tuple[ShareVector, ...]:
+    """Maximum of z over its last axis, then each payload's entry (payloads
+    broadcast to z's shape) at the lowest index attaining it.
+
+    A pairwise tournament: each level compares neighbours (0,1), (2,3), ...
+    in one ``lt`` and moves value and payloads in one ``select``; an odd last
+    entry waits a level. The strict ``lt`` keeps the left entry on ties.
+    """
+    arr = stack_shares([z] + [p.map(np.broadcast_to, z.shape) for p in payloads])
+    while arr.shape[-1] > 1:
+        pairs = arr.shape[-1] // 2 * 2
+        left, right = arr[..., 0:pairs:2], arr[..., 1:pairs:2]
+        won = select(party, lt(party, left[0], right[0]), left, right)
+        arr = concat_shares([won, arr[..., pairs:]], axis=-1)
+    return tuple(arr[i, ..., 0] for i in range(arr.shape[0]))
 
 
 def mul_fx(party: Party, x: ShareVector, y: ShareVector) -> ShareVector:
@@ -135,18 +151,13 @@ def sort_columns(party: Party, matrix: ShareVector, rows=None) -> ShareVector:
     m = 1 << (n - 1).bit_length()
     lead, d = matrix.shape[:-2], matrix.shape[-1]
     live = np.arange(m) < np.reshape(n if rows is None else rows, lead + (1,))
-    sentinel = party.const_share(np.full(lead + (m, d), np.uint64(1) << np.uint64(31 + party.fp.frac_bits)))
-    pad = [(0, 0)] * len(lead) + [(0, m - n), (0, 0)]
-    arr = ShareVector(np.where(live[..., None], np.pad(matrix.a, pad), sentinel.a),
-                      np.where(live[..., None], np.pad(matrix.b, pad), sentinel.b))
+    arr = party.const_share(np.full(lead + (m, d), np.uint64(1) << np.uint64(31 + party.fp.frac_bits)))
+    arr[live] = matrix[live[..., :n]]
     for p_idx, q_idx in _bitonic_layers(m):
         xp, xq = arr[..., p_idx, :], arr[..., q_idx, :]
-        swap = lt(party, xq, xp)
-        delta = mul_shares(party, swap, xq - xp)
-        arr.a[..., p_idx, :] = xp.a + delta.a
-        arr.b[..., p_idx, :] = xp.b + delta.b
-        arr.a[..., q_idx, :] = xq.a - delta.a
-        arr.b[..., q_idx, :] = xq.b - delta.b
+        low = select(party, lt(party, xq, xp), xp, xq)
+        arr[..., p_idx, :] = low
+        arr[..., q_idx, :] = xp + xq - low
     return arr[..., :n, :]
 
 

@@ -396,18 +396,19 @@ def run_parties(body, master_seed: int, fp: FixedPointConfig, timeout: float = 6
     """Run the same protocol body on three in-process parties.
 
     ``body(party)`` returns that party's result; returns the list of results
-    indexed by party. Any party's exception aborts the run.
+    indexed by party. Any party's exception aborts the run, named by the first
+    error that is not a peer's ProtocolAbort, else by the first abort.
     """
     router = LocalRouter(timeout=timeout)
     parties = [Party(pid, LocalTransport(pid, router), master_seed, fp) for pid in (1, 2, 3)]
     results: list = [None, None, None]
-    errors: list = [None, None, None]
+    errors: list = []  # (party index, exception) in the order they were raised
 
     def runner(i: int):
         try:
             results[i] = body(parties[i])
         except BaseException as exc:  # propagate to the caller thread
-            errors[i] = exc
+            errors.append((i, exc))
             for q in router.queues.values():
                 q.put(None)  # unblock peers waiting on this party
 
@@ -416,11 +417,11 @@ def run_parties(body, master_seed: int, fp: FixedPointConfig, timeout: float = 6
         t.start()
     for t in threads:
         t.join(timeout=timeout)
-    for exc in errors:
-        if exc is not None:
-            if isinstance(exc, ProtocolAbort):
-                raise exc
-            raise ProtocolAbort(f"party failed: {exc!r}", parties[0].ledger.snapshot()) from exc
+    for i, exc in errors:
+        if not isinstance(exc, ProtocolAbort):
+            raise ProtocolAbort(f"party {i + 1} failed: {exc!r}", parties[i].ledger.snapshot()) from exc
+    if errors:
+        raise errors[0][1]
     for t in threads:
         if t.is_alive():
             raise ProtocolAbort("party deadlocked or timed out", parties[0].ledger.snapshot())

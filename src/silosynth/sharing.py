@@ -63,6 +63,10 @@ class ShareVector:
     def __getitem__(self, idx) -> "ShareVector":
         return ShareVector(self.a[idx], self.b[idx])
 
+    def __setitem__(self, idx, value: "ShareVector"):
+        self.a[idx] = value.a
+        self.b[idx] = value.b
+
     def map(self, fn, *args, **kwargs) -> "ShareVector":
         """Apply a shape function (reshape, moveaxis, ...) to both components."""
         return ShareVector(fn(self.a, *args, **kwargs), fn(self.b, *args, **kwargs))

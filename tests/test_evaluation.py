@@ -327,3 +327,18 @@ def test_lr_epoch_rounds_pinned(rng):
         per_epoch.append([b - a for a, b in zip(rounds[1], rounds[2])])
     assert per_epoch[0] == per_epoch[1]
     assert max(per_epoch[0]) <= 190
+
+
+def test_accuracy_rounds_pinned(rng):
+    """acc costs 231 rounds: the logits matmul 1, the argmax tournament 33
+    (3 levels of lt + select over 5 classes), eq_zero 16 and div_fx 181."""
+    genes = rng.integers(0, 4, size=(12, 3))
+    labels = rng.integers(0, 5, size=12)
+    test = shared_matrix(genes.astype(np.uint64), labels, 116)
+    w = shared(fx.encode(rng.normal(0.0, 1.0, size=(1, 4, N_CLASSES))), 117)
+
+    def body(p):
+        lr_accuracy(p, w[p.pid - 1], test[p.pid - 1])
+
+    _, parties = run3(body)
+    assert [p.ledger.entry("acc").rounds for p in parties] == [231, 231, 231]

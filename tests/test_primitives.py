@@ -6,12 +6,14 @@ from silosynth import fixedpoint as fx
 from silosynth import primitives
 from silosynth.fixedpoint import FixedPointConfig
 from silosynth.primitives import (
-    abs_shares,
     div_fx,
     eq_zero,
     gauss01,
+    is_negative,
     lt,
     rand_uniform01,
+    select,
+    select_max,
     sort_columns,
 )
 from silosynth.rng import CounterStream, derive_key
@@ -27,6 +29,11 @@ def run3(body, seed=77, timeout=120.0):
 
 def shared(values, tag):
     return share_values(fx.to_u64(values), CounterStream(derive_key(555, "prim", tag)))
+
+
+def abs_shares(p, x):
+    """|x| the way the workload error takes it: x where x >= 0, else -x."""
+    return select(p, is_negative(p, x), x, -x)
 
 
 def open_result(results):
@@ -111,6 +118,34 @@ def test_abs_symmetry():
     pos = reconstruct([r[0] for r in results])
     neg = reconstruct([r[1] for r in results])
     assert np.array_equal(pos, neg)
+
+
+def test_select_max_matches_numpy():
+    """Rows drawn from {-2..2} so ties are common: the maximum, the lowest
+    index attaining it, and through negation the lowest-index minimum."""
+    rng = np.random.default_rng(11)
+    cases = {w: rng.integers(-2, 3, size=(30, w)) for w in range(1, 6)}
+    shares = {w: shared(fx.encode(z), 20 + w) for w, z in cases.items()}
+
+    def body(p):
+        out = {}
+        for w, sz in shares.items():
+            z, pos = sz[p.pid - 1], p.const_share(np.arange(w))
+            p.ledger.reset()
+            with p.protocol("adhoc"):
+                out[w] = (*select_max(p, z, pos), *select_max(p, -z, pos))
+            out[w] += (p.ledger.entry("adhoc").rounds,)
+        return out
+
+    results, _ = run3(body)
+    for w, z in cases.items():
+        top, arg, neg_top, arg_min = (reconstruct([r[w][j] for r in results]) for j in range(4))
+        assert np.array_equal(fx.decode(top), z.max(axis=1))
+        assert np.array_equal(arg, z.argmax(axis=1))
+        assert np.array_equal(fx.decode(neg_top), -z.min(axis=1))
+        assert np.array_equal(arg_min, z.argmin(axis=1))
+        # one lt (10 rounds) and one select (1 round) per tournament level, twice
+        assert all(r[w][4] == 2 * 11 * (w - 1).bit_length() for r in results)
 
 
 DIV_TOL = 2.0**-14

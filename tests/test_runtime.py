@@ -141,6 +141,21 @@ def test_abort_carries_ledger_snapshot():
     assert isinstance(exc_info.value.ledger_snapshot, dict)
 
 
+def test_abort_names_the_failing_party_not_a_peer():
+    """Party 2's own error is the root cause; parties 1 and 3 only see it abort."""
+    def body(p):
+        if p.pid == 2:
+            raise ValueError("bad input at party 2")
+        p.recv_words(2)
+
+    with pytest.raises(ProtocolAbort) as exc_info:
+        run3(body)
+    message = str(exc_info.value)
+    assert message.startswith("party 2 failed: ValueError")
+    assert "bad input at party 2" in message
+    assert isinstance(exc_info.value.__cause__, ValueError)
+
+
 def test_transcripts_reproducible_across_runs():
     x = shared(np.arange(64, dtype=np.uint64), 143)
 

@@ -148,14 +148,12 @@ def test_config_mismatch_exits_4_before_data_flows(setup_files):
                 proc.kill()
 
 
-def test_party_refuses_folds_without_test_rows(setup_files):
-    """The fold plan is checked against the uploaded row counts before the
-    protocol runs: every party exits 2 and names the bound."""
-    tmp_path, cfg, data_paths, (thr0, thr1, _) = setup_files
-    cfg.write_text(CONFIG.replace("k_folds = 2", "k_folds = 17"))
+def run_refused(cfg, data_paths, thresholds, indices):
+    """Three parties and one custodian per data file over loopback TCP, with
+    the given custodian indices; returns each process's (returncode, stderr)."""
     ports = free_ports(3)
     addrs = {i + 1: f"127.0.0.1:{ports[i]}" for i in range(3)}
-    procs, custodians = [], []
+    procs = []
     try:
         for pid in (1, 2, 3):
             peers = [f"--peer={j}={addrs[j]}" for j in (1, 2, 3) if j != pid]
@@ -164,26 +162,47 @@ def test_party_refuses_folds_without_test_rows(setup_files):
                  "--listen", addrs[pid], *peers, "--config", str(cfg), "--timeout", "30"],
                 stdout=subprocess.PIPE, stderr=subprocess.PIPE))
         servers = ",".join(addrs[i] for i in (1, 2, 3))
-        custodians = [
+        procs += [
             subprocess.Popen(
                 [sys.executable, "-m", "silosynth.cli", "custodian",
-                 "--data", str(data_paths[c]), "--thresholds", str((thr0, thr1)[c]),
-                 "--servers", servers, "--config", str(cfg), "--index", str(c), "--timeout", "30"],
+                 "--data", str(data), "--thresholds", str(thr),
+                 "--servers", servers, "--config", str(cfg), "--index", str(idx), "--timeout", "30"],
                 stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-            for c in range(2)
+            for data, thr, idx in zip(data_paths, thresholds, indices)
         ]
+        outcomes = []
         for proc in procs:
             _, err = proc.communicate(timeout=90)
-            assert proc.returncode == 2, err.decode()
-            assert "17 folds of 16 rows" in err.decode()
-            assert "at least 1 test row" in err.decode()
-        for proc in custodians:
-            proc.communicate(timeout=90)
-            assert proc.returncode != 0
+            outcomes.append((proc.returncode, err.decode()))
+        return outcomes
     finally:
-        for proc in procs + custodians:
+        for proc in procs:
             if proc.poll() is None:
                 proc.kill()
+
+
+def test_party_refuses_folds_without_test_rows(setup_files):
+    """The fold plan is checked against the uploaded row counts before the
+    protocol runs: every party and every custodian exits 2 and names the bound."""
+    tmp_path, cfg, data_paths, (thr0, thr1, _) = setup_files
+    cfg.write_text(CONFIG.replace("k_folds = 2", "k_folds = 17"))
+    for code, err in run_refused(cfg, data_paths, (thr0, thr1), (0, 1)):
+        assert code == 2, err
+        assert "17 folds of 16 rows" in err
+        assert "at least 1 test row" in err
+
+
+@pytest.mark.parametrize("indices, message", [
+    ((0, 0), "custodian index 0 was claimed by two custodians"),
+    ((1, 2), "custodian index 2 is outside 0..1"),
+])
+def test_party_refuses_bad_custodian_indices(setup_files, indices, message):
+    """A repeated or out-of-range custodian index: every party and every
+    custodian exits 2 and names the index."""
+    tmp_path, cfg, data_paths, (thr0, thr1, _) = setup_files
+    for code, err in run_refused(cfg, data_paths, (thr0, thr1), indices):
+        assert code == 2, err
+        assert message in err
 
 
 def test_custodian_upload_is_three_component_streams(rng):
