@@ -48,18 +48,14 @@ def unflatten(flat: ShareVector, shapes: list) -> list[ShareVector]:
 
 
 def reshare(party: Party, z: np.ndarray) -> ShareVector:
-    """Replicate a local additive term: mask it with a zero sharing (in place,
-    so ``z`` must be a fresh array) and send it to the previous party. One round."""
-    party.add_zero_sharing(z)
-    party.send_words(party.prev_pid, z)
-    return ShareVector(z, party.recv_words(party.next_pid).reshape(z.shape))
+    """Replicate a local additive term after masking it with a zero sharing
+    (in place, so ``z`` must be a fresh array). One round."""
+    return party.replicate(party.add_zero_sharing(z))
 
 
 def reshare_xor(party: Party, z: np.ndarray) -> ShareVector:
     """``reshare`` for XOR sharings of packed words."""
-    party.xor_zero_sharing(z)
-    party.send_words(party.prev_pid, z)
-    return ShareVector(z, party.recv_words(party.next_pid).reshape(z.shape))
+    return party.replicate(party.xor_zero_sharing(z))
 
 
 def _gate_many(party: Party, pairs, cross, share) -> list[ShareVector]:
@@ -105,11 +101,7 @@ def xor_packed(x: ShareVector, y: ShareVector) -> ShareVector:
 
 
 def not_packed(party: Party, x: ShareVector) -> ShareVector:
-    if party.pid == 1:
-        return ShareVector(x.a ^ ALL_ONES, x.b)
-    if party.pid == 3:
-        return ShareVector(x.a, x.b ^ ALL_ONES)
-    return ShareVector(x.a.copy(), x.b.copy())
+    return xor_packed(x, party.const_share(ALL_ONES))
 
 
 def shift_packed(x: ShareVector, k: int) -> ShareVector:

@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 from .pipeline import PipelineConfig
 
-_INT_KEYS = {"k_folds", "max_loops", "seed", "frac_bits", "n_custodians",
-             "synthetic_rows", "lr_epochs"}
-_FLOAT_KEYS = {"eps_s", "delta_s", "eps_p", "delta_p", "lr_rate"}
-_LIST_KEYS = {"hyperparams"}
-_STR_KEYS = {"mode"}
+# Each key's type is that of its default; tuples are comma-separated ints.
+_TYPES = {f.name: type(f.default) for f in fields(PipelineConfig)}
 
 
 class ConfigError(ValueError):
@@ -25,17 +24,13 @@ def parse_config(text: str) -> PipelineConfig:
             raise ConfigError(f"line {lineno}: expected key = value")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
+        if key not in _TYPES:
+            raise ConfigError(f"line {lineno}: unknown key {key!r}")
         try:
-            if key in _INT_KEYS:
-                values[key] = int(val)
-            elif key in _FLOAT_KEYS:
-                values[key] = float(val)
-            elif key in _LIST_KEYS:
+            if _TYPES[key] is tuple:
                 values[key] = tuple(int(v.strip()) for v in val.split(",") if v.strip())
-            elif key in _STR_KEYS:
-                values[key] = val
             else:
-                raise ConfigError(f"line {lineno}: unknown key {key!r}")
+                values[key] = _TYPES[key](val)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: {exc}") from None
     cfg = PipelineConfig(**values)
@@ -53,14 +48,9 @@ def load_config(path: str) -> PipelineConfig:
 
 def canonical_text(cfg: PipelineConfig) -> str:
     """Stable serialization used for the setup handshake fingerprint."""
-    fields = [
-        ("k_folds", cfg.k_folds), ("max_loops", cfg.max_loops),
-        ("hyperparams", ",".join(str(h) for h in cfg.hyperparams)),
-        ("eps_s", repr(cfg.eps_s)), ("delta_s", repr(cfg.delta_s)),
-        ("eps_p", repr(cfg.eps_p)), ("delta_p", repr(cfg.delta_p)),
-        ("seed", cfg.seed), ("frac_bits", cfg.frac_bits),
-        ("n_custodians", cfg.n_custodians), ("mode", cfg.mode),
-        ("synthetic_rows", cfg.synthetic_rows),
-        ("lr_epochs", cfg.lr_epochs), ("lr_rate", repr(cfg.lr_rate)),
-    ]
-    return "\n".join(f"{k} = {v}" for k, v in fields)
+    lines = []
+    for name, kind in _TYPES.items():
+        v = getattr(cfg, name)
+        text = ",".join(str(h) for h in v) if kind is tuple else (repr if kind is float else str)(v)
+        lines.append(f"{name} = {text}")
+    return "\n".join(lines)

@@ -44,9 +44,6 @@ RECIP_ALPHA = 6 / 7
 RECIP_BETA = 1 / 7
 GOLDSCHMIDT_STEPS = 3
 GUARD_BITS = 8
-# The exponential holds products at scale 3f below 2^61; PipelineConfig
-# refuses larger frac_bits.
-MAX_FRAC_BITS = 20
 
 
 @dataclass

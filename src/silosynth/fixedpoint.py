@@ -19,6 +19,8 @@ import numpy as np
 
 RING_BITS = 64
 MASK = (1 << RING_BITS) - 1
+# Secure LR's exponential holds products at scale 3*frac_bits below 2^61.
+MAX_FRAC_BITS = 20
 
 
 class RangeError(ValueError):
@@ -32,8 +34,9 @@ class FixedPointConfig:
     frac_bits: int = 16
 
     def __post_init__(self):
-        if not 8 <= self.frac_bits <= 24:
-            raise ValueError(f"frac_bits must be in [8, 24], got {self.frac_bits}")
+        if not 8 <= self.frac_bits <= MAX_FRAC_BITS:
+            raise ValueError(f"frac_bits must be in [8, {MAX_FRAC_BITS}]: secure LR's softmax "
+                             f"holds products at scale 3*frac_bits; got {self.frac_bits}")
 
 
 def to_u64(values) -> np.ndarray:

@@ -6,8 +6,10 @@ marginal (negatives clipped) and iteratively proportionally fitted to the
 1-way gene and label targets; rows are sampled as y ~ p(y) followed by
 g_i ~ p(g_i | y) independently per gene. Inside the secure pipeline the
 marginals are revealed to a generator enclave co-located with party 1 only,
-and the sampled rows are re-shared before any downstream use; all folds of
-a tuning loop share one reveal and one re-share.
+and the sampled rows are re-shared before any downstream use: they are party
+1's additive term, parties 2 and 3 contribute zeros, and one masked
+``circuits.reshare`` round replicates them. All folds of a tuning loop share
+one reveal and one re-share.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import fixedpoint as fx
+from .circuits import reshare
 from .marginals import GENE_DOMAIN, LABEL_DOMAIN, MarginalSet, flatten_marginals, unflatten_marginals
 from .rng import CounterStream, derive_key
 from .runtime import Party
@@ -98,8 +101,8 @@ def generate_bridge(party: Party, ms: MarginalSet, rows, iterations: int,
     """Reveal every fold's noisy marginals to the party-1 enclave, generate, re-share.
 
     Fold k gets rows[k] rows from the generator stream of contexts[k], padded
-    with all-zero rows to the longest fold; one reveal and one input round
-    serve all folds.
+    with all-zero rows to the longest fold; one reveal and one re-share
+    round serve all folds.
     """
     k, d = ms.gene.shape[:2]
     rows = np.asarray(rows, dtype=np.int64)
@@ -107,14 +110,13 @@ def generate_bridge(party: Party, ms: MarginalSet, rows, iterations: int,
     f = party.fp.frac_bits
     with party.protocol("sdg"):
         opened = party.reveal_to(flatten_marginals(ms), 1, "noisy-marginals")
-        cells = None
+        cells = np.zeros(shape, dtype=np.uint64)
         if party.pid == 1:
             vals = unflatten_marginals(fx.decode(opened, f), d)
-            cells = np.zeros(shape, dtype=np.uint64)
             for j in range(k):
                 rng = generator_rng(master_seed, contexts[j])
                 synth = generate_synthetic(vals.gene[j], vals.label[j], vals.gene_label[j],
                                            int(rows[j]), iterations, rng)
                 cells[j, : rows[j]] = fx.to_u64(synth)
-        shares = party.input_values(cells, owner=1, shape=shape)
+        shares = reshare(party, cells)
     return ShareMatrix(shares, d, rows)

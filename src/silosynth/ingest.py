@@ -1,10 +1,11 @@
 """Custodian-side sharing and server-side ingestion.
 
 A custodian splits every cell into three additive components and submits
-one component stream per server; the servers then run one replication
-round (each forwards its component to its predecessor) so that party i
-ends up holding the replicated pair (x_i, x_{i+1}). Thresholds ride along
-the same way.
+one component stream per server. Each server's component is its local
+additive term, so one ``Party.replicate`` round gives party i the
+replicated pair (x_i, x_{i+1}); the components are already uniformly
+random, so they need no zero-sharing mask. Thresholds ride along the same
+way.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import numpy as np
 from . import fixedpoint as fx
 from .rng import CounterStream, derive_key
 from .runtime import Party
-from .sharing import ShareMatrix, ShareVector, stack_shares
+from .sharing import ShareMatrix, stack_shares
 
 
 def custodian_components(genes: np.ndarray, labels: np.ndarray,
@@ -34,18 +35,11 @@ def custodian_components(genes: np.ndarray, labels: np.ndarray,
     return comp_data, comp_thr
 
 
-def replicate_component(party: Party, component: np.ndarray) -> ShareVector:
-    """One replication round: forward own component, pair with the successor's."""
-    party.send_words(party.prev_pid, component)
-    nxt = party.recv_words(party.next_pid).reshape(component.shape)
-    return ShareVector(component, nxt)
-
-
 def ingest_all(party: Party, data_components: list[np.ndarray],
                thr_components: list[np.ndarray], n_genes: int):
     """Replicate every custodian's uploaded components; returns matrices (each a
     batch of one) and thresholds."""
     with party.protocol("ingest"):
-        matrices = [ShareMatrix(replicate_component(party, c)[None], n_genes) for c in data_components]
-        thresholds = stack_shares([replicate_component(party, t) for t in thr_components])
+        matrices = [ShareMatrix(party.replicate(c)[None], n_genes) for c in data_components]
+        thresholds = stack_shares([party.replicate(t) for t in thr_components])
     return matrices, thresholds

@@ -24,13 +24,13 @@ import numpy as np
 
 from . import fixedpoint as fx
 from .binning import bin_train, bin_with_cuts, inv_bin
-from .evaluation import MAX_FRAC_BITS, MetricPair, evaluate
+from .evaluation import MetricPair, evaluate
 from .generator import generate_bridge
 from .marginals import calibrate, measurement_count, noisy_marginals
 from .primitives import eq_zero, lt, select, select_max
 from .rng import CounterStream, derive_key
 from .runtime import Party
-from .sharing import ShareMatrix, ShareVector, concat_shares
+from .sharing import ShareMatrix, ShareVector, concat_shares, stack_shares
 
 PUBLISH_CONTEXT = (0xFFFF, 0xFFFF)  # generator rng context for the publish run
 
@@ -76,9 +76,7 @@ class PipelineConfig:
             raise ValueError("need at least one custodian")
         if self.mode not in (FIRST_PASS, EXHAUSTIVE):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if not 8 <= self.frac_bits <= MAX_FRAC_BITS:
-            raise ValueError(f"frac_bits must be in [8, {MAX_FRAC_BITS}]: secure LR's softmax "
-                             f"holds products at scale 3*frac_bits")
+        fx.FixedPointConfig(self.frac_bits)
 
 
 @dataclass
@@ -163,10 +161,11 @@ def secret_vote(party: Party, wle_sum: ShareVector, acc_sum: ShareVector,
     n_cust = thresholds.shares.shape[0]
     with party.protocol("vote"):
         scaled = thresholds.shares.scale_by(np.uint64(k_folds))
-        fail_w = lt(party, scaled[:, 0], wle_sum)     # cap strictly below the metric
-        fail_a = lt(party, acc_sum, scaled[:, 1])     # metric strictly below the floor
+        wle, acc = (m.map(np.broadcast_to, (n_cust,)) for m in (wle_sum, acc_sum))
+        # one comparison for both bars: cap strictly below the metric, metric strictly below the floor
+        fail = lt(party, stack_shares([scaled[:, 0], acc]), stack_shares([wle, scaled[:, 1]]))
         # a custodian passes when it fails neither bar: its accuracy pass bit, or 0 on a wle fail
-        passed = select(party, fail_w, party.add_public(-fail_a, 1), party.const_share(0))
+        passed = select(party, fail[0], party.add_public(-fail[1], 1), party.const_share(0))
         unanimous = eq_zero(party, party.add_public(passed.sum(keepdims=True), fx.neg_const(n_cust)))
         bit = party.open(unanimous, "vote")
     return int(bit[0])

@@ -150,7 +150,7 @@ def sort_columns(party: Party, matrix: ShareVector, rows=None) -> ShareVector:
         return matrix.copy()
     m = 1 << (n - 1).bit_length()
     lead, d = matrix.shape[:-2], matrix.shape[-1]
-    live = np.arange(m) < np.reshape(n if rows is None else rows, lead + (1,))
+    live = np.arange(m) < np.broadcast_to(n if rows is None else rows, lead)[..., None]
     arr = party.const_share(np.full(lead + (m, d), np.uint64(1) << np.uint64(31 + party.fp.frac_bits)))
     arr[live] = matrix[live[..., :n]]
     for p_idx, q_idx in _bitonic_layers(m):

@@ -2,11 +2,10 @@
 
 Every random word in a run is derived from the public master seed through
 labeled blake2b key derivation feeding Philox counter streams. The three
-pairwise seeds k1, k2, k3 drive zero sharings, XOR zero sharings, shared
-random bits and the one-party input protocol; seed k_i is held by parties
-i and i-1, matching the replicated component layout. Streams advance in
-lockstep because the protocol code is the same straight-line program at
-every party.
+pairwise seeds k1, k2, k3 drive zero sharings, XOR zero sharings and shared
+random bits; seed k_i is held by parties i and i-1, matching the replicated
+component layout. Streams advance in lockstep because the protocol code is
+the same straight-line program at every party.
 """
 
 from __future__ import annotations
@@ -59,7 +58,7 @@ def zero_share_seeds(master_seed: int) -> list[int]:
 class SeedStreams:
     """All purpose-separated streams one holder (party or oracle) derives from a seed."""
 
-    PURPOSES = ("zero-add", "zero-xor", "shared-bits", "input-mask")
+    PURPOSES = ("zero-add", "zero-xor", "shared-bits")
 
     def __init__(self, key128: int):
         self.streams = {p: CounterStream(derive_key(key128, p)) for p in self.PURPOSES}

@@ -3,6 +3,10 @@
 Each of the three parties runs the same straight-line protocol program.
 Sends are non-blocking, receives block; a "round" is counted whenever a
 party blocks on a receive after having sent since the previous round.
+Every frame carries the sender's protocol label, and a receive under a
+different label aborts the run. ``Party.replicate`` is the one step that
+turns a party's local additive term into a replicated sharing: gate
+outputs, custodian uploads and the generator's rows all end with it.
 Protocol outputs are a function of (inputs, seeds) only — the in-process
 and TCP transports are interchangeable.
 """
@@ -116,7 +120,7 @@ class LocalTransport:
         self._send_seq[dst] += 1
         self.router.queues[(self.pid, dst)].put((label_id, seq, words))
 
-    def recv(self, src: int) -> np.ndarray:
+    def recv(self, src: int) -> tuple[int, np.ndarray]:
         try:
             item = self.router.queues[(src, self.pid)].get(timeout=self.router.timeout)
         except queue.Empty:
@@ -127,7 +131,7 @@ class LocalTransport:
         if seq != self._recv_seq[src]:
             raise ProtocolAbort(f"party {self.pid}: out-of-order frame from {src}")
         self._recv_seq[src] += 1
-        return words
+        return label_id, words
 
     def close(self):
         pass
@@ -195,7 +199,7 @@ class TcpTransport:
         with self._send_locks[dst]:
             write_frame(self.sockets[dst], label_id, seq, words)
 
-    def recv(self, src: int) -> np.ndarray:
+    def recv(self, src: int) -> tuple[int, np.ndarray]:
         try:
             item = self._queues[src].get(timeout=self.timeout)
         except queue.Empty:
@@ -206,7 +210,7 @@ class TcpTransport:
         if seq != self._recv_seq[src]:
             raise ProtocolAbort(f"party {self.pid}: out-of-order frame from {src}")
         self._recv_seq[src] += 1
-        return words
+        return label_id, words
 
     def close(self):
         for s in self.sockets.values():
@@ -277,13 +281,27 @@ class Party:
         self._sent_since_round = True
 
     def recv_words(self, src: int) -> np.ndarray:
+        """Next frame from ``src``; it must carry the label this party is in."""
+        label = self.current_label
         if self._sent_since_round:
-            self.ledger.record_round(self.current_label)
+            self.ledger.record_round(label)
             self._sent_since_round = False
         try:
-            return self.transport.recv(src)
+            label_id, words = self.transport.recv(src)
         except ProtocolAbort as exc:
             raise ProtocolAbort(str(exc), self.ledger.snapshot()) from None
+        if label_id != LABEL_IDS.get(label, LABEL_IDS["adhoc"]):
+            theirs = dict(enumerate(PROTOCOL_LABELS)).get(label_id, label_id)
+            raise ProtocolAbort(f"party {self.pid}: frame from party {src} has label {theirs!r}, "
+                                f"expected {label!r}", self.ledger.snapshot())
+        return words
+
+    def replicate(self, z: np.ndarray) -> ShareVector:
+        """Make the local additive term z replicated: send it to the previous
+        party and pair it with the next party's term. One round; z must be
+        uniformly random or masked by a zero sharing first."""
+        self.send_words(self.prev_pid, z)
+        return ShareVector(z, self.recv_words(self.next_pid).reshape(z.shape))
 
     # -- correlated randomness ----------------------------------------------
 
@@ -311,14 +329,10 @@ class Party:
     def const_share(self, values) -> ShareVector:
         """Deterministic replicated sharing of a public constant."""
         v = to_u64(values)
-        zero = np.zeros(v.shape, dtype=np.uint64)
-        if self.pid == 1:
-            return ShareVector(v.copy(), zero)
-        if self.pid == 3:
-            return ShareVector(zero, v.copy())
-        return ShareVector(zero, zero.copy())
+        return self.add_public(ShareVector(np.zeros_like(v), np.zeros_like(v)), v)
 
     def add_public(self, x: ShareVector, c) -> ShareVector:
+        """x + c for a public c, placed in component x_1 (held by parties 1 and 3)."""
         c = to_u64(c)
         if self.pid == 1:
             return ShareVector(x.a + c, x.b)
@@ -345,31 +359,6 @@ class Party:
             missing = self.recv_words(self.next_pid).reshape(x.shape)
             return x.a + x.b + missing
         return None
-
-    def input_values(self, values: np.ndarray | None, owner: int, shape) -> ShareVector:
-        """Share values known only to ``owner`` (2 ring elements sent per value).
-
-        Components x_owner and x_{owner+1} come from the pairwise streams the
-        owner already holds; the owner computes and distributes the third.
-        """
-        n = int(np.prod(shape))
-        slot_a, slot_b = owner, owner % 3 + 1
-        slot_c = (owner + 1) % 3 + 1
-        mine = {self.pid: None, self.next_pid: None}
-        for slot, streams in ((self.pid, self.streams_a), (self.next_pid, self.streams_b)):
-            if slot in (slot_a, slot_b):
-                mine[slot] = streams.words("input-mask", n).reshape(shape)
-        if self.pid == owner:
-            x3 = to_u64(values) - mine[slot_a] - mine[slot_b]
-            self.send_words(self.next_pid, x3)
-            self.send_words(self.prev_pid, x3)
-            return ShareVector(mine[slot_a], mine[slot_b])
-        if self.pid == slot_b:  # holds (x_{owner+1}, x_{owner+2})
-            x3 = self.recv_words(owner).reshape(shape)
-            return ShareVector(mine[self.pid], x3)
-        # pid == slot_c: holds (x_{owner+2}, x_owner)
-        x3 = self.recv_words(owner).reshape(shape)
-        return ShareVector(x3, mine[self.next_pid])
 
 
 def config_fingerprint(text: str) -> np.ndarray:

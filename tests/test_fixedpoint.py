@@ -63,6 +63,7 @@ def test_round_half_away_from_zero():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        fx.FixedPointConfig(frac_bits=4)
+    for bad in (4, 21):
+        with pytest.raises(ValueError):
+            fx.FixedPointConfig(frac_bits=bad)
     assert fx.FixedPointConfig().frac_bits == 16

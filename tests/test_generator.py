@@ -99,10 +99,12 @@ def test_bridge_reshares_enclave_output(rng):
     for p in parties:
         assert p.opening_log == []
         assert any(r[0] == "noisy-marginals" for r in p.reveal_log)
-    # re-sharing bytes are attributed to the sdg label: the enclave owner sends
-    # two ring elements per synthetic cell, the revealing party one per marginal cell
-    assert parties[0].ledger.entry("sdg").bytes_sent == 2 * 30 * 4 * 8
-    assert parties[1].ledger.entry("sdg").bytes_sent > 0
+    # re-sharing bytes are attributed to the sdg label: every party sends one
+    # ring element per synthetic cell, the revealing party also one per marginal cell
+    reshare_bytes = 30 * 4 * 8
+    marginal_bytes = (3 * 4 + 5 + 3 * 20) * 8
+    assert [p.ledger.entry("sdg").bytes_sent for p in parties] == [
+        reshare_bytes, reshare_bytes + marginal_bytes, reshare_bytes]
 
 
 def test_bridge_matches_cleartext_generation(rng):

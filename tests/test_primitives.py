@@ -183,13 +183,18 @@ def test_div_random_sweep():
 
 def test_sort_small_example():
     vals = fx.encode(np.array([[3.0], [1.0], [2.0]]))
-    sv = shared(vals, 15)
+    batch = fx.encode(np.array([[[3.0, -1.0], [1.0, 5.0], [2.0, 0.0]],
+                                [[0.5, 2.0], [-4.0, 2.0], [7.0, -3.0]]]))
+    sv, sb = shared(vals, 15), shared(batch, 16)
 
     def body(p):
-        return sort_columns(p, sv[p.pid - 1])
+        return sort_columns(p, sv[p.pid - 1]), sort_columns(p, sb[p.pid - 1])
 
     results, _ = run3(body)
-    assert list(fx.decode(open_result(results))[:, 0]) == [1.0, 2.0, 3.0]
+    assert list(fx.decode(open_result([r[0] for r in results]))[:, 0]) == [1.0, 2.0, 3.0]
+    # a (2, n, d) batch without ``rows``: each batch sorts on its own
+    got = fx.signed(reconstruct([r[1] for r in results]))
+    assert np.array_equal(got, np.sort(fx.signed(batch), axis=1))
 
 
 def test_sort_random_multiset_and_fixedpoint():

@@ -116,6 +116,22 @@ def test_fifo_order_under_interleaving():
     assert results[1] == [0, 1, 2, 3, 4]
 
 
+def test_receive_under_another_label_aborts():
+    def body(p):
+        if p.pid == 1:
+            with p.protocol("sort"):
+                p.send_words(2, np.zeros(2, dtype=np.uint64))
+        if p.pid == 2:
+            with p.protocol("bin"):
+                p.recv_words(1)
+
+    with pytest.raises(ProtocolAbort) as exc_info:
+        run3(body)
+    message = str(exc_info.value)
+    assert "party 2" in message and "party 1" in message
+    assert "'sort'" in message and "'bin'" in message
+
+
 def test_nested_identical_label_rejected():
     def body(p):
         with p.protocol("bin"):

@@ -1,9 +1,12 @@
-"""Share components are written only by sharing.py.
+"""Share components are written only by sharing.py, and re-shared only by
+``Party.replicate``.
 
 Outside sharing.py, code updates a sharing through ShareVector's own
 operations (``x[idx] = y``, ``x + y``, ...), never by assigning into one
 component array, which would let the two components of a party's pair
-drift apart.
+drift apart. A local additive term becomes a replicated sharing by one
+step, sending it to the previous party; only ``Party.replicate`` does that
+(``setup_handshake`` also sends its probe there).
 """
 
 import ast
@@ -53,3 +56,37 @@ def test_scan_finds_component_writes(tmp_path):
     (pkg / "sharing.py").write_text("x.a[0] = 1\n")
     (pkg / "mod.py").write_text("x.a[0] = 1\ny.b[:, m] += 2\nz.a = 3\nw[0] = x.b[1]\n(u.a[1], v) = 4, 5\n")
     assert component_writes(tmp_path) == ["mod:1", "mod:2", "mod:5"]
+
+
+def prev_senders(root: Path) -> list[str]:
+    """``module:[Class.]function`` of every src/ function that sends to ``prev_pid``."""
+    hits = set()
+
+    def visit(node, stem, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope + [child.name] if isinstance(child, (ast.FunctionDef, ast.ClassDef)) else scope
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                    and child.func.attr in ("send_words", "send") and child.args
+                    and isinstance(child.args[0], ast.Attribute) and child.args[0].attr == "prev_pid"):
+                hits.add(f"{stem}:{'.'.join(scope)}")
+            visit(child, stem, inner)
+
+    for p in sorted((root / "src" / "silosynth").glob("*.py")):
+        visit(ast.parse(p.read_text()), p.stem, [])
+    return sorted(hits)
+
+
+def test_only_replicate_sends_to_prev():
+    assert prev_senders(ROOT) == ["runtime:Party.replicate", "runtime:setup_handshake"]
+
+
+def test_scan_finds_prev_senders(tmp_path):
+    pkg = tmp_path / "src" / "silosynth"
+    pkg.mkdir(parents=True)
+    (pkg / "mod.py").write_text(
+        "def f(party, z):\n    party.send_words(party.prev_pid, z)\n"
+        "def g(party, z):\n    party.send_words(party.next_pid, z)\n"
+        "class P:\n    def h(self, z):\n"
+        "        def inner():\n            self.transport.send(self.prev_pid, 0, z)\n"
+    )
+    assert prev_senders(tmp_path) == ["mod:P.h.inner", "mod:f"]
