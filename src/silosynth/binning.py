@@ -14,11 +14,11 @@ from __future__ import annotations
 import numpy as np
 
 from . import fixedpoint as fx
-from .circuits import mul_shares, trunc_shares
+from .circuits import b2a_sum, inject, mul_shares, trunc_shares
 from .marginals import indicator4
 from .primitives import div_fx, eq_zero, lt, select, sort_columns
 from .runtime import Party
-from .sharing import ShareMatrix, ShareVector, concat_shares
+from .sharing import ShareMatrix, ShareVector, concat_shares, stack_shares
 
 QUANTILES = (0.25, 0.5, 0.75)
 
@@ -56,31 +56,37 @@ def bin_columns(party: Party, data: ShareVector, cuts: ShareVector) -> ShareVect
 
     Two levels of one comparison each: with b = (x < Q1), the bin is
     3 - 2b - (x < Q2 + b (Q0 - Q2)), which is the same because the cuts are
-    non-decreasing. Shapes: data (..., N, d), cuts (..., d, 3).
+    non-decreasing. One b2a_sum converts both bits to the index. Shapes:
+    data (..., N, d), cuts (..., d, 3).
     """
     q0, q1, q2 = (cuts[..., None, :, j] for j in range(3))   # (..., 1, d)
     b = lt(party, data, q1)
     c = lt(party, data, select(party, b, q2, q0))
-    return party.add_public(-(b.scale_by(2) + c), np.uint64(3))
+    return party.add_public(-b2a_sum(party, [b, c], [2, 1]), np.uint64(3))
 
 
 def compute_bin_means(party: Party, binned: ShareVector, originals: ShareVector,
                       cuts: ShareVector, mask: np.ndarray) -> ShareVector:
     """Secret per-bin means, shape (K, d, 4), over the (K, N) ``mask``ed rows,
-    with oblivious empty-bin fallback to cut midpoints."""
+    with oblivious empty-bin fallback to cut midpoints.
+
+    An empty bin's sum is 0, so its raw mean is exactly 0 and adding
+    empty * fallback selects the fallback. One bit injection of the empty
+    bit into (1, fallback) gives that term and the arithmetic empty bit the
+    denominators need.
+    """
     f = party.fp.frac_bits
     indicator = indicator4(party, binned).scale_by(mask[..., None])   # (4, K, N, d)
     sums = mul_shares(party, indicator, originals).sum(axis=2)        # (4, K, d)
     counters = indicator.sum(axis=2)
 
-    empty = eq_zero(party, counters)
-    denom = (counters + empty).scale_by(np.uint64(1) << np.uint64(f))
-    raw_means = div_fx(party, sums, denom)
-
     c = cuts.map(np.moveaxis, -1, 0)                                  # (3, K, d)
     inner = trunc_shares(party, c[:2] + c[1:], 1)
-    fallback = concat_shares([c[:1], inner, c[2:]], axis=0)
-    return select(party, empty, raw_means, fallback).map(np.moveaxis, 0, -1)
+    fallback = concat_shares([c[:1], inner, c[2:]], axis=0)           # (4, K, d)
+    ones = party.const_share(np.ones(counters.shape, dtype=np.uint64))
+    picked = inject(party, eq_zero(party, counters), stack_shares([ones, fallback]))
+    denom = (counters + picked[0]).scale_by(np.uint64(1) << np.uint64(f))
+    return (div_fx(party, sums, denom) + picked[1]).map(np.moveaxis, 0, -1)
 
 
 def bin_train(party: Party, matrix: ShareMatrix, compute_means: bool = True):

@@ -214,6 +214,35 @@ def b2a(party: Party, bits: ShareVector) -> ShareVector:
     return b2a_sum(party, [bits], [ONE])
 
 
+def inject(party: Party, bit: ShareVector, d: ShareVector) -> ShareVector:
+    """Arithmetic bit * d for an XOR-shared 0/1 bit (shapes broadcast), in two rounds.
+
+    Bit injection (ABY3 §5.4): with c_i the bit's components and u = c1 ^ c2,
+    the bit is u (1 - 2 c3) + c3, so bit * d = u e + c3 d with
+    e = (1 - 2 c3) d. Party 1 holds u; parties 2 and 3 hold c3 and between
+    them d's components (d2 + d3 at party 2, d1 at party 3), so every term is
+    local. Round 1 re-shares u together with e; round 2 is the product u e,
+    with the c3 d terms added into its re-share. Sends |bit| + 2 |out| words
+    per party, as b2a and a product do when the shapes agree.
+    """
+    shape = np.broadcast_shapes(bit.shape, d.shape)
+    terms = np.zeros(bit.size + int(np.prod(shape)), dtype=np.uint64)
+    u_term, e_term = terms[:bit.size].reshape(bit.shape), terms[bit.size:].reshape(shape)
+    cd = None
+    if party.pid == 1:
+        np.bitwise_xor(bit.a, bit.b, out=u_term)
+    else:
+        c3, part = (bit.b, d.a + d.b) if party.pid == 2 else (bit.a, d.b)
+        cd = c3 * part
+        np.subtract(part, cd << ONE, out=e_term)
+    u, e = unflatten(reshare(party, terms), [bit.shape, shape])
+    out = np.empty(shape, dtype=np.uint64)
+    _cross(u, e, out)
+    if cd is not None:
+        out += cd
+    return reshare(party, out)
+
+
 # -- deterministic truncation -----------------------------------------------------
 
 SIGN_OFFSET = np.uint64(1) << np.uint64(63)

@@ -8,12 +8,13 @@ The logistic-regression utility metric trains a multiclass model by
 full-batch gradient descent on secret shares. Binned gene values {0..3} are
 fed directly as integer features (plus a constant bias column), so forward
 and gradient matmuls need no truncation. Softmax subtracts the row maximum,
-clamps to [-8, 0], takes a degree-5 polynomial exponential evaluated by
-Estrin's scheme, and divides by the row sum with Goldschmidt steps that rely
-on the sum's public range [1, 5]: one epoch costs 155 rounds, 143 of them in
-softmax. The general reciprocal primitive is not used here. The softmax
-row maximum and the accuracy argmax are each one ``select_max`` tournament
-over the 5 classes: 3 levels of a comparison and a select, 33 rounds.
+takes a degree-5 polynomial exponential evaluated by Estrin's scheme and
+clamped to [-8, 0] off its critical path, and divides by the row sum with
+Goldschmidt steps that rely on the sum's public range [1, 5]: one epoch
+costs 142 rounds, 130 of them in softmax. The general reciprocal primitive
+is not used here. The softmax row maximum and the accuracy argmax are each
+one ``select_max`` tournament over the 5 classes: 3 levels of a comparison
+(8 rounds) and a select (2), 30 rounds.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fixedpoint as fx
-from .circuits import matmul_shares, mul_shares, mul_shares_many, trunc_shares, trunc_shares_many
+from .circuits import b2a, matmul_shares, mul_shares, mul_shares_many, trunc_shares, trunc_shares_many
 from .marginals import MarginalSet, flatten_marginals, indicator5, marginal_counts, measurement_count
 from .primitives import div_fx, eq_zero, is_negative, mul_fx, select, select_max
 from .runtime import Party
@@ -74,25 +75,42 @@ def _with_bias(party: Party, data: ShareMatrix) -> ShareVector:
 
 
 def _exp(party: Party, t: ShareVector) -> ShareVector:
-    """exp(t) for t in [SOFTMAX_FLOOR, 0] as p(t/4)^4, p evaluated by Estrin.
+    """exp(max(t, SOFTMAX_FLOOR)) for t <= 0 as p(t/4)^4, p evaluated by Estrin.
 
     p = (1 + u) + u^2 (c2 + c3 u) + u^4 (c4 + c5 u) with u = t/4 takes three
     multiplicative levels. The public-coefficient terms stay at scale 2f and
     their products at scale 3f, so only u, u^2, u^4 and the sum are
     truncated; c0 = c1 = 1 makes the linear term 1 + t/4 exact.
+
+    The clamp stays off the critical path: t runs unclamped beside one
+    extra SOFTMAX_FLOOR element, the sign -[t - SOFTMAX_FLOOR < 0] (an
+    exact truncation by 63, so 0 or -1) rides with the truncation of p, and
+    one product at the end swaps in the floor's exponential wherever t lies
+    below it. Values below the floor, wrapped or not, are selected away.
     """
     f = party.fp.frac_bits
     one = np.uint64(1) << np.uint64(f)
     c = [np.uint64(fx.encode_scalar(k, f)) for k in EXP_POLY]
+    floor = np.uint64(fx.encode_scalar(SOFTMAX_FLOOR, f))
+    shifted = party.add_public(t, np.negative(floor))
+    t = concat_shares([t.ravel(), party.const_share(np.full(1, floor))])
     u, u2 = trunc_shares_many(party, [(t, 2), (mul_shares(party, t, t), f + 4)])
     lin = party.add_public(t.scale_by(one >> np.uint64(2)), one * one)
+    del t
     quad = party.add_public(u.scale_by(c[3]), c[2] * one)
     quart = party.add_public(u.scale_by(c[5]), c[4] * one)
     u4, mid = mul_shares_many(party, [(u2, u2), (u2, quad)])
+    del u, u2, quad
     u4 = trunc_shares(party, u4, f)
-    p = trunc_shares(party, lin.scale_by(one) + mid + mul_shares(party, u4, quart), 2 * f)
+    p_sum = lin.scale_by(one) + mid + mul_shares(party, u4, quart)
+    del lin, mid, u4, quart
+    p, below = trunc_shares_many(party, [(p_sum, 2 * f), (shifted, 63)])
+    del p_sum, shifted
     sq = mul_fx(party, p, p)
-    return mul_fx(party, sq, sq)
+    e = mul_fx(party, sq, sq)
+    e_floor = e[-1:]
+    e = e[:-1].reshape(below.shape)
+    return e + mul_shares(party, below, e - e_floor)
 
 
 def bounded_div(party: Party, num: ShareVector, den: ShareVector) -> ShareVector:
@@ -124,12 +142,7 @@ def bounded_div(party: Party, num: ShareVector, den: ShareVector) -> ShareVector
 
 
 def _softmax_probs(party: Party, z: ShareVector) -> ShareVector:
-    f = party.fp.frac_bits
-    t = z - select_max(party, z)[0][..., None]
-    # clamp to the polynomial's domain floor
-    under = is_negative(party, party.add_public(t, fx.encode_scalar(-SOFTMAX_FLOOR, f)))
-    t = select(party, under, t, party.const_share(fx.encode_scalar(SOFTMAX_FLOOR, f)))
-    p = _exp(party, t)
+    p = _exp(party, z - select_max(party, z)[0][..., None])
     return bounded_div(party, p, p.sum(axis=-1))
 
 
@@ -174,7 +187,7 @@ def lr_accuracy(party: Party, weights: ShareVector, test: ShareMatrix) -> ShareV
     with party.protocol("acc"):
         logits = matmul_shares(party, _with_bias(party, test), weights)
         _, predicted = select_max(party, logits, party.const_share(np.arange(N_CLASSES)))
-        hits = eq_zero(party, predicted - test.labels()).scale_by(test.mask)
+        hits = b2a(party, eq_zero(party, predicted - test.labels())).scale_by(test.mask)
         scale = np.uint64(1) << np.uint64(f)
         acc = div_fx(party, hits.sum(axis=1).scale_by(scale),
                      party.const_share(test.rows.astype(np.uint64) * scale))

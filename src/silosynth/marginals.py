@@ -93,51 +93,76 @@ def _exact_divide(party: Party, acc: ShareVector, divisors: np.ndarray) -> Share
     return trunc_shares(party, *_odd_part_scale(acc, divisors))
 
 
-def gene_indicator_numerators(party: Party, x: ShareVector) -> ShareVector:
-    """Stacked numerators (4, ...) of the gene indicators; exact 6/2/2/6 multiples."""
+def _lockstep(party: Party, *programs) -> list:
+    """Run product programs side by side and return their results.
+
+    A program is a generator that yields the (x, y) pairs it needs
+    multiplied next and receives their products. Each round multiplies the
+    pending pairs of every unfinished program in one ``mul_shares_many``, so
+    independent programs share rounds: the longest one sets the count.
+    """
+    results: list = [None] * len(programs)
+    pending = {i: next(prog) for i, prog in enumerate(programs)}
+    while pending:
+        out = mul_shares_many(party, [pair for pairs in pending.values() for pair in pairs])
+        for i, pairs in list(pending.items()):
+            products, out = out[:len(pairs)], out[len(pairs):]
+            try:
+                pending[i] = programs[i].send(products)
+            except StopIteration as done:
+                results[i] = done.value
+                del pending[i]
+    return results
+
+
+def _gene_numerators(party: Party, x: ShareVector):
+    """Program of the stacked numerators (4, ...) of the gene indicators;
+    exact 6/2/2/6 multiples, two rounds."""
     s1 = party.add_public(-x, 1)
     s2 = party.add_public(-x, 2)
     s3 = party.add_public(-x, 3)
     s11 = party.add_public(x, fx.neg_const(1))
     s21 = party.add_public(x, fx.neg_const(2))
-    u, v = mul_shares_many(party, [(s2, s3), (x, s11)])
-    return stack_shares(mul_shares_many(party, [(s1, u), (x, u), (v, s3), (v, s21)]))
+    u, v = yield [(s2, s3), (x, s11)]
+    return stack_shares((yield [(s1, u), (x, u), (v, s3), (v, s21)]))
 
 
-def label_indicator_numerators(party: Party, y: ShareVector) -> ShareVector:
-    """Stacked numerators (5, ...) of the label indicators (prefix/suffix products)."""
+def _label_numerators(party: Party, y: ShareVector):
+    """Program of the stacked numerators (5, ...) of the label indicators
+    (prefix/suffix products), three rounds."""
     s = [party.add_public(y, fx.neg_const(j)) if j else y for j in range(5)]
-    pre2, suf2 = mul_shares_many(party, [(s[0], s[1]), (s[3], s[4])])
-    pre3, suf1 = mul_shares_many(party, [(pre2, s[2]), (s[2], suf2)])
-    pre4, suf0, l1, l2, l3 = mul_shares_many(
-        party, [(pre3, s[3]), (s[1], suf1), (s[0], suf1), (pre2, suf2), (pre3, s[4])]
-    )
+    pre2, suf2 = yield [(s[0], s[1]), (s[3], s[4])]
+    pre3, suf1 = yield [(pre2, s[2]), (s[2], suf2)]
+    pre4, suf0, l1, l2, l3 = yield [(pre3, s[3]), (s[1], suf1), (s[0], suf1), (pre2, suf2), (pre3, s[4])]
     return stack_shares([suf0, l1, l2, l3, pre4])
 
 
 def indicator4(party: Party, x: ShareVector) -> ShareVector:
     """The four gene indicator bits, (4, ...): exactly one opens to 1 on the domain."""
     div = np.array(GENE_DIVISORS).reshape((GENE_DOMAIN,) + (1,) * x.a.ndim)
-    return _exact_divide(party, gene_indicator_numerators(party, x), div)
+    return _exact_divide(party, _lockstep(party, _gene_numerators(party, x))[0], div)
 
 
 def indicator5(party: Party, y: ShareVector) -> ShareVector:
     """The five label indicator bits, (5, ...)."""
     div = np.array(LABEL_DIVISORS).reshape((LABEL_DOMAIN,) + (1,) * y.a.ndim)
-    return _exact_divide(party, label_indicator_numerators(party, y), div)
+    return _exact_divide(party, _lockstep(party, _label_numerators(party, y))[0], div)
 
 
 def marginal_counts(party: Party, matrix: ShareMatrix) -> MarginalSet:
     """Exact secret counts (integer scale) of the measured workload, per fold.
 
+    The label and gene numerators share their product rounds (three).
     Padding rows are masked out of the numerators. The two-way block is one
     matrix product per fold: gene numerators (4d x N) times label numerators
     (N x 5).
     """
     k, n, d = matrix.folds, matrix.n_rows, matrix.n_genes
     mask = matrix.mask                                              # (K, N)
-    ln = label_indicator_numerators(party, matrix.labels()).scale_by(mask)          # (5, K, N)
-    gn = gene_indicator_numerators(party, matrix.genes()).scale_by(mask[..., None])  # (4, K, N, d)
+    ln, gn = _lockstep(party, _label_numerators(party, matrix.labels()),
+                       _gene_numerators(party, matrix.genes()))
+    ln = ln.scale_by(mask)                                          # (5, K, N)
+    gn = gn.scale_by(mask[..., None])                               # (4, K, N, d)
 
     lhs = gn.map(lambda w: np.moveaxis(w, 0, 1).swapaxes(2, 3).reshape(k, GENE_DOMAIN * d, n))
     rhs = ln.map(lambda w: np.moveaxis(w, 0, -1))                   # (K, N, 5)

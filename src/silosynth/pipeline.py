@@ -24,10 +24,11 @@ import numpy as np
 
 from . import fixedpoint as fx
 from .binning import bin_train, bin_with_cuts, inv_bin
+from .circuits import b2a
 from .evaluation import MetricPair, evaluate
 from .generator import generate_bridge
 from .marginals import calibrate, measurement_count, noisy_marginals
-from .primitives import eq_zero, lt, select, select_max
+from .primitives import eq_zero, lt, select_max
 from .rng import CounterStream, derive_key
 from .runtime import Party
 from .sharing import ShareMatrix, ShareVector, concat_shares, stack_shares
@@ -164,10 +165,9 @@ def secret_vote(party: Party, wle_sum: ShareVector, acc_sum: ShareVector,
         wle, acc = (m.map(np.broadcast_to, (n_cust,)) for m in (wle_sum, acc_sum))
         # one comparison for both bars: cap strictly below the metric, metric strictly below the floor
         fail = lt(party, stack_shares([scaled[:, 0], acc]), stack_shares([wle, scaled[:, 1]]))
-        # a custodian passes when it fails neither bar: its accuracy pass bit, or 0 on a wle fail
-        passed = select(party, fail[0], party.add_public(-fail[1], 1), party.const_share(0))
-        unanimous = eq_zero(party, party.add_public(passed.sum(keepdims=True), fx.neg_const(n_cust)))
-        bit = party.open(unanimous, "vote")
+        # unanimous when no custodian fails a bar: the tally of fail bits is 0
+        unanimous = eq_zero(party, b2a(party, fail).sum().reshape(1))
+        bit = party.open(unanimous, "vote", xor=True)
     return int(bit[0])
 
 

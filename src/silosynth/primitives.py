@@ -2,9 +2,12 @@
 
 All primitives are data-oblivious: message counts, sizes and order depend
 only on public shapes, never on secret values. Comparison and equality ride
-on the component adder from circuits.py; division is a Newton-Raphson
-reciprocal after oblivious normalization to [0.5, 1); sorting is a bitonic
-network of secure compare-swaps.
+on the component adder from circuits.py and return XOR-shared bits:
+``select`` injects such a bit directly (two rounds), and a caller that needs
+the bit as an arithmetic value converts it with ``b2a``. Division is a
+Newton-Raphson reciprocal after oblivious normalization to [0.5, 1); sorting
+is a bitonic network of secure compare-swaps, less those whose outcome the
+public padding decides.
 """
 
 from __future__ import annotations
@@ -15,9 +18,9 @@ from . import fixedpoint as fx
 from .circuits import (
     add_components,
     and_packed,
-    b2a,
     b2a_sum,
     bit_extract,
+    inject,
     mul_shares,
     not_packed,
     or_packed,
@@ -35,28 +38,29 @@ NR_ITERATIONS = 5
 
 
 def is_negative(party: Party, x: ShareVector) -> ShareVector:
-    """Secret bit: 1 iff x < 0 under the signed interpretation."""
+    """XOR-shared secret bit: 1 iff x < 0 under the signed interpretation."""
     sum_bits, _, _ = add_components(party, x)
-    return b2a(party, bit_extract(sum_bits, 63))
+    return bit_extract(sum_bits, 63)
 
 
 def lt(party: Party, x: ShareVector, y: ShareVector) -> ShareVector:
-    """Secret bit: 1 iff x < y under the signed interpretation (strict)."""
+    """XOR-shared secret bit: 1 iff x < y under the signed interpretation (strict)."""
     return is_negative(party, x - y)
 
 
 def eq_zero(party: Party, x: ShareVector) -> ShareVector:
-    """Secret bit: 1 iff x == 0."""
+    """XOR-shared secret bit: 1 iff x == 0."""
     sum_bits, _, _ = add_components(party, x)
     t = not_packed(party, sum_bits)
     for k in (32, 16, 8, 4, 2, 1):
         t = and_packed(party, t, shift_packed(t, -k))
-    return b2a(party, bit_extract(t, 0))
+    return bit_extract(t, 0)
 
 
 def select(party: Party, bit: ShareVector, x: ShareVector, y: ShareVector) -> ShareVector:
-    """y where the secret 0/1 bit is 1, x elsewhere (shapes broadcast): one product."""
-    return x + mul_shares(party, bit, y - x)
+    """y where the XOR-shared 0/1 bit is 1, x elsewhere (shapes broadcast):
+    the bit is injected into y - x, two rounds."""
+    return x + inject(party, bit, y - x)
 
 
 def select_max(party: Party, z: ShareVector, *payloads: ShareVector) -> tuple[ShareVector, ...]:
@@ -142,22 +146,36 @@ def sort_columns(party: Party, matrix: ShareVector, rows=None) -> ShareVector:
     """Sort each column of (..., N, d) shares along axis -2 in one batched schedule.
 
     ``rows`` (shaped like the leading axes) counts the data rows of each
-    batch; the rows after them are replaced by the sentinel, which sorts
-    last, so the first rows[k] outputs of batch k are its sorted data.
+    batch; the rows after them are replaced by the sentinel word 2^(62-f),
+    the bound of ``fx.encode``, which no encodable input exceeds, so the
+    first rows[k] outputs of batch k are its sorted data. Positions that hold
+    the sentinel in every batch are tracked through the network: a
+    compare-swap that touches one has a public outcome, so it is a local
+    move, and only the other pairs of a layer are compared.
     """
     n = matrix.shape[-2]
     if n <= 1:
         return matrix.copy()
     m = 1 << (n - 1).bit_length()
     lead, d = matrix.shape[:-2], matrix.shape[-1]
-    live = np.arange(m) < np.broadcast_to(n if rows is None else rows, lead)[..., None]
-    arr = party.const_share(np.full(lead + (m, d), np.uint64(1) << np.uint64(31 + party.fp.frac_bits)))
+    rows = np.broadcast_to(n if rows is None else rows, lead)
+    live = np.arange(m) < rows[..., None]
+    arr = party.const_share(np.full(lead + (m, d), np.uint64(1) << np.uint64(62 - party.fp.frac_bits)))
     arr[live] = matrix[live[..., :n]]
+    pad = np.arange(m) >= rows.max(initial=0)
     for p_idx, q_idx in _bitonic_layers(m):
-        xp, xq = arr[..., p_idx, :], arr[..., q_idx, :]
-        low = select(party, lt(party, xq, xp), xp, xq)
-        arr[..., p_idx, :] = low
-        arr[..., q_idx, :] = xp + xq - low
+        # a sentinel at p is the larger of its pair and trades places with q
+        move = pad[p_idx] & ~pad[q_idx]
+        pm, qm = p_idx[move], q_idx[move]
+        arr[..., pm, :], arr[..., qm, :] = arr[..., qm, :], arr[..., pm, :]
+        pad[pm], pad[qm] = False, True
+        secret = ~(pad[p_idx] | pad[q_idx])
+        if secret.any():
+            p, q = p_idx[secret], q_idx[secret]
+            xp, xq = arr[..., p, :], arr[..., q, :]
+            low = select(party, lt(party, xq, xp), xp, xq)
+            arr[..., p, :] = low
+            arr[..., q, :] = xp + xq - low
     return arr[..., :n, :]
 
 

@@ -342,12 +342,13 @@ class Party:
 
     # -- openings ------------------------------------------------------------
 
-    def open(self, x: ShareVector, reason: str) -> np.ndarray:
-        """Public opening to all parties; audited via the opening log."""
+    def open(self, x: ShareVector, reason: str, xor: bool = False) -> np.ndarray:
+        """Public opening to all parties (of an XOR sharing if ``xor``);
+        audited via the opening log."""
         self.send_words(self.next_pid, x.a)
         missing = self.recv_words(self.prev_pid).reshape(x.shape)
         self.opening_log.append((reason, int(x.size)))
-        return x.a + x.b + missing
+        return x.a ^ x.b ^ missing if xor else x.a + x.b + missing
 
     def reveal_to(self, x: ShareVector, receiver: int, reason: str) -> np.ndarray | None:
         """Directed reveal to one party only (logged separately from opens)."""

@@ -156,11 +156,11 @@ def test_bin_test_with_train_cuts(rng):
     assert all("sort" not in p.ledger.entries or True for p in parties)
 
 
-def test_bin_test_ledger_is_two_lt_and_one_mul_per_cell(rng):
-    """Transcript check: binning test rows costs exactly two n*d-wide lt and
-    one n*d-wide product, and no sort."""
-    from silosynth.circuits import mul_shares
-    from silosynth.primitives import lt
+def test_bin_test_ledger_is_two_lt_one_select_one_b2a_per_cell(rng):
+    """Transcript check: binning test rows costs exactly two n*d-wide lt, one
+    n*d-wide select and one two-lane b2a_sum, and no sort."""
+    from silosynth.circuits import b2a_sum
+    from silosynth.primitives import lt, select
 
     genes = rng.normal(0, 2, size=(10, 2))
     labels = rng.integers(0, 5, size=10)
@@ -181,7 +181,8 @@ def test_bin_test_ledger_is_two_lt_and_one_mul_per_cell(rng):
     def body_lt(p):
         with p.protocol("bin_test"):
             b = lt(p, x[p.pid - 1], y[p.pid - 1])
-            lt(p, x[p.pid - 1], mul_shares(p, b, y[p.pid - 1]))
+            c = lt(p, x[p.pid - 1], select(p, b, x[p.pid - 1], y[p.pid - 1]))
+            b2a_sum(p, [b, c], [2, 1])
 
     _, parties_lt = run3(body_lt)
     for pb, pl in zip(parties_bin, parties_lt):
@@ -189,7 +190,7 @@ def test_bin_test_ledger_is_two_lt_and_one_mul_per_cell(rng):
         want = pl.ledger.entry("bin_test")
         assert (got.bytes_sent, got.messages_sent, got.rounds) == \
             (want.bytes_sent, want.messages_sent, want.rounds)
-        assert got.rounds == 21
+        assert got.rounds == 20
         assert "sort" not in pb.ledger.entries
 
 

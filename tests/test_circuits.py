@@ -1,6 +1,7 @@
 """Gate and adder layer: exercised through three in-process parties."""
 
 import numpy as np
+from conftest import reconstruct_xor
 
 from silosynth import fixedpoint as fx
 from silosynth.circuits import (
@@ -102,12 +103,6 @@ def shared_xor_input(values, tag):
     x2 = stream.next_words(x.size).reshape(x.shape)
     x3 = x ^ x1 ^ x2
     return [ShareVector(x1, x2), ShareVector(x2, x3), ShareVector(x3, x1)]
-
-
-def reconstruct_xor(shares):
-    s1, s2, s3 = shares
-    assert np.array_equal(s1.b, s2.a) and np.array_equal(s2.b, s3.a) and np.array_equal(s3.b, s1.a)
-    return s1.a ^ s2.a ^ s3.a
 
 
 def test_add_components_recovers_bits():

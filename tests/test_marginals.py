@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 import clear_reference as ref
-from conftest import run3, shared, shared_matrix
+from conftest import reconstruct_xor, run3, shared, shared_matrix
 
 from silosynth import fixedpoint as fx
 from silosynth.marginals import (
     calibrate,
     indicator4,
     indicator5,
+    marginal_counts,
     measurement_count,
     noisy_marginals,
 )
@@ -74,7 +75,7 @@ def test_indicators_agree_with_equality_tests(rng):
         polys = reconstruct([r[0] for r in results])
         assert polys.shape == (4,) + vals4.shape
         for b in range(4):
-            eq_b = reconstruct([r[1][b] for r in results])
+            eq_b = reconstruct_xor([r[1][b] for r in results])
             assert np.array_equal(polys[b], eq_b)
 
 
@@ -116,6 +117,19 @@ def test_marginal_hand_examples():
     want = np.zeros(20)
     want[3 * 5 + 4] = 1.0
     assert list(t2[0]) == list(want)
+
+
+def test_marginal_counts_share_numerator_rounds(rng):
+    """Label numerators (3 product rounds) and gene numerators (2) run side
+    by side: 3 rounds, then the two-way matmul (1) and one truncation (10)."""
+    mats = shared_matrix(rng.integers(0, 4, size=(9, 2)).astype(np.uint64), rng.integers(0, 5, size=9), 72)
+
+    def body(p):
+        with p.protocol("adhoc"):
+            marginal_counts(p, mats[p.pid - 1])
+
+    _, parties = run3(body)
+    assert [p.ledger.entry("adhoc").rounds for p in parties] == [14, 14, 14]
 
 
 def test_calibration_closed_form():

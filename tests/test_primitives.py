@@ -1,9 +1,12 @@
 """Secure primitives vs cleartext signed fixed-point oracles."""
 
 import numpy as np
+import pytest
+from conftest import reconstruct_xor, shared_xor
 
 from silosynth import fixedpoint as fx
 from silosynth import primitives
+from silosynth.circuits import bit_extract
 from silosynth.fixedpoint import FixedPointConfig
 from silosynth.primitives import (
     div_fx,
@@ -52,7 +55,7 @@ def test_lt_oracle_sweep():
 
     results, _ = run3(body)
     want = (fx.signed(ea) < fx.signed(eb)).astype(np.uint64)
-    assert np.array_equal(open_result(results), want)
+    assert np.array_equal(reconstruct_xor(results), want)
 
 
 def test_lt_examples():
@@ -64,7 +67,7 @@ def test_lt_examples():
         return lt(p, sa[p.pid - 1], sb[p.pid - 1])
 
     results, _ = run3(body)
-    assert list(open_result(results)) == [1, 0, 1]
+    assert list(reconstruct_xor(results)) == [1, 0, 1]
 
 
 def test_eq_oracle_sweep():
@@ -76,7 +79,7 @@ def test_eq_oracle_sweep():
         return eq_zero(p, sa[p.pid - 1] - sb[p.pid - 1])
 
     results, _ = run3(body)
-    assert np.all(open_result(results) == 1)
+    assert np.all(reconstruct_xor(results) == 1)
 
 
 def test_eq_examples():
@@ -87,7 +90,7 @@ def test_eq_examples():
         return eq_zero(p, sa[p.pid - 1])
 
     results, _ = run3(body)
-    assert list(open_result(results)) == [1, 0]
+    assert list(reconstruct_xor(results)) == [1, 0]
 
 
 def test_abs_oracle():
@@ -144,8 +147,32 @@ def test_select_max_matches_numpy():
         assert np.array_equal(arg, z.argmax(axis=1))
         assert np.array_equal(fx.decode(neg_top), -z.min(axis=1))
         assert np.array_equal(arg_min, z.argmin(axis=1))
-        # one lt (10 rounds) and one select (1 round) per tournament level, twice
-        assert all(r[w][4] == 2 * 11 * (w - 1).bit_length() for r in results)
+        # one lt (8 rounds) and one select (2 rounds) per tournament level, twice
+        assert all(r[w][4] == 2 * 10 * (w - 1).bit_length() for r in results)
+
+
+def test_select_injection_matches_numpy():
+    """select injects an XOR-shared bit: random bits on equal shapes, a bit
+    broadcast over a payload stack, and differences y - x that wrap the ring.
+    With equal shapes it costs 2 rounds and 3 words per element per party,
+    what b2a and a product cost before."""
+    rng = np.random.default_rng(12)
+    bits = rng.integers(0, 2, size=(40, 3), dtype=np.uint64)
+    x, y = (rng.integers(0, 2**64, size=(40, 3), dtype=np.uint64) for _ in range(2))
+    stack = rng.integers(0, 2**64, size=(4, 40, 3), dtype=np.uint64)
+    sbits, sx, sy, sstack = shared_xor(bits, 1), shared(x, 50), shared(y, 51), shared(stack, 52)
+
+    def body(p):
+        i = p.pid - 1
+        bit = bit_extract(sbits[i], 0)           # 0/1 components, as lt hands them over
+        same = select(p, bit, sx[i], sy[i])
+        cost = (p.ledger.entry("adhoc").rounds, p.ledger.entry("adhoc").bytes_sent)
+        return same, select(p, bit, sx[i], sstack[i]), cost
+
+    results, _ = run3(body)
+    assert np.array_equal(reconstruct([r[0] for r in results]), np.where(bits == 1, y, x))
+    assert np.array_equal(reconstruct([r[1] for r in results]), np.where(bits == 1, stack, x))
+    assert all(r[2] == (2, 3 * bits.size * 8) for r in results)
 
 
 DIV_TOL = 2.0**-14
@@ -213,6 +240,60 @@ def test_sort_random_multiset_and_fixedpoint():
         again = fx.signed(reconstruct([r[1] for r in results]))
         assert np.array_equal(got, np.sort(fx.signed(vals), axis=0))
         assert np.array_equal(again, got)  # sorting a sorted vector is a fixed point
+
+
+def test_sort_prunes_padding_and_matches_numpy():
+    """Row counts that are not powers of two, unequal per fold, with ties:
+    every fold's first rows[k] outputs are its sorted data rows."""
+    rng = np.random.default_rng(13)
+    rows = np.array([5, 11, 7])
+    vals = fx.encode(rng.integers(-2, 3, size=(3, 11, 2)).astype(float))
+    sv = shared(vals, 53)
+
+    def body(p):
+        return sort_columns(p, sv[p.pid - 1], rows)
+
+    results, _ = run3(body)
+    got = fx.signed(reconstruct(results))
+    for k, r in enumerate(rows):
+        assert np.array_equal(got[k, :r], np.sort(fx.signed(vals[k, :r]), axis=0))
+
+
+def test_sort_bytes_pinned():
+    """(1, 100, 1) pads to 128: 1,334 of the network's 1,792 compare-swaps
+    touch no padding and are secret, each one lt (13 words) and one select
+    (3 words); 28 layers of 8 + 2 rounds."""
+    vals = fx.encode(np.random.default_rng(14).uniform(-50, 50, size=(1, 100, 1)))
+    sv = shared(vals, 54)
+
+    def body(p):
+        with p.protocol("adhoc"):
+            return sort_columns(p, sv[p.pid - 1])
+
+    results, parties = run3(body)
+    assert np.array_equal(fx.signed(reconstruct(results)), np.sort(fx.signed(vals), axis=1))
+    for p in parties:
+        e = p.ledger.entry("adhoc")
+        assert (e.rounds, e.bytes_sent) == (280, 1334 * 16 * 8)
+
+
+@pytest.mark.parametrize("frac_bits", [8, 20])
+def test_sort_sentinel_above_every_encodable_input(frac_bits):
+    """The padding sentinel is the encode bound: the largest encodable values
+    (and 2^33 at f = 8) still sort before it."""
+    big = 2.0 ** (62 - 2 * frac_bits) - 1.0
+    vals = fx.encode(np.array([5.0, big, -1.0, -big, min(2.0**33, big)]), frac_bits)
+    fp = FixedPointConfig(frac_bits)
+    sv = share_values(vals[:, None], CounterStream(derive_key(555, "prim", 55)))
+
+    def body(p):
+        return sort_columns(p, sv[p.pid - 1][:3]), sort_columns(p, sv[p.pid - 1], rows=4)
+
+    results, _ = run_parties(body, master_seed=77, fp=fp, timeout=120.0)
+    first = fx.signed(reconstruct([r[0] for r in results]))[:, 0]
+    second = fx.signed(reconstruct([r[1] for r in results]))[:4, 0]
+    assert np.array_equal(first, np.sort(fx.signed(vals[:3])))
+    assert np.array_equal(second, np.sort(fx.signed(vals[:4])))
 
 
 def test_uniform01_statistics():
