@@ -11,8 +11,8 @@ Share splitting: the three additive components of x are each known to
 exactly the two parties that replicate them, so XOR (or arithmetic)
 sharings of the individual components cost no communication, and a gate on
 components forms its cross terms from the pair each party already holds.
-Summing the three components inside a carry-save + Kogge-Stone adder yields
-the bits of x, plus the exact inter-component carries needed for
+Summing the three components inside a carry-save + Sklansky prefix adder
+yields the bits of x, plus the exact inter-component carries needed for
 deterministic truncation.
 """
 
@@ -121,45 +121,74 @@ def and_packed(party: Party, x: ShareVector, y: ShareVector) -> ShareVector:
     return _gate_many(party, [(x, y)], _cross_and, reshare_xor)[0]
 
 
-def and_packed_many(party: Party, pairs) -> list[ShareVector]:
-    """Batch several same-round ANDs into one message per party."""
-    return _gate_many(party, pairs, _cross_and, reshare_xor)
-
-
 def or_packed(party: Party, x: ShareVector, y: ShareVector) -> ShareVector:
     return xor_packed(xor_packed(x, y), and_packed(party, x, y))
 
 
+# Sklansky prefix levels: the span w = 2^j, the upper half of every 2w-lane
+# block, the top lane of every lower half, and the spread factor 2^w - 1.
+_PREFIX_LEVELS = [(1 << j,
+                   np.uint64(sum(1 << t for t in range(64) if t >> j & 1)),
+                   np.uint64(sum(1 << t for t in range(64) if t % (2 << j) == (1 << j) - 1)),
+                   np.uint64((1 << (1 << j)) - 1)) for j in range(6)]
+
+
 def add_components(party: Party, x: ShareVector):
-    """Bits and carries of x1 + x2 + x3 via carry-save + Kogge-Stone.
+    """Bits and carries of x1 + x2 + x3 via carry-save + a Sklansky prefix adder.
 
     Returns (sum_bits, maj, carry) packed words where ``sum_bits`` holds the
     bits of x mod 2^64, ``maj`` the carry-save majority word (pre-shift) and
-    ``carry`` the Kogge-Stone generate word of the final two-term addition.
+    ``carry`` the prefix generate word of the final two-term addition.
     Bit t of maj plus bit t of carry is the exact number of carries crossing
     from position t to t+1.
 
     Read as an XOR sharing, x's own pair (x_i, x_(i+1)) shares x1 ^ x2 ^ x3,
     the carry-save sum. The majority x1 x2 ^ x2 x3 ^ x3 x1 is one AND gate
     whose cross term at party i is x_i & x_(i+1), which it holds.
+
+    The prefix (Sklansky 1960) has 6 levels of one AND word each: at span w,
+    every upper-half lane t of a 2w-lane block takes G_t ^= P_t G_m and
+    P_t &= P_m from the top lane m of its lower half. The P products ride in
+    the free lower lanes (P_t copied down by w), and G_m and P_m reach their
+    halves by a mask and a multiply by 2^w - 1, all local on XOR shares.
+    8 rounds and 8 words per element.
     """
     maj = reshare_xor(party, x.a & x.b)
     cw = shift_packed(maj, 1)
-    big_g = and_packed(party, x, cw)
+    g0 = and_packed(party, x, cw)
     p = xor_packed(x, cw)
     del cw
-    big_p = p
-    for k in (1, 2, 4, 8, 16, 32):
-        gs = shift_packed(big_g, k)
-        if k < 32:
-            t1, big_p = and_packed_many(party, [(big_p, gs), (big_p, shift_packed(big_p, k))])
-        else:
-            t1 = and_packed(party, big_p, gs)
-        del gs
-        big_g = xor_packed(big_g, t1)
-    del big_p, t1
-    sum_bits = xor_packed(p, shift_packed(big_g, 1))
-    return sum_bits, maj, big_g
+    # G and P hold both components on a leading axis; each level runs in
+    # place on them and on three scratch arrays
+    big_g, big_p = np.stack((g0.a, g0.b)), np.stack((p.a, p.b))
+    del g0
+    lhs, rhs, tmp = (np.empty_like(big_p) for _ in range(3))
+    for w, upper, top, spread in _PREFIX_LEVELS:
+        last = w == 32                                  # needs no P products
+        np.bitwise_and(big_p, upper, out=lhs)           # P_t on the upper lanes,
+        np.bitwise_and(big_g, top, out=rhs)             # G_m one lane above the top,
+        rhs <<= 1
+        if not last:
+            np.right_shift(lhs, w, out=tmp)             # P_t copied w lanes down,
+            lhs |= tmp
+            np.bitwise_and(big_p, top, out=tmp)         # P_m at the base of the block,
+            tmp >>= w - 1
+            rhs |= tmp
+        rhs *= spread                                   # each spread over its half
+        prod = and_packed(party, ShareVector(*lhs), ShareVector(*rhs))
+        for k, r in enumerate((prod.a, prod.b)):
+            np.bitwise_and(r, upper, out=tmp[k])
+        big_g ^= tmp
+        if not last:
+            for k, r in enumerate((prod.a, prod.b)):
+                np.left_shift(r, w, out=tmp[k])
+            tmp &= upper
+            big_p &= ~upper
+            big_p |= tmp
+    del big_p, prod, lhs, rhs, tmp
+    carry = ShareVector(*big_g)
+    sum_bits = xor_packed(p, shift_packed(carry, 1))
+    return sum_bits, maj, carry
 
 
 # -- bit/arithmetic conversion --------------------------------------------------

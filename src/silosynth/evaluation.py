@@ -11,10 +11,11 @@ and gradient matmuls need no truncation. Softmax subtracts the row maximum,
 takes a degree-5 polynomial exponential evaluated by Estrin's scheme and
 clamped to [-8, 0] off its critical path, and divides by the row sum with
 Goldschmidt steps that rely on the sum's public range [1, 5]: one epoch
-costs 142 rounds, 130 of them in softmax. The general reciprocal primitive
+costs 124 rounds, 112 of them in softmax. The general reciprocal primitive
 is not used here. The softmax row maximum and the accuracy argmax are each
-one ``select_max`` tournament over the 5 classes: 3 levels of a comparison
-(8 rounds) and a select (2), 30 rounds.
+one ``select_max`` over the 5 classes: all 10 pairs in one comparison
+(8 rounds), a two-level AND tree for the lowest-index one-hot (2) and one
+injection (2), 12 rounds.
 """
 
 from __future__ import annotations

@@ -275,6 +275,10 @@ class Party:
     # -- transport ---------------------------------------------------------
 
     def send_words(self, dst: int, words: np.ndarray):
+        """Send ``words``, which become read-only: in-process the receiver
+        holds this very array, so a later in-place write would rewrite a
+        peer's share."""
+        words.setflags(write=False)
         label = self.current_label
         self.ledger.record_send(label, int(np.asarray(words).size))
         self.transport.send(dst, LABEL_IDS.get(label, LABEL_IDS["adhoc"]), words)

@@ -118,6 +118,54 @@ def test_add_components_recovers_bits():
     assert np.array_equal(reconstruct_xor(results), x)
 
 
+def _clear_adder(x1, x2, x3):
+    """Cleartext model of add_components: (sum_bits, maj, carry) where carry
+    bit t is the carry out of position t of s + (maj << 1), s = x1 ^ x2 ^ x3."""
+    s = x1 ^ x2 ^ x3
+    maj = (x1 & x2) ^ (x2 & x3) ^ (x3 & x1)
+    cw = maj << np.uint64(1)
+    total = s + cw
+    carry = ((total ^ s ^ cw) >> np.uint64(1)) | ((total < s).astype(np.uint64) << np.uint64(63))
+    return total, maj, carry
+
+
+def test_add_components_matches_clear_model_lane_for_lane():
+    """Random components and every triple of the edge components 0, 1, 2^63
+    and 2^64 - 1: sum bits, majority and prefix-generate word, bit for bit."""
+    rng = np.random.default_rng(19)
+    edges = np.array([0, 1, 2**63, 2**64 - 1], dtype=np.uint64)
+    grid = np.stack(np.meshgrid(edges, edges, edges, indexing="ij")).reshape(3, -1)
+    comps = np.concatenate([grid, rng.integers(0, 2**64, size=(3, 500), dtype=np.uint64)], axis=1)
+    x1, x2, x3 = comps
+    shares = [ShareVector(x1, x2), ShareVector(x2, x3), ShareVector(x3, x1)]
+
+    def body(p):
+        return add_components(p, shares[p.pid - 1])
+
+    results, _ = run3(body)
+    got = [reconstruct_xor([r[k] for r in results]) for k in range(3)]
+    want = _clear_adder(x1, x2, x3)
+    assert np.array_equal(want[0], x1 + x2 + x3)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
+def test_add_components_costs_eight_rounds_and_eight_words():
+    """Majority, generate and six one-word prefix levels: a byte regression
+    in the adder under every comparison and truncation fails here."""
+    n = 300
+    sx = shared_input(np.arange(n), 20)
+
+    def body(p):
+        with p.protocol("adhoc"):
+            add_components(p, sx[p.pid - 1])
+        e = p.ledger.entry("adhoc")
+        return e.rounds, e.bytes_sent
+
+    results, _ = run3(body)
+    assert results == [(8, 8 * n * 8)] * 3
+
+
 def test_b2a_bit_values():
     rng = np.random.default_rng(10)
     bits = rng.integers(0, 2, size=300, dtype=np.uint64)

@@ -93,6 +93,29 @@ def test_eq_examples():
     assert list(reconstruct_xor(results)) == [1, 0]
 
 
+def test_eq_zero_edges_and_cost():
+    """Zero, one-bit and top-bit words, the ring's extremes and random words;
+    7 rounds and 7 words per element: one re-share and six AND levels."""
+    rng = np.random.default_rng(5)
+    vals = np.concatenate([
+        np.array([0, 1, 2**63, 2**64 - 1, 2**32, 2**64 - 2**32], dtype=np.uint64),
+        np.uint64(1) << np.arange(64, dtype=np.uint64),
+        rng.integers(0, 2**64, size=200, dtype=np.uint64),
+        np.zeros(30, dtype=np.uint64),
+    ])
+    sv = shared(vals, 60)
+
+    def body(p):
+        with p.protocol("adhoc"):
+            bit = eq_zero(p, sv[p.pid - 1])
+        e = p.ledger.entry("adhoc")
+        return bit, (e.rounds, e.bytes_sent)
+
+    results, _ = run3(body)
+    assert np.array_equal(reconstruct_xor([r[0] for r in results]), (vals == 0).astype(np.uint64))
+    assert all(r[1] == (7, 7 * vals.size * 8) for r in results)
+
+
 def test_abs_oracle():
     rng = np.random.default_rng(3)
     x = rng.uniform(-500, 500, size=600)
@@ -147,8 +170,10 @@ def test_select_max_matches_numpy():
         assert np.array_equal(arg, z.argmax(axis=1))
         assert np.array_equal(fx.decode(neg_top), -z.min(axis=1))
         assert np.array_equal(arg_min, z.argmin(axis=1))
-        # one lt (8 rounds) and one select (2 rounds) per tournament level, twice
-        assert all(r[w][4] == 2 * 10 * (w - 1).bit_length() for r in results)
+        # all pairs in one lt (8 rounds), an AND tree of ceil(log2(w - 1))
+        # levels and one injection (2 rounds), twice; nothing for w = 1
+        rounds = 8 + (w - 2).bit_length() + 2 if w > 1 else 0
+        assert all(r[w][4] == 2 * rounds for r in results)
 
 
 def test_select_injection_matches_numpy():
@@ -261,7 +286,7 @@ def test_sort_prunes_padding_and_matches_numpy():
 
 def test_sort_bytes_pinned():
     """(1, 100, 1) pads to 128: 1,334 of the network's 1,792 compare-swaps
-    touch no padding and are secret, each one lt (13 words) and one select
+    touch no padding and are secret, each one lt (8 words) and one select
     (3 words); 28 layers of 8 + 2 rounds."""
     vals = fx.encode(np.random.default_rng(14).uniform(-50, 50, size=(1, 100, 1)))
     sv = shared(vals, 54)
@@ -274,7 +299,7 @@ def test_sort_bytes_pinned():
     assert np.array_equal(fx.signed(reconstruct(results)), np.sort(fx.signed(vals), axis=1))
     for p in parties:
         e = p.ledger.entry("adhoc")
-        assert (e.rounds, e.bytes_sent) == (280, 1334 * 16 * 8)
+        assert (e.rounds, e.bytes_sent) == (280, 1334 * 11 * 8)
 
 
 @pytest.mark.parametrize("frac_bits", [8, 20])

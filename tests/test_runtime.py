@@ -101,6 +101,23 @@ def test_batched_multiply_is_one_round():
     assert results == [1, 1, 1]
 
 
+def test_replicate_output_is_read_only_in_process():
+    """In-process the receiver holds the sender's own array, which is the
+    sender's component of the re-shared value: a write into either component
+    of a replicate output raises instead of rewriting a peer's share."""
+    def body(p):
+        z = p.replicate(p.add_zero_sharing(np.zeros(4, dtype=np.uint64)))
+        refused = []
+        for comp in (z.a, z.b):
+            with pytest.raises(ValueError, match="read-only"):
+                comp += np.uint64(1)
+            refused.append(True)
+        return refused
+
+    results, _ = run3(body)
+    assert results == [[True, True]] * 3
+
+
 def test_fifo_order_under_interleaving():
     def body(p):
         if p.pid == 1:
