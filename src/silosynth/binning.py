@@ -15,7 +15,7 @@ import numpy as np
 
 from . import fixedpoint as fx
 from .circuits import b2a_sum, inject, mul_shares, trunc_shares
-from .marginals import indicator4
+from .marginals import GENE_DOMAIN, indicator
 from .primitives import div_fx, eq_zero, lt, select, sort_columns
 from .runtime import Party
 from .sharing import ShareMatrix, ShareVector, concat_shares, stack_shares
@@ -76,9 +76,9 @@ def compute_bin_means(party: Party, binned: ShareVector, originals: ShareVector,
     denominators need.
     """
     f = party.fp.frac_bits
-    indicator = indicator4(party, binned).scale_by(mask[..., None])   # (4, K, N, d)
-    sums = mul_shares(party, indicator, originals).sum(axis=2)        # (4, K, d)
-    counters = indicator.sum(axis=2)
+    onehot = indicator(party, binned, GENE_DOMAIN).scale_by(mask[..., None])   # (4, K, N, d)
+    sums = mul_shares(party, onehot, originals).sum(axis=2)           # (4, K, d)
+    counters = onehot.sum(axis=2)
 
     c = cuts.map(np.moveaxis, -1, 0)                                  # (3, K, d)
     inner = trunc_shares(party, c[:2] + c[1:], 1)
@@ -118,7 +118,7 @@ def bin_with_cuts(party: Party, matrix: ShareMatrix, cuts: ShareVector) -> Share
 def inv_bin(party: Party, matrix: ShareMatrix, means: ShareVector) -> ShareMatrix:
     """Replace every binned gene cell with its bin's secret mean (``means`` (K, d, 4))."""
     with party.protocol("inv_bin"):
-        indicator = indicator4(party, matrix.genes())                 # (4, K, N, d)
+        onehot = indicator(party, matrix.genes(), GENE_DOMAIN)        # (4, K, N, d)
         per_bin = means.map(np.moveaxis, -1, 0)[:, :, None]           # (4, K, 1, d)
-        debinned = mul_shares(party, indicator, per_bin).sum(axis=0)
+        debinned = mul_shares(party, onehot, per_bin).sum(axis=0)
     return matrix.with_columns(debinned)

@@ -243,8 +243,9 @@ def b2a(party: Party, bits: ShareVector) -> ShareVector:
     return b2a_sum(party, [bits], [ONE])
 
 
-def inject(party: Party, bit: ShareVector, d: ShareVector) -> ShareVector:
-    """Arithmetic bit * d for an XOR-shared 0/1 bit (shapes broadcast), in two rounds.
+def inject(party: Party, bit: ShareVector, d: ShareVector, axis=None) -> ShareVector:
+    """Arithmetic bit * d for an XOR-shared 0/1 bit (shapes broadcast), in two
+    rounds; summed over ``axis`` when it is given.
 
     Bit injection (ABY3 §5.4): with c_i the bit's components and u = c1 ^ c2,
     the bit is u (1 - 2 c3) + c3, so bit * d = u e + c3 d with
@@ -252,7 +253,9 @@ def inject(party: Party, bit: ShareVector, d: ShareVector) -> ShareVector:
     them d's components (d2 + d3 at party 2, d1 at party 3), so every term is
     local. Round 1 re-shares u together with e; round 2 is the product u e,
     with the c3 d terms added into its re-share. Sends |bit| + 2 |out| words
-    per party, as b2a and a product do when the shapes agree.
+    per party, as b2a and a product do when the shapes agree; a sum over
+    ``axis`` runs on the local terms before round 2's re-share, which then
+    sends only the summed shape.
     """
     shape = np.broadcast_shapes(bit.shape, d.shape)
     terms = np.zeros(bit.size + int(np.prod(shape)), dtype=np.uint64)
@@ -269,7 +272,7 @@ def inject(party: Party, bit: ShareVector, d: ShareVector) -> ShareVector:
     _cross(u, e, out)
     if cd is not None:
         out += cd
-    return reshare(party, out)
+    return reshare(party, out if axis is None else out.sum(axis=axis, dtype=np.uint64))
 
 
 # -- deterministic truncation -----------------------------------------------------

@@ -16,6 +16,7 @@ import argparse
 import socket
 import sys
 import time
+import traceback
 
 import numpy as np
 
@@ -24,7 +25,7 @@ from .config import ConfigError, canonical_text, load_config
 from .datafile import DatasetError, read_dataset, read_thresholds, write_dataset
 from .fixedpoint import FixedPointConfig
 from .ingest import custodian_components, ingest_all
-from .pipeline import IngestionError, PipelineConfig, RunResult, ThresholdSet, check_fold_plan, run_pipeline
+from .pipeline import IngestionError, PipelineConfig, RunResult, ThresholdSet, preflight, run_pipeline
 from .report import render_report
 from .runtime import (
     LABEL_IDS,
@@ -72,10 +73,7 @@ def _load_inputs(args):
         raise DatasetError(
             f"{args.thresholds}: {thresholds.shape[0]} threshold row(s) for {len(datasets)} dataset(s)")
     config.n_custodians = len(datasets)
-    widths = {g.shape[1] for g, _ in datasets}
-    if len(widths) != 1:
-        raise DatasetError(f"custodian datasets disagree on gene count: {sorted(widths)}")
-    check_fold_plan(sum(g.shape[0] for g, _ in datasets), config.k_folds)
+    preflight([g.shape[0] for g, _ in datasets], [g.shape[1] for g, _ in datasets], config)
     return config, datasets, thresholds
 
 
@@ -236,7 +234,7 @@ def run_party(args) -> int:
                 raise IngestionError(f"custodian index {idx} is outside 0..{config.n_custodians - 1}")
             if indices.count(idx) > 1:
                 raise IngestionError(f"custodian index {idx} was claimed by two custodians")
-        check_fold_plan(sum(u[0].shape[0] for u in uploads.values()), config.k_folds)
+        preflight([u[0].shape[0] for u in uploads.values()], [u[2] for u in uploads.values()], config)
     except IngestionError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         transport.close()
@@ -250,8 +248,12 @@ def run_party(args) -> int:
         thr_comps = [uploads[i][1] for i in sorted(uploads)]
         matrices, thr = ingest_all(party, data_comps, thr_comps, n_genes)
         result = run_pipeline(party, matrices, ThresholdSet(thr), config)
-    except ProtocolAbort as exc:
-        print(f"protocol abort: {exc}\nledger snapshot: {exc.ledger_snapshot}", file=sys.stderr)
+    except Exception as exc:   # any error inside the protocol aborts it
+        if not isinstance(exc, ProtocolAbort):
+            traceback.print_exc()
+        print(f"protocol abort: {party.failure(exc)}\nledger snapshot: {party.ledger.snapshot()}",
+              file=sys.stderr)
+        _send_custodians(custodian_socks, [])
         return EXIT_ABORT
     finally:
         transport.close()

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import fixedpoint as fx
 from .circuits import b2a, matmul_shares, mul_shares, mul_shares_many, trunc_shares, trunc_shares_many
-from .marginals import MarginalSet, flatten_marginals, indicator5, marginal_counts, measurement_count
+from .marginals import LABEL_DOMAIN, MarginalSet, flatten_marginals, indicator, marginal_counts, measurement_count
 from .primitives import div_fx, eq_zero, is_negative, mul_fx, select, select_max
 from .runtime import Party
 from .sharing import ShareMatrix, ShareVector, concat_shares
@@ -148,7 +148,7 @@ def _softmax_probs(party: Party, z: ShareVector) -> ShareVector:
 
 
 def _label_onehot(party: Party, labels: ShareVector) -> ShareVector:
-    bits = indicator5(party, labels)                       # (5, ...)
+    bits = indicator(party, labels, LABEL_DOMAIN)          # (5, ...)
     lifted = bits.scale_by(np.uint64(1) << np.uint64(party.fp.frac_bits))
     return lifted.map(np.moveaxis, 0, -1)                  # (..., 5)
 

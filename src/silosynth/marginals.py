@@ -2,11 +2,15 @@
 
 For the gene domain {0,1,2,3} and label domain {0..4}, each indicator is a
 Lagrange basis polynomial that is 1 at one domain point and 0 at the rest.
-Numerators are exact ring-integer products (binned cells live at integer
-scale), accumulated per marginal cell and divided once by the exact divisor
-k = 2^v * m: multiply by the modular inverse of the odd part m, then an
-exact v-bit truncation. At sigma=0 the counts are bit-for-bit equal to
-brute-force counting.
+Its numerator N_b(x) = prod_{j != b} (x - j) has degree at most 4, so it is
+a public integer combination of the powers x, x^2, x^3 and x^4: the powers
+are the only secret products (two rounds for any number of inputs), and the
+coefficients and the divisors D_b = N_b(b) are derived from the domain size.
+Numerators are exact ring integers (binned cells live at integer scale),
+accumulated per marginal cell and divided once by the exact divisor
+D = 2^v * o with o odd (and signed): multiply by the modular inverse of o,
+then an exact v-bit truncation. At sigma=0 the counts are bit-for-bit
+equal to brute-force counting.
 
 Measured workload: d 1-way gene marginals, the 1-way label marginal, and
 the d gene-label 2-way marginals flattened to length 20 (index r*5 + f).
@@ -23,14 +27,10 @@ from . import fixedpoint as fx
 from .circuits import matmul_shares, mul_shares_many, trunc_shares, trunc_shares_many
 from .primitives import gauss01
 from .runtime import Party
-from .sharing import ShareMatrix, ShareVector, concat_shares, stack_shares
+from .sharing import ShareMatrix, ShareVector, concat_shares
 
 GENE_DOMAIN = 4
 LABEL_DOMAIN = 5
-
-# Lagrange divisors: products prod_{j != b} (b - j) over each domain.
-GENE_DIVISORS = (6, 2, 2, 6)          # all positive with the factor order used
-LABEL_DIVISORS = (24, -6, 4, -6, 24)
 
 
 def measurement_count(n_genes: int) -> int:
@@ -70,97 +70,75 @@ class MarginalSet:
     gene_label: ShareVector
 
 
+def _lagrange(m: int):
+    """Coefficients (constant term first) of each numerator
+    N_b(x) = prod_{j != b} (x - j) on the domain {0..m-1}, and the divisors
+    D_b = N_b(b), in plain integers."""
+    coeffs = []
+    for b in range(m):
+        c = [1]
+        for j in range(m):
+            if j != b:
+                c = [lo - j * hi for lo, hi in zip([0] + c, c + [0])]
+        coeffs.append(c)
+    return coeffs, [math.prod(b - j for j in range(m) if j != b) for b in range(m)]
+
+
 def _odd_part_scale(acc: ShareVector, divisors: np.ndarray):
-    """acc holds divisor*count exactly. Returns acc times the sign and the inverse
-    of the divisor's odd part, and the divisor's power-of-two exponent: an exact
-    truncation by it finishes the division."""
-    div = np.asarray(divisors)
-    sign = np.where(div < 0, -1, 1)
-    mag = np.abs(div).astype(np.int64)
-    v = np.zeros(mag.shape, dtype=np.int64)
-    m = mag.copy()
-    while np.any(m % 2 == 0):
-        even = m % 2 == 0
-        m[even] //= 2
-        v[even] += 1
-    inv = np.array([pow(int(o), -1, 1 << 64) for o in m.ravel()], dtype=object)
-    inv = fx.to_u64(inv.reshape(m.shape))
-    scaled = acc.scale_by(fx.to_u64(sign.astype(np.int64))).scale_by(inv)
-    return scaled, v
+    """acc holds divisor*count exactly. Returns acc times the inverse of the
+    divisor's signed odd part, and the divisor's power-of-two exponent: an
+    exact truncation by it finishes the division."""
+    div = [int(d) for d in np.ravel(divisors)]
+    v = [(abs(d) & -abs(d)).bit_length() - 1 for d in div]
+    inv = np.array([pow(d >> s, -1, 1 << 64) for d, s in zip(div, v)], dtype=object)
+    shape = np.shape(divisors)
+    return acc.scale_by(fx.to_u64(inv.reshape(shape))), np.reshape(v, shape)
 
 
-def _exact_divide(party: Party, acc: ShareVector, divisors: np.ndarray) -> ShareVector:
-    return trunc_shares(party, *_odd_part_scale(acc, divisors))
+def _numerators(party: Party, inputs) -> list[ShareVector]:
+    """The stacked Lagrange numerators (m, ...) of every (x, m) input, m in {4, 5}.
 
-
-def _lockstep(party: Party, *programs) -> list:
-    """Run product programs side by side and return their results.
-
-    A program is a generator that yields the (x, y) pairs it needs
-    multiplied next and receives their products. Each round multiplies the
-    pending pairs of every unfinished program in one ``mul_shares_many``, so
-    independent programs share rounds: the longest one sets the count.
+    Two product rounds serve all inputs: x^2, then x^3 and (for m = 5) x^4.
+    Each numerator is then a public integer combination of the powers; only
+    N_0 has a constant term.
     """
-    results: list = [None] * len(programs)
-    pending = {i: next(prog) for i, prog in enumerate(programs)}
-    while pending:
-        out = mul_shares_many(party, [pair for pairs in pending.values() for pair in pairs])
-        for i, pairs in list(pending.items()):
-            products, out = out[:len(pairs)], out[len(pairs):]
-            try:
-                pending[i] = programs[i].send(products)
-            except StopIteration as done:
-                results[i] = done.value
-                del pending[i]
-    return results
+    squares = mul_shares_many(party, [(x, x) for x, _ in inputs])
+    higher = iter(mul_shares_many(party, [pair for (x, m), x2 in zip(inputs, squares)
+                                          for pair in [(x2, x), (x2, x2)][:m - 3]]))
+    out = []
+    for (x, m), x2 in zip(inputs, squares):
+        powers = [x, x2] + [next(higher) for _ in range(m - 3)]
+        coeffs = fx.to_u64(np.array(_lagrange(m)[0]))                 # (m, m)
+        num = ShareVector(*(np.empty((m,) + x.shape, dtype=np.uint64) for _ in range(2)))
+        tmp = np.empty(x.shape, dtype=np.uint64)
+        for comp, parts in ((num.a, [p.a for p in powers]), (num.b, [p.b for p in powers])):
+            for b in range(m):
+                np.multiply(parts[0], coeffs[b, 1], out=comp[b])
+                for k, part in enumerate(parts[1:], start=2):
+                    comp[b] += np.multiply(part, coeffs[b, k], out=tmp)
+        num[0] = party.add_public(num[0], coeffs[0, 0])
+        out.append(num)
+    return out
 
 
-def _gene_numerators(party: Party, x: ShareVector):
-    """Program of the stacked numerators (4, ...) of the gene indicators;
-    exact 6/2/2/6 multiples, two rounds."""
-    s1 = party.add_public(-x, 1)
-    s2 = party.add_public(-x, 2)
-    s3 = party.add_public(-x, 3)
-    s11 = party.add_public(x, fx.neg_const(1))
-    s21 = party.add_public(x, fx.neg_const(2))
-    u, v = yield [(s2, s3), (x, s11)]
-    return stack_shares((yield [(s1, u), (x, u), (v, s3), (v, s21)]))
-
-
-def _label_numerators(party: Party, y: ShareVector):
-    """Program of the stacked numerators (5, ...) of the label indicators
-    (prefix/suffix products), three rounds."""
-    s = [party.add_public(y, fx.neg_const(j)) if j else y for j in range(5)]
-    pre2, suf2 = yield [(s[0], s[1]), (s[3], s[4])]
-    pre3, suf1 = yield [(pre2, s[2]), (s[2], suf2)]
-    pre4, suf0, l1, l2, l3 = yield [(pre3, s[3]), (s[1], suf1), (s[0], suf1), (pre2, suf2), (pre3, s[4])]
-    return stack_shares([suf0, l1, l2, l3, pre4])
-
-
-def indicator4(party: Party, x: ShareVector) -> ShareVector:
-    """The four gene indicator bits, (4, ...): exactly one opens to 1 on the domain."""
-    div = np.array(GENE_DIVISORS).reshape((GENE_DOMAIN,) + (1,) * x.a.ndim)
-    return _exact_divide(party, _lockstep(party, _gene_numerators(party, x))[0], div)
-
-
-def indicator5(party: Party, y: ShareVector) -> ShareVector:
-    """The five label indicator bits, (5, ...)."""
-    div = np.array(LABEL_DIVISORS).reshape((LABEL_DOMAIN,) + (1,) * y.a.ndim)
-    return _exact_divide(party, _lockstep(party, _label_numerators(party, y))[0], div)
+def indicator(party: Party, x: ShareVector, m: int) -> ShareVector:
+    """The m indicator bits of x on the domain {0..m-1}, (m, ...): exactly one
+    opens to 1 on the domain. Two product rounds and one exact truncation."""
+    _, divisors = _lagrange(m)
+    div = np.array(divisors).reshape((m,) + (1,) * x.a.ndim)
+    return trunc_shares(party, *_odd_part_scale(_numerators(party, [(x, m)])[0], div))
 
 
 def marginal_counts(party: Party, matrix: ShareMatrix) -> MarginalSet:
     """Exact secret counts (integer scale) of the measured workload, per fold.
 
-    The label and gene numerators share their product rounds (three).
-    Padding rows are masked out of the numerators. The two-way block is one
-    matrix product per fold: gene numerators (4d x N) times label numerators
-    (N x 5).
+    The label and gene numerators share their two product rounds. Padding
+    rows are masked out of the numerators. The two-way block is one matrix
+    product per fold: gene numerators (4d x N) times label numerators (N x 5).
     """
     k, n, d = matrix.folds, matrix.n_rows, matrix.n_genes
     mask = matrix.mask                                              # (K, N)
-    ln, gn = _lockstep(party, _label_numerators(party, matrix.labels()),
-                       _gene_numerators(party, matrix.genes()))
+    ln, gn = _numerators(party, [(matrix.labels(), LABEL_DOMAIN), (matrix.genes(), GENE_DOMAIN)])
     ln = ln.scale_by(mask)                                          # (5, K, N)
     gn = gn.scale_by(mask[..., None])                               # (4, K, N, d)
 
@@ -169,12 +147,11 @@ def marginal_counts(party: Party, matrix: ShareMatrix) -> MarginalSet:
     acc2 = matmul_shares(party, lhs, rhs)                           # (K, 4d, 5)
     acc2 = acc2.map(lambda w: w.reshape(k, GENE_DOMAIN, d, LABEL_DOMAIN)
                     .transpose(1, 3, 0, 2).reshape(GENE_DOMAIN * LABEL_DOMAIN, k, d))
-    cell_divs = np.array([GENE_DIVISORS[r] * LABEL_DIVISORS[f_]
-                          for r in range(GENE_DOMAIN) for f_ in range(LABEL_DOMAIN)])
+    gene_divs, label_divs = np.array(_lagrange(GENE_DOMAIN)[1]), np.array(_lagrange(LABEL_DOMAIN)[1])
     gene, label, two_way = trunc_shares_many(party, [
-        _odd_part_scale(gn.sum(axis=2), np.array(GENE_DIVISORS)[:, None, None]),   # (4, K, d)
-        _odd_part_scale(ln.sum(axis=2), np.array(LABEL_DIVISORS)[:, None]),        # (5, K)
-        _odd_part_scale(acc2, cell_divs[:, None, None]),                           # (20, K, d)
+        _odd_part_scale(gn.sum(axis=2), gene_divs[:, None, None]),                      # (4, K, d)
+        _odd_part_scale(ln.sum(axis=2), label_divs[:, None]),                           # (5, K)
+        _odd_part_scale(acc2, np.outer(gene_divs, label_divs).reshape(-1, 1, 1)),       # (20, K, d)
     ])
     return MarginalSet(gene.map(np.moveaxis, 0, -1), label.map(np.moveaxis, 0, -1),
                        two_way.map(np.moveaxis, 0, -1))

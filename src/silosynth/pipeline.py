@@ -144,6 +144,23 @@ def check_fold_plan(n_rows: int, k: int):
             f"at least 1 test row and 2 training rows")
 
 
+def preflight(rows: list[int], genes: list[int], config: PipelineConfig):
+    """Refuse a run from the custodians' public row and gene counts before the
+    protocol starts: the custodians must agree on the gene count, the fold
+    plan must hold (``check_fold_plan``), and the combined row count must stay
+    below 2^frac_bits, because bin means and accuracy divide by a row count
+    times 2^frac_bits and the division needs denominators below 2^(2 frac_bits)."""
+    if len(set(genes)) != 1:
+        raise IngestionError(f"custodian datasets disagree on gene count: {sorted(set(genes))}")
+    n, f = sum(rows), config.frac_bits
+    check_fold_plan(n, config.k_folds)
+    if n >= 1 << f:
+        raise IngestionError(
+            f"{n} combined rows reach 2^frac_bits = {1 << f}: bin means and accuracy divide by a "
+            f"row count times 2^frac_bits, which must stay below 2^(2 frac_bits), so at most "
+            f"{(1 << f) - 1} rows fit")
+
+
 def kfold_split(matrix: ShareMatrix, plan):
     """All K (train, test) splits of a single dataset as two padded fold batches."""
     check_fold_plan(matrix.n_rows, len(plan))

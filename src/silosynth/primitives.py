@@ -80,8 +80,9 @@ def select_max(party: Party, z: ShareVector, *payloads: ShareVector) -> tuple[Sh
     W(W-1)/2 pairs c < m (8 rounds). Entry m is the lowest-index maximum iff
     onehot_m = prod_{c<m} [z_c < z_m] * prod_{c>m} NOT [z_m < z_c], an AND
     tree of ceil(log2(W-1)) levels. One injection of the one-hot into the
-    value stacked with its payloads, summed over the last axis, picks the
-    entry (2 rounds): 12 rounds for W = 5, none for W = 1.
+    value stacked with its payloads, summed over the last axis before its
+    second re-share, picks the entry (2 rounds): 12 rounds for W = 5, none
+    for W = 1.
     """
     arr = stack_shares([z] + [p.map(np.broadcast_to, z.shape) for p in payloads])
     w = z.shape[-1]
@@ -101,7 +102,7 @@ def select_max(party: Party, z: ShareVector, *payloads: ShareVector) -> tuple[Sh
         prod = and_packed(party, factors[..., :half], factors[..., half:2 * half])
         factors = concat_shares([prod, factors[..., 2 * half:]], axis=-1)
     # an AND leaves random high bits in the components; injection needs 0/1 ones
-    picked = inject(party, bit_extract(factors[..., 0], 0), arr).sum(axis=-1)
+    picked = inject(party, bit_extract(factors[..., 0], 0), arr, axis=-1)
     return tuple(picked[i] for i in range(arr.shape[0]))
 
 

@@ -240,6 +240,7 @@ class Party:
         self._label_stack: list[str] = []
         self._child_seconds: list[float] = []  # per open label: time inside nested labels
         self._sent_since_round = False
+        self.failed_in: str | None = None  # label path the first exception left
 
     @property
     def next_pid(self) -> int:
@@ -257,7 +258,8 @@ class Party:
 
     @contextmanager
     def protocol(self, label: str):
-        """Scope traffic to ``label``; its seconds exclude those of nested labels."""
+        """Scope traffic to ``label``; its seconds exclude those of nested labels.
+        The first exception to leave a label records its path in ``failed_in``."""
         if label in self._label_stack:
             raise AccountingError(f"nested identical protocol label {label!r}")
         self._label_stack.append(label)
@@ -265,6 +267,10 @@ class Party:
         t0 = time.perf_counter()
         try:
             yield
+        except BaseException:
+            if self.failed_in is None:
+                self.failed_in = "/".join(self._label_stack)
+            raise
         finally:
             dt = time.perf_counter() - t0
             self._label_stack.pop()
@@ -299,6 +305,11 @@ class Party:
             raise ProtocolAbort(f"party {self.pid}: frame from party {src} has label {theirs!r}, "
                                 f"expected {label!r}", self.ledger.snapshot())
         return words
+
+    def failure(self, exc: BaseException) -> str:
+        """The abort message naming this party, ``exc`` and the label path it left."""
+        where = f" in {self.failed_in}" if self.failed_in else ""
+        return f"party {self.pid} failed: {exc!r}{where}"
 
     def replicate(self, z: np.ndarray) -> ShareVector:
         """Make the local additive term z replicated: send it to the previous
@@ -391,7 +402,8 @@ def run_parties(body, master_seed: int, fp: FixedPointConfig, timeout: float = 6
 
     ``body(party)`` returns that party's result; returns the list of results
     indexed by party. Any party's exception aborts the run, named by the first
-    error that is not a peer's ProtocolAbort, else by the first abort.
+    error that is not a peer's ProtocolAbort (its party and label path), else
+    by the first abort.
     """
     router = LocalRouter(timeout=timeout)
     parties = [Party(pid, LocalTransport(pid, router), master_seed, fp) for pid in (1, 2, 3)]
@@ -413,7 +425,7 @@ def run_parties(body, master_seed: int, fp: FixedPointConfig, timeout: float = 6
         t.join(timeout=timeout)
     for i, exc in errors:
         if not isinstance(exc, ProtocolAbort):
-            raise ProtocolAbort(f"party {i + 1} failed: {exc!r}", parties[i].ledger.snapshot()) from exc
+            raise ProtocolAbort(parties[i].failure(exc), parties[i].ledger.snapshot()) from exc
     if errors:
         raise errors[0][1]
     for t in threads:

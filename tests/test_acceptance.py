@@ -23,7 +23,7 @@ from silosynth.evaluation import lr_train
 from silosynth.fixedpoint import FixedPointConfig
 from silosynth.generator import generate_synthetic, generator_rng
 from silosynth.ingest import custodian_components, ingest_all
-from silosynth.marginals import calibrate, indicator4, indicator5, noisy_marginals
+from silosynth.marginals import calibrate, indicator, noisy_marginals
 from silosynth.pipeline import PUBLISH_CONTEXT, PipelineConfig, ThresholdSet, run_pipeline
 from silosynth.primitives import gauss01
 from silosynth.runtime import config_fingerprint, run_parties, setup_handshake
@@ -115,7 +115,7 @@ def test_criterion_3_indicator_truth_tables():
     s5 = shared(np.arange(5, dtype=np.uint64), 1101, namespace="acc")
 
     def body(p):
-        return indicator4(p, s4[p.pid - 1]), indicator5(p, s5[p.pid - 1])
+        return indicator(p, s4[p.pid - 1], 4), indicator(p, s5[p.pid - 1], 5)
 
     results, _ = run3(body)
     table4 = reconstruct([r[0] for r in results])

@@ -132,6 +132,26 @@ def test_run_local_refuses_folds_without_test_rows(workdir, rng, capsys):
     assert not workdir["out"].exists()
 
 
+def test_run_local_refuses_rows_beyond_division_range(workdir, rng, capsys):
+    """2 x 128 rows at frac_bits = 8: a count of 256 times 2^8 would leave the
+    division range, so the run is refused before it starts."""
+    for c in range(2):
+        write_dataset(str(workdir[f"data{c}"]), rng.normal(0, 2, size=(128, 3)), rng.integers(0, 5, size=128))
+    workdir["config"].write_text(CONFIG.replace("frac_bits = 16", "frac_bits = 8"))
+    code = main(run_local_args(workdir))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "256 combined rows reach 2^frac_bits = 256" in err and "at most 255 rows" in err
+    assert not workdir["out"].exists()
+
+
+def test_run_local_refuses_gene_count_mismatch(workdir, rng, capsys):
+    write_dataset(str(workdir["data1"]), rng.normal(0, 2, size=(12, 2)), rng.integers(0, 5, size=12))
+    code = main(run_local_args(workdir))
+    assert code == 2
+    assert "custodian datasets disagree on gene count: [2, 3]" in capsys.readouterr().err
+
+
 def test_run_local_threshold_count_mismatch(workdir, capsys):
     write_thresholds(str(workdir["thresholds"]), np.array([[1000.0, 0.0]]))
     code = main(run_local_args(workdir))

@@ -9,8 +9,7 @@ from conftest import reconstruct_xor, run3, shared, shared_matrix
 from silosynth import fixedpoint as fx
 from silosynth.marginals import (
     calibrate,
-    indicator4,
-    indicator5,
+    indicator,
     marginal_counts,
     measurement_count,
     noisy_marginals,
@@ -23,7 +22,7 @@ def test_indicator4_truth_table():
     shares = shared(vals, 50)
 
     def body(p):
-        return indicator4(p, shares[p.pid - 1])
+        return indicator(p, shares[p.pid - 1], 4)
 
     results, _ = run3(body)
     table = reconstruct(results)  # (4 indicators, 4 domain points)
@@ -35,7 +34,7 @@ def test_indicator5_truth_table():
     shares = shared(vals, 51)
 
     def body(p):
-        return indicator5(p, shares[p.pid - 1])
+        return indicator(p, shares[p.pid - 1], 5)
 
     results, _ = run3(body)
     table = reconstruct(results)
@@ -48,7 +47,7 @@ def test_indicators_partition_of_unity():
     s4, s5 = shared(vals4, 52), shared(vals5, 53)
 
     def body(p):
-        return indicator4(p, s4[p.pid - 1]), indicator5(p, s5[p.pid - 1])
+        return indicator(p, s4[p.pid - 1], 4), indicator(p, s5[p.pid - 1], 5)
 
     results, _ = run3(body)
     i4 = reconstruct([r[0] for r in results])
@@ -67,7 +66,7 @@ def test_indicators_agree_with_equality_tests(rng):
         s4 = shared(vals4, tag)
 
         def body(p):
-            polys = indicator4(p, s4[p.pid - 1])
+            polys = indicator(p, s4[p.pid - 1], 4)
             eqs = [eq_zero(p, p.add_public(s4[p.pid - 1], fx.neg_const(b))) for b in range(4)]
             return polys, eqs
 
@@ -120,8 +119,9 @@ def test_marginal_hand_examples():
 
 
 def test_marginal_counts_share_numerator_rounds(rng):
-    """Label numerators (3 product rounds) and gene numerators (2) run side
-    by side: 3 rounds, then the two-way matmul (1) and one truncation (10)."""
+    """Label and gene numerators share their two power rounds (x^2, then
+    x^3 and the labels' x^4), then the two-way matmul (1) and one
+    truncation (10)."""
     mats = shared_matrix(rng.integers(0, 4, size=(9, 2)).astype(np.uint64), rng.integers(0, 5, size=9), 72)
 
     def body(p):
@@ -129,7 +129,25 @@ def test_marginal_counts_share_numerator_rounds(rng):
             marginal_counts(p, mats[p.pid - 1])
 
     _, parties = run3(body)
-    assert [p.ledger.entry("adhoc").rounds for p in parties] == [14, 14, 14]
+    assert [p.ledger.entry("adhoc").rounds for p in parties] == [13, 13, 13]
+
+
+@pytest.mark.parametrize("m", [4, 5])
+def test_indicator_cost_pinned(m):
+    """The one-hot costs 2 product rounds plus the exact division (one
+    truncation, 10 rounds). Per element it sends m - 2 power words
+    (x^2, x^3 and for m = 5 x^4) and 13 truncation words per output bit."""
+    vals = np.arange(60, dtype=np.uint64).reshape(3, 20) % m
+    shares = shared(vals, 56 + m)
+
+    def body(p):
+        with p.protocol("adhoc"):
+            indicator(p, shares[p.pid - 1], m)
+
+    _, parties = run3(body)
+    for p in parties:
+        cost = p.ledger.entry("adhoc")
+        assert (cost.rounds, cost.bytes_sent) == (12, (m - 2 + 13 * m) * vals.size * 8)
 
 
 def test_calibration_closed_form():

@@ -287,7 +287,7 @@ def test_loop_lr_rounds_do_not_grow_with_folds(rng):
 
 
 # (rounds, bytes sent) per party, summed over the ledger labels
-PINNED_TINY_TRAFFIC = [(1131, 1098136), (1131, 1099984), (1131, 1098136)]
+PINNED_TINY_TRAFFIC = [(1127, 1078936), (1127, 1080784), (1127, 1078936)]
 
 
 def test_tiny_run_traffic_pinned(rng):

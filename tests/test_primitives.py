@@ -1,8 +1,11 @@
 """Secure primitives vs cleartext signed fixed-point oracles."""
 
+import clear_reference as ref
 import numpy as np
 import pytest
 from conftest import reconstruct_xor, shared_xor
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from silosynth import fixedpoint as fx
 from silosynth import primitives
@@ -176,6 +179,22 @@ def test_select_max_matches_numpy():
         assert all(r[w][4] == 2 * rounds for r in results)
 
 
+def test_select_max_bytes_pinned():
+    """Over 5 classes with one payload a row sends 112 words: the 10 pairs'
+    lt (80), the AND tree (10 + 5) and the injection (17: the bit, e over the
+    value and payload stack, and the two sums the last re-share carries)."""
+    rng = np.random.default_rng(13)
+    sz = shared(fx.encode(rng.integers(-2, 3, size=(30, 5))), 26)
+
+    def body(p):
+        with p.protocol("adhoc"):
+            select_max(p, sz[p.pid - 1], p.const_share(np.arange(5)))
+        return p.ledger.entry("adhoc").bytes_sent
+
+    results, _ = run3(body)
+    assert results == [112 * 30 * 8] * 3
+
+
 def test_select_injection_matches_numpy():
     """select injects an XOR-shared bit: random bits on equal shapes, a bit
     broadcast over a payload stack, and differences y - x that wrap the ring.
@@ -231,6 +250,28 @@ def test_div_random_sweep():
     got = fx.decode(open_result(results))
     want = fx.decode(ea) / fx.decode(eb)
     assert np.max(np.abs(got - want)) <= DIV_TOL
+
+
+@settings(max_examples=13, deadline=None)
+@given(f=st.integers(8, 20), means=st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=6))
+def test_div_by_largest_admitted_count_matches_mirror(f, means):
+    """Bin means divide a sum by count * 2^f. At count = 2^f - 1, the largest
+    the preflight admits, div_fx equals the mirror and the mean within an
+    ulp; at count = 2^f the quotient would be 0."""
+    count = (1 << f) - 1
+    mean_words = fx.encode(np.array(means), f)
+    a = mean_words * np.uint64(count)
+    b = np.full(len(means), count << f, dtype=np.uint64)
+    sa, sb = (share_values(v, CounterStream(derive_key(555, "div-range", 2 * f + i))) for i, v in enumerate((a, b)))
+
+    def body(p):
+        return div_fx(p, sa[p.pid - 1], sb[p.pid - 1])
+
+    results, _ = run_parties(body, master_seed=77, fp=FixedPointConfig(f), timeout=120.0)
+    got = open_result(results)
+    assert np.array_equal(got, ref.clear_div(a, b, f))
+    assert np.all(np.abs(fx.signed(got) - fx.signed(mean_words)) <= 1)
+    assert not ref.clear_div(a, b + (np.uint64(1) << np.uint64(f)), f).any()
 
 
 def test_sort_small_example():

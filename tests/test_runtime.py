@@ -189,6 +189,20 @@ def test_abort_names_the_failing_party_not_a_peer():
     assert isinstance(exc_info.value.__cause__, ValueError)
 
 
+def test_abort_names_the_failing_label_path():
+    """The abort names the innermost label path the failing party's error left."""
+    def body(p):
+        with p.protocol("eval"):
+            with p.protocol("lr"):
+                if p.pid == 3:
+                    raise ValueError("bad logits")
+                p.recv_words(3)
+
+    with pytest.raises(ProtocolAbort) as exc_info:
+        run3(body)
+    assert str(exc_info.value) == "party 3 failed: ValueError('bad logits') in eval/lr"
+
+
 def test_transcripts_reproducible_across_runs():
     x = shared(np.arange(64, dtype=np.uint64), 143)
 

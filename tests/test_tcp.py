@@ -4,6 +4,7 @@ localhost TCP reproduce run-local outputs byte for byte."""
 import socket
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -203,6 +204,54 @@ def test_party_refuses_bad_custodian_indices(setup_files, indices, message):
     for code, err in run_refused(cfg, data_paths, (thr0, thr1), indices):
         assert code == 2, err
         assert message in err
+
+
+def test_party_refuses_custodians_that_disagree_on_gene_count(setup_files, rng):
+    """One custodian uploads 2 genes and the other 3: the preflight refuses
+    the run before ingestion, so every party and every custodian exits 2."""
+    tmp_path, cfg, data_paths, (thr0, thr1, _) = setup_files
+    wide = tmp_path / "wide.csv"
+    write_dataset(str(wide), rng.normal(0, 2, size=(8, 3)), rng.integers(0, 5, size=8))
+    for code, err in run_refused(cfg, (data_paths[0], wide), (thr0, thr1), (0, 1)):
+        assert code == 2, err
+        assert "custodian datasets disagree on gene count: [2, 3]" in err
+
+
+def test_party_error_inside_protocol_exits_3(setup_files, monkeypatch, capsys):
+    """An error that is not a protocol abort, raised inside the protocol, exits
+    3 and names the party, the error and the label path; its peers abort with 3
+    and the custodians, whose sockets close, exit 4."""
+    from silosynth import cli
+
+    def failing(party, *rest):
+        with party.protocol("eval"):
+            if party.pid == 2:
+                raise ValueError("bad state at party 2")
+            party.recv_words(2)
+
+    monkeypatch.setattr(cli, "run_pipeline", failing)
+    tmp_path, cfg, data_paths, (thr0, thr1, _) = setup_files
+    ports = free_ports(3)
+    addrs = {i + 1: f"127.0.0.1:{ports[i]}" for i in range(3)}
+    servers = ",".join(addrs[i] for i in (1, 2, 3))
+    argvs = {f"party{pid}": ["party", "--id", str(pid), "--listen", addrs[pid], "--config", str(cfg),
+                             *[f"--peer={j}={addrs[j]}" for j in (1, 2, 3) if j != pid], "--timeout", "30"]
+             for pid in (1, 2, 3)}
+    argvs.update({f"custodian{c}": ["custodian", "--data", str(data_paths[c]), "--thresholds", str(thr),
+                                    "--servers", servers, "--config", str(cfg), "--index", str(c),
+                                    "--timeout", "30"]
+                  for c, thr in enumerate((thr0, thr1))})
+    codes = {}
+    threads = [threading.Thread(target=lambda k=k, argv=argv: codes.__setitem__(k, main(argv)), daemon=True)
+               for k, argv in argvs.items()]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=90)
+    assert codes == {"party1": 3, "party2": 3, "party3": 3, "custodian0": 4, "custodian1": 4}
+    err = capsys.readouterr().err
+    assert "protocol abort: party 2 failed: ValueError('bad state at party 2') in eval" in err
+    assert "protocol abort: party 1 failed: ProtocolAbort(" in err
 
 
 def test_custodian_upload_is_three_component_streams(rng):
