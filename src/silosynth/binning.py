@@ -2,11 +2,14 @@
 
 Training columns are obliviously sorted, the 0.25/0.5/0.75 cut points are
 linearly interpolated at public positions, and every cell is mapped to
-3 - (x < Q0) - (x < Q1) - (x < Q2). Every function works on all folds of a
-tuning loop at once, on a leading fold axis. Strict less-than follows the
+3 - (x < Q0) - (x < Q1) - (x < Q2). Every function works on a batch of
+datasets at once, on a leading axis: the folds of a tuning loop and, on the
+first loop, the full data beside them. The sort only sorts the positions
+the interpolation reads. Held-out rows are binned with their fold's cuts in
+the same comparisons as the training rows. Strict less-than follows the
 comparison primitive, so a value equal to a cut is not below it. Per-bin
-means are kept secret-shared for later inverse discretization;
-held-out data is binned with the training cuts only (no sort, no means).
+means, for inverse discretization, are computed only for the data that is
+published.
 """
 
 from __future__ import annotations
@@ -27,20 +30,28 @@ class DegenerateInputError(ValueError):
     pass
 
 
-def compute_quantiles(party: Party, sorted_cols: ShareVector, rows) -> ShareVector:
-    """Interpolated quantiles of pre-sorted (K, N, d) columns at per-fold public positions.
-
-    Fold k's data are its first rows[k] sorted rows. Returns the secret cut
-    points, shape (K, d, 3), non-decreasing per gene.
-    """
+def quantile_positions(rows) -> tuple[np.ndarray, np.ndarray]:
+    """Per batch, the sorted position i each cut starts from and its
+    interpolation weight toward position i + 1: two (K, 3) arrays."""
     rows = np.asarray(rows)
     if np.any(rows < 2):
         raise DegenerateInputError("quantile binning needs at least 2 rows")
-    f = party.fp.frac_bits
-    pos = (rows[:, None] - 1) * np.array(QUANTILES)          # (K, 3)
+    pos = (rows[:, None] - 1) * np.array(QUANTILES)
     i = np.floor(pos).astype(np.int64)
-    frac = pos - i
-    fold = np.arange(rows.size)[:, None]
+    return i, pos - i
+
+
+def compute_quantiles(party: Party, sorted_cols: ShareVector, rows) -> ShareVector:
+    """Interpolated quantiles of pre-sorted (K, N, d) columns at per-fold public positions.
+
+    Fold k's data are its first rows[k] sorted rows; only the positions
+    ``quantile_positions`` names are read, and a position read with weight 0
+    adds exactly 0 whatever it holds. Returns the secret cut points, shape
+    (K, d, 3), non-decreasing per gene.
+    """
+    f = party.fp.frac_bits
+    i, frac = quantile_positions(rows)                        # (K, 3)
+    fold = np.arange(i.shape[0])[:, None]
     base = sorted_cols[fold, i]                               # (K, 3, d)
     # positions where every fold sits on a row need no interpolation
     inter = np.any(frac != 0.0, axis=0)
@@ -51,17 +62,20 @@ def compute_quantiles(party: Party, sorted_cols: ShareVector, rows) -> ShareVect
     return base.map(np.swapaxes, 1, 2)
 
 
-def bin_columns(party: Party, data: ShareVector, cuts: ShareVector) -> ShareVector:
-    """Map every cell to its bin index 3 - (x < Q0) - (x < Q1) - (x < Q2) in {0,1,2,3}.
+def bin_columns(party: Party, data: ShareVector, cuts: ShareVector, batch: np.ndarray) -> ShareVector:
+    """Map every cell of data (L, d) to its bin index 3 - (x < Q0) - (x < Q1) - (x < Q2)
+    in {0,1,2,3}, row l with the cuts (K, d, 3) of batch[l].
 
     Two levels of one comparison each: with b = (x < Q1), the bin is
     3 - 2b - (x < Q2 + b (Q0 - Q2)), which is the same because the cuts are
-    non-decreasing. One b2a_sum converts both bits to the index. Shapes:
-    data (..., N, d), cuts (..., d, 3).
+    non-decreasing. One b2a_sum converts both bits to the index. Each cut is
+    gathered per row only for the step that reads it, which keeps the peak
+    memory of the widest comparisons of a run down.
     """
-    q0, q1, q2 = (cuts[..., None, :, j] for j in range(3))   # (..., 1, d)
-    b = lt(party, data, q1)
-    c = lt(party, data, select(party, b, q2, q0))
+    def q(j):
+        return cuts[batch, :, j]
+    b = lt(party, data, q(1))
+    c = lt(party, data, select(party, b, q(2), q(0)))
     return party.add_public(-b2a_sum(party, [b, c], [2, 1]), np.uint64(3))
 
 
@@ -89,30 +103,45 @@ def compute_bin_means(party: Party, binned: ShareVector, originals: ShareVector,
     return (div_fx(party, sums, denom) + picked[1]).map(np.moveaxis, 0, -1)
 
 
-def bin_train(party: Party, matrix: ShareMatrix, compute_means: bool = True):
-    """Quantile binning of every fold's gene columns (training path).
+def bin_train(party: Party, matrix: ShareMatrix, held_out: ShareMatrix | None = None):
+    """Quantile binning of every batch's gene columns, and of ``held_out``'s
+    batch k with batch k's cuts, in one round schedule.
 
-    Returns the binned matrix (labels pass through), the cuts, and the bin
-    means (None when compute_means is off, the optimization for folds that
-    never de-bin).
+    Returns the binned matrix (labels pass through), the cuts (K, d, 3) and
+    the binned held-out matrix (None without one).
     """
-    genes = matrix.genes()
+    i, frac = quantile_positions(matrix.rows)
+    read = np.zeros((matrix.folds, matrix.n_rows), dtype=bool)
+    read[np.arange(matrix.folds)[:, None], np.concatenate([i, i + (frac != 0)], axis=1)] = True
+    mats = [matrix] if held_out is None else [matrix, held_out]
     with party.protocol("bin"):
         with party.protocol("sort"):
-            sorted_cols = sort_columns(party, genes, matrix.rows)
+            sorted_cols = sort_columns(party, matrix.genes(), matrix.rows, read)
         cuts = compute_quantiles(party, sorted_cols, matrix.rows)
-        binned = bin_columns(party, genes, cuts)
-        means = compute_bin_means(party, binned, genes, cuts, matrix.mask) if compute_means else None
-    return matrix.with_columns(binned), cuts, means
+        del sorted_cols                                       # freed before the widest comparisons
+        binned = bin_with_cuts(party, mats, cuts)
+    return binned[0], cuts, binned[1] if held_out is not None else None
 
 
-def bin_with_cuts(party: Party, matrix: ShareMatrix, cuts: ShareVector) -> ShareMatrix:
-    """Bin held-out rows with training cuts: two comparisons and a product per cell."""
-    with party.protocol("bin_test"):
-        if matrix.n_rows == 0:
-            return matrix
-        binned = bin_columns(party, matrix.genes(), cuts)
-    return matrix.with_columns(binned)
+def bin_with_cuts(party: Party, mats: list[ShareMatrix], cuts: ShareVector) -> list[ShareMatrix]:
+    """Bin batch k of every matrix with cuts[k] in one ``bin_columns`` call.
+
+    Only data cells are compared: each batch's first rows[k] rows are
+    flattened, each row compared with its batch's cuts, and the bins
+    scattered back; padding rows get bin 0.
+    """
+    live = [np.nonzero(m.mask) for m in mats]                 # (batch, row) of each data row
+    bins = concat_shares([m.genes()[k, r] for m, (k, r) in zip(mats, live)])
+    if bins.shape[0]:
+        batch = np.concatenate([k for k, _ in live])
+        bins = bin_columns(party, bins, cuts, batch)
+    out, start = [], 0
+    for m, (k, r) in zip(mats, live):
+        binned = party.const_share(np.zeros(m.genes().shape, np.uint64))
+        binned[k, r] = bins[start:start + k.size]
+        start += k.size
+        out.append(m.with_columns(binned))
+    return out
 
 
 def inv_bin(party: Party, matrix: ShareMatrix, means: ShareVector) -> ShareMatrix:

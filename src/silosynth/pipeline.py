@@ -1,11 +1,15 @@
 """End-to-end publish loop: concat, K-fold tuning, secret voting, publish.
 
 One loop per hyperparameter candidate (in configured order): split by a
-seeded public fold plan, bin the training rows, bin the held-out rows with
-the training cuts, measure noisy marginals, generate synthetic rows via the
+seeded public fold plan, bin the training rows and the held-out rows (with
+the training cuts), measure noisy marginals, generate synthetic rows via the
 enclave bridge, and evaluate. The K folds of a loop are independent once
 the public plan is fixed, so they run as one batch on a leading fold axis,
-padded to the longest fold, and every round serves all of them. Fold
+padded to the longest fold, and every round serves all of them. The first
+loop bins the full data as one more batch beside its folds: the publish
+path needs its bins and cuts whichever loop passes, so the run sorts once,
+and publishing adds only the bin means, the marginals, the generation, the
+de-binning and the reveal. Fold
 metrics are summed and the unanimous threshold vote compares the sums
 against K-scaled thresholds (met-at-equality semantics, exact). The only
 value ever opened during tuning is the per-loop vote bit; at publish,
@@ -23,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fixedpoint as fx
-from .binning import bin_train, bin_with_cuts, inv_bin
+from .binning import bin_train, compute_bin_means, inv_bin
 from .circuits import b2a
 from .evaluation import MetricPair, evaluate
 from .generator import generate_bridge
@@ -98,6 +102,8 @@ class TuningResult:
     publish: bool
     h_selected: int | None
     loops: list[LoopRecord] = field(default_factory=list)
+    binned: ShareMatrix | None = None   # the full data binned on the first loop
+    cuts: ShareVector | None = None     # and its cuts, (1, d, 3)
 
 
 def concat_matrices(party: Party, mats: list[ShareMatrix]) -> ShareMatrix:
@@ -161,10 +167,12 @@ def preflight(rows: list[int], genes: list[int], config: PipelineConfig):
             f"{(1 << f) - 1} rows fit")
 
 
-def kfold_split(matrix: ShareMatrix, plan):
-    """All K (train, test) splits of a single dataset as two padded fold batches."""
+def kfold_split(matrix: ShareMatrix, plan, extra=()):
+    """All K (train, test) splits of a single dataset as two padded fold
+    batches; the row index sets in ``extra`` follow the K training folds."""
     check_fold_plan(matrix.n_rows, len(plan))
-    return _fold_rows(matrix, [t for t, _ in plan]), _fold_rows(matrix, [t for _, t in plan])
+    return (_fold_rows(matrix, [t for t, _ in plan] + list(extra)),
+            _fold_rows(matrix, [t for _, t in plan]))
 
 
 def secret_vote(party: Party, wle_sum: ShareVector, acc_sum: ShareVector,
@@ -189,16 +197,24 @@ def secret_vote(party: Party, wle_sum: ShareVector, acc_sum: ShareVector,
 
 
 def run_fold(party: Party, matrix: ShareMatrix, plan, loop_index: int,
-             h: int, config: PipelineConfig, sigma_q: float) -> MetricPair:
-    """Every fold of one tuning loop in one round schedule: (K,) metrics."""
-    train, test = kfold_split(matrix, plan)
-    binned_train, cuts, _ = bin_train(party, train, compute_means=False)
-    binned_test = bin_with_cuts(party, test, cuts)
+             h: int, config: PipelineConfig, sigma_q: float
+             ) -> tuple[MetricPair, ShareMatrix | None, ShareVector | None]:
+    """Every fold of one tuning loop in one round schedule: the (K,) metrics,
+    and on the first loop the full data binned, with its cuts, from the same
+    sort (None and None on later loops)."""
+    k = len(plan)
+    full = [np.arange(matrix.n_rows)] if loop_index == 0 else []
+    train, test = kfold_split(matrix, plan, full)
+    binned, cuts, binned_test = bin_train(party, train, test)
+    binned_train = binned.batches(slice(k))
     counts, ms = noisy_marginals(party, binned_train, sigma_q)
     synth = generate_bridge(party, ms, binned_train.rows, h, config.seed,
-                            [(loop_index, j) for j in range(len(plan))])
-    return evaluate(party, synth, binned_test, counts, binned_train.rows,
-                    config.lr_epochs, config.lr_rate)
+                            [(loop_index, j) for j in range(k)])
+    metrics = evaluate(party, synth, binned_test, counts, binned_train.rows,
+                       config.lr_epochs, config.lr_rate)
+    if not full:
+        return metrics, None, None
+    return metrics, binned.batches(slice(k, None)), cuts[k:]
 
 
 def tuning_loop(party: Party, matrix: ShareMatrix, thresholds: ThresholdSet,
@@ -210,7 +226,9 @@ def tuning_loop(party: Party, matrix: ShareMatrix, thresholds: ThresholdSet,
     for loop_index in range(n_loops):
         h = config.hyperparams[loop_index]
         plan = fold_plan(config.seed, loop_index, matrix.n_rows, config.k_folds)
-        metrics = run_fold(party, matrix, plan, loop_index, h, config, sigma_q)
+        metrics, binned, cuts = run_fold(party, matrix, plan, loop_index, h, config, sigma_q)
+        if binned is not None:
+            result.binned, result.cuts = binned, cuts
         # fold averaging folds into the vote: sums compare against K-scaled
         # thresholds, which keeps met-at-equality semantics exact
         wle_sum = metrics.wle.sum(keepdims=True)
@@ -238,12 +256,14 @@ def _select_lowest(party: Party, candidates: list[tuple[int, ShareVector]]) -> i
         return int(party.open(best[None], "h-select")[0])
 
 
-def publish_path(party: Party, matrix: ShareMatrix, h_selected: int,
-                 config: PipelineConfig) -> np.ndarray:
-    """Re-run preprocessing and generation on the full data, de-bin, and
-    reveal the synthetic rows: opened ring words, shape (rows, d+1)."""
+def publish_path(party: Party, matrix: ShareMatrix, binned: ShareMatrix, cuts: ShareVector,
+                 h_selected: int, config: PipelineConfig) -> np.ndarray:
+    """Generate from the full data, binned with ``cuts`` on the first loop,
+    de-bin with its bin means, and reveal the synthetic rows: opened ring
+    words, shape (rows, d+1)."""
     sigma_q = calibrate(config.eps_s, config.delta_s, measurement_count(matrix.n_genes)).sigma_q
-    binned, cuts, means = bin_train(party, matrix, compute_means=True)
+    with party.protocol("bin"):
+        means = compute_bin_means(party, binned.genes(), matrix.genes(), cuts, binned.mask)
     _, ms = noisy_marginals(party, binned, sigma_q)
     n_out = config.synthetic_rows or matrix.n_rows
     synth = generate_bridge(party, ms, [n_out], h_selected, config.seed, [PUBLISH_CONTEXT])
@@ -270,7 +290,8 @@ def run_pipeline(party: Party, custodian_matrices: list[ShareMatrix],
     tuning = tuning_loop(party, combined, thresholds, config)
     synthetic = None
     if tuning.publish:
-        synthetic = publish_path(party, combined, tuning.h_selected, config)
+        synthetic = publish_path(party, combined, tuning.binned, tuning.cuts,
+                                 tuning.h_selected, config)
     return RunResult(
         publish=tuning.publish,
         h_selected=tuning.h_selected,

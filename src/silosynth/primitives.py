@@ -6,8 +6,9 @@ component adder from circuits.py; comparison and equality return
 XOR-shared bits: ``select`` injects such a bit directly (two rounds), and a
 caller that needs the bit as an arithmetic value converts it with ``b2a``.
 Division is a Newton-Raphson reciprocal after oblivious normalization to
-[0.5, 1); sorting is a bitonic network of secure compare-swaps, less those
-whose outcome the public padding decides.
+[0.5, 1); sorting runs one bitonic network per batch, zipped layer by
+layer, of secure compare-swaps, less those whose outcome the public padding
+decides and those no read output depends on.
 """
 
 from __future__ import annotations
@@ -168,41 +169,74 @@ def _bitonic_layers(m: int):
     return layers
 
 
-def sort_columns(party: Party, matrix: ShareVector, rows=None) -> ShareVector:
+def _sort_plan(rows: np.ndarray, read: np.ndarray):
+    """The public schedule of ``sort_columns`` on B batches of n stored rows.
+
+    Batch b runs its own network over 2^ceil(log2 rows[b]) positions, and
+    the layers of all networks are zipped, so a shorter one finishes early.
+    Positions at or after rows[b] are padding, larger than every data row: a
+    compare-swap that touches one has a public outcome, so it only relabels
+    which position a data row sits at, and padding is never stored. A data
+    row keeps its stored row b * n + i, where every compare-swap on it
+    writes. A walk back from the stored rows that end at the positions
+    ``read`` (B, n) marks keeps only the compare-swaps those rows depend on;
+    with every data position read, that is all of them.
+
+    Returns the stored rows (p, q) of each layer's secret compare-swaps, and
+    the stored row that ends at each output position, shape (B, n).
+    """
+    (nb, n), width = read.shape, 1 << max(int(rows.max(initial=1)) - 1, 0).bit_length()
+    sizes = [1 << max(int(r) - 1, 0).bit_length() for r in rows]
+    nets = {m: _bitonic_layers(m) for m in set(sizes)}
+    pad = (np.arange(width) >= rows[:, None]).ravel()
+    where = (np.arange(nb)[:, None] * n + np.arange(width)).ravel()
+    plan = []
+    for t in range(max((len(net) for net in nets.values()), default=0)):
+        p, q = (np.concatenate([nets[m][t][j] + b * width for b, m in enumerate(sizes) if t < len(nets[m])])
+                for j in (0, 1))
+        # padding at p is the larger of its pair and trades places with q
+        move = pad[p] & ~pad[q]
+        pm, qm = p[move], q[move]
+        where[pm], where[qm] = where[qm], where[pm]
+        pad[pm], pad[qm] = False, True
+        live = ~(pad[p] | pad[q])
+        plan.append((where[p[live]], where[q[live]]))
+    data = np.arange(n) < rows[:, None]
+    out = np.arange(nb * n).reshape(nb, n)
+    b, i = np.nonzero(data)
+    out[b, i] = where[b * width + i]
+    need = np.zeros(nb * n, dtype=bool)
+    need[out[read & data]] = True
+    for t in reversed(range(len(plan))):
+        p, q = plan[t]
+        keep = need[p] | need[q]
+        need[p[keep]] = need[q[keep]] = True
+        plan[t] = (p[keep], q[keep])
+    return [pq for pq in plan if pq[0].size], out
+
+
+def sort_columns(party: Party, matrix: ShareVector, rows=None, read=None) -> ShareVector:
     """Sort each column of (..., N, d) shares along axis -2 in one batched schedule.
 
     ``rows`` (shaped like the leading axes) counts the data rows of each
-    batch; the rows after them are replaced by the sentinel word 2^(62-f),
-    the bound of ``fx.encode``, which no encodable input exceeds, so the
-    first rows[k] outputs of batch k are its sorted data. Positions that hold
-    the sentinel in every batch are tracked through the network: a
-    compare-swap that touches one has a public outcome, so it is a local
-    move, and only the other pairs of a layer are compared.
+    batch; the first rows[k] outputs of batch k are its sorted data, the
+    rest are unspecified. With ``read`` (..., N), a public mask of the
+    outputs the caller reads, only those are sorted values. Every layer of
+    the public plan (``_sort_plan``) is one gather of all batches' secret
+    pairs, one ``lt``, one ``select`` and one scatter: the rounds are those
+    of the deepest batch's network, the bytes those of separate sorts.
     """
-    n = matrix.shape[-2]
-    if n <= 1:
-        return matrix.copy()
-    m = 1 << (n - 1).bit_length()
-    lead, d = matrix.shape[:-2], matrix.shape[-1]
-    rows = np.broadcast_to(n if rows is None else rows, lead)
-    live = np.arange(m) < rows[..., None]
-    arr = party.const_share(np.full(lead + (m, d), np.uint64(1) << np.uint64(62 - party.fp.frac_bits)))
-    arr[live] = matrix[live[..., :n]]
-    pad = np.arange(m) >= rows.max(initial=0)
-    for p_idx, q_idx in _bitonic_layers(m):
-        # a sentinel at p is the larger of its pair and trades places with q
-        move = pad[p_idx] & ~pad[q_idx]
-        pm, qm = p_idx[move], q_idx[move]
-        arr[..., pm, :], arr[..., qm, :] = arr[..., qm, :], arr[..., pm, :]
-        pad[pm], pad[qm] = False, True
-        secret = ~(pad[p_idx] | pad[q_idx])
-        if secret.any():
-            p, q = p_idx[secret], q_idx[secret]
-            xp, xq = arr[..., p, :], arr[..., q, :]
-            low = select(party, lt(party, xq, xp), xp, xq)
-            arr[..., p, :] = low
-            arr[..., q, :] = xp + xq - low
-    return arr[..., :n, :]
+    lead, (n, d) = matrix.shape[:-2], matrix.shape[-2:]
+    rows = np.broadcast_to(n if rows is None else rows, lead).ravel()
+    read = np.arange(n) < rows[:, None] if read is None else np.broadcast_to(read, lead + (n,))
+    plan, out = _sort_plan(rows, read.reshape(rows.size, n))
+    arr = matrix.reshape(-1, d).copy()
+    for p, q in plan:
+        xp, xq = arr[p], arr[q]
+        low = select(party, lt(party, xq, xp), xp, xq)
+        arr[p] = low
+        arr[q] = xp + xq - low
+    return arr[out].reshape(*matrix.shape)
 
 
 # -- shared randomness -----------------------------------------------------------

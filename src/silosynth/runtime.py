@@ -30,7 +30,7 @@ from .sharing import ShareVector
 
 # Protocol catalog; ids go on the wire, names into ledgers and reports.
 PROTOCOL_LABELS = [
-    "setup", "ingest", "concat", "sort", "bin", "bin_test", "inv_bin",
+    "setup", "ingest", "concat", "sort", "bin", "inv_bin",
     "noisy_marg", "sdg", "lr", "acc", "wle", "eval", "vote",
     "h_select", "publish", "adhoc",
 ]

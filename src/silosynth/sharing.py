@@ -168,6 +168,11 @@ class ShareMatrix:
     def labels(self) -> ShareVector:
         return self.data[:, :, self.n_genes]
 
+    def batches(self, idx: slice) -> "ShareMatrix":
+        """The batches ``idx`` selects, padded only to the longest of them."""
+        rows = self.rows[idx]
+        return ShareMatrix(self.data[idx, : rows.max(initial=0)], self.n_genes, rows)
+
     def with_columns(self, genes: ShareVector) -> "ShareMatrix":
         """Same folds and labels with new gene columns."""
         return ShareMatrix(concat_shares([genes, self.labels()[..., None]], axis=2),

@@ -15,7 +15,7 @@ import clear_reference as ref
 from conftest import FP, run3, shared, shared_matrix
 
 from silosynth import fixedpoint as fx
-from silosynth.binning import bin_train
+from silosynth.binning import bin_train, compute_bin_means
 from silosynth.circuits import mul_shares
 from silosynth.config import canonical_text
 from silosynth.datafile import write_dataset
@@ -50,7 +50,8 @@ def preprocessing_corpus():
         mats = shared_matrix(fx.encode(genes), labels, 1000 + trial, namespace="acc")
 
         def body(p):
-            binned, cuts, means = bin_train(p, mats[p.pid - 1], compute_means=True)
+            binned, cuts, _ = bin_train(p, mats[p.pid - 1])
+            means = compute_bin_means(p, binned.genes(), mats[p.pid - 1].genes(), cuts, binned.mask)
             _, ms = noisy_marginals(p, binned, 0.0)
             return binned, cuts, means, ms
 

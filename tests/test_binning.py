@@ -9,27 +9,32 @@ from silosynth.binning import (
     bin_columns,
     bin_train,
     bin_with_cuts,
+    compute_bin_means,
     compute_quantiles,
     inv_bin,
 )
+from silosynth.pipeline import fold_plan, kfold_split
 from silosynth.sharing import reconstruct
 
 
-def run_bin_train(genes, labels, tag, compute_means=True):
+def bin_with_means(p, matrix):
+    """Binning of a dataset and its bin means, as the publish path computes them."""
+    binned, cuts, _ = bin_train(p, matrix)
+    return binned, cuts, compute_bin_means(p, binned.genes(), matrix.genes(), cuts, binned.mask)
+
+
+def run_bin_train(genes, labels, tag):
     mats = shared_matrix(fx.encode(genes), labels, tag)
 
     def body(p):
-        return bin_train(p, mats[p.pid - 1], compute_means=compute_means)
+        return bin_with_means(p, mats[p.pid - 1])
 
     results, parties = run3(body)
     binned = reconstruct([r[0].data for r in results])[0]
     cuts = reconstruct([r[1] for r in results])[0]
-    means = None
-    counters = None
-    if compute_means:
-        means = reconstruct([r[2] for r in results])[0]
-        # per-bin row counts (d, 4), counted from the opened bins
-        counters = (binned[:, :-1, None] == np.arange(4)).sum(axis=0).astype(np.uint64)
+    means = reconstruct([r[2] for r in results])[0]
+    # per-bin row counts (d, 4), counted from the opened bins
+    counters = (binned[:, :-1, None] == np.arange(4)).sum(axis=0).astype(np.uint64)
     return binned, cuts, means, counters, results, parties
 
 
@@ -89,7 +94,7 @@ def test_bin_values_against_cut_semantics():
     sc, sv = shared(cuts_words, 24), shared(vals, 25)
 
     def body(p):
-        return bin_columns(p, sv[p.pid - 1], sc[p.pid - 1])
+        return bin_columns(p, sv[p.pid - 1], sc[p.pid - 1][None], np.zeros(3, dtype=np.int64))
 
     results, _ = run3(body)
     got = reconstruct(results)
@@ -143,8 +148,7 @@ def test_bin_test_with_train_cuts(rng):
     test_mats = shared_matrix(fx.encode(test_genes), test_labels, 31)
 
     def body(p):
-        _, cuts, _ = bin_train(p, train_mats[p.pid - 1], compute_means=False)
-        return bin_with_cuts(p, test_mats[p.pid - 1], cuts)
+        return bin_train(p, train_mats[p.pid - 1], test_mats[p.pid - 1])[2]
 
     results, parties = run3(body)
     got = open_matrix(results)
@@ -156,42 +160,88 @@ def test_bin_test_with_train_cuts(rng):
     assert all("sort" not in p.ledger.entries or True for p in parties)
 
 
+def loop_batches(genes, labels, tag, k=3):
+    """A first loop's batches of one dataset: K training folds with the full
+    data after them, and the K test folds, padded per matrix."""
+    mats = shared_matrix(fx.encode(genes), labels, tag)
+    plan = fold_plan(5, 0, genes.shape[0], k)
+    return plan, [kfold_split(m, plan, [np.arange(genes.shape[0])]) for m in mats]
+
+
 def test_bin_test_ledger_is_two_lt_one_select_one_b2a_per_cell(rng):
-    """Transcript check: binning test rows costs exactly two n*d-wide lt, one
-    n*d-wide select and one two-lane b2a_sum, and no sort."""
+    """Transcript check: binning a loop's training folds, full data and test
+    folds with their cuts is one call of two lt, one select and one two-lane
+    b2a_sum over the data cells only (padding rows are never compared):
+    20 rounds, and no sort."""
     from silosynth.circuits import b2a_sum
     from silosynth.primitives import lt, select
 
     genes = rng.normal(0, 2, size=(10, 2))
     labels = rng.integers(0, 5, size=10)
-    cuts_clear = np.stack([ref.quantile_cuts_fx(fx.encode(genes[:, g])) for g in range(2)])
-    test_mats = shared_matrix(fx.encode(genes), labels, 32)
-    cut_shares = shared(cuts_clear[None], 33)
+    plan, split = loop_batches(genes, labels, 32)
+    enc = fx.encode(genes)
+    train_idx = [t for t, _ in plan] + [np.arange(10)]
+    cuts_clear = np.stack([np.stack([ref.quantile_cuts_fx(enc[idx, g]) for g in range(2)])
+                           for idx in train_idx])
+    cut_shares = shared(cuts_clear, 33)
 
     def body_bin(p):
-        return bin_with_cuts(p, test_mats[p.pid - 1], cut_shares[p.pid - 1])
+        with p.protocol("adhoc"):
+            return bin_with_cuts(p, list(split[p.pid - 1]), cut_shares[p.pid - 1])
 
     results, parties_bin = run3(body_bin)
-    want_bins = ref.clear_bin_test(fx.encode(genes), cuts_clear)
-    assert np.array_equal(open_matrix(results)[:, :2], want_bins)
+    train = reconstruct([r[0].data for r in results])
+    test = reconstruct([r[1].data for r in results])
+    for j, idx in enumerate(train_idx):
+        assert np.array_equal(train[j, : idx.size, :2], ref.clear_bin_test(enc[idx], cuts_clear[j]))
+    for j, (_, idx) in enumerate(plan):
+        assert np.array_equal(test[j, : idx.size, :2], ref.clear_bin_test(enc[idx], cuts_clear[j]))
 
-    x = shared(fx.encode(rng.normal(size=(10, 2))), 34)
-    y = shared(fx.encode(rng.normal(size=(10, 2))), 35)
+    cells = (sum(idx.size for idx in train_idx) + 10, 2)     # 7 + 7 + 6 + 10 training, 10 test rows
+    x = shared(fx.encode(rng.normal(size=cells)), 34)
+    y = shared(fx.encode(rng.normal(size=cells)), 35)
 
     def body_lt(p):
-        with p.protocol("bin_test"):
+        with p.protocol("adhoc"):
             b = lt(p, x[p.pid - 1], y[p.pid - 1])
             c = lt(p, x[p.pid - 1], select(p, b, x[p.pid - 1], y[p.pid - 1]))
             b2a_sum(p, [b, c], [2, 1])
 
     _, parties_lt = run3(body_lt)
     for pb, pl in zip(parties_bin, parties_lt):
-        got = pb.ledger.entry("bin_test")
-        want = pl.ledger.entry("bin_test")
+        got = pb.ledger.entry("adhoc")
+        want = pl.ledger.entry("adhoc")
         assert (got.bytes_sent, got.messages_sent, got.rounds) == \
             (want.bytes_sent, want.messages_sent, want.rounds)
         assert got.rounds == 20
         assert "sort" not in pb.ledger.entries
+
+
+def test_bin_train_with_full_batch_and_test_folds_matches_mirror(rng):
+    """One bin_train call on a first loop's batches equals clear_bin_train on
+    every training fold and the full data, and clear_bin_test on every test
+    fold with its fold's cuts; outside the sort it costs 30 rounds
+    (quantiles 10, the one binning call 20)."""
+    genes = rng.normal(0, 2, size=(11, 3))
+    labels = rng.integers(0, 5, size=11)
+    plan, split = loop_batches(genes, labels, 41)
+
+    def body(p):
+        return bin_train(p, *split[p.pid - 1])
+
+    results, parties = run3(body)
+    train = reconstruct([r[0].data for r in results])
+    cuts = reconstruct([r[1] for r in results])
+    test = reconstruct([r[2].data for r in results])
+    enc = fx.encode(genes)
+    for j, idx in enumerate([t for t, _ in plan] + [np.arange(11)]):
+        want_binned, want_cuts, _ = ref.clear_bin_train(enc[idx], compute_means=False)
+        assert np.array_equal(train[j, : idx.size, :3], want_binned)
+        assert np.array_equal(train[j, : idx.size, 3], labels[idx].astype(np.uint64))
+        assert np.array_equal(cuts[j], want_cuts)
+    for j, (_, idx) in enumerate(plan):
+        assert np.array_equal(test[j, : idx.size, :3], ref.clear_bin_test(enc[idx], cuts[j]))
+    assert all(p.ledger.entry("bin").rounds == 30 for p in parties)
 
 
 def test_bin_test_empty_split():
@@ -201,7 +251,7 @@ def test_bin_test_empty_split():
     cut_shares = shared(fx.encode(np.zeros((1, 2, 3))), 37)
 
     def body(p):
-        return bin_with_cuts(p, test_mats[p.pid - 1], cut_shares[p.pid - 1])
+        return bin_with_cuts(p, [test_mats[p.pid - 1]], cut_shares[p.pid - 1])[0]
 
     results, _ = run3(body)
     assert open_matrix(results).shape == (0, 3)
@@ -213,7 +263,7 @@ def test_inv_bin_selection_and_roundtrip(rng):
     mats = shared_matrix(fx.encode(genes), labels, 38)
 
     def body(p):
-        binned, cuts, means = bin_train(p, mats[p.pid - 1])
+        binned, cuts, means = bin_with_means(p, mats[p.pid - 1])
         return inv_bin(p, binned, means), means
 
     results, _ = run3(body)
@@ -233,7 +283,7 @@ def test_inv_bin_constant_column_roundtrip():
     mats = shared_matrix(fx.encode(genes), labels, 39)
 
     def body(p):
-        binned, cuts, means = bin_train(p, mats[p.pid - 1])
+        binned, cuts, means = bin_with_means(p, mats[p.pid - 1])
         return inv_bin(p, binned, means)
 
     results, _ = run3(body)

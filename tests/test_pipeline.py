@@ -4,6 +4,7 @@ import pytest
 import clear_reference as ref
 from conftest import open_matrix, run3, shared, shared_matrix
 
+from silosynth import binning
 from silosynth import fixedpoint as fx
 from silosynth.config import canonical_text
 from silosynth.fixedpoint import FixedPointConfig
@@ -287,7 +288,7 @@ def test_loop_lr_rounds_do_not_grow_with_folds(rng):
 
 
 # (rounds, bytes sent) per party, summed over the ledger labels
-PINNED_TINY_TRAFFIC = [(1127, 1078936), (1127, 1080784), (1127, 1078936)]
+PINNED_TINY_TRAFFIC = [(977, 1075240), (977, 1077088), (977, 1075240)]
 
 
 def test_tiny_run_traffic_pinned(rng):
@@ -301,3 +302,48 @@ def test_tiny_run_traffic_pinned(rng):
     snaps = [p.ledger.snapshot().values() for p in parties]
     totals = [(sum(e["rounds"] for e in s), sum(e["bytes_sent"] for e in s)) for s in snaps]
     assert totals == PINNED_TINY_TRAFFIC
+
+
+def spy_sorts(monkeypatch):
+    """Record the per-batch row counts of every sort_columns call."""
+    calls = []
+    real = binning.sort_columns
+
+    def spy(party, matrix, rows=None, read=None):
+        if party.pid == 1:
+            calls.append(list(rows))
+        return real(party, matrix, rows, read)
+
+    monkeypatch.setattr(binning, "sort_columns", spy)
+    return calls
+
+
+def test_first_pass_publish_sorts_once(rng, monkeypatch):
+    """A run that publishes on loop 1 sorts once: the two 12-row training
+    folds (16-position networks, 10 layers) beside the full 24 rows (32
+    positions, 15 layers), so the sort label is 10 x 15 rounds."""
+    calls = spy_sorts(monkeypatch)
+    datasets = two_datasets(rng, n_each=12)
+    thresholds = np.array([[1000.0, 0.0], [1000.0, 0.0]])
+    config = small_config(k_folds=2, hyperparams=(10,), max_loops=1, lr_epochs=2)
+    results, parties = run_full(config, datasets, thresholds)
+    assert results[0].publish
+    assert calls == [[12, 12, 24]]
+    assert all(p.ledger.entry("sort").rounds == 10 * 15 for p in parties)
+
+
+def test_no_publish_run_pays_full_sort_in_first_loop(rng, monkeypatch):
+    """A run that publishes nothing still sorts and bins the full data in its
+    first loop (later loops sort only their folds) and never enters the
+    publish path: no bin means, de-binning or reveal."""
+    calls = spy_sorts(monkeypatch)
+    datasets = two_datasets(rng, n_each=12)
+    thresholds = np.array([[1000.0, 2.0], [1000.0, 2.0]])
+    config = small_config(k_folds=2, hyperparams=(10, 15), max_loops=2, lr_epochs=2)
+    results, parties = run_full(config, datasets, thresholds)
+    assert not results[0].publish
+    assert calls == [[12, 12, 24], [12, 12]]
+    for p in parties:
+        assert p.ledger.entry("sort").rounds == 10 * 15 + 10 * 10
+        assert p.ledger.entry("bin").rounds == 2 * 30      # quantiles and binning only
+        assert not {"inv_bin", "publish"} & set(p.ledger.entries)

@@ -343,10 +343,66 @@ def test_sort_bytes_pinned():
         assert (e.rounds, e.bytes_sent) == (280, 1334 * 11 * 8)
 
 
+def test_sort_uneven_batches_one_call():
+    """Batches of 2, 5, 100 and 200 rows in a (4, 200, 1) call: each runs its
+    own network (1, 6, 28 and 36 layers), zipped, so the call takes the
+    deepest one's 36 layers of 10 rounds and the bytes of the four separate
+    sorts: 1 + 11 + 1,334 + 3,468 = 4,814 compare-swaps of 11 words."""
+    rng = np.random.default_rng(15)
+    rows = np.array([2, 5, 100, 200])
+    vals = fx.encode(rng.uniform(-50, 50, size=(4, 200, 1)))
+    sv = shared(vals, 56)
+
+    def body(p):
+        with p.protocol("adhoc"):
+            together = sort_columns(p, sv[p.pid - 1], rows)
+        with p.protocol("sort"):
+            for k, r in enumerate(rows):
+                sort_columns(p, sv[p.pid - 1][k, :r])
+        return together
+
+    results, parties = run3(body)
+    got = fx.signed(reconstruct(results))
+    for k, r in enumerate(rows):
+        assert np.array_equal(got[k, :r], np.sort(fx.signed(vals[k, :r]), axis=0))
+    for p in parties:
+        together, separate = p.ledger.entry("adhoc"), p.ledger.entry("sort")
+        assert together.rounds == 10 * 36
+        assert together.bytes_sent == separate.bytes_sent == 4814 * 11 * 8
+
+
+def test_sort_cone_sorts_read_positions():
+    """With the quantile positions of 100 rows as ``read``, only the 1,184
+    compare-swaps those positions depend on are secret (1,334 in the full
+    sort), the depth stays 28 layers, and every read position of a random
+    and a tied column equals numpy's sort."""
+    from silosynth.binning import quantile_positions
+
+    rng = np.random.default_rng(16)
+    cols = np.stack([rng.uniform(-50, 50, size=100), rng.integers(-2, 3, size=100)], axis=1)
+    vals = fx.encode(cols[None])
+    i, frac = quantile_positions([100])
+    read = np.zeros((1, 100), dtype=bool)
+    read[0, np.concatenate([i, i + (frac != 0)], axis=1)[0]] = True
+    sv = shared(vals, 57)
+
+    def body(p):
+        with p.protocol("adhoc"):
+            return sort_columns(p, sv[p.pid - 1], read=read)
+
+    results, parties = run3(body)
+    got = fx.signed(reconstruct(results))[0]
+    want = np.sort(fx.signed(vals[0]), axis=0)
+    assert np.array_equal(got[read[0]], want[read[0]])
+    for p in parties:
+        e = p.ledger.entry("adhoc")
+        assert (e.rounds, e.bytes_sent) == (280, 1184 * 2 * 11 * 8)
+
+
 @pytest.mark.parametrize("frac_bits", [8, 20])
 def test_sort_sentinel_above_every_encodable_input(frac_bits):
-    """The padding sentinel is the encode bound: the largest encodable values
-    (and 2^33 at f = 8) still sort before it."""
+    """Padding never enters a comparison, so the largest encodable values
+    (and 2^33 at f = 8) sort correctly next to it."""
     big = 2.0 ** (62 - 2 * frac_bits) - 1.0
     vals = fx.encode(np.array([5.0, big, -1.0, -big, min(2.0**33, big)]), frac_bits)
     fp = FixedPointConfig(frac_bits)
