@@ -14,6 +14,11 @@ components forms its cross terms from the pair each party already holds.
 Summing the three components inside a carry-save + Sklansky prefix adder
 yields the bits of x, plus the exact inter-component carries needed for
 deterministic truncation.
+
+Every XOR-to-arithmetic step is one formula, bit injection (ABY3 §5.4):
+with u = c1 ^ c2 at party 1 and c3 at parties 2 and 3, a 0/1 bit times d
+is u (1 - 2 c3) d + c3 d. ``inject`` takes a secret d, ``b2a_sum`` public
+weights (``b2a`` weight 1); both take two rounds.
 """
 
 from __future__ import annotations
@@ -22,20 +27,13 @@ import numpy as np
 
 from .fixedpoint import MASK, to_u64
 from .runtime import Party
-from .sharing import ShareVector
+from .sharing import ShareVector, concat_shares
 
 ALL_ONES = np.uint64(MASK)
 ONE = np.uint64(1)
-ZERO = np.uint64(0)
 
 
 # -- batching -------------------------------------------------------------------
-
-def flatten(parts: list[ShareVector]) -> ShareVector:
-    """Concatenate sharings of any shapes into one flat sharing."""
-    return ShareVector(np.concatenate([p.a.ravel() for p in parts]),
-                       np.concatenate([p.b.ravel() for p in parts]))
-
 
 def unflatten(flat: ShareVector, shapes: list) -> list[ShareVector]:
     """Split a flat sharing back into pieces of the given shapes."""
@@ -203,39 +201,28 @@ def bit_extract(x: ShareVector, position) -> ShareVector:
 def b2a_sum(party: Party, lanes: list[ShareVector], weights) -> ShareVector:
     """Arithmetic sum of ``weights[t] * lanes[t]`` for XOR-shared 0/1 lanes of one shape.
 
-    Lane components must already be 0/1 valued, as bit_extract produces. With
-    c_i the components, each lane is u + c3 - 2 u c3 where u = c1 + c2 - 2 c1 c2.
-    Party 1 holds c1 and c2, and parties 2 and 3 hold c3, so every cross term
-    is local: round 1 re-shares c1 c2 per lane; round 2 re-shares the weighted
-    sum of the u c3 terms, one word per output element for any lane count.
-    The local arithmetic runs lane by lane to keep temporaries one lane wide.
+    Bit injection of public weights (lane components 0/1, as bit_extract
+    makes them): e = (1 - 2 c3) w is public to parties 2 and 3, so it is the
+    third component and needs no re-share. Round 1 re-shares each lane's u;
+    round 2 the summed u e terms, with c3 w added once at party 3: L + 1
+    words per output element. Temporaries stay one lane wide.
     """
-    pid = party.pid
-    shape = lanes[0].shape
-    c12 = np.zeros((len(lanes),) + shape, dtype=np.uint64)
-    if pid == 1:
+    u = np.zeros((len(lanes),) + lanes[0].shape, dtype=np.uint64)
+    if party.pid == 1:
         for t, lane in enumerate(lanes):
-            np.multiply(lane.a, lane.b, out=c12[t])
-    c12 = reshare(party, c12)
-    sum_a, sum_b, cross = (np.zeros(shape, dtype=np.uint64) for _ in range(3))
-    for t, (lane, w) in enumerate(zip(lanes, weights)):
-        w = to_u64(w)
-        # u = z1 + z2 - 2 c1 c2, where z1 + z2 is (c1, c2) at party 1, (c2, 0) at 2, (0, c1) at 3
-        u_a = (lane.a if pid != 3 else ZERO) - (c12.a[t] << ONE)
-        u_b = (lane.b if pid != 2 else ZERO) - (c12.b[t] << ONE)
-        if pid == 2:                    # holds (u_2, u_3) and c3 as b
-            cross += w * u_a * lane.b
-            u_b += lane.b
-        elif pid == 3:                  # holds (u_3, u_1) and c3 as a
-            cross += w * (u_a + u_b) * lane.a
-            u_a += lane.a
-        sum_a += w * u_a
-        sum_b += w * u_b
-    del c12
-    uc3 = reshare(party, cross)
-    sum_a -= uc3.a << ONE
-    sum_b -= uc3.b << ONE
-    return ShareVector(sum_a, sum_b)
+            np.bitwise_xor(lane.a, lane.b, out=u[t])
+    u = reshare(party, u)
+    out = np.zeros(lanes[0].shape, dtype=np.uint64)
+    if party.pid != 1:
+        for t, (lane, w) in enumerate(zip(lanes, weights)):
+            # c3 and e are the third component: b at party 2 (u_2, u_3), a at party 3 (u_3, u_1)
+            w = to_u64(w)
+            c3, u_part = (lane.b, u.a[t]) if party.pid == 2 else (lane.a, u.a[t] + u.b[t])
+            cw = c3 * w
+            out += u_part * (w - (cw << ONE))
+            if party.pid == 3:
+                out += cw
+    return reshare(party, out)
 
 
 def b2a(party: Party, bits: ShareVector) -> ShareVector:
@@ -247,15 +234,12 @@ def inject(party: Party, bit: ShareVector, d: ShareVector, axis=None) -> ShareVe
     """Arithmetic bit * d for an XOR-shared 0/1 bit (shapes broadcast), in two
     rounds; summed over ``axis`` when it is given.
 
-    Bit injection (ABY3 §5.4): with c_i the bit's components and u = c1 ^ c2,
-    the bit is u (1 - 2 c3) + c3, so bit * d = u e + c3 d with
-    e = (1 - 2 c3) d. Party 1 holds u; parties 2 and 3 hold c3 and between
-    them d's components (d2 + d3 at party 2, d1 at party 3), so every term is
-    local. Round 1 re-shares u together with e; round 2 is the product u e,
-    with the c3 d terms added into its re-share. Sends |bit| + 2 |out| words
-    per party, as b2a and a product do when the shapes agree; a sum over
-    ``axis`` runs on the local terms before round 2's re-share, which then
-    sends only the summed shape.
+    Bit injection of a secret d: e = (1 - 2 c3) d is local to parties 2 and
+    3, which hold d's components between them (d2 + d3 at party 2, d1 at
+    party 3). Round 1 re-shares u together with e; round 2 is the product
+    u e, with the c3 d terms added into its re-share. Sends |bit| + 2 |out|
+    words per party; a sum over ``axis`` runs on the local terms before
+    round 2's re-share, which then sends only the summed shape.
     """
     shape = np.broadcast_shapes(bit.shape, d.shape)
     terms = np.zeros(bit.size + int(np.prod(shape)), dtype=np.uint64)
@@ -311,4 +295,5 @@ def trunc_shares_many(party: Party, pairs) -> list[ShareVector]:
     """Truncate several (sharing, shift) pairs in one trunc_shares schedule."""
     xs = [x for x, _ in pairs]
     shifts = np.concatenate([np.broadcast_to(to_u64(shift), x.shape).ravel() for x, shift in pairs])
-    return unflatten(trunc_shares(party, flatten(xs), shifts), [x.shape for x in xs])
+    flat = concat_shares([x.ravel() for x in xs])
+    return unflatten(trunc_shares(party, flat, shifts), [x.shape for x in xs])

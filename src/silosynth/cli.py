@@ -219,22 +219,21 @@ def run_party(args) -> int:
         accept_until(set(), config.n_custodians)
         # custodian uploads: header frame (n_rows, n_genes), then data + thresholds
         for idx, conn in custodian_socks:
-            _, _, header = read_frame(conn)
-            n_rows, n_genes = int(header[0]), int(header[1])
-            _, _, data_words = read_frame(conn)
-            _, _, thr_words = read_frame(conn)
-            uploads[idx] = (data_words.reshape(n_rows, n_genes + 1), thr_words, n_genes)
-    except (ProtocolAbort, OSError) as exc:
-        print(f"custodian upload failed: {exc}", file=sys.stderr)
-        return EXIT_CONNECT
-    try:
+            uploads[idx] = [read_frame(conn)[2] for _ in range(3)]
         indices = [idx for idx, _ in custodian_socks]
         for idx in indices:
             if not 0 <= idx < config.n_custodians:
                 raise IngestionError(f"custodian index {idx} is outside 0..{config.n_custodians - 1}")
             if indices.count(idx) > 1:
                 raise IngestionError(f"custodian index {idx} was claimed by two custodians")
-        preflight([u[0].shape[0] for u in uploads.values()], [u[2] for u in uploads.values()], config)
+        for idx, (header, data, thr) in uploads.items():
+            if header.size != 2 or data.size != int(header[0]) * (int(header[1]) + 1) or thr.size != 2:
+                raise IngestionError(f"custodian {idx} sent frames of {header.size}, {data.size} and {thr.size} "
+                                     f"words; a header (n_rows, n_genes) takes 2, n_rows * (n_genes + 1) and 2")
+        preflight([int(u[0][0]) for u in uploads.values()], [int(u[0][1]) for u in uploads.values()], config)
+    except (ProtocolAbort, OSError) as exc:
+        print(f"custodian upload failed: {exc}", file=sys.stderr)
+        return EXIT_CONNECT
     except IngestionError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         transport.close()
@@ -242,10 +241,10 @@ def run_party(args) -> int:
         _send_custodians(custodian_socks, [("ingest", np.frombuffer(str(exc).encode(), np.uint8))])
         return EXIT_INPUT
 
-    n_genes = uploads[0][2]
+    n_genes = int(uploads[0][0][1])
     try:
-        data_comps = [uploads[i][0] for i in sorted(uploads)]
-        thr_comps = [uploads[i][1] for i in sorted(uploads)]
+        data_comps = [uploads[i][1].reshape(-1, n_genes + 1) for i in sorted(uploads)]
+        thr_comps = [uploads[i][2] for i in sorted(uploads)]
         matrices, thr = ingest_all(party, data_comps, thr_comps, n_genes)
         result = run_pipeline(party, matrices, ThresholdSet(thr), config)
     except Exception as exc:   # any error inside the protocol aborts it

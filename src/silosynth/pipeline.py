@@ -28,11 +28,11 @@ import numpy as np
 
 from . import fixedpoint as fx
 from .binning import bin_train, compute_bin_means, inv_bin
-from .circuits import b2a
+from .circuits import not_packed
 from .evaluation import MetricPair, evaluate
 from .generator import generate_bridge
 from .marginals import calibrate, measurement_count, noisy_marginals
-from .primitives import eq_zero, lt, select_max
+from .primitives import and_all, lt, select_max
 from .rng import CounterStream, derive_key
 from .runtime import Party
 from .sharing import ShareMatrix, ShareVector, concat_shares, stack_shares
@@ -190,8 +190,8 @@ def secret_vote(party: Party, wle_sum: ShareVector, acc_sum: ShareVector,
         wle, acc = (m.map(np.broadcast_to, (n_cust,)) for m in (wle_sum, acc_sum))
         # one comparison for both bars: cap strictly below the metric, metric strictly below the floor
         fail = lt(party, stack_shares([scaled[:, 0], acc]), stack_shares([wle, scaled[:, 1]]))
-        # unanimous when no custodian fails a bar: the tally of fail bits is 0
-        unanimous = eq_zero(party, b2a(party, fail).sum().reshape(1))
+        # unanimous when no custodian fails a bar: the AND of the negated fail bits
+        unanimous = and_all(party, not_packed(party, fail).reshape(1, -1))
         bit = party.open(unanimous, "vote", xor=True)
     return int(bit[0])
 

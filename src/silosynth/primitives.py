@@ -73,6 +73,16 @@ def select(party: Party, bit: ShareVector, x: ShareVector, y: ShareVector) -> Sh
     return x + inject(party, bit, y - x)
 
 
+def and_all(party: Party, bits: ShareVector) -> ShareVector:
+    """XOR-shared 0/1 words: the AND of bit 0 over the last axis, in ceil(log2 W) rounds."""
+    while bits.shape[-1] > 1:
+        half = bits.shape[-1] // 2
+        prod = and_packed(party, bits[..., :half], bits[..., half:2 * half])
+        bits = concat_shares([prod, bits[..., 2 * half:]], axis=-1)
+    # an AND leaves random high bits in the components; callers need 0/1 ones
+    return bit_extract(bits[..., 0], 0)
+
+
 def select_max(party: Party, z: ShareVector, *payloads: ShareVector) -> tuple[ShareVector, ...]:
     """Maximum of z over its last axis, then each payload's entry (payloads
     broadcast to z's shape) at the lowest index attaining it.
@@ -98,12 +108,7 @@ def select_max(party: Party, z: ShareVector, *payloads: ShareVector) -> tuple[Sh
     later = others > np.arange(w)[:, None]
     factors = xor_packed(less[..., pair[np.arange(w)[:, None], others]],
                          party.const_share(later.astype(np.uint64)))
-    while factors.shape[-1] > 1:
-        half = factors.shape[-1] // 2
-        prod = and_packed(party, factors[..., :half], factors[..., half:2 * half])
-        factors = concat_shares([prod, factors[..., 2 * half:]], axis=-1)
-    # an AND leaves random high bits in the components; injection needs 0/1 ones
-    picked = inject(party, bit_extract(factors[..., 0], 0), arr, axis=-1)
+    picked = inject(party, and_all(party, factors), arr, axis=-1)
     return tuple(picked[i] for i in range(arr.shape[0]))
 
 

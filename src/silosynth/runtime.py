@@ -14,6 +14,7 @@ and TCP transports are interchangeable.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import queue
 import socket
 import struct
@@ -108,30 +109,42 @@ class LocalRouter:
         self.timeout = timeout
 
 
-class LocalTransport:
-    def __init__(self, pid: int, router: LocalRouter):
+class _Sequenced:
+    """Per-peer frame sequence numbers and the receive path both transports
+    share: each peer's frames arrive on a queue, where None marks a closed
+    channel."""
+
+    def __init__(self, pid: int, peers, timeout: float):
         self.pid = pid
-        self.router = router
-        self._send_seq = {p: 0 for p in (1, 2, 3) if p != pid}
-        self._recv_seq = {p: 0 for p in (1, 2, 3) if p != pid}
+        self.timeout = timeout
+        self._send_seq = {p: itertools.count() for p in peers}
+        self._recv_seq = {p: itertools.count() for p in peers}
 
-    def send(self, dst: int, label_id: int, words: np.ndarray):
-        seq = self._send_seq[dst]
-        self._send_seq[dst] += 1
-        self.router.queues[(self.pid, dst)].put((label_id, seq, words))
-
-    def recv(self, src: int) -> tuple[int, np.ndarray]:
+    def _take(self, frames, src: int, closed: str) -> tuple[int, np.ndarray]:
+        """The next in-order (label id, words) from ``src``'s queue; ``closed``
+        names a closed channel in the abort message."""
         try:
-            item = self.router.queues[(src, self.pid)].get(timeout=self.router.timeout)
+            item = frames.get(timeout=self.timeout)
         except queue.Empty:
             raise ProtocolAbort(f"party {self.pid}: receive from {src} timed out")
         if item is None:
-            raise ProtocolAbort(f"party {self.pid}: peer {src} aborted")
+            raise ProtocolAbort(f"party {self.pid}: {closed}")
         label_id, seq, words = item
-        if seq != self._recv_seq[src]:
+        if seq != next(self._recv_seq[src]):
             raise ProtocolAbort(f"party {self.pid}: out-of-order frame from {src}")
-        self._recv_seq[src] += 1
         return label_id, words
+
+
+class LocalTransport(_Sequenced):
+    def __init__(self, pid: int, router: LocalRouter):
+        super().__init__(pid, [p for p in (1, 2, 3) if p != pid], router.timeout)
+        self.router = router
+
+    def send(self, dst: int, label_id: int, words: np.ndarray):
+        self.router.queues[(self.pid, dst)].put((label_id, next(self._send_seq[dst]), words))
+
+    def recv(self, src: int) -> tuple[int, np.ndarray]:
+        return self._take(self.router.queues[(src, self.pid)], src, f"peer {src} aborted")
 
     def close(self):
         pass
@@ -169,15 +182,12 @@ def read_frame(sock: socket.socket):
     return label_id, seq, words
 
 
-class TcpTransport:
+class TcpTransport(_Sequenced):
     """One party's mesh endpoint: a socket per peer plus reader threads."""
 
     def __init__(self, pid: int, peer_sockets: dict[int, socket.socket], timeout: float = 300.0):
-        self.pid = pid
+        super().__init__(pid, peer_sockets, timeout)
         self.sockets = peer_sockets
-        self.timeout = timeout
-        self._send_seq = {p: 0 for p in peer_sockets}
-        self._recv_seq = {p: 0 for p in peer_sockets}
         self._queues = {p: queue.Queue() for p in peer_sockets}
         self._send_locks = {p: threading.Lock() for p in peer_sockets}
         self._readers = []
@@ -194,23 +204,12 @@ class TcpTransport:
             self._queues[src].put(None)
 
     def send(self, dst: int, label_id: int, words: np.ndarray):
-        seq = self._send_seq[dst]
-        self._send_seq[dst] += 1
+        seq = next(self._send_seq[dst])
         with self._send_locks[dst]:
             write_frame(self.sockets[dst], label_id, seq, words)
 
     def recv(self, src: int) -> tuple[int, np.ndarray]:
-        try:
-            item = self._queues[src].get(timeout=self.timeout)
-        except queue.Empty:
-            raise ProtocolAbort(f"party {self.pid}: receive from {src} timed out")
-        if item is None:
-            raise ProtocolAbort(f"party {self.pid}: channel from {src} broke")
-        label_id, seq, words = item
-        if seq != self._recv_seq[src]:
-            raise ProtocolAbort(f"party {self.pid}: out-of-order frame from {src}")
-        self._recv_seq[src] += 1
-        return label_id, words
+        return self._take(self._queues[src], src, f"channel from {src} broke")
 
     def close(self):
         for s in self.sockets.values():

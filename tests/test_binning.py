@@ -156,8 +156,13 @@ def test_bin_test_with_train_cuts(rng):
     # identical rows get identical bin vectors
     assert np.array_equal(got[0, :2], train_binned[3, :2])
     assert np.array_equal(got[1, :2], train_binned[7, :2])
-    # no sort happened on the test path
-    assert all("sort" not in p.ledger.entries or True for p in parties)
+    # held-out rows add no sort traffic: the sort entry is that of the training rows alone
+    _, train_only = run3(lambda p: bin_train(p, train_mats[p.pid - 1]))
+    for with_test, alone in zip(parties, train_only):
+        got, want = with_test.ledger.entry("sort"), alone.ledger.entry("sort")
+        assert want.rounds > 0
+        assert (got.bytes_sent, got.messages_sent, got.rounds) == \
+            (want.bytes_sent, want.messages_sent, want.rounds)
 
 
 def loop_batches(genes, labels, tag, k=3):

@@ -8,6 +8,7 @@ from silosynth.circuits import (
     add_components,
     and_packed,
     b2a,
+    b2a_sum,
     bit_extract,
     matmul_shares,
     mul_shares,
@@ -176,6 +177,31 @@ def test_b2a_bit_values():
 
     results, _ = run3(body)
     assert np.array_equal(reconstruct(results), bits)
+
+
+def test_b2a_sum_matches_weighted_numpy_sum():
+    """Random 0/1 lanes at L = 1, 2, 4, 32, with scalar weights and the
+    per-element weight arrays trunc_shares passes for array shifts: the
+    value is sum_t w_t * bit_t mod 2^64, in 2 rounds of L * n + n words."""
+    rng = np.random.default_rng(12)
+    n = 50
+    for lanes in (1, 2, 4, 32):
+        bits = rng.integers(0, 2, size=(lanes, n), dtype=np.uint64)
+        weights = [rng.integers(0, 2**64, dtype=np.uint64) if t % 2 else
+                   rng.integers(0, 2**64, size=n, dtype=np.uint64) for t in range(lanes)]
+        want = sum((w * b for w, b in zip(weights, bits)), np.zeros(n, dtype=np.uint64))
+        sb = shared_xor_input(bits, 40 + lanes)
+
+        def body(p):
+            lane_shares = [bit_extract(sb[p.pid - 1][t], 0) for t in range(lanes)]
+            with p.protocol("adhoc"):
+                out = b2a_sum(p, lane_shares, weights)
+            e = p.ledger.entry("adhoc")
+            return out, (e.rounds, e.bytes_sent)
+
+        results, _ = run3(body)
+        assert np.array_equal(reconstruct([r[0] for r in results]), want)
+        assert [r[1] for r in results] == [(2, (lanes * n + n) * 8)] * 3
 
 
 def test_trunc_matches_scalar_oracle():

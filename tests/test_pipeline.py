@@ -167,6 +167,23 @@ def test_secret_vote_one_unmet_custodian():
         assert p.opening_log == [("vote", 1)]  # nothing else opened
 
 
+@pytest.mark.parametrize("n_cust", [1, 2, 3])
+def test_secret_vote_rounds(n_cust):
+    """The vote stays boolean: one lt over the 2c bars (8 rounds), an AND
+    tree over the negated fail bits (ceil(log2 2c) rounds) and one opening."""
+    sw, sa = shared(fx.encode(np.array(1.0)), 132), shared(fx.encode(np.array(1.0)), 133)
+    st = shared(fx.encode(np.tile([[5.0, 0.0]], (n_cust, 1))), 134 + n_cust)
+
+    def body(p):
+        return secret_vote(p, sw[p.pid - 1], sa[p.pid - 1], ThresholdSet(st[p.pid - 1]), 2)
+
+    results, parties = run3(body)
+    assert results == [1, 1, 1]
+    for p in parties:
+        assert p.ledger.entry("vote").rounds == 8 + (2 * n_cust - 1).bit_length() + 1
+        assert p.opening_log == [("vote", 1)]
+
+
 def test_vacuous_thresholds_publish_first_loop(rng):
     datasets = two_datasets(rng)
     thresholds = np.array([[1000.0, 0.0], [1000.0, 0.0]])
@@ -288,7 +305,7 @@ def test_loop_lr_rounds_do_not_grow_with_folds(rng):
 
 
 # (rounds, bytes sent) per party, summed over the ledger labels
-PINNED_TINY_TRAFFIC = [(977, 1075240), (977, 1077088), (977, 1075240)]
+PINNED_TINY_TRAFFIC = [(970, 1075144), (970, 1076992), (970, 1075144)]
 
 
 def test_tiny_run_traffic_pinned(rng):

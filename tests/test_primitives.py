@@ -12,6 +12,7 @@ from silosynth import primitives
 from silosynth.circuits import bit_extract
 from silosynth.fixedpoint import FixedPointConfig
 from silosynth.primitives import (
+    and_all,
     div_fx,
     eq_zero,
     gauss01,
@@ -147,6 +148,29 @@ def test_abs_symmetry():
     pos = reconstruct([r[0] for r in results])
     neg = reconstruct([r[1] for r in results])
     assert np.array_equal(pos, neg)
+
+
+def test_and_all_matches_numpy_all():
+    """Random 0/1 rows of widths 1-7: the AND over the last axis, as 0/1
+    words, in ceil(log2 W) rounds."""
+    rng = np.random.default_rng(10)
+    # mostly ones, so rows of all ones are common
+    cases = {w: (rng.random((40, w)) < 0.8).astype(np.uint64) for w in range(1, 8)}
+    shares = {w: shared_xor(bits, 30 + w) for w, bits in cases.items()}
+
+    def body(p):
+        out = {}
+        for w, sb in shares.items():
+            p.ledger.reset()
+            with p.protocol("adhoc"):
+                out[w] = and_all(p, sb[p.pid - 1])
+            out[w] = (out[w], p.ledger.entry("adhoc").rounds)
+        return out
+
+    results, _ = run3(body)
+    for w, bits in cases.items():
+        assert np.array_equal(reconstruct_xor([r[w][0] for r in results]), bits.all(axis=1))
+        assert all(r[w][1] == (w - 1).bit_length() for r in results)
 
 
 def test_select_max_matches_numpy():

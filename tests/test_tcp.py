@@ -149,12 +149,16 @@ def test_config_mismatch_exits_4_before_data_flows(setup_files):
                 proc.kill()
 
 
-def run_refused(cfg, data_paths, thresholds, indices):
+def run_refused(cfg, data_paths, thresholds, indices, raw=None):
     """Three parties and one custodian per data file over loopback TCP, with
-    the given custodian indices; returns each process's (returncode, stderr)."""
+    the given custodian indices; returns each process's (returncode, stderr).
+    ``raw(servers)``, if given, runs on a thread as one more custodian."""
     ports = free_ports(3)
     addrs = {i + 1: f"127.0.0.1:{ports[i]}" for i in range(3)}
     procs = []
+    if raw is not None:
+        thread = threading.Thread(target=raw, args=([("127.0.0.1", p) for p in ports],), daemon=True)
+        thread.start()
     try:
         for pid in (1, 2, 3):
             peers = [f"--peer={j}={addrs[j]}" for j in (1, 2, 3) if j != pid]
@@ -175,6 +179,8 @@ def run_refused(cfg, data_paths, thresholds, indices):
         for proc in procs:
             _, err = proc.communicate(timeout=90)
             outcomes.append((proc.returncode, err.decode()))
+        if raw is not None:
+            thread.join(timeout=90)
         return outcomes
     finally:
         for proc in procs:
@@ -215,6 +221,40 @@ def test_party_refuses_custodians_that_disagree_on_gene_count(setup_files, rng):
     for code, err in run_refused(cfg, (data_paths[0], wide), (thr0, thr1), (0, 1)):
         assert code == 2, err
         assert "custodian datasets disagree on gene count: [2, 3]" in err
+
+
+@pytest.mark.parametrize("frames, message", [
+    (([8, 2], [0] * 5, [0, 0]), "custodian 1 sent frames of 2, 5 and 2 words"),
+    (([8, 2, 0], [0] * 24, [0, 0]), "custodian 1 sent frames of 3, 24 and 2 words"),
+])
+def test_party_refuses_malformed_custodian_upload(setup_files, frames, message):
+    """A custodian whose frames do not match its header (2 words, then
+    n_rows * (n_genes + 1) data and 2 threshold words) is refused as the
+    preflight refuses: every party and the honest custodian exit 2, and the
+    malformed custodian gets the message under the ingest label."""
+    from silosynth.cli import HELLO_CUSTODIAN, _connect_with_retry
+    from silosynth.runtime import LABEL_IDS, read_frame, write_frame
+
+    tmp_path, cfg, data_paths, (thr0, _, _) = setup_files
+    replies = []
+
+    def malformed(servers):
+        socks = [_connect_with_retry(addr, 30) for addr in servers]
+        for s in socks:
+            s.sendall(bytes([HELLO_CUSTODIAN, 1]))
+            for seq, words in enumerate(frames):
+                write_frame(s, LABEL_IDS["ingest"], seq, np.array(words, dtype=np.uint64))
+        socks[0].settimeout(60)
+        replies.append(read_frame(socks[0]))
+        for s in socks:
+            s.close()
+
+    for code, err in run_refused(cfg, data_paths[:1], (thr0,), (0,), raw=malformed):
+        assert code == 2, err
+        assert "input error" in err and message in err
+    (label_id, _, words), = replies
+    assert label_id == LABEL_IDS["ingest"]
+    assert message in words.astype(np.uint8).tobytes().decode()
 
 
 def test_party_error_inside_protocol_exits_3(setup_files, monkeypatch, capsys):
