@@ -137,7 +137,7 @@ def bin_with_cuts(party: Party, mats: list[ShareMatrix], cuts: ShareVector) -> l
         bins = bin_columns(party, bins, cuts, batch)
     out, start = [], 0
     for m, (k, r) in zip(mats, live):
-        binned = party.const_share(np.zeros(m.genes().shape, np.uint64))
+        binned = party.const_share(np.zeros(m.genes().shape, np.uint64)).copy()
         binned[k, r] = bins[start:start + k.size]
         start += k.size
         out.append(m.with_columns(binned))

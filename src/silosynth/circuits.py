@@ -16,9 +16,9 @@ yields the bits of x, plus the exact inter-component carries needed for
 deterministic truncation.
 
 Every XOR-to-arithmetic step is one formula, bit injection (ABY3 §5.4):
-with u = c1 ^ c2 at party 1 and c3 at parties 2 and 3, a 0/1 bit times d
-is u (1 - 2 c3) d + c3 d. ``inject`` takes a secret d, ``b2a_sum`` public
-weights (``b2a`` weight 1); both take two rounds.
+with u = c1 ^ c2 at party 1 and c3 at parties 2 and 3 (``Party.split``), a
+0/1 bit times d is u (1 - 2 c3) d + c3 d. ``inject`` takes a secret d,
+``b2a_sum`` public weights (``b2a`` weight 1); both take two rounds.
 """
 
 from __future__ import annotations
@@ -94,19 +94,8 @@ def matmul_shares(party: Party, x: ShareVector, y: ShareVector) -> ShareVector:
 
 # -- boolean layer -------------------------------------------------------------
 
-def xor_packed(x: ShareVector, y: ShareVector) -> ShareVector:
-    return ShareVector(x.a ^ y.a, x.b ^ y.b)
-
-
 def not_packed(party: Party, x: ShareVector) -> ShareVector:
-    return xor_packed(x, party.const_share(ALL_ONES))
-
-
-def shift_packed(x: ShareVector, k: int) -> ShareVector:
-    """Logical shift of every packed lane; positive k shifts left."""
-    if k >= 0:
-        return ShareVector(x.a << k, x.b << k)
-    return ShareVector(x.a >> -k, x.b >> -k)
+    return x ^ party.const_share(ALL_ONES)
 
 
 def _cross_and(x: ShareVector, y: ShareVector, out: np.ndarray):
@@ -120,7 +109,7 @@ def and_packed(party: Party, x: ShareVector, y: ShareVector) -> ShareVector:
 
 
 def or_packed(party: Party, x: ShareVector, y: ShareVector) -> ShareVector:
-    return xor_packed(xor_packed(x, y), and_packed(party, x, y))
+    return x ^ y ^ and_packed(party, x, y)
 
 
 # Sklansky prefix levels: the span w = 2^j, the upper half of every 2w-lane
@@ -152,9 +141,9 @@ def add_components(party: Party, x: ShareVector):
     8 rounds and 8 words per element.
     """
     maj = reshare_xor(party, x.a & x.b)
-    cw = shift_packed(maj, 1)
+    cw = maj << 1
     g0 = and_packed(party, x, cw)
-    p = xor_packed(x, cw)
+    p = x ^ cw
     del cw
     # G and P hold both components on a leading axis; each level runs in
     # place on them and on three scratch arrays
@@ -185,7 +174,7 @@ def add_components(party: Party, x: ShareVector):
             big_p |= tmp
     del big_p, prod, lhs, rhs, tmp
     carry = ShareVector(*big_g)
-    sum_bits = xor_packed(p, shift_packed(carry, 1))
+    sum_bits = p ^ (carry << 1)
     return sum_bits, maj, carry
 
 
@@ -202,27 +191,23 @@ def b2a_sum(party: Party, lanes: list[ShareVector], weights) -> ShareVector:
     """Arithmetic sum of ``weights[t] * lanes[t]`` for XOR-shared 0/1 lanes of one shape.
 
     Bit injection of public weights (lane components 0/1, as bit_extract
-    makes them): e = (1 - 2 c3) w is public to parties 2 and 3, so it is the
-    third component and needs no re-share. Round 1 re-shares each lane's u;
-    round 2 the summed u e terms, with c3 w added once at party 3: L + 1
-    words per output element. Temporaries stay one lane wide.
+    makes them): e = (1 - 2 c3) w is public to parties 2 and 3. Round 1
+    re-shares each lane's u; round 2 the summed u e terms, from u's additive
+    term of parties 2 and 3 (``pair_term``), and the sum of c3 w, which both
+    hold, becomes the result's third component: L + 1 words per output
+    element. Temporaries stay one lane wide.
     """
-    u = np.zeros((len(lanes),) + lanes[0].shape, dtype=np.uint64)
-    if party.pid == 1:
-        for t, lane in enumerate(lanes):
-            np.bitwise_xor(lane.a, lane.b, out=u[t])
-    u = reshare(party, u)
-    out = np.zeros(lanes[0].shape, dtype=np.uint64)
-    if party.pid != 1:
-        for t, (lane, w) in enumerate(zip(lanes, weights)):
-            # c3 and e are the third component: b at party 2 (u_2, u_3), a at party 3 (u_3, u_1)
-            w = to_u64(w)
-            c3, u_part = (lane.b, u.a[t]) if party.pid == 2 else (lane.a, u.a[t] + u.b[t])
-            cw = c3 * w
-            out += u_part * (w - (cw << ONE))
-            if party.pid == 3:
-                out += cw
-    return reshare(party, out)
+    u = np.empty((len(lanes),) + lanes[0].shape, dtype=np.uint64)
+    thirds = [None] * len(lanes)
+    for t, lane in enumerate(lanes):
+        u[t], thirds[t] = party.split(lane, xor=True)
+    u = party.pair_term(reshare(party, u))
+    out, cw_sum = np.zeros(lanes[0].shape, dtype=np.uint64), np.zeros(lanes[0].shape, dtype=np.uint64)
+    for u_t, c3, w in zip(u, thirds, map(to_u64, weights)):
+        cw = c3 * w
+        cw_sum += cw
+        out += u_t * (w - (cw << ONE))
+    return reshare(party, out) + party.const_share(cw_sum, 3)
 
 
 def b2a(party: Party, bits: ShareVector) -> ShareVector:
@@ -235,27 +220,23 @@ def inject(party: Party, bit: ShareVector, d: ShareVector, axis=None) -> ShareVe
     rounds; summed over ``axis`` when it is given.
 
     Bit injection of a secret d: e = (1 - 2 c3) d is local to parties 2 and
-    3, which hold d's components between them (d2 + d3 at party 2, d1 at
-    party 3). Round 1 re-shares u together with e; round 2 is the product
-    u e, with the c3 d terms added into its re-share. Sends |bit| + 2 |out|
-    words per party; a sum over ``axis`` runs on the local terms before
-    round 2's re-share, which then sends only the summed shape.
+    3, from d's additive term of those two parties (``pair_term``, the split
+    ``b2a_sum`` uses for u). Round 1 re-shares u together with e; round 2 is
+    the product u e, with the c3 d terms added into its re-share. Sends
+    |bit| + 2 |out| words per party; a sum over ``axis`` runs on the local
+    terms before round 2's re-share, which then sends only the summed shape.
     """
     shape = np.broadcast_shapes(bit.shape, d.shape)
-    terms = np.zeros(bit.size + int(np.prod(shape)), dtype=np.uint64)
+    terms = np.empty(bit.size + int(np.prod(shape)), dtype=np.uint64)
     u_term, e_term = terms[:bit.size].reshape(bit.shape), terms[bit.size:].reshape(shape)
-    cd = None
-    if party.pid == 1:
-        np.bitwise_xor(bit.a, bit.b, out=u_term)
-    else:
-        c3, part = (bit.b, d.a + d.b) if party.pid == 2 else (bit.a, d.b)
-        cd = c3 * part
-        np.subtract(part, cd << ONE, out=e_term)
+    u_term[...], c3 = party.split(bit, xor=True)
+    part = party.pair_term(d)
+    cd = c3 * part
+    np.subtract(part, cd << ONE, out=e_term)
     u, e = unflatten(reshare(party, terms), [bit.shape, shape])
     out = np.empty(shape, dtype=np.uint64)
     _cross(u, e, out)
-    if cd is not None:
-        out += cd
+    out += cd
     return reshare(party, out if axis is None else out.sum(axis=axis, dtype=np.uint64))
 
 
@@ -285,7 +266,7 @@ def trunc_shares(party: Party, x: ShareVector, shift) -> ShareVector:
              bit_extract(maj, 63), bit_extract(carry, 63)]
     del maj, carry
     neg_wrap = np.negative(ONE << (np.uint64(64) - sh))
-    res = ShareVector(offset.a >> sh, offset.b >> sh)
+    res = offset >> sh
     del offset
     res += b2a_sum(party, lanes, [ONE, ONE, neg_wrap, neg_wrap])
     return party.add_public(res, np.negative(ONE << (np.uint64(63) - sh)))
@@ -295,5 +276,5 @@ def trunc_shares_many(party: Party, pairs) -> list[ShareVector]:
     """Truncate several (sharing, shift) pairs in one trunc_shares schedule."""
     xs = [x for x, _ in pairs]
     shifts = np.concatenate([np.broadcast_to(to_u64(shift), x.shape).ravel() for x, shift in pairs])
-    flat = concat_shares([x.ravel() for x in xs])
+    flat = concat_shares([x.reshape(-1) for x in xs])
     return unflatten(trunc_shares(party, flat, shifts), [x.shape for x in xs])

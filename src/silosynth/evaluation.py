@@ -94,7 +94,7 @@ def _exp(party: Party, t: ShareVector) -> ShareVector:
     c = [np.uint64(fx.encode_scalar(k, f)) for k in EXP_POLY]
     floor = np.uint64(fx.encode_scalar(SOFTMAX_FLOOR, f))
     shifted = party.add_public(t, np.negative(floor))
-    t = concat_shares([t.ravel(), party.const_share(np.full(1, floor))])
+    t = concat_shares([t.reshape(-1), party.const_share(np.full(1, floor))])
     u, u2 = trunc_shares_many(party, [(t, 2), (mul_shares(party, t, t), f + 4)])
     lin = party.add_public(t.scale_by(one >> np.uint64(2)), one * one)
     del t
@@ -167,7 +167,7 @@ def lr_train(party: Party, train: ShareMatrix, epochs: int, learning_rate: float
     x = _with_bias(party, train)                           # (K, N, d+1), integer scale
     onehot = _label_onehot(party, train.labels())          # (K, N, 5), scale f
     shape = (train.folds, x.shape[2], N_CLASSES)
-    w = ShareVector(np.zeros(shape, dtype=np.uint64), np.zeros(shape, dtype=np.uint64))
+    w = party.const_share(np.zeros(shape, dtype=np.uint64))
     eta = fx.encode(learning_rate / train.rows, f)[:, None, None]
     xt = x.map(np.swapaxes, 1, 2)
     with party.protocol("lr"):

@@ -27,7 +27,7 @@ from . import fixedpoint as fx
 from .circuits import matmul_shares, mul_shares_many, trunc_shares, trunc_shares_many
 from .primitives import gauss01
 from .runtime import Party
-from .sharing import ShareMatrix, ShareVector, concat_shares
+from .sharing import ShareMatrix, ShareVector, concat_shares, stack_shares
 
 GENE_DOMAIN = 4
 LABEL_DOMAIN = 5
@@ -109,15 +109,10 @@ def _numerators(party: Party, inputs) -> list[ShareVector]:
     for (x, m), x2 in zip(inputs, squares):
         powers = [x, x2] + [next(higher) for _ in range(m - 3)]
         coeffs = fx.to_u64(np.array(_lagrange(m)[0]))                 # (m, m)
-        num = ShareVector(*(np.empty((m,) + x.shape, dtype=np.uint64) for _ in range(2)))
-        tmp = np.empty(x.shape, dtype=np.uint64)
-        for comp, parts in ((num.a, [p.a for p in powers]), (num.b, [p.b for p in powers])):
-            for b in range(m):
-                np.multiply(parts[0], coeffs[b, 1], out=comp[b])
-                for k, part in enumerate(parts[1:], start=2):
-                    comp[b] += np.multiply(part, coeffs[b, k], out=tmp)
-        num[0] = party.add_public(num[0], coeffs[0, 0])
-        out.append(num)
+        rows = [sum((p.scale_by(c) for p, c in zip(powers[1:], coeffs[b, 2:])),
+                    powers[0].scale_by(coeffs[b, 1])) for b in range(m)]
+        rows[0] = party.add_public(rows[0], coeffs[0, 0])
+        out.append(stack_shares(rows))
     return out
 
 
@@ -125,7 +120,7 @@ def indicator(party: Party, x: ShareVector, m: int) -> ShareVector:
     """The m indicator bits of x on the domain {0..m-1}, (m, ...): exactly one
     opens to 1 on the domain. Two product rounds and one exact truncation."""
     _, divisors = _lagrange(m)
-    div = np.array(divisors).reshape((m,) + (1,) * x.a.ndim)
+    div = np.array(divisors).reshape((m,) + (1,) * len(x.shape))
     return trunc_shares(party, *_odd_part_scale(_numerators(party, [(x, m)])[0], div))
 
 

@@ -26,9 +26,7 @@ from .circuits import (
     not_packed,
     or_packed,
     reshare_xor,
-    shift_packed,
     trunc_shares,
-    xor_packed,
 )
 from .runtime import Party
 from .sharing import ShareVector, concat_shares, stack_shares
@@ -58,12 +56,11 @@ def eq_zero(party: Party, x: ShareVector) -> ShareVector:
     as the third component. The 64 lanes of NOT(a ^ b) are then AND-reduced
     in 6 rounds: 7 rounds and 7 words per element.
     """
-    zero = np.zeros(x.shape, dtype=np.uint64)
-    a = reshare_xor(party, x.a + x.b if party.pid == 1 else zero.copy())
-    b = {1: (zero, zero), 2: (zero, zero - x.b), 3: (zero - x.a, zero)}[party.pid]
-    t = not_packed(party, xor_packed(a, ShareVector(*b)))
+    lead, third = party.split(x)
+    a = reshare_xor(party, lead.copy())
+    t = not_packed(party, a ^ party.const_share(np.negative(third), 3))
     for k in (32, 16, 8, 4, 2, 1):
-        t = and_packed(party, t, shift_packed(t, -k))
+        t = and_packed(party, t, t >> k)
     return bit_extract(t, 0)
 
 
@@ -106,8 +103,7 @@ def select_max(party: Party, z: ShareVector, *payloads: ShareVector) -> tuple[Sh
     pair[lo, hi] = pair[hi, lo] = np.arange(lo.size)
     others = np.array([[c for c in range(w) if c != m] for m in range(w)])
     later = others > np.arange(w)[:, None]
-    factors = xor_packed(less[..., pair[np.arange(w)[:, None], others]],
-                         party.const_share(later.astype(np.uint64)))
+    factors = less[..., pair[np.arange(w)[:, None], others]] ^ party.const_share(later.astype(np.uint64))
     picked = inject(party, and_all(party, factors), arr, axis=-1)
     return tuple(picked[i] for i in range(arr.shape[0]))
 
@@ -128,8 +124,8 @@ def reciprocal_fx(party: Party, b: ShareVector) -> ShareVector:
     sum_bits, _, _ = add_components(party, b)
     pref = sum_bits
     for k in (1, 2, 4, 8, 16, 32):
-        pref = or_packed(party, pref, shift_packed(pref, -k))
-    leading = xor_packed(pref, shift_packed(pref, -1))
+        pref = or_packed(party, pref, pref >> k)
+    leading = pref ^ (pref >> 1)
     # factor = 2^(2f-1-t) for leading bit t; bits above 2f-1 are zero by the
     # range precondition, so the weighted recomposition stays in the ring.
     factor = b2a_sum(party, [bit_extract(leading, t) for t in range(2 * f)],
@@ -254,8 +250,7 @@ def rand_uniform01(party: Party, n: int) -> ShareVector:
     """
     f = party.fp.frac_bits
     words = party.shared_random_words((n,))
-    low = ShareVector(words.a & np.uint64((1 << f) - 1), words.b & np.uint64((1 << f) - 1))
-    return b2a_sum(party, [bit_extract(low, t) for t in range(f)],
+    return b2a_sum(party, [bit_extract(words, t) for t in range(f)],
                    [np.uint64(1) << np.uint64(t) for t in range(f)])
 
 

@@ -13,6 +13,7 @@ and TCP transports are interchangeable.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import queue
@@ -176,6 +177,8 @@ def read_exact(sock: socket.socket, n: int) -> bytearray:
 
 def read_frame(sock: socket.socket):
     (length,) = struct.unpack(">I", read_exact(sock, 4))
+    if length < 10 or (length - 10) % WORD:
+        raise ProtocolAbort(f"malformed frame: length {length} is not 10 + 8k bytes")
     body = read_exact(sock, length)
     label_id, seq = struct.unpack_from(">HQ", body)
     words = np.frombuffer(body, dtype="<u8", offset=10).astype(np.uint64)
@@ -218,6 +221,11 @@ class TcpTransport(_Sequenced):
             except OSError:
                 pass
             s.close()
+
+
+# _zeros(shape): a read-only all-zero view, cached since building one costs
+# more than the small-array steps it stands in for.
+_zeros = functools.lru_cache(maxsize=1024)(functools.partial(np.broadcast_to, np.uint64(0)))
 
 
 class Party:
@@ -338,21 +346,34 @@ class Party:
         b = self.streams_b.words("shared-bits", n).reshape(shape)
         return ShareVector(a, b)
 
-    # -- local share algebra needing the party id ---------------------------
+    # -- the component layout: the one place that knows who holds which x_k --
 
-    def const_share(self, values) -> ShareVector:
-        """Deterministic replicated sharing of a public constant."""
-        v = to_u64(values)
-        return self.add_public(ShareVector(np.zeros_like(v), np.zeros_like(v)), v)
+    def const_share(self, v, k: int = 1) -> ShareVector:
+        """The sharing of public v whose component x_k is v and the other two
+        zero; the zero components are read-only views."""
+        v = to_u64(v)
+        zero = _zeros(v.shape)
+        return ShareVector(v if self.pid == k else zero, v if self.next_pid == k else zero)
 
     def add_public(self, x: ShareVector, c) -> ShareVector:
-        """x + c for a public c, placed in component x_1 (held by parties 1 and 3)."""
+        """x + const_share(c); only the parties holding x_1 (1 and 3) touch x."""
         c = to_u64(c)
+        return ShareVector(x.a + c if self.pid == 1 else x.a, x.b + c if self.next_pid == 1 else x.b)
+
+    def split(self, x: ShareVector, xor: bool = False) -> tuple[np.ndarray, np.ndarray]:
+        """x as (lead, third): x1 + x2 (x1 ^ x2 if ``xor``) at party 1 and x3
+        at parties 2 and 3, so lead + third (lead ^ third) is x. The half a
+        party does not hold is a read-only zero view."""
         if self.pid == 1:
-            return ShareVector(x.a + c, x.b)
-        if self.pid == 3:
-            return ShareVector(x.a, x.b + c)
-        return ShareVector(x.a.copy(), x.b.copy())
+            return (x.a ^ x.b if xor else x.a + x.b), _zeros(x.shape)
+        return _zeros(x.shape), (x.b if self.pid == 2 else x.a)
+
+    def pair_term(self, x: ShareVector) -> np.ndarray:
+        """x as an additive term of parties 2 and 3: x2 at party 2, x3 + x1 at
+        party 3, and a read-only zero view at party 1."""
+        if self.pid == 1:
+            return _zeros(x.shape)
+        return x.a if self.pid == 2 else x.a + x.b
 
     # -- openings ------------------------------------------------------------
 

@@ -55,6 +55,16 @@ class ShareVector:
         zero = np.uint64(0)
         return ShareVector(zero - self.a, zero - self.b)
 
+    def __xor__(self, other: "ShareVector") -> "ShareVector":
+        return ShareVector(self.a ^ other.a, self.b ^ other.b)
+
+    def __lshift__(self, k) -> "ShareVector":
+        """Logical shift of every packed word by a public int or array (local)."""
+        return ShareVector(self.a << k, self.b << k)
+
+    def __rshift__(self, k) -> "ShareVector":
+        return ShareVector(self.a >> k, self.b >> k)
+
     def scale_by(self, c) -> "ShareVector":
         """Multiply by a public ring constant (local)."""
         c = to_u64(c)
@@ -73,9 +83,6 @@ class ShareVector:
 
     def reshape(self, *shape) -> "ShareVector":
         return ShareVector(self.a.reshape(*shape), self.b.reshape(*shape))
-
-    def ravel(self) -> "ShareVector":
-        return ShareVector(self.a.ravel(), self.b.ravel())
 
     def sum(self, axis=None, keepdims=False) -> "ShareVector":
         return ShareVector(self.a.sum(axis=axis, dtype=np.uint64, keepdims=keepdims),

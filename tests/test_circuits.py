@@ -13,7 +13,6 @@ from silosynth.circuits import (
     matmul_shares,
     mul_shares,
     trunc_shares,
-    xor_packed,
 )
 from silosynth.fixedpoint import FixedPointConfig
 from silosynth.rng import CounterStream, derive_key
@@ -259,7 +258,7 @@ def test_xor_packed_local():
     x = np.array([0b1100], dtype=np.uint64)
     y = np.array([0b1010], dtype=np.uint64)
     sx, sy = shared_xor_input(x, 16), shared_xor_input(y, 17)
-    out = [xor_packed(a, b) for a, b in zip(sx, sy)]
+    out = [a ^ b for a, b in zip(sx, sy)]
     assert int(reconstruct_xor(out)[0]) == 0b0110
 
 

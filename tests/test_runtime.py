@@ -16,6 +16,7 @@ from silosynth.runtime import (
     Party,
     ProtocolAbort,
     SetupError,
+    TcpTransport,
     config_fingerprint,
     read_frame,
     setup_handshake,
@@ -266,6 +267,29 @@ def test_tcp_read_frame_reports_closed_peer():
     with pytest.raises(ProtocolAbort):
         read_frame(b)
     b.close()
+
+
+@pytest.mark.parametrize("length", [6, 10 + 12])
+def test_tcp_read_frame_rejects_malformed_length(length):
+    """A length below the 10-byte label and sequence header, or a payload
+    that is not whole words, aborts the read and names the length."""
+    a, b = socket.socketpair()
+    a.sendall(length.to_bytes(4, "big") + b"\x00" * length)
+    with pytest.raises(ProtocolAbort, match=f"length {length} "):
+        read_frame(b)
+    a.close(), b.close()
+
+
+def test_tcp_recv_aborts_at_once_on_malformed_frame():
+    a, b = socket.socketpair()
+    transport = TcpTransport(1, {2: b}, timeout=30.0)
+    a.sendall((6).to_bytes(4, "big") + b"\x00" * 6)
+    t0 = time.monotonic()
+    with pytest.raises(ProtocolAbort, match="channel from 2 broke"):
+        transport.recv(2)
+    assert time.monotonic() - t0 < 5.0
+    transport.close()
+    a.close()
 
 
 def test_nested_label_seconds_are_exclusive():

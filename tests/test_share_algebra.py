@@ -1,5 +1,5 @@
-"""Share components are written only by sharing.py, and re-shared only by
-``Party.replicate``.
+"""Share components are written only by sharing.py, re-shared only by
+``Party.replicate``, and laid out only by ``Party``.
 
 Outside sharing.py, code updates a sharing through ShareVector's own
 operations (``x[idx] = y``, ``x + y``, ...), never by assigning into one
@@ -7,6 +7,13 @@ component array, which would let the two components of a party's pair
 drift apart. A local additive term becomes a replicated sharing by one
 step, sending it to the previous party; only ``Party.replicate`` does that
 (``setup_handshake`` also sends its probe there).
+
+Which party holds which component is known to ``Party`` alone
+(``const_share``, ``add_public``, ``split``, ``pair_term``): protocol code
+reads neither the party id nor a share's components. The party id is read
+only by runtime.py, the enclave host (generator.py) and the CLI; the
+components only by sharing.py, runtime.py and the gate kernels in
+circuits.py.
 """
 
 import ast
@@ -90,3 +97,37 @@ def test_scan_finds_prev_senders(tmp_path):
         "        def inner():\n            self.transport.send(self.prev_pid, 0, z)\n"
     )
     assert prev_senders(tmp_path) == ["mod:P.h.inner", "mod:f"]
+
+
+PID_READERS = ("runtime", "generator", "cli")
+COMPONENT_READERS = ("sharing", "runtime", "circuits")
+
+
+def attribute_reads(root: Path, attrs, allowed) -> list[str]:
+    """``module:line`` of every ``<expr>.<attr>``, attr in ``attrs``, in a src/
+    module whose stem is not in ``allowed``."""
+    hits = []
+    for p in sorted((root / "src" / "silosynth").glob("*.py")):
+        if p.stem in allowed:
+            continue
+        lines = sorted(node.lineno for node in ast.walk(ast.parse(p.read_text()))
+                       if isinstance(node, ast.Attribute) and node.attr in attrs)
+        hits += [f"{p.stem}:{line}" for line in lines]
+    return hits
+
+
+def test_only_runtime_generator_and_cli_read_the_party_id():
+    assert attribute_reads(ROOT, {"pid"}, PID_READERS) == []
+
+
+def test_only_sharing_runtime_and_circuits_read_components():
+    assert attribute_reads(ROOT, {"a", "b"}, COMPONENT_READERS) == []
+
+
+def test_scan_finds_attribute_reads(tmp_path):
+    pkg = tmp_path / "src" / "silosynth"
+    pkg.mkdir(parents=True)
+    (pkg / "runtime.py").write_text("p.pid\nx.a\n")
+    (pkg / "mod.py").write_text("if party.pid == 1:\n    y = x.a + x.b\nz = f(w).b[0]\nv.ab = pid\nu.a = 3\n")
+    assert attribute_reads(tmp_path, {"pid"}, PID_READERS) == ["mod:1"]
+    assert attribute_reads(tmp_path, {"a", "b"}, COMPONENT_READERS) == ["mod:2", "mod:2", "mod:3", "mod:5"]

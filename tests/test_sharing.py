@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from conftest import reconstruct_xor, shared_xor
 
 from silosynth import fixedpoint as fx
+from silosynth.fixedpoint import FixedPointConfig
 from silosynth.rng import CounterStream, derive_key
+from silosynth.runtime import LocalRouter, LocalTransport, Party
 from silosynth.sharing import IntegrityError, ShareVector, reconstruct, share_values
 
 
@@ -66,15 +69,59 @@ def test_public_scaling_fixed_point():
     assert int(reconstruct(scaled)[0]) == fx.encode_scalar(10.0)
 
 
-def test_add_public_linearity():
-    from silosynth.fixedpoint import FixedPointConfig
-    from silosynth.runtime import LocalRouter, LocalTransport, Party
-
+def three_parties():
     router = LocalRouter()
-    parties = [Party(pid, LocalTransport(pid, router), 3, FixedPointConfig()) for pid in (1, 2, 3)]
+    return [Party(pid, LocalTransport(pid, router), 3, FixedPointConfig()) for pid in (1, 2, 3)]
+
+
+def test_add_public_linearity():
+    parties = three_parties()
     sx = share_values(np.array([100], dtype=np.uint64), fresh_stream(6))
     shifted = [p.add_public(s, np.uint64(23)) for p, s in zip(parties, sx)]
     assert int(reconstruct(shifted)[0]) == 123
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_const_share_places_v_in_component_k(k):
+    """x_k = v, held by party k (as a) and party k - 1 (as b); the third
+    party's pair is zero."""
+    v = np.array([5, 2**63, 7], dtype=np.uint64)
+    shares = [p.const_share(v, k) for p in three_parties()]
+    assert np.array_equal(reconstruct(shares), v)
+    holders = {k, (k - 2) % 3 + 1}
+    for pid, s in zip((1, 2, 3), shares):
+        held = [c for c in (s.a, s.b) if np.any(c)]
+        assert len(held) == (pid in holders)
+        assert all(np.array_equal(c, v) for c in held)
+
+
+@pytest.mark.parametrize("xor", [False, True])
+def test_split_is_lead_at_party_1_and_third_at_parties_2_and_3(xor, rng):
+    x = rng.integers(0, 2**64, size=(3, 4), dtype=np.uint64)
+    shares = shared_xor(x, 1) if xor else share_values(x, fresh_stream(7))
+    (lead, none1), (none2, third), (none3, third3) = [p.split(s, xor) for p, s in zip(three_parties(), shares)]
+    assert np.array_equal(third, third3)
+    assert np.array_equal(lead ^ third if xor else lead + third, x)
+    for zero in (none1, none2, none3):
+        assert zero.shape == x.shape and not np.any(zero) and not zero.flags.writeable
+
+
+def test_pair_term_splits_x_between_parties_2_and_3(rng):
+    x = rng.integers(0, 2**64, size=(3, 4), dtype=np.uint64)
+    t1, t2, t3 = [p.pair_term(s) for p, s in zip(three_parties(), share_values(x, fresh_stream(8)))]
+    assert np.array_equal(t2 + t3, x)
+    assert t1.shape == x.shape and not np.any(t1) and not t1.flags.writeable
+
+
+def test_xor_and_shifts_match_numpy(rng):
+    x = rng.integers(0, 2**64, size=6, dtype=np.uint64)
+    y = rng.integers(0, 2**64, size=6, dtype=np.uint64)
+    sx, sy = shared_xor(x, 2), shared_xor(y, 3)
+    assert np.array_equal(reconstruct_xor([a ^ b for a, b in zip(sx, sy)]), x ^ y)
+    shifts = np.arange(6, dtype=np.uint64) * np.uint64(11)
+    for k in (0, 1, 63, shifts):
+        assert np.array_equal(reconstruct_xor([s << k for s in sx]), x << k)
+        assert np.array_equal(reconstruct_xor([s >> k for s in sx]), x >> k)
 
 
 def test_single_view_distribution_independent_of_secret():

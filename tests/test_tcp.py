@@ -1,10 +1,12 @@
 """Transport-independence: three party processes + custodian uploads over
 localhost TCP reproduce run-local outputs byte for byte."""
 
+import contextlib
 import socket
 import subprocess
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -255,6 +257,32 @@ def test_party_refuses_malformed_custodian_upload(setup_files, frames, message):
     (label_id, _, words), = replies
     assert label_id == LABEL_IDS["ingest"]
     assert message in words.astype(np.uint8).tobytes().decode()
+
+
+def test_malformed_custodian_frame_exits_4_at_once(setup_files):
+    """A custodian frame whose length field cannot hold the label and
+    sequence header aborts its read: every party reports the malformed
+    length and exits 4, well inside the 30 s receive timeout."""
+    from silosynth.cli import HELLO_CUSTODIAN, _connect_with_retry
+
+    tmp_path, cfg, data_paths, (thr0, _, _) = setup_files
+
+    def malformed(servers):
+        socks = [_connect_with_retry(addr, 30) for addr in servers]
+        for s in socks:
+            s.sendall(bytes([HELLO_CUSTODIAN, 1]) + (6).to_bytes(4, "big") + bytes(6))
+        for s in socks:
+            s.settimeout(60)
+            with contextlib.suppress(OSError):   # end of file or reset: the party has closed
+                s.recv(1)
+            s.close()
+
+    t0 = time.monotonic()
+    outcomes = run_refused(cfg, data_paths[:1], (thr0,), (0,), raw=malformed)
+    assert time.monotonic() - t0 < 20
+    for code, err in outcomes[:3]:
+        assert code == 4, err
+        assert "custodian upload failed" in err and "malformed frame: length 6" in err
 
 
 def test_party_error_inside_protocol_exits_3(setup_files, monkeypatch, capsys):
