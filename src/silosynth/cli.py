@@ -276,6 +276,8 @@ def run_custodian(args) -> int:
         thresholds = read_thresholds(args.thresholds)
         if thresholds.shape[0] != 1:
             raise DatasetError(f"{args.thresholds}: custodian thresholds must have exactly one row")
+        if not 0 <= args.index < config.n_custodians:
+            raise ConfigError(f"custodian index {args.index} is outside 0..{config.n_custodians - 1}")
     except (ConfigError, DatasetError, FileNotFoundError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -73,6 +73,10 @@ class PipelineConfig:
             raise ValueError("max_loops must be >= 1")
         if not self.hyperparams:
             raise ValueError("hyperparams must be non-empty")
+        for key, value in (("hyperparams", min(self.hyperparams)), ("synthetic_rows", self.synthetic_rows),
+                           ("lr_epochs", self.lr_epochs)):
+            if value < 0:
+                raise ValueError(f"{key} must be >= 0")
         if self.eps_s <= 0 or not 0 < self.delta_s < 1:
             raise ValueError("synthesis privacy budget must be positive")
         if self.eps_p < 0 or not 0 <= self.delta_p < 1:

@@ -6,9 +6,9 @@ component adder from circuits.py; comparison and equality return
 XOR-shared bits: ``select`` injects such a bit directly (two rounds), and a
 caller that needs the bit as an arithmetic value converts it with ``b2a``.
 Division is a Newton-Raphson reciprocal after oblivious normalization to
-[0.5, 1); sorting runs one bitonic network per batch, zipped layer by
-layer, of secure compare-swaps, less those whose outcome the public padding
-decides and those no read output depends on.
+[0.5, 1); sorting runs one merge-exchange network per batch over its own
+rows, zipped layer by layer, of secure compare-swaps, less those no read
+output depends on.
 """
 
 from __future__ import annotations
@@ -150,94 +150,70 @@ def div_fx(party: Party, a: ShareVector, b: ShareVector) -> ShareVector:
 
 # -- oblivious sorting ---------------------------------------------------------
 
-def _bitonic_layers(m: int):
-    """Compare-swap index pairs (p, q) per layer; after each pair arr[p] <= arr[q]."""
+def _merge_exchange(n: int):
+    """Batcher's merge exchange (Knuth, TAOCP vol. 3, 5.2.2, Algorithm M) for
+    n keys: the compare-swap pairs (p, q), p < q, of each of its
+    ceil(lg n)(ceil(lg n) + 1)/2 layers; after each pair arr[p] <= arr[q]."""
+    t = max(n - 1, 0).bit_length()
+    i = np.arange(n)
     layers = []
-    size = 2
-    while size <= m:
-        stride = size // 2
-        while stride >= 1:
-            i = np.arange(m)
-            partner = i ^ stride
-            sel = partner > i
-            lo, hi = i[sel], partner[sel]
-            ascending = (lo & size) == 0
-            p = np.where(ascending, lo, hi)
-            q = np.where(ascending, hi, lo)
-            layers.append((p, q))
-            stride //= 2
-        size *= 2
+    for k in reversed(range(t)):
+        p = 1 << k
+        # the pass with q = 2^(t-1) compares i with i + p where bit k of i is
+        # clear; each later pass halves q and compares at distance 2q - p
+        # where bit k is set
+        for d, r in [(p, 0)] + [((2 << j) - p, p) for j in reversed(range(k, t - 1))]:
+            lo = i[:n - d][(i[:n - d] & p) == r]
+            layers.append((lo, lo + d))
     return layers
 
 
 def _sort_plan(rows: np.ndarray, read: np.ndarray):
     """The public schedule of ``sort_columns`` on B batches of n stored rows.
 
-    Batch b runs its own network over 2^ceil(log2 rows[b]) positions, and
-    the layers of all networks are zipped, so a shorter one finishes early.
-    Positions at or after rows[b] are padding, larger than every data row: a
-    compare-swap that touches one has a public outcome, so it only relabels
-    which position a data row sits at, and padding is never stored. A data
-    row keeps its stored row b * n + i, where every compare-swap on it
-    writes. A walk back from the stored rows that end at the positions
-    ``read`` (B, n) marks keeps only the compare-swaps those rows depend on;
-    with every data position read, that is all of them.
-
-    Returns the stored rows (p, q) of each layer's secret compare-swaps, and
-    the stored row that ends at each output position, shape (B, n).
+    Batch b runs its own network over its first rows[b] stored rows, and the
+    layers of all networks are zipped, so a shorter one finishes early. A
+    walk back from the positions ``read`` (B, n) marks keeps only the
+    compare-swaps those positions depend on; with every data position read,
+    that is all of them. Returns the stored rows (p, q) of each layer's
+    secret compare-swaps.
     """
-    (nb, n), width = read.shape, 1 << max(int(rows.max(initial=1)) - 1, 0).bit_length()
-    sizes = [1 << max(int(r) - 1, 0).bit_length() for r in rows]
-    nets = {m: _bitonic_layers(m) for m in set(sizes)}
-    pad = (np.arange(width) >= rows[:, None]).ravel()
-    where = (np.arange(nb)[:, None] * n + np.arange(width)).ravel()
-    plan = []
-    for t in range(max((len(net) for net in nets.values()), default=0)):
-        p, q = (np.concatenate([nets[m][t][j] + b * width for b, m in enumerate(sizes) if t < len(nets[m])])
-                for j in (0, 1))
-        # padding at p is the larger of its pair and trades places with q
-        move = pad[p] & ~pad[q]
-        pm, qm = p[move], q[move]
-        where[pm], where[qm] = where[qm], where[pm]
-        pad[pm], pad[qm] = False, True
-        live = ~(pad[p] | pad[q])
-        plan.append((where[p[live]], where[q[live]]))
-    data = np.arange(n) < rows[:, None]
-    out = np.arange(nb * n).reshape(nb, n)
-    b, i = np.nonzero(data)
-    out[b, i] = where[b * width + i]
-    need = np.zeros(nb * n, dtype=bool)
-    need[out[read & data]] = True
+    n = read.shape[1]
+    nets = {r: _merge_exchange(r) for r in set(rows.tolist())}
+    plan = [tuple(np.concatenate([nets[r][t][j] + b * n for b, r in enumerate(rows) if t < len(nets[r])])
+                  for j in (0, 1))
+            for t in range(max(map(len, nets.values()), default=0))]
+    need = read.ravel().copy()
     for t in reversed(range(len(plan))):
         p, q = plan[t]
         keep = need[p] | need[q]
         need[p[keep]] = need[q[keep]] = True
         plan[t] = (p[keep], q[keep])
-    return [pq for pq in plan if pq[0].size], out
+    return [pq for pq in plan if pq[0].size]
 
 
 def sort_columns(party: Party, matrix: ShareVector, rows=None, read=None) -> ShareVector:
     """Sort each column of (..., N, d) shares along axis -2 in one batched schedule.
 
     ``rows`` (shaped like the leading axes) counts the data rows of each
-    batch; the first rows[k] outputs of batch k are its sorted data, the
-    rest are unspecified. With ``read`` (..., N), a public mask of the
-    outputs the caller reads, only those are sorted values. Every layer of
-    the public plan (``_sort_plan``) is one gather of all batches' secret
-    pairs, one ``lt``, one ``select`` and one scatter: the rounds are those
-    of the deepest batch's network, the bytes those of separate sorts.
+    batch; the first rows[k] outputs of batch k are its sorted data, and its
+    rows past rows[k] are left as they are. With ``read`` (..., N), a public
+    mask of the outputs the caller reads, only those are sorted values.
+    Every layer of the public plan (``_sort_plan``) is one gather of all
+    batches' secret pairs, one ``lt``, one ``select`` and one scatter: the
+    rounds are those of the deepest batch's network, the bytes those of
+    separate sorts.
     """
     lead, (n, d) = matrix.shape[:-2], matrix.shape[-2:]
     rows = np.broadcast_to(n if rows is None else rows, lead).ravel()
     read = np.arange(n) < rows[:, None] if read is None else np.broadcast_to(read, lead + (n,))
-    plan, out = _sort_plan(rows, read.reshape(rows.size, n))
     arr = matrix.reshape(-1, d).copy()
-    for p, q in plan:
+    for p, q in _sort_plan(rows, read.reshape(rows.size, n)):
         xp, xq = arr[p], arr[q]
         low = select(party, lt(party, xq, xp), xp, xq)
         arr[p] = low
         arr[q] = xp + xq - low
-    return arr[out].reshape(*matrix.shape)
+    return arr.reshape(*matrix.shape)
 
 
 # -- shared randomness -----------------------------------------------------------

@@ -165,6 +165,15 @@ def test_run_local_refuses_frac_bits_above_lr_bound(workdir, capsys):
     assert "frac_bits must be in [8, 20]" in capsys.readouterr().err
 
 
+def test_run_local_refuses_negative_synthetic_rows(workdir, capsys):
+    """Refused before the tuning loop, where it once aborted in sdg with exit 3."""
+    workdir["config"].write_text(CONFIG + "synthetic_rows = -5\n")
+    code = main(run_local_args(workdir))
+    assert code == 2
+    assert "synthetic_rows must be >= 0" in capsys.readouterr().err
+    assert not workdir["out"].exists()
+
+
 def test_run_local_deterministic_output_bytes(workdir):
     code = main(run_local_args(workdir))
     assert code == 0
@@ -182,5 +191,10 @@ def test_config_parse_errors(tmp_path):
         parse_config("unknown_key = 5")
     with pytest.raises(ValueError):
         parse_config("k_folds = 1")
+    for line, key in (("synthetic_rows = -5", "synthetic_rows"), ("lr_epochs = -1", "lr_epochs"),
+                      ("hyperparams = 0, -4", "hyperparams")):
+        with pytest.raises(ConfigError, match=f"{key} must be >= 0"):
+            parse_config(line)
+    assert parse_config("hyperparams = 0\nlr_epochs = 0\nsynthetic_rows = 0").hyperparams == (0,)
     cfg = parse_config(CONFIG)
     assert cfg.k_folds == 2 and cfg.hyperparams == (10, 15)

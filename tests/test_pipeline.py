@@ -305,7 +305,7 @@ def test_loop_lr_rounds_do_not_grow_with_folds(rng):
 
 
 # (rounds, bytes sent) per party, summed over the ledger labels
-PINNED_TINY_TRAFFIC = [(970, 1075144), (970, 1076992), (970, 1075144)]
+PINNED_TINY_TRAFFIC = [(970, 1057984), (970, 1059832), (970, 1057984)]
 
 
 def test_tiny_run_traffic_pinned(rng):
@@ -337,8 +337,8 @@ def spy_sorts(monkeypatch):
 
 def test_first_pass_publish_sorts_once(rng, monkeypatch):
     """A run that publishes on loop 1 sorts once: the two 12-row training
-    folds (16-position networks, 10 layers) beside the full 24 rows (32
-    positions, 15 layers), so the sort label is 10 x 15 rounds."""
+    folds (10 layers each) beside the full 24 rows (15 layers), so the sort
+    label is 10 x 15 rounds."""
     calls = spy_sorts(monkeypatch)
     datasets = two_datasets(rng, n_each=12)
     thresholds = np.array([[1000.0, 0.0], [1000.0, 0.0]])

@@ -334,7 +334,8 @@ def test_sort_random_multiset_and_fixedpoint():
 
 def test_sort_prunes_padding_and_matches_numpy():
     """Row counts that are not powers of two, unequal per fold, with ties:
-    every fold's first rows[k] outputs are its sorted data rows."""
+    every fold's first rows[k] outputs are its sorted data rows, and its
+    rows past rows[k] come back unchanged."""
     rng = np.random.default_rng(13)
     rows = np.array([5, 11, 7])
     vals = fx.encode(rng.integers(-2, 3, size=(3, 11, 2)).astype(float))
@@ -347,12 +348,12 @@ def test_sort_prunes_padding_and_matches_numpy():
     got = fx.signed(reconstruct(results))
     for k, r in enumerate(rows):
         assert np.array_equal(got[k, :r], np.sort(fx.signed(vals[k, :r]), axis=0))
+        assert np.array_equal(got[k, r:], fx.signed(vals[k, r:]))   # rows past rows[k] left as they are
 
 
 def test_sort_bytes_pinned():
-    """(1, 100, 1) pads to 128: 1,334 of the network's 1,792 compare-swaps
-    touch no padding and are secret, each one lt (8 words) and one select
-    (3 words); 28 layers of 8 + 2 rounds."""
+    """(1, 100, 1): the 100-key merge exchange makes 1,077 compare-swaps,
+    each one lt (8 words) and one select (3 words); 28 layers of 8 + 2 rounds."""
     vals = fx.encode(np.random.default_rng(14).uniform(-50, 50, size=(1, 100, 1)))
     sv = shared(vals, 54)
 
@@ -364,14 +365,14 @@ def test_sort_bytes_pinned():
     assert np.array_equal(fx.signed(reconstruct(results)), np.sort(fx.signed(vals), axis=1))
     for p in parties:
         e = p.ledger.entry("adhoc")
-        assert (e.rounds, e.bytes_sent) == (280, 1334 * 11 * 8)
+        assert (e.rounds, e.bytes_sent) == (280, 1077 * 11 * 8)
 
 
 def test_sort_uneven_batches_one_call():
     """Batches of 2, 5, 100 and 200 rows in a (4, 200, 1) call: each runs its
     own network (1, 6, 28 and 36 layers), zipped, so the call takes the
     deepest one's 36 layers of 10 rounds and the bytes of the four separate
-    sorts: 1 + 11 + 1,334 + 3,468 = 4,814 compare-swaps of 11 words."""
+    sorts: 1 + 9 + 1,077 + 2,827 = 3,914 compare-swaps of 11 words."""
     rng = np.random.default_rng(15)
     rows = np.array([2, 5, 100, 200])
     vals = fx.encode(rng.uniform(-50, 50, size=(4, 200, 1)))
@@ -392,12 +393,12 @@ def test_sort_uneven_batches_one_call():
     for p in parties:
         together, separate = p.ledger.entry("adhoc"), p.ledger.entry("sort")
         assert together.rounds == 10 * 36
-        assert together.bytes_sent == separate.bytes_sent == 4814 * 11 * 8
+        assert together.bytes_sent == separate.bytes_sent == 3914 * 11 * 8
 
 
 def test_sort_cone_sorts_read_positions():
-    """With the quantile positions of 100 rows as ``read``, only the 1,184
-    compare-swaps those positions depend on are secret (1,334 in the full
+    """With the quantile positions of 100 rows as ``read``, only the 945
+    compare-swaps those positions depend on are secret (1,077 in the full
     sort), the depth stays 28 layers, and every read position of a random
     and a tied column equals numpy's sort."""
     from silosynth.binning import quantile_positions
@@ -420,13 +421,62 @@ def test_sort_cone_sorts_read_positions():
     assert np.array_equal(got[read[0]], want[read[0]])
     for p in parties:
         e = p.ledger.entry("adhoc")
-        assert (e.rounds, e.bytes_sent) == (280, 1184 * 2 * 11 * 8)
+        assert (e.rounds, e.bytes_sent) == (280, 945 * 2 * 11 * 8)
+
+
+def clear_network(layers, x):
+    """Run compare-swap layers in the clear along axis 0: the minimum goes to p."""
+    x = x.copy()
+    for p, q in layers:
+        x[p], x[q] = np.minimum(x[p], x[q]), np.maximum(x[p], x[q])
+    return x
+
+
+def test_merge_exchange_sorts_every_01_input():
+    """The 0-1 principle: a comparator network that sorts every 0/1 input of
+    n keys sorts every input of n keys."""
+    for n in range(1, 13):
+        bits = (np.arange(1 << n)[None, :] >> np.arange(n)[:, None]) & 1
+        assert np.array_equal(clear_network(primitives._merge_exchange(n), bits), np.sort(bits, axis=0))
+
+
+def test_merge_exchange_shape_and_random_ties():
+    """For every n in [1, 300]: ceil(lg n)(ceil(lg n) + 1)/2 layers, pairs
+    with p < q and no key twice in a layer, and random columns with ties
+    come out sorted."""
+    rng = np.random.default_rng(17)
+    for n in range(1, 301):
+        layers = primitives._merge_exchange(n)
+        t = (n - 1).bit_length()
+        assert len(layers) == t * (t + 1) // 2
+        for p, q in layers:
+            assert np.all(p < q) and np.unique(np.concatenate([p, q])).size == 2 * p.size
+        x = rng.integers(-3, 4, size=(n, 3))
+        assert np.array_equal(clear_network(layers, x), np.sort(x, axis=0))
+
+
+def test_sort_cone_never_deeper_than_full_plan():
+    """The walk back from the quantile positions keeps a subset of each
+    layer, so the cone plan is never deeper than the full one, and it
+    leaves those positions as the full plan sorts them."""
+    from silosynth.binning import quantile_positions
+
+    rng = np.random.default_rng(18)
+    for n in (2, 3, 7, 24, 100, 129, 300):
+        rows = np.array([n])
+        i, frac = quantile_positions([n])
+        read = np.zeros((1, n), dtype=bool)
+        read[0, np.concatenate([i, i + (frac != 0)], axis=1)[0]] = True
+        full, cone = primitives._sort_plan(rows, np.ones((1, n), dtype=bool)), primitives._sort_plan(rows, read)
+        assert len(cone) <= len(full)
+        x = rng.integers(-3, 4, size=(n, 2))
+        assert np.array_equal(clear_network(cone, x)[read[0]], np.sort(x, axis=0)[read[0]])
 
 
 @pytest.mark.parametrize("frac_bits", [8, 20])
 def test_sort_sentinel_above_every_encodable_input(frac_bits):
-    """Padding never enters a comparison, so the largest encodable values
-    (and 2^33 at f = 8) sort correctly next to it."""
+    """The sort needs no sentinel: rows past rows[k] never enter a comparison,
+    so the largest encodable values (and 2^33 at f = 8) sort correctly."""
     big = 2.0 ** (62 - 2 * frac_bits) - 1.0
     vals = fx.encode(np.array([5.0, big, -1.0, -big, min(2.0**33, big)]), frac_bits)
     fp = FixedPointConfig(frac_bits)

@@ -201,17 +201,63 @@ def test_party_refuses_folds_without_test_rows(setup_files):
         assert "at least 1 test row" in err
 
 
+def raw_custodian(index, frames, replies):
+    """A custodian that bypasses the CLI's checks: it sends ``index`` and the
+    ``frames`` to every server and keeps the first server's reply in ``replies``."""
+    from silosynth.cli import HELLO_CUSTODIAN, _connect_with_retry
+    from silosynth.runtime import LABEL_IDS, read_frame, write_frame
+
+    def upload(servers):
+        socks = [_connect_with_retry(addr, 30) for addr in servers]
+        for s in socks:
+            s.sendall(bytes([HELLO_CUSTODIAN, index]))
+            for seq, words in enumerate(frames):
+                write_frame(s, LABEL_IDS["ingest"], seq, np.array(words, dtype=np.uint64))
+        socks[0].settimeout(60)
+        replies.append(read_frame(socks[0]))
+        for s in socks:
+            s.close()
+    return upload
+
+
+def assert_refused_with(outcomes, replies, message):
+    """Every process exits 2 naming ``message``, and the raw custodian got it under the ingest label."""
+    from silosynth.runtime import LABEL_IDS
+
+    for code, err in outcomes:
+        assert code == 2, err
+        assert "input error" in err and message in err
+    (label_id, _, words), = replies
+    assert label_id == LABEL_IDS["ingest"]
+    assert message in words.astype(np.uint8).tobytes().decode()
+
+
 @pytest.mark.parametrize("indices, message", [
     ((0, 0), "custodian index 0 was claimed by two custodians"),
     ((1, 2), "custodian index 2 is outside 0..1"),
 ])
 def test_party_refuses_bad_custodian_indices(setup_files, indices, message):
     """A repeated or out-of-range custodian index: every party and every
-    custodian exits 2 and names the index."""
-    tmp_path, cfg, data_paths, (thr0, thr1, _) = setup_files
-    for code, err in run_refused(cfg, data_paths, (thr0, thr1), indices):
-        assert code == 2, err
-        assert message in err
+    custodian exits 2 and names the index. The custodian CLI refuses an
+    out-of-range index before it connects, so the second index comes from a
+    raw upload."""
+    tmp_path, cfg, data_paths, (thr0, _, _) = setup_files
+    replies = []
+    raw = raw_custodian(indices[1], ([8, 2], [0] * 24, [0, 0]), replies)
+    assert_refused_with(run_refused(cfg, data_paths[:1], (thr0,), indices[:1], raw=raw), replies, message)
+
+
+@pytest.mark.parametrize("index", [2, 300, -1])
+def test_custodian_refuses_out_of_range_index_before_connecting(setup_files, index, capsys):
+    """An index outside 0..n_custodians-1 exits 2 at once, naming the index,
+    though no server listens at the given addresses."""
+    tmp_path, cfg, data_paths, (thr0, _, _) = setup_files
+    servers = ",".join(f"127.0.0.1:{port}" for port in free_ports(3))
+    t0 = time.monotonic()
+    code = main(["custodian", "--data", str(data_paths[0]), "--thresholds", str(thr0), "--servers", servers,
+                 "--config", str(cfg), f"--index={index}", "--timeout", "30"])
+    assert code == 2 and time.monotonic() - t0 < 5
+    assert f"custodian index {index} is outside 0..1" in capsys.readouterr().err
 
 
 def test_party_refuses_custodians_that_disagree_on_gene_count(setup_files, rng):
@@ -234,29 +280,10 @@ def test_party_refuses_malformed_custodian_upload(setup_files, frames, message):
     n_rows * (n_genes + 1) data and 2 threshold words) is refused as the
     preflight refuses: every party and the honest custodian exit 2, and the
     malformed custodian gets the message under the ingest label."""
-    from silosynth.cli import HELLO_CUSTODIAN, _connect_with_retry
-    from silosynth.runtime import LABEL_IDS, read_frame, write_frame
-
     tmp_path, cfg, data_paths, (thr0, _, _) = setup_files
     replies = []
-
-    def malformed(servers):
-        socks = [_connect_with_retry(addr, 30) for addr in servers]
-        for s in socks:
-            s.sendall(bytes([HELLO_CUSTODIAN, 1]))
-            for seq, words in enumerate(frames):
-                write_frame(s, LABEL_IDS["ingest"], seq, np.array(words, dtype=np.uint64))
-        socks[0].settimeout(60)
-        replies.append(read_frame(socks[0]))
-        for s in socks:
-            s.close()
-
-    for code, err in run_refused(cfg, data_paths[:1], (thr0,), (0,), raw=malformed):
-        assert code == 2, err
-        assert "input error" in err and message in err
-    (label_id, _, words), = replies
-    assert label_id == LABEL_IDS["ingest"]
-    assert message in words.astype(np.uint8).tobytes().decode()
+    raw = raw_custodian(1, frames, replies)
+    assert_refused_with(run_refused(cfg, data_paths[:1], (thr0,), (0,), raw=raw), replies, message)
 
 
 def test_malformed_custodian_frame_exits_4_at_once(setup_files):
