@@ -13,6 +13,7 @@ Exit codes: 0 success (publish or clean no-publish), 2 input error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import socket
 import sys
 import time
@@ -24,8 +25,8 @@ from . import fixedpoint as fx
 from .config import ConfigError, canonical_text, load_config
 from .datafile import DatasetError, read_dataset, read_thresholds, write_dataset
 from .fixedpoint import FixedPointConfig
-from .ingest import custodian_components, ingest_all
-from .pipeline import IngestionError, PipelineConfig, RunResult, ThresholdSet, preflight, run_pipeline
+from .ingest import IngestionError, custodian_components, ingest_all
+from .pipeline import PipelineConfig, RunResult, ThresholdSet, preflight, run_pipeline
 from .report import render_report
 from .runtime import (
     LABEL_IDS,
@@ -55,18 +56,8 @@ def _decode_synthetic(cells: np.ndarray, n_genes: int, frac_bits: int):
     return genes, labels
 
 
-def _load_config(args) -> PipelineConfig:
-    """The config file with the --seed and (run-local only) --mode overrides."""
-    config = load_config(args.config)
-    if args.seed is not None:
-        config.seed = args.seed
-    if getattr(args, "mode", None) is not None:
-        config.mode = args.mode
-    return config
-
-
 def _load_inputs(args):
-    config = _load_config(args)
+    config = load_config(args.config)
     datasets = [read_dataset(p) for p in args.data]
     thresholds = read_thresholds(args.thresholds)
     if len(datasets) != thresholds.shape[0]:
@@ -95,8 +86,8 @@ def run_local(args) -> int:
         setup_handshake(party, fingerprint)
         data_comps = [u[0][party.pid - 1] for u in uploads]
         thr_comps = [u[1][party.pid - 1] for u in uploads]
-        matrices, thr = ingest_all(party, data_comps, thr_comps, n_genes)
-        return run_pipeline(party, matrices, ThresholdSet(thr), config)
+        combined, thr = ingest_all(party, data_comps, thr_comps, n_genes)
+        return run_pipeline(party, combined, ThresholdSet(thr), config)
 
     try:
         results, _ = run_parties(body, config.seed, FixedPointConfig(config.frac_bits))
@@ -119,6 +110,8 @@ def run_local(args) -> int:
 
 def _parse_hostport(text: str):
     host, _, port = text.rpartition(":")
+    if not port.isdigit() or int(port) > 65535:
+        raise ConfigError(f"address {text!r} is not host:port with a port in 0..65535")
     return host or "127.0.0.1", int(port)
 
 
@@ -153,39 +146,51 @@ def _send_custodians(custodian_socks, frames):
 
 
 def run_party(args) -> int:
+    pid = args.id
     try:
-        config = _load_config(args)
+        config = load_config(args.config)
+        listen = _parse_hostport(args.listen)
+        peers = {}
+        for spec in args.peer or []:
+            peer_id, _, addr = spec.partition("=")
+            if not peer_id.isdigit():
+                raise ConfigError(f"peer {spec!r} is not id=host:port")
+            peers[int(peer_id)] = _parse_hostport(addr)
     except (ConfigError, FileNotFoundError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    pid = args.id
-    peers = {}
-    for spec in args.peer or []:
-        peer_id, _, addr = spec.partition("=")
-        peers[int(peer_id)] = _parse_hostport(addr)
     if set(peers) != {p for p in (1, 2, 3) if p != pid}:
         print("party needs --peer entries for both other parties", file=sys.stderr)
         return EXIT_INPUT
+    try:
+        listener = socket.create_server(listen, backlog=8)
+    except OSError as exc:
+        print(f"connectivity failure: {exc}", file=sys.stderr)
+        return EXIT_CONNECT
+    # every return path closes the listener and every connection
+    with listener, contextlib.ExitStack() as conns:
+        listener.settimeout(args.timeout)
+        return _serve_party(args, config, peers, listener, conns)
 
-    listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-    listener.bind(_parse_hostport(args.listen))
-    listener.listen(8)
-    listener.settimeout(args.timeout)
 
+def _serve_party(args, config: PipelineConfig, peers, listener: socket.socket,
+                 conns: contextlib.ExitStack) -> int:
+    pid = args.id
     peer_socks: dict[int, socket.socket] = {}
     custodian_socks: list[tuple[int, socket.socket]] = []   # (claimed index, socket)
 
     def accept_until(need_peers: set[int], need_custodians: int):
         while (need_peers - set(peer_socks)) or len(custodian_socks) < need_custodians:
-            conn, _ = listener.accept()
+            conn = conns.enter_context(listener.accept()[0])
             conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            conn.settimeout(args.timeout)   # a silent connection must not stall the party
             hello = conn.recv(2)
             if len(hello) < 2:
                 conn.close()
                 continue
             kind, idx = hello[0], hello[1]
             if kind == HELLO_PARTY and idx in need_peers:
+                conn.settimeout(None)   # the transport's reader threads block by design
                 peer_socks[idx] = conn
             elif kind == HELLO_CUSTODIAN:
                 custodian_socks.append((idx, conn))
@@ -195,7 +200,7 @@ def run_party(args) -> int:
     try:
         # lower-id parties listen for higher ids; custodians connect to everyone
         for low in (j for j in peers if j < pid):
-            s = _connect_with_retry(peers[low], args.timeout)
+            s = conns.enter_context(_connect_with_retry(peers[low], args.timeout))
             s.sendall(bytes([HELLO_PARTY, pid]))
             peer_socks[low] = s
         accept_until({j for j in peers if j > pid}, 0)
@@ -206,6 +211,7 @@ def run_party(args) -> int:
     # handshake before any custodian data is read: a config mismatch aborts
     # the session before shares flow
     transport = TcpTransport(pid, peer_socks, timeout=args.timeout)
+    conns.callback(transport.close)
     party = Party(pid, transport, config.seed, FixedPointConfig(config.frac_bits))
     fingerprint = config_fingerprint(canonical_text(config))
     try:
@@ -245,8 +251,8 @@ def run_party(args) -> int:
     try:
         data_comps = [uploads[i][1].reshape(-1, n_genes + 1) for i in sorted(uploads)]
         thr_comps = [uploads[i][2] for i in sorted(uploads)]
-        matrices, thr = ingest_all(party, data_comps, thr_comps, n_genes)
-        result = run_pipeline(party, matrices, ThresholdSet(thr), config)
+        combined, thr = ingest_all(party, data_comps, thr_comps, n_genes)
+        result = run_pipeline(party, combined, ThresholdSet(thr), config)
     except Exception as exc:   # any error inside the protocol aborts it
         if not isinstance(exc, ProtocolAbort):
             traceback.print_exc()
@@ -271,19 +277,18 @@ def run_party(args) -> int:
 
 def run_custodian(args) -> int:
     try:
-        config = _load_config(args)
+        config = load_config(args.config)
         genes, labels = read_dataset(args.data)
         thresholds = read_thresholds(args.thresholds)
         if thresholds.shape[0] != 1:
             raise DatasetError(f"{args.thresholds}: custodian thresholds must have exactly one row")
         if not 0 <= args.index < config.n_custodians:
             raise ConfigError(f"custodian index {args.index} is outside 0..{config.n_custodians - 1}")
+        servers = [_parse_hostport(s) for s in args.servers.split(",")]
+        if len(servers) != 3:
+            raise ConfigError("need exactly 3 server addresses")
     except (ConfigError, DatasetError, FileNotFoundError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    servers = [_parse_hostport(s) for s in args.servers.split(",")]
-    if len(servers) != 3:
-        print("need exactly 3 server addresses", file=sys.stderr)
         return EXIT_INPUT
     comp_data, comp_thr = custodian_components(
         genes, labels, thresholds[0], config.frac_bits, config.seed, args.index)
@@ -336,8 +341,6 @@ def main(argv=None) -> int:
                          help="threshold rows, one per custodian")
     p_local.add_argument("--out", help="synthetic dataset output path")
     p_local.add_argument("--report", help="run report output path")
-    p_local.add_argument("--seed", type=int)
-    p_local.add_argument("--mode", choices=["first-pass", "exhaustive"])
     p_local.set_defaults(func=run_local)
 
     p_party = sub.add_parser("party", help="one MPC server over TCP")
@@ -347,7 +350,6 @@ def main(argv=None) -> int:
                          help="peer address as id=host:port (twice)")
     p_party.add_argument("--config", required=True)
     p_party.add_argument("--report")
-    p_party.add_argument("--seed", type=int)
     p_party.add_argument("--timeout", type=float, default=60.0)
     p_party.set_defaults(func=run_party)
 
@@ -358,7 +360,6 @@ def main(argv=None) -> int:
     p_cust.add_argument("--config", required=True)
     p_cust.add_argument("--index", type=int, default=0)
     p_cust.add_argument("--out")
-    p_cust.add_argument("--seed", type=int)
     p_cust.add_argument("--timeout", type=float, default=60.0)
     p_cust.set_defaults(func=run_custodian)
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import fixedpoint as fx
 from .circuits import b2a, matmul_shares, mul_shares, mul_shares_many, trunc_shares, trunc_shares_many
-from .marginals import LABEL_DOMAIN, MarginalSet, flatten_marginals, indicator, marginal_counts, measurement_count
+from .marginals import LABEL_DOMAIN, indicator, marginal_counts, measurement_count
 from .primitives import div_fx, eq_zero, is_negative, mul_fx, select, select_max
 from .runtime import Party
 from .sharing import ShareMatrix, ShareVector, concat_shares
@@ -56,13 +56,14 @@ class MetricPair:
     accuracy: ShareVector
 
 
-def wle(party: Party, real: MarginalSet, real_rows, synth: ShareMatrix) -> ShareVector:
+def wle(party: Party, real: ShareVector, real_rows, synth: ShareMatrix) -> ShareVector:
     """Normalized workload error per fold, (K,), between the exact marginal
-    counts ``real`` of datasets with ``real_rows`` rows and a binned batch."""
+    counts ``real`` (K, 24d+5) of datasets with ``real_rows`` rows and a
+    binned batch."""
     with party.protocol("wle"):
         f = party.fp.frac_bits
-        mu_synth = flatten_marginals(marginal_counts(party, synth))
-        diff = (flatten_marginals(real).scale_by(fx.encode(1.0 / real_rows, f)[:, None])
+        mu_synth = marginal_counts(party, synth)
+        diff = (real.scale_by(fx.encode(1.0 / real_rows, f)[:, None])
                 - mu_synth.scale_by(fx.encode(1.0 / synth.rows, f)[:, None]))
         total = select(party, is_negative(party, diff), diff, -diff).sum(axis=1)
         inv_count = fx.encode_scalar(1.0 / measurement_count(synth.n_genes), f)
@@ -196,7 +197,7 @@ def lr_accuracy(party: Party, weights: ShareVector, test: ShareMatrix) -> ShareV
 
 
 def evaluate(party: Party, synth_train: ShareMatrix, real_test: ShareMatrix,
-             real_counts: MarginalSet, real_rows, epochs: int, learning_rate: float) -> MetricPair:
+             real_counts: ShareVector, real_rows, epochs: int, learning_rate: float) -> MetricPair:
     """Fidelity (workload error vs the real training rows' exact marginal
     counts) and utility (train on synthetic, test on held-out real rows), per
     fold; both metrics stay secret-shared."""

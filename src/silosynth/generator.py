@@ -6,7 +6,9 @@ marginal (negatives clipped) and iteratively proportionally fitted to the
 1-way gene and label targets; rows are sampled as y ~ p(y) followed by
 g_i ~ p(g_i | y) independently per gene. Inside the secure pipeline the
 marginals are revealed to a generator enclave co-located with party 1 only,
-and the sampled rows are re-shared before any downstream use: they are party
+as the one (K, 24d+5) sharing the measurement produces (the enclave alone
+splits the opened cells into the gene, label and two-way blocks), and the
+sampled rows are re-shared before any downstream use: they are party
 1's additive term, parties 2 and 3 contribute zeros, and one masked
 ``circuits.reshare`` round replicates them. All folds of a tuning loop share
 one reveal and one re-share.
@@ -18,10 +20,10 @@ import numpy as np
 
 from . import fixedpoint as fx
 from .circuits import reshare
-from .marginals import GENE_DOMAIN, LABEL_DOMAIN, MarginalSet, flatten_marginals, unflatten_marginals
+from .marginals import GENE_DOMAIN, LABEL_DOMAIN, split_marginals
 from .rng import CounterStream, derive_key
 from .runtime import Party
-from .sharing import ShareMatrix
+from .sharing import ShareMatrix, ShareVector
 
 
 def _normalized(vec: np.ndarray) -> np.ndarray:
@@ -96,27 +98,26 @@ def generator_rng(master_seed: int, context: tuple[int, ...]) -> np.random.Gener
     return CounterStream(derive_key(master_seed, "generator", *context)).generator_at()
 
 
-def generate_bridge(party: Party, ms: MarginalSet, rows, iterations: int,
+def generate_bridge(party: Party, ms: ShareVector, rows, iterations: int,
                     master_seed: int, contexts: list[tuple[int, ...]]) -> ShareMatrix:
     """Reveal every fold's noisy marginals to the party-1 enclave, generate, re-share.
 
-    Fold k gets rows[k] rows from the generator stream of contexts[k], padded
-    with all-zero rows to the longest fold; one reveal and one re-share
-    round serve all folds.
+    ``ms`` holds the (K, 24d+5) noisy marginal cells. Fold k gets rows[k]
+    rows from the generator stream of contexts[k], padded with all-zero rows
+    to the longest fold; one reveal and one re-share round serve all folds.
     """
-    k, d = ms.gene.shape[:2]
+    k, d = split_marginals(ms)[0].shape[:2]
     rows = np.asarray(rows, dtype=np.int64)
     shape = (k, int(rows.max()), d + 1)
     f = party.fp.frac_bits
     with party.protocol("sdg"):
-        opened = party.reveal_to(flatten_marginals(ms), 1, "noisy-marginals")
+        opened = party.reveal_to(ms, 1, "noisy-marginals")
         cells = np.zeros(shape, dtype=np.uint64)
         if party.pid == 1:
-            vals = unflatten_marginals(fx.decode(opened, f), d)
+            gene, label, two_way = split_marginals(fx.decode(opened, f))
             for j in range(k):
                 rng = generator_rng(master_seed, contexts[j])
-                synth = generate_synthetic(vals.gene[j], vals.label[j], vals.gene_label[j],
-                                           int(rows[j]), iterations, rng)
+                synth = generate_synthetic(gene[j], label[j], two_way[j], int(rows[j]), iterations, rng)
                 cells[j, : rows[j]] = fx.to_u64(synth)
         shares = reshare(party, cells)
     return ShareMatrix(shares, d, rows)

@@ -4,8 +4,9 @@ A custodian splits every cell into three additive components and submits
 one component stream per server. Each server's component is its local
 additive term, so one ``Party.replicate`` round gives party i the
 replicated pair (x_i, x_{i+1}); the components are already uniformly
-random, so they need no zero-sharing mask. Thresholds ride along the same
-way.
+random, so they need no zero-sharing mask. One round serves every
+custodian's rows and thresholds, and the rows come out stacked in upload
+order as the combined dataset the pipeline reads.
 """
 
 from __future__ import annotations
@@ -15,7 +16,11 @@ import numpy as np
 from . import fixedpoint as fx
 from .rng import CounterStream, derive_key
 from .runtime import Party
-from .sharing import ShareMatrix, stack_shares
+from .sharing import ShareMatrix
+
+
+class IngestionError(ValueError):
+    pass
 
 
 def custodian_components(genes: np.ndarray, labels: np.ndarray,
@@ -37,9 +42,14 @@ def custodian_components(genes: np.ndarray, labels: np.ndarray,
 
 def ingest_all(party: Party, data_components: list[np.ndarray],
                thr_components: list[np.ndarray], n_genes: int):
-    """Replicate every custodian's uploaded components; returns matrices (each a
-    batch of one) and thresholds."""
+    """Replicate every custodian's uploaded components in one round; returns
+    the combined matrix (a batch of one, rows stacked in upload order) and
+    the thresholds, (C, 2)."""
+    widths = {c.shape[1] - 1 for c in data_components} | {n_genes}
+    if len(widths) != 1:
+        raise IngestionError(f"custodian schemas disagree on gene count: {sorted(widths)}")
+    data, thr = np.concatenate(data_components), np.stack(thr_components)
     with party.protocol("ingest"):
-        matrices = [ShareMatrix(party.replicate(c)[None], n_genes) for c in data_components]
-        thresholds = stack_shares([party.replicate(t) for t in thr_components])
-    return matrices, thresholds
+        both = party.replicate(np.concatenate([data.ravel(), thr.ravel()]))
+    return (ShareMatrix(both[:data.size].reshape((1,) + data.shape), n_genes),
+            both[data.size:].reshape(thr.shape))

@@ -14,6 +14,10 @@ equal to brute-force counting.
 
 Measured workload: d 1-way gene marginals, the 1-way label marginal, and
 the d gene-label 2-way marginals flattened to length 20 (index r*5 + f).
+Every step from counting to the reveal holds them as one (K, 24d+5) sharing
+in canonical cell order: the gene block (d, 4) row-major, the label block,
+then the two-way block (d, 20) row-major; ``split_marginals`` cuts out the
+blocks.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fixedpoint as fx
-from .circuits import matmul_shares, mul_shares_many, trunc_shares, trunc_shares_many
+from .circuits import matmul_shares, mul_shares_many, trunc_shares
 from .primitives import gauss01
 from .runtime import Party
 from .sharing import ShareMatrix, ShareVector, concat_shares, stack_shares
@@ -58,16 +62,6 @@ def calibrate(eps_s: float, delta_s: float, measurement_count: int) -> NoiseCali
     delta_q = delta_s / measurement_count
     sigma_q = math.sqrt(2.0 * math.log(1.25 / delta_q)) / eps_q
     return NoiseCalibration(eps_s, delta_s, measurement_count, eps_q, delta_q, sigma_q)
-
-
-@dataclass
-class MarginalSet:
-    """Secret marginals at fixed-point scale, per fold: (K,d,4) gene, (K,5) label,
-    (K,d,20) two-way."""
-
-    gene: ShareVector
-    label: ShareVector
-    gene_label: ShareVector
 
 
 def _lagrange(m: int):
@@ -124,61 +118,49 @@ def indicator(party: Party, x: ShareVector, m: int) -> ShareVector:
     return trunc_shares(party, *_odd_part_scale(_numerators(party, [(x, m)])[0], div))
 
 
-def marginal_counts(party: Party, matrix: ShareMatrix) -> MarginalSet:
-    """Exact secret counts (integer scale) of the measured workload, per fold.
+def marginal_counts(party: Party, matrix: ShareMatrix) -> ShareVector:
+    """Exact secret counts (integer scale) of the measured workload, per fold,
+    in the canonical cell order: (K, 24d+5).
 
     The label and gene numerators share their two product rounds. Padding
     rows are masked out of the numerators. The two-way block is one matrix
     product per fold: gene numerators (4d x N) times label numerators (N x 5).
+    All cells are divided in one exact truncation.
     """
     k, n, d = matrix.folds, matrix.n_rows, matrix.n_genes
     mask = matrix.mask                                              # (K, N)
     ln, gn = _numerators(party, [(matrix.labels(), LABEL_DOMAIN), (matrix.genes(), GENE_DOMAIN)])
-    ln = ln.scale_by(mask)                                          # (5, K, N)
-    gn = gn.scale_by(mask[..., None])                               # (4, K, N, d)
-
-    lhs = gn.map(lambda w: np.moveaxis(w, 0, 1).swapaxes(2, 3).reshape(k, GENE_DOMAIN * d, n))
-    rhs = ln.map(lambda w: np.moveaxis(w, 0, -1))                   # (K, N, 5)
-    acc2 = matmul_shares(party, lhs, rhs)                           # (K, 4d, 5)
-    acc2 = acc2.map(lambda w: w.reshape(k, GENE_DOMAIN, d, LABEL_DOMAIN)
-                    .transpose(1, 3, 0, 2).reshape(GENE_DOMAIN * LABEL_DOMAIN, k, d))
+    lhs = gn.scale_by(mask[..., None]).map(
+        lambda w: w.transpose(1, 3, 0, 2).reshape(k, d * GENE_DOMAIN, n))    # (K, 4d, N)
+    rhs = ln.scale_by(mask).map(np.moveaxis, 0, -1)                 # (K, N, 5)
+    acc = concat_shares([lhs.sum(axis=2), rhs.sum(axis=1),
+                         matmul_shares(party, lhs, rhs).reshape(k, -1)], axis=1)
     gene_divs, label_divs = np.array(_lagrange(GENE_DOMAIN)[1]), np.array(_lagrange(LABEL_DOMAIN)[1])
-    gene, label, two_way = trunc_shares_many(party, [
-        _odd_part_scale(gn.sum(axis=2), gene_divs[:, None, None]),                      # (4, K, d)
-        _odd_part_scale(ln.sum(axis=2), label_divs[:, None]),                           # (5, K)
-        _odd_part_scale(acc2, np.outer(gene_divs, label_divs).reshape(-1, 1, 1)),       # (20, K, d)
-    ])
-    return MarginalSet(gene.map(np.moveaxis, 0, -1), label.map(np.moveaxis, 0, -1),
-                       two_way.map(np.moveaxis, 0, -1))
+    divisors = np.concatenate([np.tile(gene_divs, d), label_divs,
+                               np.tile(np.outer(gene_divs, label_divs).ravel(), d)])
+    return trunc_shares(party, *_odd_part_scale(acc, divisors))
 
 
-def flatten_marginals(ms: MarginalSet) -> ShareVector:
-    """Canonical per-fold cell order: gene block (row-major), label, two-way block."""
-    k = ms.label.shape[0]
-    return concat_shares([m.reshape(k, -1) for m in (ms.gene, ms.label, ms.gene_label)], axis=1)
-
-
-def unflatten_marginals(flat, d: int) -> MarginalSet:
-    """Inverse of flatten_marginals; also reads opened (K, cells) arrays."""
-    k = flat.shape[0]
-    g = flat[:, :GENE_DOMAIN * d].reshape(k, d, GENE_DOMAIN)
-    lab = flat[:, GENE_DOMAIN * d:GENE_DOMAIN * d + LABEL_DOMAIN]
-    gl = flat[:, GENE_DOMAIN * d + LABEL_DOMAIN:].reshape(k, d, GENE_DOMAIN * LABEL_DOMAIN)
-    return MarginalSet(g, lab, gl)
+def split_marginals(flat):
+    """The gene (K, d, 4), label (K, 5) and two-way (K, d, 20) blocks of
+    (K, 24d+5) marginal cells, as shares or opened words."""
+    k, d = flat.shape[0], (flat.shape[1] - LABEL_DOMAIN) // (GENE_DOMAIN * (1 + LABEL_DOMAIN))
+    g = GENE_DOMAIN * d
+    return (flat[:, :g].reshape(k, d, GENE_DOMAIN), flat[:, g:g + LABEL_DOMAIN],
+            flat[:, g + LABEL_DOMAIN:].reshape(k, d, GENE_DOMAIN * LABEL_DOMAIN))
 
 
 def noisy_marginals(party: Party, matrix: ShareMatrix, sigma_q: float):
     """Exact counts lifted to fixed-point scale plus independent Gaussian noise.
 
-    Returns the exact counts (integer scale) and the noisy marginals, so the
-    workload error can reuse the counts.
+    Returns the exact counts (integer scale) and the noisy marginals, both
+    (K, 24d+5), so the workload error can reuse the counts. At sigma_q = 0
+    the noise encodes to 0 and its exact truncation is 0: the counts come
+    back unchanged.
     """
     f = party.fp.frac_bits
     with party.protocol("noisy_marg"):
         counts = marginal_counts(party, matrix)
-        flat = flatten_marginals(counts).scale_by(np.uint64(1) << np.uint64(f))
-        if sigma_q > 0.0:
-            noise = gauss01(party, flat.shape[1], folds=flat.shape[0])
-            scaled = trunc_shares(party, noise.scale_by(fx.encode_scalar(sigma_q, f)), f)
-            flat = flat + scaled
-        return counts, unflatten_marginals(flat, matrix.n_genes)
+        noise = gauss01(party, counts.shape[1], folds=counts.shape[0])
+        scaled = trunc_shares(party, noise.scale_by(fx.encode_scalar(sigma_q, f)), f)
+        return counts, counts.scale_by(np.uint64(1) << np.uint64(f)) + scaled

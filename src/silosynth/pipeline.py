@@ -1,4 +1,4 @@
-"""End-to-end publish loop: concat, K-fold tuning, secret voting, publish.
+"""End-to-end publish loop on the ingested data: K-fold tuning, secret voting, publish.
 
 One loop per hyperparameter candidate (in configured order): split by a
 seeded public fold plan, bin the training rows and the held-out rows (with
@@ -31,6 +31,7 @@ from .binning import bin_train, compute_bin_means, inv_bin
 from .circuits import not_packed
 from .evaluation import MetricPair, evaluate
 from .generator import generate_bridge
+from .ingest import IngestionError
 from .marginals import calibrate, measurement_count, noisy_marginals
 from .primitives import and_all, lt, select_max
 from .rng import CounterStream, derive_key
@@ -41,10 +42,6 @@ PUBLISH_CONTEXT = (0xFFFF, 0xFFFF)  # generator rng context for the publish run
 
 FIRST_PASS = "first-pass"
 EXHAUSTIVE = "exhaustive"
-
-
-class IngestionError(ValueError):
-    pass
 
 
 @dataclass
@@ -108,16 +105,6 @@ class TuningResult:
     loops: list[LoopRecord] = field(default_factory=list)
     binned: ShareMatrix | None = None   # the full data binned on the first loop
     cuts: ShareVector | None = None     # and its cuts, (1, d, 3)
-
-
-def concat_matrices(party: Party, mats: list[ShareMatrix]) -> ShareMatrix:
-    """Row-stack custodian matrices; pure share stacking, zero communication."""
-    with party.protocol("concat"):
-        widths = {m.n_genes for m in mats}
-        if len(widths) != 1:
-            raise IngestionError(f"custodian schemas disagree on gene count: {sorted(widths)}")
-        data = concat_shares([m.data for m in mats], axis=1)
-    return ShareMatrix(data, mats[0].n_genes)
 
 
 def fold_plan(master_seed: int, loop_index: int, n_rows: int, k: int):
@@ -287,10 +274,10 @@ class RunResult:
     reveal_log: list
 
 
-def run_pipeline(party: Party, custodian_matrices: list[ShareMatrix],
+def run_pipeline(party: Party, combined: ShareMatrix,
                  thresholds: ThresholdSet, config: PipelineConfig) -> RunResult:
-    """Algorithm body executed identically by each party after ingestion."""
-    combined = concat_matrices(party, custodian_matrices)
+    """Algorithm body executed identically by each party on the combined
+    matrix ``ingest_all`` delivers."""
     tuning = tuning_loop(party, combined, thresholds, config)
     synthetic = None
     if tuning.publish:

@@ -23,7 +23,7 @@ from silosynth.evaluation import lr_train
 from silosynth.fixedpoint import FixedPointConfig
 from silosynth.generator import generate_synthetic, generator_rng
 from silosynth.ingest import custodian_components, ingest_all
-from silosynth.marginals import calibrate, indicator, noisy_marginals
+from silosynth.marginals import calibrate, indicator, noisy_marginals, split_marginals
 from silosynth.pipeline import PUBLISH_CONTEXT, PipelineConfig, ThresholdSet, run_pipeline
 from silosynth.primitives import gauss01
 from silosynth.runtime import config_fingerprint, run_parties, setup_handshake
@@ -59,11 +59,8 @@ def preprocessing_corpus():
         binned = reconstruct([r[0].data for r in results])[0]
         cuts = reconstruct([r[1] for r in results])[0]
         means = reconstruct([r[2] for r in results])[0]
-        marg = {
-            "gene": fx.decode(reconstruct([r[3].gene for r in results])[0]),
-            "label": fx.decode(reconstruct([r[3].label for r in results])[0]),
-            "two": fx.decode(reconstruct([r[3].gene_label for r in results])[0]),
-        }
+        gene, label, two = split_marginals(fx.decode(reconstruct([r[3] for r in results])))
+        marg = {"gene": gene[0], "label": label[0], "two": two[0]}
         runs.append(dict(genes=genes, labels=labels, binned=binned, cuts=cuts,
                          means=means, marg=marg))
     elapsed = time.time() - t0
@@ -255,9 +252,9 @@ def test_criterion_7_communication_invariants(rng):
 
         def body(p):
             setup_handshake(p, fingerprint)
-            mats, thr = ingest_all(p, [u[0][p.pid - 1] for u in uploads],
-                                   [u[1][p.pid - 1] for u in uploads], 3)
-            return run_pipeline(p, mats, ThresholdSet(thr), config)
+            combined, thr = ingest_all(p, [u[0][p.pid - 1] for u in uploads],
+                                       [u[1][p.pid - 1] for u in uploads], 3)
+            return run_pipeline(p, combined, ThresholdSet(thr), config)
 
         results, parties = run_parties(body, config.seed, FixedPointConfig(16), timeout=600)
         snap = [p.ledger.snapshot() for p in parties]
@@ -300,9 +297,9 @@ def run_e2e(config, datasets, thresholds):
 
     def body(p):
         setup_handshake(p, fingerprint)
-        mats, thr = ingest_all(p, [u[0][p.pid - 1] for u in uploads],
-                               [u[1][p.pid - 1] for u in uploads], 10)
-        return run_pipeline(p, mats, ThresholdSet(thr), config)
+        combined, thr = ingest_all(p, [u[0][p.pid - 1] for u in uploads],
+                                   [u[1][p.pid - 1] for u in uploads], 10)
+        return run_pipeline(p, combined, ThresholdSet(thr), config)
 
     t0 = time.time()
     results, parties = run_parties(body, config.seed, FixedPointConfig(16), timeout=1800)

@@ -120,6 +120,15 @@ def test_run_local_input_error_exit_2(workdir, capsys):
     assert "row 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("extra", [("--seed", "3"), ("--mode", "exhaustive")])
+def test_run_local_refuses_overrides(workdir, extra, capsys):
+    """Seed and mode come from the config file alone: no flag overrides them."""
+    with pytest.raises(SystemExit) as info:
+        main(run_local_args(workdir, extra))
+    assert info.value.code == 2
+    assert f"unrecognized arguments: {' '.join(extra)}" in capsys.readouterr().err
+
+
 def test_run_local_refuses_folds_without_test_rows(workdir, rng, capsys):
     # two 2-row custodians and 5 folds: a fold would get no test row
     for c in range(2):

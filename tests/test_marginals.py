@@ -13,6 +13,7 @@ from silosynth.marginals import (
     marginal_counts,
     measurement_count,
     noisy_marginals,
+    split_marginals,
 )
 from silosynth.sharing import reconstruct
 
@@ -85,10 +86,8 @@ def marginals_sigma0(genes_binned, labels, tag):
         return noisy_marginals(p, mats[p.pid - 1], 0.0)[1]
 
     results, _ = run3(body)
-    gene = fx.decode(reconstruct([r.gene for r in results])[0])
-    label = fx.decode(reconstruct([r.label for r in results])[0])
-    two = fx.decode(reconstruct([r.gene_label for r in results])[0])
-    return gene, label, two
+    gene, label, two = split_marginals(fx.decode(reconstruct(results)))
+    return gene[0], label[0], two[0]
 
 
 def test_sigma0_marginals_equal_brute_force(rng):
@@ -130,6 +129,22 @@ def test_marginal_counts_share_numerator_rounds(rng):
 
     _, parties = run3(body)
     assert [p.ledger.entry("adhoc").rounds for p in parties] == [13, 13, 13]
+
+
+def test_marginal_counts_one_flat_sharing(rng):
+    """marginal_counts returns the (K, 24d+5) cells in canonical order, and
+    split_marginals of the opened cells gives the brute-force counts."""
+    n, d = 11, 3
+    genes, labels = rng.integers(0, 4, size=(n, d)), rng.integers(0, 5, size=n)
+    mats = shared_matrix(genes.astype(np.uint64), labels, 73)
+
+    def body(p):
+        return marginal_counts(p, mats[p.pid - 1])
+
+    results, _ = run3(body)
+    assert results[0].shape == (1, 24 * d + 5)
+    for got, want in zip(split_marginals(reconstruct(results)), ref.brute_marginals(genes, labels)):
+        assert np.array_equal(got[0], want.astype(np.uint64))
 
 
 @pytest.mark.parametrize("m", [4, 5])
@@ -184,9 +199,7 @@ def test_noise_changes_cells_and_is_seeded(rng):
     r1, _ = run3(body, seed=101)
     r2, _ = run3(body, seed=101)
     r3, _ = run3(body, seed=102)
-    m1 = reconstruct([r.gene for r in r1])[0]
-    m2 = reconstruct([r.gene for r in r2])[0]
-    m3 = reconstruct([r.gene for r in r3])[0]
+    m1, m2, m3 = (split_marginals(reconstruct(r))[0][0] for r in (r1, r2, r3))
     assert np.array_equal(m1, m2)
     assert not np.array_equal(m1, m3)
     bg, _, _ = ref.brute_marginals(genes, labels)
@@ -206,11 +219,8 @@ def test_noise_independence_across_cells(rng):
             return noisy_marginals(p, mats[p.pid - 1], 1.0)[1]
 
         results, _ = run3(body, seed=5000 + trial)
-        flat = np.concatenate([
-            fx.decode(reconstruct([r.gene for r in results])).ravel(),
-            fx.decode(reconstruct([r.label for r in results])).ravel(),
-        ])
-        samples.append(flat)
+        gene, label, _ = split_marginals(fx.decode(reconstruct(results)))
+        samples.append(np.concatenate([gene.ravel(), label.ravel()]))
     mat = np.array(samples)
     mat = mat - mat.mean(axis=0)
     corr = np.corrcoef(mat.T)

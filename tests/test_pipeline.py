@@ -8,18 +8,17 @@ from silosynth import binning
 from silosynth import fixedpoint as fx
 from silosynth.config import canonical_text
 from silosynth.fixedpoint import FixedPointConfig
-from silosynth.ingest import custodian_components, ingest_all
+from silosynth.ingest import IngestionError, custodian_components, ingest_all
 from silosynth.pipeline import (
     EXHAUSTIVE,
     PipelineConfig,
     ThresholdSet,
-    concat_matrices,
     fold_plan,
     kfold_split,
     run_pipeline,
     secret_vote,
 )
-from silosynth.runtime import config_fingerprint, run_parties, setup_handshake
+from silosynth.runtime import ProtocolAbort, config_fingerprint, run_parties, setup_handshake
 from silosynth.sharing import reconstruct
 
 
@@ -42,9 +41,9 @@ def run_full(config, datasets, thresholds, seed=None):
 
     def body(party):
         setup_handshake(party, fingerprint)
-        mats, thr = ingest_all(party, [u[0][party.pid - 1] for u in uploads],
-                               [u[1][party.pid - 1] for u in uploads], n_genes)
-        return run_pipeline(party, mats, ThresholdSet(thr), config)
+        combined, thr = ingest_all(party, [u[0][party.pid - 1] for u in uploads],
+                                   [u[1][party.pid - 1] for u in uploads], n_genes)
+        return run_pipeline(party, combined, ThresholdSet(thr), config)
 
     results, parties = run_parties(body, config.seed, FixedPointConfig(16), timeout=600)
     return results, parties
@@ -57,41 +56,51 @@ def two_datasets(rng, n_each=20, d=3):
     return out
 
 
-def test_concat_stacking_order(rng):
-    m1 = shared_matrix(rng.integers(0, 4, (3, 2)).astype(np.uint64), rng.integers(0, 5, 3), 120)
-    m2 = shared_matrix(rng.integers(0, 4, (4, 2)).astype(np.uint64), rng.integers(0, 5, 4), 121)
+def test_ingest_stacks_custodians_in_one_round(rng):
+    """Two custodians' uploads come out as one batch-of-one matrix, rows in
+    upload order, and thresholds (2, 2): one ingest round and one message
+    per party."""
+    datasets = [(rng.normal(0, 2, size=(n, 2)), rng.integers(0, 5, size=n)) for n in (3, 4)]
+    thresholds = rng.normal(0, 1, size=(2, 2))
+    uploads = [custodian_components(g, l, thresholds[c], 16, 5, c) for c, (g, l) in enumerate(datasets)]
 
     def body(p):
-        return concat_matrices(p, [m1[p.pid - 1], m2[p.pid - 1]])
+        return ingest_all(p, [u[0][p.pid - 1] for u in uploads], [u[1][p.pid - 1] for u in uploads], 2)
 
     results, parties = run3(body)
-    combined = open_matrix(results)
-    want = np.vstack([open_matrix(m1), open_matrix(m2)])
-    assert np.array_equal(combined, want)
-    assert combined.shape == (7, 3)
-    assert all(p.ledger.entry("concat").bytes_sent == 0 for p in parties)
+    combined = open_matrix([r[0] for r in results])
+    assert combined.shape == (7, 3) and results[0][0].rows.tolist() == [7]
+    assert np.array_equal(combined, np.vstack([sum(u[0]) for u in uploads]))
+    thr = reconstruct([r[1] for r in results])
+    assert np.array_equal(thr, np.stack([sum(u[1]) for u in uploads]))
+    assert np.array_equal(fx.decode(thr), fx.decode(fx.encode(thresholds)))
+    for p in parties:
+        entry = p.ledger.entry("ingest")
+        assert (entry.rounds, entry.messages_sent) == (1, 1)
 
 
-def test_concat_single_custodian_identity(rng):
-    m1 = shared_matrix(rng.integers(0, 4, (5, 2)).astype(np.uint64), rng.integers(0, 5, 5), 122)
+def test_ingest_single_custodian_identity(rng):
+    comp_data, comp_thr = custodian_components(rng.normal(size=(5, 2)), rng.integers(0, 5, size=5),
+                                               [0.5, 0.25], 16, 5, 0)
 
     def body(p):
-        return concat_matrices(p, [m1[p.pid - 1]])
+        return ingest_all(p, [comp_data[p.pid - 1]], [comp_thr[p.pid - 1]], 2)
 
     results, _ = run3(body)
-    assert np.array_equal(reconstruct([r.data for r in results]),
-                          reconstruct([m.data for m in m1]))
+    assert np.array_equal(open_matrix([r[0] for r in results]), sum(comp_data))
+    assert np.array_equal(reconstruct([r[1] for r in results]), sum(comp_thr)[None])
 
 
-def test_concat_schema_mismatch(rng):
-    m1 = shared_matrix(rng.integers(0, 4, (3, 2)).astype(np.uint64), rng.integers(0, 5, 3), 123)
-    m2 = shared_matrix(rng.integers(0, 4, (3, 4)).astype(np.uint64), rng.integers(0, 5, 3), 124)
+def test_ingest_refuses_gene_count_mismatch(rng):
+    uploads = [custodian_components(rng.normal(size=(3, d)), rng.integers(0, 5, size=3), [0.0, 0.0], 16, 5, c)
+               for c, d in enumerate((2, 4))]
 
     def body(p):
-        return concat_matrices(p, [m1[p.pid - 1], m2[p.pid - 1]])
+        return ingest_all(p, [u[0][p.pid - 1] for u in uploads], [u[1][p.pid - 1] for u in uploads], 2)
 
-    with pytest.raises(Exception):
+    with pytest.raises(ProtocolAbort, match=r"gene count: \[2, 4\]") as info:
         run3(body)
+    assert isinstance(info.value.__cause__, IngestionError)
 
 
 def test_fold_plan_partitions():
@@ -305,7 +314,7 @@ def test_loop_lr_rounds_do_not_grow_with_folds(rng):
 
 
 # (rounds, bytes sent) per party, summed over the ledger labels
-PINNED_TINY_TRAFFIC = [(970, 1057984), (970, 1059832), (970, 1057984)]
+PINNED_TINY_TRAFFIC = [(967, 1057984), (967, 1059832), (967, 1057984)]
 
 
 def test_tiny_run_traffic_pinned(rng):

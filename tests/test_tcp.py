@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from silosynth.cli import main
+from silosynth.cli import _connect_with_retry, main
 from silosynth.datafile import write_dataset, write_thresholds
 
 CONFIG = """
@@ -347,6 +347,55 @@ def test_party_error_inside_protocol_exits_3(setup_files, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "protocol abort: party 2 failed: ValueError('bad state at party 2') in eval" in err
     assert "protocol abort: party 1 failed: ProtocolAbort(" in err
+
+
+def party_argv(cfg, listen, peers=None, timeout="30"):
+    """Party 1's command line; by default its peers are free loopback ports."""
+    peers = peers or [f"--peer={j}=127.0.0.1:{port}" for j, port in zip((2, 3), free_ports(2))]
+    return ["party", "--id", "1", "--listen", listen, *peers, "--config", str(cfg), "--timeout", timeout]
+
+
+@pytest.mark.parametrize("case", ["servers", "listen", "peer"])
+def test_malformed_addresses_exit_2(setup_files, case, capsys):
+    """An address without a numeric port, or a peer without a numeric id, is an input error."""
+    tmp_path, cfg, data_paths, (thr0, _, _) = setup_files
+    argv = {
+        "servers": ["custodian", "--data", str(data_paths[0]), "--thresholds", str(thr0),
+                    "--servers", "hostA,hostB,hostC", "--config", str(cfg)],
+        "listen": party_argv(cfg, "127.0.0.1:notaport"),
+        "peer": party_argv(cfg, "127.0.0.1:0", peers=["--peer=two=127.0.0.1:1", "--peer=3=127.0.0.1:2"]),
+    }[case]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "input error:" in err and "Traceback" not in err
+
+
+def test_listen_port_in_use_exits_4(setup_files, capsys):
+    tmp_path, cfg, _, _ = setup_files
+    with socket.create_server(("127.0.0.1", 0)) as held:
+        port = held.getsockname()[1]
+        assert main(party_argv(cfg, f"127.0.0.1:{port}")) == 4
+    assert "connectivity failure:" in capsys.readouterr().err
+
+
+def test_silent_connection_times_out_exit_4(setup_files, capsys):
+    """A connection that never sends its hello stalls the party only until --timeout."""
+    tmp_path, cfg, _, _ = setup_files
+    port = free_ports(1)[0]
+    silent = []
+
+    def connect():
+        silent.append(_connect_with_retry(("127.0.0.1", port), 10))
+
+    thread = threading.Thread(target=connect, daemon=True)
+    thread.start()
+    t0 = time.monotonic()
+    code = main(party_argv(cfg, f"127.0.0.1:{port}", timeout="2"))
+    assert code == 4 and time.monotonic() - t0 < 8
+    assert "connectivity failure:" in capsys.readouterr().err
+    thread.join(timeout=10)
+    for s in silent:
+        s.close()
 
 
 def test_custodian_upload_is_three_component_streams(rng):
