@@ -27,7 +27,7 @@ import numpy as np
 
 from .fixedpoint import MASK, to_u64
 from .runtime import Party
-from .sharing import ShareVector, concat_shares
+from .sharing import ShareVector
 
 ALL_ONES = np.uint64(MASK)
 ONE = np.uint64(1)
@@ -270,11 +270,3 @@ def trunc_shares(party: Party, x: ShareVector, shift) -> ShareVector:
     del offset
     res += b2a_sum(party, lanes, [ONE, ONE, neg_wrap, neg_wrap])
     return party.add_public(res, np.negative(ONE << (np.uint64(63) - sh)))
-
-
-def trunc_shares_many(party: Party, pairs) -> list[ShareVector]:
-    """Truncate several (sharing, shift) pairs in one trunc_shares schedule."""
-    xs = [x for x, _ in pairs]
-    shifts = np.concatenate([np.broadcast_to(to_u64(shift), x.shape).ravel() for x, shift in pairs])
-    flat = concat_shares([x.reshape(-1) for x in xs])
-    return unflatten(trunc_shares(party, flat, shifts), [x.shape for x in xs])

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import selectors
 import socket
 import sys
 import time
@@ -118,10 +119,14 @@ def _parse_hostport(text: str):
 def _connect_with_retry(addr, timeout: float) -> socket.socket:
     """Dial until the peer is up; the returned socket blocks indefinitely.
 
-    Receive deadlines are enforced by the transport's queue timeout, not the
-    socket, so an idle established channel never drops.
+    The pause between attempts doubles from 10 ms to 200 ms, so a peer that
+    comes up moments later is reached within milliseconds: a custodian that
+    reaches the last server late holds up the whole run. Receive deadlines
+    are enforced by the transport's queue timeout, not the socket, so an
+    idle established channel never drops.
     """
     deadline = time.monotonic() + timeout
+    pause = 0.01
     while True:
         try:
             s = socket.create_connection(addr, timeout=5.0)
@@ -131,7 +136,8 @@ def _connect_with_retry(addr, timeout: float) -> socket.socket:
         except OSError:
             if time.monotonic() >= deadline:
                 raise
-            time.sleep(0.2)
+            time.sleep(pause)
+            pause = min(2 * pause, 0.2)
 
 
 def _send_custodians(custodian_socks, frames):
@@ -179,23 +185,40 @@ def _serve_party(args, config: PipelineConfig, peers, listener: socket.socket,
     peer_socks: dict[int, socket.socket] = {}
     custodian_socks: list[tuple[int, socket.socket]] = []   # (claimed index, socket)
 
+    # one selector over the listener and every connection yet to say hello
+    waiting = conns.enter_context(selectors.DefaultSelector())
+    waiting.register(listener, selectors.EVENT_READ)
+
     def accept_until(need_peers: set[int], need_custodians: int):
+        """Accept until every party in ``need_peers`` and ``need_custodians``
+        custodians have said hello, within one --timeout deadline. A silent
+        connection never blocks another: it waits in the selector until the
+        party exits. An invalid hello closes its connection at once."""
+        deadline = time.monotonic() + args.timeout
         while (need_peers - set(peer_socks)) or len(custodian_socks) < need_custodians:
-            conn = conns.enter_context(listener.accept()[0])
-            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            conn.settimeout(args.timeout)   # a silent connection must not stall the party
-            hello = conn.recv(2)
-            if len(hello) < 2:
-                conn.close()
-                continue
-            kind, idx = hello[0], hello[1]
-            if kind == HELLO_PARTY and idx in need_peers:
-                conn.settimeout(None)   # the transport's reader threads block by design
-                peer_socks[idx] = conn
-            elif kind == HELLO_CUSTODIAN:
-                custodian_socks.append((idx, conn))
-            else:
-                conn.close()
+            left = deadline - time.monotonic()
+            if left <= 0:
+                raise TimeoutError(f"not every peer and custodian said hello within {args.timeout:g} s")
+            for key, _ in waiting.select(left):
+                conn = key.fileobj
+                if conn is listener:
+                    conn = conns.enter_context(listener.accept()[0])
+                    conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                    conn.settimeout(args.timeout)   # bounds a custodian's upload
+                    waiting.register(conn, selectors.EVENT_READ)
+                    continue
+                waiting.unregister(conn)
+                try:
+                    kind, idx = conn.recv(2)
+                except (OSError, ValueError):        # reset, closed, or a short hello
+                    kind = idx = None
+                if kind == HELLO_PARTY and idx in need_peers:
+                    conn.settimeout(None)   # the transport's reader threads block by design
+                    peer_socks[idx] = conn
+                elif kind == HELLO_CUSTODIAN:
+                    custodian_socks.append((idx, conn))
+                else:
+                    conn.close()
 
     try:
         # lower-id parties listen for higher ids; custodians connect to everyone

@@ -1,21 +1,20 @@
-"""Secure evaluation of synthetic data: workload error and logistic regression.
+"""Evaluation of synthetic data: workload error and logistic-regression utility.
 
 Workload error is the mean L1 distance between the normalized exact
-marginals of the real and synthetic datasets over the measured workload
-(2d+1 marginals); nothing here is noised because the result stays secret.
+marginals of a fold's real training rows and of its synthetic rows over the
+measured workload (2d+1 marginals); utility is the accuracy, on the fold's
+held-out real rows, of a softmax regression trained on the synthetic rows.
+The party-1 generator enclave samples those rows from the noisy marginals,
+so it counts them and trains the model itself, in the clear (post-processing
+of DP output), and re-shares only counts and weights. What reads real rows
+runs on shares, and both metrics stay secret.
 
-The logistic-regression utility metric trains a multiclass model by
-full-batch gradient descent on secret shares. Binned gene values {0..3} are
-fed directly as integer features (plus a constant bias column), so forward
-and gradient matmuls need no truncation. Softmax subtracts the row maximum,
-takes a degree-5 polynomial exponential evaluated by Estrin's scheme and
-clamped to [-8, 0] off its critical path, and divides by the row sum with
-Goldschmidt steps that rely on the sum's public range [1, 5]: one epoch
-costs 124 rounds, 112 of them in softmax. The general reciprocal primitive
-is not used here. The softmax row maximum and the accuracy argmax are each
-one ``select_max`` over the 5 classes: all 10 pairs in one comparison
-(8 rounds), a two-level AND tree for the lowest-index one-hot (2) and one
-injection (2), 12 rounds.
+The trainer (``lr_train``) is full-batch gradient descent on ring words with
+the protocols' fixed-point arithmetic: integer bin features and a bias
+column, so the logits and the gradient need no truncation; softmax with a
+clamped polynomial exponential and a Goldschmidt division whose products
+reach scale 3f, which is why frac_bits stays at most 20. The accuracy argmax
+is one ``select_max`` over the 5 classes, 12 rounds.
 """
 
 from __future__ import annotations
@@ -25,9 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fixedpoint as fx
-from .circuits import b2a, matmul_shares, mul_shares, mul_shares_many, trunc_shares, trunc_shares_many
-from .marginals import LABEL_DOMAIN, indicator, marginal_counts, measurement_count
-from .primitives import div_fx, eq_zero, is_negative, mul_fx, select, select_max
+from .circuits import b2a, matmul_shares, trunc_shares
+from .marginals import measurement_count, split_marginals
+from .primitives import div_fx, eq_zero, is_negative, select, select_max
 from .runtime import Party
 from .sharing import ShareMatrix, ShareVector, concat_shares
 
@@ -56,129 +55,76 @@ class MetricPair:
     accuracy: ShareVector
 
 
-def wle(party: Party, real: ShareVector, real_rows, synth: ShareMatrix) -> ShareVector:
+def wle(party: Party, real: ShareVector, synth: ShareVector, rows) -> ShareVector:
     """Normalized workload error per fold, (K,), between the exact marginal
-    counts ``real`` (K, 24d+5) of datasets with ``real_rows`` rows and a
-    binned batch."""
+    counts ``real`` and ``synth`` (K, 24d+5) of two datasets of ``rows``
+    rows each."""
     with party.protocol("wle"):
         f = party.fp.frac_bits
-        mu_synth = marginal_counts(party, synth)
-        diff = (real.scale_by(fx.encode(1.0 / real_rows, f)[:, None])
-                - mu_synth.scale_by(fx.encode(1.0 / synth.rows, f)[:, None]))
+        diff = (real - synth).scale_by(fx.encode(1.0 / np.asarray(rows), f)[:, None])
         total = select(party, is_negative(party, diff), diff, -diff).sum(axis=1)
-        inv_count = fx.encode_scalar(1.0 / measurement_count(synth.n_genes), f)
+        d = split_marginals(real)[0].shape[1]
+        inv_count = fx.encode_scalar(1.0 / measurement_count(d), f)
         err = trunc_shares(party, total.scale_by(inv_count), f)
     return err
+
+
+def _softmax(z: np.ndarray, f: int) -> np.ndarray:
+    """Row softmax of (n, N_CLASSES) logit words on the scale-f grid.
+
+    exp(t), t = max(z - row max, SOFTMAX_FLOOR), is p(t/4)^4 with p by
+    Estrin: (1 + u) + u^2 (c2 + c3 u) + u^4 (c4 + c5 u), u = t/4, the
+    public-coefficient terms at scale 2f and their products at scale 3f.
+    The row sum, in [1, DENOM_MAX], is divided out from the linear guess
+    x0 = alpha - beta den by Goldschmidt steps that carry GUARD_BITS extra
+    fractional bits; the last step rounds to nearest.
+    """
+    one = np.uint64(1) << np.uint64(f)
+    s = fx.signed(z)
+    t = np.maximum(s - s.max(axis=1, keepdims=True), fx.signed(fx.encode(SOFTMAX_FLOOR, f))).view(np.uint64)
+    c = [np.uint64(fx.encode_scalar(k, f)) for k in EXP_POLY]
+    u, u2 = fx.truncate(t, 2), fx.truncate(t * t, f + 4)
+    u4 = fx.truncate(u2 * u2, f)
+    p_sum = (t * (one >> np.uint64(2)) + one * one) * one + u2 * (u * c[3] + c[2] * one) \
+        + u4 * (u * c[5] + c[4] * one)
+    p = fx.truncate(p_sum, 2 * f)
+    sq = fx.truncate(p * p, f)
+    e = fx.truncate(sq * sq, f)
+
+    den = e.sum(axis=1, dtype=np.uint64)
+    guard = f + GUARD_BITS
+    one_w = np.uint64(1) << np.uint64(guard)
+    x0 = np.uint64(fx.encode_scalar(RECIP_ALPHA, f)) * one - den * np.uint64(fx.encode_scalar(RECIP_BETA, f))
+    err = fx.truncate(one * one * one - den * x0, 2 * f - GUARD_BITS)
+    num = fx.truncate(e * x0[:, None], 2 * f - GUARD_BITS)
+    for _ in range(GOLDSCHMIDT_STEPS - 1):
+        num, err = fx.truncate(num * (err + one_w)[:, None], guard), fx.truncate(err * err, guard)
+    half = np.uint64(1) << np.uint64(guard + GUARD_BITS - 1)
+    return fx.truncate(num * (err + one_w)[:, None] + half, guard + GUARD_BITS)
+
+
+def lr_train(party: Party, rows: np.ndarray, epochs: int, learning_rate: float) -> np.ndarray:
+    """The enclave's trainer: full-batch softmax regression on sampled rows
+    (n, d+1), binned genes then the label, in the clear on ring words.
+
+    Returns the (d+1, N_CLASSES) weights at scale f: gene rows, then the
+    bias row. The step is learning_rate / n. Deterministic.
+    """
+    f = party.fp.frac_bits
+    x = rows.astype(np.uint64)
+    x[:, -1] = 1                                           # the label column becomes the bias
+    onehot = (rows[:, -1:] == np.arange(N_CLASSES)).astype(np.uint64) << np.uint64(f)
+    eta = np.uint64(fx.encode_scalar(learning_rate / len(rows), f))
+    w = np.zeros((x.shape[1], N_CLASSES), dtype=np.uint64)
+    for _ in range(epochs):
+        grad = x.T @ (_softmax(x @ w, f) - onehot)         # scale f
+        w -= fx.truncate(grad * eta, f)
+    return w
 
 
 def _with_bias(party: Party, data: ShareMatrix) -> ShareVector:
     """(K, N, d+1) features: the gene columns and a bias column that is 0 on padding rows."""
     return concat_shares([data.genes(), party.const_share(data.mask[..., None])], axis=2)
-
-
-def _exp(party: Party, t: ShareVector) -> ShareVector:
-    """exp(max(t, SOFTMAX_FLOOR)) for t <= 0 as p(t/4)^4, p evaluated by Estrin.
-
-    p = (1 + u) + u^2 (c2 + c3 u) + u^4 (c4 + c5 u) with u = t/4 takes three
-    multiplicative levels. The public-coefficient terms stay at scale 2f and
-    their products at scale 3f, so only u, u^2, u^4 and the sum are
-    truncated; c0 = c1 = 1 makes the linear term 1 + t/4 exact.
-
-    The clamp stays off the critical path: t runs unclamped beside one
-    extra SOFTMAX_FLOOR element, the sign -[t - SOFTMAX_FLOOR < 0] (an
-    exact truncation by 63, so 0 or -1) rides with the truncation of p, and
-    one product at the end swaps in the floor's exponential wherever t lies
-    below it. Values below the floor, wrapped or not, are selected away.
-    """
-    f = party.fp.frac_bits
-    one = np.uint64(1) << np.uint64(f)
-    c = [np.uint64(fx.encode_scalar(k, f)) for k in EXP_POLY]
-    floor = np.uint64(fx.encode_scalar(SOFTMAX_FLOOR, f))
-    shifted = party.add_public(t, np.negative(floor))
-    t = concat_shares([t.reshape(-1), party.const_share(np.full(1, floor))])
-    u, u2 = trunc_shares_many(party, [(t, 2), (mul_shares(party, t, t), f + 4)])
-    lin = party.add_public(t.scale_by(one >> np.uint64(2)), one * one)
-    del t
-    quad = party.add_public(u.scale_by(c[3]), c[2] * one)
-    quart = party.add_public(u.scale_by(c[5]), c[4] * one)
-    u4, mid = mul_shares_many(party, [(u2, u2), (u2, quad)])
-    del u, u2, quad
-    u4 = trunc_shares(party, u4, f)
-    p_sum = lin.scale_by(one) + mid + mul_shares(party, u4, quart)
-    del lin, mid, u4, quart
-    p, below = trunc_shares_many(party, [(p_sum, 2 * f), (shifted, 63)])
-    del p_sum, shifted
-    sq = mul_fx(party, p, p)
-    e = mul_fx(party, sq, sq)
-    e_floor = e[-1:]
-    e = e[:-1].reshape(below.shape)
-    return e + mul_shares(party, below, e - e_floor)
-
-
-def bounded_div(party: Party, num: ShareVector, den: ShareVector) -> ShareVector:
-    """num / den row-wise for num (..., k) and den (...) in the public range [1, DENOM_MAX].
-
-    Goldschmidt division: the linear guess x0 = alpha - beta den leaves a
-    relative error e0 = 1 - den x0 with |e0| <= 2/7 on [1, 5]; each step
-    multiplies the numerators by 1 + e and squares e, and three steps leave
-    e0^8 (below 3 ulp at f = 16). e and the numerators carry GUARD_BITS
-    extra fractional bits, so the steps' truncations cost well below an ulp;
-    the last step rounds to nearest. Four multiplicative levels.
-    """
-    f = party.fp.frac_bits
-    one = np.uint64(1) << np.uint64(f)
-    one_w = np.uint64(1) << np.uint64(f + GUARD_BITS)
-    x0 = party.add_public(-den.scale_by(fx.encode_scalar(RECIP_BETA, f)),
-                          np.uint64(fx.encode_scalar(RECIP_ALPHA, f)) * one)    # scale 2f
-    dx, nx = mul_shares_many(party, [(den, x0), (num, x0[..., None])])        # scale 3f
-    e, n = trunc_shares_many(party, [(party.add_public(-dx, one * one * one), 2 * f - GUARD_BITS),
-                                     (nx, 2 * f - GUARD_BITS)])              # scale f + guard
-    for _ in range(GOLDSCHMIDT_STEPS - 1):
-        factor = party.add_public(e, one_w)[..., None]
-        nf, ee = mul_shares_many(party, [(n, factor), (e, e)])
-        n, e = trunc_shares_many(party, [(nf, f + GUARD_BITS), (ee, f + GUARD_BITS)])
-    factor = party.add_public(e, one_w)[..., None]
-    last = mul_shares(party, n, factor)
-    half = np.uint64(1) << np.uint64(f + 2 * GUARD_BITS - 1)
-    return trunc_shares(party, party.add_public(last, half), f + 2 * GUARD_BITS)
-
-
-def _softmax_probs(party: Party, z: ShareVector) -> ShareVector:
-    p = _exp(party, z - select_max(party, z)[0][..., None])
-    return bounded_div(party, p, p.sum(axis=-1))
-
-
-def _label_onehot(party: Party, labels: ShareVector) -> ShareVector:
-    bits = indicator(party, labels, LABEL_DOMAIN)          # (5, ...)
-    lifted = bits.scale_by(np.uint64(1) << np.uint64(party.fp.frac_bits))
-    return lifted.map(np.moveaxis, 0, -1)                  # (..., 5)
-
-
-def lr_train(party: Party, train: ShareMatrix, epochs: int, learning_rate: float) -> ShareVector:
-    """Full-batch softmax-regression training on shares, one model per fold; deterministic.
-
-    Returns the secret weights, (K, d+1, 5): gene rows, then the bias row.
-
-    Padding rows have all-zero features, bias included, so they add nothing
-    to the gradient; fold k's step is learning_rate / rows[k]. Input prep
-    (bias column, one-hot labels) happens outside the lr ledger label so
-    recorded bytes scale exactly linearly with the epoch count.
-    """
-    f = party.fp.frac_bits
-    x = _with_bias(party, train)                           # (K, N, d+1), integer scale
-    onehot = _label_onehot(party, train.labels())          # (K, N, 5), scale f
-    shape = (train.folds, x.shape[2], N_CLASSES)
-    w = party.const_share(np.zeros(shape, dtype=np.uint64))
-    eta = fx.encode(learning_rate / train.rows, f)[:, None, None]
-    xt = x.map(np.swapaxes, 1, 2)
-    with party.protocol("lr"):
-        for _ in range(epochs):
-            logits = matmul_shares(party, x, w)            # scale f
-            probs = _softmax_probs(party, logits)
-            delta = probs - onehot
-            grad = matmul_shares(party, xt, delta)         # scale f
-            w = w - trunc_shares(party, grad.scale_by(eta), f)
-    return w
 
 
 def lr_accuracy(party: Party, weights: ShareVector, test: ShareMatrix) -> ShareVector:
@@ -196,13 +142,13 @@ def lr_accuracy(party: Party, weights: ShareVector, test: ShareMatrix) -> ShareV
     return acc
 
 
-def evaluate(party: Party, synth_train: ShareMatrix, real_test: ShareMatrix,
-             real_counts: ShareVector, real_rows, epochs: int, learning_rate: float) -> MetricPair:
-    """Fidelity (workload error vs the real training rows' exact marginal
-    counts) and utility (train on synthetic, test on held-out real rows), per
-    fold; both metrics stay secret-shared."""
+def evaluate(party: Party, real_counts: ShareVector, synth_counts: ShareVector, rows,
+             weights: ShareVector, real_test: ShareMatrix) -> MetricPair:
+    """Fidelity (workload error between the exact marginal counts of the real
+    training folds and of the synthetic folds, ``rows`` rows each) and
+    utility (accuracy on the held-out real rows of the weights the enclave
+    trained on the synthetic rows), per fold; both metrics stay secret."""
     with party.protocol("eval"):
-        fidelity = wle(party, real_counts, real_rows, synth_train)
-        model = lr_train(party, synth_train, epochs, learning_rate)
-        acc = lr_accuracy(party, model, real_test)
+        fidelity = wle(party, real_counts, synth_counts, rows)
+        acc = lr_accuracy(party, weights, real_test)
     return MetricPair(fidelity, acc)

@@ -19,7 +19,8 @@ import numpy as np
 
 RING_BITS = 64
 MASK = (1 << RING_BITS) - 1
-# Secure LR's exponential holds products at scale 3*frac_bits below 2^61.
+# The enclave's LR trainer holds softmax products at scale 3*frac_bits in a
+# 64-bit word.
 MAX_FRAC_BITS = 20
 
 
@@ -35,8 +36,8 @@ class FixedPointConfig:
 
     def __post_init__(self):
         if not 8 <= self.frac_bits <= MAX_FRAC_BITS:
-            raise ValueError(f"frac_bits must be in [8, {MAX_FRAC_BITS}]: secure LR's softmax "
-                             f"holds products at scale 3*frac_bits; got {self.frac_bits}")
+            raise ValueError(f"frac_bits must be in [8, {MAX_FRAC_BITS}]: the LR trainer's "
+                             f"softmax holds products at scale 3*frac_bits; got {self.frac_bits}")
 
 
 def to_u64(values) -> np.ndarray:

@@ -7,11 +7,16 @@ marginal (negatives clipped) and iteratively proportionally fitted to the
 g_i ~ p(g_i | y) independently per gene. Inside the secure pipeline the
 marginals are revealed to a generator enclave co-located with party 1 only,
 as the one (K, 24d+5) sharing the measurement produces (the enclave alone
-splits the opened cells into the gene, label and two-way blocks), and the
-sampled rows are re-shared before any downstream use: they are party
-1's additive term, parties 2 and 3 contribute zeros, and one masked
-``circuits.reshare`` round replicates them. All folds of a tuning loop share
-one reveal and one re-share.
+splits the opened cells into the gene, label and two-way blocks). All folds
+of a step share one reveal and one re-share round: what the enclave
+re-shares is party 1's additive term, parties 2 and 3 contribute zeros, and
+one masked ``circuits.reshare`` replicates it.
+
+In a tuning loop the enclave re-shares only what evaluation reads of the
+sampled rows: their exact marginal counts and the logistic-regression
+weights it trains on them (``generate_bridge``). Both are functions of the
+noisy marginals alone, so computing them in the clear is post-processing
+of DP output. The publish path re-shares the rows (``generate_rows``).
 """
 
 from __future__ import annotations
@@ -20,7 +25,8 @@ import numpy as np
 
 from . import fixedpoint as fx
 from .circuits import reshare
-from .marginals import GENE_DOMAIN, LABEL_DOMAIN, split_marginals
+from .evaluation import N_CLASSES, lr_train
+from .marginals import GENE_DOMAIN, LABEL_DOMAIN, cell_counts, split_marginals
 from .rng import CounterStream, derive_key
 from .runtime import Party
 from .sharing import ShareMatrix, ShareVector
@@ -98,26 +104,41 @@ def generator_rng(master_seed: int, context: tuple[int, ...]) -> np.random.Gener
     return CounterStream(derive_key(master_seed, "generator", *context)).generator_at()
 
 
-def generate_bridge(party: Party, ms: ShareVector, rows, iterations: int,
-                    master_seed: int, contexts: list[tuple[int, ...]]) -> ShareMatrix:
-    """Reveal every fold's noisy marginals to the party-1 enclave, generate, re-share.
-
-    ``ms`` holds the (K, 24d+5) noisy marginal cells. Fold k gets rows[k]
-    rows from the generator stream of contexts[k], padded with all-zero rows
-    to the longest fold; one reveal and one re-share round serve all folds.
-    """
-    k, d = split_marginals(ms)[0].shape[:2]
-    rows = np.asarray(rows, dtype=np.int64)
-    shape = (k, int(rows.max()), d + 1)
-    f = party.fp.frac_bits
+def _enclave(party: Party, ms: ShareVector, rows, iterations: int, master_seed: int,
+             contexts, shape, derive) -> ShareVector:
+    """Reveal the (K, 24d+5) noisy marginal cells to the party-1 enclave,
+    sample fold k's rows[k] rows from the generator stream of contexts[k],
+    and re-share ``derive(rows)`` of every fold, (K, *shape), in one round."""
     with party.protocol("sdg"):
         opened = party.reveal_to(ms, 1, "noisy-marginals")
-        cells = np.zeros(shape, dtype=np.uint64)
-        if party.pid == 1:
-            gene, label, two_way = split_marginals(fx.decode(opened, f))
-            for j in range(k):
-                rng = generator_rng(master_seed, contexts[j])
-                synth = generate_synthetic(gene[j], label[j], two_way[j], int(rows[j]), iterations, rng)
-                cells[j, : rows[j]] = fx.to_u64(synth)
-        shares = reshare(party, cells)
-    return ShareMatrix(shares, d, rows)
+        out = np.zeros((len(contexts),) + shape, dtype=np.uint64)
+        if opened is not None:
+            gene, label, two_way = split_marginals(fx.decode(opened, party.fp.frac_bits))
+            for j, context in enumerate(contexts):
+                out[j] = derive(generate_synthetic(gene[j], label[j], two_way[j], int(rows[j]), iterations,
+                                                   generator_rng(master_seed, context)))
+        return reshare(party, out)
+
+
+def generate_bridge(party: Party, ms: ShareVector, rows, iterations: int, master_seed: int,
+                    contexts: list[tuple[int, ...]], epochs: int,
+                    learning_rate: float) -> tuple[ShareVector, ShareVector]:
+    """A tuning loop's enclave step. Fold k's rows[k] synthetic rows are
+    re-shared only as what evaluation reads of them: their exact marginal
+    counts (K, 24d+5), in the canonical cell order, and the weights
+    ``lr_train`` fits to them (K, d+1, 5)."""
+    k, n_cells = ms.shape
+    d = split_marginals(ms)[0].shape[1]
+    shares = _enclave(party, ms, rows, iterations, master_seed, contexts, (n_cells + (d + 1) * N_CLASSES,),
+                      lambda synth: np.concatenate([cell_counts(synth),
+                                                    lr_train(party, synth, epochs, learning_rate).ravel()]))
+    return shares[:, :n_cells], shares[:, n_cells:].reshape(k, d + 1, N_CLASSES)
+
+
+def generate_rows(party: Party, ms: ShareVector, n_out: int, iterations: int,
+                  master_seed: int, context: tuple[int, ...]) -> ShareMatrix:
+    """The publish path's enclave step: n_out rows sampled from the (1, 24d+5)
+    noisy marginals, re-shared as a batch of one."""
+    d = split_marginals(ms)[0].shape[1]
+    return ShareMatrix(_enclave(party, ms, [n_out], iterations, master_seed, [context],
+                                (n_out, d + 1), fx.to_u64), d)

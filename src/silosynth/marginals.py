@@ -150,6 +150,17 @@ def split_marginals(flat):
             flat[:, g + LABEL_DOMAIN:].reshape(k, d, GENE_DOMAIN * LABEL_DOMAIN))
 
 
+def cell_counts(rows: np.ndarray) -> np.ndarray:
+    """The exact counts of cleartext binned rows (n, d+1), genes then the
+    label, in the canonical cell order: (24d+5,) ring words."""
+    genes, labels = rows[:, :-1], rows[:, -1]
+    d = genes.shape[1]
+    two_way = np.bincount((np.arange(d) * GENE_DOMAIN * LABEL_DOMAIN + genes * LABEL_DOMAIN
+                           + labels[:, None]).ravel(), minlength=d * GENE_DOMAIN * LABEL_DOMAIN)
+    gene = two_way.reshape(d, GENE_DOMAIN, LABEL_DOMAIN).sum(axis=2)
+    return fx.to_u64(np.concatenate([gene.ravel(), np.bincount(labels, minlength=LABEL_DOMAIN), two_way]))
+
+
 def noisy_marginals(party: Party, matrix: ShareMatrix, sigma_q: float):
     """Exact counts lifted to fixed-point scale plus independent Gaussian noise.
 

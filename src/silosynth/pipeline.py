@@ -2,8 +2,9 @@
 
 One loop per hyperparameter candidate (in configured order): split by a
 seeded public fold plan, bin the training rows and the held-out rows (with
-the training cuts), measure noisy marginals, generate synthetic rows via the
-enclave bridge, and evaluate. The K folds of a loop are independent once
+the training cuts), measure noisy marginals, let the generator enclave
+sample synthetic rows and re-share their counts and a model trained on
+them, and evaluate. The K folds of a loop are independent once
 the public plan is fixed, so they run as one batch on a leading fold axis,
 padded to the longest fold, and every round serves all of them. The first
 loop bins the full data as one more batch beside its folds: the publish
@@ -30,7 +31,7 @@ from . import fixedpoint as fx
 from .binning import bin_train, compute_bin_means, inv_bin
 from .circuits import not_packed
 from .evaluation import MetricPair, evaluate
-from .generator import generate_bridge
+from .generator import generate_bridge, generate_rows
 from .ingest import IngestionError
 from .marginals import calibrate, measurement_count, noisy_marginals
 from .primitives import and_all, lt, select_max
@@ -199,10 +200,10 @@ def run_fold(party: Party, matrix: ShareMatrix, plan, loop_index: int,
     binned, cuts, binned_test = bin_train(party, train, test)
     binned_train = binned.batches(slice(k))
     counts, ms = noisy_marginals(party, binned_train, sigma_q)
-    synth = generate_bridge(party, ms, binned_train.rows, h, config.seed,
-                            [(loop_index, j) for j in range(k)])
-    metrics = evaluate(party, synth, binned_test, counts, binned_train.rows,
-                       config.lr_epochs, config.lr_rate)
+    synth_counts, weights = generate_bridge(party, ms, binned_train.rows, h, config.seed,
+                                            [(loop_index, j) for j in range(k)],
+                                            config.lr_epochs, config.lr_rate)
+    metrics = evaluate(party, counts, synth_counts, binned_train.rows, weights, binned_test)
     if not full:
         return metrics, None, None
     return metrics, binned.batches(slice(k, None)), cuts[k:]
@@ -257,7 +258,7 @@ def publish_path(party: Party, matrix: ShareMatrix, binned: ShareMatrix, cuts: S
         means = compute_bin_means(party, binned.genes(), matrix.genes(), cuts, binned.mask)
     _, ms = noisy_marginals(party, binned, sigma_q)
     n_out = config.synthetic_rows or matrix.n_rows
-    synth = generate_bridge(party, ms, [n_out], h_selected, config.seed, [PUBLISH_CONTEXT])
+    synth = generate_rows(party, ms, n_out, h_selected, config.seed, PUBLISH_CONTEXT)
     debinned = inv_bin(party, synth, means)
     with party.protocol("publish"):
         return party.open(debinned.data[0], "publish")

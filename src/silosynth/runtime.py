@@ -33,7 +33,7 @@ from .sharing import ShareVector
 # Protocol catalog; ids go on the wire, names into ledgers and reports.
 PROTOCOL_LABELS = [
     "setup", "ingest", "sort", "bin", "inv_bin",
-    "noisy_marg", "sdg", "lr", "acc", "wle", "eval", "vote",
+    "noisy_marg", "sdg", "acc", "wle", "eval", "vote",
     "h_select", "publish", "adhoc",
 ]
 LABEL_IDS = {name: i for i, name in enumerate(PROTOCOL_LABELS)}

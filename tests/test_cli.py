@@ -97,7 +97,7 @@ def test_run_local_publishes(workdir, capsys):
     # claimed total is the sum of the synthesis and preprocessing budgets
     assert "claimed total: (eps=6.0" in report
     assert "budget reset" in report
-    for label in ("bin", "sort", "noisy_marg", "sdg", "lr", "wle", "vote", "inv_bin"):
+    for label in ("bin", "sort", "noisy_marg", "sdg", "acc", "wle", "vote", "inv_bin"):
         assert label in report
 
 

@@ -9,14 +9,15 @@ from silosynth.evaluation import (
     DENOM_MAX,
     N_CLASSES,
     SOFTMAX_FLOOR,
-    _softmax_probs,
-    bounded_div,
+    _softmax,
     evaluate,
     lr_accuracy,
     lr_train,
     wle,
 )
+from silosynth.fixedpoint import FixedPointConfig
 from silosynth.marginals import marginal_counts
+from silosynth.runtime import Party
 from silosynth.sharing import reconstruct
 
 ULP = 2.0**-16
@@ -27,8 +28,17 @@ def open_scalar(results):
 
 
 def wle_of(p, real, synth):
-    """wle of a real batch against a synthetic one, from the real batch's exact counts."""
-    return wle(p, marginal_counts(p, real), real.rows, synth)
+    """wle of a real batch against a synthetic one of as many rows, from both batches' exact counts."""
+    return wle(p, marginal_counts(p, real), marginal_counts(p, synth), real.rows)
+
+
+def enclave(frac_bits=16):
+    """Party 1 as the generator enclave sees it: the trainer reads only its precision."""
+    return Party(1, None, 0, FixedPointConfig(frac_bits))
+
+
+def train(genes, labels, epochs, learning_rate, frac_bits=16):
+    return lr_train(enclave(frac_bits), np.column_stack([genes, labels]), epochs, learning_rate)
 
 
 def test_wle_identical_datasets_zero(rng):
@@ -124,30 +134,38 @@ def make_separable_toy(rng, n=20):
 
 def test_lr_zero_epochs_uniform_scores(rng):
     genes, labels = make_separable_toy(rng)
-    mats = shared_matrix(genes.astype(np.uint64), labels, 101)
-
-    def body(p):
-        return lr_train(p, mats[p.pid - 1], epochs=0, learning_rate=0.05)
-
-    results, _ = run3(body)
-    w = reconstruct(results)
-    assert np.all(w == 0)
+    assert np.all(train(genes, labels, 0, 0.05) == 0)
 
 
 def test_lr_learns_separable_toy(rng):
+    """The enclave's weights equal the mirror's, word for word, and score 1.0
+    on their training rows with the secure accuracy."""
     genes, labels = make_separable_toy(rng)
+    w = train(genes, labels, 150, 0.05)
+    assert np.array_equal(w, ref.clear_lr_train(genes, labels, 150, 0.05))
     mats = shared_matrix(genes.astype(np.uint64), labels, 102)
+    sw = shared(w[None], 119)
 
     def body(p):
-        model = lr_train(p, mats[p.pid - 1], epochs=150, learning_rate=0.05)
-        return lr_accuracy(p, model, mats[p.pid - 1]), model
+        return lr_accuracy(p, sw[p.pid - 1], mats[p.pid - 1])
 
     results, _ = run3(body)
-    acc = fx.decode(np.atleast_1d(reconstruct([r[0] for r in results])))[0]
-    w = reconstruct([r[1] for r in results])[0]
-    w_clear = ref.clear_lr_train(genes, labels, 150, 0.05)
-    assert np.array_equal(w, w_clear)  # secure == clear mirror, ulp for ulp
-    assert abs(acc - 1.0) <= 2**-14
+    assert abs(open_scalar(results) - 1.0) <= 2**-14
+
+
+@pytest.mark.parametrize("frac_bits", [16, 20])
+def test_lr_train_matches_mirror_on_unequal_folds(rng, frac_bits):
+    """23 rows in 3 folds train on 15 or 16 rows each, so the step
+    learning_rate / n differs per fold; at frac_bits = 20 the softmax's
+    3f-bit products come closest to the top of the word."""
+    genes = rng.integers(0, 4, size=(23, 4))
+    labels = rng.integers(0, 5, size=23)
+    for test in np.array_split(np.arange(23), 3):
+        keep = np.setdiff1d(np.arange(23), test)
+        w = train(genes[keep], labels[keep], 12, 0.3, frac_bits)
+        want = ref.clear_lr_train(genes[keep], labels[keep], 12, 0.3, frac_bits)
+        assert np.array_equal(w, want)
+        assert np.any(w != 0)
 
 
 def test_lr_accuracy_tie_break_lowest_class(rng):
@@ -156,10 +174,10 @@ def test_lr_accuracy_tie_break_lowest_class(rng):
     labels[:5] = 0
     labels[5:] = rng.integers(1, 5, size=7)
     mats = shared_matrix(genes.astype(np.uint64), labels, 103)
+    zero = shared(np.zeros((1, 3, N_CLASSES), dtype=np.uint64), 120)
 
     def body(p):
-        model = lr_train(p, mats[p.pid - 1], epochs=0, learning_rate=0.05)
-        return lr_accuracy(p, model, mats[p.pid - 1])
+        return lr_accuracy(p, zero[p.pid - 1], mats[p.pid - 1])
 
     results, _ = run3(body)
     acc = fx.decode(np.atleast_1d(reconstruct(results)))[0]
@@ -168,34 +186,23 @@ def test_lr_accuracy_tie_break_lowest_class(rng):
 
 
 def test_lr_accuracy_rejects_empty():
-    genes = np.zeros((4, 2), dtype=np.int64)
-    labels = np.zeros(4, dtype=np.int64)
-    mats = shared_matrix(genes.astype(np.uint64), labels, 104)
     empty = shared_matrix(np.zeros((0, 2), dtype=np.uint64), np.zeros(0, dtype=np.int64), 105)
+    zero = shared(np.zeros((1, 3, N_CLASSES), dtype=np.uint64), 121)
 
     def body(p):
-        model = lr_train(p, mats[p.pid - 1], epochs=0, learning_rate=0.05)
-        return lr_accuracy(p, model, empty[p.pid - 1])
+        return lr_accuracy(p, zero[p.pid - 1], empty[p.pid - 1])
 
     with pytest.raises(Exception):
         run3(body)
 
 
 def test_gradient_step0_matches_finite_differences(rng):
-    """Secure step-0 gradient vs central differences of float softmax-CE at W=0."""
+    """The enclave's step-0 gradient vs central differences of float softmax-CE at W=0."""
     genes, labels = make_separable_toy(rng, n=10)
-    mats = shared_matrix(genes.astype(np.uint64), labels, 106)
-
-    def body(p):
-        return lr_train(p, mats[p.pid - 1], epochs=1, learning_rate=1.0)
-
-    results, _ = run3(body)
     # after one epoch with lr=1: W = -grad_mean (eta = 1/n)
-    w = fx.decode(reconstruct(results)[0])
-    secure_grad = -w
+    secure_grad = -fx.decode(train(genes, labels, 1, 1.0))
 
     x = np.concatenate([genes, np.ones((10, 1))], axis=1).astype(np.float64)
-    onehot = (labels[:, None] == np.arange(5)).astype(np.float64)
 
     def loss(wf):
         z = x @ wf
@@ -211,58 +218,42 @@ def test_gradient_step0_matches_finite_differences(rng):
             wp = np.zeros((3, 5)); wp[j, c] = h
             wm = np.zeros((3, 5)); wm[j, c] = -h
             fd[j, c] = (loss(wp) - loss(wm)) / (2 * h)
-    # mean-CE gradient: secure uses sum(delta)/n, same normalization
+    # mean-CE gradient: the trainer uses sum(delta)/n, same normalization
     assert np.max(np.abs(secure_grad - fd)) <= 10 * 2.0**-16 + 1e-4
 
 
 def test_evaluate_identity_synthetic(rng):
     genes = rng.integers(0, 4, size=(16, 2))
     labels = rng.integers(0, 5, size=16)
-    train = shared_matrix(genes.astype(np.uint64), labels, 107)
+    real = shared_matrix(genes.astype(np.uint64), labels, 107)
     synth = shared_matrix(genes.astype(np.uint64), labels, 108)
     test_g = rng.integers(0, 4, size=(8, 2))
     test_l = rng.integers(0, 5, size=8)
     test = shared_matrix(test_g.astype(np.uint64), test_l, 109)
+    w = train(genes, labels, 20, 0.05)
+    sw = shared(w[None], 122)
 
     def body(p):
-        real = train[p.pid - 1]
-        m = evaluate(p, synth[p.pid - 1], test[p.pid - 1], marginal_counts(p, real), real.rows,
-                     epochs=20, learning_rate=0.05)
+        m = evaluate(p, marginal_counts(p, real[p.pid - 1]), marginal_counts(p, synth[p.pid - 1]),
+                     real[p.pid - 1].rows, sw[p.pid - 1], test[p.pid - 1])
         return m.wle, m.accuracy
 
     results, parties = run3(body)
-    w = np.atleast_1d(reconstruct([r[0] for r in results]))[0]
-    assert int(w) == 0
-    # ledger splits wle / lr / acc under separate labels
+    assert int(np.atleast_1d(reconstruct([r[0] for r in results]))[0]) == 0
+    # the ledger splits wle and acc under separate labels; nothing trains on shares
     for p in parties:
-        for label in ("wle", "lr", "acc"):
-            assert label in p.ledger.entries
-    # real-data-trained model same seedless arithmetic: accuracy equals clear mirror
-    w_clear = ref.clear_lr_train(genes, labels, 20, 0.05)
-    want_acc = ref.clear_lr_accuracy(w_clear, test_g, test_l)
+        assert {"wle", "acc"} <= set(p.ledger.entries)
+        assert "lr" not in p.ledger.entries
+    want_acc = ref.clear_lr_accuracy(ref.clear_lr_train(genes, labels, 20, 0.05), test_g, test_l)
     got_acc = int(np.atleast_1d(reconstruct([r[1] for r in results]))[0])
     assert got_acc == int(want_acc)
-
-
-def test_lr_ledger_doubles_with_epochs(rng):
-    genes = rng.integers(0, 4, size=(30, 4))
-    labels = rng.integers(0, 5, size=30)
-    mats = shared_matrix(genes.astype(np.uint64), labels, 110)
-    totals = {}
-    for epochs in (10, 20):
-        def body(p):
-            lr_train(p, mats[p.pid - 1], epochs=epochs, learning_rate=0.05)
-
-        _, parties = run3(body)
-        totals[epochs] = sum(p.ledger.entry("lr").bytes_sent for p in parties)
-    assert totals[20] == 2 * totals[10]
 
 
 # -- softmax arithmetic ---------------------------------------------------------
 
 def test_exp_exhaustive_grid_bounds():
     """Every grid point of [SOFTMAX_FLOOR, 0]: exp(0) is exactly 1.0 and every
-    value lies in [0, 1], so a row sum lies in bounded_div's range [1, DENOM_MAX]."""
+    value lies in [0, 1], so a row sum lies in the division's range [1, DENOM_MAX]."""
     n = int(-SOFTMAX_FLOOR) * 2**16 + 1
     grid = (-np.arange(n, dtype=np.int64)).view(np.uint64)
     values = fx.signed(ref.clear_exp(grid))
@@ -275,7 +266,8 @@ def test_exp_exhaustive_grid_bounds():
 
 
 def test_bounded_div_sweep_within_four_ulp():
-    """Every grid denominator in [1, DENOM_MAX]; the secure run equals the mirror."""
+    """Every grid denominator in [1, DENOM_MAX]: the Goldschmidt constants
+    give 1/den within 4 ulp, and num/den within 4 ulp for numerators in [0, 1]."""
     den = np.arange(2**16, int(DENOM_MAX) * 2**16 + 1, dtype=np.uint64)
     ones = np.full((den.size, 1), np.uint64(fx.encode_scalar(1.0)))
     recip = ref.clear_bounded_div(ones, den)[:, 0]
@@ -283,26 +275,13 @@ def test_bounded_div_sweep_within_four_ulp():
 
     sample = den[::97]
     num = fx.encode(np.linspace(0.0, 1.0, N_CLASSES)) * np.ones((sample.size, 1), dtype=np.uint64)
-    s_num, s_den = shared(num, 111), shared(sample, 112)
-
-    def body(p):
-        return bounded_div(p, s_num[p.pid - 1], s_den[p.pid - 1])
-
-    results, _ = run3(body)
-    got = reconstruct(results)
-    assert np.array_equal(got, ref.clear_bounded_div(num, sample))
+    got = ref.clear_bounded_div(num, sample)
     assert np.max(np.abs(fx.decode(got) - fx.decode(num) / fx.decode(sample)[:, None])) <= 4 * ULP
 
 
 def test_softmax_random_logits_vs_float(rng):
     z = fx.encode(rng.normal(0.0, 3.0, size=(400, N_CLASSES)))
-    sz = shared(z, 113)
-
-    def body(p):
-        return _softmax_probs(p, sz[p.pid - 1])
-
-    results, _ = run3(body)
-    got = reconstruct(results)
+    got = _softmax(z, 16)
     assert np.array_equal(got, ref.clear_softmax(z))
     zf = fx.decode(z)
     want = np.exp(zf - zf.max(axis=1, keepdims=True))
@@ -311,42 +290,18 @@ def test_softmax_random_logits_vs_float(rng):
 
 
 def test_softmax_matches_mirror_on_wide_logits(rng):
-    """Logits of std 4 scaled up to 2^20, so most t fall far below the floor
-    and wrap inside the unclamped polynomial, plus rows with t at the floor
-    and one ulp either side: the output words equal the mirror's, which
-    clamps before the exponential."""
+    """Logits of std 4 scaled up to 2^20, so most t fall far below the floor,
+    plus rows with t at the floor and one ulp either side: the output words
+    equal the mirror's at both ends of the frac_bits range."""
     scale = 2.0 ** rng.integers(0, 19, size=(300, 1))
     wide = fx.encode(np.clip(rng.normal(0.0, 4.0, size=(300, N_CLASSES)) * scale, -2**20, 2**20))
     floor = np.uint64(fx.encode_scalar(SOFTMAX_FLOOR))
     edge = fx.to_u64(np.array([0, -1, 0, 1, 0])) + np.array([0, floor, floor, floor, 0], dtype=np.uint64)
     edge = edge + fx.encode(rng.normal(0.0, 4.0, size=(20, 1)))
     z = np.concatenate([wide, edge])
-    sz = shared(z, 118)
-
-    def body(p):
-        return _softmax_probs(p, sz[p.pid - 1])
-
-    results, _ = run3(body)
-    assert np.array_equal(reconstruct(results), ref.clear_softmax(z))
-
-
-def test_lr_epoch_rounds_pinned(rng):
-    """One epoch costs at most 124 rounds, whatever the secret inputs."""
-    per_epoch = []
-    for tag in (114, 115):
-        genes = rng.integers(0, 4, size=(40, 3))
-        labels = rng.integers(0, 5, size=40)
-        mats = shared_matrix(genes.astype(np.uint64), labels, tag)
-        rounds = {}
-        for epochs in (1, 2):
-            def body(p):
-                lr_train(p, mats[p.pid - 1], epochs=epochs, learning_rate=0.05)
-
-            _, parties = run3(body)
-            rounds[epochs] = [p.ledger.entry("lr").rounds for p in parties]
-        per_epoch.append([b - a for a, b in zip(rounds[1], rounds[2])])
-    assert per_epoch[0] == per_epoch[1]
-    assert max(per_epoch[0]) <= 124
+    assert np.array_equal(_softmax(z, 16), ref.clear_softmax(z))
+    z20 = z << np.uint64(4)
+    assert np.array_equal(_softmax(z20, 20), ref.clear_softmax(z20, 20))
 
 
 def test_accuracy_rounds_pinned(rng):

@@ -1,11 +1,19 @@
 import numpy as np
 
 import clear_reference as ref
-from conftest import run3, shared_matrix
+from conftest import run3, shared, shared_matrix
 
 from silosynth import fixedpoint as fx
-from silosynth.generator import fit_gene_table, generate_bridge, generate_synthetic, generator_rng
-from silosynth.marginals import noisy_marginals
+from silosynth.fixedpoint import FixedPointConfig
+from silosynth.generator import (
+    fit_gene_table,
+    generate_bridge,
+    generate_rows,
+    generate_synthetic,
+    generator_rng,
+)
+from silosynth.marginals import noisy_marginals, split_marginals
+from silosynth.runtime import run_parties
 from silosynth.sharing import reconstruct
 
 
@@ -88,7 +96,7 @@ def test_bridge_reshares_enclave_output(rng):
 
     def body(p):
         _, ms = noisy_marginals(p, mats[p.pid - 1], 1.0)
-        return generate_bridge(p, ms, [30], 10, master_seed=77, contexts=[(1, 2)])
+        return generate_rows(p, ms, 30, 10, master_seed=77, context=(1, 2))
 
     results, parties = run3(body)
     opened = reconstruct([r.data for r in results])[0]
@@ -114,7 +122,7 @@ def test_bridge_matches_cleartext_generation(rng):
 
     def body(p):
         _, ms = noisy_marginals(p, mats[p.pid - 1], 0.0)
-        return generate_bridge(p, ms, [40], 10, master_seed=55, contexts=[(0, 0)])
+        return generate_rows(p, ms, 40, 10, master_seed=55, context=(0, 0))
 
     results, _ = run3(body, seed=55)
     opened = reconstruct([r.data for r in results])[0]
@@ -122,3 +130,40 @@ def test_bridge_matches_cleartext_generation(rng):
     want = generate_synthetic(g.astype(float), l.astype(float), t.astype(float),
                               40, 10, generator_rng(55, (0, 0)))
     assert np.array_equal(fx.signed(opened), want)
+
+
+def test_bridge_reshares_counts_and_weights(rng):
+    """A tuning loop's enclave step on 3 folds of unequal size at frac_bits
+    = 20: the re-shared counts equal brute-force counts of the rows the
+    enclave sampled, the weights equal the mirror trainer's on those rows,
+    and the rows are never re-shared or opened."""
+    f, d, rows = 20, 3, [8, 7, 7]
+    genes = rng.integers(0, 4, size=(22, d))
+    labels = rng.integers(0, 5, size=22)
+    folds = np.array_split(np.arange(22), 3)
+    cells = np.stack([np.concatenate([m.ravel() for m in ref.brute_marginals(genes[i], labels[i])])
+                      for i in folds]).astype(np.uint64) << np.uint64(f)
+    ms = shared(cells, 82)
+    contexts = [(3, j) for j in range(3)]
+
+    def body(p):
+        return generate_bridge(p, ms[p.pid - 1], rows, 10, 55, contexts, epochs=6, learning_rate=0.2)
+
+    results, parties = run_parties(body, 55, FixedPointConfig(f))
+    counts = reconstruct([r[0] for r in results])
+    weights = reconstruct([r[1] for r in results])
+    assert counts.shape == cells.shape and weights.shape == (3, d + 1, 5)
+    gene, label, two_way = split_marginals(fx.decode(cells, f))
+    for j in range(3):
+        synth = generate_synthetic(gene[j], label[j], two_way[j], rows[j], 10, generator_rng(55, contexts[j]))
+        want = ref.brute_marginals(synth[:, :d], synth[:, d])
+        assert np.array_equal(counts[j], np.concatenate([m.ravel() for m in want]))
+        assert np.array_equal(weights[j], ref.clear_lr_train(synth[:, :d], synth[:, d], 6, 0.2, f))
+    # every party re-shares one word per count and weight, the revealing party
+    # also one per marginal cell; one reveal, nothing opened
+    reshare_bytes = 3 * (cells.shape[1] + (d + 1) * 5) * 8
+    assert [p.ledger.entry("sdg").bytes_sent for p in parties] == [
+        reshare_bytes, reshare_bytes + cells.size * 8, reshare_bytes]
+    for p in parties:
+        assert p.opening_log == []
+        assert p.reveal_log == [("noisy-marginals", cells.size)]

@@ -9,6 +9,7 @@ from conftest import reconstruct_xor, run3, shared, shared_matrix
 from silosynth import fixedpoint as fx
 from silosynth.marginals import (
     calibrate,
+    cell_counts,
     indicator,
     marginal_counts,
     measurement_count,
@@ -104,6 +105,15 @@ def test_sigma0_marginals_equal_brute_force(rng):
         assert np.all(gene.sum(axis=1) == n)
         assert np.all(two.sum(axis=1) == n)
         assert label.sum() == n
+
+
+def test_cell_counts_equal_brute_force(rng):
+    """The enclave's cleartext counts of sampled rows, in the canonical cell
+    order, with and without gene columns."""
+    for d in (0, 1, 6):
+        rows = np.column_stack([rng.integers(0, 4, size=(40, d)), rng.integers(0, 5, size=40)])
+        want = np.concatenate([m.ravel() for m in ref.brute_marginals(rows[:, :d], rows[:, d])])
+        assert np.array_equal(cell_counts(rows), want.astype(np.uint64))
 
 
 def test_marginal_hand_examples():

@@ -303,18 +303,29 @@ def test_unequal_folds_match_clear_pipeline(k_folds, mode):
 
 
 def test_loop_lr_rounds_do_not_grow_with_folds(rng):
+    """The enclave trains every fold's model inside its one step: evaluation
+    (eval with its nested wle and acc) and the enclave step (sdg) take the
+    same rounds for 2 and 3 folds, and no label's traffic depends on the
+    epoch count."""
     datasets = two_datasets(rng, n_each=12)
     thresholds = np.array([[1000.0, 0.0], [1000.0, 0.0]])
-    lr_rounds = {}
-    for k in (2, 3):
-        config = small_config(k_folds=k, hyperparams=(10,), max_loops=1, lr_epochs=2)
+    traffic = {}
+    for k, epochs in ((2, 2), (3, 2), (3, 7)):
+        config = small_config(k_folds=k, hyperparams=(10,), max_loops=1, lr_epochs=epochs)
         _, parties = run_full(config, datasets, thresholds)
-        lr_rounds[k] = [p.ledger.entry("lr").rounds for p in parties]
-    assert lr_rounds[2] == lr_rounds[3]
+        traffic[k, epochs] = [{label: (e["rounds"], e["bytes_sent"], e["messages_sent"])
+                               for label, e in p.ledger.snapshot().items()} for p in parties]
+
+    def rounds(run, labels):
+        return [sum(ledger[label][0] for label in labels) for ledger in traffic[run]]
+
+    for labels, want in ((("eval", "wle", "acc"), 223), (("sdg",), 2)):
+        assert rounds((2, 2), labels) == rounds((3, 2), labels) == [want] * 3
+    assert traffic[3, 2] == traffic[3, 7]
 
 
 # (rounds, bytes sent) per party, summed over the ledger labels
-PINNED_TINY_TRAFFIC = [(967, 1057984), (967, 1059832), (967, 1057984)]
+PINNED_TINY_TRAFFIC = [(694, 662272), (694, 664120), (694, 662272)]
 
 
 def test_tiny_run_traffic_pinned(rng):

@@ -194,14 +194,14 @@ def test_abort_names_the_failing_label_path():
     """The abort names the innermost label path the failing party's error left."""
     def body(p):
         with p.protocol("eval"):
-            with p.protocol("lr"):
+            with p.protocol("wle"):
                 if p.pid == 3:
                     raise ValueError("bad logits")
                 p.recv_words(3)
 
     with pytest.raises(ProtocolAbort) as exc_info:
         run3(body)
-    assert str(exc_info.value) == "party 3 failed: ValueError('bad logits') in eval/lr"
+    assert str(exc_info.value) == "party 3 failed: ValueError('bad logits') in eval/wle"
 
 
 def test_transcripts_reproducible_across_runs():
@@ -297,7 +297,7 @@ def test_nested_label_seconds_are_exclusive():
         t0 = time.perf_counter()
         with p.protocol("eval"):
             time.sleep(0.02)
-            with p.protocol("lr"):
+            with p.protocol("wle"):
                 time.sleep(0.1)
             with p.protocol("acc"):
                 time.sleep(0.02)
@@ -306,6 +306,6 @@ def test_nested_label_seconds_are_exclusive():
     results, _ = run3(body)
     for wall, seconds in results:
         assert sum(seconds.values()) <= wall
-        assert seconds["lr"] >= 0.1 and seconds["acc"] >= 0.02
+        assert seconds["wle"] >= 0.1 and seconds["acc"] >= 0.02
         # eval's own sleep only; counted inclusively it would be >= 0.14
         assert 0.02 <= seconds["eval"] < 0.07

@@ -398,6 +398,48 @@ def test_silent_connection_times_out_exit_4(setup_files, capsys):
         s.close()
 
 
+def test_stray_connections_do_not_stop_the_run(setup_files):
+    """A silent connection and one with a junk hello reach party 1 before its
+    peers do; the run still completes with exit 0, well inside --timeout."""
+    tmp_path, cfg, data_paths, (thr0, thr1, _) = setup_files
+    ports = free_ports(3)
+    addrs = {i + 1: f"127.0.0.1:{ports[i]}" for i in range(3)}
+
+    def party(pid):
+        peers = [f"--peer={j}={addrs[j]}" for j in (1, 2, 3) if j != pid]
+        return subprocess.Popen(
+            [sys.executable, "-m", "silosynth.cli", "party", "--id", str(pid),
+             "--listen", addrs[pid], *peers, "--config", str(cfg), "--timeout", "30"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+
+    t0 = time.monotonic()
+    procs = [party(1)]
+    strays = []
+    try:
+        strays = [_connect_with_retry(("127.0.0.1", ports[0]), 30) for _ in range(2)]
+        strays[1].sendall(b"GET / HTTP/1.0\r\n\r\n")
+        procs += [party(2), party(3)]
+        servers = ",".join(addrs[i] for i in (1, 2, 3))
+        procs += [
+            subprocess.Popen(
+                [sys.executable, "-m", "silosynth.cli", "custodian",
+                 "--data", str(data_paths[c]), "--thresholds", str((thr0, thr1)[c]),
+                 "--servers", servers, "--config", str(cfg), "--index", str(c), "--timeout", "30"],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+            for c in range(2)
+        ]
+        for proc in procs:
+            _, err = proc.communicate(timeout=90)
+            assert proc.returncode == 0, err.decode()
+    finally:
+        for proc in procs:
+            if proc.poll() is None:
+                proc.kill()
+        for s in strays:
+            s.close()
+    assert time.monotonic() - t0 < 25
+
+
 def test_custodian_upload_is_three_component_streams(rng):
     from silosynth.ingest import custodian_components
 
