@@ -5,11 +5,12 @@ linearly interpolated at public positions, and every cell is mapped to
 3 - (x < Q0) - (x < Q1) - (x < Q2). Every function works on a batch of
 datasets at once, on a leading axis: the folds of a tuning loop and, on the
 first loop, the full data beside them. The sort only sorts the positions
-the interpolation reads. Held-out rows are binned with their fold's cuts in
-the same comparisons as the training rows. Strict less-than follows the
-comparison primitive, so a value equal to a cut is not below it. Per-bin
-means, for inverse discretization, are computed only for the data that is
-published.
+the interpolation reads; it compares XOR-shared bits and hands back
+arithmetic shares of those positions, so the quantiles and the binning stay
+arithmetic. Held-out rows are binned with their fold's cuts in the same
+comparisons as the training rows. Strict less-than follows the comparison
+primitive, so a value equal to a cut is not below it. Per-bin means, for
+inverse discretization, are computed only for the data that is published.
 """
 
 from __future__ import annotations

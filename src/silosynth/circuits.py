@@ -13,7 +13,8 @@ sharings of the individual components cost no communication, and a gate on
 components forms its cross terms from the pair each party already holds.
 Summing the three components inside a carry-save + Sklansky prefix adder
 yields the bits of x, plus the exact inter-component carries needed for
-deterministic truncation.
+deterministic truncation. Two XOR-shared words compare in log depth on
+their bits (``less_than_bits``), which the sort runs on.
 
 Every XOR-to-arithmetic step is one formula, bit injection (ABY3 §5.4):
 with u = c1 ^ c2 at party 1 and c3 at parties 2 and 3 (``Party.split``), a
@@ -176,6 +177,56 @@ def add_components(party: Party, x: ShareVector):
     carry = ShareVector(*big_g)
     sum_bits = p ^ (carry << 1)
     return sum_bits, maj, carry
+
+
+# Comparator levels: the span w = 2^j and the lanes base and base + 1 of
+# every 2w-lane block.
+_COMPARE_LEVELS = [(1 << j,
+                    np.uint64(sum(1 << t for t in range(0, 64, 2 << j))),
+                    np.uint64(sum(2 << t for t in range(0, 64, 2 << j)))) for j in range(6)]
+
+
+def less_than_bits(party: Party, x: ShareVector, y: ShareVector) -> ShareVector:
+    """XOR-shared 0/1 word: 1 iff x < y as unsigned 64-bit words, for XOR sharings x and y.
+
+    Per lane, L = NOT x AND y (one AND) and E = NOT (x ^ y) (local). Six
+    levels then merge the halves of every 2w-lane block from the top:
+    L = L_hi ^ E_hi L_lo and E = E_hi E_lo (the halves' L are exclusive, so
+    XOR is OR; Garay, Schoenmakers & Villegas, PKC 2007). Both products of a
+    level share one AND word: E_hi L_lo at the block's base lane and
+    E_hi E_lo at base + 1, where the level leaves L and E. 7 rounds and
+    7 words per element; any two words compare correctly, as the sign of
+    x - y cannot once |x - y| reaches 2^63.
+    """
+    less, eq = and_packed(party, not_packed(party, x), y), not_packed(party, x ^ y)
+    # L and E stacked on a leading axis of both components; every level
+    # runs in place on them and on three scratch arrays
+    big_l, big_e = np.stack((less.a, less.b)), np.stack((eq.a, eq.b))
+    del less, eq
+    lhs, rhs, tmp = (np.empty_like(big_l) for _ in range(3))
+    e_up = 0                                    # E's lane above L's: 0, then 1
+    for w, base, base1 in _COMPARE_LEVELS:
+        np.right_shift(big_e, w + e_up - 1, out=lhs)    # E_hi at base + 1,
+        lhs &= base1
+        np.right_shift(lhs, 1, out=tmp)                 # and at base
+        lhs |= tmp
+        np.bitwise_and(big_l, base, out=rhs)            # L_lo at base,
+        if e_up:
+            np.bitwise_and(big_e, base1, out=tmp)       # E_lo at base + 1
+        else:
+            np.left_shift(big_e, 1, out=tmp)
+            tmp &= base1
+        rhs |= tmp
+        prod = and_packed(party, ShareVector(*lhs), ShareVector(*rhs))
+        big_l >>= w                                     # L_hi at base
+        for k, r in enumerate((prod.a, prod.b)):
+            big_l[k] ^= r
+        big_l &= base
+        for k, r in enumerate((prod.a, prod.b)):
+            np.bitwise_and(r, base1, out=tmp[k])
+        big_l |= tmp
+        big_e, e_up = big_l, 1
+    return bit_extract(ShareVector(*big_l), 0)
 
 
 # -- bit/arithmetic conversion --------------------------------------------------

@@ -14,7 +14,9 @@ the protocols' fixed-point arithmetic: integer bin features and a bias
 column, so the logits and the gradient need no truncation; softmax with a
 clamped polynomial exponential and a Goldschmidt division whose products
 reach scale 3f, which is why frac_bits stays at most 20. The accuracy argmax
-is one ``select_max`` over the 5 classes, 12 rounds.
+is one ``select_max`` over the 5 classes, 12 rounds, and the hits are
+divided by the public test-row count with ``div_public``: one truncation,
+10 rounds, 32 rounds for the accuracy in all.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 from . import fixedpoint as fx
 from .circuits import b2a, matmul_shares, trunc_shares
 from .marginals import measurement_count, split_marginals
-from .primitives import div_fx, eq_zero, is_negative, select, select_max
+from .primitives import div_public, eq_zero, is_negative, select, select_max
 from .runtime import Party
 from .sharing import ShareMatrix, ShareVector, concat_shares
 
@@ -131,14 +133,11 @@ def lr_accuracy(party: Party, weights: ShareVector, test: ShareMatrix) -> ShareV
     """Secret fraction of each fold's test rows whose predicted class equals the label: (K,)."""
     if np.any(test.rows == 0):
         raise ValueError("empty test set")
-    f = party.fp.frac_bits
     with party.protocol("acc"):
         logits = matmul_shares(party, _with_bias(party, test), weights)
         _, predicted = select_max(party, logits, party.const_share(np.arange(N_CLASSES)))
         hits = b2a(party, eq_zero(party, predicted - test.labels())).scale_by(test.mask)
-        scale = np.uint64(1) << np.uint64(f)
-        acc = div_fx(party, hits.sum(axis=1).scale_by(scale),
-                     party.const_share(test.rows.astype(np.uint64) * scale))
+        acc = div_public(party, hits.sum(axis=1), test.rows)
     return acc
 
 

@@ -5,10 +5,13 @@ only on public shapes, never on secret values. Comparison rides on the
 component adder from circuits.py; comparison and equality return
 XOR-shared bits: ``select`` injects such a bit directly (two rounds), and a
 caller that needs the bit as an arithmetic value converts it with ``b2a``.
-Division is a Newton-Raphson reciprocal after oblivious normalization to
-[0.5, 1); sorting runs one merge-exchange network per batch over its own
-rows, zipped layer by layer, of secure compare-swaps, less those no read
-output depends on.
+Division by a secret is a Newton-Raphson reciprocal after oblivious
+normalization to [0.5, 1); division by a public count computes the same
+reciprocal locally and keeps one truncation. Sorting runs one
+merge-exchange network per batch over its own rows, zipped layer by layer,
+less the compare-swaps no read output depends on; it converts the values to
+XOR-shared bits once, compares them with the log-depth comparator of
+circuits.py and swaps with one AND, and converts back only what is read.
 """
 
 from __future__ import annotations
@@ -17,11 +20,14 @@ import numpy as np
 
 from . import fixedpoint as fx
 from .circuits import (
+    ONE,
+    SIGN_OFFSET,
     add_components,
     and_packed,
     b2a_sum,
     bit_extract,
     inject,
+    less_than_bits,
     mul_shares,
     not_packed,
     or_packed,
@@ -113,6 +119,18 @@ def mul_fx(party: Party, x: ShareVector, y: ShareVector) -> ShareVector:
     return trunc_shares(party, mul_shares(party, x, y), party.fp.frac_bits)
 
 
+def _newton_raphson(b_norm, mul, add_public, f: int):
+    """1/b_norm for b_norm in [0.5, 1) at scale f: the public linear initial
+    guess and NR_ITERATIONS steps x <- x (2 - b_norm x), with ``mul`` the
+    scale-f product and ``add_public`` the addition of a public word, on
+    shares and on public words alike."""
+    two = fx.encode_scalar(2.0, f)
+    x = add_public(-(b_norm + b_norm), fx.encode_scalar(RECIP_INIT, f))
+    for _ in range(NR_ITERATIONS):
+        x = mul(x, add_public(-mul(b_norm, x), two))
+    return x
+
+
 def reciprocal_fx(party: Party, b: ShareVector) -> ShareVector:
     """Fixed-point 1/b for secret b with 0 < b (ring value below 2^(2f)).
 
@@ -132,11 +150,7 @@ def reciprocal_fx(party: Party, b: ShareVector) -> ShareVector:
                      [np.uint64(1) << np.uint64(2 * f - 1 - t) for t in range(2 * f)])
 
     b_norm = trunc_shares(party, mul_shares(party, b, factor), f)
-    two = fx.encode_scalar(2.0, f)
-    x = party.add_public(-(b_norm + b_norm), fx.encode_scalar(RECIP_INIT, f))
-    for _ in range(NR_ITERATIONS):
-        e = party.add_public(-mul_fx(party, b_norm, x), two)
-        x = mul_fx(party, x, e)
+    x = _newton_raphson(b_norm, lambda u, v: mul_fx(party, u, v), party.add_public, f)
     return mul_fx(party, x, factor)
 
 
@@ -146,6 +160,31 @@ def div_fx(party: Party, a: ShareVector, b: ShareVector) -> ShareVector:
     q = mul_fx(party, a, recip)
     residual = a - mul_fx(party, q, b)
     return q + mul_fx(party, residual, recip)
+
+
+def div_public(party: Party, x: ShareVector, d) -> ShareVector:
+    """Fixed-point x/d of secret integers x by public integers d (shapes
+    broadcast), for 0 <= x <= d < 2^f: word for word what ``div_fx`` returns
+    for x 2^f over d 2^f, in one truncation (10 rounds).
+
+    Every party computes r, the reciprocal ``reciprocal_fx`` returns for
+    d 2^f, locally. Then div_fx's products are exact but the last: its
+    quotient is x r and its residual x 2^f - x r d, both local, and its
+    correction truncates residual r. The truncations dropped act on
+    multiples of 2^f below 2^(3f) <= 2^60, so they lose nothing.
+    """
+    f = party.fp.frac_bits
+    b = fx.to_u64(d) << np.uint64(f)
+    # reciprocal_fx's steps on public words: the same power of two, the
+    # same Newton-Raphson iterations, the same truncations
+    top = np.array([int(v).bit_length() - 1 for v in b.ravel()], dtype=np.uint64).reshape(b.shape)
+    factor = ONE << (np.uint64(2 * f - 1) - top)
+    recip_norm = _newton_raphson(fx.truncate(b * factor, f), lambda u, v: fx.truncate(u * v, f),
+                                 lambda u, c: u + np.uint64(c), f)
+    r = fx.truncate(recip_norm * factor, f)
+    q = x.scale_by(r)
+    residual = x.scale_by(ONE << np.uint64(f)) - q.scale_by(d)
+    return q + trunc_shares(party, residual.scale_by(r), f)
 
 
 # -- oblivious sorting ---------------------------------------------------------
@@ -196,23 +235,45 @@ def sort_columns(party: Party, matrix: ShareVector, rows=None, read=None) -> Sha
     """Sort each column of (..., N, d) shares along axis -2 in one batched schedule.
 
     ``rows`` (shaped like the leading axes) counts the data rows of each
-    batch; the first rows[k] outputs of batch k are its sorted data, and its
-    rows past rows[k] are left as they are. With ``read`` (..., N), a public
-    mask of the outputs the caller reads, only those are sorted values.
-    Every layer of the public plan (``_sort_plan``) is one gather of all
-    batches' secret pairs, one ``lt``, one ``select`` and one scatter: the
-    rounds are those of the deepest batch's network, the bytes those of
-    separate sorts.
+    batch; the first rows[k] outputs of batch k are its sorted data. With
+    ``read`` (..., N), a public mask of the outputs the caller reads, only
+    those are sorted values; every other output is its input.
+
+    The sort runs on XOR-shared bits: every position the public plan
+    (``_sort_plan``) touches is converted once (``add_components``, 8 rounds
+    for all batches), with bit 63 flipped so that unsigned order is signed
+    order. Each layer is one gather of all batches' secret pairs, one
+    ``less_than_bits`` (7 rounds) and one AND of its bit, spread over the
+    lanes, with xp ^ xq (1 round): 8 rounds and 8 words per compare-swap.
+    The touched read positions come back in one 64-lane ``b2a_sum``
+    (2 rounds, 65 words each). The rounds are those of the deepest batch's
+    network, the bytes those of separate sorts.
     """
     lead, (n, d) = matrix.shape[:-2], matrix.shape[-2:]
     rows = np.broadcast_to(n if rows is None else rows, lead).ravel()
     read = np.arange(n) < rows[:, None] if read is None else np.broadcast_to(read, lead + (n,))
+    plan = _sort_plan(rows, read.reshape(rows.size, n))
     arr = matrix.reshape(-1, d).copy()
-    for p, q in _sort_plan(rows, read.reshape(rows.size, n)):
-        xp, xq = arr[p], arr[q]
-        low = select(party, lt(party, xq, xp), xp, xq)
-        arr[p] = low
-        arr[q] = xp + xq - low
+    if not plan:
+        return arr.reshape(*matrix.shape)
+    hit = np.zeros(arr.shape[0], dtype=bool)
+    for p, q in plan:
+        hit[p] = hit[q] = True
+    touched, slot = np.flatnonzero(hit), np.cumsum(hit) - 1     # slot: row -> index in touched
+    bits = add_components(party, arr[touched])[0] ^ party.const_share(SIGN_OFFSET)
+    for p, q in plan:
+        p, q = slot[p], slot[q]
+        xp, xq = bits[p], bits[q]
+        # a 0/1 bit negated is 0 or all ones in every component, so the
+        # negation spreads the secret bit over the lanes (local)
+        swap = and_packed(party, -less_than_bits(party, xq, xp), xp ^ xq)
+        bits[p] = xp ^ swap
+        bits[q] = xq ^ swap
+    back = read.ravel()[touched]
+    bits = bits[back]
+    # the flipped bits read x + 2^63, so adding 2^63 again gives x
+    arr[touched[back]] = party.add_public(b2a_sum(party, [bit_extract(bits, t) for t in range(64)],
+                                                  [ONE << np.uint64(t) for t in range(64)]), SIGN_OFFSET)
     return arr.reshape(*matrix.shape)
 
 

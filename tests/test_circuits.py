@@ -10,6 +10,7 @@ from silosynth.circuits import (
     b2a,
     b2a_sum,
     bit_extract,
+    less_than_bits,
     matmul_shares,
     mul_shares,
     trunc_shares,
@@ -164,6 +165,51 @@ def test_add_components_costs_eight_rounds_and_eight_words():
 
     results, _ = run3(body)
     assert results == [(8, 8 * n * 8)] * 3
+
+
+def comparator_pairs():
+    """Random pairs, ties, adjacent words, the extremes 0, -2^63 and 2^63 - 1
+    against each other, and pairs whose difference wraps past 2^63."""
+    rng = np.random.default_rng(21)
+    x = rng.integers(0, 2**64, size=2000, dtype=np.uint64)
+    y = rng.integers(0, 2**64, size=2000, dtype=np.uint64)
+    y[:200] = x[:200]                                            # ties
+    y[200:400] = x[200:400] + np.uint64(1)                       # adjacent, both ways
+    x[400:600] = y[400:600] + np.uint64(1)
+    y[600:700] = x[600:700] ^ np.uint64(1)                       # differ in lane 0 only
+    edges = fx.to_u64(np.array([0, -2**63, 2**63 - 1, -1, 1], dtype=np.int64))
+    ex, ey = np.meshgrid(edges, edges)
+    wide = fx.to_u64(rng.integers(-2**62, 2**62, size=(2, 300), dtype=np.int64))
+    wide[0] += np.uint64(1 << 62)                                # x - y reaches past 2^63
+    wide[1] -= np.uint64(1 << 62)
+    return np.concatenate([x, ex.ravel(), wide[0]]), np.concatenate([y, ey.ravel(), wide[1]])
+
+
+def test_less_than_bits_matches_numpy_unsigned_and_signed():
+    """The comparator orders any two words, unsigned as given and signed with
+    bit 63 flipped (the sort's form), where the sign of x - y would wrap, in
+    7 rounds and 7 words per element: one AND for NOT x AND y and one packed
+    AND word per level."""
+    x, y = comparator_pairs()
+    flip = np.uint64(1 << 63)
+    sign_of_difference = fx.signed(x - y) < 0
+    assert np.any(sign_of_difference != (fx.signed(x) < fx.signed(y)))   # the arithmetic lt errs
+    sx, sy = shared_xor_input(x, 30), shared_xor_input(y, 31)
+    flipped_x, flipped_y = shared_xor_input(x ^ flip, 32), shared_xor_input(y ^ flip, 33)
+
+    def body(p):
+        with p.protocol("adhoc"):
+            unsigned = less_than_bits(p, sx[p.pid - 1], sy[p.pid - 1])
+        e = p.ledger.entry("adhoc")
+        cost = e.rounds, e.bytes_sent
+        return unsigned, less_than_bits(p, flipped_x[p.pid - 1], flipped_y[p.pid - 1]), cost
+
+    results, _ = run3(body)
+    unsigned = reconstruct_xor([r[0] for r in results])
+    signed = reconstruct_xor([r[1] for r in results])
+    assert np.array_equal(unsigned, (x < y).astype(np.uint64))
+    assert np.array_equal(signed, (fx.signed(x) < fx.signed(y)).astype(np.uint64))
+    assert [r[2] for r in results] == [(7, 7 * x.size * 8)] * 3
 
 
 def test_b2a_bit_values():

@@ -17,7 +17,7 @@ from silosynth.evaluation import (
 )
 from silosynth.fixedpoint import FixedPointConfig
 from silosynth.marginals import marginal_counts
-from silosynth.runtime import Party
+from silosynth.runtime import Party, run_parties
 from silosynth.sharing import reconstruct
 
 ULP = 2.0**-16
@@ -185,6 +185,27 @@ def test_lr_accuracy_tie_break_lowest_class(rng):
     assert abs(acc - want) <= 2**-13
 
 
+def test_lr_accuracy_255_rows_at_f8_matches_mirror(rng):
+    """At f = 8, 255 test rows is the most the preflight admits: accuracy with
+    every row a hit, none a hit, and random labels equals the mirror's
+    division word for word."""
+    genes = rng.integers(0, 4, size=(255, 3))
+    w = fx.encode(rng.normal(0.0, 1.0, size=(4, N_CLASSES)), 8)
+    predicted = ref.clear_lr_predict(w, genes)
+    cases = [predicted, (predicted + 1) % N_CLASSES, rng.integers(0, N_CLASSES, size=255)]
+    tests = [shared_matrix(genes.astype(np.uint64), labels, 130 + i) for i, labels in enumerate(cases)]
+    sw = shared(w[None], 133)
+
+    def body(p):
+        return [lr_accuracy(p, sw[p.pid - 1], t[p.pid - 1]) for t in tests]
+
+    results, _ = run_parties(body, master_seed=77, fp=FixedPointConfig(8), timeout=120.0)
+    got = [reconstruct([r[i] for r in results])[0] for i in range(len(cases))]
+    assert got == [ref.clear_lr_accuracy(w, genes, labels, 8) for labels in cases]
+    # within an ulp of 1 and 0; the mirror's division reads 255/255 as 1 - 2^-8
+    assert abs(int(got[0]) - (1 << 8)) <= 1 and got[1] == 0
+
+
 def test_lr_accuracy_rejects_empty():
     empty = shared_matrix(np.zeros((0, 2), dtype=np.uint64), np.zeros(0, dtype=np.int64), 105)
     zero = shared(np.zeros((1, 3, N_CLASSES), dtype=np.uint64), 121)
@@ -305,9 +326,10 @@ def test_softmax_matches_mirror_on_wide_logits(rng):
 
 
 def test_accuracy_rounds_pinned(rng):
-    """acc costs 203 rounds: the logits matmul 1, the all-pairs argmax 12
+    """acc costs 32 rounds: the logits matmul 1, the all-pairs argmax 12
     (one lt (8), a two-level AND tree (2) and one injection (2) over 5
-    classes), eq_zero 7, b2a 2 and div_fx 181."""
+    classes), eq_zero 7, b2a 2 and the public-divisor division's one
+    truncation 10."""
     genes = rng.integers(0, 4, size=(12, 3))
     labels = rng.integers(0, 5, size=12)
     test = shared_matrix(genes.astype(np.uint64), labels, 116)
@@ -317,4 +339,4 @@ def test_accuracy_rounds_pinned(rng):
         lr_accuracy(p, w[p.pid - 1], test[p.pid - 1])
 
     _, parties = run3(body)
-    assert [p.ledger.entry("acc").rounds for p in parties] == [203, 203, 203]
+    assert [p.ledger.entry("acc").rounds for p in parties] == [32, 32, 32]

@@ -319,26 +319,35 @@ def test_loop_lr_rounds_do_not_grow_with_folds(rng):
     def rounds(run, labels):
         return [sum(ledger[label][0] for label in labels) for ledger in traffic[run]]
 
-    for labels, want in ((("eval", "wle", "acc"), 223), (("sdg",), 2)):
+    for labels, want in ((("eval", "wle", "acc"), 52), (("sdg",), 2)):
         assert rounds((2, 2), labels) == rounds((3, 2), labels) == [want] * 3
     assert traffic[3, 2] == traffic[3, 7]
 
 
 # (rounds, bytes sent) per party, summed over the ledger labels
-PINNED_TINY_TRAFFIC = [(694, 662272), (694, 664120), (694, 662272)]
+PINNED_TINY_TRAFFIC = [(503, 681480), (503, 683328), (503, 681480)]
+# each label's own rounds (nested labels excluded) at parties 1, 2 and 3
+PINNED_TINY_ROUNDS = {
+    "ingest": [1] * 3, "sort": [130] * 3, "bin": [243] * 3, "noisy_marg": [50] * 3,
+    "sdg": [2] * 3, "eval": [0] * 3, "wle": [20] * 3, "acc": [32] * 3, "vote": [11] * 3,
+    "inv_bin": [13] * 3, "publish": [1] * 3,
+}
 
 
 def test_tiny_run_traffic_pinned(rng):
-    """Exact per-party rounds and bytes of a 2x12x3 run (K=2, 2 epochs): any
-    change to the protocol's round schedule or message sizes shows here."""
+    """Exact per-party rounds and bytes of a 2x12x3 run (K=2, 2 epochs), and
+    every label's rounds at every party: any change to the protocol's round
+    schedule or message sizes shows here, a schedule change under its own
+    label."""
     datasets = two_datasets(rng, n_each=12)
     thresholds = np.array([[1000.0, 0.0], [1000.0, 0.0]])
     config = small_config(k_folds=2, hyperparams=(10,), max_loops=1, lr_epochs=2)
     results, parties = run_full(config, datasets, thresholds)
     assert results[0].publish
-    snaps = [p.ledger.snapshot().values() for p in parties]
-    totals = [(sum(e["rounds"] for e in s), sum(e["bytes_sent"] for e in s)) for s in snaps]
+    snaps = [p.ledger.snapshot() for p in parties]
+    totals = [(sum(e["rounds"] for e in s.values()), sum(e["bytes_sent"] for e in s.values())) for s in snaps]
     assert totals == PINNED_TINY_TRAFFIC
+    assert {label: [s[label]["rounds"] for s in snaps] for label in snaps[0]} == PINNED_TINY_ROUNDS
 
 
 def spy_sorts(monkeypatch):
@@ -358,7 +367,8 @@ def spy_sorts(monkeypatch):
 def test_first_pass_publish_sorts_once(rng, monkeypatch):
     """A run that publishes on loop 1 sorts once: the two 12-row training
     folds (10 layers each) beside the full 24 rows (15 layers), so the sort
-    label is 10 x 15 rounds."""
+    label is 15 layers of 8 rounds between the conversions to bits (8) and
+    back (2)."""
     calls = spy_sorts(monkeypatch)
     datasets = two_datasets(rng, n_each=12)
     thresholds = np.array([[1000.0, 0.0], [1000.0, 0.0]])
@@ -366,7 +376,7 @@ def test_first_pass_publish_sorts_once(rng, monkeypatch):
     results, parties = run_full(config, datasets, thresholds)
     assert results[0].publish
     assert calls == [[12, 12, 24]]
-    assert all(p.ledger.entry("sort").rounds == 10 * 15 for p in parties)
+    assert all(p.ledger.entry("sort").rounds == 8 + 8 * 15 + 2 for p in parties)
 
 
 def test_no_publish_run_pays_full_sort_in_first_loop(rng, monkeypatch):
@@ -381,6 +391,6 @@ def test_no_publish_run_pays_full_sort_in_first_loop(rng, monkeypatch):
     assert not results[0].publish
     assert calls == [[12, 12, 24], [12, 12]]
     for p in parties:
-        assert p.ledger.entry("sort").rounds == 10 * 15 + 10 * 10
+        assert p.ledger.entry("sort").rounds == (8 + 8 * 15 + 2) + (8 + 8 * 10 + 2)
         assert p.ledger.entry("bin").rounds == 2 * 30      # quantiles and binning only
         assert not {"inv_bin", "publish"} & set(p.ledger.entries)

@@ -14,6 +14,7 @@ from silosynth.fixedpoint import FixedPointConfig
 from silosynth.primitives import (
     and_all,
     div_fx,
+    div_public,
     eq_zero,
     gauss01,
     is_negative,
@@ -298,6 +299,46 @@ def test_div_by_largest_admitted_count_matches_mirror(f, means):
     assert not ref.clear_div(a, b + (np.uint64(1) << np.uint64(f)), f).any()
 
 
+def count_pairs(f, rng=None, size=None):
+    """(hits, n) with 0 <= hits <= n < 2^f: every pair, or ``size`` random ones."""
+    if rng is None:
+        n = np.repeat(np.arange(1, 1 << f), np.arange(2, (1 << f) + 1))
+        hits = np.concatenate([np.arange(k + 1) for k in range(1, 1 << f)])
+    else:
+        n = rng.integers(1, 1 << f, size=size)
+        hits = rng.integers(0, n + 1)
+    return hits.astype(np.uint64), n.astype(np.uint64)
+
+
+@pytest.mark.parametrize("f", [8, 12, 16, 20])
+def test_public_divisor_identity_matches_div_fx(f):
+    """For hits <= n < 2^f, div_fx of hits 2^f by n 2^f is q + trunc((hits 2^f
+    - q n) r, f) with r the reciprocal of n 2^f and q = hits r: its other
+    truncations drop nothing. Every pair at f = 8, 20,000 random ones above."""
+    hits, n = count_pairs(f) if f == 8 else count_pairs(f, np.random.default_rng(f), 20_000)
+    one = np.uint64(1) << np.uint64(f)
+    r = ref.clear_reciprocal(n * one, f)
+    q = hits * r
+    got = q + fx.truncate((hits * one - q * n) * r, f)
+    assert np.array_equal(got, ref.clear_div(hits * one, n * one, f))
+
+
+def test_div_public_every_count_below_2_to_8_matches_mirror():
+    """The secure public-divisor division at f = 8, for every (hits, n) with
+    hits <= n < 2^8, word for word the mirror's division, in one truncation."""
+    hits, n = count_pairs(8)
+    sh = share_values(hits, CounterStream(derive_key(555, "div-public", 8)))
+
+    def body(p):
+        with p.protocol("adhoc"):
+            return div_public(p, sh[p.pid - 1], n)
+
+    results, parties = run_parties(body, master_seed=77, fp=FixedPointConfig(8), timeout=120.0)
+    one = np.uint64(1) << np.uint64(8)
+    assert np.array_equal(open_result(results), ref.clear_div(hits * one, n * one, 8))
+    assert [p.ledger.entry("adhoc").rounds for p in parties] == [10, 10, 10]
+
+
 def test_sort_small_example():
     vals = fx.encode(np.array([[3.0], [1.0], [2.0]]))
     batch = fx.encode(np.array([[[3.0, -1.0], [1.0, 5.0], [2.0, 0.0]],
@@ -352,8 +393,10 @@ def test_sort_prunes_padding_and_matches_numpy():
 
 
 def test_sort_bytes_pinned():
-    """(1, 100, 1): the 100-key merge exchange makes 1,077 compare-swaps,
-    each one lt (8 words) and one select (3 words); 28 layers of 8 + 2 rounds."""
+    """(1, 100, 1): the 100-key merge exchange makes 1,077 compare-swaps of
+    8 words (the comparator's 7 and the swap's AND) in 28 layers of 8 rounds.
+    Its 100 positions are converted to bits (8 rounds, 8 words each) and,
+    all read, back (2 rounds, 65 words each): 234 rounds."""
     vals = fx.encode(np.random.default_rng(14).uniform(-50, 50, size=(1, 100, 1)))
     sv = shared(vals, 54)
 
@@ -365,14 +408,16 @@ def test_sort_bytes_pinned():
     assert np.array_equal(fx.signed(reconstruct(results)), np.sort(fx.signed(vals), axis=1))
     for p in parties:
         e = p.ledger.entry("adhoc")
-        assert (e.rounds, e.bytes_sent) == (280, 1077 * 11 * 8)
+        assert (e.rounds, e.bytes_sent) == (234, (100 * (8 + 65) + 1077 * 8) * 8)
 
 
 def test_sort_uneven_batches_one_call():
     """Batches of 2, 5, 100 and 200 rows in a (4, 200, 1) call: each runs its
     own network (1, 6, 28 and 36 layers), zipped, so the call takes the
-    deepest one's 36 layers of 10 rounds and the bytes of the four separate
-    sorts: 1 + 9 + 1,077 + 2,827 = 3,914 compare-swaps of 11 words."""
+    deepest one's 36 layers of 8 rounds between one conversion each way
+    (8 + 288 + 2 rounds), and the bytes of the four separate sorts:
+    1 + 9 + 1,077 + 2,827 = 3,914 compare-swaps of 8 words, and 307
+    positions converted to bits and back at 8 + 65 words."""
     rng = np.random.default_rng(15)
     rows = np.array([2, 5, 100, 200])
     vals = fx.encode(rng.uniform(-50, 50, size=(4, 200, 1)))
@@ -392,15 +437,16 @@ def test_sort_uneven_batches_one_call():
         assert np.array_equal(got[k, :r], np.sort(fx.signed(vals[k, :r]), axis=0))
     for p in parties:
         together, separate = p.ledger.entry("adhoc"), p.ledger.entry("sort")
-        assert together.rounds == 10 * 36
-        assert together.bytes_sent == separate.bytes_sent == 3914 * 11 * 8
+        assert together.rounds == 8 + 8 * 36 + 2
+        assert together.bytes_sent == separate.bytes_sent == (307 * (8 + 65) + 3914 * 8) * 8
 
 
 def test_sort_cone_sorts_read_positions():
     """With the quantile positions of 100 rows as ``read``, only the 945
     compare-swaps those positions depend on are secret (1,077 in the full
-    sort), the depth stays 28 layers, and every read position of a random
-    and a tied column equals numpy's sort."""
+    sort), the depth stays 28 layers, only the 6 read positions of each
+    column are converted back (all 100 are converted to bits), and every
+    read position of a random and a tied column equals numpy's sort."""
     from silosynth.binning import quantile_positions
 
     rng = np.random.default_rng(16)
@@ -421,7 +467,51 @@ def test_sort_cone_sorts_read_positions():
     assert np.array_equal(got[read[0]], want[read[0]])
     for p in parties:
         e = p.ledger.entry("adhoc")
-        assert (e.rounds, e.bytes_sent) == (280, 945 * 2 * 11 * 8)
+        assert (e.rounds, e.bytes_sent) == (234, (100 * 8 + 945 * 8 + 6 * 65) * 2 * 8)
+
+
+def test_sort_extreme_words():
+    """Words the arithmetic comparison cannot order, because their difference
+    wraps past 2^63, sort in signed order: -2^63, 2^63 - 1, 0, +-1 and random
+    words of the whole ring, ties among them."""
+    rng = np.random.default_rng(17)
+    edges = np.array([-2**63, 2**63 - 1, 0, -1, 1, -2**63, 2**63 - 1], dtype=np.int64)
+    words = np.concatenate([edges, rng.integers(-2**63, 2**63 - 1, size=40, dtype=np.int64)])
+    vals = fx.to_u64(np.stack([words, rng.permutation(words)], axis=1))
+    sv = shared(vals, 58)
+
+    def body(p):
+        return sort_columns(p, sv[p.pid - 1])
+
+    results, _ = run3(body)
+    assert np.array_equal(fx.signed(reconstruct(results)), np.sort(fx.signed(vals), axis=0))
+
+
+def test_sort_returns_unread_and_untouched_positions_as_input():
+    """Only read positions that a compare-swap touched change: the read
+    positions hold sorted values, and every other position (unread, in a
+    one-row batch, or past a batch's rows) comes back as its input shares."""
+    from silosynth.binning import quantile_positions
+
+    rng = np.random.default_rng(18)
+    rows = np.array([40, 1, 25])
+    vals = fx.encode(rng.uniform(-50, 50, size=(3, 40, 2)))
+    i, frac = quantile_positions(np.maximum(rows, 2))
+    read = np.zeros((3, 40), dtype=bool)
+    read[np.arange(3)[:, None], np.concatenate([i, i + (frac != 0)], axis=1)] = True
+    read[1] = [True] + [False] * 39                 # the one-row batch's row is read, never touched
+    sv = shared(vals, 59)
+
+    def body(p):
+        return sort_columns(p, sv[p.pid - 1], rows, read)
+
+    results, _ = run3(body)
+    for out, inp in zip(results, sv):
+        assert np.array_equal(out.a[~read], inp.a[~read]) and np.array_equal(out.b[~read], inp.b[~read])
+    got = reconstruct(results)
+    for k, r in enumerate(rows):
+        want = np.sort(fx.signed(vals[k, :r]), axis=0)
+        assert np.array_equal(fx.signed(got[k, :r][read[k, :r]]), want[read[k, :r]])
 
 
 def clear_network(layers, x):
