@@ -13,8 +13,9 @@ sharings of the individual components cost no communication, and a gate on
 components forms its cross terms from the pair each party already holds.
 Summing the three components inside a carry-save + Sklansky prefix adder
 yields the bits of x, plus the exact inter-component carries needed for
-deterministic truncation. Two XOR-shared words compare in log depth on
-their bits (``less_than_bits``), which the sort runs on.
+deterministic truncation. The same carry prefix compares two XOR-shared
+words (``less_than_bits``, the carry out of NOT x + y), which the sort
+runs on.
 
 Every XOR-to-arithmetic step is one formula, bit injection (ABY3 §5.4):
 with u = c1 ^ c2 at party 1 and c3 at parties 2 and 3 (``Party.split``), a
@@ -121,35 +122,26 @@ _PREFIX_LEVELS = [(1 << j,
                    np.uint64((1 << (1 << j)) - 1)) for j in range(6)]
 
 
-def add_components(party: Party, x: ShareVector):
-    """Bits and carries of x1 + x2 + x3 via carry-save + a Sklansky prefix adder.
+def _carry_prefix(party: Party, a: ShareVector, b: ShareVector) -> ShareVector:
+    """Carry word of a + b for XOR-shared words: lane t holds the carry out of lane t.
 
-    Returns (sum_bits, maj, carry) packed words where ``sum_bits`` holds the
-    bits of x mod 2^64, ``maj`` the carry-save majority word (pre-shift) and
-    ``carry`` the prefix generate word of the final two-term addition.
-    Bit t of maj plus bit t of carry is the exact number of carries crossing
-    from position t to t+1.
-
-    Read as an XOR sharing, x's own pair (x_i, x_(i+1)) shares x1 ^ x2 ^ x3,
-    the carry-save sum. The majority x1 x2 ^ x2 x3 ^ x3 x1 is one AND gate
-    whose cross term at party i is x_i & x_(i+1), which it holds.
-
-    The prefix (Sklansky 1960) has 6 levels of one AND word each: at span w,
+    Generate G = a b is one AND word and propagate P = a ^ b is local. The
+    prefix (Sklansky 1960) has 6 levels of one AND word each: at span w,
     every upper-half lane t of a 2w-lane block takes G_t ^= P_t G_m and
     P_t &= P_m from the top lane m of its lower half. The P products ride in
     the free lower lanes (P_t copied down by w), and G_m and P_m reach their
     halves by a mask and a multiply by 2^w - 1, all local on XOR shares.
-    8 rounds and 8 words per element.
+    7 rounds and 7 words per element.
     """
-    maj = reshare_xor(party, x.a & x.b)
-    cw = maj << 1
-    g0 = and_packed(party, x, cw)
-    p = x ^ cw
-    del cw
+    g = and_packed(party, a, b)
     # G and P hold both components on a leading axis; each level runs in
     # place on them and on three scratch arrays
-    big_g, big_p = np.stack((g0.a, g0.b)), np.stack((p.a, p.b))
-    del g0
+    big_g = np.stack((g.a, g.b))
+    del g
+    big_p = np.stack((a.a, a.b))
+    big_p[0] ^= b.a
+    big_p[1] ^= b.b
+    del a, b                    # frees a caller's temporary (NOT x, maj << 1) before the levels
     lhs, rhs, tmp = (np.empty_like(big_p) for _ in range(3))
     for w, upper, top, spread in _PREFIX_LEVELS:
         last = w == 32                                  # needs no P products
@@ -173,60 +165,40 @@ def add_components(party: Party, x: ShareVector):
             tmp &= upper
             big_p &= ~upper
             big_p |= tmp
-    del big_p, prod, lhs, rhs, tmp
-    carry = ShareVector(*big_g)
-    sum_bits = p ^ (carry << 1)
+    return ShareVector(*big_g)
+
+
+def add_components(party: Party, x: ShareVector):
+    """Bits and carries of x1 + x2 + x3 via carry-save + a Sklansky prefix adder.
+
+    Returns (sum_bits, maj, carry) packed words where ``sum_bits`` holds the
+    bits of x mod 2^64, ``maj`` the carry-save majority word (pre-shift) and
+    ``carry`` the prefix generate word of the final two-term addition.
+    Bit t of maj plus bit t of carry is the exact number of carries crossing
+    from position t to t+1.
+
+    Read as an XOR sharing, x's own pair (x_i, x_(i+1)) shares x1 ^ x2 ^ x3,
+    the carry-save sum. The majority x1 x2 ^ x2 x3 ^ x3 x1 is one AND gate
+    whose cross term at party i is x_i & x_(i+1), which it holds. The sum
+    and the shifted majority then meet in ``_carry_prefix``: 8 rounds and
+    8 words per element.
+    """
+    maj = reshare_xor(party, x.a & x.b)
+    carry = _carry_prefix(party, x, maj << 1)
+    sum_bits = x ^ (maj << 1) ^ (carry << 1)
     return sum_bits, maj, carry
-
-
-# Comparator levels: the span w = 2^j and the lanes base and base + 1 of
-# every 2w-lane block.
-_COMPARE_LEVELS = [(1 << j,
-                    np.uint64(sum(1 << t for t in range(0, 64, 2 << j))),
-                    np.uint64(sum(2 << t for t in range(0, 64, 2 << j)))) for j in range(6)]
 
 
 def less_than_bits(party: Party, x: ShareVector, y: ShareVector) -> ShareVector:
     """XOR-shared 0/1 word: 1 iff x < y as unsigned 64-bit words, for XOR sharings x and y.
 
-    Per lane, L = NOT x AND y (one AND) and E = NOT (x ^ y) (local). Six
-    levels then merge the halves of every 2w-lane block from the top:
-    L = L_hi ^ E_hi L_lo and E = E_hi E_lo (the halves' L are exclusive, so
-    XOR is OR; Garay, Schoenmakers & Villegas, PKC 2007). Both products of a
-    level share one AND word: E_hi L_lo at the block's base lane and
-    E_hi E_lo at base + 1, where the level leaves L and E. 7 rounds and
-    7 words per element; any two words compare correctly, as the sign of
-    x - y cannot once |x - y| reaches 2^63.
+    NOT x + y = 2^64 + (y - x - 1) carries out of lane 63 exactly when
+    y > x, so the comparator is the adder's carry prefix on NOT x and y
+    (a carry-lookahead, as in Garay, Schoenmakers & Villegas, PKC 2007).
+    7 rounds and 7 words per element; any two words compare correctly, as
+    the sign of x - y cannot once |x - y| reaches 2^63.
     """
-    less, eq = and_packed(party, not_packed(party, x), y), not_packed(party, x ^ y)
-    # L and E stacked on a leading axis of both components; every level
-    # runs in place on them and on three scratch arrays
-    big_l, big_e = np.stack((less.a, less.b)), np.stack((eq.a, eq.b))
-    del less, eq
-    lhs, rhs, tmp = (np.empty_like(big_l) for _ in range(3))
-    e_up = 0                                    # E's lane above L's: 0, then 1
-    for w, base, base1 in _COMPARE_LEVELS:
-        np.right_shift(big_e, w + e_up - 1, out=lhs)    # E_hi at base + 1,
-        lhs &= base1
-        np.right_shift(lhs, 1, out=tmp)                 # and at base
-        lhs |= tmp
-        np.bitwise_and(big_l, base, out=rhs)            # L_lo at base,
-        if e_up:
-            np.bitwise_and(big_e, base1, out=tmp)       # E_lo at base + 1
-        else:
-            np.left_shift(big_e, 1, out=tmp)
-            tmp &= base1
-        rhs |= tmp
-        prod = and_packed(party, ShareVector(*lhs), ShareVector(*rhs))
-        big_l >>= w                                     # L_hi at base
-        for k, r in enumerate((prod.a, prod.b)):
-            big_l[k] ^= r
-        big_l &= base
-        for k, r in enumerate((prod.a, prod.b)):
-            np.bitwise_and(r, base1, out=tmp[k])
-        big_l |= tmp
-        big_e, e_up = big_l, 1
-    return bit_extract(ShareVector(*big_l), 0)
+    return bit_extract(_carry_prefix(party, not_packed(party, x), y), 63)
 
 
 # -- bit/arithmetic conversion --------------------------------------------------

@@ -57,10 +57,22 @@ def _decode_synthetic(cells: np.ndarray, n_genes: int, frac_bits: int):
     return genes, labels
 
 
+def _refuse_unencodable(frac_bits: int, *named):
+    """Refuse the first (path, values) pair holding a value that fixed point
+    cannot encode at ``frac_bits``, naming its file and the bound."""
+    for path, values in named:
+        try:
+            fx.encode(values, frac_bits)
+        except fx.RangeError as exc:
+            raise DatasetError(f"{path}: {exc} at frac_bits {frac_bits}") from None
+
+
 def _load_inputs(args):
     config = load_config(args.config)
     datasets = [read_dataset(p) for p in args.data]
     thresholds = read_thresholds(args.thresholds)
+    _refuse_unencodable(config.frac_bits, *((p, g) for p, (g, _) in zip(args.data, datasets)),
+                        (args.thresholds, thresholds))
     if len(datasets) != thresholds.shape[0]:
         raise DatasetError(
             f"{args.thresholds}: {thresholds.shape[0]} threshold row(s) for {len(datasets)} dataset(s)")
@@ -305,6 +317,7 @@ def run_custodian(args) -> int:
         thresholds = read_thresholds(args.thresholds)
         if thresholds.shape[0] != 1:
             raise DatasetError(f"{args.thresholds}: custodian thresholds must have exactly one row")
+        _refuse_unencodable(config.frac_bits, (args.data, genes), (args.thresholds, thresholds))
         if not 0 <= args.index < config.n_custodians:
             raise ConfigError(f"custodian index {args.index} is outside 0..{config.n_custodians - 1}")
         servers = [_parse_hostport(s) for s in args.servers.split(",")]

@@ -40,9 +40,8 @@ EXP_POLY = (1.0, 1.0, 0.49851800548831027, 0.16104815581810794,
 SOFTMAX_FLOOR = -8.0
 N_CLASSES = 5
 # Every exponential lies in [0, 1] and the row maximum's is exactly 1.0, so
-# a softmax denominator lies in [1, DENOM_MAX]. x0 = RECIP_ALPHA -
+# a softmax denominator lies in [1, N_CLASSES]. x0 = RECIP_ALPHA -
 # RECIP_BETA * den is the minimax linear guess of 1/den there.
-DENOM_MAX = float(N_CLASSES)
 RECIP_ALPHA = 6 / 7
 RECIP_BETA = 1 / 7
 GOLDSCHMIDT_STEPS = 3
@@ -77,7 +76,7 @@ def _softmax(z: np.ndarray, f: int) -> np.ndarray:
     exp(t), t = max(z - row max, SOFTMAX_FLOOR), is p(t/4)^4 with p by
     Estrin: (1 + u) + u^2 (c2 + c3 u) + u^4 (c4 + c5 u), u = t/4, the
     public-coefficient terms at scale 2f and their products at scale 3f.
-    The row sum, in [1, DENOM_MAX], is divided out from the linear guess
+    The row sum, in [1, N_CLASSES], is divided out from the linear guess
     x0 = alpha - beta den by Goldschmidt steps that carry GUARD_BITS extra
     fractional bits; the last step rounds to nearest.
     """

@@ -265,8 +265,11 @@ class Party:
 
     @contextmanager
     def protocol(self, label: str):
-        """Scope traffic to ``label``; its seconds exclude those of nested labels.
-        The first exception to leave a label records its path in ``failed_in``."""
+        """Scope traffic to ``label``, which must be in ``PROTOCOL_LABELS``; its
+        seconds exclude those of nested labels. The first exception to leave a
+        label records its path in ``failed_in``."""
+        if label not in LABEL_IDS:
+            raise AccountingError(f"unregistered protocol label {label!r}")
         if label in self._label_stack:
             raise AccountingError(f"nested identical protocol label {label!r}")
         self._label_stack.append(label)
@@ -294,7 +297,7 @@ class Party:
         words.setflags(write=False)
         label = self.current_label
         self.ledger.record_send(label, int(np.asarray(words).size))
-        self.transport.send(dst, LABEL_IDS.get(label, LABEL_IDS["adhoc"]), words)
+        self.transport.send(dst, LABEL_IDS[label], words)
         self._sent_since_round = True
 
     def recv_words(self, src: int) -> np.ndarray:
@@ -307,7 +310,7 @@ class Party:
             label_id, words = self.transport.recv(src)
         except ProtocolAbort as exc:
             raise ProtocolAbort(str(exc), self.ledger.snapshot()) from None
-        if label_id != LABEL_IDS.get(label, LABEL_IDS["adhoc"]):
+        if label_id != LABEL_IDS[label]:
             theirs = dict(enumerate(PROTOCOL_LABELS)).get(label_id, label_id)
             raise ProtocolAbort(f"party {self.pid}: frame from party {src} has label {theirs!r}, "
                                 f"expected {label!r}", self.ledger.snapshot())

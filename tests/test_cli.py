@@ -154,6 +154,20 @@ def test_run_local_refuses_rows_beyond_division_range(workdir, rng, capsys):
     assert not workdir["out"].exists()
 
 
+def test_run_local_refuses_gene_value_beyond_encodable_range(workdir, rng, capsys):
+    """One gene value of 2e9 reaches the bound 2^30 of frac_bits 16: exit 2
+    naming the file and the bound, not a traceback."""
+    genes = rng.normal(0, 2, size=(10, 3))
+    genes[4, 1] = 2e9
+    write_dataset(str(workdir["data1"]), genes, rng.integers(0, 5, size=10))
+    code = main(run_local_args(workdir))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: {workdir['data1']}: ")
+    assert "1073741824" in err and "frac_bits 16" in err and "Traceback" not in err
+    assert not workdir["out"].exists()
+
+
 def test_run_local_refuses_gene_count_mismatch(workdir, rng, capsys):
     write_dataset(str(workdir["data1"]), rng.normal(0, 2, size=(12, 2)), rng.integers(0, 5, size=12))
     code = main(run_local_args(workdir))

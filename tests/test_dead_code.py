@@ -1,9 +1,11 @@
-"""Every top-level function and class in src/silosynth has a production user.
+"""Every top-level function, class and constant in src/silosynth has a production user.
 
 A definition counts as used when its name appears in some src/ module other
 than as its own definition, in a perfbench/ file (which wraps functions by
 name), or in ``silosynth.__all__``. Tests do not count: code that only tests
-use belongs in tests/.
+use belongs in tests/. Module-level assignments count as definitions too,
+dunders such as ``__all__`` excepted, so that a table orphaned by a deleted
+loop fails here.
 """
 
 import ast
@@ -15,10 +17,10 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def _names(tree: ast.AST, strings: bool = False) -> set[str]:
-    """Identifiers a module refers to (names, attributes, imports)."""
+    """Identifiers a module refers to (names read, attributes, imports)."""
     out = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             out.add(node.id)
         elif isinstance(node, ast.Attribute):
             out.add(node.attr)
@@ -29,6 +31,18 @@ def _names(tree: ast.AST, strings: bool = False) -> set[str]:
     return out
 
 
+def _defined(tree: ast.Module) -> list[str]:
+    """Names a module defines at top level: functions, classes and assigned names."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return out
+
+
 def unused_definitions(root: Path) -> list[str]:
     trees = {p: ast.parse(p.read_text()) for p in sorted((root / "src" / "silosynth").glob("*.py"))}
     used = set(silosynth.__all__)
@@ -36,8 +50,8 @@ def unused_definitions(root: Path) -> list[str]:
         used |= _names(tree)
     for p in sorted((root / "perfbench").rglob("*.py")):
         used |= _names(ast.parse(p.read_text()), strings=True)
-    return [f"{p.stem}.{node.name}" for p, tree in trees.items() for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in used]
+    return [f"{p.stem}.{name}" for p, tree in trees.items() for name in _defined(tree)
+            if name not in used and not name.startswith("__")]
 
 
 def test_every_src_definition_has_a_user():

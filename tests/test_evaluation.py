@@ -6,7 +6,6 @@ from conftest import run3, shared, shared_matrix
 
 from silosynth import fixedpoint as fx
 from silosynth.evaluation import (
-    DENOM_MAX,
     N_CLASSES,
     SOFTMAX_FLOOR,
     _softmax,
@@ -21,6 +20,10 @@ from silosynth.runtime import Party, run_parties
 from silosynth.sharing import reconstruct
 
 ULP = 2.0**-16
+# Every exponential lies in [0, 1] and the row maximum's is exactly 1.0, so a
+# softmax denominator lies in [1, DENOM_MAX], the range RECIP_ALPHA and
+# RECIP_BETA are fitted to.
+DENOM_MAX = float(N_CLASSES)
 
 
 def open_scalar(results):

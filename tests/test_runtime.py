@@ -160,6 +160,16 @@ def test_nested_identical_label_rejected():
         run3(body)
 
 
+def test_unregistered_label_refused_on_entry():
+    """A label outside the catalog has no wire id of its own: it is refused
+    before any traffic, not sent under another label's id."""
+    party = Party(1, None, 0, FixedPointConfig())
+    with pytest.raises(AccountingError, match="unregistered protocol label 'binning'"):
+        with party.protocol("binning"):
+            pass
+    assert party.current_label == "adhoc" and party.failed_in is None
+
+
 def test_abort_carries_ledger_snapshot():
     x = shared(np.arange(4, dtype=np.uint64), 142)
 

@@ -260,6 +260,23 @@ def test_custodian_refuses_out_of_range_index_before_connecting(setup_files, ind
     assert f"custodian index {index} is outside 0..1" in capsys.readouterr().err
 
 
+def test_custodian_refuses_gene_value_beyond_encodable_range_before_connecting(setup_files, rng, capsys):
+    """A gene value of 2e9 at frac_bits 16 exits 2 at once, naming the file
+    and the bound 2^30, though no server listens at the given addresses."""
+    tmp_path, cfg, _, (thr0, _, _) = setup_files
+    genes = rng.normal(0, 2, size=(10, 2))
+    genes[3, 0] = 2e9
+    data = tmp_path / "wide.csv"
+    write_dataset(str(data), genes, rng.integers(0, 5, size=10))
+    servers = ",".join(f"127.0.0.1:{port}" for port in free_ports(3))
+    t0 = time.monotonic()
+    code = main(["custodian", "--data", str(data), "--thresholds", str(thr0), "--servers", servers,
+                 "--config", str(cfg), "--index=0", "--timeout", "30"])
+    assert code == 2 and time.monotonic() - t0 < 5
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: {data}: ") and "1073741824" in err and "frac_bits 16" in err
+
+
 def test_party_refuses_custodians_that_disagree_on_gene_count(setup_files, rng):
     """One custodian uploads 2 genes and the other 3: the preflight refuses
     the run before ingestion, so every party and every custodian exits 2."""
