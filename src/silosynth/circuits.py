@@ -1,11 +1,14 @@
 """Multiplicative gates and data-oblivious binary circuits on shares.
 
-Arithmetic multiplication follows the replicated pattern: each party forms
-its local cross terms, re-randomizes with an additive zero sharing, sends
-the result to its predecessor and pairs it with the value received from its
-successor. The boolean AND is the same dance in GF(2) on bit-packed words
-(64 bit lanes per ring word), which gives the comparison/truncation circuits
-word-level SIMD for free.
+Arithmetic multiplication follows the replicated pattern: a gate is one
+local cross term and one re-share. Each party writes its cross term into a
+fresh buffer, re-randomizes it with an additive zero sharing, sends it to
+its predecessor and pairs it with the value received from its successor.
+The boolean AND is the same dance in GF(2) on bit-packed words (64 bit
+lanes per ring word), which gives the comparison/truncation circuits
+word-level SIMD for free. A caller that needs several independent products
+in one round concatenates their operands (``concat_shares``) into one gate
+and slices the result.
 
 Share splitting: the three additive components of x are each known to
 exactly the two parties that replicate them, so XOR (or arithmetic)
@@ -35,17 +38,7 @@ ALL_ONES = np.uint64(MASK)
 ONE = np.uint64(1)
 
 
-# -- batching -------------------------------------------------------------------
-
-def unflatten(flat: ShareVector, shapes: list) -> list[ShareVector]:
-    """Split a flat sharing back into pieces of the given shapes."""
-    out, off = [], 0
-    for shape in shapes:
-        n = int(np.prod(shape))
-        out.append(ShareVector(flat.a[off:off + n].reshape(shape), flat.b[off:off + n].reshape(shape)))
-        off += n
-    return out
-
+# -- re-sharing ---------------------------------------------------------------
 
 def reshare(party: Party, z: np.ndarray) -> ShareVector:
     """Replicate a local additive term after masking it with a zero sharing
@@ -56,18 +49,6 @@ def reshare(party: Party, z: np.ndarray) -> ShareVector:
 def reshare_xor(party: Party, z: np.ndarray) -> ShareVector:
     """``reshare`` for XOR sharings of packed words."""
     return party.replicate(party.xor_zero_sharing(z))
-
-
-def _gate_many(party: Party, pairs, cross, share) -> list[ShareVector]:
-    """Write every pair's local cross term into one buffer and re-share it once."""
-    shapes = [np.broadcast_shapes(x.shape, y.shape) for x, y in pairs]
-    flat = np.empty(sum(int(np.prod(s)) for s in shapes), dtype=np.uint64)
-    off = 0
-    for (x, y), shape in zip(pairs, shapes):
-        n = int(np.prod(shape))
-        cross(x, y, flat[off:off + n].reshape(shape))
-        off += n
-    return unflatten(share(party, flat), shapes)
 
 
 # -- arithmetic multiplication ------------------------------------------------
@@ -81,12 +62,9 @@ def _cross(x: ShareVector, y: ShareVector, out: np.ndarray):
 
 def mul_shares(party: Party, x: ShareVector, y: ShareVector) -> ShareVector:
     """Integer ring product (shapes broadcast); one ring element sent per party."""
-    return _gate_many(party, [(x, y)], _cross, reshare)[0]
-
-
-def mul_shares_many(party: Party, pairs) -> list[ShareVector]:
-    """Batch independent products into one message per party."""
-    return _gate_many(party, pairs, _cross, reshare)
+    out = np.empty(np.broadcast_shapes(x.shape, y.shape), dtype=np.uint64)
+    _cross(x, y, out)
+    return reshare(party, out)
 
 
 def matmul_shares(party: Party, x: ShareVector, y: ShareVector) -> ShareVector:
@@ -107,7 +85,9 @@ def _cross_and(x: ShareVector, y: ShareVector, out: np.ndarray):
 
 
 def and_packed(party: Party, x: ShareVector, y: ShareVector) -> ShareVector:
-    return _gate_many(party, [(x, y)], _cross_and, reshare_xor)[0]
+    out = np.empty(np.broadcast_shapes(x.shape, y.shape), dtype=np.uint64)
+    _cross_and(x, y, out)
+    return reshare_xor(party, out)
 
 
 def or_packed(party: Party, x: ShareVector, y: ShareVector) -> ShareVector:
@@ -256,7 +236,8 @@ def inject(party: Party, bit: ShareVector, d: ShareVector, axis=None) -> ShareVe
     part = party.pair_term(d)
     cd = c3 * part
     np.subtract(part, cd << ONE, out=e_term)
-    u, e = unflatten(reshare(party, terms), [bit.shape, shape])
+    sent = reshare(party, terms)
+    u, e = sent[:bit.size].reshape(bit.shape), sent[bit.size:].reshape(shape)
     out = np.empty(shape, dtype=np.uint64)
     _cross(u, e, out)
     out += cd

@@ -68,6 +68,8 @@ def encode(x, frac_bits: int = 16) -> np.ndarray:
     arr = np.asarray(x, dtype=np.float64)
     # |x| < 2^(63-f-1) / 2^f: one product of in-range values keeps headroom.
     limit = float(1 << (63 - frac_bits - 1)) / float(1 << frac_bits)
+    if not np.all(np.isfinite(arr)):
+        raise RangeError("non-finite value (nan or inf) cannot be encoded")
     if np.any(np.abs(arr) >= limit):
         raise RangeError(f"value out of encodable range (|x| < {limit})")
     scaled = arr * float(1 << frac_bits)

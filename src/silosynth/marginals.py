@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fixedpoint as fx
-from .circuits import matmul_shares, mul_shares_many, trunc_shares
+from .circuits import matmul_shares, mul_shares, trunc_shares
 from .primitives import gauss01
 from .runtime import Party
 from .sharing import ShareMatrix, ShareVector, concat_shares, stack_shares
@@ -92,16 +92,22 @@ def _odd_part_scale(acc: ShareVector, divisors: np.ndarray):
 def _numerators(party: Party, inputs) -> list[ShareVector]:
     """The stacked Lagrange numerators (m, ...) of every (x, m) input, m in {4, 5}.
 
-    Two product rounds serve all inputs: x^2, then x^3 and (for m = 5) x^4.
-    Each numerator is then a public integer combination of the powers; only
-    N_0 has a constant term.
+    Two product rounds serve all inputs, flattened into one sharing: x^2,
+    then x^3 and (for the m = 5 inputs) x^4. Each numerator is then a public
+    integer combination of the powers; only N_0 has a constant term.
     """
-    squares = mul_shares_many(party, [(x, x) for x, _ in inputs])
-    higher = iter(mul_shares_many(party, [pair for (x, m), x2 in zip(inputs, squares)
-                                          for pair in [(x2, x), (x2, x2)][:m - 3]]))
-    out = []
-    for (x, m), x2 in zip(inputs, squares):
-        powers = [x, x2] + [next(higher) for _ in range(m - 3)]
+    x = concat_shares([v.reshape(-1) for v, _ in inputs])
+    ends = np.cumsum([v.size for v, _ in inputs])
+    spans = [slice(end - v.size, end) for (v, _), end in zip(inputs, ends)]
+    x2 = mul_shares(party, x, x)
+    fives = [x2[s] for s, (_, m) in zip(spans, inputs) if m == 5]
+    higher = mul_shares(party, concat_shares([x2] + fives), concat_shares([x] + fives))
+    out, x4_at = [], x.size                     # x^3 of every input, then the x^4 block
+    for (v, m), s in zip(inputs, spans):
+        powers = [v] + [p[s].reshape(v.shape) for p in (x2, higher)]
+        if m == 5:
+            powers.append(higher[x4_at:x4_at + v.size].reshape(v.shape))
+            x4_at += v.size
         coeffs = fx.to_u64(np.array(_lagrange(m)[0]))                 # (m, m)
         rows = [sum((p.scale_by(c) for p, c in zip(powers[1:], coeffs[b, 2:])),
                     powers[0].scale_by(coeffs[b, 1])) for b in range(m)]

@@ -23,6 +23,7 @@ claim is a single (eps_s + eps_p, delta_s + delta_p).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,6 +76,9 @@ class PipelineConfig:
                            ("lr_epochs", self.lr_epochs)):
             if value < 0:
                 raise ValueError(f"{key} must be >= 0")
+        for key in ("eps_s", "delta_s", "eps_p", "delta_p", "lr_rate"):
+            if not math.isfinite(getattr(self, key)):
+                raise ValueError(f"{key} must be a finite number, got {getattr(self, key)!r}")
         if self.eps_s <= 0 or not 0 < self.delta_s < 1:
             raise ValueError("synthesis privacy budget must be positive")
         if self.eps_p < 0 or not 0 <= self.delta_p < 1:
@@ -144,12 +148,15 @@ def check_fold_plan(n_rows: int, k: int):
 
 def preflight(rows: list[int], genes: list[int], config: PipelineConfig):
     """Refuse a run from the custodians' public row and gene counts before the
-    protocol starts: the custodians must agree on the gene count, the fold
-    plan must hold (``check_fold_plan``), and the combined row count must stay
-    below 2^frac_bits, because bin means and accuracy divide by a row count
-    times 2^frac_bits and the division needs denominators below 2^(2 frac_bits)."""
+    protocol starts: the custodians must agree on a gene count of at least 1,
+    the fold plan must hold (``check_fold_plan``), and the combined row count
+    must stay below 2^frac_bits, because bin means and accuracy divide by a row
+    count times 2^frac_bits and the division needs denominators below
+    2^(2 frac_bits)."""
     if len(set(genes)) != 1:
         raise IngestionError(f"custodian datasets disagree on gene count: {sorted(set(genes))}")
+    if genes[0] == 0:
+        raise IngestionError("the datasets have no gene column: at least one is needed beside the label")
     n, f = sum(rows), config.frac_bits
     check_fold_plan(n, config.k_folds)
     if n >= 1 << f:

@@ -33,21 +33,19 @@ class CounterStream:
     Word consumption is strictly sequential from a persistent generator, so
     two holders of the same key stay synchronized exactly when they issue
     the same sequence of draw sizes - which the straight-line protocol code
-    guarantees. ``counter`` tracks the logical number of words drawn.
+    guarantees.
     """
 
     def __init__(self, key128: int):
         self._key = [key128 & MASK, (key128 >> 64) & MASK]
-        self.counter = 0
         self._bitgen = np.random.Philox(counter=[0, 0, 0, 0], key=self._key)
 
     def next_words(self, n: int) -> np.ndarray:
-        self.counter += int(n)
         return self._bitgen.random_raw(int(n)) if n else np.empty(0, dtype=np.uint64)
 
-    def generator_at(self, offset: int = 0) -> np.random.Generator:
-        """Independent float-capable generator anchored at a fixed block offset."""
-        return np.random.Generator(np.random.Philox(counter=[offset, 0, 0, 0], key=self._key))
+    def generator_at(self) -> np.random.Generator:
+        """Independent float-capable generator anchored at the stream's first block."""
+        return np.random.Generator(np.random.Philox(counter=[0, 0, 0, 0], key=self._key))
 
 
 def zero_share_seeds(master_seed: int) -> list[int]:

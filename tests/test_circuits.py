@@ -34,16 +34,21 @@ def shared_input(values, tag=0):
 
 
 def test_mul_shares_random_pairs():
+    """Equal shapes, and a broadcasting pair (4, 1, 3) * (5, 3), which sends
+    one word per output element per party."""
     rng = np.random.default_rng(0)
     x = rng.integers(0, 2**64, size=10_000, dtype=np.uint64)
     y = rng.integers(0, 2**64, size=10_000, dtype=np.uint64)
+    bx = rng.integers(0, 2**64, size=(4, 1, 3), dtype=np.uint64)
+    by = rng.integers(0, 2**64, size=(5, 3), dtype=np.uint64)
     sx, sy = shared_input(x, 1), shared_input(y, 2)
+    sbx, sby = shared_input(bx, 10), shared_input(by, 11)
 
-    def body(p):
-        return mul_shares(p, sx[p.pid - 1], sy[p.pid - 1])
-
-    results, _ = run3(body)
+    results, _ = run3(lambda p: mul_shares(p, sx[p.pid - 1], sy[p.pid - 1]))
     assert np.array_equal(reconstruct(results), x * y)
+    results, parties = run3(lambda p: mul_shares(p, sbx[p.pid - 1], sby[p.pid - 1]))
+    assert np.array_equal(reconstruct(results), bx * by)
+    assert [p.ledger.entry("adhoc").bytes_sent for p in parties] == [4 * 5 * 3 * 8] * 3
 
 
 def test_mul_costs_three_ring_elements():
@@ -86,16 +91,21 @@ def test_zero_sharing_sums_to_zero_each_step():
 
 
 def test_and_packed_truth():
+    """Equal shapes, and a broadcasting pair (4, 1, 3) & (5, 3), which sends
+    one word per output element per party."""
     rng = np.random.default_rng(6)
     x = rng.integers(0, 2**64, size=200, dtype=np.uint64)
     y = rng.integers(0, 2**64, size=200, dtype=np.uint64)
+    bx = rng.integers(0, 2**64, size=(4, 1, 3), dtype=np.uint64)
+    by = rng.integers(0, 2**64, size=(5, 3), dtype=np.uint64)
     sx, sy = shared_xor_input(x, 7), shared_xor_input(y, 8)
+    sbx, sby = shared_xor_input(bx, 12), shared_xor_input(by, 13)
 
-    def body(p):
-        return and_packed(p, sx[p.pid - 1], sy[p.pid - 1])
-
-    results, _ = run3(body)
+    results, _ = run3(lambda p: and_packed(p, sx[p.pid - 1], sy[p.pid - 1]))
     assert np.array_equal(reconstruct_xor(results), x & y)
+    results, parties = run3(lambda p: and_packed(p, sbx[p.pid - 1], sby[p.pid - 1]))
+    assert np.array_equal(reconstruct_xor(results), bx & by)
+    assert [p.ledger.entry("adhoc").bytes_sent for p in parties] == [4 * 5 * 3 * 8] * 3
 
 
 def shared_xor_input(values, tag):

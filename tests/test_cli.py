@@ -168,6 +168,36 @@ def test_run_local_refuses_gene_value_beyond_encodable_range(workdir, rng, capsy
     assert not workdir["out"].exists()
 
 
+@pytest.mark.parametrize("line", ["eps_s = nan", "eps_s = inf", "lr_rate = nan"])
+def test_run_local_refuses_non_finite_config_value(workdir, line, capsys):
+    """nan passes every `<=` bound, and a run would publish with eps=nan and
+    noise of 0 or 2^63 per cell; inf would publish exact marginals."""
+    workdir["config"].write_text(CONFIG.replace("eps_s = 5.0\n", "") + line + "\n")
+    code = main(run_local_args(workdir))
+    assert code == 2
+    assert f"{line.split()[0]} must be a finite number" in capsys.readouterr().err
+    assert not workdir["out"].exists()
+
+
+def test_run_local_refuses_nan_threshold(workdir, capsys):
+    write_thresholds(str(workdir["thresholds"]), np.array([[np.nan, 0.0], [1000.0, 0.0]]))
+    code = main(run_local_args(workdir))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: {workdir['thresholds']}: non-finite value")
+    assert not workdir["out"].exists()
+
+
+def test_run_local_refuses_datasets_without_gene_column(workdir, capsys):
+    """A header of only `label` passes the file checks; the preflight refuses it."""
+    for c in range(2):
+        workdir[f"data{c}"].write_text("label\n" + "".join(f"{i % 5}\n" for i in range(12)))
+    code = main(run_local_args(workdir))
+    assert code == 2
+    assert "no gene column" in capsys.readouterr().err
+    assert not workdir["out"].exists()
+
+
 def test_run_local_refuses_gene_count_mismatch(workdir, rng, capsys):
     write_dataset(str(workdir["data1"]), rng.normal(0, 2, size=(12, 2)), rng.integers(0, 5, size=12))
     code = main(run_local_args(workdir))

@@ -22,6 +22,13 @@ def test_encode_out_of_range():
         fx.encode(2.0**31)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_encode_refuses_non_finite(value):
+    """NaN passes no magnitude bound, and casting it would give the word 2^63."""
+    with pytest.raises(fx.RangeError, match="non-finite"):
+        fx.encode(np.array([1.0, value]))
+
+
 def test_truncate_products():
     one = fx.encode_scalar(1.0)
     assert int(fx.truncate(np.array([one * one], dtype=np.uint64), 16)[0]) == one

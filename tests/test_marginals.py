@@ -130,7 +130,8 @@ def test_marginal_hand_examples():
 def test_marginal_counts_share_numerator_rounds(rng):
     """Label and gene numerators share their two power rounds (x^2, then
     x^3 and the labels' x^4), then the two-way matmul (1) and one
-    truncation (10)."""
+    truncation (10), each one message per party; the flat power rounds
+    send one word per product."""
     mats = shared_matrix(rng.integers(0, 4, size=(9, 2)).astype(np.uint64), rng.integers(0, 5, size=9), 72)
 
     def body(p):
@@ -138,7 +139,10 @@ def test_marginal_counts_share_numerator_rounds(rng):
             marginal_counts(p, mats[p.pid - 1])
 
     _, parties = run3(body)
-    assert [p.ledger.entry("adhoc").rounds for p in parties] == [13, 13, 13]
+    entries = [p.ledger.entry("adhoc") for p in parties]
+    assert [e.rounds for e in entries] == [13, 13, 13]
+    assert [e.messages_sent for e in entries] == [13, 13, 13]
+    assert [e.bytes_sent for e in entries] == [6336, 6336, 6336]
 
 
 def test_marginal_counts_one_flat_sharing(rng):

@@ -277,6 +277,20 @@ def test_custodian_refuses_gene_value_beyond_encodable_range_before_connecting(s
     assert err.startswith(f"input error: {data}: ") and "1073741824" in err and "frac_bits 16" in err
 
 
+def test_custodian_refuses_nan_threshold_before_connecting(setup_files, capsys):
+    """A nan threshold exits 2 at once, naming the file, though no server
+    listens at the given addresses."""
+    tmp_path, cfg, data_paths, _ = setup_files
+    thr = tmp_path / "nan_thr.csv"
+    write_thresholds(str(thr), np.array([[np.nan, 0.0]]))
+    servers = ",".join(f"127.0.0.1:{port}" for port in free_ports(3))
+    t0 = time.monotonic()
+    code = main(["custodian", "--data", str(data_paths[0]), "--thresholds", str(thr), "--servers", servers,
+                 "--config", str(cfg), "--index=0", "--timeout", "30"])
+    assert code == 2 and time.monotonic() - t0 < 5
+    assert capsys.readouterr().err.startswith(f"input error: {thr}: non-finite value")
+
+
 def test_party_refuses_custodians_that_disagree_on_gene_count(setup_files, rng):
     """One custodian uploads 2 genes and the other 3: the preflight refuses
     the run before ingestion, so every party and every custodian exits 2."""
