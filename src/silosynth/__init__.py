@@ -3,7 +3,7 @@
 from .fixedpoint import FixedPointConfig, decode, encode, truncate
 from .pipeline import PipelineConfig, RunResult, ThresholdSet, run_pipeline
 from .runtime import CommLedger, Party, ProtocolAbort, run_parties, setup_handshake
-from .sharing import IntegrityError, ShareMatrix, ShareVector, reconstruct, share_values
+from .sharing import ShareMatrix, ShareVector
 
 __version__ = "0.1.0"
 
@@ -11,5 +11,5 @@ __all__ = [
     "FixedPointConfig", "encode", "decode", "truncate",
     "PipelineConfig", "RunResult", "ThresholdSet", "run_pipeline",
     "CommLedger", "Party", "ProtocolAbort", "run_parties", "setup_handshake",
-    "IntegrityError", "ShareMatrix", "ShareVector", "reconstruct", "share_values",
+    "ShareMatrix", "ShareVector",
 ]

@@ -18,8 +18,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import fixedpoint as fx
-from .circuits import b2a_sum, inject, mul_shares, trunc_shares
-from .marginals import GENE_DOMAIN, indicator
+from .circuits import b2a_sum, inject, matmul_shares, trunc_shares
+from .marginals import GENE_DIVISORS, GENE_DOMAIN, numerators, odd_part_scale
 from .primitives import div_fx, eq_zero, lt, select, sort_columns
 from .runtime import Party
 from .sharing import ShareMatrix, ShareVector, concat_shares, stack_shares
@@ -85,23 +85,33 @@ def compute_bin_means(party: Party, binned: ShareVector, originals: ShareVector,
     """Secret per-bin means, shape (K, d, 4), over the (K, N) ``mask``ed rows,
     with oblivious empty-bin fallback to cut midpoints.
 
+    The bins' Lagrange numerators are summed before they are divided: per
+    (fold, gene), one batched matmul of the 4 x N numerators with the N
+    originals gives N_b(b) S_b, and their own sums N_b(b) times the counts.
+    Every N_b(b), like the 2 of the midpoints (c_j + c_(j+1)) / 2, is twice
+    an odd number, so one exact truncation by 1 divides all three. It needs
+    |S_b| < 2^62: encoded genes stay below 2^(62-f) and the preflight admits
+    fewer than 2^f rows.
+
     An empty bin's sum is 0, so its raw mean is exactly 0 and adding
     empty * fallback selects the fallback. One bit injection of the empty
     bit into (1, fallback) gives that term and the arithmetic empty bit the
     denominators need.
     """
     f = party.fp.frac_bits
-    onehot = indicator(party, binned, GENE_DOMAIN).scale_by(mask[..., None])   # (4, K, N, d)
-    sums = mul_shares(party, onehot, originals).sum(axis=2)           # (4, K, d)
-    counters = onehot.sum(axis=2)
-
-    c = cuts.map(np.moveaxis, -1, 0)                                  # (3, K, d)
-    inner = trunc_shares(party, c[:2] + c[1:], 1)
-    fallback = concat_shares([c[:1], inner, c[2:]], axis=0)           # (4, K, d)
+    num = numerators(party, [(binned, GENE_DOMAIN)])[0].scale_by(mask[..., None])
+    lhs = num.map(np.transpose, (1, 3, 0, 2))                        # (K, d, 4, N)
+    rhs = originals.map(lambda w: np.swapaxes(w, 1, 2)[..., None])    # (K, d, N, 1)
+    acc = concat_shares([matmul_shares(party, lhs, rhs)[..., 0], lhs.sum(axis=3),
+                         cuts[..., :2] + cuts[..., 1:]], axis=2)      # (K, d, 10)
+    divisors = np.concatenate([GENE_DIVISORS, GENE_DIVISORS, [2, 2]])
+    exact = trunc_shares(party, *odd_part_scale(acc, divisors))
+    sums, counters = exact[..., :4], exact[..., 4:8]
+    fallback = concat_shares([cuts[..., :1], exact[..., 8:], cuts[..., 2:]], axis=2)
     ones = party.const_share(np.ones(counters.shape, dtype=np.uint64))
     picked = inject(party, eq_zero(party, counters), stack_shares([ones, fallback]))
     denom = (counters + picked[0]).scale_by(np.uint64(1) << np.uint64(f))
-    return (div_fx(party, sums, denom) + picked[1]).map(np.moveaxis, 0, -1)
+    return div_fx(party, sums, denom) + picked[1]
 
 
 def bin_train(party: Party, matrix: ShareMatrix, held_out: ShareMatrix | None = None):
@@ -146,9 +156,17 @@ def bin_with_cuts(party: Party, mats: list[ShareMatrix], cuts: ShareVector) -> l
 
 
 def inv_bin(party: Party, matrix: ShareMatrix, means: ShareVector) -> ShareMatrix:
-    """Replace every binned gene cell with its bin's secret mean (``means`` (K, d, 4))."""
+    """Replace every binned gene cell with its bin's secret mean (``means`` (K, d, 4)).
+
+    A cell's numerators vanish but at its own bin b, where N_b(b) is twice an
+    odd number. With each mean scaled by the inverse of that odd part, one
+    batched matmul over the 4 bins gives exactly twice the cell's mean, and
+    a truncation by 1 halves it; exact for means below 2^62 in magnitude,
+    as every mean of encoded genes is.
+    """
     with party.protocol("inv_bin"):
-        onehot = indicator(party, matrix.genes(), GENE_DOMAIN)        # (4, K, N, d)
-        per_bin = means.map(np.moveaxis, -1, 0)[:, :, None]           # (4, K, 1, d)
-        debinned = mul_shares(party, onehot, per_bin).sum(axis=0)
+        num = numerators(party, [(matrix.genes(), GENE_DOMAIN)])[0]   # (4, K, N, d)
+        scaled, _ = odd_part_scale(means, GENE_DIVISORS)
+        twice = matmul_shares(party, num.map(np.transpose, (1, 3, 2, 0)), scaled[..., None])
+        debinned = trunc_shares(party, twice[..., 0].map(np.swapaxes, 1, 2), 1)   # (K, N, d)
     return matrix.with_columns(debinned)

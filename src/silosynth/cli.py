@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import math
 import selectors
 import socket
 import sys
@@ -126,6 +127,14 @@ def _parse_hostport(text: str):
     if not port.isdigit() or int(port) > 65535:
         raise ConfigError(f"address {text!r} is not host:port with a port in 0..65535")
     return host or "127.0.0.1", int(port)
+
+
+def _timeout(text: str) -> float:
+    """argparse type of --timeout: a positive finite number of seconds."""
+    with contextlib.suppress(ValueError):
+        if 0 < float(text) < math.inf:
+            return float(text)
+    raise argparse.ArgumentTypeError(f"must be a positive finite number of seconds, got {text!r}")
 
 
 def _connect_with_retry(addr, timeout: float) -> socket.socket:
@@ -386,7 +395,7 @@ def main(argv=None) -> int:
                          help="peer address as id=host:port (twice)")
     p_party.add_argument("--config", required=True)
     p_party.add_argument("--report")
-    p_party.add_argument("--timeout", type=float, default=60.0)
+    p_party.add_argument("--timeout", type=_timeout, default=60.0)
     p_party.set_defaults(func=run_party)
 
     p_cust = sub.add_parser("custodian", help="upload shares and await the result")
@@ -396,7 +405,7 @@ def main(argv=None) -> int:
     p_cust.add_argument("--config", required=True)
     p_cust.add_argument("--index", type=int, default=0)
     p_cust.add_argument("--out")
-    p_cust.add_argument("--timeout", type=float, default=60.0)
+    p_cust.add_argument("--timeout", type=_timeout, default=60.0)
     p_cust.set_defaults(func=run_custodian)
 
     args = parser.parse_args(argv)

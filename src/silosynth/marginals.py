@@ -1,16 +1,17 @@
-"""Noisy marginal measurement over binned data via indicator polynomials.
+"""Noisy marginal measurement over binned data via Lagrange numerators.
 
-For the gene domain {0,1,2,3} and label domain {0..4}, each indicator is a
-Lagrange basis polynomial that is 1 at one domain point and 0 at the rest.
+For the gene domain {0,1,2,3} and label domain {0..4}, the Lagrange basis
+polynomial of a domain point b is 1 at b and 0 at the rest of the domain.
 Its numerator N_b(x) = prod_{j != b} (x - j) has degree at most 4, so it is
 a public integer combination of the powers x, x^2, x^3 and x^4: the powers
 are the only secret products (two rounds for any number of inputs), and the
 coefficients and the divisors D_b = N_b(b) are derived from the domain size.
-Numerators are exact ring integers (binned cells live at integer scale),
-accumulated per marginal cell and divided once by the exact divisor
-D = 2^v * o with o odd (and signed): multiply by the modular inverse of o,
-then an exact v-bit truncation. At sigma=0 the counts are bit-for-bit
-equal to brute-force counting.
+Numerators are exact ring integers (binned cells live at integer scale).
+They are never divided one cell at a time: every consumer sums them first
+(per marginal cell here, per bin in ``binning``) and divides the sums once
+by the exact divisor D = 2^v * o with o odd (and signed): multiply by the
+modular inverse of o, then an exact v-bit truncation. At sigma=0 the
+counts are bit-for-bit equal to brute-force counting.
 
 Measured workload: d 1-way gene marginals, the 1-way label marginal, and
 the d gene-label 2-way marginals flattened to length 20 (index r*5 + f).
@@ -78,7 +79,11 @@ def _lagrange(m: int):
     return coeffs, [math.prod(b - j for j in range(m) if j != b) for b in range(m)]
 
 
-def _odd_part_scale(acc: ShareVector, divisors: np.ndarray):
+# N_b(b) of the gene domain: -6, 2, -2, 6, each twice an odd number
+GENE_DIVISORS = np.array(_lagrange(GENE_DOMAIN)[1])
+
+
+def odd_part_scale(acc: ShareVector, divisors: np.ndarray):
     """acc holds divisor*count exactly. Returns acc times the inverse of the
     divisor's signed odd part, and the divisor's power-of-two exponent: an
     exact truncation by it finishes the division."""
@@ -89,7 +94,7 @@ def _odd_part_scale(acc: ShareVector, divisors: np.ndarray):
     return acc.scale_by(fx.to_u64(inv.reshape(shape))), np.reshape(v, shape)
 
 
-def _numerators(party: Party, inputs) -> list[ShareVector]:
+def numerators(party: Party, inputs) -> list[ShareVector]:
     """The stacked Lagrange numerators (m, ...) of every (x, m) input, m in {4, 5}.
 
     Two product rounds serve all inputs, flattened into one sharing: x^2,
@@ -116,14 +121,6 @@ def _numerators(party: Party, inputs) -> list[ShareVector]:
     return out
 
 
-def indicator(party: Party, x: ShareVector, m: int) -> ShareVector:
-    """The m indicator bits of x on the domain {0..m-1}, (m, ...): exactly one
-    opens to 1 on the domain. Two product rounds and one exact truncation."""
-    _, divisors = _lagrange(m)
-    div = np.array(divisors).reshape((m,) + (1,) * len(x.shape))
-    return trunc_shares(party, *_odd_part_scale(_numerators(party, [(x, m)])[0], div))
-
-
 def marginal_counts(party: Party, matrix: ShareMatrix) -> ShareVector:
     """Exact secret counts (integer scale) of the measured workload, per fold,
     in the canonical cell order: (K, 24d+5).
@@ -135,16 +132,16 @@ def marginal_counts(party: Party, matrix: ShareMatrix) -> ShareVector:
     """
     k, n, d = matrix.folds, matrix.n_rows, matrix.n_genes
     mask = matrix.mask                                              # (K, N)
-    ln, gn = _numerators(party, [(matrix.labels(), LABEL_DOMAIN), (matrix.genes(), GENE_DOMAIN)])
+    ln, gn = numerators(party, [(matrix.labels(), LABEL_DOMAIN), (matrix.genes(), GENE_DOMAIN)])
     lhs = gn.scale_by(mask[..., None]).map(
         lambda w: w.transpose(1, 3, 0, 2).reshape(k, d * GENE_DOMAIN, n))    # (K, 4d, N)
     rhs = ln.scale_by(mask).map(np.moveaxis, 0, -1)                 # (K, N, 5)
     acc = concat_shares([lhs.sum(axis=2), rhs.sum(axis=1),
                          matmul_shares(party, lhs, rhs).reshape(k, -1)], axis=1)
-    gene_divs, label_divs = np.array(_lagrange(GENE_DOMAIN)[1]), np.array(_lagrange(LABEL_DOMAIN)[1])
-    divisors = np.concatenate([np.tile(gene_divs, d), label_divs,
-                               np.tile(np.outer(gene_divs, label_divs).ravel(), d)])
-    return trunc_shares(party, *_odd_part_scale(acc, divisors))
+    label_divs = np.array(_lagrange(LABEL_DOMAIN)[1])
+    divisors = np.concatenate([np.tile(GENE_DIVISORS, d), label_divs,
+                               np.tile(np.outer(GENE_DIVISORS, label_divs).ravel(), d)])
+    return trunc_shares(party, *odd_part_scale(acc, divisors))
 
 
 def split_marginals(flat):

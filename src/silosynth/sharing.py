@@ -3,8 +3,8 @@
 A secret x is split as x = x1 + x2 + x3 mod 2^64 and party S_i holds the
 component pair (x_i, x_{i+1}). ShareVector stores one party's pair for a
 whole ndarray of secrets; all linear operations are local. Multiplication
-and everything interactive lives in primitives.py since it needs a party
-context and transport.
+and everything interactive lives in circuits.py and primitives.py, since it
+needs a party context and transport.
 """
 
 from __future__ import annotations
@@ -14,11 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fixedpoint import to_u64
-from .rng import CounterStream
-
-
-class IntegrityError(RuntimeError):
-    """Overlapping replicated components disagree; the run must abort."""
 
 
 @dataclass
@@ -104,28 +99,6 @@ def stack_shares(parts: list[ShareVector], axis: int = 0) -> ShareVector:
         np.stack([p.a for p in parts], axis=axis),
         np.stack([p.b for p in parts], axis=axis),
     )
-
-
-def share_values(values, stream: CounterStream) -> list[ShareVector]:
-    """Split public/owned values into the three parties' replicated shares."""
-    x = to_u64(values)
-    x1 = stream.next_words(x.size).reshape(x.shape)
-    x2 = stream.next_words(x.size).reshape(x.shape)
-    x3 = x - x1 - x2
-    return [
-        ShareVector(x1.copy(), x2.copy()),
-        ShareVector(x2.copy(), x3.copy()),
-        ShareVector(x3.copy(), x1.copy()),
-    ]
-
-
-def reconstruct(shares: list[ShareVector]) -> np.ndarray:
-    """Combine all three parties' pairs, checking the replication overlap."""
-    s1, s2, s3 = shares
-    for left, right, who in ((s1.b, s2.a, "S1/S2"), (s2.b, s3.a, "S2/S3"), (s3.b, s1.a, "S3/S1")):
-        if not np.array_equal(left, right):
-            raise IntegrityError(f"replicated components disagree between {who}")
-    return s1.a + s2.a + s3.a
 
 
 @dataclass

@@ -1,13 +1,51 @@
+import math
+
 import numpy as np
 import pytest
 
 from silosynth import fixedpoint as fx
+from silosynth.circuits import trunc_shares
 from silosynth.fixedpoint import FixedPointConfig
+from silosynth.marginals import numerators, odd_part_scale
 from silosynth.rng import CounterStream, derive_key
 from silosynth.runtime import run_parties
-from silosynth.sharing import ShareMatrix, ShareVector, reconstruct, share_values
+from silosynth.sharing import ShareMatrix, ShareVector
 
 FP = FixedPointConfig()
+
+
+class IntegrityError(RuntimeError):
+    """Overlapping replicated components disagree."""
+
+
+def share_values(values, stream: CounterStream) -> list[ShareVector]:
+    """Split cleartext values into the three parties' replicated shares."""
+    x = fx.to_u64(values)
+    x1 = stream.next_words(x.size).reshape(x.shape)
+    x2 = stream.next_words(x.size).reshape(x.shape)
+    x3 = x - x1 - x2
+    return [
+        ShareVector(x1.copy(), x2.copy()),
+        ShareVector(x2.copy(), x3.copy()),
+        ShareVector(x3.copy(), x1.copy()),
+    ]
+
+
+def reconstruct(shares: list[ShareVector]) -> np.ndarray:
+    """Combine all three parties' pairs, checking the replication overlap."""
+    s1, s2, s3 = shares
+    for left, right, who in ((s1.b, s2.a, "S1/S2"), (s2.b, s3.a, "S2/S3"), (s3.b, s1.a, "S3/S1")):
+        if not np.array_equal(left, right):
+            raise IntegrityError(f"replicated components disagree between {who}")
+    return s1.a + s2.a + s3.a
+
+
+def indicator(party, x: ShareVector, m: int) -> ShareVector:
+    """The m indicator bits of x on the domain {0..m-1}, (m, ...): each
+    Lagrange numerator divided exactly by its N_b(b), cell by cell."""
+    divisors = [math.prod(b - j for j in range(m) if j != b) for b in range(m)]
+    div = np.array(divisors).reshape((m,) + (1,) * len(x.shape))
+    return trunc_shares(party, *odd_part_scale(numerators(party, [(x, m)])[0], div))
 
 
 def run3(body, seed=77, timeout=300.0):

@@ -12,7 +12,7 @@ import pytest
 import scipy.stats
 
 import clear_reference as ref
-from conftest import FP, run3, shared, shared_matrix
+from conftest import FP, indicator, reconstruct, run3, shared, shared_matrix
 
 from silosynth import fixedpoint as fx
 from silosynth.binning import bin_train, compute_bin_means
@@ -23,11 +23,10 @@ from silosynth.evaluation import lr_train
 from silosynth.fixedpoint import FixedPointConfig
 from silosynth.generator import generate_bridge, generate_synthetic, generator_rng
 from silosynth.ingest import custodian_components, ingest_all
-from silosynth.marginals import calibrate, indicator, noisy_marginals, split_marginals
+from silosynth.marginals import calibrate, noisy_marginals, split_marginals
 from silosynth.pipeline import PUBLISH_CONTEXT, PipelineConfig, ThresholdSet, run_pipeline
 from silosynth.primitives import gauss01
 from silosynth.runtime import Party, config_fingerprint, run_parties, setup_handshake
-from silosynth.sharing import reconstruct
 
 
 def report(criterion: int, detail: str):

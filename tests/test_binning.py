@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import clear_reference as ref
-from conftest import run3, shared, shared_matrix, open_matrix
+from conftest import open_matrix, reconstruct, run3, shared, shared_matrix
 
 from silosynth import fixedpoint as fx
 from silosynth.binning import (
@@ -13,8 +13,10 @@ from silosynth.binning import (
     compute_quantiles,
     inv_bin,
 )
+from silosynth.fixedpoint import FixedPointConfig
 from silosynth.pipeline import fold_plan, kfold_split
-from silosynth.sharing import reconstruct
+from silosynth.runtime import run_parties
+from silosynth.sharing import ShareMatrix
 
 
 def bin_with_means(p, matrix):
@@ -294,6 +296,68 @@ def test_inv_bin_constant_column_roundtrip():
     results, _ = run3(body)
     got = fx.decode(open_matrix(results))
     assert np.all(np.abs(got[:, 0] - 3.25) <= 2**-14)
+
+
+def test_bin_means_and_inv_bin_cost_pinned(rng):
+    """Rounds and bytes per party of the bin means and the de-binning on
+    K = 2 batches of 9 (7 data) rows and 3 genes, 54 cells.
+
+    compute_bin_means: the cells' powers (2 rounds, 108 words), one matmul
+    (1, 24 words), one exact division of sums, counts and midpoints (10, 60
+    x 13 words), then eq_zero (7), inject (2) and div_fx (181): 203 rounds.
+    inv_bin: powers (2, 108 words), one matmul (1, 54 words) and one
+    truncation (10, 54 x 13 words): 13 rounds, 864 words.
+    """
+    bins = shared(rng.integers(0, 4, size=(2, 9, 3)), 42)
+    originals = shared(fx.encode(rng.normal(size=(2, 9, 3))), 43)
+    cuts = shared(fx.encode(np.sort(rng.normal(size=(2, 3, 3)), axis=2)), 44)
+    means = shared(fx.encode(rng.normal(size=(2, 3, 4))), 45)
+    cells = shared(np.concatenate([rng.integers(0, 4, size=(2, 9, 3)),
+                                   rng.integers(0, 5, size=(2, 9, 1))], axis=2), 46)
+    rows = np.array([9, 7])
+    mask = (np.arange(9) < rows[:, None]).astype(np.uint64)
+
+    def body(p):
+        i = p.pid - 1
+        with p.protocol("bin"):
+            compute_bin_means(p, bins[i], originals[i], cuts[i], mask)
+        inv_bin(p, ShareMatrix(cells[i], 3, rows), means[i])
+
+    _, parties = run3(body)
+    for p in parties:
+        cost = {label: (p.ledger.entry(label).rounds, p.ledger.entry(label).bytes_sent)
+                for label in ("bin", "inv_bin")}
+        assert cost == {"bin": (203, 58944), "inv_bin": (13, 864 * 8)}
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_bin_means_and_inv_bin_at_the_sum_bound(sign):
+    """At frac_bits 8, 255 rows (the most the preflight admits) of genes one
+    ulp inside the encode limit all fall in bin 3: its sum is
+    255 (2^54 - 1), about 2^62, the bound of the one exact division.
+    compute_bin_means equals the cleartext mirror and inv_bin its table
+    lookup, word for word, for every bin."""
+    f = 8
+    n, top = (1 << f) - 1, sign * ((1 << (62 - f)) - 1)
+    genes = np.full((n, 2), top, dtype=np.int64).view(np.uint64)
+    cuts = np.stack([ref.quantile_cuts_fx(genes[:, g], f) for g in range(2)])
+    binned = np.stack([ref.bin_with_cuts_fx(genes[:, g], cuts[g]) for g in range(2)], axis=1)
+    want = np.stack([ref.bin_means_fx(binned[:, g], genes[:, g], cuts[g], f)[0] for g in range(2)])
+    assert np.all(binned == 3)
+    table = (np.arange(2 * n).reshape(n, 2) % 4).astype(np.uint64)
+    sg, sb, sc = shared(genes[None], 47), shared(binned[None], 48), shared(cuts[None], 49)
+    cells = shared(np.concatenate([table, np.zeros((n, 1), np.uint64)], axis=1)[None], 50)
+
+    def body(p):
+        i = p.pid - 1
+        means = compute_bin_means(p, sb[i], sg[i], sc[i], np.ones((1, n), np.uint64))
+        return means, inv_bin(p, ShareMatrix(cells[i], 2), means).data
+
+    results, _ = run_parties(body, master_seed=7, fp=FixedPointConfig(f))
+    assert np.array_equal(reconstruct([r[0] for r in results])[0], want)
+    debinned = reconstruct([r[1] for r in results])[0]
+    for g in range(2):
+        assert np.array_equal(debinned[:, g], want[g][table[:, g].astype(np.int64)])
 
 
 def test_secure_vs_float_oracle_bins_agree_mostly(rng):

@@ -1,7 +1,7 @@
 """Gate and adder layer: exercised through three in-process parties."""
 
 import numpy as np
-from conftest import reconstruct_xor
+from conftest import reconstruct, reconstruct_xor, share_values
 
 from silosynth import fixedpoint as fx
 from silosynth.circuits import (
@@ -19,7 +19,7 @@ from silosynth.circuits import (
 from silosynth.fixedpoint import FixedPointConfig
 from silosynth.rng import CounterStream, derive_key
 from silosynth.runtime import run_parties
-from silosynth.sharing import ShareVector, reconstruct, share_values
+from silosynth.sharing import ShareVector
 
 FP = FixedPointConfig()
 

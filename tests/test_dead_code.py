@@ -1,17 +1,16 @@
 """Every top-level function, class and constant in src/silosynth has a production user.
 
 A definition counts as used when its name appears in some src/ module other
-than as its own definition, in a perfbench/ file (which wraps functions by
-name), or in ``silosynth.__all__``. Tests do not count: code that only tests
-use belongs in tests/. Module-level assignments count as definitions too,
-dunders such as ``__all__`` excepted, so that a table orphaned by a deleted
-loop fails here.
+than as its own definition, or in a perfbench/ file (which wraps functions
+by name). The package's ``__init__.py`` does not count: a re-export in it,
+or a name in ``__all__``, is not a use. Tests do not count either: code
+that only tests use belongs in tests/. Module-level assignments count as
+definitions too, dunders such as ``__all__`` excepted, so that a table
+orphaned by a deleted loop fails here.
 """
 
 import ast
 from pathlib import Path
-
-import silosynth
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -45,9 +44,10 @@ def _defined(tree: ast.Module) -> list[str]:
 
 def unused_definitions(root: Path) -> list[str]:
     trees = {p: ast.parse(p.read_text()) for p in sorted((root / "src" / "silosynth").glob("*.py"))}
-    used = set(silosynth.__all__)
-    for tree in trees.values():
-        used |= _names(tree)
+    used = set()
+    for p, tree in trees.items():
+        if p.name != "__init__.py":
+            used |= _names(tree)
     for p in sorted((root / "perfbench").rglob("*.py")):
         used |= _names(ast.parse(p.read_text()), strings=True)
     return [f"{p.stem}.{name}" for p, tree in trees.items() for name in _defined(tree)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import clear_reference as ref
-from conftest import run3, shared, shared_matrix
+from conftest import reconstruct, run3, shared, shared_matrix
 
 from silosynth import fixedpoint as fx
 from silosynth.evaluation import (
@@ -17,7 +17,6 @@ from silosynth.evaluation import (
 from silosynth.fixedpoint import FixedPointConfig
 from silosynth.marginals import marginal_counts
 from silosynth.runtime import Party, run_parties
-from silosynth.sharing import reconstruct
 
 ULP = 2.0**-16
 # Every exponential lies in [0, 1] and the row maximum's is exactly 1.0, so a

@@ -1,7 +1,7 @@
 import numpy as np
 
 import clear_reference as ref
-from conftest import run3, shared, shared_matrix
+from conftest import reconstruct, run3, shared, shared_matrix
 
 from silosynth import fixedpoint as fx
 from silosynth.fixedpoint import FixedPointConfig
@@ -14,7 +14,6 @@ from silosynth.generator import (
 )
 from silosynth.marginals import noisy_marginals, split_marginals
 from silosynth.runtime import run_parties
-from silosynth.sharing import reconstruct
 
 
 def test_ipf_fixed_point_at_consistency(rng):

@@ -4,19 +4,17 @@ import numpy as np
 import pytest
 
 import clear_reference as ref
-from conftest import reconstruct_xor, run3, shared, shared_matrix
+from conftest import indicator, reconstruct, reconstruct_xor, run3, shared, shared_matrix
 
 from silosynth import fixedpoint as fx
 from silosynth.marginals import (
     calibrate,
     cell_counts,
-    indicator,
     marginal_counts,
     measurement_count,
     noisy_marginals,
     split_marginals,
 )
-from silosynth.sharing import reconstruct
 
 
 def test_indicator4_truth_table():
@@ -159,24 +157,6 @@ def test_marginal_counts_one_flat_sharing(rng):
     assert results[0].shape == (1, 24 * d + 5)
     for got, want in zip(split_marginals(reconstruct(results)), ref.brute_marginals(genes, labels)):
         assert np.array_equal(got[0], want.astype(np.uint64))
-
-
-@pytest.mark.parametrize("m", [4, 5])
-def test_indicator_cost_pinned(m):
-    """The one-hot costs 2 product rounds plus the exact division (one
-    truncation, 10 rounds). Per element it sends m - 2 power words
-    (x^2, x^3 and for m = 5 x^4) and 13 truncation words per output bit."""
-    vals = np.arange(60, dtype=np.uint64).reshape(3, 20) % m
-    shares = shared(vals, 56 + m)
-
-    def body(p):
-        with p.protocol("adhoc"):
-            indicator(p, shares[p.pid - 1], m)
-
-    _, parties = run3(body)
-    for p in parties:
-        cost = p.ledger.entry("adhoc")
-        assert (cost.rounds, cost.bytes_sent) == (12, (m - 2 + 13 * m) * vals.size * 8)
 
 
 def test_calibration_closed_form():

@@ -3,7 +3,7 @@
 import clear_reference as ref
 import numpy as np
 import pytest
-from conftest import reconstruct_xor, shared_xor
+from conftest import reconstruct, reconstruct_xor, share_values, shared_xor
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,7 +26,6 @@ from silosynth.primitives import (
 )
 from silosynth.rng import CounterStream, derive_key
 from silosynth.runtime import run_parties
-from silosynth.sharing import reconstruct, share_values
 
 FP = FixedPointConfig()
 

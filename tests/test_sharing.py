@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
-from conftest import reconstruct_xor, shared_xor
+from conftest import IntegrityError, reconstruct, reconstruct_xor, share_values, shared_xor
 
 from silosynth import fixedpoint as fx
 from silosynth.fixedpoint import FixedPointConfig
 from silosynth.rng import CounterStream, derive_key
 from silosynth.runtime import LocalRouter, LocalTransport, Party
-from silosynth.sharing import IntegrityError, ShareVector, reconstruct, share_values
+from silosynth.sharing import ShareVector
 
 
 def fresh_stream(tag=0):

@@ -401,6 +401,26 @@ def test_malformed_addresses_exit_2(setup_files, case, capsys):
     assert "input error:" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["party", "custodian"])
+@pytest.mark.parametrize("timeout", ["-1", "0", "nan", "inf"])
+def test_bad_timeout_exits_2_before_any_socket(setup_files, command, timeout, capsys):
+    """A --timeout that is not a positive finite number of seconds is an
+    input error, refused by the argument parser: a party never binds its
+    listener and a custodian never dials, though no server listens."""
+    tmp_path, cfg, data_paths, (thr0, _, _) = setup_files
+    servers = ",".join(f"127.0.0.1:{port}" for port in free_ports(3))
+    argv = {
+        "party": party_argv(cfg, f"127.0.0.1:{free_ports(1)[0]}", timeout=timeout),
+        "custodian": ["custodian", "--data", str(data_paths[0]), "--thresholds", str(thr0),
+                      "--servers", servers, "--config", str(cfg), "--timeout", timeout],
+    }[command]
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --timeout: must be a positive finite number of seconds, got '{timeout}'" in err
+
+
 def test_listen_port_in_use_exits_4(setup_files, capsys):
     tmp_path, cfg, _, _ = setup_files
     with socket.create_server(("127.0.0.1", 0)) as held:
