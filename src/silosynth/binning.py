@@ -18,11 +18,11 @@ from __future__ import annotations
 import numpy as np
 
 from . import fixedpoint as fx
-from .circuits import b2a_sum, inject, matmul_shares, trunc_shares
+from .circuits import b2a_sum, matmul_shares, trunc_shares
 from .marginals import GENE_DIVISORS, GENE_DOMAIN, numerators, odd_part_scale
-from .primitives import div_fx, eq_zero, lt, select, sort_columns
+from .primitives import div_fx, lt, select, sort_columns
 from .runtime import Party
-from .sharing import ShareMatrix, ShareVector, concat_shares, stack_shares
+from .sharing import ShareMatrix, ShareVector, concat_shares
 
 QUANTILES = (0.25, 0.5, 0.75)
 
@@ -93,12 +93,10 @@ def compute_bin_means(party: Party, binned: ShareVector, originals: ShareVector,
     |S_b| < 2^62: encoded genes stay below 2^(62-f) and the preflight admits
     fewer than 2^f rows.
 
-    An empty bin's sum is 0, so its raw mean is exactly 0 and adding
-    empty * fallback selects the fallback. One bit injection of the empty
-    bit into (1, fallback) gives that term and the arithmetic empty bit the
-    denominators need.
+    ``div_fx`` looks up each count in [0, N] in a public table, 4d(N + 1)
+    words per batch. An empty bin's sum is 0, so its raw mean is exactly 0
+    and adding empty * fallback selects the fallback.
     """
-    f = party.fp.frac_bits
     num = numerators(party, [(binned, GENE_DOMAIN)])[0].scale_by(mask[..., None])
     lhs = num.map(np.transpose, (1, 3, 0, 2))                        # (K, d, 4, N)
     rhs = originals.map(lambda w: np.swapaxes(w, 1, 2)[..., None])    # (K, d, N, 1)
@@ -106,12 +104,8 @@ def compute_bin_means(party: Party, binned: ShareVector, originals: ShareVector,
                          cuts[..., :2] + cuts[..., 1:]], axis=2)      # (K, d, 10)
     divisors = np.concatenate([GENE_DIVISORS, GENE_DIVISORS, [2, 2]])
     exact = trunc_shares(party, *odd_part_scale(acc, divisors))
-    sums, counters = exact[..., :4], exact[..., 4:8]
     fallback = concat_shares([cuts[..., :1], exact[..., 8:], cuts[..., 2:]], axis=2)
-    ones = party.const_share(np.ones(counters.shape, dtype=np.uint64))
-    picked = inject(party, eq_zero(party, counters), stack_shares([ones, fallback]))
-    denom = (counters + picked[0]).scale_by(np.uint64(1) << np.uint64(f))
-    return div_fx(party, sums, denom) + picked[1]
+    return div_fx(party, exact[..., :4], exact[..., 4:8], mask.shape[-1], fallback)
 
 
 def bin_train(party: Party, matrix: ShareMatrix, held_out: ShareMatrix | None = None):

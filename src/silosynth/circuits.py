@@ -90,10 +90,6 @@ def and_packed(party: Party, x: ShareVector, y: ShareVector) -> ShareVector:
     return reshare_xor(party, out)
 
 
-def or_packed(party: Party, x: ShareVector, y: ShareVector) -> ShareVector:
-    return x ^ y ^ and_packed(party, x, y)
-
-
 # Sklansky prefix levels: the span w = 2^j, the upper half of every 2w-lane
 # block, the top lane of every lower half, and the spread factor 2^w - 1.
 _PREFIX_LEVELS = [(1 << j,
@@ -197,15 +193,17 @@ def b2a_sum(party: Party, lanes: list[ShareVector], weights) -> ShareVector:
     makes them): e = (1 - 2 c3) w is public to parties 2 and 3. Round 1
     re-shares each lane's u; round 2 the summed u e terms, from u's additive
     term of parties 2 and 3 (``pair_term``), and the sum of c3 w, which both
-    hold, becomes the result's third component: L + 1 words per output
-    element. Temporaries stay one lane wide.
+    hold, becomes the result's third component: L words per lane element and
+    one per output element, whose shape broadcasts the lanes' with a
+    weight's. Temporaries stay one lane wide.
     """
     u = np.empty((len(lanes),) + lanes[0].shape, dtype=np.uint64)
     thirds = [None] * len(lanes)
     for t, lane in enumerate(lanes):
         u[t], thirds[t] = party.split(lane, xor=True)
     u = party.pair_term(reshare(party, u))
-    out, cw_sum = np.zeros(lanes[0].shape, dtype=np.uint64), np.zeros(lanes[0].shape, dtype=np.uint64)
+    shape = np.broadcast_shapes(lanes[0].shape, np.shape(weights[0]))
+    out, cw_sum = np.zeros(shape, dtype=np.uint64), np.zeros(shape, dtype=np.uint64)
     for u_t, c3, w in zip(u, thirds, map(to_u64, weights)):
         cw = c3 * w
         cw_sum += cw

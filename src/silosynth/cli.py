@@ -267,19 +267,20 @@ def _serve_party(args, config: PipelineConfig, peers, listener: socket.socket,
     uploads = {}
     try:
         accept_until(set(), config.n_custodians)
-        # custodian uploads: header frame (n_rows, n_genes), then data + thresholds
+        failed = []   # raised once every upload is read: each custodian then reaches every party
         for idx, conn in custodian_socks:
-            uploads[idx] = [read_frame(conn)[2] for _ in range(3)]
+            try:
+                uploads[idx] = _read_upload(conn, idx)
+            except (IngestionError, ProtocolAbort, OSError) as exc:
+                failed.append(exc)
+        if failed:
+            raise failed[0]
         indices = [idx for idx, _ in custodian_socks]
         for idx in indices:
             if not 0 <= idx < config.n_custodians:
                 raise IngestionError(f"custodian index {idx} is outside 0..{config.n_custodians - 1}")
             if indices.count(idx) > 1:
                 raise IngestionError(f"custodian index {idx} was claimed by two custodians")
-        for idx, (header, data, thr) in uploads.items():
-            if header.size != 2 or data.size != int(header[0]) * (int(header[1]) + 1) or thr.size != 2:
-                raise IngestionError(f"custodian {idx} sent frames of {header.size}, {data.size} and {thr.size} "
-                                     f"words; a header (n_rows, n_genes) takes 2, n_rows * (n_genes + 1) and 2")
         preflight([int(u[0][0]) for u in uploads.values()], [int(u[0][1]) for u in uploads.values()], config)
     except (ProtocolAbort, OSError) as exc:
         print(f"custodian upload failed: {exc}", file=sys.stderr)
@@ -317,6 +318,18 @@ def _serve_party(args, config: PipelineConfig, peers, listener: socket.socket,
             fh.write(render_report(result, config, party_label=f"party-{pid}"))
     print(f"party {pid} decision: {'publish' if result.publish else 'no-publish'}")
     return EXIT_OK
+
+
+def _read_upload(conn: socket.socket, idx: int) -> list[np.ndarray]:
+    """Custodian ``idx``'s header (n_rows, n_genes), data and threshold frames,
+    each refused from its length field unless it holds the words due."""
+    def frame(name, due):
+        def check(got):
+            if got != due:
+                raise IngestionError(f"custodian {idx} sent a {name} frame of {got} words where {due} were due")
+        return read_frame(conn, check)[2]
+    header = frame("header", 2)
+    return [header, frame("data", int(header[0]) * (int(header[1]) + 1)), frame("thresholds", 2)]
 
 
 def run_custodian(args) -> int:

@@ -52,13 +52,13 @@ def read_dataset(path: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def write_dataset(path: str, genes: np.ndarray, labels: np.ndarray):
-    d = genes.shape[1]
+    # one repr per distinct value (a synthetic gene has 4), keyed by bits: -0.0 is not 0.0
+    words, index = np.unique(np.ascontiguousarray(genes, dtype=np.float64).view(np.uint64), return_inverse=True)
+    text = np.array([repr(float(v)) for v in words.view(np.float64)], dtype=object)
     with open(path, "w") as fh:
-        fh.write(",".join([f"g{i + 1}" for i in range(d)] + [LABEL_COLUMN]) + "\n")
-        for row in range(genes.shape[0]):
-            cells = [repr(float(v)) for v in genes[row]]
-            cells.append(str(int(labels[row])))
-            fh.write(",".join(cells) + "\n")
+        fh.write(",".join([f"g{i + 1}" for i in range(genes.shape[1])] + [LABEL_COLUMN]) + "\n")
+        fh.writelines(",".join(row) + f",{int(label)}\n"
+                      for row, label in zip(text[index.reshape(genes.shape)].tolist(), labels))
 
 
 def read_thresholds(path: str) -> np.ndarray:

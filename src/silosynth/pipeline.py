@@ -30,7 +30,7 @@ import numpy as np
 
 from . import fixedpoint as fx
 from .binning import bin_train, compute_bin_means, inv_bin
-from .circuits import not_packed
+from .circuits import bit_extract, not_packed
 from .evaluation import MetricPair, evaluate
 from .generator import generate_bridge, generate_rows
 from .ingest import IngestionError
@@ -190,7 +190,7 @@ def secret_vote(party: Party, wle_sum: ShareVector, acc_sum: ShareVector,
         # one comparison for both bars: cap strictly below the metric, metric strictly below the floor
         fail = lt(party, stack_shares([scaled[:, 0], acc]), stack_shares([wle, scaled[:, 1]]))
         # unanimous when no custodian fails a bar: the AND of the negated fail bits
-        unanimous = and_all(party, not_packed(party, fail).reshape(1, -1))
+        unanimous = bit_extract(and_all(party, not_packed(party, fail).reshape(1, -1)), 0)
         bit = party.open(unanimous, "vote", xor=True)
     return int(bit[0])
 

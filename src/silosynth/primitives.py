@@ -5,9 +5,9 @@ only on public shapes, never on secret values. Comparison rides on the
 component adder from circuits.py; comparison and equality return
 XOR-shared bits: ``select`` injects such a bit directly (two rounds), and a
 caller that needs the bit as an arithmetic value converts it with ``b2a``.
-Division by a secret is a Newton-Raphson reciprocal after oblivious
-normalization to [0.5, 1); division by a public count computes the same
-reciprocal locally and keeps one truncation. Sorting runs one
+The one reciprocal is computed in the clear: a division by a public count
+applies it locally, and one by a secret count in [0, n] looks it up in a
+public table of the n + 1 counts with the count's one-hot. Sorting runs one
 merge-exchange network per batch over its own rows, zipped layer by layer,
 less the compare-swaps no read output depends on; it converts the values to
 XOR-shared bits once, compares them with the log-depth comparator of
@@ -20,6 +20,7 @@ import numpy as np
 
 from . import fixedpoint as fx
 from .circuits import (
+    ALL_ONES,
     ONE,
     SIGN_OFFSET,
     add_components,
@@ -30,15 +31,13 @@ from .circuits import (
     less_than_bits,
     mul_shares,
     not_packed,
-    or_packed,
     reshare_xor,
     trunc_shares,
 )
 from .runtime import Party
 from .sharing import ShareVector, concat_shares, stack_shares
 
-# Newton-Raphson reciprocal: public linear initial guess on [0.5, 1) and a
-# fixed, public iteration count.
+# Newton-Raphson reciprocal: linear initial guess on [0.5, 1), iteration count
 RECIP_INIT = 2.9142
 NR_ITERATIONS = 5
 
@@ -76,14 +75,13 @@ def select(party: Party, bit: ShareVector, x: ShareVector, y: ShareVector) -> Sh
     return x + inject(party, bit, y - x)
 
 
-def and_all(party: Party, bits: ShareVector) -> ShareVector:
-    """XOR-shared 0/1 words: the AND of bit 0 over the last axis, in ceil(log2 W) rounds."""
-    while bits.shape[-1] > 1:
-        half = bits.shape[-1] // 2
-        prod = and_packed(party, bits[..., :half], bits[..., half:2 * half])
-        bits = concat_shares([prod, bits[..., 2 * half:]], axis=-1)
-    # an AND leaves random high bits in the components; callers need 0/1 ones
-    return bit_extract(bits[..., 0], 0)
+def and_all(party: Party, words: ShareVector) -> ShareVector:
+    """XOR-shared words: their lane-wise AND over the last axis, in ceil(log2 W) rounds."""
+    while words.shape[-1] > 1:
+        half = words.shape[-1] // 2
+        prod = and_packed(party, words[..., :half], words[..., half:2 * half])
+        words = concat_shares([prod, words[..., 2 * half:]], axis=-1)
+    return words[..., 0]
 
 
 def select_max(party: Party, z: ShareVector, *payloads: ShareVector) -> tuple[ShareVector, ...]:
@@ -110,7 +108,7 @@ def select_max(party: Party, z: ShareVector, *payloads: ShareVector) -> tuple[Sh
     others = np.array([[c for c in range(w) if c != m] for m in range(w)])
     later = others > np.arange(w)[:, None]
     factors = less[..., pair[np.arange(w)[:, None], others]] ^ party.const_share(later.astype(np.uint64))
-    picked = inject(party, and_all(party, factors), arr, axis=-1)
+    picked = inject(party, bit_extract(and_all(party, factors), 0), arr, axis=-1)
     return tuple(picked[i] for i in range(arr.shape[0]))
 
 
@@ -119,47 +117,51 @@ def mul_fx(party: Party, x: ShareVector, y: ShareVector) -> ShareVector:
     return trunc_shares(party, mul_shares(party, x, y), party.fp.frac_bits)
 
 
-def _newton_raphson(b_norm, mul, add_public, f: int):
-    """1/b_norm for b_norm in [0.5, 1) at scale f: the public linear initial
-    guess and NR_ITERATIONS steps x <- x (2 - b_norm x), with ``mul`` the
-    scale-f product and ``add_public`` the addition of a public word, on
-    shares and on public words alike."""
-    two = fx.encode_scalar(2.0, f)
-    x = add_public(-(b_norm + b_norm), fx.encode_scalar(RECIP_INIT, f))
+def public_reciprocal(b: np.ndarray, f: int) -> np.ndarray:
+    """1/b at scale f for public words 0 < b < 2^(2f), in the clear: b scaled
+    into [0.5, 1) by a power of two, NR_ITERATIONS steps x <- x (2 - b x) from
+    RECIP_INIT - 2 b, the power of two applied again, each product truncated."""
+    top = np.array([int(v).bit_length() - 1 for v in b.ravel()], dtype=np.uint64).reshape(b.shape)
+    factor = ONE << (np.uint64(2 * f - 1) - top)
+    b_norm = fx.truncate(b * factor, f)
+    two = np.uint64(fx.encode_scalar(2.0, f))
+    x = np.uint64(fx.encode_scalar(RECIP_INIT, f)) - b_norm - b_norm
     for _ in range(NR_ITERATIONS):
-        x = mul(x, add_public(-mul(b_norm, x), two))
-    return x
+        x = fx.truncate(x * (two - fx.truncate(b_norm * x, f)), f)
+    return fx.truncate(x * factor, f)
 
 
-def reciprocal_fx(party: Party, b: ShareVector) -> ShareVector:
-    """Fixed-point 1/b for secret b with 0 < b (ring value below 2^(2f)).
-
-    Normalizes b to b' in [0.5, 1) by an obliviously selected power of two
-    (prefix-OR over the decomposed bits picks the leading-one position),
-    runs a fixed number of Newton-Raphson steps, then undoes the scaling.
-    """
+def reciprocal_fx(party: Party, count: ShareVector, n: int) -> ShareVector:
+    """Row ``count``, shape (3,) + count.shape, of the public table over
+    j in [0, n] of [j = 0], max(j, 1) 2^f and its ``public_reciprocal``, for
+    secret integers 0 <= count <= n: the count's bits (8 rounds); its one-hot
+    over [0, n], 64 lanes a word, the AND (ceil(log2 l) rounds) of a pattern
+    per bit i < l = bit_length(n) whose lane j holds the bit if bit i of j is
+    set and its negation if not (local); one ``b2a_sum`` of the table's rows
+    (2 rounds), which sends n + 1 words per count."""
     f = party.fp.frac_bits
-    sum_bits, _, _ = add_components(party, b)
-    pref = sum_bits
-    for k in (1, 2, 4, 8, 16, 32):
-        pref = or_packed(party, pref, pref >> k)
-    leading = pref ^ (pref >> 1)
-    # factor = 2^(2f-1-t) for leading bit t; bits above 2f-1 are zero by the
-    # range precondition, so the weighted recomposition stays in the ring.
-    factor = b2a_sum(party, [bit_extract(leading, t) for t in range(2 * f)],
-                     [np.uint64(1) << np.uint64(2 * f - 1 - t) for t in range(2 * f)])
-
-    b_norm = trunc_shares(party, mul_shares(party, b, factor), f)
-    x = _newton_raphson(b_norm, lambda u, v: mul_fx(party, u, v), party.add_public, f)
-    return mul_fx(party, x, factor)
+    ell = max(n.bit_length(), 1)
+    bits = bit_extract(add_components(party, count)[0][..., None, None], np.arange(ell))
+    lane_bits = np.arange(64 * (n // 64 + 1), dtype=np.uint64) >> np.arange(ell, dtype=np.uint64)[:, None] & ONE
+    set_lanes = np.packbits(lane_bits.astype(np.uint8), axis=1, bitorder="little").view("<u8").T   # (words, l)
+    onehot = and_all(party, -bits ^ party.const_share(ALL_ONES ^ set_lanes))
+    onehot = bit_extract(onehot[..., None], np.arange(64)).reshape(*count.shape, -1)
+    j = np.arange(n + 1, dtype=np.uint64).reshape(-1, *[1] * len(count.shape))    # lane j's row
+    denom = np.maximum(j, ONE) << np.uint64(f)
+    table = np.stack([(j == 0).astype(np.uint64), denom, public_reciprocal(denom, f)], axis=1)
+    return b2a_sum(party, [onehot[..., k] for k in range(n + 1)], table)
 
 
-def div_fx(party: Party, a: ShareVector, b: ShareVector) -> ShareVector:
-    """Fixed-point a/b with one residual-correction step for absolute accuracy."""
-    recip = reciprocal_fx(party, b)
-    q = mul_fx(party, a, recip)
-    residual = a - mul_fx(party, q, b)
-    return q + mul_fx(party, residual, recip)
+def div_fx(party: Party, a: ShareVector, count: ShareVector, n: int, fallback: ShareVector) -> ShareVector:
+    """Fixed-point a / (max(count, 1) 2^f) for secret integers 0 <= count <= n,
+    plus ``fallback`` where count is 0 (a must be 0 there): q = a r, the
+    residual a - q denom and the correction residual r, each truncated by f,
+    with the looked-up r and denom. empty * fallback rides in q's gate."""
+    f = party.fp.frac_bits
+    empty, denom, r = reciprocal_fx(party, count, n)
+    prod = mul_shares(party, stack_shares([a, empty]), stack_shares([r, fallback]))
+    q = trunc_shares(party, prod[0], f)
+    return q + mul_fx(party, a - mul_fx(party, q, denom), r) + prod[1]
 
 
 def div_public(party: Party, x: ShareVector, d) -> ShareVector:
@@ -167,21 +169,11 @@ def div_public(party: Party, x: ShareVector, d) -> ShareVector:
     broadcast), for 0 <= x <= d < 2^f: word for word what ``div_fx`` returns
     for x 2^f over d 2^f, in one truncation (10 rounds).
 
-    Every party computes r, the reciprocal ``reciprocal_fx`` returns for
-    d 2^f, locally. Then div_fx's products are exact but the last: its
-    quotient is x r and its residual x 2^f - x r d, both local, and its
-    correction truncates residual r. The truncations dropped act on
-    multiples of 2^f below 2^(3f) <= 2^60, so they lose nothing.
+    With r = ``public_reciprocal`` of d 2^f, div_fx's quotient x r and residual
+    x 2^f - x r d are local and exact (multiples of 2^f below 2^(3f) <= 2^60).
     """
     f = party.fp.frac_bits
-    b = fx.to_u64(d) << np.uint64(f)
-    # reciprocal_fx's steps on public words: the same power of two, the
-    # same Newton-Raphson iterations, the same truncations
-    top = np.array([int(v).bit_length() - 1 for v in b.ravel()], dtype=np.uint64).reshape(b.shape)
-    factor = ONE << (np.uint64(2 * f - 1) - top)
-    recip_norm = _newton_raphson(fx.truncate(b * factor, f), lambda u, v: fx.truncate(u * v, f),
-                                 lambda u, c: u + np.uint64(c), f)
-    r = fx.truncate(recip_norm * factor, f)
+    r = public_reciprocal(fx.to_u64(d) << np.uint64(f), f)
     q = x.scale_by(r)
     residual = x.scale_by(ONE << np.uint64(f)) - q.scale_by(d)
     return q + trunc_shares(party, residual.scale_by(r), f)

@@ -175,10 +175,12 @@ def read_exact(sock: socket.socket, n: int) -> bytearray:
     return buf
 
 
-def read_frame(sock: socket.socket):
+def read_frame(sock: socket.socket, check=lambda words: None):
+    """(label id, seq, words); ``check(k)`` may refuse k words before the body is allocated."""
     (length,) = struct.unpack(">I", read_exact(sock, 4))
     if length < 10 or (length - 10) % WORD:
         raise ProtocolAbort(f"malformed frame: length {length} is not 10 + 8k bytes")
+    check((length - 10) // WORD)
     body = read_exact(sock, length)
     label_id, seq = struct.unpack_from(">HQ", body)
     words = np.frombuffer(body, dtype="<u8", offset=10).astype(np.uint64)

@@ -304,7 +304,11 @@ def test_bin_means_and_inv_bin_cost_pinned(rng):
 
     compute_bin_means: the cells' powers (2 rounds, 108 words), one matmul
     (1, 24 words), one exact division of sums, counts and midpoints (10, 60
-    x 13 words), then eq_zero (7), inject (2) and div_fx (181): 203 rounds.
+    x 13 words), then div_fx. Its lookup of the 24 counts in the table of
+    counts 0..9: their bits (8, 24 x 8 words), the AND of 4 pattern words
+    (2, 24 x 3) and one b2a_sum over 10 lanes (2, 24 x 13). Its three
+    products, the first with the empty bit's fallback beside it (33,
+    48 + 24 x 13 + 2 x 24 x 14 words): 58 rounds, 2,520 words.
     inv_bin: powers (2, 108 words), one matmul (1, 54 words) and one
     truncation (10, 54 x 13 words): 13 rounds, 864 words.
     """
@@ -327,7 +331,7 @@ def test_bin_means_and_inv_bin_cost_pinned(rng):
     for p in parties:
         cost = {label: (p.ledger.entry(label).rounds, p.ledger.entry(label).bytes_sent)
                 for label in ("bin", "inv_bin")}
-        assert cost == {"bin": (203, 58944), "inv_bin": (13, 864 * 8)}
+        assert cost == {"bin": (58, 2520 * 8), "inv_bin": (13, 864 * 8)}
 
 
 @pytest.mark.parametrize("sign", [1, -1])

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from silosynth import fixedpoint as fx
 from silosynth import primitives
+from silosynth.binning import compute_bin_means
 from silosynth.circuits import bit_extract
 from silosynth.fixedpoint import FixedPointConfig
 from silosynth.primitives import (
@@ -247,55 +248,89 @@ DIV_TOL = 2.0**-14
 
 
 def test_div_examples():
-    a = fx.encode(np.array([10.0, 1.75, 7.0]))
-    b = fx.encode(np.array([4.0, 1.0, 3.0]))
-    sa, sb = shared(a, 11), shared(b, 12)
+    """Sums divided by secret counts 4, 1 and 3, and an empty count's
+    fallback, within two ulps of the quotients."""
+    a = fx.encode(np.array([10.0, 1.75, 7.0, 0.0]))
+    counts = np.array([4, 1, 3, 0], dtype=np.uint64)
+    fallback = fx.encode(np.array([9.0, 9.0, 9.0, -1.5]))
+    sa, sc, sf = shared(a, 11), shared(counts, 12), shared(fallback, 10)
 
     def body(p):
-        return div_fx(p, sa[p.pid - 1], sb[p.pid - 1])
+        return div_fx(p, sa[p.pid - 1], sc[p.pid - 1], 4, sf[p.pid - 1])
 
     results, _ = run3(body)
     got = fx.decode(open_result(results))
-    want = np.array([2.5, 1.75, 7.0 / 3.0])
+    want = np.array([2.5, 1.75, 7.0 / 3.0, -1.5])
     assert np.all(np.abs(got - want) <= DIV_TOL)
 
 
+def clear_div_by_public_reciprocal(a, b, f=16):
+    """div_fx's three products on public words, with src's reciprocal."""
+    r = primitives.public_reciprocal(b, f)
+    q = fx.truncate(a * r, f)
+    return q + fx.truncate((a - fx.truncate(q * b, f)) * r, f)
+
+
 def test_div_random_sweep():
+    """The clear reciprocal, on arbitrary denominators, divides within two
+    ulps and equals the mirror's."""
     rng = np.random.default_rng(5)
     a = rng.uniform(-200, 200, size=300)
     b = rng.uniform(0.05, 400, size=300)
     ea, eb = fx.encode(a), fx.encode(b)
-    sa, sb = shared(ea, 13), shared(eb, 14)
-
-    def body(p):
-        return div_fx(p, sa[p.pid - 1], sb[p.pid - 1])
-
-    results, _ = run3(body)
-    got = fx.decode(open_result(results))
-    want = fx.decode(ea) / fx.decode(eb)
-    assert np.max(np.abs(got - want)) <= DIV_TOL
+    got = clear_div_by_public_reciprocal(ea, eb)
+    assert np.array_equal(got, ref.clear_div(ea, eb))
+    assert np.max(np.abs(fx.decode(got) - fx.decode(ea) / fx.decode(eb))) <= DIV_TOL
 
 
 @settings(max_examples=13, deadline=None)
 @given(f=st.integers(8, 20), means=st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=6))
 def test_div_by_largest_admitted_count_matches_mirror(f, means):
     """Bin means divide a sum by count * 2^f. At count = 2^f - 1, the largest
-    the preflight admits, div_fx equals the mirror and the mean within an
-    ulp; at count = 2^f the quotient would be 0."""
+    the preflight admits, the division by the clear reciprocal equals the
+    mirror and the mean within an ulp; at count = 2^f the quotient would be 0.
+    (The secure lookup returns that reciprocal word for word:
+    ``test_reciprocal_lookup_returns_the_clear_table``.)"""
     count = (1 << f) - 1
     mean_words = fx.encode(np.array(means), f)
     a = mean_words * np.uint64(count)
     b = np.full(len(means), count << f, dtype=np.uint64)
-    sa, sb = (share_values(v, CounterStream(derive_key(555, "div-range", 2 * f + i))) for i, v in enumerate((a, b)))
-
-    def body(p):
-        return div_fx(p, sa[p.pid - 1], sb[p.pid - 1])
-
-    results, _ = run_parties(body, master_seed=77, fp=FixedPointConfig(f), timeout=120.0)
-    got = open_result(results)
+    got = clear_div_by_public_reciprocal(a, b, f)
     assert np.array_equal(got, ref.clear_div(a, b, f))
     assert np.all(np.abs(fx.signed(got) - fx.signed(mean_words)) <= 1)
     assert not ref.clear_div(a, b + (np.uint64(1) << np.uint64(f)), f).any()
+
+
+@pytest.mark.parametrize("n", [63, 64, 65, 200])
+def test_reciprocal_lookup_returns_the_clear_table(n):
+    """Every count in [0, n] looks up the mirror's row word for word: the
+    empty bit, max(count, 1) 2^f and its reciprocal. div_fx then equals the
+    mirror's division plus the fallback on the empty count. The lookup
+    takes 8 + ceil(log2 l) + 2 rounds for l = bit_length(n); per count it
+    sends 8 words for the bits, l - 1 AND words per 64 lanes, and n + 1
+    words, then 3, in the b2a_sum."""
+    rng = np.random.default_rng(n)
+    counts = np.arange(n + 1, dtype=np.uint64)
+    denom = np.maximum(counts, 1) << np.uint64(16)
+    sums = fx.encode(rng.uniform(-3, 3, size=n + 1)) * counts
+    fallback = fx.encode(rng.uniform(-3, 3, size=n + 1))
+    sc, ss, sf = shared(counts, 60), shared(sums, 61), shared(fallback, 62)
+
+    def body(p):
+        i = p.pid - 1
+        with p.protocol("adhoc"):
+            row = primitives.reciprocal_fx(p, sc[i], n)
+        cost = (p.ledger.entry("adhoc").rounds, p.ledger.entry("adhoc").bytes_sent)
+        return row, div_fx(p, ss[i], sc[i], n, sf[i]), cost
+
+    results, _ = run3(body)
+    want = np.stack([(counts == 0).astype(np.uint64), denom, ref.clear_reciprocal(denom)])
+    assert np.array_equal(open_result([r[0] for r in results]), want)
+    empty = np.where(counts == 0, fallback, np.uint64(0))
+    assert np.array_equal(open_result([r[1] for r in results]), ref.clear_div(sums, denom) + empty)
+    ell, words = n.bit_length(), n // 64 + 1
+    per_count = 8 + (ell - 1) * words + (n + 1) + 3
+    assert all(r[2] == (8 + (ell - 1).bit_length() + 2, 8 * (n + 1) * per_count) for r in results)
 
 
 def count_pairs(f, rng=None, size=None):
@@ -625,15 +660,16 @@ def test_gauss_statistics_and_support():
 
 
 def test_div_nonpositive_denominator_no_leak():
-    """Out-of-contract denominators still run obliviously (garbage out, no branch)."""
+    """Out-of-contract counts (negative, beyond n) still run obliviously
+    (garbage out, no branch)."""
     good = shared(fx.encode(np.array([4.0, 2.0])), 41)
-    bad_b = shared(fx.encode(np.array([-3.0, 0.0])), 42)
-    good_b = shared(fx.encode(np.array([3.0, 1.0])), 43)
+    bad_c = shared(np.array([-3, 9], dtype=np.int64), 42)
+    good_c = shared(np.array([3, 1], dtype=np.uint64), 43)
     ledgers = []
-    for denom in (good_b, bad_b):
+    for counts in (good_c, bad_c):
         def body(p):
             with p.protocol("adhoc"):
-                div_fx(p, good[p.pid - 1], denom[p.pid - 1])
+                div_fx(p, good[p.pid - 1], counts[p.pid - 1], 4, good[p.pid - 1])
 
         _, parties = run3(body)
         snap = [p.ledger.snapshot() for p in parties]
@@ -644,20 +680,29 @@ def test_div_nonpositive_denominator_no_leak():
 
 
 def test_obliviousness_ledgers_match_across_inputs():
+    """Ledgers equal across inputs, also for divisions by different counts
+    and for bin means whose counts differ (the second input leaves three
+    bins empty)."""
     rng = np.random.default_rng(7)
     runs = []
     for tag, scalefac in ((17, 1.0), (18, 37.5)):
         vals = fx.encode(rng.uniform(-5, 5, size=40) * scalefac)
         other = fx.encode(rng.uniform(0.1, 90, size=40) * max(scalefac, 1.0))
-        sv, so = shared(vals, tag), shared(other, tag + 10)
+        counts = rng.integers(0, 41, size=40) if tag == 17 else np.repeat([0, 40], 20)
+        bins = rng.integers(0, 4, size=(1, 40, 1)) if tag == 17 else np.full((1, 40, 1), 3)
+        cuts = np.sort(fx.signed(vals[:3])).view(np.uint64).reshape(1, 1, 3)
+        sv, so, sc = shared(vals, tag), shared(other, tag + 10), shared(counts, tag + 20)
+        sbins, scuts = shared(bins, tag + 30), shared(cuts, tag + 40)
 
         def body(p):
+            i = p.pid - 1
             with p.protocol("adhoc"):
-                lt(p, sv[p.pid - 1], so[p.pid - 1])
-                eq_zero(p, sv[p.pid - 1] - so[p.pid - 1])
-                abs_shares(p, sv[p.pid - 1])
-                div_fx(p, sv[p.pid - 1], so[p.pid - 1])
-                sort_columns(p, sv[p.pid - 1].reshape(-1, 1))
+                lt(p, sv[i], so[i])
+                eq_zero(p, sv[i] - so[i])
+                abs_shares(p, sv[i])
+                div_fx(p, sv[i], sc[i], 40, so[i])
+                sort_columns(p, sv[i].reshape(-1, 1))
+                compute_bin_means(p, sbins[i], sv[i].reshape(1, 40, 1), scuts[i], np.ones((1, 40), np.uint64))
             return None
 
         _, parties = run3(body)

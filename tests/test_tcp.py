@@ -203,7 +203,9 @@ def test_party_refuses_folds_without_test_rows(setup_files):
 
 def raw_custodian(index, frames, replies):
     """A custodian that bypasses the CLI's checks: it sends ``index`` and the
-    ``frames`` to every server and keeps the first server's reply in ``replies``."""
+    ``frames`` to every server and keeps the first server's reply in ``replies``.
+    A server refuses a frame of the wrong size from its length field, and may
+    close before the frames after it are written; those writes may fail."""
     from silosynth.cli import HELLO_CUSTODIAN, _connect_with_retry
     from silosynth.runtime import LABEL_IDS, read_frame, write_frame
 
@@ -211,8 +213,9 @@ def raw_custodian(index, frames, replies):
         socks = [_connect_with_retry(addr, 30) for addr in servers]
         for s in socks:
             s.sendall(bytes([HELLO_CUSTODIAN, index]))
-            for seq, words in enumerate(frames):
-                write_frame(s, LABEL_IDS["ingest"], seq, np.array(words, dtype=np.uint64))
+            with contextlib.suppress(OSError):
+                for seq, words in enumerate(frames):
+                    write_frame(s, LABEL_IDS["ingest"], seq, np.array(words, dtype=np.uint64))
         socks[0].settimeout(60)
         replies.append(read_frame(socks[0]))
         for s in socks:
@@ -303,8 +306,9 @@ def test_party_refuses_custodians_that_disagree_on_gene_count(setup_files, rng):
 
 
 @pytest.mark.parametrize("frames, message", [
-    (([8, 2], [0] * 5, [0, 0]), "custodian 1 sent frames of 2, 5 and 2 words"),
-    (([8, 2, 0], [0] * 24, [0, 0]), "custodian 1 sent frames of 3, 24 and 2 words"),
+    (([8, 2], [0] * 5, [0, 0]), "custodian 1 sent a data frame of 5 words where 24 were due"),
+    (([8, 2, 0], [0] * 24, [0, 0]), "custodian 1 sent a header frame of 3 words where 2 were due"),
+    (([8, 2], [0] * 24, [0, 0, 0]), "custodian 1 sent a thresholds frame of 3 words where 2 were due"),
 ])
 def test_party_refuses_malformed_custodian_upload(setup_files, frames, message):
     """A custodian whose frames do not match its header (2 words, then
@@ -315,6 +319,34 @@ def test_party_refuses_malformed_custodian_upload(setup_files, frames, message):
     replies = []
     raw = raw_custodian(1, frames, replies)
     assert_refused_with(run_refused(cfg, data_paths[:1], (thr0,), (0,), raw=raw), replies, message)
+
+
+def test_oversized_upload_frame_is_refused_before_its_body(setup_files):
+    """A data frame whose length field claims 80 MB after a header of 10 rows
+    x 3 genes, with no payload behind it, is refused from the length field
+    alone: every party exits 2 naming the 40 words due, well before the 30 s
+    --timeout, and the custodian gets the message under the ingest label."""
+    from silosynth.cli import HELLO_CUSTODIAN
+    from silosynth.runtime import LABEL_IDS, read_frame, write_frame
+
+    tmp_path, cfg, data_paths, (thr0, _, _) = setup_files
+    replies = []
+
+    def oversized(servers):
+        socks = [_connect_with_retry(addr, 30) for addr in servers]
+        for s in socks:
+            s.sendall(bytes([HELLO_CUSTODIAN, 1]))
+            write_frame(s, LABEL_IDS["ingest"], 0, np.array([10, 3], dtype=np.uint64))
+            s.sendall((10 + 80_000_000).to_bytes(4, "big"))
+        socks[0].settimeout(60)
+        replies.append(read_frame(socks[0]))
+        for s in socks:
+            s.close()
+
+    t0 = time.monotonic()
+    outcomes = run_refused(cfg, data_paths[:1], (thr0,), (0,), raw=oversized)
+    assert time.monotonic() - t0 < 20
+    assert_refused_with(outcomes, replies, "custodian 1 sent a data frame of 10000000 words where 40 were due")
 
 
 def test_malformed_custodian_frame_exits_4_at_once(setup_files):
