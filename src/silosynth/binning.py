@@ -149,18 +149,11 @@ def bin_with_cuts(party: Party, mats: list[ShareMatrix], cuts: ShareVector) -> l
     return out
 
 
-def inv_bin(party: Party, matrix: ShareMatrix, means: ShareVector) -> ShareMatrix:
-    """Replace every binned gene cell with its bin's secret mean (``means`` (K, d, 4)).
-
-    A cell's numerators vanish but at its own bin b, where N_b(b) is twice an
-    odd number. With each mean scaled by the inverse of that odd part, one
-    batched matmul over the 4 bins gives exactly twice the cell's mean, and
-    a truncation by 1 halves it; exact for means below 2^62 in magnitude,
-    as every mean of encoded genes is.
-    """
+def inv_bin(party: Party, onehot: ShareVector, means: ShareVector) -> ShareVector:
+    """Every gene cell's bin mean, (K, N, d), from its 0/1 bin one-hot
+    (K, N, d, 4) and the secret ``means`` (K, d, 4): the inner product of
+    the one-hot with its gene's means, one batched matmul (1 round, one
+    word per cell)."""
     with party.protocol("inv_bin"):
-        num = numerators(party, [(matrix.genes(), GENE_DOMAIN)])[0]   # (4, K, N, d)
-        scaled, _ = odd_part_scale(means, GENE_DIVISORS)
-        twice = matmul_shares(party, num.map(np.transpose, (1, 3, 2, 0)), scaled[..., None])
-        debinned = trunc_shares(party, twice[..., 0].map(np.swapaxes, 1, 2), 1)   # (K, N, d)
-    return matrix.with_columns(debinned)
+        picked = matmul_shares(party, onehot.map(np.swapaxes, 1, 2), means[..., None])   # (K, d, N, 1)
+    return picked[..., 0].map(np.swapaxes, 1, 2)

@@ -216,16 +216,15 @@ def b2a(party: Party, bits: ShareVector) -> ShareVector:
     return b2a_sum(party, [bits], [ONE])
 
 
-def inject(party: Party, bit: ShareVector, d: ShareVector, axis=None) -> ShareVector:
+def inject(party: Party, bit: ShareVector, d: ShareVector) -> ShareVector:
     """Arithmetic bit * d for an XOR-shared 0/1 bit (shapes broadcast), in two
-    rounds; summed over ``axis`` when it is given.
+    rounds.
 
     Bit injection of a secret d: e = (1 - 2 c3) d is local to parties 2 and
     3, from d's additive term of those two parties (``pair_term``, the split
     ``b2a_sum`` uses for u). Round 1 re-shares u together with e; round 2 is
     the product u e, with the c3 d terms added into its re-share. Sends
-    |bit| + 2 |out| words per party; a sum over ``axis`` runs on the local
-    terms before round 2's re-share, which then sends only the summed shape.
+    |bit| + 2 |out| words per party.
     """
     shape = np.broadcast_shapes(bit.shape, d.shape)
     terms = np.empty(bit.size + int(np.prod(shape)), dtype=np.uint64)
@@ -239,7 +238,7 @@ def inject(party: Party, bit: ShareVector, d: ShareVector, axis=None) -> ShareVe
     out = np.empty(shape, dtype=np.uint64)
     _cross(u, e, out)
     out += cd
-    return reshare(party, out if axis is None else out.sum(axis=axis, dtype=np.uint64))
+    return reshare(party, out)
 
 
 # -- deterministic truncation -----------------------------------------------------

@@ -270,7 +270,7 @@ def _serve_party(args, config: PipelineConfig, peers, listener: socket.socket,
         failed = []   # raised once every upload is read: each custodian then reaches every party
         for idx, conn in custodian_socks:
             try:
-                uploads[idx] = _read_upload(conn, idx)
+                uploads[idx] = _read_upload(conn, idx, config.frac_bits)
             except (IngestionError, ProtocolAbort, OSError) as exc:
                 failed.append(exc)
         if failed:
@@ -320,15 +320,19 @@ def _serve_party(args, config: PipelineConfig, peers, listener: socket.socket,
     return EXIT_OK
 
 
-def _read_upload(conn: socket.socket, idx: int) -> list[np.ndarray]:
+def _read_upload(conn: socket.socket, idx: int, frac_bits: int) -> list[np.ndarray]:
     """Custodian ``idx``'s header (n_rows, n_genes), data and threshold frames,
-    each refused from its length field unless it holds the words due."""
+    each refused from its length field unless it holds the words due; a
+    header of 2^frac_bits rows or more is refused before its data frame."""
     def frame(name, due):
         def check(got):
             if got != due:
                 raise IngestionError(f"custodian {idx} sent a {name} frame of {got} words where {due} were due")
         return read_frame(conn, check)[2]
     header = frame("header", 2)
+    if int(header[0]) >= 1 << frac_bits:
+        raise IngestionError(f"custodian {idx} claims {int(header[0])} rows, which reach "
+                             f"2^frac_bits = {1 << frac_bits}: at most {(1 << frac_bits) - 1} rows fit")
     return [header, frame("data", int(header[0]) * (int(header[1]) + 1)), frame("thresholds", 2)]
 
 

@@ -134,7 +134,7 @@ def lr_accuracy(party: Party, weights: ShareVector, test: ShareMatrix) -> ShareV
         raise ValueError("empty test set")
     with party.protocol("acc"):
         logits = matmul_shares(party, _with_bias(party, test), weights)
-        _, predicted = select_max(party, logits, party.const_share(np.arange(N_CLASSES)))
+        predicted = select_max(party, logits, np.arange(N_CLASSES))
         hits = b2a(party, eq_zero(party, predicted - test.labels())).scale_by(test.mask)
         acc = div_public(party, hits.sum(axis=1), test.rows)
     return acc

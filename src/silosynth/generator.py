@@ -16,7 +16,8 @@ In a tuning loop the enclave re-shares only what evaluation reads of the
 sampled rows: their exact marginal counts and the logistic-regression
 weights it trains on them (``generate_bridge``). Both are functions of the
 noisy marginals alone, so computing them in the clear is post-processing
-of DP output. The publish path re-shares the rows (``generate_rows``).
+of DP output. The publish path re-shares what de-binning reads of the
+rows: each gene cell's bin one-hot and the labels (``generate_rows``).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .evaluation import N_CLASSES, lr_train
 from .marginals import GENE_DOMAIN, LABEL_DOMAIN, cell_counts, split_marginals
 from .rng import CounterStream, derive_key
 from .runtime import Party
-from .sharing import ShareMatrix, ShareVector
+from .sharing import ShareVector
 
 
 def _normalized(vec: np.ndarray) -> np.ndarray:
@@ -136,9 +137,12 @@ def generate_bridge(party: Party, ms: ShareVector, rows, iterations: int, master
 
 
 def generate_rows(party: Party, ms: ShareVector, n_out: int, iterations: int,
-                  master_seed: int, context: tuple[int, ...]) -> ShareMatrix:
+                  master_seed: int, context: tuple[int, ...]) -> tuple[ShareVector, ShareVector]:
     """The publish path's enclave step: n_out rows sampled from the (1, 24d+5)
-    noisy marginals, re-shared as a batch of one."""
+    noisy marginals, re-shared as what de-binning reads of them: each gene
+    cell's bin as a 0/1 one-hot (1, n_out, d, 4), and the labels (1, n_out)."""
     d = split_marginals(ms)[0].shape[1]
-    return ShareMatrix(_enclave(party, ms, [n_out], iterations, master_seed, [context],
-                                (n_out, d + 1), fx.to_u64), d)
+    bins = np.arange(GENE_DOMAIN)
+    shares = _enclave(party, ms, [n_out], iterations, master_seed, [context], (n_out, d * GENE_DOMAIN + 1),
+                      lambda synth: np.column_stack([(synth[:, :d, None] == bins).reshape(n_out, -1), synth[:, d]]))
+    return shares[..., :-1].reshape(1, n_out, d, GENE_DOMAIN), shares[..., -1]

@@ -251,8 +251,8 @@ def _select_lowest(party: Party, candidates: list[tuple[int, ShareVector]]) -> i
     the maximum of the negated sums keeps the earliest loop on ties."""
     loops, sums = zip(*candidates)
     with party.protocol("h_select"):
-        _, best = select_max(party, -concat_shares(list(sums)), party.const_share(np.array(loops)))
-        return int(party.open(best[None], "h-select")[0])
+        best = select_max(party, -concat_shares(list(sums))[None], loops)
+        return int(party.open(best, "h-select")[0])
 
 
 def publish_path(party: Party, matrix: ShareMatrix, binned: ShareMatrix, cuts: ShareVector,
@@ -265,10 +265,10 @@ def publish_path(party: Party, matrix: ShareMatrix, binned: ShareMatrix, cuts: S
         means = compute_bin_means(party, binned.genes(), matrix.genes(), cuts, binned.mask)
     _, ms = noisy_marginals(party, binned, sigma_q)
     n_out = config.synthetic_rows or matrix.n_rows
-    synth = generate_rows(party, ms, n_out, h_selected, config.seed, PUBLISH_CONTEXT)
-    debinned = inv_bin(party, synth, means)
+    onehot, labels = generate_rows(party, ms, n_out, h_selected, config.seed, PUBLISH_CONTEXT)
+    debinned = concat_shares([inv_bin(party, onehot, means), labels[..., None]], axis=2)
     with party.protocol("publish"):
-        return party.open(debinned.data[0], "publish")
+        return party.open(debinned[0], "publish")
 
 
 @dataclass

@@ -84,22 +84,20 @@ def and_all(party: Party, words: ShareVector) -> ShareVector:
     return words[..., 0]
 
 
-def select_max(party: Party, z: ShareVector, *payloads: ShareVector) -> tuple[ShareVector, ...]:
-    """Maximum of z over its last axis, then each payload's entry (payloads
-    broadcast to z's shape) at the lowest index attaining it.
+def select_max(party: Party, z: ShareVector, values) -> ShareVector:
+    """The public values[m], secret-shared over z's leading shape, at the
+    lowest index m of z's last axis that attains its maximum.
 
     All pairs at once (CrypTen's pairwise method): one ``lt`` over the
     W(W-1)/2 pairs c < m (8 rounds). Entry m is the lowest-index maximum iff
     onehot_m = prod_{c<m} [z_c < z_m] * prod_{c>m} NOT [z_m < z_c], an AND
-    tree of ceil(log2(W-1)) levels. One injection of the one-hot into the
-    value stacked with its payloads, summed over the last axis before its
-    second re-share, picks the entry (2 rounds): 12 rounds for W = 5, none
-    for W = 1.
+    tree of ceil(log2(W-1)) levels. One ``b2a_sum`` reads values with the
+    one-hot, a lane per entry kept at least 1-d (2 rounds): 12 rounds for
+    W = 5, none for W = 1.
     """
-    arr = stack_shares([z] + [p.map(np.broadcast_to, z.shape) for p in payloads])
     w = z.shape[-1]
     if w == 1:
-        return tuple(arr[i, ..., 0] for i in range(arr.shape[0]))
+        return party.const_share(np.full(z.shape[:-1], values[0], dtype=np.uint64))
     lo, hi = np.triu_indices(w, 1)
     less = lt(party, z[..., lo], z[..., hi])                # [z_lo < z_hi] per pair
     # factor (m, c) for each c != m: the pair's bit, negated when c > m
@@ -108,8 +106,8 @@ def select_max(party: Party, z: ShareVector, *payloads: ShareVector) -> tuple[Sh
     others = np.array([[c for c in range(w) if c != m] for m in range(w)])
     later = others > np.arange(w)[:, None]
     factors = less[..., pair[np.arange(w)[:, None], others]] ^ party.const_share(later.astype(np.uint64))
-    picked = inject(party, bit_extract(and_all(party, factors), 0), arr, axis=-1)
-    return tuple(picked[i] for i in range(arr.shape[0]))
+    onehot = bit_extract(and_all(party, factors), 0)
+    return b2a_sum(party, [onehot[..., m, None] for m in range(w)], values)[..., 0]
 
 
 def mul_fx(party: Party, x: ShareVector, y: ShareVector) -> ShareVector:
@@ -132,8 +130,8 @@ def public_reciprocal(b: np.ndarray, f: int) -> np.ndarray:
 
 
 def reciprocal_fx(party: Party, count: ShareVector, n: int) -> ShareVector:
-    """Row ``count``, shape (3,) + count.shape, of the public table over
-    j in [0, n] of [j = 0], max(j, 1) 2^f and its ``public_reciprocal``, for
+    """Row ``count``, shape (2,) + count.shape, of the public table over
+    j in [0, n] of [j = 0] and the ``public_reciprocal`` of max(j, 1) 2^f, for
     secret integers 0 <= count <= n: the count's bits (8 rounds); its one-hot
     over [0, n], 64 lanes a word, the AND (ceil(log2 l) rounds) of a pattern
     per bit i < l = bit_length(n) whose lane j holds the bit if bit i of j is
@@ -147,18 +145,18 @@ def reciprocal_fx(party: Party, count: ShareVector, n: int) -> ShareVector:
     onehot = and_all(party, -bits ^ party.const_share(ALL_ONES ^ set_lanes))
     onehot = bit_extract(onehot[..., None], np.arange(64)).reshape(*count.shape, -1)
     j = np.arange(n + 1, dtype=np.uint64).reshape(-1, *[1] * len(count.shape))    # lane j's row
-    denom = np.maximum(j, ONE) << np.uint64(f)
-    table = np.stack([(j == 0).astype(np.uint64), denom, public_reciprocal(denom, f)], axis=1)
+    table = np.stack([j == 0, public_reciprocal(np.maximum(j, ONE) << np.uint64(f), f)], axis=1)
     return b2a_sum(party, [onehot[..., k] for k in range(n + 1)], table)
 
 
 def div_fx(party: Party, a: ShareVector, count: ShareVector, n: int, fallback: ShareVector) -> ShareVector:
     """Fixed-point a / (max(count, 1) 2^f) for secret integers 0 <= count <= n,
     plus ``fallback`` where count is 0 (a must be 0 there): q = a r, the
-    residual a - q denom and the correction residual r, each truncated by f,
-    with the looked-up r and denom. empty * fallback rides in q's gate."""
+    residual a - q denom, denom = (count + empty) 2^f, and the correction
+    residual r, each truncated by f. empty * fallback rides in q's gate."""
     f = party.fp.frac_bits
-    empty, denom, r = reciprocal_fx(party, count, n)
+    empty, r = reciprocal_fx(party, count, n)
+    denom = (count + empty).scale_by(ONE << np.uint64(f))
     prod = mul_shares(party, stack_shares([a, empty]), stack_shares([r, fallback]))
     q = trunc_shares(party, prod[0], f)
     return q + mul_fx(party, a - mul_fx(party, q, denom), r) + prod[1]

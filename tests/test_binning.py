@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import clear_reference as ref
-from conftest import open_matrix, reconstruct, run3, shared, shared_matrix
+from conftest import indicator, open_matrix, reconstruct, run3, shared, shared_matrix
 
 from silosynth import fixedpoint as fx
 from silosynth.binning import (
@@ -16,7 +16,6 @@ from silosynth.binning import (
 from silosynth.fixedpoint import FixedPointConfig
 from silosynth.pipeline import fold_plan, kfold_split
 from silosynth.runtime import run_parties
-from silosynth.sharing import ShareMatrix
 
 
 def bin_with_means(p, matrix):
@@ -264,6 +263,17 @@ def test_bin_test_empty_split():
     assert open_matrix(results).shape == (0, 3)
 
 
+def debin(p, binned, means):
+    """The binned genes' one-hots, built on shares from their Lagrange
+    numerators (the enclave hands the publish path its own), de-binned."""
+    return inv_bin(p, indicator(p, binned.genes(), 4).map(np.moveaxis, 0, -1), means)
+
+
+def onehots(bins):
+    """Cleartext 0/1 one-hots (..., 4) of integer bins."""
+    return (np.asarray(bins)[..., None] == np.arange(4)).astype(np.uint64)
+
+
 def test_inv_bin_selection_and_roundtrip(rng):
     genes = rng.normal(0, 2, size=(30, 3))
     labels = rng.integers(0, 5, size=30)
@@ -271,17 +281,16 @@ def test_inv_bin_selection_and_roundtrip(rng):
 
     def body(p):
         binned, cuts, means = bin_with_means(p, mats[p.pid - 1])
-        return inv_bin(p, binned, means), means
+        return debin(p, binned, means), means
 
     results, _ = run3(body)
-    got = open_matrix([r[0] for r in results])
+    got = reconstruct([r[0] for r in results])[0]
     means = reconstruct([r[1] for r in results])[0]
     want_binned, _, want_means, _ = ref.bin_dataset_fx(fx.encode(genes))
     assert np.array_equal(means, want_means)
     for g in range(3):
         want_cells = want_means[g][want_binned[:, g].astype(np.int64)]
         assert np.array_equal(got[:, g], want_cells)
-    assert np.array_equal(got[:, 3], labels.astype(np.uint64))
 
 
 def test_inv_bin_constant_column_roundtrip():
@@ -291,11 +300,33 @@ def test_inv_bin_constant_column_roundtrip():
 
     def body(p):
         binned, cuts, means = bin_with_means(p, mats[p.pid - 1])
-        return inv_bin(p, binned, means)
+        return debin(p, binned, means)
 
     results, _ = run3(body)
-    got = fx.decode(open_matrix(results))
+    got = fx.decode(reconstruct(results)[0])
     assert np.all(np.abs(got[:, 0] - 3.25) <= 2**-14)
+
+
+def test_inv_bin_picks_each_one_hots_mean(rng):
+    """inv_bin returns means[k, j, b] word for word at every cell (k, i, j)
+    whose one-hot marks bin b: random one-hots over K = 3 batches of 7 rows
+    and 4 genes, with random means and means one ulp inside the encodable
+    limit, 2^62, of either sign."""
+    bins = rng.integers(0, 4, size=(3, 7, 4))
+    means = fx.encode(rng.normal(0.0, 50.0, size=(3, 4, 4)))
+    top = (1 << 62) - 1
+    means[0] = fx.to_u64(np.array([[top, -top, top - 1, 1 - top]] * 4))
+    means[1, :2] = fx.to_u64(np.array([-top, top, 0, -1]))
+    so, sm = shared(onehots(bins), 51), shared(means, 52)
+
+    def body(p):
+        out = inv_bin(p, so[p.pid - 1], sm[p.pid - 1])
+        return out, (p.ledger.entry("inv_bin").rounds, p.ledger.entry("inv_bin").bytes_sent)
+
+    results, _ = run3(body)
+    want = np.take_along_axis(means[:, None], bins[..., None], axis=3)[..., 0]    # (K, N, d)
+    assert np.array_equal(reconstruct([r[0] for r in results]), want)
+    assert all(r[1] == (1, bins.size * 8) for r in results)
 
 
 def test_bin_means_and_inv_bin_cost_pinned(rng):
@@ -306,18 +337,17 @@ def test_bin_means_and_inv_bin_cost_pinned(rng):
     (1, 24 words), one exact division of sums, counts and midpoints (10, 60
     x 13 words), then div_fx. Its lookup of the 24 counts in the table of
     counts 0..9: their bits (8, 24 x 8 words), the AND of 4 pattern words
-    (2, 24 x 3) and one b2a_sum over 10 lanes (2, 24 x 13). Its three
-    products, the first with the empty bit's fallback beside it (33,
-    48 + 24 x 13 + 2 x 24 x 14 words): 58 rounds, 2,520 words.
-    inv_bin: powers (2, 108 words), one matmul (1, 54 words) and one
-    truncation (10, 54 x 13 words): 13 rounds, 864 words.
+    (2, 24 x 3) and one b2a_sum over 10 lanes of the empty bit and the
+    reciprocal (2, 24 x 12). Its three products, the first with the empty
+    bit's fallback beside it (33, 48 + 24 x 13 + 2 x 24 x 14 words): 58
+    rounds, 2,496 words.
+    inv_bin: one matmul of the cells' one-hots with the means (1, 54 words).
     """
     bins = shared(rng.integers(0, 4, size=(2, 9, 3)), 42)
     originals = shared(fx.encode(rng.normal(size=(2, 9, 3))), 43)
     cuts = shared(fx.encode(np.sort(rng.normal(size=(2, 3, 3)), axis=2)), 44)
     means = shared(fx.encode(rng.normal(size=(2, 3, 4))), 45)
-    cells = shared(np.concatenate([rng.integers(0, 4, size=(2, 9, 3)),
-                                   rng.integers(0, 5, size=(2, 9, 1))], axis=2), 46)
+    cells = shared(onehots(rng.integers(0, 4, size=(2, 9, 3))), 46)
     rows = np.array([9, 7])
     mask = (np.arange(9) < rows[:, None]).astype(np.uint64)
 
@@ -325,13 +355,13 @@ def test_bin_means_and_inv_bin_cost_pinned(rng):
         i = p.pid - 1
         with p.protocol("bin"):
             compute_bin_means(p, bins[i], originals[i], cuts[i], mask)
-        inv_bin(p, ShareMatrix(cells[i], 3, rows), means[i])
+        inv_bin(p, cells[i], means[i])
 
     _, parties = run3(body)
     for p in parties:
         cost = {label: (p.ledger.entry(label).rounds, p.ledger.entry(label).bytes_sent)
                 for label in ("bin", "inv_bin")}
-        assert cost == {"bin": (58, 2520 * 8), "inv_bin": (13, 864 * 8)}
+        assert cost == {"bin": (58, 2496 * 8), "inv_bin": (1, 54 * 8)}
 
 
 @pytest.mark.parametrize("sign", [1, -1])
@@ -348,20 +378,20 @@ def test_bin_means_and_inv_bin_at_the_sum_bound(sign):
     binned = np.stack([ref.bin_with_cuts_fx(genes[:, g], cuts[g]) for g in range(2)], axis=1)
     want = np.stack([ref.bin_means_fx(binned[:, g], genes[:, g], cuts[g], f)[0] for g in range(2)])
     assert np.all(binned == 3)
-    table = (np.arange(2 * n).reshape(n, 2) % 4).astype(np.uint64)
+    table = np.arange(2 * n).reshape(n, 2) % 4
     sg, sb, sc = shared(genes[None], 47), shared(binned[None], 48), shared(cuts[None], 49)
-    cells = shared(np.concatenate([table, np.zeros((n, 1), np.uint64)], axis=1)[None], 50)
+    cells = shared(onehots(table[None]), 50)
 
     def body(p):
         i = p.pid - 1
         means = compute_bin_means(p, sb[i], sg[i], sc[i], np.ones((1, n), np.uint64))
-        return means, inv_bin(p, ShareMatrix(cells[i], 2), means).data
+        return means, inv_bin(p, cells[i], means)
 
     results, _ = run_parties(body, master_seed=7, fp=FixedPointConfig(f))
     assert np.array_equal(reconstruct([r[0] for r in results])[0], want)
     debinned = reconstruct([r[1] for r in results])[0]
     for g in range(2):
-        assert np.array_equal(debinned[:, g], want[g][table[:, g].astype(np.int64)])
+        assert np.array_equal(debinned[:, g], want[g][table[:, g]])
 
 
 def test_secure_vs_float_oracle_bins_agree_mostly(rng):

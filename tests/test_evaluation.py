@@ -329,9 +329,9 @@ def test_softmax_matches_mirror_on_wide_logits(rng):
 
 def test_accuracy_rounds_pinned(rng):
     """acc costs 32 rounds: the logits matmul 1, the all-pairs argmax 12
-    (one lt (8), a two-level AND tree (2) and one injection (2) over 5
-    classes), eq_zero 7, b2a 2 and the public-divisor division's one
-    truncation 10."""
+    (one lt (8), a two-level AND tree (2) and one b2a_sum (2) that reads the
+    class of the one-hot over 5 classes), eq_zero 7, b2a 2 and the
+    public-divisor division's one truncation 10."""
     genes = rng.integers(0, 4, size=(12, 3))
     labels = rng.integers(0, 5, size=12)
     test = shared_matrix(genes.astype(np.uint64), labels, 116)

@@ -98,23 +98,27 @@ def test_bridge_reshares_enclave_output(rng):
         return generate_rows(p, ms, 30, 10, master_seed=77, context=(1, 2))
 
     results, parties = run3(body)
-    opened = reconstruct([r.data for r in results])[0]
-    assert opened.shape == (30, 4)
-    assert np.all(opened[:, :3] < 4)
-    assert np.all(opened[:, 3] < 5)
+    onehot = reconstruct([r[0] for r in results])
+    opened_labels = reconstruct([r[1] for r in results])
+    assert onehot.shape == (1, 30, 3, 4) and opened_labels.shape == (1, 30)
+    assert np.all(onehot <= 1) and np.all(onehot.sum(axis=3) == 1)
+    assert np.all(opened_labels < 5)
     # openings log stays empty; reveal log records the directed reveal
     for p in parties:
         assert p.opening_log == []
         assert any(r[0] == "noisy-marginals" for r in p.reveal_log)
     # re-sharing bytes are attributed to the sdg label: every party sends one
-    # ring element per synthetic cell, the revealing party also one per marginal cell
-    reshare_bytes = 30 * 4 * 8
+    # ring element per one-hot word and label, the revealing party also one
+    # per marginal cell
+    reshare_bytes = 30 * (4 * 3 + 1) * 8
     marginal_bytes = (3 * 4 + 5 + 3 * 20) * 8
     assert [p.ledger.entry("sdg").bytes_sent for p in parties] == [
         reshare_bytes, reshare_bytes + marginal_bytes, reshare_bytes]
 
 
 def test_bridge_matches_cleartext_generation(rng):
+    """The re-shared one-hots mark the bins, and the labels are the labels,
+    of the rows the cleartext generator samples from the same stream."""
     genes = rng.integers(0, 4, size=(25, 2))
     labels = rng.integers(0, 5, size=25)
     mats = shared_matrix(genes.astype(np.uint64), labels, 81)
@@ -124,11 +128,13 @@ def test_bridge_matches_cleartext_generation(rng):
         return generate_rows(p, ms, 40, 10, master_seed=55, context=(0, 0))
 
     results, _ = run3(body, seed=55)
-    opened = reconstruct([r.data for r in results])[0]
+    onehot = reconstruct([r[0] for r in results])[0]
+    opened_labels = reconstruct([r[1] for r in results])[0]
     g, l, t = ref.brute_marginals(genes, labels)
     want = generate_synthetic(g.astype(float), l.astype(float), t.astype(float),
                               40, 10, generator_rng(55, (0, 0)))
-    assert np.array_equal(fx.signed(opened), want)
+    assert np.array_equal(onehot, (want[:, :2, None] == np.arange(4)).astype(np.uint64))
+    assert np.array_equal(fx.signed(opened_labels), want[:, 2])
 
 
 def test_bridge_reshares_counts_and_weights(rng):

@@ -1,5 +1,7 @@
 """Secure primitives vs cleartext signed fixed-point oracles."""
 
+import warnings
+
 import clear_reference as ref
 import numpy as np
 import pytest
@@ -175,49 +177,69 @@ def test_and_all_matches_numpy_all():
 
 
 def test_select_max_matches_numpy():
-    """Rows drawn from {-2..2} so ties are common: the maximum, the lowest
-    index attaining it, and through negation the lowest-index minimum."""
+    """Rows drawn from {-2..2} so ties are common: the value at the lowest
+    index attaining the maximum, and through negation at the lowest-index
+    minimum, of a table of random ring words."""
     rng = np.random.default_rng(11)
     cases = {w: rng.integers(-2, 3, size=(30, w)) for w in range(1, 6)}
+    values = {w: rng.integers(0, 2**64, size=w, dtype=np.uint64) for w in cases}
     shares = {w: shared(fx.encode(z), 20 + w) for w, z in cases.items()}
 
     def body(p):
         out = {}
         for w, sz in shares.items():
-            z, pos = sz[p.pid - 1], p.const_share(np.arange(w))
+            z = sz[p.pid - 1]
             p.ledger.reset()
             with p.protocol("adhoc"):
-                out[w] = (*select_max(p, z, pos), *select_max(p, -z, pos))
+                out[w] = (select_max(p, z, values[w]), select_max(p, -z, values[w]))
             out[w] += (p.ledger.entry("adhoc").rounds,)
         return out
 
     results, _ = run3(body)
     for w, z in cases.items():
-        top, arg, neg_top, arg_min = (reconstruct([r[w][j] for r in results]) for j in range(4))
-        assert np.array_equal(fx.decode(top), z.max(axis=1))
-        assert np.array_equal(arg, z.argmax(axis=1))
-        assert np.array_equal(fx.decode(neg_top), -z.min(axis=1))
-        assert np.array_equal(arg_min, z.argmin(axis=1))
+        at_max, at_min = (reconstruct([r[w][j] for r in results]) for j in range(2))
+        assert np.array_equal(at_max, values[w][z.argmax(axis=1)])
+        assert np.array_equal(at_min, values[w][z.argmin(axis=1)])
         # all pairs in one lt (8 rounds), an AND tree of ceil(log2(w - 1))
-        # levels and one injection (2 rounds), twice; nothing for w = 1
+        # levels and one b2a_sum (2 rounds), twice; nothing for w = 1
         rounds = 8 + (w - 2).bit_length() + 2 if w > 1 else 0
-        assert all(r[w][4] == 2 * rounds for r in results)
+        assert all(r[w][2] == 2 * rounds for r in results)
+
+
+def test_select_max_of_one_row_warns_nothing():
+    """A z of one row makes every candidate's lane 0-d; select_max keeps
+    each lane 1-d, so its ring arithmetic, which wraps on these values,
+    stays on arrays and raises no overflow warning."""
+    rng = np.random.default_rng(14)
+    z = np.array([1, -2, 1, 0, -1])
+    values = rng.integers(2**63, 2**64, size=5, dtype=np.uint64)
+    sz = shared(fx.encode(z), 27)
+
+    def body(p):
+        return select_max(p, sz[p.pid - 1], values), select_max(p, -sz[p.pid - 1], values)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        results, _ = run3(body)
+    assert results[0][0].shape == ()
+    at_max, at_min = (reconstruct([r[j][None] for r in results])[0] for j in range(2))
+    assert (at_max, at_min) == (values[0], values[1])
 
 
 def test_select_max_bytes_pinned():
-    """Over 5 classes with one payload a row sends 112 words: the 10 pairs'
-    lt (80), the AND tree (10 + 5) and the injection (17: the bit, e over the
-    value and payload stack, and the two sums the last re-share carries)."""
+    """Over 5 classes a row sends 101 words: the 10 pairs' lt (80), the AND
+    tree (10 + 5) and the b2a_sum (6: one word per candidate's lane and the
+    sum the last re-share carries)."""
     rng = np.random.default_rng(13)
     sz = shared(fx.encode(rng.integers(-2, 3, size=(30, 5))), 26)
 
     def body(p):
         with p.protocol("adhoc"):
-            select_max(p, sz[p.pid - 1], p.const_share(np.arange(5)))
+            select_max(p, sz[p.pid - 1], np.arange(5))
         return p.ledger.entry("adhoc").bytes_sent
 
     results, _ = run3(body)
-    assert results == [112 * 30 * 8] * 3
+    assert results == [101 * 30 * 8] * 3
 
 
 def test_select_injection_matches_numpy():
@@ -304,11 +326,11 @@ def test_div_by_largest_admitted_count_matches_mirror(f, means):
 @pytest.mark.parametrize("n", [63, 64, 65, 200])
 def test_reciprocal_lookup_returns_the_clear_table(n):
     """Every count in [0, n] looks up the mirror's row word for word: the
-    empty bit, max(count, 1) 2^f and its reciprocal. div_fx then equals the
-    mirror's division plus the fallback on the empty count. The lookup
+    empty bit and the reciprocal of max(count, 1) 2^f. div_fx then equals
+    the mirror's division plus the fallback on the empty count. The lookup
     takes 8 + ceil(log2 l) + 2 rounds for l = bit_length(n); per count it
     sends 8 words for the bits, l - 1 AND words per 64 lanes, and n + 1
-    words, then 3, in the b2a_sum."""
+    words, then 2, in the b2a_sum."""
     rng = np.random.default_rng(n)
     counts = np.arange(n + 1, dtype=np.uint64)
     denom = np.maximum(counts, 1) << np.uint64(16)
@@ -324,12 +346,12 @@ def test_reciprocal_lookup_returns_the_clear_table(n):
         return row, div_fx(p, ss[i], sc[i], n, sf[i]), cost
 
     results, _ = run3(body)
-    want = np.stack([(counts == 0).astype(np.uint64), denom, ref.clear_reciprocal(denom)])
+    want = np.stack([(counts == 0).astype(np.uint64), ref.clear_reciprocal(denom)])
     assert np.array_equal(open_result([r[0] for r in results]), want)
     empty = np.where(counts == 0, fallback, np.uint64(0))
     assert np.array_equal(open_result([r[1] for r in results]), ref.clear_div(sums, denom) + empty)
     ell, words = n.bit_length(), n // 64 + 1
-    per_count = 8 + (ell - 1) * words + (n + 1) + 3
+    per_count = 8 + (ell - 1) * words + (n + 1) + 2
     assert all(r[2] == (8 + (ell - 1).bit_length() + 2, 8 * (n + 1) * per_count) for r in results)
 
 

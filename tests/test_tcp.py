@@ -349,6 +349,34 @@ def test_oversized_upload_frame_is_refused_before_its_body(setup_files):
     assert_refused_with(outcomes, replies, "custodian 1 sent a data frame of 10000000 words where 40 were due")
 
 
+def test_header_past_the_row_bound_is_refused_before_its_data(setup_files):
+    """A header of 65,536 rows x 1 gene reaches 2^frac_bits on its own. The
+    length field that follows matches it, but no payload does: every party
+    refuses the header with exit 2, naming the bound, well before the 30 s
+    --timeout, and the custodian gets the message under the ingest label."""
+    from silosynth.cli import HELLO_CUSTODIAN
+    from silosynth.runtime import LABEL_IDS, read_frame, write_frame
+
+    tmp_path, cfg, data_paths, (thr0, _, _) = setup_files
+    replies = []
+
+    def claims_too_many_rows(servers):
+        socks = [_connect_with_retry(addr, 30) for addr in servers]
+        for s in socks:
+            s.sendall(bytes([HELLO_CUSTODIAN, 1]))
+            write_frame(s, LABEL_IDS["ingest"], 0, np.array([65_536, 1], dtype=np.uint64))
+            s.sendall((10 + 65_536 * 2 * 8).to_bytes(4, "big"))
+        socks[0].settimeout(60)
+        replies.append(read_frame(socks[0]))
+        for s in socks:
+            s.close()
+
+    t0 = time.monotonic()
+    outcomes = run_refused(cfg, data_paths[:1], (thr0,), (0,), raw=claims_too_many_rows)
+    assert time.monotonic() - t0 < 20
+    assert_refused_with(outcomes, replies, "custodian 1 claims 65536 rows, which reach 2^frac_bits = 65536")
+
+
 def test_malformed_custodian_frame_exits_4_at_once(setup_files):
     """A custodian frame whose length field cannot hold the label and
     sequence header aborts its read: every party reports the malformed
