@@ -195,8 +195,11 @@ def b2a_sum(party: Party, lanes: list[ShareVector], weights) -> ShareVector:
     term of parties 2 and 3 (``pair_term``), and the sum of c3 w, which both
     hold, becomes the result's third component: L words per lane element and
     one per output element, whose shape broadcasts the lanes' with a
-    weight's. Temporaries stay one lane wide.
+    weight's. Temporaries stay one lane wide. 0-d lanes run as 1-d ones, so
+    the ring arithmetic stays on arrays, where numpy wraps without a warning.
     """
+    if not lanes[0].shape:
+        return b2a_sum(party, [lane.reshape(1) for lane in lanes], weights).reshape(np.shape(weights[0]))
     u = np.empty((len(lanes),) + lanes[0].shape, dtype=np.uint64)
     thirds = [None] * len(lanes)
     for t, lane in enumerate(lanes):

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import fixedpoint as fx
 from .circuits import b2a, matmul_shares, trunc_shares
-from .marginals import measurement_count, split_marginals
+from .marginals import COUNT_BITS, measurement_count, split_marginals
 from .primitives import div_public, eq_zero, is_negative, select, select_max
 from .runtime import Party
 from .sharing import ShareMatrix, ShareVector, concat_shares
@@ -58,15 +58,21 @@ class MetricPair:
 
 def wle(party: Party, real: ShareVector, synth: ShareVector, rows) -> ShareVector:
     """Normalized workload error per fold, (K,), between the exact marginal
-    counts ``real`` and ``synth`` (K, 24d+5) of two datasets of ``rows``
-    rows each."""
+    counts times 2^COUNT_BITS ``real`` and ``synth`` (K, 24d+5) of two
+    datasets of ``rows`` rows each.
+
+    Each cell's difference is scaled by encode(1/rows), the absolute values
+    summed, and the sum scaled by encode(1/(2d+1)) and truncated once by
+    f + COUNT_BITS. A marginal's L1 distance is at most 2 rows, so that sum's
+    product stays near 2^(2f + COUNT_BITS + 1), below 2^46 at f = 20.
+    """
     with party.protocol("wle"):
         f = party.fp.frac_bits
         diff = (real - synth).scale_by(fx.encode(1.0 / np.asarray(rows), f)[:, None])
         total = select(party, is_negative(party, diff), diff, -diff).sum(axis=1)
         d = split_marginals(real)[0].shape[1]
         inv_count = fx.encode_scalar(1.0 / measurement_count(d), f)
-        err = trunc_shares(party, total.scale_by(inv_count), f)
+        err = trunc_shares(party, total.scale_by(inv_count), f + COUNT_BITS)
     return err
 
 

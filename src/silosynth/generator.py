@@ -126,8 +126,8 @@ def generate_bridge(party: Party, ms: ShareVector, rows, iterations: int, master
                     learning_rate: float) -> tuple[ShareVector, ShareVector]:
     """A tuning loop's enclave step. Fold k's rows[k] synthetic rows are
     re-shared only as what evaluation reads of them: their exact marginal
-    counts (K, 24d+5), in the canonical cell order, and the weights
-    ``lr_train`` fits to them (K, d+1, 5)."""
+    counts times 2^COUNT_BITS (``cell_counts``, K, 24d+5), in the canonical
+    cell order, and the weights ``lr_train`` fits to them (K, d+1, 5)."""
     k, n_cells = ms.shape
     d = split_marginals(ms)[0].shape[1]
     shares = _enclave(party, ms, rows, iterations, master_seed, contexts, (n_cells + (d + 1) * N_CLASSES,),

@@ -10,8 +10,18 @@ Numerators are exact ring integers (binned cells live at integer scale).
 They are never divided one cell at a time: every consumer sums them first
 (per marginal cell here, per bin in ``binning``) and divides the sums once
 by the exact divisor D = 2^v * o with o odd (and signed): multiply by the
-modular inverse of o, then an exact v-bit truncation. At sigma=0 the
-counts are bit-for-bit equal to brute-force counting.
+modular inverse of o, then an exact v-bit truncation.
+
+The counts skip that truncation, because both their readers truncate
+anyway. A cell's divisor holds at most 2^COUNT_BITS (the two-way cell of
+gene 0 and label 0: (-6) * 24 = -2^4 * 9), so after the odd part the sum is
+scaled by 2^(COUNT_BITS - v), locally. Every count this module hands on,
+measured (``marginal_counts``) or the enclave's (``cell_counts``), is the
+exact count times 2^COUNT_BITS, below 2^63 for any count below 2^59 (the
+preflight admits fewer than 2^20 rows); the noise step lifts it to scale f
+in its one truncation, and the workload error drops COUNT_BITS in its own.
+At sigma=0 the noisy marginals are bit-for-bit the brute-force counts at
+scale f.
 
 Measured workload: d 1-way gene marginals, the 1-way label marginal, and
 the d gene-label 2-way marginals flattened to length 20 (index r*5 + f).
@@ -29,13 +39,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fixedpoint as fx
-from .circuits import matmul_shares, mul_shares, trunc_shares
+from .circuits import ONE, matmul_shares, mul_shares, trunc_shares
 from .primitives import gauss01
 from .runtime import Party
 from .sharing import ShareMatrix, ShareVector, concat_shares, stack_shares
 
 GENE_DOMAIN = 4
 LABEL_DOMAIN = 5
+# counts are handed on times 2^COUNT_BITS, the largest power of two in a cell's divisor
+COUNT_BITS = 4
 
 
 def measurement_count(n_genes: int) -> int:
@@ -122,13 +134,15 @@ def numerators(party: Party, inputs) -> list[ShareVector]:
 
 
 def marginal_counts(party: Party, matrix: ShareMatrix) -> ShareVector:
-    """Exact secret counts (integer scale) of the measured workload, per fold,
-    in the canonical cell order: (K, 24d+5).
+    """Exact secret counts times 2^COUNT_BITS of the measured workload, per
+    fold, in the canonical cell order: (K, 24d+5).
 
     The label and gene numerators share their two product rounds. Padding
     rows are masked out of the numerators. The two-way block is one matrix
     product per fold: gene numerators (4d x N) times label numerators (N x 5).
-    All cells are divided in one exact truncation.
+    Each cell's sum D * count is scaled by the inverse of D's odd part, which
+    leaves 2^v * count, and then by 2^(COUNT_BITS - v): 3 rounds, no
+    truncation. Exact in the ring; a count below 2^59 stays below 2^63.
     """
     k, n, d = matrix.folds, matrix.n_rows, matrix.n_genes
     mask = matrix.mask                                              # (K, N)
@@ -141,7 +155,8 @@ def marginal_counts(party: Party, matrix: ShareMatrix) -> ShareVector:
     label_divs = np.array(_lagrange(LABEL_DOMAIN)[1])
     divisors = np.concatenate([np.tile(GENE_DIVISORS, d), label_divs,
                                np.tile(np.outer(GENE_DIVISORS, label_divs).ravel(), d)])
-    return trunc_shares(party, *odd_part_scale(acc, divisors))
+    scaled, v = odd_part_scale(acc, divisors)
+    return scaled.scale_by(ONE << fx.to_u64(COUNT_BITS - v))
 
 
 def split_marginals(flat):
@@ -154,27 +169,34 @@ def split_marginals(flat):
 
 
 def cell_counts(rows: np.ndarray) -> np.ndarray:
-    """The exact counts of cleartext binned rows (n, d+1), genes then the
-    label, in the canonical cell order: (24d+5,) ring words."""
+    """The exact counts times 2^COUNT_BITS of cleartext binned rows (n, d+1),
+    genes then the label, in the canonical cell order: (24d+5,) ring words,
+    the format ``marginal_counts`` returns (below 2^63 for fewer than 2^59 rows)."""
     genes, labels = rows[:, :-1], rows[:, -1]
     d = genes.shape[1]
     two_way = np.bincount((np.arange(d) * GENE_DOMAIN * LABEL_DOMAIN + genes * LABEL_DOMAIN
                            + labels[:, None]).ravel(), minlength=d * GENE_DOMAIN * LABEL_DOMAIN)
     gene = two_way.reshape(d, GENE_DOMAIN, LABEL_DOMAIN).sum(axis=2)
-    return fx.to_u64(np.concatenate([gene.ravel(), np.bincount(labels, minlength=LABEL_DOMAIN), two_way]))
+    counts = np.concatenate([gene.ravel(), np.bincount(labels, minlength=LABEL_DOMAIN), two_way])
+    return fx.to_u64(counts) << np.uint64(COUNT_BITS)
 
 
 def noisy_marginals(party: Party, matrix: ShareMatrix, sigma_q: float):
     """Exact counts lifted to fixed-point scale plus independent Gaussian noise.
 
-    Returns the exact counts (integer scale) and the noisy marginals, both
-    (K, 24d+5), so the workload error can reuse the counts. At sigma_q = 0
-    the noise encodes to 0 and its exact truncation is 0: the counts come
-    back unchanged.
+    Returns the ``marginal_counts`` (times 2^COUNT_BITS) and the noisy
+    marginals, both (K, 24d+5), so the workload error can reuse the counts.
+    One exact truncation by f of counts * 2^(2f - COUNT_BITS) + noise *
+    encode(sigma_q) gives count * 2^f + floor(noise * sigma_q / 2^f) word for
+    word, since adding a multiple of 2^f commutes with the floor: 15 rounds.
+    The noise lies in [-6, 6], so that holds while n * 2^(2f) + 6 * 2^f *
+    encode(sigma_q) < 2^63 for cells of at most n rows, which
+    ``pipeline.preflight`` checks. At sigma_q = 0 the noise term is 0 and
+    the counts come back at scale f unchanged.
     """
     f = party.fp.frac_bits
     with party.protocol("noisy_marg"):
         counts = marginal_counts(party, matrix)
         noise = gauss01(party, counts.shape[1], folds=counts.shape[0])
-        scaled = trunc_shares(party, noise.scale_by(fx.encode_scalar(sigma_q, f)), f)
-        return counts, counts.scale_by(np.uint64(1) << np.uint64(f)) + scaled
+        lifted = counts.scale_by(ONE << np.uint64(2 * f - COUNT_BITS))
+        return counts, trunc_shares(party, lifted + noise.scale_by(fx.encode_scalar(sigma_q, f)), f)

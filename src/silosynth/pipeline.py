@@ -149,10 +149,12 @@ def check_fold_plan(n_rows: int, k: int):
 def preflight(rows: list[int], genes: list[int], config: PipelineConfig):
     """Refuse a run from the custodians' public row and gene counts before the
     protocol starts: the custodians must agree on a gene count of at least 1,
-    the fold plan must hold (``check_fold_plan``), and the combined row count
+    the fold plan must hold (``check_fold_plan``), the combined row count
     must stay below 2^frac_bits, because bin means and accuracy divide by a row
     count times 2^frac_bits and the division needs denominators below
-    2^(2 frac_bits)."""
+    2^(2 frac_bits), and the noise scale must fit the noisy marginals' one
+    truncation (``noisy_marginals``): n*2^(2 frac_bits) +
+    6*2^frac_bits*encode(sigma_q) below 2^63."""
     if len(set(genes)) != 1:
         raise IngestionError(f"custodian datasets disagree on gene count: {sorted(set(genes))}")
     if genes[0] == 0:
@@ -164,6 +166,18 @@ def preflight(rows: list[int], genes: list[int], config: PipelineConfig):
             f"{n} combined rows reach 2^frac_bits = {1 << f}: bin means and accuracy divide by a "
             f"row count times 2^frac_bits, which must stay below 2^(2 frac_bits), so at most "
             f"{(1 << f) - 1} rows fit")
+    sigma_q = calibrate(config.eps_s, config.delta_s, measurement_count(genes[0])).sigma_q
+    room = ((1 << 63) - 1 - (n << 2 * f)) // (6 << f)      # the largest encode(sigma_q) that fits
+    try:
+        fits = fx.encode_scalar(sigma_q, f) <= room
+    except fx.RangeError:
+        fits = False
+    if not fits:
+        raise IngestionError(
+            f"eps_s = {config.eps_s:g} and delta_s = {config.delta_s:g} give a noise scale "
+            f"sigma_q = {sigma_q:.6g} per marginal, past the ring: the noisy marginals hold "
+            f"n*2^(2 frac_bits) + 6*2^frac_bits*encode(sigma_q), which must stay below 2^63, so "
+            f"at {n} rows and frac_bits = {f} sigma_q must be at most {room / (1 << f):.6g}")
 
 
 def kfold_split(matrix: ShareMatrix, plan, extra=()):
@@ -251,8 +265,8 @@ def _select_lowest(party: Party, candidates: list[tuple[int, ShareVector]]) -> i
     the maximum of the negated sums keeps the earliest loop on ties."""
     loops, sums = zip(*candidates)
     with party.protocol("h_select"):
-        best = select_max(party, -concat_shares(list(sums))[None], loops)
-        return int(party.open(best, "h-select")[0])
+        best = select_max(party, -concat_shares(list(sums)), loops)
+        return int(party.open(best, "h-select"))
 
 
 def publish_path(party: Party, matrix: ShareMatrix, binned: ShareMatrix, cuts: ShareVector,

@@ -92,8 +92,7 @@ def select_max(party: Party, z: ShareVector, values) -> ShareVector:
     W(W-1)/2 pairs c < m (8 rounds). Entry m is the lowest-index maximum iff
     onehot_m = prod_{c<m} [z_c < z_m] * prod_{c>m} NOT [z_m < z_c], an AND
     tree of ceil(log2(W-1)) levels. One ``b2a_sum`` reads values with the
-    one-hot, a lane per entry kept at least 1-d (2 rounds): 12 rounds for
-    W = 5, none for W = 1.
+    one-hot, a lane per entry (2 rounds): 12 rounds for W = 5, none for W = 1.
     """
     w = z.shape[-1]
     if w == 1:
@@ -107,7 +106,7 @@ def select_max(party: Party, z: ShareVector, values) -> ShareVector:
     later = others > np.arange(w)[:, None]
     factors = less[..., pair[np.arange(w)[:, None], others]] ^ party.const_share(later.astype(np.uint64))
     onehot = bit_extract(and_all(party, factors), 0)
-    return b2a_sum(party, [onehot[..., m, None] for m in range(w)], values)[..., 0]
+    return b2a_sum(party, [onehot[..., m] for m in range(w)], values)
 
 
 def mul_fx(party: Party, x: ShareVector, y: ShareVector) -> ShareVector:

@@ -265,7 +265,9 @@ def test_b2a_bit_values():
 def test_b2a_sum_matches_weighted_numpy_sum():
     """Random 0/1 lanes at L = 1, 2, 4, 32, with scalar weights and the
     per-element weight arrays trunc_shares passes for array shifts: the
-    value is sum_t w_t * bit_t mod 2^64, in 2 rounds of L * n + n words."""
+    value is sum_t w_t * bit_t mod 2^64, in 2 rounds of L * n + n words.
+    Two 0-d lanes whose weights wrap the ring give a 0-d sum, with no
+    overflow warning (tier-1 turns a RuntimeWarning into a failure)."""
     rng = np.random.default_rng(12)
     n = 50
     for lanes in (1, 2, 4, 32):
@@ -285,6 +287,11 @@ def test_b2a_sum_matches_weighted_numpy_sum():
         results, _ = run3(body)
         assert np.array_equal(reconstruct([r[0] for r in results]), want)
         assert [r[1] for r in results] == [(2, (lanes * n + n) * 8)] * 3
+    weights = [np.uint64(2**63 + 5), np.uint64(2**63 + 7)]
+    sb = shared_xor_input(np.ones(2, dtype=np.uint64), 39)
+    results, _ = run3(lambda p: b2a_sum(p, [bit_extract(sb[p.pid - 1][t], 0) for t in range(2)], weights))
+    assert results[0].shape == ()
+    assert reconstruct(results) == np.uint64(12)
 
 
 def test_trunc_matches_scalar_oracle():

@@ -154,6 +154,24 @@ def test_run_local_refuses_rows_beyond_division_range(workdir, rng, capsys):
     assert not workdir["out"].exists()
 
 
+@pytest.mark.parametrize("eps_s, sigma_q", [("1e-7", "1.14177e+09"), ("1.2e-7", "9.51478e+08")])
+def test_run_local_refuses_noise_past_the_ring(workdir, rng, eps_s, sigma_q, capsys):
+    """At 2 x 20 rows x 10 genes and frac_bits = 16, eps_s = 1e-7 gives a
+    sigma_q past fixed point's range, and 1.2e-7 one whose noise times
+    encode(sigma_q) reaches 2^64 and would wrap in the noisy marginals'
+    truncation: both are refused with exit 2 before the protocol starts,
+    naming the bound and the largest sigma_q that fits."""
+    for c in range(2):
+        write_dataset(str(workdir[f"data{c}"]), rng.normal(0, 2, size=(20, 10)), rng.integers(0, 5, size=20))
+    workdir["config"].write_text(CONFIG.replace("eps_s = 5.0", f"eps_s = {eps_s}"))
+    code = main(run_local_args(workdir))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"noise scale sigma_q = {sigma_q} per marginal" in err
+    assert "must stay below 2^63, so at 40 rows and frac_bits = 16 sigma_q must be at most 3.57914e+08" in err
+    assert not workdir["out"].exists()
+
+
 def test_run_local_refuses_gene_value_beyond_encodable_range(workdir, rng, capsys):
     """One gene value of 2e9 reaches the bound 2^30 of frac_bits 16: exit 2
     naming the file and the bound, not a traceback."""

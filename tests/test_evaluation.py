@@ -15,7 +15,7 @@ from silosynth.evaluation import (
     wle,
 )
 from silosynth.fixedpoint import FixedPointConfig
-from silosynth.marginals import marginal_counts
+from silosynth.marginals import COUNT_BITS, marginal_counts
 from silosynth.runtime import Party, run_parties
 
 ULP = 2.0**-16
@@ -123,6 +123,25 @@ def test_wle_matches_clear_mirror(rng):
     assert got == want
     # float sanity
     assert abs(fx.decode(np.uint64(got))[0] - ref.float_wle(genes, labels, sg, sl)) < 1e-3
+
+
+def test_wle_at_the_row_bound_of_frac_bits_20():
+    """n = 2^20 - 1 rows at frac_bits = 20, and each of the 21 marginals has
+    all its real rows in one cell and all its synthetic rows in another: a
+    distance of 2 per marginal. encode(1/n) rounds to 1 and encode(1/21)
+    down, so the error reads 2,097,142 words, 8 below 2.0; every product
+    stays far inside the ring."""
+    f, d, n = 20, 10, (1 << 20) - 1
+    counts = []
+    for cell in (0, 1):
+        gene, label, two_way = np.zeros((d, 4), dtype=np.uint64), np.zeros(5, dtype=np.uint64), \
+            np.zeros((d, 20), dtype=np.uint64)
+        gene[:, cell] = label[cell] = two_way[:, cell] = n
+        counts.append(np.concatenate([gene.ravel(), label, two_way.ravel()])[None] << np.uint64(COUNT_BITS))
+    real, synth = shared(counts[0], 101), shared(counts[1], 102)
+    results, _ = run_parties(lambda p: wle(p, real[p.pid - 1], synth[p.pid - 1], np.array([n])), 7,
+                             FixedPointConfig(f))
+    assert int(reconstruct(results)[0]) == 2_097_142
 
 
 def make_separable_toy(rng, n=20):

@@ -12,7 +12,7 @@ from silosynth.generator import (
     generate_synthetic,
     generator_rng,
 )
-from silosynth.marginals import noisy_marginals, split_marginals
+from silosynth.marginals import COUNT_BITS, noisy_marginals, split_marginals
 from silosynth.runtime import run_parties
 
 
@@ -140,8 +140,8 @@ def test_bridge_matches_cleartext_generation(rng):
 def test_bridge_reshares_counts_and_weights(rng):
     """A tuning loop's enclave step on 3 folds of unequal size at frac_bits
     = 20: the re-shared counts equal brute-force counts of the rows the
-    enclave sampled, the weights equal the mirror trainer's on those rows,
-    and the rows are never re-shared or opened."""
+    enclave sampled times 2^COUNT_BITS, the weights equal the mirror
+    trainer's on those rows, and the rows are never re-shared or opened."""
     f, d, rows = 20, 3, [8, 7, 7]
     genes = rng.integers(0, 4, size=(22, d))
     labels = rng.integers(0, 5, size=22)
@@ -162,7 +162,7 @@ def test_bridge_reshares_counts_and_weights(rng):
     for j in range(3):
         synth = generate_synthetic(gene[j], label[j], two_way[j], rows[j], 10, generator_rng(55, contexts[j]))
         want = ref.brute_marginals(synth[:, :d], synth[:, d])
-        assert np.array_equal(counts[j], np.concatenate([m.ravel() for m in want]))
+        assert np.array_equal(counts[j], np.concatenate([m.ravel() for m in want]) << COUNT_BITS)
         assert np.array_equal(weights[j], ref.clear_lr_train(synth[:, :d], synth[:, d], 6, 0.2, f))
     # every party re-shares one word per count and weight, the revealing party
     # also one per marginal cell; one reveal, nothing opened

@@ -7,14 +7,17 @@ import clear_reference as ref
 from conftest import indicator, reconstruct, reconstruct_xor, run3, shared, shared_matrix
 
 from silosynth import fixedpoint as fx
+from silosynth.fixedpoint import FixedPointConfig
 from silosynth.marginals import (
     calibrate,
     cell_counts,
+    COUNT_BITS,
     marginal_counts,
     measurement_count,
     noisy_marginals,
     split_marginals,
 )
+from silosynth.runtime import run_parties
 
 
 def test_indicator4_truth_table():
@@ -106,12 +109,12 @@ def test_sigma0_marginals_equal_brute_force(rng):
 
 
 def test_cell_counts_equal_brute_force(rng):
-    """The enclave's cleartext counts of sampled rows, in the canonical cell
-    order, with and without gene columns."""
+    """The enclave's cleartext counts of sampled rows times 2^COUNT_BITS, in
+    the canonical cell order, with and without gene columns."""
     for d in (0, 1, 6):
         rows = np.column_stack([rng.integers(0, 4, size=(40, d)), rng.integers(0, 5, size=40)])
         want = np.concatenate([m.ravel() for m in ref.brute_marginals(rows[:, :d], rows[:, d])])
-        assert np.array_equal(cell_counts(rows), want.astype(np.uint64))
+        assert np.array_equal(cell_counts(rows), want.astype(np.uint64) << np.uint64(COUNT_BITS))
 
 
 def test_marginal_hand_examples():
@@ -127,9 +130,9 @@ def test_marginal_hand_examples():
 
 def test_marginal_counts_share_numerator_rounds(rng):
     """Label and gene numerators share their two power rounds (x^2, then
-    x^3 and the labels' x^4), then the two-way matmul (1) and one
-    truncation (10), each one message per party; the flat power rounds
-    send one word per product."""
+    x^3 and the labels' x^4), then the two-way matmul (1), each one message
+    per party, and no truncation; the flat power rounds send one word per
+    product."""
     mats = shared_matrix(rng.integers(0, 4, size=(9, 2)).astype(np.uint64), rng.integers(0, 5, size=9), 72)
 
     def body(p):
@@ -138,14 +141,15 @@ def test_marginal_counts_share_numerator_rounds(rng):
 
     _, parties = run3(body)
     entries = [p.ledger.entry("adhoc") for p in parties]
-    assert [e.rounds for e in entries] == [13, 13, 13]
-    assert [e.messages_sent for e in entries] == [13, 13, 13]
-    assert [e.bytes_sent for e in entries] == [6336, 6336, 6336]
+    assert [e.rounds for e in entries] == [3, 3, 3]
+    assert [e.messages_sent for e in entries] == [3, 3, 3]
+    assert [e.bytes_sent for e in entries] == [824, 824, 824]
 
 
 def test_marginal_counts_one_flat_sharing(rng):
     """marginal_counts returns the (K, 24d+5) cells in canonical order, and
-    split_marginals of the opened cells gives the brute-force counts."""
+    split_marginals of the opened cells gives the brute-force counts times
+    2^COUNT_BITS."""
     n, d = 11, 3
     genes, labels = rng.integers(0, 4, size=(n, d)), rng.integers(0, 5, size=n)
     mats = shared_matrix(genes.astype(np.uint64), labels, 73)
@@ -156,7 +160,24 @@ def test_marginal_counts_one_flat_sharing(rng):
     results, _ = run3(body)
     assert results[0].shape == (1, 24 * d + 5)
     for got, want in zip(split_marginals(reconstruct(results)), ref.brute_marginals(genes, labels)):
-        assert np.array_equal(got[0], want.astype(np.uint64))
+        assert np.array_equal(got[0], want.astype(np.uint64) << np.uint64(COUNT_BITS))
+
+
+@pytest.mark.parametrize("f", [8, 16, 20])
+def test_noisy_marginals_match_mirror_at_the_ring_bound(f):
+    """All n rows in one cell, and encode(sigma_q) the largest for which the
+    preflight's bound n 2^(2f) + 6 2^f encode(sigma_q) < 2^63 holds: the one
+    truncation gives the mirror's count 2^f + floor(noise sigma_q / 2^f) in
+    every cell, word for word."""
+    n, d, seed = 40, 2, 19
+    top = ((1 << 63) - 1 - (n << 2 * f)) // (6 << f)
+    sigma_q = top / (1 << f)
+    assert fx.encode_scalar(sigma_q, f) == top
+    genes, labels = np.zeros((n, d), dtype=np.int64), np.zeros(n, dtype=np.int64)
+    mats = shared_matrix(genes.astype(np.uint64), labels, 74)
+    results, _ = run_parties(lambda p: noisy_marginals(p, mats[p.pid - 1], sigma_q)[1], seed, FixedPointConfig(f))
+    want = ref.clear_noisy_marginals(genes, labels, sigma_q, ref.NoiseReplay(seed, f), f)
+    assert np.array_equal(reconstruct(results)[0], np.concatenate([m.ravel() for m in want]))
 
 
 def test_calibration_closed_form():

@@ -324,10 +324,10 @@ def test_loop_lr_rounds_do_not_grow_with_folds(rng):
 
 
 # (rounds, bytes sent) per party, summed over the ledger labels
-PINNED_TINY_TRAFFIC = [(337, 600648), (337, 602496), (337, 600648)]
+PINNED_TINY_TRAFFIC = [(317, 576624), (317, 578472), (317, 576624)]
 # each label's own rounds (nested labels excluded) at parties 1, 2 and 3
 PINNED_TINY_ROUNDS = {
-    "ingest": [1] * 3, "sort": [130] * 3, "bin": [89] * 3, "noisy_marg": [50] * 3,
+    "ingest": [1] * 3, "sort": [130] * 3, "bin": [89] * 3, "noisy_marg": [30] * 3,
     "sdg": [2] * 3, "eval": [0] * 3, "wle": [20] * 3, "acc": [32] * 3, "vote": [11] * 3,
     "inv_bin": [1] * 3, "publish": [1] * 3,
 }

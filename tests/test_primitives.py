@@ -207,8 +207,8 @@ def test_select_max_matches_numpy():
 
 
 def test_select_max_of_one_row_warns_nothing():
-    """A z of one row makes every candidate's lane 0-d; select_max keeps
-    each lane 1-d, so its ring arithmetic, which wraps on these values,
+    """A z of one row makes every candidate's lane 0-d; b2a_sum runs such
+    lanes as 1-d ones, so its ring arithmetic, which wraps on these values,
     stays on arrays and raises no overflow warning."""
     rng = np.random.default_rng(14)
     z = np.array([1, -2, 1, 0, -1])

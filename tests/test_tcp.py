@@ -305,6 +305,17 @@ def test_party_refuses_custodians_that_disagree_on_gene_count(setup_files, rng):
         assert "custodian datasets disagree on gene count: [2, 3]" in err
 
 
+def test_party_refuses_noise_past_the_ring(setup_files):
+    """eps_s = 5e-8 at 2 x 8 rows x 2 genes gives a sigma_q whose noise
+    would wrap the noisy marginals' ring: the preflight refuses the run,
+    and every party and every custodian exits 2 naming the bound."""
+    tmp_path, cfg, data_paths, (thr0, thr1, _) = setup_files
+    cfg.write_text(CONFIG.replace("eps_s = 5.0", "eps_s = 5e-8"))
+    for code, err in run_refused(cfg, data_paths, (thr0, thr1), (0, 1)):
+        assert code == 2, err
+        assert "which must stay below 2^63, so at 16 rows and frac_bits = 16 sigma_q must be at most" in err
+
+
 @pytest.mark.parametrize("frames, message", [
     (([8, 2], [0] * 5, [0, 0]), "custodian 1 sent a data frame of 5 words where 24 were due"),
     (([8, 2, 0], [0] * 24, [0, 0]), "custodian 1 sent a header frame of 3 words where 2 were due"),
