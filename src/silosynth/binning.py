@@ -19,7 +19,7 @@ import numpy as np
 
 from . import fixedpoint as fx
 from .circuits import b2a_sum, matmul_shares, trunc_shares
-from .marginals import GENE_DIVISORS, GENE_DOMAIN, numerators, odd_part_scale
+from .marginals import GENE_BITS
 from .primitives import div_fx, lt, select, sort_columns
 from .runtime import Party
 from .sharing import ShareMatrix, ShareVector, concat_shares
@@ -80,52 +80,49 @@ def bin_columns(party: Party, data: ShareVector, cuts: ShareVector, batch: np.nd
     return party.add_public(-b2a_sum(party, [b, c], [2, 1]), np.uint64(3))
 
 
-def compute_bin_means(party: Party, binned: ShareVector, originals: ShareVector,
-                      cuts: ShareVector, mask: np.ndarray) -> ShareVector:
-    """Secret per-bin means, shape (K, d, 4), over the (K, N) ``mask``ed rows,
-    with oblivious empty-bin fallback to cut midpoints.
+def compute_bin_means(party: Party, onehots: ShareVector, originals: ShareVector,
+                      cuts: ShareVector) -> ShareVector:
+    """Secret per-bin means, shape (K, d, 4), of the originals (K, N, d) by
+    the cells' bin one-hots times 2^GENE_BITS = 2 (``scaled_onehots``,
+    (K, N, d, 4), padding rows 0), with oblivious empty-bin fallback to cut
+    midpoints.
 
-    The bins' Lagrange numerators are summed before they are divided: per
-    (fold, gene), one batched matmul of the 4 x N numerators with the N
-    originals gives N_b(b) S_b, and their own sums N_b(b) times the counts.
-    Every N_b(b), like the 2 of the midpoints (c_j + c_(j+1)) / 2, is twice
-    an odd number, so one exact truncation by 1 divides all three. It needs
-    |S_b| < 2^62: encoded genes stay below 2^(62-f) and the preflight admits
-    fewer than 2^f rows.
+    Per (fold, gene), one batched matmul of the 4 x N one-hots with the N
+    originals gives 2 S_b, and the one-hots' sums twice the counts: with the
+    midpoints' 2 mid = c_j + c_(j+1), one exact truncation by GENE_BITS
+    divides all three. It needs |S_b| < 2^62: encoded genes stay below
+    2^(62-f) and the preflight admits fewer than 2^f rows.
 
     ``div_fx`` looks up each count in [0, N] in a public table, 4d(N + 1)
     words per batch. An empty bin's sum is 0, so its raw mean is exactly 0
     and adding empty * fallback selects the fallback.
     """
-    num = numerators(party, [(binned, GENE_DOMAIN)])[0].scale_by(mask[..., None])
-    lhs = num.map(np.transpose, (1, 3, 0, 2))                        # (K, d, 4, N)
+    lhs = onehots.map(np.transpose, (0, 2, 3, 1))                     # (K, d, 4, N)
     rhs = originals.map(lambda w: np.swapaxes(w, 1, 2)[..., None])    # (K, d, N, 1)
     acc = concat_shares([matmul_shares(party, lhs, rhs)[..., 0], lhs.sum(axis=3),
                          cuts[..., :2] + cuts[..., 1:]], axis=2)      # (K, d, 10)
-    divisors = np.concatenate([GENE_DIVISORS, GENE_DIVISORS, [2, 2]])
-    exact = trunc_shares(party, *odd_part_scale(acc, divisors))
+    exact = trunc_shares(party, acc, GENE_BITS)
     fallback = concat_shares([cuts[..., :1], exact[..., 8:], cuts[..., 2:]], axis=2)
-    return div_fx(party, exact[..., :4], exact[..., 4:8], mask.shape[-1], fallback)
+    return div_fx(party, exact[..., :4], exact[..., 4:8], onehots.shape[1], fallback)
 
 
-def bin_train(party: Party, matrix: ShareMatrix, held_out: ShareMatrix | None = None):
+def bin_train(party: Party, matrix: ShareMatrix, held_out: ShareMatrix):
     """Quantile binning of every batch's gene columns, and of ``held_out``'s
     batch k with batch k's cuts, in one round schedule.
 
     Returns the binned matrix (labels pass through), the cuts (K, d, 3) and
-    the binned held-out matrix (None without one).
+    the binned held-out matrix.
     """
     i, frac = quantile_positions(matrix.rows)
     read = np.zeros((matrix.folds, matrix.n_rows), dtype=bool)
     read[np.arange(matrix.folds)[:, None], np.concatenate([i, i + (frac != 0)], axis=1)] = True
-    mats = [matrix] if held_out is None else [matrix, held_out]
     with party.protocol("bin"):
         with party.protocol("sort"):
             sorted_cols = sort_columns(party, matrix.genes(), matrix.rows, read)
         cuts = compute_quantiles(party, sorted_cols, matrix.rows)
         del sorted_cols                                       # freed before the widest comparisons
-        binned = bin_with_cuts(party, mats, cuts)
-    return binned[0], cuts, binned[1] if held_out is not None else None
+        binned, binned_held_out = bin_with_cuts(party, [matrix, held_out], cuts)
+    return binned, cuts, binned_held_out
 
 
 def bin_with_cuts(party: Party, mats: list[ShareMatrix], cuts: ShareVector) -> list[ShareMatrix]:

@@ -72,9 +72,11 @@ def encode(x, frac_bits: int = 16) -> np.ndarray:
         raise RangeError("non-finite value (nan or inf) cannot be encoded")
     if np.any(np.abs(arr) >= limit):
         raise RangeError(f"value out of encodable range (|x| < {limit})")
-    scaled = arr * float(1 << frac_bits)
-    rounded = np.sign(scaled) * np.floor(np.abs(scaled) + 0.5)
-    return rounded.astype(np.int64).view(np.uint64)
+    # every step is exact in float64; floor(s + 0.5) rounds s + 0.5 itself past 2^52
+    scaled = np.abs(arr) * float(1 << frac_bits)
+    rounded = np.floor(scaled)
+    rounded += scaled - rounded >= 0.5
+    return (np.sign(arr) * rounded).astype(np.int64).view(np.uint64)
 
 
 def decode(words, frac_bits: int = 16) -> np.ndarray:

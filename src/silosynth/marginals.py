@@ -1,23 +1,23 @@
-"""Noisy marginal measurement over binned data via Lagrange numerators.
+"""Noisy marginal measurement over binned data via scaled one-hots.
 
 For the gene domain {0,1,2,3} and label domain {0..4}, the Lagrange basis
 polynomial of a domain point b is 1 at b and 0 at the rest of the domain.
 Its numerator N_b(x) = prod_{j != b} (x - j) has degree at most 4, so it is
 a public integer combination of the powers x, x^2, x^3 and x^4: the powers
-are the only secret products (two rounds for any number of inputs), and the
-coefficients and the divisors D_b = N_b(b) are derived from the domain size.
-Numerators are exact ring integers (binned cells live at integer scale).
-They are never divided one cell at a time: every consumer sums them first
-(per marginal cell here, per bin in ``binning``) and divides the sums once
-by the exact divisor D = 2^v * o with o odd (and signed): multiply by the
-modular inverse of o, then an exact v-bit truncation.
+are the only secret products (two rounds for any number of inputs).
+``scaled_onehots`` is the one place that knows the basis: it folds each
+divisor N_b(b) = 2^v_b * o_b (o_b odd) into the public coefficients, which
+then give exactly 2^v [x = b] in the ring, v the largest v_b of the domain:
+2^GENE_BITS = 2 for the genes, 2^LABEL_BITS = 8 for the labels. Every
+reader sums the one-hots before it divides by 2^v (per marginal cell here,
+per bin in ``binning``).
 
-The counts skip that truncation, because both their readers truncate
-anyway. A cell's divisor holds at most 2^COUNT_BITS (the two-way cell of
-gene 0 and label 0: (-6) * 24 = -2^4 * 9), so after the odd part the sum is
-scaled by 2^(COUNT_BITS - v), locally. Every count this module hands on,
-measured (``marginal_counts``) or the enclave's (``cell_counts``), is the
-exact count times 2^COUNT_BITS, below 2^63 for any count below 2^59 (the
+The counts skip that division, because both their readers truncate anyway:
+gene and label sums are scaled up to 2^COUNT_BITS = 2^(GENE_BITS +
+LABEL_BITS), locally, and a two-way cell, a gene one-hot times a label
+one-hot, is there already. Every count this module hands on, measured
+(``marginal_counts``) or the enclave's (``cell_counts``), is the exact
+count times 2^COUNT_BITS, below 2^63 for any count below 2^59 (the
 preflight admits fewer than 2^20 rows); the noise step lifts it to scale f
 in its one truncation, and the workload error drops COUNT_BITS in its own.
 At sigma=0 the noisy marginals are bit-for-bit the brute-force counts at
@@ -46,8 +46,6 @@ from .sharing import ShareMatrix, ShareVector, concat_shares, stack_shares
 
 GENE_DOMAIN = 4
 LABEL_DOMAIN = 5
-# counts are handed on times 2^COUNT_BITS, the largest power of two in a cell's divisor
-COUNT_BITS = 4
 
 
 def measurement_count(n_genes: int) -> int:
@@ -77,86 +75,78 @@ def calibrate(eps_s: float, delta_s: float, measurement_count: int) -> NoiseCali
     return NoiseCalibration(eps_s, delta_s, measurement_count, eps_q, delta_q, sigma_q)
 
 
-def _lagrange(m: int):
-    """Coefficients (constant term first) of each numerator
-    N_b(x) = prod_{j != b} (x - j) on the domain {0..m-1}, and the divisors
-    D_b = N_b(b), in plain integers."""
-    coeffs = []
+def _basis(m: int) -> tuple[np.ndarray, int]:
+    """Coefficients (m, m) as ring words, constant term first, of the
+    polynomials 2^v [x = b] on the domain {0..m-1}, one row per b, and v.
+
+    Row b is the numerator N_b(x) = prod_{j != b} (x - j) times the inverse
+    of the odd part o_b of N_b(b) = 2^v_b o_b, times 2^(v - v_b)."""
+    rows = []
     for b in range(m):
         c = [1]
         for j in range(m):
             if j != b:
                 c = [lo - j * hi for lo, hi in zip([0] + c, c + [0])]
-        coeffs.append(c)
-    return coeffs, [math.prod(b - j for j in range(m) if j != b) for b in range(m)]
+        div = math.prod(b - j for j in range(m) if j != b)
+        v_b = (abs(div) & -abs(div)).bit_length() - 1
+        rows.append((c, pow(div >> v_b, -1, 1 << 64), v_b))
+    v = max(v_b for _, _, v_b in rows)
+    return fx.to_u64(np.array([[ci * inv << (v - v_b) for ci in c] for c, inv, v_b in rows],
+                              dtype=object)), v
 
 
-# N_b(b) of the gene domain: -6, 2, -2, 6, each twice an odd number
-GENE_DIVISORS = np.array(_lagrange(GENE_DOMAIN)[1])
+_GENE_BASIS, GENE_BITS = _basis(GENE_DOMAIN)
+_LABEL_BASIS, LABEL_BITS = _basis(LABEL_DOMAIN)
+# counts are handed on times 2^COUNT_BITS, the scale of a two-way cell
+COUNT_BITS = GENE_BITS + LABEL_BITS
 
 
-def odd_part_scale(acc: ShareVector, divisors: np.ndarray):
-    """acc holds divisor*count exactly. Returns acc times the inverse of the
-    divisor's signed odd part, and the divisor's power-of-two exponent: an
-    exact truncation by it finishes the division."""
-    div = [int(d) for d in np.ravel(divisors)]
-    v = [(abs(d) & -abs(d)).bit_length() - 1 for d in div]
-    inv = np.array([pow(d >> s, -1, 1 << 64) for d, s in zip(div, v)], dtype=object)
-    shape = np.shape(divisors)
-    return acc.scale_by(fx.to_u64(inv.reshape(shape))), np.reshape(v, shape)
+def _combine(party: Party, powers: list[ShareVector], basis: np.ndarray, mask: np.ndarray) -> ShareVector:
+    """The one-hots sum_k basis[b, k] x^k (..., m) from the powers x, x^2, ...
+    with the public ``mask`` folded into the coefficients: zero where it is 0."""
+    rows = [party.add_public(sum((p.scale_by(c * mask) for p, c in zip(powers[1:], basis[b, 2:])),
+                                 powers[0].scale_by(basis[b, 1] * mask)), basis[b, 0] * mask)
+            for b in range(len(basis))]
+    return stack_shares(rows, axis=-1)
 
 
-def numerators(party: Party, inputs) -> list[ShareVector]:
-    """The stacked Lagrange numerators (m, ...) of every (x, m) input, m in {4, 5}.
+def scaled_onehots(party: Party, matrix: ShareMatrix) -> tuple[ShareVector, ShareVector]:
+    """Every binned gene cell's one-hot times 2^GENE_BITS, (K, N, d, 4), and
+    every label's one-hot times 2^LABEL_BITS, (K, N, 5); padding rows are 0.
 
-    Two product rounds serve all inputs, flattened into one sharing: x^2,
-    then x^3 and (for the m = 5 inputs) x^4. Each numerator is then a public
-    integer combination of the powers; only N_0 has a constant term.
+    Two product rounds serve all cells, flattened into one sharing: x^2,
+    then x^3 and the labels' x^4. Each one-hot is then a public integer
+    combination of the powers.
     """
-    x = concat_shares([v.reshape(-1) for v, _ in inputs])
-    ends = np.cumsum([v.size for v, _ in inputs])
-    spans = [slice(end - v.size, end) for (v, _), end in zip(inputs, ends)]
+    labels, genes, mask = matrix.labels(), matrix.genes(), matrix.mask
+    nl = labels.size
+    x = concat_shares([labels.reshape(-1), genes.reshape(-1)])
     x2 = mul_shares(party, x, x)
-    fives = [x2[s] for s, (_, m) in zip(spans, inputs) if m == 5]
-    higher = mul_shares(party, concat_shares([x2] + fives), concat_shares([x] + fives))
-    out, x4_at = [], x.size                     # x^3 of every input, then the x^4 block
-    for (v, m), s in zip(inputs, spans):
-        powers = [v] + [p[s].reshape(v.shape) for p in (x2, higher)]
-        if m == 5:
-            powers.append(higher[x4_at:x4_at + v.size].reshape(v.shape))
-            x4_at += v.size
-        coeffs = fx.to_u64(np.array(_lagrange(m)[0]))                 # (m, m)
-        rows = [sum((p.scale_by(c) for p, c in zip(powers[1:], coeffs[b, 2:])),
-                    powers[0].scale_by(coeffs[b, 1])) for b in range(m)]
-        rows[0] = party.add_public(rows[0], coeffs[0, 0])
-        out.append(stack_shares(rows))
-    return out
+    higher = mul_shares(party, concat_shares([x2, x2[:nl]]), concat_shares([x, x2[:nl]]))
+    x3, x4 = higher[:x.size], higher[x.size:]
+    gene_powers = [p[nl:].reshape(genes.shape) for p in (x, x2, x3)]
+    label_powers = [p[:nl].reshape(labels.shape) for p in (x, x2, x3, x4)]
+    return (_combine(party, gene_powers, _GENE_BASIS, mask[..., None]),
+            _combine(party, label_powers, _LABEL_BASIS, mask))
 
 
-def marginal_counts(party: Party, matrix: ShareMatrix) -> ShareVector:
+def marginal_counts(party: Party, onehots: tuple[ShareVector, ShareVector]) -> ShareVector:
     """Exact secret counts times 2^COUNT_BITS of the measured workload, per
-    fold, in the canonical cell order: (K, 24d+5).
+    fold, in the canonical cell order: (K, 24d+5), from ``scaled_onehots``.
 
-    The label and gene numerators share their two product rounds. Padding
-    rows are masked out of the numerators. The two-way block is one matrix
-    product per fold: gene numerators (4d x N) times label numerators (N x 5).
-    Each cell's sum D * count is scaled by the inverse of D's odd part, which
-    leaves 2^v * count, and then by 2^(COUNT_BITS - v): 3 rounds, no
-    truncation. Exact in the ring; a count below 2^59 stays below 2^63.
+    The gene sums (scale 2^GENE_BITS) are scaled by 2^(COUNT_BITS -
+    GENE_BITS), the label sums (2^LABEL_BITS) by 2^(COUNT_BITS -
+    LABEL_BITS), and the two-way block is one matrix product per fold, gene
+    one-hots (4d x N) times label one-hots (N x 5), at 2^COUNT_BITS already:
+    1 round, no truncation. Exact in the ring; a count below 2^59 stays
+    below 2^63.
     """
-    k, n, d = matrix.folds, matrix.n_rows, matrix.n_genes
-    mask = matrix.mask                                              # (K, N)
-    ln, gn = numerators(party, [(matrix.labels(), LABEL_DOMAIN), (matrix.genes(), GENE_DOMAIN)])
-    lhs = gn.scale_by(mask[..., None]).map(
-        lambda w: w.transpose(1, 3, 0, 2).reshape(k, d * GENE_DOMAIN, n))    # (K, 4d, N)
-    rhs = ln.scale_by(mask).map(np.moveaxis, 0, -1)                 # (K, N, 5)
-    acc = concat_shares([lhs.sum(axis=2), rhs.sum(axis=1),
-                         matmul_shares(party, lhs, rhs).reshape(k, -1)], axis=1)
-    label_divs = np.array(_lagrange(LABEL_DOMAIN)[1])
-    divisors = np.concatenate([np.tile(GENE_DIVISORS, d), label_divs,
-                               np.tile(np.outer(GENE_DIVISORS, label_divs).ravel(), d)])
-    scaled, v = odd_part_scale(acc, divisors)
-    return scaled.scale_by(ONE << fx.to_u64(COUNT_BITS - v))
+    genes, labels = onehots
+    k, n, d = genes.shape[:3]
+    lhs = genes.map(lambda w: w.transpose(0, 2, 3, 1).reshape(k, d * GENE_DOMAIN, n))   # (K, 4d, N)
+    return concat_shares([lhs.sum(axis=2).scale_by(ONE << np.uint64(COUNT_BITS - GENE_BITS)),
+                          labels.sum(axis=1).scale_by(ONE << np.uint64(COUNT_BITS - LABEL_BITS)),
+                          matmul_shares(party, lhs, labels).reshape(k, -1)], axis=1)
 
 
 def split_marginals(flat):
@@ -181,14 +171,15 @@ def cell_counts(rows: np.ndarray) -> np.ndarray:
     return fx.to_u64(counts) << np.uint64(COUNT_BITS)
 
 
-def noisy_marginals(party: Party, matrix: ShareMatrix, sigma_q: float):
-    """Exact counts lifted to fixed-point scale plus independent Gaussian noise.
+def noisy_marginals(party: Party, onehots: tuple[ShareVector, ShareVector], sigma_q: float):
+    """Exact counts of the ``scaled_onehots`` lifted to fixed-point scale
+    plus independent Gaussian noise.
 
     Returns the ``marginal_counts`` (times 2^COUNT_BITS) and the noisy
     marginals, both (K, 24d+5), so the workload error can reuse the counts.
     One exact truncation by f of counts * 2^(2f - COUNT_BITS) + noise *
     encode(sigma_q) gives count * 2^f + floor(noise * sigma_q / 2^f) word for
-    word, since adding a multiple of 2^f commutes with the floor: 15 rounds.
+    word, since adding a multiple of 2^f commutes with the floor: 13 rounds.
     The noise lies in [-6, 6], so that holds while n * 2^(2f) + 6 * 2^f *
     encode(sigma_q) < 2^63 for cells of at most n rows, which
     ``pipeline.preflight`` checks. At sigma_q = 0 the noise term is 0 and
@@ -196,7 +187,7 @@ def noisy_marginals(party: Party, matrix: ShareMatrix, sigma_q: float):
     """
     f = party.fp.frac_bits
     with party.protocol("noisy_marg"):
-        counts = marginal_counts(party, matrix)
-        noise = gauss01(party, counts.shape[1], folds=counts.shape[0])
+        counts = marginal_counts(party, onehots)
+        noise = gauss01(party, counts.shape[1], counts.shape[0])
         lifted = counts.scale_by(ONE << np.uint64(2 * f - COUNT_BITS))
         return counts, trunc_shares(party, lifted + noise.scale_by(fx.encode_scalar(sigma_q, f)), f)

@@ -34,7 +34,7 @@ from .circuits import bit_extract, not_packed
 from .evaluation import MetricPair, evaluate
 from .generator import generate_bridge, generate_rows
 from .ingest import IngestionError
-from .marginals import calibrate, measurement_count, noisy_marginals
+from .marginals import calibrate, measurement_count, noisy_marginals, scaled_onehots
 from .primitives import and_all, lt, select_max
 from .rng import CounterStream, derive_key
 from .runtime import Party
@@ -180,7 +180,7 @@ def preflight(rows: list[int], genes: list[int], config: PipelineConfig):
             f"at {n} rows and frac_bits = {f} sigma_q must be at most {room / (1 << f):.6g}")
 
 
-def kfold_split(matrix: ShareMatrix, plan, extra=()):
+def kfold_split(matrix: ShareMatrix, plan, extra):
     """All K (train, test) splits of a single dataset as two padded fold
     batches; the row index sets in ``extra`` follow the K training folds."""
     check_fold_plan(matrix.n_rows, len(plan))
@@ -220,7 +220,9 @@ def run_fold(party: Party, matrix: ShareMatrix, plan, loop_index: int,
     train, test = kfold_split(matrix, plan, full)
     binned, cuts, binned_test = bin_train(party, train, test)
     binned_train = binned.batches(slice(k))
-    counts, ms = noisy_marginals(party, binned_train, sigma_q)
+    with party.protocol("noisy_marg"):
+        onehots = scaled_onehots(party, binned_train)
+    counts, ms = noisy_marginals(party, onehots, sigma_q)
     synth_counts, weights = generate_bridge(party, ms, binned_train.rows, h, config.seed,
                                             [(loop_index, j) for j in range(k)],
                                             config.lr_epochs, config.lr_rate)
@@ -275,9 +277,11 @@ def publish_path(party: Party, matrix: ShareMatrix, binned: ShareMatrix, cuts: S
     de-bin with its bin means, and reveal the synthetic rows: opened ring
     words, shape (rows, d+1)."""
     sigma_q = calibrate(config.eps_s, config.delta_s, measurement_count(matrix.n_genes)).sigma_q
+    with party.protocol("noisy_marg"):
+        onehots = scaled_onehots(party, binned)
     with party.protocol("bin"):
-        means = compute_bin_means(party, binned.genes(), matrix.genes(), cuts, binned.mask)
-    _, ms = noisy_marginals(party, binned, sigma_q)
+        means = compute_bin_means(party, onehots[0], matrix.genes(), cuts)
+    _, ms = noisy_marginals(party, onehots, sigma_q)
     n_out = config.synthetic_rows or matrix.n_rows
     onehot, labels = generate_rows(party, ms, n_out, h_selected, config.seed, PUBLISH_CONTEXT)
     debinned = concat_shares([inv_bin(party, onehot, means), labels[..., None]], axis=2)

@@ -220,12 +220,12 @@ def _sort_plan(rows: np.ndarray, read: np.ndarray):
     return [pq for pq in plan if pq[0].size]
 
 
-def sort_columns(party: Party, matrix: ShareVector, rows=None, read=None) -> ShareVector:
+def sort_columns(party: Party, matrix: ShareVector, rows, read) -> ShareVector:
     """Sort each column of (..., N, d) shares along axis -2 in one batched schedule.
 
     ``rows`` (shaped like the leading axes) counts the data rows of each
-    batch; the first rows[k] outputs of batch k are its sorted data. With
-    ``read`` (..., N), a public mask of the outputs the caller reads, only
+    batch; the first rows[k] outputs of batch k are its sorted data.
+    ``read`` (..., N) is a public mask of the outputs the caller reads: only
     those are sorted values; every other output is its input.
 
     The sort runs on XOR-shared bits: every position the public plan
@@ -239,8 +239,8 @@ def sort_columns(party: Party, matrix: ShareVector, rows=None, read=None) -> Sha
     network, the bytes those of separate sorts.
     """
     lead, (n, d) = matrix.shape[:-2], matrix.shape[-2:]
-    rows = np.broadcast_to(n if rows is None else rows, lead).ravel()
-    read = np.arange(n) < rows[:, None] if read is None else np.broadcast_to(read, lead + (n,))
+    rows = np.broadcast_to(rows, lead).ravel()
+    read = np.broadcast_to(read, lead + (n,))
     plan = _sort_plan(rows, read.reshape(rows.size, n))
     arr = matrix.reshape(-1, d).copy()
     if not plan:
@@ -280,7 +280,7 @@ def rand_uniform01(party: Party, n: int) -> ShareVector:
                    [np.uint64(1) << np.uint64(t) for t in range(f)])
 
 
-def gauss01(party: Party, n: int, folds: int = 1) -> ShareVector:
+def gauss01(party: Party, n: int, folds: int) -> ShareVector:
     """(folds, n) standard normal samples by the 12-uniform sum approximation.
 
     The uniforms are drawn fold-major, (folds, 12, n), so one call consumes

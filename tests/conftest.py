@@ -1,15 +1,14 @@
-import math
-
 import numpy as np
 import pytest
 
 from silosynth import fixedpoint as fx
 from silosynth.circuits import trunc_shares
 from silosynth.fixedpoint import FixedPointConfig
-from silosynth.marginals import numerators, odd_part_scale
+from silosynth.marginals import GENE_BITS, GENE_DOMAIN, LABEL_BITS, scaled_onehots
+from silosynth.primitives import sort_columns
 from silosynth.rng import CounterStream, derive_key
 from silosynth.runtime import run_parties
-from silosynth.sharing import ShareMatrix, ShareVector
+from silosynth.sharing import ShareMatrix, ShareVector, concat_shares
 
 FP = FixedPointConfig()
 
@@ -41,11 +40,31 @@ def reconstruct(shares: list[ShareVector]) -> np.ndarray:
 
 
 def indicator(party, x: ShareVector, m: int) -> ShareVector:
-    """The m indicator bits of x on the domain {0..m-1}, (m, ...): each
-    Lagrange numerator divided exactly by its N_b(b), cell by cell."""
-    divisors = [math.prod(b - j for j in range(m) if j != b) for b in range(m)]
-    div = np.array(divisors).reshape((m,) + (1,) * len(x.shape))
-    return trunc_shares(party, *odd_part_scale(numerators(party, [(x, m)])[0], div))
+    """The m indicator bits of x on the domain {0..m-1}, (m, ...): the
+    scaled one-hots of x as one gene column (m = 4, beside zero labels) or
+    as the labels (m = 5), cell by cell truncated once by their scale's
+    exponent v."""
+    cells = x.reshape(1, -1, 1)
+    if m == GENE_DOMAIN:
+        zeros = party.const_share(np.zeros(cells.shape, np.uint64))
+        onehot, v = scaled_onehots(party, ShareMatrix(concat_shares([cells, zeros], axis=2), 1))[0], GENE_BITS
+    else:
+        onehot, v = scaled_onehots(party, ShareMatrix(cells, 0))[1], LABEL_BITS
+    return trunc_shares(party, onehot, v).map(lambda w: np.moveaxis(w.reshape(x.shape + (m,)), -1, 0))
+
+
+def sort_rows(party, x: ShareVector, rows=None) -> ShareVector:
+    """``sort_columns`` of the first ``rows`` rows (all of them by default) of
+    every batch of x (..., N, d), every one of them read."""
+    n = x.shape[-2]
+    rows = np.broadcast_to(n if rows is None else rows, x.shape[:-2])
+    return sort_columns(party, x, rows, np.arange(n) < rows[..., None])
+
+
+def no_rows(matrix: ShareMatrix) -> ShareMatrix:
+    """A held-out matrix of no rows beside every batch of ``matrix``, for
+    ``bin_train`` runs that bin nothing with the cuts."""
+    return ShareMatrix(matrix.data[:, :0], matrix.n_genes)
 
 
 def run3(body, seed=77, timeout=300.0):

@@ -12,7 +12,7 @@ import pytest
 import scipy.stats
 
 import clear_reference as ref
-from conftest import FP, indicator, reconstruct, run3, shared, shared_matrix
+from conftest import FP, indicator, no_rows, reconstruct, run3, shared, shared_matrix
 
 from silosynth import fixedpoint as fx
 from silosynth.binning import bin_train, compute_bin_means
@@ -23,7 +23,7 @@ from silosynth.evaluation import lr_train
 from silosynth.fixedpoint import FixedPointConfig
 from silosynth.generator import generate_bridge, generate_synthetic, generator_rng
 from silosynth.ingest import custodian_components, ingest_all
-from silosynth.marginals import calibrate, noisy_marginals, split_marginals
+from silosynth.marginals import calibrate, noisy_marginals, scaled_onehots, split_marginals
 from silosynth.pipeline import PUBLISH_CONTEXT, PipelineConfig, ThresholdSet, run_pipeline
 from silosynth.primitives import gauss01
 from silosynth.runtime import Party, config_fingerprint, run_parties, setup_handshake
@@ -49,9 +49,10 @@ def preprocessing_corpus():
         mats = shared_matrix(fx.encode(genes), labels, 1000 + trial, namespace="acc")
 
         def body(p):
-            binned, cuts, _ = bin_train(p, mats[p.pid - 1])
-            means = compute_bin_means(p, binned.genes(), mats[p.pid - 1].genes(), cuts, binned.mask)
-            _, ms = noisy_marginals(p, binned, 0.0)
+            binned, cuts, _ = bin_train(p, mats[p.pid - 1], no_rows(mats[p.pid - 1]))
+            onehots = scaled_onehots(p, binned)
+            means = compute_bin_means(p, onehots[0], mats[p.pid - 1].genes(), cuts)
+            _, ms = noisy_marginals(p, onehots, 0.0)
             return binned, cuts, means, ms
 
         results, _ = run3(body, seed=5000 + trial)
@@ -132,7 +133,7 @@ def test_criterion_3_indicator_truth_tables():
 
 def test_criterion_4_dp_noise_and_calibration():
     def body(p):
-        return gauss01(p, 10_000)
+        return gauss01(p, 10_000, 1)
 
     results, _ = run3(body, seed=424242)
     g = fx.decode(reconstruct(results))
@@ -155,7 +156,7 @@ def test_criterion_4_dp_noise_and_calibration():
 
 def test_criterion_5_wle_properties(rng):
     from silosynth.evaluation import wle
-    from silosynth.marginals import marginal_counts
+    from silosynth.marginals import marginal_counts, scaled_onehots
 
     genes = rng.integers(0, 4, size=(25, 3))
     labels = rng.integers(0, 5, size=25)
@@ -168,7 +169,8 @@ def test_criterion_5_wle_properties(rng):
 
     def body(p):
         def wle_of(real, synth):
-            return wle(p, marginal_counts(p, real), marginal_counts(p, synth), real.rows)
+            counts = [marginal_counts(p, scaled_onehots(p, m)) for m in (real, synth)]
+            return wle(p, *counts, real.rows)
 
         zero = wle_of(m_same1[p.pid - 1], m_same2[p.pid - 1])
         a = wle_of(m_same1[p.pid - 1], m_perm[p.pid - 1])
@@ -211,7 +213,7 @@ def test_criterion_6_secure_lr_vs_cleartext(lr_dataset):
     traffic = {}
     for epochs in (150, 300):
         def body(p):
-            _, ms = noisy_marginals(p, mats[p.pid - 1], 0.0)
+            _, ms = noisy_marginals(p, scaled_onehots(p, mats[p.pid - 1]), 0.0)
             return generate_bridge(p, ms, [200], 10, 909, [(0, 0)], epochs, 0.05)
 
         _, parties = run3(body, seed=909)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import clear_reference as ref
-from conftest import indicator, open_matrix, reconstruct, run3, shared, shared_matrix
+from conftest import indicator, no_rows, open_matrix, reconstruct, run3, shared, shared_matrix, sort_rows
 
 from silosynth import fixedpoint as fx
 from silosynth.binning import (
@@ -14,14 +14,16 @@ from silosynth.binning import (
     inv_bin,
 )
 from silosynth.fixedpoint import FixedPointConfig
+from silosynth.marginals import scaled_onehots
 from silosynth.pipeline import fold_plan, kfold_split
 from silosynth.runtime import run_parties
+from silosynth.sharing import ShareMatrix
 
 
 def bin_with_means(p, matrix):
     """Binning of a dataset and its bin means, as the publish path computes them."""
-    binned, cuts, _ = bin_train(p, matrix)
-    return binned, cuts, compute_bin_means(p, binned.genes(), matrix.genes(), cuts, binned.mask)
+    binned, cuts, _ = bin_train(p, matrix, no_rows(matrix))
+    return binned, cuts, compute_bin_means(p, scaled_onehots(p, binned)[0], matrix.genes(), cuts)
 
 
 def run_bin_train(genes, labels, tag):
@@ -44,8 +46,7 @@ def test_quantiles_hand_example():
     shares = shared(vals, 20)
 
     def body(p):
-        from silosynth.primitives import sort_columns
-        s = sort_columns(p, shares[p.pid - 1])
+        s = sort_rows(p, shares[p.pid - 1])
         return compute_quantiles(p, s[None], [5])
 
     results, _ = run3(body)
@@ -158,7 +159,7 @@ def test_bin_test_with_train_cuts(rng):
     assert np.array_equal(got[0, :2], train_binned[3, :2])
     assert np.array_equal(got[1, :2], train_binned[7, :2])
     # held-out rows add no sort traffic: the sort entry is that of the training rows alone
-    _, train_only = run3(lambda p: bin_train(p, train_mats[p.pid - 1]))
+    _, train_only = run3(lambda p: bin_train(p, train_mats[p.pid - 1], no_rows(train_mats[p.pid - 1])))
     for with_test, alone in zip(parties, train_only):
         got, want = with_test.ledger.entry("sort"), alone.ledger.entry("sort")
         assert want.rounds > 0
@@ -264,8 +265,8 @@ def test_bin_test_empty_split():
 
 
 def debin(p, binned, means):
-    """The binned genes' one-hots, built on shares from their Lagrange
-    numerators (the enclave hands the publish path its own), de-binned."""
+    """The binned genes' 0/1 one-hots, built on shares (the enclave hands
+    the publish path its own), de-binned."""
     return inv_bin(p, indicator(p, binned.genes(), 4).map(np.moveaxis, 0, -1), means)
 
 
@@ -333,35 +334,36 @@ def test_bin_means_and_inv_bin_cost_pinned(rng):
     """Rounds and bytes per party of the bin means and the de-binning on
     K = 2 batches of 9 (7 data) rows and 3 genes, 54 cells.
 
-    compute_bin_means: the cells' powers (2 rounds, 108 words), one matmul
-    (1, 24 words), one exact division of sums, counts and midpoints (10, 60
-    x 13 words), then div_fx. Its lookup of the 24 counts in the table of
-    counts 0..9: their bits (8, 24 x 8 words), the AND of 4 pattern words
-    (2, 24 x 3) and one b2a_sum over 10 lanes of the empty bit and the
-    reciprocal (2, 24 x 12). Its three products, the first with the empty
-    bit's fallback beside it (33, 48 + 24 x 13 + 2 x 24 x 14 words): 58
-    rounds, 2,496 words.
+    compute_bin_means, from scaled one-hots built outside its scope: one
+    matmul (1, 24 words), one exact division of sums, counts and midpoints
+    (10, 60 x 13 words), then div_fx. Its lookup of the 24 counts in the
+    table of counts 0..9: their bits (8, 24 x 8 words), the AND of 4
+    pattern words (2, 24 x 3) and one b2a_sum over 10 lanes of the empty bit
+    and the reciprocal (2, 24 x 12). Its three products, the first with the
+    empty bit's fallback beside it (33, 48 + 24 x 13 + 2 x 24 x 14 words):
+    56 rounds, 2,388 words.
     inv_bin: one matmul of the cells' one-hots with the means (1, 54 words).
     """
-    bins = shared(rng.integers(0, 4, size=(2, 9, 3)), 42)
+    rows = np.array([9, 7])
+    binned = np.concatenate([rng.integers(0, 4, size=(2, 9, 3)), rng.integers(0, 5, size=(2, 9, 1))], axis=2)
+    bins = [ShareMatrix(s, 3, rows) for s in shared(binned, 42)]
     originals = shared(fx.encode(rng.normal(size=(2, 9, 3))), 43)
     cuts = shared(fx.encode(np.sort(rng.normal(size=(2, 3, 3)), axis=2)), 44)
     means = shared(fx.encode(rng.normal(size=(2, 3, 4))), 45)
     cells = shared(onehots(rng.integers(0, 4, size=(2, 9, 3))), 46)
-    rows = np.array([9, 7])
-    mask = (np.arange(9) < rows[:, None]).astype(np.uint64)
 
     def body(p):
         i = p.pid - 1
+        bin_onehots = scaled_onehots(p, bins[i])[0]
         with p.protocol("bin"):
-            compute_bin_means(p, bins[i], originals[i], cuts[i], mask)
+            compute_bin_means(p, bin_onehots, originals[i], cuts[i])
         inv_bin(p, cells[i], means[i])
 
     _, parties = run3(body)
     for p in parties:
         cost = {label: (p.ledger.entry(label).rounds, p.ledger.entry(label).bytes_sent)
                 for label in ("bin", "inv_bin")}
-        assert cost == {"bin": (58, 2496 * 8), "inv_bin": (1, 54 * 8)}
+        assert cost == {"bin": (56, 2388 * 8), "inv_bin": (1, 54 * 8)}
 
 
 @pytest.mark.parametrize("sign", [1, -1])
@@ -379,12 +381,12 @@ def test_bin_means_and_inv_bin_at_the_sum_bound(sign):
     want = np.stack([ref.bin_means_fx(binned[:, g], genes[:, g], cuts[g], f)[0] for g in range(2)])
     assert np.all(binned == 3)
     table = np.arange(2 * n).reshape(n, 2) % 4
-    sg, sb, sc = shared(genes[None], 47), shared(binned[None], 48), shared(cuts[None], 49)
+    sg, sb, sc = shared(genes[None], 47), shared_matrix(binned, np.zeros(n, np.int64), 48), shared(cuts[None], 49)
     cells = shared(onehots(table[None]), 50)
 
     def body(p):
         i = p.pid - 1
-        means = compute_bin_means(p, sb[i], sg[i], sc[i], np.ones((1, n), np.uint64))
+        means = compute_bin_means(p, scaled_onehots(p, sb[i])[0], sg[i], sc[i])
         return means, inv_bin(p, cells[i], means)
 
     results, _ = run_parties(body, master_seed=7, fp=FixedPointConfig(f))

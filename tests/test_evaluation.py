@@ -15,7 +15,7 @@ from silosynth.evaluation import (
     wle,
 )
 from silosynth.fixedpoint import FixedPointConfig
-from silosynth.marginals import COUNT_BITS, marginal_counts
+from silosynth.marginals import COUNT_BITS, marginal_counts, scaled_onehots
 from silosynth.runtime import Party, run_parties
 
 ULP = 2.0**-16
@@ -29,9 +29,14 @@ def open_scalar(results):
     return fx.decode(np.atleast_1d(reconstruct(results)))[0]
 
 
+def counts_of(p, matrix):
+    """A batch's exact counts times 2^COUNT_BITS, from its scaled one-hots."""
+    return marginal_counts(p, scaled_onehots(p, matrix))
+
+
 def wle_of(p, real, synth):
     """wle of a real batch against a synthetic one of as many rows, from both batches' exact counts."""
-    return wle(p, marginal_counts(p, real), marginal_counts(p, synth), real.rows)
+    return wle(p, counts_of(p, real), counts_of(p, synth), real.rows)
 
 
 def enclave(frac_bits=16):
@@ -276,7 +281,7 @@ def test_evaluate_identity_synthetic(rng):
     sw = shared(w[None], 122)
 
     def body(p):
-        m = evaluate(p, marginal_counts(p, real[p.pid - 1]), marginal_counts(p, synth[p.pid - 1]),
+        m = evaluate(p, counts_of(p, real[p.pid - 1]), counts_of(p, synth[p.pid - 1]),
                      real[p.pid - 1].rows, sw[p.pid - 1], test[p.pid - 1])
         return m.wle, m.accuracy
 

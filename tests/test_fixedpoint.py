@@ -69,6 +69,17 @@ def test_round_half_away_from_zero():
     assert fx.encode_scalar(-(2**-17)) == fx.MASK  # -1 mod 2^64
 
 
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("x, f, want", [
+    # x 2^f = 6004799503159381 in [2^52, 2^53) is an integer; adding 0.5 would round to even, one above
+    (6004799503159381 / 2**8, 8, 6004799503159381),
+    # x 2^f is the double just below 1/2; adding 0.5 would round to 1.0
+    (0.49999999999999994 / 2**16, 16, 0),
+], ids=["past-2^52", "below-half"])
+def test_round_half_away_is_exact_in_float64(sign, x, f, want):
+    assert fx.encode_scalar(sign * x, f) == (sign * want) & fx.MASK
+
+
 def test_config_validation():
     for bad in (4, 21):
         with pytest.raises(ValueError):

@@ -12,7 +12,7 @@ from silosynth.generator import (
     generate_synthetic,
     generator_rng,
 )
-from silosynth.marginals import COUNT_BITS, noisy_marginals, split_marginals
+from silosynth.marginals import COUNT_BITS, noisy_marginals, scaled_onehots, split_marginals
 from silosynth.runtime import run_parties
 
 
@@ -94,7 +94,7 @@ def test_bridge_reshares_enclave_output(rng):
     mats = shared_matrix(genes.astype(np.uint64), labels, 80)
 
     def body(p):
-        _, ms = noisy_marginals(p, mats[p.pid - 1], 1.0)
+        _, ms = noisy_marginals(p, scaled_onehots(p, mats[p.pid - 1]), 1.0)
         return generate_rows(p, ms, 30, 10, master_seed=77, context=(1, 2))
 
     results, parties = run3(body)
@@ -124,7 +124,7 @@ def test_bridge_matches_cleartext_generation(rng):
     mats = shared_matrix(genes.astype(np.uint64), labels, 81)
 
     def body(p):
-        _, ms = noisy_marginals(p, mats[p.pid - 1], 0.0)
+        _, ms = noisy_marginals(p, scaled_onehots(p, mats[p.pid - 1]), 0.0)
         return generate_rows(p, ms, 40, 10, master_seed=55, context=(0, 0))
 
     results, _ = run3(body, seed=55)

@@ -12,12 +12,16 @@ from silosynth.marginals import (
     calibrate,
     cell_counts,
     COUNT_BITS,
+    GENE_BITS,
+    LABEL_BITS,
     marginal_counts,
     measurement_count,
     noisy_marginals,
+    scaled_onehots,
     split_marginals,
 )
 from silosynth.runtime import run_parties
+from silosynth.sharing import ShareMatrix
 
 
 def test_indicator4_truth_table():
@@ -85,7 +89,7 @@ def marginals_sigma0(genes_binned, labels, tag):
     mats = shared_matrix(genes_binned.astype(np.uint64), labels, tag)
 
     def body(p):
-        return noisy_marginals(p, mats[p.pid - 1], 0.0)[1]
+        return noisy_marginals(p, scaled_onehots(p, mats[p.pid - 1]), 0.0)[1]
 
     results, _ = run3(body)
     gene, label, two = split_marginals(fx.decode(reconstruct(results)))
@@ -128,16 +132,36 @@ def test_marginal_hand_examples():
     assert list(t2[0]) == list(want)
 
 
+@pytest.mark.parametrize("rows", [(6, 6), (6, 3)])
+def test_scaled_onehots_exact_with_zero_padding(rng, rows):
+    """Every gene cell's one-hot is exactly 2^GENE_BITS = 2 at its bin, every
+    label's 2^LABEL_BITS = 8 at its class, over the whole domains {0..3} and
+    {0..4}, and 0 in every padding row: K = 2 batches of 6 padded rows, all
+    rows data or 6 and 3 data rows."""
+    assert (GENE_BITS, LABEL_BITS, COUNT_BITS) == (1, 3, 4)
+    genes = np.stack([np.arange(24).reshape(6, 4) % 4, rng.integers(0, 4, size=(6, 4))])
+    labels = np.stack([np.arange(6) % 5, rng.integers(0, 5, size=6)])
+    cells = np.concatenate([genes, labels[..., None]], axis=2)
+    mats = [ShareMatrix(s, 4, np.array(rows)) for s in shared(cells, 75)]
+
+    results, _ = run3(lambda p: scaled_onehots(p, mats[p.pid - 1]))
+    gene = reconstruct([r[0] for r in results])
+    label = reconstruct([r[1] for r in results])
+    data = (np.arange(6) < np.array(rows)[:, None]).astype(np.uint64)
+    assert np.array_equal(gene, 2 * (genes[..., None] == np.arange(4)) * data[..., None, None])
+    assert np.array_equal(label, 8 * (labels[..., None] == np.arange(5)) * data[..., None])
+
+
 def test_marginal_counts_share_numerator_rounds(rng):
-    """Label and gene numerators share their two power rounds (x^2, then
-    x^3 and the labels' x^4), then the two-way matmul (1), each one message
-    per party, and no truncation; the flat power rounds send one word per
-    product."""
+    """The label and gene one-hots share their two power rounds (x^2, then
+    x^3 and the labels' x^4), then the counts take the two-way matmul (1),
+    each one message per party, and no truncation; the flat power rounds
+    send one word per product."""
     mats = shared_matrix(rng.integers(0, 4, size=(9, 2)).astype(np.uint64), rng.integers(0, 5, size=9), 72)
 
     def body(p):
         with p.protocol("adhoc"):
-            marginal_counts(p, mats[p.pid - 1])
+            marginal_counts(p, scaled_onehots(p, mats[p.pid - 1]))
 
     _, parties = run3(body)
     entries = [p.ledger.entry("adhoc") for p in parties]
@@ -155,7 +179,7 @@ def test_marginal_counts_one_flat_sharing(rng):
     mats = shared_matrix(genes.astype(np.uint64), labels, 73)
 
     def body(p):
-        return marginal_counts(p, mats[p.pid - 1])
+        return marginal_counts(p, scaled_onehots(p, mats[p.pid - 1]))
 
     results, _ = run3(body)
     assert results[0].shape == (1, 24 * d + 5)
@@ -175,7 +199,7 @@ def test_noisy_marginals_match_mirror_at_the_ring_bound(f):
     assert fx.encode_scalar(sigma_q, f) == top
     genes, labels = np.zeros((n, d), dtype=np.int64), np.zeros(n, dtype=np.int64)
     mats = shared_matrix(genes.astype(np.uint64), labels, 74)
-    results, _ = run_parties(lambda p: noisy_marginals(p, mats[p.pid - 1], sigma_q)[1], seed, FixedPointConfig(f))
+    results, _ = run_parties(lambda p: noisy_marginals(p, scaled_onehots(p, mats[p.pid - 1]), sigma_q)[1], seed, FixedPointConfig(f))
     want = ref.clear_noisy_marginals(genes, labels, sigma_q, ref.NoiseReplay(seed, f), f)
     assert np.array_equal(reconstruct(results)[0], np.concatenate([m.ravel() for m in want]))
 
@@ -209,7 +233,7 @@ def test_noise_changes_cells_and_is_seeded(rng):
     mats = shared_matrix(genes.astype(np.uint64), labels, 72)
 
     def body(p):
-        return noisy_marginals(p, mats[p.pid - 1], 3.0)[1]
+        return noisy_marginals(p, scaled_onehots(p, mats[p.pid - 1]), 3.0)[1]
 
     r1, _ = run3(body, seed=101)
     r2, _ = run3(body, seed=101)
@@ -231,7 +255,7 @@ def test_noise_independence_across_cells(rng):
         mats = shared_matrix(genes.astype(np.uint64), labels, 300 + trial)
 
         def body(p):
-            return noisy_marginals(p, mats[p.pid - 1], 1.0)[1]
+            return noisy_marginals(p, scaled_onehots(p, mats[p.pid - 1]), 1.0)[1]
 
         results, _ = run3(body, seed=5000 + trial)
         gene, label, _ = split_marginals(fx.decode(reconstruct(results)))

@@ -4,7 +4,7 @@ import pytest
 import clear_reference as ref
 from conftest import open_matrix, reconstruct, run3, shared, shared_matrix
 
-from silosynth import binning
+from silosynth import binning, marginals, pipeline
 from silosynth import fixedpoint as fx
 from silosynth.config import canonical_text
 from silosynth.fixedpoint import FixedPointConfig
@@ -121,18 +121,18 @@ def test_kfold_split_bounds(rng):
     cells = rng.integers(0, 4, (11, 2)).astype(np.uint64)
     mats = shared_matrix(cells, rng.integers(0, 5, 11), 125)
     plan = fold_plan(1, 0, 11, 3)
-    train, test = kfold_split(mats[0], plan)
+    train, test = kfold_split(mats[0], plan, ())
     # folds of 8/7/7 training and 3/4/4 test rows, padded to the longest
     assert list(train.rows) == [8, 7, 7] and list(test.rows) == [3, 4, 4]
     assert train.data.shape == (3, 8, 3) and test.data.shape == (3, 4, 3)
     opened = reconstruct([m.data for m in mats])[0]
     for j, (train_idx, test_idx) in enumerate(plan):
-        got = reconstruct([kfold_split(m, plan)[1].data for m in mats])[j]
+        got = reconstruct([kfold_split(m, plan, ())[1].data for m in mats])[j]
         assert np.array_equal(got[: len(test_idx)], opened[test_idx])
     assert list(train.mask.sum(axis=1)) == [8, 7, 7]
     # a fold without test rows (or with fewer than 2 training rows) is refused
     with pytest.raises(ValueError):
-        kfold_split(mats[0], fold_plan(1, 0, 11, 12))
+        kfold_split(mats[0], fold_plan(1, 0, 11, 12), ())
 
 
 def test_secret_vote_boundary_equality():
@@ -324,10 +324,10 @@ def test_loop_lr_rounds_do_not_grow_with_folds(rng):
 
 
 # (rounds, bytes sent) per party, summed over the ledger labels
-PINNED_TINY_TRAFFIC = [(317, 576624), (317, 578472), (317, 576624)]
+PINNED_TINY_TRAFFIC = [(315, 575472), (315, 577320), (315, 575472)]
 # each label's own rounds (nested labels excluded) at parties 1, 2 and 3
 PINNED_TINY_ROUNDS = {
-    "ingest": [1] * 3, "sort": [130] * 3, "bin": [89] * 3, "noisy_marg": [30] * 3,
+    "ingest": [1] * 3, "sort": [130] * 3, "bin": [87] * 3, "noisy_marg": [30] * 3,
     "sdg": [2] * 3, "eval": [0] * 3, "wle": [20] * 3, "acc": [32] * 3, "vote": [11] * 3,
     "inv_bin": [1] * 3, "publish": [1] * 3,
 }
@@ -354,7 +354,7 @@ def spy_sorts(monkeypatch):
     calls = []
     real = binning.sort_columns
 
-    def spy(party, matrix, rows=None, read=None):
+    def spy(party, matrix, rows, read):
         if party.pid == 1:
             calls.append(list(rows))
         return real(party, matrix, rows, read)
@@ -393,3 +393,27 @@ def test_no_publish_run_pays_full_sort_in_first_loop(rng, monkeypatch):
         assert p.ledger.entry("sort").rounds == (8 + 8 * 15 + 2) + (8 + 8 * 10 + 2)
         assert p.ledger.entry("bin").rounds == 2 * 30      # quantiles and binning only
         assert not {"inv_bin", "publish"} & set(p.ledger.entries)
+
+
+def test_publish_builds_scaled_onehots_once_for_both_readers(rng, monkeypatch):
+    """A first-pass run that publishes on loop 1 builds the scaled one-hots
+    once per loop (its 2 training folds) and once at publish (the full
+    data), where the bin means and the marginals both read them; every
+    build is counted under noisy_marg, so none runs inside compute_bin_means
+    (which the publish path counts under bin)."""
+    calls = []
+    real = marginals.scaled_onehots
+
+    def spy(party, matrix):
+        if party.pid == 1:
+            calls.append((party.current_label, matrix.folds))
+        return real(party, matrix)
+
+    for module in (marginals, binning, pipeline):
+        monkeypatch.setattr(module, "scaled_onehots", spy, raising=False)
+    datasets = two_datasets(rng, n_each=12)
+    thresholds = np.array([[1000.0, 0.0], [1000.0, 0.0]])
+    config = small_config(k_folds=2, hyperparams=(10,), max_loops=1, lr_epochs=2)
+    results, _ = run_full(config, datasets, thresholds)
+    assert results[0].publish
+    assert calls == [("noisy_marg", 2), ("noisy_marg", 1)]

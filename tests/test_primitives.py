@@ -5,7 +5,7 @@ import warnings
 import clear_reference as ref
 import numpy as np
 import pytest
-from conftest import reconstruct, reconstruct_xor, share_values, shared_xor
+from conftest import reconstruct, reconstruct_xor, share_values, shared_matrix, shared_xor, sort_rows
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,6 +14,7 @@ from silosynth import primitives
 from silosynth.binning import compute_bin_means
 from silosynth.circuits import bit_extract
 from silosynth.fixedpoint import FixedPointConfig
+from silosynth.marginals import scaled_onehots
 from silosynth.primitives import (
     and_all,
     div_fx,
@@ -402,7 +403,7 @@ def test_sort_small_example():
     sv, sb = shared(vals, 15), shared(batch, 16)
 
     def body(p):
-        return sort_columns(p, sv[p.pid - 1]), sort_columns(p, sb[p.pid - 1])
+        return sort_rows(p, sv[p.pid - 1]), sort_rows(p, sb[p.pid - 1])
 
     results, _ = run3(body)
     assert list(fx.decode(open_result([r[0] for r in results]))[:, 0]) == [1.0, 2.0, 3.0]
@@ -419,8 +420,8 @@ def test_sort_random_multiset_and_fixedpoint():
         sv = shared(vals, 100 + trial)
 
         def body(p):
-            first = sort_columns(p, sv[p.pid - 1])
-            return first, sort_columns(p, first)
+            first = sort_rows(p, sv[p.pid - 1])
+            return first, sort_rows(p, first)
 
         results, _ = run3(body)
         got = fx.signed(reconstruct([r[0] for r in results]))
@@ -439,7 +440,7 @@ def test_sort_prunes_padding_and_matches_numpy():
     sv = shared(vals, 53)
 
     def body(p):
-        return sort_columns(p, sv[p.pid - 1], rows)
+        return sort_rows(p, sv[p.pid - 1], rows)
 
     results, _ = run3(body)
     got = fx.signed(reconstruct(results))
@@ -458,7 +459,7 @@ def test_sort_bytes_pinned():
 
     def body(p):
         with p.protocol("adhoc"):
-            return sort_columns(p, sv[p.pid - 1])
+            return sort_rows(p, sv[p.pid - 1])
 
     results, parties = run3(body)
     assert np.array_equal(fx.signed(reconstruct(results)), np.sort(fx.signed(vals), axis=1))
@@ -481,10 +482,10 @@ def test_sort_uneven_batches_one_call():
 
     def body(p):
         with p.protocol("adhoc"):
-            together = sort_columns(p, sv[p.pid - 1], rows)
+            together = sort_rows(p, sv[p.pid - 1], rows)
         with p.protocol("sort"):
             for k, r in enumerate(rows):
-                sort_columns(p, sv[p.pid - 1][k, :r])
+                sort_rows(p, sv[p.pid - 1][k, :r])
         return together
 
     results, parties = run3(body)
@@ -515,7 +516,7 @@ def test_sort_cone_sorts_read_positions():
 
     def body(p):
         with p.protocol("adhoc"):
-            return sort_columns(p, sv[p.pid - 1], read=read)
+            return sort_columns(p, sv[p.pid - 1], 100, read)
 
     results, parties = run3(body)
     got = fx.signed(reconstruct(results))[0]
@@ -537,7 +538,7 @@ def test_sort_extreme_words():
     sv = shared(vals, 58)
 
     def body(p):
-        return sort_columns(p, sv[p.pid - 1])
+        return sort_rows(p, sv[p.pid - 1])
 
     results, _ = run3(body)
     assert np.array_equal(fx.signed(reconstruct(results)), np.sort(fx.signed(vals), axis=0))
@@ -629,7 +630,7 @@ def test_sort_sentinel_above_every_encodable_input(frac_bits):
     sv = share_values(vals[:, None], CounterStream(derive_key(555, "prim", 55)))
 
     def body(p):
-        return sort_columns(p, sv[p.pid - 1][:3]), sort_columns(p, sv[p.pid - 1], rows=4)
+        return sort_rows(p, sv[p.pid - 1][:3]), sort_rows(p, sv[p.pid - 1], 4)
 
     results, _ = run_parties(body, master_seed=77, fp=fp, timeout=120.0)
     first = fx.signed(reconstruct([r[0] for r in results]))[:, 0]
@@ -664,7 +665,7 @@ def test_gauss_forced_uniforms_hit_zero(monkeypatch):
     monkeypatch.setattr(primitives, "rand_uniform01", halves)
 
     def body(p):
-        return gauss01(p, 4)
+        return gauss01(p, 4, 1)
 
     results, _ = run3(body)
     assert np.all(fx.decode(open_result(results)) == 0.0)
@@ -672,7 +673,7 @@ def test_gauss_forced_uniforms_hit_zero(monkeypatch):
 
 def test_gauss_statistics_and_support():
     def body(p):
-        return gauss01(p, 10_000)
+        return gauss01(p, 10_000, 1)
 
     results, _ = run3(body, seed=555)
     g = fx.decode(open_result(results))
@@ -714,7 +715,7 @@ def test_obliviousness_ledgers_match_across_inputs():
         bins = rng.integers(0, 4, size=(1, 40, 1)) if tag == 17 else np.full((1, 40, 1), 3)
         cuts = np.sort(fx.signed(vals[:3])).view(np.uint64).reshape(1, 1, 3)
         sv, so, sc = shared(vals, tag), shared(other, tag + 10), shared(counts, tag + 20)
-        sbins, scuts = shared(bins, tag + 30), shared(cuts, tag + 40)
+        sbins, scuts = shared_matrix(bins[0], np.zeros(40, np.int64), tag + 30), shared(cuts, tag + 40)
 
         def body(p):
             i = p.pid - 1
@@ -723,8 +724,8 @@ def test_obliviousness_ledgers_match_across_inputs():
                 eq_zero(p, sv[i] - so[i])
                 abs_shares(p, sv[i])
                 div_fx(p, sv[i], sc[i], 40, so[i])
-                sort_columns(p, sv[i].reshape(-1, 1))
-                compute_bin_means(p, sbins[i], sv[i].reshape(1, 40, 1), scuts[i], np.ones((1, 40), np.uint64))
+                sort_rows(p, sv[i].reshape(-1, 1))
+                compute_bin_means(p, scaled_onehots(p, sbins[i])[0], sv[i].reshape(1, 40, 1), scuts[i])
             return None
 
         _, parties = run3(body)
