@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import fixedpoint as fx
-from .circuits import b2a_sum, matmul_shares, trunc_shares
+from .circuits import b2a_sum, matmul_shares, matmul_term, program, reshare, trunc_shares
 from .marginals import GENE_BITS
 from .primitives import div_fx, lt, select, sort_columns
 from .runtime import Party
@@ -80,8 +80,8 @@ def bin_columns(party: Party, data: ShareVector, cuts: ShareVector, batch: np.nd
     return party.add_public(-b2a_sum(party, [b, c], [2, 1]), np.uint64(3))
 
 
-def compute_bin_means(party: Party, onehots: ShareVector, originals: ShareVector,
-                      cuts: ShareVector) -> ShareVector:
+def bin_means_steps(party: Party, onehots: ShareVector, originals: ShareVector,
+                    cuts: ShareVector) -> ShareVector:
     """Secret per-bin means, shape (K, d, 4), of the originals (K, N, d) by
     the cells' bin one-hots times 2^GENE_BITS = 2 (``scaled_onehots``,
     (K, N, d, 4), padding rows 0), with oblivious empty-bin fallback to cut
@@ -91,19 +91,25 @@ def compute_bin_means(party: Party, onehots: ShareVector, originals: ShareVector
     originals gives 2 S_b, and the one-hots' sums twice the counts: with the
     midpoints' 2 mid = c_j + c_(j+1), one exact truncation by GENE_BITS
     divides all three. It needs |S_b| < 2^62: encoded genes stay below
-    2^(62-f) and the preflight admits fewer than 2^f rows.
+    2^(62-f) and the preflight admits fewer than 2^f rows. On the publish
+    path the matmul and the truncation are ``lockstep`` requests that the
+    noisy marginals' counts and truncation join.
 
     ``div_fx`` looks up each count in [0, N] in a public table, 4d(N + 1)
-    words per batch. An empty bin's sum is 0, so its raw mean is exactly 0
-    and adding empty * fallback selects the fallback.
+    words per batch, and takes 46 rounds after the 11 of the sums. An empty
+    bin's sum is 0, so its raw mean is exactly 0 and adding empty *
+    fallback selects the fallback.
     """
     lhs = onehots.map(np.transpose, (0, 2, 3, 1))                     # (K, d, 4, N)
     rhs = originals.map(lambda w: np.swapaxes(w, 1, 2)[..., None])    # (K, d, N, 1)
-    acc = concat_shares([matmul_shares(party, lhs, rhs)[..., 0], lhs.sum(axis=3),
-                         cuts[..., :2] + cuts[..., 1:]], axis=2)      # (K, d, 10)
-    exact = trunc_shares(party, acc, GENE_BITS)
+    sums = yield reshare, matmul_term(lhs, rhs)
+    acc = concat_shares([sums[..., 0], lhs.sum(axis=3), cuts[..., :2] + cuts[..., 1:]], axis=2)   # (K, d, 10)
+    exact = yield trunc_shares, acc, GENE_BITS
     fallback = concat_shares([cuts[..., :1], exact[..., 8:], cuts[..., 2:]], axis=2)
     return div_fx(party, exact[..., :4], exact[..., 4:8], onehots.shape[1], fallback)
+
+
+compute_bin_means = program(bin_means_steps)
 
 
 def bin_train(party: Party, matrix: ShareMatrix, held_out: ShareMatrix):

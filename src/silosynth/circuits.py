@@ -8,7 +8,10 @@ The boolean AND is the same dance in GF(2) on bit-packed words (64 bit
 lanes per ring word), which gives the comparison/truncation circuits
 word-level SIMD for free. A caller that needs several independent products
 in one round concatenates their operands (``concat_shares``) into one gate
-and slices the result.
+and slices the result. Steps that live in different functions share rounds
+as ``lockstep`` programs: generators that yield their elementwise gates
+(``reshare``, ``primitives.is_negative``, ``trunc_shares``), so that the
+same gate of two programs runs as one call on their concatenated operands.
 
 Share splitting: the three additive components of x are each known to
 exactly the two parties that replicate them, so XOR (or arithmetic)
@@ -28,11 +31,14 @@ with u = c1 ^ c2 at party 1 and c3 at parties 2 and 3 (``Party.split``), a
 
 from __future__ import annotations
 
+import functools
+from contextlib import nullcontext
+
 import numpy as np
 
 from .fixedpoint import MASK, to_u64
 from .runtime import Party
-from .sharing import ShareVector
+from .sharing import ShareVector, concat_shares
 
 ALL_ONES = np.uint64(MASK)
 ONE = np.uint64(1)
@@ -51,6 +57,77 @@ def reshare_xor(party: Party, z: np.ndarray) -> ShareVector:
     return party.replicate(party.xor_zero_sharing(z))
 
 
+# -- lockstep programs ------------------------------------------------------------
+
+def _flat(x, shape):
+    """Operand x broadcast to ``shape`` and flattened: a share, or public words."""
+    if isinstance(x, ShareVector):
+        return ShareVector(np.broadcast_to(x.a, shape).ravel(), np.broadcast_to(x.b, shape).ravel())
+    return np.broadcast_to(to_u64(x), shape).ravel()
+
+
+def _joint(party: Party, gate, requests) -> list:
+    """One call of an elementwise ``gate`` on the requests' operands, each
+    request's broadcast to its output shape, flattened and concatenated in
+    request order; the output split back into those shapes."""
+    if len(requests) == 1:
+        return [gate(party, *requests[0])]
+    shapes = [np.broadcast_shapes(*(np.shape(x.a if isinstance(x, ShareVector) else x) for x in args))
+              for args in requests]
+    columns = [[_flat(x, shape) for x, shape in zip(operands, shapes)] for operands in zip(*requests)]
+    out = gate(party, *(concat_shares(c) if isinstance(c[0], ShareVector) else np.concatenate(c)
+                        for c in columns))
+    ends = np.cumsum([int(np.prod(shape)) for shape in shapes])
+    return [out[end - int(np.prod(shape)):end].reshape(shape) for shape, end in zip(shapes, ends)]
+
+
+def lockstep(party: Party, programs, labels) -> list:
+    """Run protocol programs side by side; their results, in order.
+
+    A program is a generator that yields requests (gate, *operands) for an
+    elementwise gate and is sent the gate's output. Each step serves the
+    first unfinished program's request, joined by every other program's
+    request for the same gate as one ``_joint`` call, so they share its
+    rounds; a program whose request differs waits. The schedule depends on
+    the programs' code and public shapes only. Each program runs, and a
+    request that no other joins, under its label in ``labels`` (None: the
+    caller's); joined calls run under the caller's label.
+    """
+    results, waiting = [None] * len(programs), {}
+
+    def scope(label):
+        return party.protocol(label) if label else nullcontext()
+
+    def resume(i, value):
+        with scope(labels[i]):
+            try:
+                waiting[i] = programs[i].send(value)
+            except StopIteration as done:
+                waiting.pop(i, None)
+                results[i] = done.value
+
+    for i in range(len(programs)):
+        resume(i, None)
+    while waiting:
+        gate = waiting[min(waiting)][0]
+        joined = [i for i in sorted(waiting) if waiting[i][0] is gate]
+        with scope(labels[joined[0]] if len(joined) == 1 else None):
+            outs = _joint(party, gate, [waiting[i][1:] for i in joined])
+        for i, out in zip(joined, outs):
+            resume(i, out)
+    return results
+
+
+def program(steps, label=None):
+    """The plain call of the program ``steps``: it runs alone, under
+    ``label`` if given. ``.steps`` keeps the generator for ``yield from``."""
+    @functools.wraps(steps)
+    def call(party: Party, *args):
+        return lockstep(party, [steps(party, *args)], [label])[0]
+    call.steps = steps
+    return call
+
+
 # -- arithmetic multiplication ------------------------------------------------
 
 def _cross(x: ShareVector, y: ShareVector, out: np.ndarray):
@@ -67,9 +144,14 @@ def mul_shares(party: Party, x: ShareVector, y: ShareVector) -> ShareVector:
     return reshare(party, out)
 
 
+def matmul_term(x: ShareVector, y: ShareVector) -> np.ndarray:
+    """This party's local term of the matrix product x @ y, batched over leading axes."""
+    return x.a @ (y.a + y.b) + x.b @ y.a
+
+
 def matmul_shares(party: Party, x: ShareVector, y: ShareVector) -> ShareVector:
     """Secure matrix product, batched over leading axes: local cross matmuls plus one round."""
-    return reshare(party, x.a @ (y.a + y.b) + x.b @ y.a)
+    return reshare(party, matmul_term(x, y))
 
 
 # -- boolean layer -------------------------------------------------------------
@@ -186,6 +268,7 @@ def bit_extract(x: ShareVector, position) -> ShareVector:
     return ShareVector((x.a >> pos) & one, (x.b >> pos) & one)
 
 
+@program
 def b2a_sum(party: Party, lanes: list[ShareVector], weights) -> ShareVector:
     """Arithmetic sum of ``weights[t] * lanes[t]`` for XOR-shared 0/1 lanes of one shape.
 
@@ -199,19 +282,20 @@ def b2a_sum(party: Party, lanes: list[ShareVector], weights) -> ShareVector:
     the ring arithmetic stays on arrays, where numpy wraps without a warning.
     """
     if not lanes[0].shape:
-        return b2a_sum(party, [lane.reshape(1) for lane in lanes], weights).reshape(np.shape(weights[0]))
+        out = yield from b2a_sum.steps(party, [lane.reshape(1) for lane in lanes], weights)
+        return out.reshape(np.shape(weights[0]))
     u = np.empty((len(lanes),) + lanes[0].shape, dtype=np.uint64)
     thirds = [None] * len(lanes)
     for t, lane in enumerate(lanes):
         u[t], thirds[t] = party.split(lane, xor=True)
-    u = party.pair_term(reshare(party, u))
+    u = party.pair_term((yield reshare, u))
     shape = np.broadcast_shapes(lanes[0].shape, np.shape(weights[0]))
     out, cw_sum = np.zeros(shape, dtype=np.uint64), np.zeros(shape, dtype=np.uint64)
     for u_t, c3, w in zip(u, thirds, map(to_u64, weights)):
         cw = c3 * w
         cw_sum += cw
         out += u_t * (w - (cw << ONE))
-    return reshare(party, out) + party.const_share(cw_sum, 3)
+    return (yield reshare, out) + party.const_share(cw_sum, 3)
 
 
 def b2a(party: Party, bits: ShareVector) -> ShareVector:
@@ -219,6 +303,7 @@ def b2a(party: Party, bits: ShareVector) -> ShareVector:
     return b2a_sum(party, [bits], [ONE])
 
 
+@program
 def inject(party: Party, bit: ShareVector, d: ShareVector) -> ShareVector:
     """Arithmetic bit * d for an XOR-shared 0/1 bit (shapes broadcast), in two
     rounds.
@@ -236,12 +321,12 @@ def inject(party: Party, bit: ShareVector, d: ShareVector) -> ShareVector:
     part = party.pair_term(d)
     cd = c3 * part
     np.subtract(part, cd << ONE, out=e_term)
-    sent = reshare(party, terms)
+    sent = yield reshare, terms
     u, e = sent[:bit.size].reshape(bit.shape), sent[bit.size:].reshape(shape)
     out = np.empty(shape, dtype=np.uint64)
     _cross(u, e, out)
     out += cd
-    return reshare(party, out)
+    return (yield reshare, out)
 
 
 # -- deterministic truncation -----------------------------------------------------

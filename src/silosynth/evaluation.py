@@ -13,10 +13,14 @@ The trainer (``lr_train``) is full-batch gradient descent on ring words with
 the protocols' fixed-point arithmetic: integer bin features and a bias
 column, so the logits and the gradient need no truncation; softmax with a
 clamped polynomial exponential and a Goldschmidt division whose products
-reach scale 3f, which is why frac_bits stays at most 20. The accuracy argmax
-is one ``select_max`` over the 5 classes, 12 rounds, and the hits are
-divided by the public test-row count with ``div_public``: one truncation,
-10 rounds, 32 rounds for the accuracy in all.
+reach scale 3f, which is why frac_bits stays at most 20. The accuracy is 32
+rounds on its own: the logits 1, the argmax over the 5 classes
+(``select_max``) 12, the hits 9, and their division by the public test-row
+count (``div_public``) one truncation, 10. The workload error is 20: a sign
+8, a selection 2 and a truncation 10. Both are ``lockstep`` programs, and
+``evaluate`` runs them side by side: the sign joins the argmax's
+comparison, the selection its read-out, and the two truncations become
+one, so a loop's evaluation takes the accuracy's 32 rounds.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fixedpoint as fx
-from .circuits import b2a, matmul_shares, trunc_shares
+from .circuits import b2a, lockstep, matmul_shares, program, trunc_shares
 from .marginals import COUNT_BITS, measurement_count, split_marginals
 from .primitives import div_public, eq_zero, is_negative, select, select_max
 from .runtime import Party
@@ -56,7 +60,7 @@ class MetricPair:
     accuracy: ShareVector
 
 
-def wle(party: Party, real: ShareVector, synth: ShareVector, rows) -> ShareVector:
+def wle_steps(party: Party, real: ShareVector, synth: ShareVector, rows) -> ShareVector:
     """Normalized workload error per fold, (K,), between the exact marginal
     counts times 2^COUNT_BITS ``real`` and ``synth`` (K, 24d+5) of two
     datasets of ``rows`` rows each.
@@ -66,14 +70,16 @@ def wle(party: Party, real: ShareVector, synth: ShareVector, rows) -> ShareVecto
     f + COUNT_BITS. A marginal's L1 distance is at most 2 rows, so that sum's
     product stays near 2^(2f + COUNT_BITS + 1), below 2^46 at f = 20.
     """
-    with party.protocol("wle"):
-        f = party.fp.frac_bits
-        diff = (real - synth).scale_by(fx.encode(1.0 / np.asarray(rows), f)[:, None])
-        total = select(party, is_negative(party, diff), diff, -diff).sum(axis=1)
-        d = split_marginals(real)[0].shape[1]
-        inv_count = fx.encode_scalar(1.0 / measurement_count(d), f)
-        err = trunc_shares(party, total.scale_by(inv_count), f + COUNT_BITS)
-    return err
+    f = party.fp.frac_bits
+    diff = (real - synth).scale_by(fx.encode(1.0 / np.asarray(rows), f)[:, None])
+    negative = yield is_negative, diff
+    total = (yield from select.steps(party, negative, diff, -diff)).sum(axis=1)
+    d = split_marginals(real)[0].shape[1]
+    inv_count = fx.encode_scalar(1.0 / measurement_count(d), f)
+    return (yield trunc_shares, total.scale_by(inv_count), f + COUNT_BITS)
+
+
+wle = program(wle_steps, "wle")
 
 
 def _softmax(z: np.ndarray, f: int) -> np.ndarray:
@@ -134,16 +140,17 @@ def _with_bias(party: Party, data: ShareMatrix) -> ShareVector:
     return concat_shares([data.genes(), party.const_share(data.mask[..., None])], axis=2)
 
 
-def lr_accuracy(party: Party, weights: ShareVector, test: ShareMatrix) -> ShareVector:
+def accuracy_steps(party: Party, weights: ShareVector, test: ShareMatrix) -> ShareVector:
     """Secret fraction of each fold's test rows whose predicted class equals the label: (K,)."""
     if np.any(test.rows == 0):
         raise ValueError("empty test set")
-    with party.protocol("acc"):
-        logits = matmul_shares(party, _with_bias(party, test), weights)
-        predicted = select_max(party, logits, np.arange(N_CLASSES))
-        hits = b2a(party, eq_zero(party, predicted - test.labels())).scale_by(test.mask)
-        acc = div_public(party, hits.sum(axis=1), test.rows)
-    return acc
+    logits = matmul_shares(party, _with_bias(party, test), weights)
+    predicted = yield from select_max.steps(party, logits, np.arange(N_CLASSES))
+    hits = b2a(party, eq_zero(party, predicted - test.labels())).scale_by(test.mask)
+    return (yield from div_public.steps(party, hits.sum(axis=1), test.rows))
+
+
+lr_accuracy = program(accuracy_steps, "acc")
 
 
 def evaluate(party: Party, real_counts: ShareVector, synth_counts: ShareVector, rows,
@@ -151,8 +158,12 @@ def evaluate(party: Party, real_counts: ShareVector, synth_counts: ShareVector, 
     """Fidelity (workload error between the exact marginal counts of the real
     training folds and of the synthetic folds, ``rows`` rows each) and
     utility (accuracy on the held-out real rows of the weights the enclave
-    trained on the synthetic rows), per fold; both metrics stay secret."""
+    trained on the synthetic rows), per fold; both metrics stay secret.
+
+    The accuracy leads the ``lockstep`` and the workload error joins its
+    sign, selection and truncation: 32 rounds. Steps of one metric alone
+    count under ``acc`` or ``wle``, the shared ones under ``eval``."""
     with party.protocol("eval"):
-        fidelity = wle(party, real_counts, synth_counts, rows)
-        acc = lr_accuracy(party, weights, real_test)
+        acc, fidelity = lockstep(party, [accuracy_steps(party, weights, real_test),
+                                         wle_steps(party, real_counts, synth_counts, rows)], ["acc", "wle"])
     return MetricPair(fidelity, acc)

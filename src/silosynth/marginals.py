@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fixedpoint as fx
-from .circuits import ONE, matmul_shares, mul_shares, trunc_shares
+from .circuits import ONE, matmul_term, mul_shares, program, reshare, trunc_shares
 from .primitives import gauss01
 from .runtime import Party
 from .sharing import ShareMatrix, ShareVector, concat_shares, stack_shares
@@ -130,7 +130,7 @@ def scaled_onehots(party: Party, matrix: ShareMatrix) -> tuple[ShareVector, Shar
             _combine(party, label_powers, _LABEL_BASIS, mask))
 
 
-def marginal_counts(party: Party, onehots: tuple[ShareVector, ShareVector]) -> ShareVector:
+def marginal_count_steps(party: Party, onehots: tuple[ShareVector, ShareVector]) -> ShareVector:
     """Exact secret counts times 2^COUNT_BITS of the measured workload, per
     fold, in the canonical cell order: (K, 24d+5), from ``scaled_onehots``.
 
@@ -144,9 +144,13 @@ def marginal_counts(party: Party, onehots: tuple[ShareVector, ShareVector]) -> S
     genes, labels = onehots
     k, n, d = genes.shape[:3]
     lhs = genes.map(lambda w: w.transpose(0, 2, 3, 1).reshape(k, d * GENE_DOMAIN, n))   # (K, 4d, N)
+    two_way = yield reshare, matmul_term(lhs, labels)
     return concat_shares([lhs.sum(axis=2).scale_by(ONE << np.uint64(COUNT_BITS - GENE_BITS)),
                           labels.sum(axis=1).scale_by(ONE << np.uint64(COUNT_BITS - LABEL_BITS)),
-                          matmul_shares(party, lhs, labels).reshape(k, -1)], axis=1)
+                          two_way.reshape(k, -1)], axis=1)
+
+
+marginal_counts = program(marginal_count_steps)
 
 
 def split_marginals(flat):
@@ -171,7 +175,7 @@ def cell_counts(rows: np.ndarray) -> np.ndarray:
     return fx.to_u64(counts) << np.uint64(COUNT_BITS)
 
 
-def noisy_marginals(party: Party, onehots: tuple[ShareVector, ShareVector], sigma_q: float):
+def noisy_marginal_steps(party: Party, onehots: tuple[ShareVector, ShareVector], sigma_q: float):
     """Exact counts of the ``scaled_onehots`` lifted to fixed-point scale
     plus independent Gaussian noise.
 
@@ -179,15 +183,19 @@ def noisy_marginals(party: Party, onehots: tuple[ShareVector, ShareVector], sigm
     marginals, both (K, 24d+5), so the workload error can reuse the counts.
     One exact truncation by f of counts * 2^(2f - COUNT_BITS) + noise *
     encode(sigma_q) gives count * 2^f + floor(noise * sigma_q / 2^f) word for
-    word, since adding a multiple of 2^f commutes with the floor: 13 rounds.
+    word, since adding a multiple of 2^f commutes with the floor. Alone that
+    is 13 rounds: the counts 1, the noise draw 2 and the truncation 10; the
+    publish path's bin means join the counts' round and the truncation.
     The noise lies in [-6, 6], so that holds while n * 2^(2f) + 6 * 2^f *
     encode(sigma_q) < 2^63 for cells of at most n rows, which
     ``pipeline.preflight`` checks. At sigma_q = 0 the noise term is 0 and
     the counts come back at scale f unchanged.
     """
     f = party.fp.frac_bits
-    with party.protocol("noisy_marg"):
-        counts = marginal_counts(party, onehots)
-        noise = gauss01(party, counts.shape[1], counts.shape[0])
-        lifted = counts.scale_by(ONE << np.uint64(2 * f - COUNT_BITS))
-        return counts, trunc_shares(party, lifted + noise.scale_by(fx.encode_scalar(sigma_q, f)), f)
+    counts = yield from marginal_count_steps(party, onehots)
+    noise = gauss01(party, counts.shape[1], counts.shape[0])
+    lifted = counts.scale_by(ONE << np.uint64(2 * f - COUNT_BITS))
+    return counts, (yield trunc_shares, lifted + noise.scale_by(fx.encode_scalar(sigma_q, f)), f)
+
+
+noisy_marginals = program(noisy_marginal_steps, "noisy_marg")

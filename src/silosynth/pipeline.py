@@ -29,12 +29,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fixedpoint as fx
-from .binning import bin_train, compute_bin_means, inv_bin
-from .circuits import bit_extract, not_packed
+from .binning import bin_means_steps, bin_train, inv_bin
+from .circuits import bit_extract, lockstep, not_packed
 from .evaluation import MetricPair, evaluate
 from .generator import generate_bridge, generate_rows
 from .ingest import IngestionError
-from .marginals import calibrate, measurement_count, noisy_marginals, scaled_onehots
+from .marginals import calibrate, measurement_count, noisy_marginal_steps, noisy_marginals, scaled_onehots
 from .primitives import and_all, lt, select_max
 from .rng import CounterStream, derive_key
 from .runtime import Party
@@ -275,13 +275,17 @@ def publish_path(party: Party, matrix: ShareMatrix, binned: ShareMatrix, cuts: S
                  h_selected: int, config: PipelineConfig) -> np.ndarray:
     """Generate from the full data, binned with ``cuts`` on the first loop,
     de-bin with its bin means, and reveal the synthetic rows: opened ring
-    words, shape (rows, d+1)."""
+    words, shape (rows, d+1).
+
+    The noisy marginals and the bin means read the same one-hots and run in
+    ``lockstep``: the bin sums join the counts' round and the bin means'
+    truncation the noise's, and the bin means' division follows under
+    ``bin``. 64 rounds with the generation, de-binning and reveal."""
     sigma_q = calibrate(config.eps_s, config.delta_s, measurement_count(matrix.n_genes)).sigma_q
     with party.protocol("noisy_marg"):
         onehots = scaled_onehots(party, binned)
-    with party.protocol("bin"):
-        means = compute_bin_means(party, onehots[0], matrix.genes(), cuts)
-    _, ms = noisy_marginals(party, onehots, sigma_q)
+        (_, ms), means = lockstep(party, [noisy_marginal_steps(party, onehots, sigma_q),
+                                          bin_means_steps(party, onehots[0], matrix.genes(), cuts)], [None, "bin"])
     n_out = config.synthetic_rows or matrix.n_rows
     onehot, labels = generate_rows(party, ms, n_out, h_selected, config.seed, PUBLISH_CONTEXT)
     debinned = concat_shares([inv_bin(party, onehot, means), labels[..., None]], axis=2)

@@ -31,6 +31,7 @@ from .circuits import (
     less_than_bits,
     mul_shares,
     not_packed,
+    program,
     reshare_xor,
     trunc_shares,
 )
@@ -62,17 +63,18 @@ def eq_zero(party: Party, x: ShareVector) -> ShareVector:
     in 6 rounds: 7 rounds and 7 words per element.
     """
     lead, third = party.split(x)
-    a = reshare_xor(party, lead.copy())
+    a = reshare_xor(party, lead if lead.flags.writeable else lead.copy())   # copies only a zero view
     t = not_packed(party, a ^ party.const_share(np.negative(third), 3))
     for k in (32, 16, 8, 4, 2, 1):
         t = and_packed(party, t, t >> k)
     return bit_extract(t, 0)
 
 
+@program
 def select(party: Party, bit: ShareVector, x: ShareVector, y: ShareVector) -> ShareVector:
     """y where the XOR-shared 0/1 bit is 1, x elsewhere (shapes broadcast):
     the bit is injected into y - x, two rounds."""
-    return x + inject(party, bit, y - x)
+    return x + (yield from inject.steps(party, bit, y - x))
 
 
 def and_all(party: Party, words: ShareVector) -> ShareVector:
@@ -84,21 +86,23 @@ def and_all(party: Party, words: ShareVector) -> ShareVector:
     return words[..., 0]
 
 
+@program
 def select_max(party: Party, z: ShareVector, values) -> ShareVector:
     """The public values[m], secret-shared over z's leading shape, at the
     lowest index m of z's last axis that attains its maximum.
 
-    All pairs at once (CrypTen's pairwise method): one ``lt`` over the
-    W(W-1)/2 pairs c < m (8 rounds). Entry m is the lowest-index maximum iff
-    onehot_m = prod_{c<m} [z_c < z_m] * prod_{c>m} NOT [z_m < z_c], an AND
-    tree of ceil(log2(W-1)) levels. One ``b2a_sum`` reads values with the
-    one-hot, a lane per entry (2 rounds): 12 rounds for W = 5, none for W = 1.
+    All pairs at once (CrypTen's pairwise method): one ``is_negative`` of
+    z_c - z_m over the W(W-1)/2 pairs c < m (8 rounds). Entry m is the
+    lowest-index maximum iff onehot_m = prod_{c<m} [z_c < z_m] * prod_{c>m}
+    NOT [z_m < z_c], an AND tree of ceil(log2(W-1)) levels. One ``b2a_sum``
+    reads values with the one-hot, a lane per entry (2 rounds): 12 rounds
+    for W = 5, none for W = 1.
     """
     w = z.shape[-1]
     if w == 1:
         return party.const_share(np.full(z.shape[:-1], values[0], dtype=np.uint64))
     lo, hi = np.triu_indices(w, 1)
-    less = lt(party, z[..., lo], z[..., hi])                # [z_lo < z_hi] per pair
+    less = yield is_negative, z[..., lo] - z[..., hi]       # [z_lo < z_hi] per pair
     # factor (m, c) for each c != m: the pair's bit, negated when c > m
     pair = np.zeros((w, w), dtype=np.int64)
     pair[lo, hi] = pair[hi, lo] = np.arange(lo.size)
@@ -106,7 +110,7 @@ def select_max(party: Party, z: ShareVector, values) -> ShareVector:
     later = others > np.arange(w)[:, None]
     factors = less[..., pair[np.arange(w)[:, None], others]] ^ party.const_share(later.astype(np.uint64))
     onehot = bit_extract(and_all(party, factors), 0)
-    return b2a_sum(party, [onehot[..., m] for m in range(w)], values)
+    return (yield from b2a_sum.steps(party, [onehot[..., m] for m in range(w)], values))
 
 
 def mul_fx(party: Party, x: ShareVector, y: ShareVector) -> ShareVector:
@@ -161,6 +165,7 @@ def div_fx(party: Party, a: ShareVector, count: ShareVector, n: int, fallback: S
     return q + mul_fx(party, a - mul_fx(party, q, denom), r) + prod[1]
 
 
+@program
 def div_public(party: Party, x: ShareVector, d) -> ShareVector:
     """Fixed-point x/d of secret integers x by public integers d (shapes
     broadcast), for 0 <= x <= d < 2^f: word for word what ``div_fx`` returns
@@ -173,7 +178,7 @@ def div_public(party: Party, x: ShareVector, d) -> ShareVector:
     r = public_reciprocal(fx.to_u64(d) << np.uint64(f), f)
     q = x.scale_by(r)
     residual = x.scale_by(ONE << np.uint64(f)) - q.scale_by(d)
-    return q + trunc_shares(party, residual.scale_by(r), f)
+    return q + (yield trunc_shares, residual.scale_by(r), f)
 
 
 # -- oblivious sorting ---------------------------------------------------------

@@ -17,6 +17,7 @@ from silosynth.evaluation import (
 from silosynth.fixedpoint import FixedPointConfig
 from silosynth.marginals import COUNT_BITS, marginal_counts, scaled_onehots
 from silosynth.runtime import Party, run_parties
+from silosynth.sharing import ShareMatrix
 
 ULP = 2.0**-16
 # Every exponential lies in [0, 1] and the row maximum's is exactly 1.0, so a
@@ -294,6 +295,44 @@ def test_evaluate_identity_synthetic(rng):
     want_acc = ref.clear_lr_accuracy(ref.clear_lr_train(genes, labels, 20, 0.05), test_g, test_l)
     got_acc = int(np.atleast_1d(reconstruct([r[1] for r in results]))[0])
     assert got_acc == int(want_acc)
+
+
+def test_evaluate_unequal_folds_match_mirror_in_32_rounds(rng):
+    """evaluate over K = 3 folds of 7, 5 and 6 training rows and 3, 2 and 4
+    test rows, each batch padded to its longest fold: every fold's workload
+    error equals clear_wle and its accuracy clear_lr_accuracy word for word,
+    and the two metrics take the accuracy's 32 rounds at every party, 12
+    under acc alone and 20 under eval, where the workload error's sign,
+    selection and truncation join the accuracy's."""
+    d, train_rows, test_rows = 2, [7, 5, 6], [3, 2, 4]
+
+    def batch(rows, tag):
+        genes = rng.integers(0, 4, size=(3, max(rows), d))
+        labels = rng.integers(0, 5, size=(3, max(rows)))
+        cells = np.concatenate([genes, labels[..., None]], axis=2)
+        return genes, labels, [ShareMatrix(s, d, rows) for s in shared(cells, tag)]
+
+    real_g, real_l, real = batch(train_rows, 140)
+    synth_g, synth_l, synth = batch(train_rows, 141)
+    test_g, test_l, test = batch(test_rows, 142)
+    w = np.stack([train(synth_g[k, :n], synth_l[k, :n], 5, 0.1) for k, n in enumerate(train_rows)])
+    sw = shared(w, 143)
+
+    def body(p):
+        i = p.pid - 1
+        real_counts, synth_counts = counts_of(p, real[i]), counts_of(p, synth[i])
+        p.ledger.reset()
+        m = evaluate(p, real_counts, synth_counts, real[i].rows, sw[i], test[i])
+        return m.wle, m.accuracy
+
+    results, parties = run3(body)
+    wle_words = reconstruct([r[0] for r in results])
+    acc_words = reconstruct([r[1] for r in results])
+    for k, (n, t) in enumerate(zip(train_rows, test_rows)):
+        assert wle_words[k] == ref.clear_wle(real_g[k, :n], real_l[k, :n], synth_g[k, :n], synth_l[k, :n])
+        assert acc_words[k] == ref.clear_lr_accuracy(w[k], test_g[k, :t], test_l[k, :t])
+    for p in parties:
+        assert {label: e["rounds"] for label, e in p.ledger.snapshot().items()} == {"acc": 12, "eval": 20, "wle": 0}
 
 
 # -- softmax arithmetic ---------------------------------------------------------

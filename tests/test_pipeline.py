@@ -30,9 +30,11 @@ def small_config(**kw):
     return cfg
 
 
-def run_full(config, datasets, thresholds, seed=None):
+def run_full(config, datasets, thresholds):
+    """Every party's RunResult and Party of one in-process run, custodian
+    uploads included, at the config's frac_bits."""
     uploads = [
-        custodian_components(g, l, thresholds[c], 16, config.seed, c)
+        custodian_components(g, l, thresholds[c], config.frac_bits, config.seed, c)
         for c, (g, l) in enumerate(datasets)
     ]
     fingerprint = config_fingerprint(canonical_text(config))
@@ -44,7 +46,7 @@ def run_full(config, datasets, thresholds, seed=None):
                                    [u[1][party.pid - 1] for u in uploads], n_genes)
         return run_pipeline(party, combined, ThresholdSet(thr), config)
 
-    results, parties = run_parties(body, config.seed, FixedPointConfig(16), timeout=600)
+    results, parties = run_parties(body, config.seed, FixedPointConfig(config.frac_bits), timeout=600)
     return results, parties
 
 
@@ -301,6 +303,71 @@ def test_unequal_folds_match_clear_pipeline(k_folds, mode):
         assert r.synthetic.tobytes() == clear["synthetic"].tobytes()
 
 
+# per-custodian bars that decide every vote whatever the data: all met, or
+# an accuracy floor above 1
+VACUOUS, NO_ACCURACY = (1000.0, 0.0), (1000.0, 2.0)
+
+
+def random_shape(rng):
+    """A config, thresholds and a same-shape dataset generator drawn from rng:
+    1-3 custodians of 3-14 rows each, 1-4 genes (tied in about a third of
+    the shapes), f in {8, 12, 16, 20}, K in 2..6, either mode,
+    synthetic_rows 0 or 7, noise scales from small to past the ring."""
+    custodians, d = int(rng.integers(1, 4)), int(rng.integers(1, 5))
+    rows = [int(n) for n in rng.integers(3, 15, size=custodians)]
+    tied = bool(rng.random() < 0.3)
+    config = small_config(k_folds=int(rng.integers(2, 7)), frac_bits=int(rng.choice([8, 12, 16, 20])),
+                          n_custodians=custodians, mode=str(rng.choice([pipeline.FIRST_PASS, EXHAUSTIVE])),
+                          synthetic_rows=int(rng.choice([0, 7])), eps_s=float(rng.choice([5.0, 0.5, 1e-6])),
+                          hyperparams=(3, 5), lr_epochs=2, seed=int(rng.integers(1 << 16)))
+    thresholds = np.array([NO_ACCURACY if rng.random() < 0.2 else VACUOUS for _ in range(custodians)])
+
+    def datasets():
+        return [(rng.integers(-2, 3, size=(n, d)) * 0.75 if tied else rng.normal(0, 2, size=(n, d)),
+                 rng.integers(0, 5, size=n)) for n in rows]
+    return config, thresholds, rows, datasets
+
+
+def test_random_shapes_match_mirror_and_keep_ledgers():
+    """Both contracts over 25 shapes from a fixed seed. Each shape the
+    preflight admits runs end to end and equals clear_pipeline byte for
+    byte (8c); a second dataset of the same shape gives the same ledgers,
+    seconds aside, and the same opening and reveal logs (7b). Each shape it
+    refuses breaks the fold plan or the noise's ring bound, and no other
+    shape does."""
+    draw = np.random.default_rng(2026)
+    ran = refused = published = 0
+    for _ in range(25):
+        config, thresholds, rows, datasets = random_shape(draw)
+        n, k, f = sum(rows), config.k_folds, config.frac_bits
+        d = datasets()[0][0].shape[1]
+        sigma_q = marginals.calibrate(config.eps_s, config.delta_s, marginals.measurement_count(d)).sigma_q
+        bad_folds = n // k < 1 or n - -(-n // k) < 2
+        bad_noise = (n << 2 * f) + (6 << f) * sigma_q * (1 << f) >= 1 << 63
+        if bad_folds or bad_noise:
+            with pytest.raises(IngestionError, match="folds" if bad_folds else "sigma_q"):
+                pipeline.preflight(rows, [d] * len(rows), config)
+            refused += 1
+            continue
+        pipeline.preflight(rows, [d] * len(rows), config)
+        runs = []
+        for data in (datasets(), datasets()):
+            results, parties = run_full(config, data, thresholds)
+            clear = ref.clear_pipeline(data, thresholds, config)
+            for r in results:
+                assert (r.publish, r.h_selected, [(x.hyperparam, x.vote_bit) for x in r.loops]) == \
+                    (clear["publish"], clear["h_selected"], clear["loops"])
+                if r.publish:
+                    assert r.synthetic.tobytes() == clear["synthetic"].tobytes()
+            ledgers = [{label: {key: v for key, v in e.items() if key != "seconds"}
+                        for label, e in p.ledger.snapshot().items()} for p in parties]
+            runs.append((ledgers, [r.opening_log for r in results], [r.reveal_log for r in results]))
+        assert runs[0] == runs[1], f"traffic depends on the data at {config}, rows {rows}"
+        ran += 1
+        published += results[0].publish
+    assert ran >= 15 and refused and 0 < published < ran
+
+
 def test_loop_lr_rounds_do_not_grow_with_folds(rng):
     """The enclave trains every fold's model inside its one step: evaluation
     (eval with its nested wle and acc) and the enclave step (sdg) take the
@@ -318,17 +385,17 @@ def test_loop_lr_rounds_do_not_grow_with_folds(rng):
     def rounds(run, labels):
         return [sum(ledger[label][0] for label in labels) for ledger in traffic[run]]
 
-    for labels, want in ((("eval", "wle", "acc"), 52), (("sdg",), 2)):
+    for labels, want in ((("eval", "wle", "acc"), 32), (("sdg",), 2)):
         assert rounds((2, 2), labels) == rounds((3, 2), labels) == [want] * 3
     assert traffic[3, 2] == traffic[3, 7]
 
 
 # (rounds, bytes sent) per party, summed over the ledger labels
-PINNED_TINY_TRAFFIC = [(315, 575472), (315, 577320), (315, 575472)]
+PINNED_TINY_TRAFFIC = [(284, 575472), (284, 577320), (284, 575472)]
 # each label's own rounds (nested labels excluded) at parties 1, 2 and 3
 PINNED_TINY_ROUNDS = {
-    "ingest": [1] * 3, "sort": [130] * 3, "bin": [87] * 3, "noisy_marg": [30] * 3,
-    "sdg": [2] * 3, "eval": [0] * 3, "wle": [20] * 3, "acc": [32] * 3, "vote": [11] * 3,
+    "ingest": [1] * 3, "sort": [130] * 3, "bin": [76] * 3, "noisy_marg": [30] * 3,
+    "sdg": [2] * 3, "eval": [20] * 3, "wle": [0] * 3, "acc": [12] * 3, "vote": [11] * 3,
     "inv_bin": [1] * 3, "publish": [1] * 3,
 }
 
@@ -347,6 +414,30 @@ def test_tiny_run_traffic_pinned(rng):
     totals = [(sum(e["rounds"] for e in s.values()), sum(e["bytes_sent"] for e in s.values())) for s in snaps]
     assert totals == PINNED_TINY_TRAFFIC
     assert {label: [s[label]["rounds"] for s in snaps] for label in snaps[0]} == PINNED_TINY_ROUNDS
+
+
+def test_publish_path_rounds_pinned(rng, monkeypatch):
+    """The publish path of the 2x12x3 run takes 64 rounds at every party:
+    the full data's one-hots 2, its counts and bin sums in one round, the
+    noise draw 2 and one truncation 10 for the noisy marginals and the bin
+    means (15 under noisy_marg), the bin means' division 46 (bin), and the
+    generation, de-binning and reveal 1 each."""
+    real, costs = pipeline.publish_path, {}
+
+    def spy(party, *args):
+        before = party.ledger.snapshot()
+        out = real(party, *args)
+        costs[party.pid] = {label: e["rounds"] - before.get(label, {"rounds": 0})["rounds"]
+                            for label, e in party.ledger.snapshot().items()
+                            if e["rounds"] != before.get(label, {"rounds": 0})["rounds"]}
+        return out
+
+    monkeypatch.setattr(pipeline, "publish_path", spy)
+    config = small_config(k_folds=2, hyperparams=(10,), max_loops=1, lr_epochs=2)
+    results, _ = run_full(config, two_datasets(rng, n_each=12), np.array([[1000.0, 0.0], [1000.0, 0.0]]))
+    assert results[0].publish
+    want = {"noisy_marg": 15, "bin": 46, "sdg": 1, "inv_bin": 1, "publish": 1}
+    assert costs == {1: want, 2: want, 3: want} and sum(want.values()) == 64
 
 
 def spy_sorts(monkeypatch):
