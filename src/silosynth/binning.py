@@ -18,9 +18,9 @@ from __future__ import annotations
 import numpy as np
 
 from . import fixedpoint as fx
-from .circuits import b2a_sum, matmul_shares, matmul_term, program, reshare, trunc_shares
+from .circuits import b2a_sum, matmul_shares, matmul_term, program, reshare, select, trunc_shares
 from .marginals import GENE_BITS
-from .primitives import div_fx, lt, select, sort_columns
+from .primitives import div_fx, lt, sort_columns
 from .runtime import Party
 from .sharing import ShareMatrix, ShareVector, concat_shares
 

@@ -25,8 +25,9 @@ runs on.
 
 Every XOR-to-arithmetic step is one formula, bit injection (ABY3 §5.4):
 with u = c1 ^ c2 at party 1 and c3 at parties 2 and 3 (``Party.split``), a
-0/1 bit times d is u (1 - 2 c3) d + c3 d. ``inject`` takes a secret d,
-``b2a_sum`` public weights (``b2a`` weight 1); both take two rounds.
+0/1 bit times d is u (1 - 2 c3) d + c3 d. ``select`` takes a secret d
+(the injection of a secret value: x + bit (y - x)), ``b2a_sum`` public
+weights (``b2a`` weight 1); both take two rounds.
 """
 
 from __future__ import annotations
@@ -304,9 +305,9 @@ def b2a(party: Party, bits: ShareVector) -> ShareVector:
 
 
 @program
-def inject(party: Party, bit: ShareVector, d: ShareVector) -> ShareVector:
-    """Arithmetic bit * d for an XOR-shared 0/1 bit (shapes broadcast), in two
-    rounds.
+def select(party: Party, bit: ShareVector, x: ShareVector, y: ShareVector) -> ShareVector:
+    """y where the XOR-shared 0/1 bit is 1, x elsewhere (shapes broadcast):
+    x plus the bit injected into d = y - x, in two rounds.
 
     Bit injection of a secret d: e = (1 - 2 c3) d is local to parties 2 and
     3, from d's additive term of those two parties (``pair_term``, the split
@@ -314,6 +315,7 @@ def inject(party: Party, bit: ShareVector, d: ShareVector) -> ShareVector:
     the product u e, with the c3 d terms added into its re-share. Sends
     |bit| + 2 |out| words per party.
     """
+    d = y - x
     shape = np.broadcast_shapes(bit.shape, d.shape)
     terms = np.empty(bit.size + int(np.prod(shape)), dtype=np.uint64)
     u_term, e_term = terms[:bit.size].reshape(bit.shape), terms[bit.size:].reshape(shape)
@@ -326,7 +328,7 @@ def inject(party: Party, bit: ShareVector, d: ShareVector) -> ShareVector:
     out = np.empty(shape, dtype=np.uint64)
     _cross(u, e, out)
     out += cd
-    return (yield reshare, out)
+    return x + (yield reshare, out)
 
 
 # -- deterministic truncation -----------------------------------------------------

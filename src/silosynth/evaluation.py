@@ -25,14 +25,12 @@ one, so a loop's evaluation takes the accuracy's 32 rounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import fixedpoint as fx
-from .circuits import b2a, lockstep, matmul_shares, program, trunc_shares
+from .circuits import b2a, lockstep, matmul_shares, program, select, trunc_shares
 from .marginals import COUNT_BITS, measurement_count, split_marginals
-from .primitives import div_public, eq_zero, is_negative, select, select_max
+from .primitives import div_public, eq_zero, is_negative, select_max
 from .runtime import Party
 from .sharing import ShareMatrix, ShareVector, concat_shares
 
@@ -50,14 +48,6 @@ RECIP_ALPHA = 6 / 7
 RECIP_BETA = 1 / 7
 GOLDSCHMIDT_STEPS = 3
 GUARD_BITS = 8
-
-
-@dataclass
-class MetricPair:
-    """Secret evaluation metrics per fold, shape (K,); never opened inside the tuning loop."""
-
-    wle: ShareVector
-    accuracy: ShareVector
 
 
 def wle_steps(party: Party, real: ShareVector, synth: ShareVector, rows) -> ShareVector:
@@ -154,11 +144,12 @@ lr_accuracy = program(accuracy_steps, "acc")
 
 
 def evaluate(party: Party, real_counts: ShareVector, synth_counts: ShareVector, rows,
-             weights: ShareVector, real_test: ShareMatrix) -> MetricPair:
+             weights: ShareVector, real_test: ShareMatrix) -> tuple[ShareVector, ShareVector]:
     """Fidelity (workload error between the exact marginal counts of the real
     training folds and of the synthetic folds, ``rows`` rows each) and
     utility (accuracy on the held-out real rows of the weights the enclave
-    trained on the synthetic rows), per fold; both metrics stay secret.
+    trained on the synthetic rows), per fold: secret (K,) workload errors
+    and accuracies, never opened inside the tuning loop.
 
     The accuracy leads the ``lockstep`` and the workload error joins its
     sign, selection and truncation: 32 rounds. Steps of one metric alone
@@ -166,4 +157,4 @@ def evaluate(party: Party, real_counts: ShareVector, synth_counts: ShareVector, 
     with party.protocol("eval"):
         acc, fidelity = lockstep(party, [accuracy_steps(party, weights, real_test),
                                          wle_steps(party, real_counts, synth_counts, rows)], ["acc", "wle"])
-    return MetricPair(fidelity, acc)
+    return fidelity, acc

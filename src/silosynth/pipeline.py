@@ -1,6 +1,7 @@
 """End-to-end publish loop on the ingested data: K-fold tuning, secret voting, publish.
 
-One loop per hyperparameter candidate (in configured order): split by a
+``run_pipeline`` runs one loop per hyperparameter candidate (in configured
+order), all at one noise scale: split by a
 seeded public fold plan, bin the training rows and the held-out rows (with
 the training cuts), measure noisy marginals, let the generator enclave
 sample synthetic rows and re-share their counts and a model trained on
@@ -24,14 +25,14 @@ claim is a single (eps_s + eps_p, delta_s + delta_p).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import fixedpoint as fx
 from .binning import bin_means_steps, bin_train, inv_bin
 from .circuits import bit_extract, lockstep, not_packed
-from .evaluation import MetricPair, evaluate
+from .evaluation import evaluate
 from .generator import generate_bridge, generate_rows
 from .ingest import IngestionError
 from .marginals import calibrate, measurement_count, noisy_marginal_steps, noisy_marginals, scaled_onehots
@@ -101,15 +102,6 @@ class ThresholdSet:
 class LoopRecord:
     hyperparam: int
     vote_bit: int
-
-
-@dataclass
-class TuningResult:
-    publish: bool
-    h_selected: int | None
-    loops: list[LoopRecord] = field(default_factory=list)
-    binned: ShareMatrix | None = None   # the full data binned on the first loop
-    cuts: ShareVector | None = None     # and its cuts, (1, d, 3)
 
 
 def fold_plan(master_seed: int, loop_index: int, n_rows: int, k: int):
@@ -211,13 +203,13 @@ def secret_vote(party: Party, wle_sum: ShareVector, acc_sum: ShareVector,
 
 def run_fold(party: Party, matrix: ShareMatrix, plan, loop_index: int,
              h: int, config: PipelineConfig, sigma_q: float
-             ) -> tuple[MetricPair, ShareMatrix | None, ShareVector | None]:
-    """Every fold of one tuning loop in one round schedule: the (K,) metrics,
-    and on the first loop the full data binned, with its cuts, from the same
-    sort (None and None on later loops)."""
+             ) -> tuple[ShareVector, ShareVector, tuple[ShareMatrix, ShareVector] | None]:
+    """Every fold of one tuning loop in one round schedule: the (K,) workload
+    errors and accuracies, and on the first loop the full data binned, with
+    its cuts, from the same sort (None on later loops)."""
     k = len(plan)
-    full = [np.arange(matrix.n_rows)] if loop_index == 0 else []
-    train, test = kfold_split(matrix, plan, full)
+    extra = [np.arange(matrix.n_rows)] if loop_index == 0 else []
+    train, test = kfold_split(matrix, plan, extra)
     binned, cuts, binned_test = bin_train(party, train, test)
     binned_train = binned.batches(slice(k))
     with party.protocol("noisy_marg"):
@@ -226,40 +218,8 @@ def run_fold(party: Party, matrix: ShareMatrix, plan, loop_index: int,
     synth_counts, weights = generate_bridge(party, ms, binned_train.rows, h, config.seed,
                                             [(loop_index, j) for j in range(k)],
                                             config.lr_epochs, config.lr_rate)
-    metrics = evaluate(party, counts, synth_counts, binned_train.rows, weights, binned_test)
-    if not full:
-        return metrics, None, None
-    return metrics, binned.batches(slice(k, None)), cuts[k:]
-
-
-def tuning_loop(party: Party, matrix: ShareMatrix, thresholds: ThresholdSet,
-                config: PipelineConfig) -> TuningResult:
-    sigma_q = calibrate(config.eps_s, config.delta_s, measurement_count(matrix.n_genes)).sigma_q
-    result = TuningResult(publish=False, h_selected=None)
-    candidates: list[tuple[int, ShareVector]] = []  # (loop idx, secret wle sum) of passers
-    n_loops = min(config.max_loops, len(config.hyperparams))
-    for loop_index in range(n_loops):
-        h = config.hyperparams[loop_index]
-        plan = fold_plan(config.seed, loop_index, matrix.n_rows, config.k_folds)
-        metrics, binned, cuts = run_fold(party, matrix, plan, loop_index, h, config, sigma_q)
-        if binned is not None:
-            result.binned, result.cuts = binned, cuts
-        # fold averaging folds into the vote: sums compare against K-scaled
-        # thresholds, which keeps met-at-equality semantics exact
-        wle_sum = metrics.wle.sum(keepdims=True)
-        bit = secret_vote(party, wle_sum, metrics.accuracy.sum(keepdims=True),
-                          thresholds, config.k_folds)
-        result.loops.append(LoopRecord(h, bit))
-        if bit == 1:
-            if config.mode == FIRST_PASS:
-                result.publish = True
-                result.h_selected = h
-                return result
-            candidates.append((loop_index, wle_sum))
-    if config.mode == EXHAUSTIVE and candidates:
-        result.publish = True
-        result.h_selected = config.hyperparams[_select_lowest(party, candidates)]
-    return result
+    wle, accuracy = evaluate(party, counts, synth_counts, binned_train.rows, weights, binned_test)
+    return wle, accuracy, (binned.batches(slice(k, None)), cuts[k:]) if extra else None
 
 
 def _select_lowest(party: Party, candidates: list[tuple[int, ShareVector]]) -> int:
@@ -272,16 +232,15 @@ def _select_lowest(party: Party, candidates: list[tuple[int, ShareVector]]) -> i
 
 
 def publish_path(party: Party, matrix: ShareMatrix, binned: ShareMatrix, cuts: ShareVector,
-                 h_selected: int, config: PipelineConfig) -> np.ndarray:
+                 h_selected: int, config: PipelineConfig, sigma_q: float) -> np.ndarray:
     """Generate from the full data, binned with ``cuts`` on the first loop,
-    de-bin with its bin means, and reveal the synthetic rows: opened ring
-    words, shape (rows, d+1).
+    at the loops' noise scale ``sigma_q``, de-bin with its bin means, and
+    reveal the synthetic rows: opened ring words, shape (rows, d+1).
 
     The noisy marginals and the bin means read the same one-hots and run in
     ``lockstep``: the bin sums join the counts' round and the bin means'
     truncation the noise's, and the bin means' division follows under
     ``bin``. 64 rounds with the generation, de-binning and reveal."""
-    sigma_q = calibrate(config.eps_s, config.delta_s, measurement_count(matrix.n_genes)).sigma_q
     with party.protocol("noisy_marg"):
         onehots = scaled_onehots(party, binned)
         (_, ms), means = lockstep(party, [noisy_marginal_steps(party, onehots, sigma_q),
@@ -307,16 +266,36 @@ class RunResult:
 def run_pipeline(party: Party, combined: ShareMatrix,
                  thresholds: ThresholdSet, config: PipelineConfig) -> RunResult:
     """Algorithm body executed identically by each party on the combined
-    matrix ``ingest_all`` delivers."""
-    tuning = tuning_loop(party, combined, thresholds, config)
+    matrix ``ingest_all`` delivers: a tuning loop per hyperparameter
+    candidate, in order, until one passes (first-pass mode) or all have run
+    (exhaustive mode, which keeps the passer of lowest workload error), then
+    the publish path from the first loop's bins if any loop passed."""
+    sigma_q = calibrate(config.eps_s, config.delta_s, measurement_count(combined.n_genes)).sigma_q
+    loops, passed, h_selected = [], [], None   # passed: (loop idx, secret wle sum)
+    for loop_index, h in enumerate(config.hyperparams[:config.max_loops]):
+        plan = fold_plan(config.seed, loop_index, combined.n_rows, config.k_folds)
+        wle, accuracy, full = run_fold(party, combined, plan, loop_index, h, config, sigma_q)
+        if loop_index == 0:
+            binned, cuts = full
+        # fold averaging folds into the vote: sums compare against K-scaled
+        # thresholds, which keeps met-at-equality semantics exact
+        wle_sum = wle.sum(keepdims=True)
+        bit = secret_vote(party, wle_sum, accuracy.sum(keepdims=True), thresholds, config.k_folds)
+        loops.append(LoopRecord(h, bit))
+        if bit == 1:
+            if config.mode == FIRST_PASS:
+                h_selected = h
+                break
+            passed.append((loop_index, wle_sum))
+    if passed:
+        h_selected = config.hyperparams[_select_lowest(party, passed)]
     synthetic = None
-    if tuning.publish:
-        synthetic = publish_path(party, combined, tuning.binned, tuning.cuts,
-                                 tuning.h_selected, config)
+    if h_selected is not None:
+        synthetic = publish_path(party, combined, binned, cuts, h_selected, config, sigma_q)
     return RunResult(
-        publish=tuning.publish,
-        h_selected=tuning.h_selected,
-        loops=tuning.loops,
+        publish=h_selected is not None,
+        h_selected=h_selected,
+        loops=loops,
         synthetic=synthetic,
         ledger=party.ledger.snapshot(),
         opening_log=list(party.opening_log),

@@ -3,8 +3,9 @@
 All primitives are data-oblivious: message counts, sizes and order depend
 only on public shapes, never on secret values. Comparison rides on the
 component adder from circuits.py; comparison and equality return
-XOR-shared bits: ``select`` injects such a bit directly (two rounds), and a
-caller that needs the bit as an arithmetic value converts it with ``b2a``.
+XOR-shared bits: ``circuits.select``, the injection of a secret value,
+takes such a bit directly (two rounds), and a caller that needs the bit as
+an arithmetic value converts it with ``b2a``.
 The one reciprocal is computed in the clear: a division by a public count
 applies it locally, and one by a secret count in [0, n] looks it up in a
 public table of the n + 1 counts with the count's one-hot. Sorting runs one
@@ -27,7 +28,6 @@ from .circuits import (
     and_packed,
     b2a_sum,
     bit_extract,
-    inject,
     less_than_bits,
     mul_shares,
     not_packed,
@@ -68,13 +68,6 @@ def eq_zero(party: Party, x: ShareVector) -> ShareVector:
     for k in (32, 16, 8, 4, 2, 1):
         t = and_packed(party, t, t >> k)
     return bit_extract(t, 0)
-
-
-@program
-def select(party: Party, bit: ShareVector, x: ShareVector, y: ShareVector) -> ShareVector:
-    """y where the XOR-shared 0/1 bit is 1, x elsewhere (shapes broadcast):
-    the bit is injected into y - x, two rounds."""
-    return x + (yield from inject.steps(party, bit, y - x))
 
 
 def and_all(party: Party, words: ShareVector) -> ShareVector:

@@ -349,9 +349,7 @@ def clear_pipeline(datasets, threshold_rows, config):
             w = clear_lr_train(s_genes, s_labels, config.lr_epochs, config.lr_rate, f)
             acc_sum = acc_sum + clear_lr_accuracy(w, b_test.astype(np.int64), y_test, f)
         votes = 0
-        for c in range(thr.shape[0]):
-            cap = thr[c, 0] * np.uint64(k)
-            floor_ = thr[c, 1] * np.uint64(k)
+        for cap, floor_ in thr * np.uint64(k):
             fail_w = int(fx.signed(np.array([cap]))[0]) < int(fx.signed(np.array([wle_sum]))[0])
             fail_a = int(fx.signed(np.array([acc_sum]))[0]) < int(fx.signed(np.array([floor_]))[0])
             votes += 1 if not (fail_w or fail_a) else 0

@@ -180,8 +180,8 @@ def test_bin_test_ledger_is_two_lt_one_select_one_b2a_per_cell(rng):
     folds with their cuts is one call of two lt, one select and one two-lane
     b2a_sum over the data cells only (padding rows are never compared):
     20 rounds, and no sort."""
-    from silosynth.circuits import b2a_sum
-    from silosynth.primitives import lt, select
+    from silosynth.circuits import b2a_sum, select
+    from silosynth.primitives import lt
 
     genes = rng.normal(0, 2, size=(10, 2))
     labels = rng.integers(0, 5, size=10)
@@ -370,9 +370,11 @@ def test_bin_means_and_inv_bin_cost_pinned(rng):
 def test_bin_means_and_inv_bin_at_the_sum_bound(sign):
     """At frac_bits 8, 255 rows (the most the preflight admits) of genes one
     ulp inside the encode limit all fall in bin 3: its sum is
-    255 (2^54 - 1), about 2^62, the bound of the one exact division.
-    compute_bin_means equals the cleartext mirror and inv_bin its table
-    lookup, word for word, for every bin."""
+    255 (2^54 - 1), about 2^62, past the 2^(63 - f) words where the bin
+    means' division wraps, so bin 3's mean is not the genes' value (at
+    sign 1 it reads 36,028,522,141,057,023 where the true mean word is
+    18,014,398,509,481,983). compute_bin_means still equals the cleartext
+    mirror and inv_bin its table lookup, word for word, for every bin."""
     f = 8
     n, top = (1 << f) - 1, sign * ((1 << (62 - f)) - 1)
     genes = np.full((n, 2), top, dtype=np.int64).view(np.uint64)

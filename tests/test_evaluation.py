@@ -282,9 +282,8 @@ def test_evaluate_identity_synthetic(rng):
     sw = shared(w[None], 122)
 
     def body(p):
-        m = evaluate(p, counts_of(p, real[p.pid - 1]), counts_of(p, synth[p.pid - 1]),
-                     real[p.pid - 1].rows, sw[p.pid - 1], test[p.pid - 1])
-        return m.wle, m.accuracy
+        return evaluate(p, counts_of(p, real[p.pid - 1]), counts_of(p, synth[p.pid - 1]),
+                        real[p.pid - 1].rows, sw[p.pid - 1], test[p.pid - 1])
 
     results, parties = run3(body)
     assert int(np.atleast_1d(reconstruct([r[0] for r in results]))[0]) == 0
@@ -322,8 +321,7 @@ def test_evaluate_unequal_folds_match_mirror_in_32_rounds(rng):
         i = p.pid - 1
         real_counts, synth_counts = counts_of(p, real[i]), counts_of(p, synth[i])
         p.ledger.reset()
-        m = evaluate(p, real_counts, synth_counts, real[i].rows, sw[i], test[i])
-        return m.wle, m.accuracy
+        return evaluate(p, real_counts, synth_counts, real[i].rows, sw[i], test[i])
 
     results, parties = run3(body)
     wle_words = reconstruct([r[0] for r in results])

@@ -508,3 +508,51 @@ def test_publish_builds_scaled_onehots_once_for_both_readers(rng, monkeypatch):
     results, _ = run_full(config, datasets, thresholds)
     assert results[0].publish
     assert calls == [("noisy_marg", 2), ("noisy_marg", 1)]
+
+
+@pytest.mark.parametrize("mode", [pipeline.FIRST_PASS, EXHAUSTIVE])
+def test_negative_cap_fails_every_loop_like_the_mirror(rng, mode):
+    """A workload-error cap below 0, which the CLI accepts, fails every loop
+    in both modes: the votes equal clear_pipeline's and nothing is published."""
+    datasets = two_datasets(rng, n_each=12)
+    thresholds = np.array([[-1.0, 0.0], [1000.0, 0.0]])
+    config = small_config(hyperparams=(10, 15), lr_epochs=2, mode=mode)
+    results, _ = run_full(config, datasets, thresholds)
+    clear = ref.clear_pipeline(datasets, thresholds, config)
+    assert (clear["publish"], clear["loops"]) == (False, [(10, 0), (15, 0)])
+    for r in results:
+        assert [(x.hyperparam, x.vote_bit) for x in r.loops] == clear["loops"]
+        assert (r.publish, r.h_selected, r.synthetic) == (False, None, None)
+
+
+@pytest.mark.parametrize("mode", [pipeline.FIRST_PASS, EXHAUSTIVE])
+def test_publish_after_failed_first_loop_reads_its_bins(rng, monkeypatch, mode):
+    """When loop 1 fails and loop 2 passes, the run publishes loop 2's
+    hyperparameter from loop 1's full-data bins: no sort at publish, and
+    every published gene value is one of its gene's four bin means. Each
+    party's first vote runs and is then reported as 0."""
+    calls = spy_sorts(monkeypatch)
+    real, voted = pipeline.secret_vote, set()
+
+    def vote(party, *args):
+        bit = real(party, *args)
+        if party.pid in voted:
+            return bit
+        voted.add(party.pid)
+        return 0
+
+    monkeypatch.setattr(pipeline, "secret_vote", vote)
+    datasets = two_datasets(rng, n_each=12)
+    thresholds = np.array([[1000.0, 0.0], [1000.0, 0.0]])
+    config = small_config(hyperparams=(10, 15), lr_epochs=2, mode=mode)
+    results, _ = run_full(config, datasets, thresholds)
+    assert calls == [[12, 12, 24], [12, 12]]
+    _, _, means, _ = ref.bin_dataset_fx(np.concatenate([fx.encode(g, config.frac_bits) for g, _ in datasets]),
+                                        config.frac_bits)
+    opened = ["vote", "vote"] + ["h-select"] * (mode == EXHAUSTIVE) + ["publish"]
+    for r in results:
+        assert [(x.hyperparam, x.vote_bit) for x in r.loops] == [(10, 0), (15, 1)]
+        assert (r.publish, r.h_selected) == (True, 15)
+        assert [label for label, _ in r.opening_log] == opened
+        for g in range(3):
+            assert set(r.synthetic[:, g].tolist()) <= set(means[g].tolist())

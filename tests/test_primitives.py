@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from silosynth import fixedpoint as fx
 from silosynth import primitives
 from silosynth.binning import compute_bin_means
-from silosynth.circuits import bit_extract
+from silosynth.circuits import bit_extract, select
 from silosynth.fixedpoint import FixedPointConfig
 from silosynth.marginals import scaled_onehots
 from silosynth.primitives import (
@@ -24,7 +24,6 @@ from silosynth.primitives import (
     is_negative,
     lt,
     rand_uniform01,
-    select,
     select_max,
     sort_columns,
 )
