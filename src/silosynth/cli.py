@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import math
+import secrets
 import selectors
 import socket
 import sys
@@ -91,7 +92,7 @@ def run_local(args) -> int:
 
     n_genes = datasets[0][0].shape[1]
     uploads = [
-        custodian_components(g, l, thresholds[c], config.frac_bits, config.seed, c)
+        custodian_components(g, l, thresholds[c], config.frac_bits, secrets.randbits(128), c)
         for c, (g, l) in enumerate(datasets)
     ]
     fingerprint = config_fingerprint(canonical_text(config))
@@ -353,7 +354,7 @@ def run_custodian(args) -> int:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     comp_data, comp_thr = custodian_components(
-        genes, labels, thresholds[0], config.frac_bits, config.seed, args.index)
+        genes, labels, thresholds[0], config.frac_bits, secrets.randbits(128), args.index)
     socks = []
     try:
         for i, addr in enumerate(servers):

@@ -15,7 +15,7 @@ class ConfigError(ValueError):
 
 
 def parse_config(text: str) -> PipelineConfig:
-    values = {}
+    values, seen = {}, {}   # seen: key -> the line that set it
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -26,6 +26,9 @@ def parse_config(text: str) -> PipelineConfig:
         key, val = key.strip(), val.strip()
         if key not in _TYPES:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        if key in seen:
+            raise ConfigError(f"line {lineno}: key {key!r} repeats line {seen[key]}")
+        seen[key] = lineno
         try:
             if _TYPES[key] is tuple:
                 values[key] = tuple(int(v.strip()) for v in val.split(",") if v.strip())

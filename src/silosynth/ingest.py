@@ -25,14 +25,16 @@ class IngestionError(ValueError):
 
 def custodian_components(genes: np.ndarray, labels: np.ndarray,
                          thresholds_row: np.ndarray, frac_bits: int,
-                         master_seed: int, custodian_index: int):
-    """The three additive component blocks a custodian uploads (one per server)."""
+                         mask_seed: int, custodian_index: int):
+    """The three additive component blocks a custodian uploads (one per server).
+    The first two are words drawn from ``mask_seed``, which no server may
+    know: the seed and the third block rebuild the cells."""
     cells = np.concatenate(
         [fx.encode(genes, frac_bits), fx.to_u64(labels.astype(np.int64)).reshape(-1, 1)],
         axis=1,
     )
     thr = fx.encode(np.asarray(thresholds_row, dtype=np.float64), frac_bits)
-    stream = CounterStream(derive_key(master_seed, "custodian-shares", custodian_index))
+    stream = CounterStream(derive_key(mask_seed, "custodian-shares", custodian_index))
     comp_data = [stream.next_words(cells.size).reshape(cells.shape) for _ in range(2)]
     comp_data.append(cells - comp_data[0] - comp_data[1])
     comp_thr = [stream.next_words(thr.size) for _ in range(2)]

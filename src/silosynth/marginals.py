@@ -34,7 +34,6 @@ blocks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,26 +52,16 @@ def measurement_count(n_genes: int) -> int:
     return 2 * n_genes + 1
 
 
-@dataclass(frozen=True)
-class NoiseCalibration:
-    eps_s: float
-    delta_s: float
-    measurement_count: int
-    eps_q: float
-    delta_q: float
-    sigma_q: float
-
-
-def calibrate(eps_s: float, delta_s: float, measurement_count: int) -> NoiseCalibration:
-    """Uniform sequential-composition split and Gaussian-mechanism scale (sensitivity 1)."""
+def calibrate(eps_s: float, delta_s: float, m: int) -> float:
+    """sigma_q of each of ``m`` measurements: a uniform sequential-composition
+    split of the budget and the Gaussian-mechanism scale (sensitivity 1)."""
     if eps_s <= 0 or not 0 < delta_s < 1:
         raise ValueError("privacy budget must satisfy eps_s > 0 and 0 < delta_s < 1")
-    if measurement_count < 1:
-        raise ValueError("measurement_count must be positive")
-    eps_q = eps_s / measurement_count
-    delta_q = delta_s / measurement_count
-    sigma_q = math.sqrt(2.0 * math.log(1.25 / delta_q)) / eps_q
-    return NoiseCalibration(eps_s, delta_s, measurement_count, eps_q, delta_q, sigma_q)
+    if m < 1:
+        raise ValueError("the measurement count must be positive")
+    eps_q = eps_s / m
+    delta_q = delta_s / m
+    return math.sqrt(2.0 * math.log(1.25 / delta_q)) / eps_q
 
 
 def _basis(m: int) -> tuple[np.ndarray, int]:

@@ -158,7 +158,7 @@ def preflight(rows: list[int], genes: list[int], config: PipelineConfig):
             f"{n} combined rows reach 2^frac_bits = {1 << f}: bin means and accuracy divide by a "
             f"row count times 2^frac_bits, which must stay below 2^(2 frac_bits), so at most "
             f"{(1 << f) - 1} rows fit")
-    sigma_q = calibrate(config.eps_s, config.delta_s, measurement_count(genes[0])).sigma_q
+    sigma_q = calibrate(config.eps_s, config.delta_s, measurement_count(genes[0]))
     room = ((1 << 63) - 1 - (n << 2 * f)) // (6 << f)      # the largest encode(sigma_q) that fits
     try:
         fits = fx.encode_scalar(sigma_q, f) <= room
@@ -270,7 +270,7 @@ def run_pipeline(party: Party, combined: ShareMatrix,
     candidate, in order, until one passes (first-pass mode) or all have run
     (exhaustive mode, which keeps the passer of lowest workload error), then
     the publish path from the first loop's bins if any loop passed."""
-    sigma_q = calibrate(config.eps_s, config.delta_s, measurement_count(combined.n_genes)).sigma_q
+    sigma_q = calibrate(config.eps_s, config.delta_s, measurement_count(combined.n_genes))
     loops, passed, h_selected = [], [], None   # passed: (loop idx, secret wle sum)
     for loop_index, h in enumerate(config.hyperparams[:config.max_loops]):
         plan = fold_plan(config.seed, loop_index, combined.n_rows, config.k_folds)

@@ -266,24 +266,17 @@ def sort_columns(party: Party, matrix: ShareVector, rows, read) -> ShareVector:
 
 # -- shared randomness -----------------------------------------------------------
 
-def rand_uniform01(party: Party, n: int) -> ShareVector:
-    """Secret uniform values on the 2^-f grid of [0, 1).
-
-    Each of the three pairwise streams contributes f random bits per sample;
-    the XOR of the three is converted to an arithmetic sharing bit by bit.
-    """
-    f = party.fp.frac_bits
-    words = party.shared_random_words((n,))
-    return b2a_sum(party, [bit_extract(words, t) for t in range(f)],
-                   [np.uint64(1) << np.uint64(t) for t in range(f)])
-
-
 def gauss01(party: Party, n: int, folds: int) -> ShareVector:
     """(folds, n) standard normal samples by the 12-uniform sum approximation.
 
-    The uniforms are drawn fold-major, (folds, 12, n), so one call consumes
-    the shared random stream exactly as ``folds`` calls of n samples would.
+    Each uniform lies on the 2^-f grid of [0, 1): the three pairwise streams
+    contribute f random bits per sample, and the XOR of the three is
+    converted to an arithmetic sharing bit by bit. The uniforms are drawn
+    fold-major, (folds, 12, n), so one call consumes the shared random
+    stream exactly as ``folds`` calls of n samples would.
     """
-    u = rand_uniform01(party, folds * 12 * n).reshape(folds, 12, n)
-    return party.add_public(u.sum(axis=1), fx.neg_const(fx.encode_scalar(6.0, party.fp.frac_bits)))
-
+    f = party.fp.frac_bits
+    words = party.shared_random_words((folds * 12 * n,))
+    u = b2a_sum(party, [bit_extract(words, t) for t in range(f)],
+                [np.uint64(1) << np.uint64(t) for t in range(f)]).reshape(folds, 12, n)
+    return party.add_public(u.sum(axis=1), fx.neg_const(fx.encode_scalar(6.0, f)))

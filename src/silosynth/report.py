@@ -6,57 +6,39 @@ from .config import canonical_text
 from .pipeline import PipelineConfig, RunResult
 
 
+def _section(title: str, body: list[str]) -> list[str]:
+    return [title, "-" * 40, *body, ""]
+
+
 def render_report(result: RunResult, config: PipelineConfig, party_label: str = "local") -> str:
-    lines = []
-    lines.append("synthetic data publish run report")
-    lines.append("=" * 40)
-    lines.append(f"party: {party_label}")
-    lines.append(f"decision: {'publish' if result.publish else 'no-publish'}")
-    lines.append(f"selected hyperparameter: {result.h_selected if result.publish else '-'}")
-    lines.append(f"loops executed: {len(result.loops)}")
-    for i, rec in enumerate(result.loops, start=1):
-        lines.append(f"  loop {i}: candidate={rec.hyperparam} vote={'pass' if rec.vote_bit else 'fail'}")
+    lines = [
+        "synthetic data publish run report",
+        "=" * 40,
+        f"party: {party_label}",
+        f"decision: {'publish' if result.publish else 'no-publish'}",
+        f"selected hyperparameter: {result.h_selected if result.publish else '-'}",
+        f"loops executed: {len(result.loops)}",
+    ]
+    lines += [f"  loop {i}: candidate={rec.hyperparam} vote={'pass' if rec.vote_bit else 'fail'}"
+              for i, rec in enumerate(result.loops, start=1)]
     lines.append("")
-    lines.append("privacy budget ledger")
-    lines.append("-" * 40)
-    for i in range(len(result.loops)):
-        lines.append(f"  loop {i + 1}: allotted (eps_s={config.eps_s}, delta_s={config.delta_s}) "
-                     "- nothing published, budget reset")
+    budget = [f"  loop {i + 1}: allotted (eps_s={config.eps_s}, delta_s={config.delta_s}) "
+              "- nothing published, budget reset" for i in range(len(result.loops))]
     if result.publish:
-        lines.append(f"  publish: consumed eps_s={config.eps_s}, delta_s={config.delta_s}")
-        lines.append(f"  publish: consumed eps_p={config.eps_p}, delta_p={config.delta_p} "
-                     "(preprocessing; unconsumed by this instantiation - exact quantiles, not DP)")
-        total_eps = config.eps_s + config.eps_p
-        total_delta = config.delta_s + config.delta_p
-        lines.append(f"  claimed total: (eps={total_eps}, delta={total_delta})")
+        budget += [f"  publish: consumed eps_s={config.eps_s}, delta_s={config.delta_s}",
+                   f"  publish: consumed eps_p={config.eps_p}, delta_p={config.delta_p} "
+                   "(preprocessing; unconsumed by this instantiation - exact quantiles, not DP)",
+                   f"  claimed total: (eps={config.eps_s + config.eps_p}, "
+                   f"delta={config.delta_s + config.delta_p})"]
     else:
-        lines.append("  nothing published: total consumed budget (eps=0, delta=0)")
-    lines.append("")
-    lines.append("per-protocol communication (this party)")
-    lines.append("-" * 40)
-    lines.append(f"  {'label':<12}{'bytes':>12}{'messages':>10}{'rounds':>8}{'seconds':>10}")
-    for label, e in sorted(result.ledger.items()):
-        lines.append(f"  {label:<12}{e['bytes_sent']:>12}{e['messages_sent']:>10}"
-                     f"{e['rounds']:>8}{e['seconds']:>10.3f}")
-    lines.append("")
-    lines.append("openings (public reconstructions)")
-    lines.append("-" * 40)
-    if result.opening_log:
-        for reason, count in result.opening_log:
-            lines.append(f"  {reason}: {count} value(s)")
-    else:
-        lines.append("  none")
-    lines.append("")
-    lines.append("directed reveals to the generator enclave (DP-protected)")
-    lines.append("-" * 40)
-    if result.reveal_log:
-        for reason, count in result.reveal_log:
-            lines.append(f"  {reason}: {count} value(s)")
-    else:
-        lines.append("  none")
-    lines.append("")
-    lines.append("configuration echo")
-    lines.append("-" * 40)
-    lines.extend("  " + ln for ln in canonical_text(config).splitlines())
-    lines.append("")
+        budget.append("  nothing published: total consumed budget (eps=0, delta=0)")
+    lines += _section("privacy budget ledger", budget)
+    lines += _section("per-protocol communication (this party)",
+                      [f"  {'label':<12}{'bytes':>12}{'messages':>10}{'rounds':>8}{'seconds':>10}"]
+                      + [f"  {label:<12}{e['bytes_sent']:>12}{e['messages_sent']:>10}"
+                         f"{e['rounds']:>8}{e['seconds']:>10.3f}" for label, e in sorted(result.ledger.items())])
+    for title, log in (("openings (public reconstructions)", result.opening_log),
+                       ("directed reveals to the generator enclave (DP-protected)", result.reveal_log)):
+        lines += _section(title, [f"  {reason}: {count} value(s)" for reason, count in log] or ["  none"])
+    lines += _section("configuration echo", ["  " + ln for ln in canonical_text(config).splitlines()])
     return "\n".join(lines)

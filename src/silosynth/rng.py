@@ -1,11 +1,14 @@
 """Deterministic counter-based randomness for parties and the clear oracle.
 
-Every random word in a run is derived from the public master seed through
-labeled blake2b key derivation feeding Philox counter streams. The three
-pairwise seeds k1, k2, k3 drive zero sharings, XOR zero sharings and shared
-random bits; seed k_i is held by parties i and i-1, matching the replicated
-component layout. Streams advance in lockstep because the protocol code is
-the same straight-line program at every party.
+Every random word the parties draw is derived from the public master seed
+through labeled blake2b key derivation feeding Philox counter streams. The
+three pairwise seeds k1, k2, k3 drive zero sharings, XOR zero sharings and
+shared random bits; seed k_i is held by parties i and i-1, matching the
+replicated component layout. Streams advance in lockstep because the
+protocol code is the same straight-line program at every party. A
+custodian's upload masks are the exception: the CLI draws them from a fresh
+key per upload, which no server holds; no opened value depends on them, so
+the outputs stay reproducible.
 """
 
 from __future__ import annotations

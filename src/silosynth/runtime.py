@@ -102,14 +102,6 @@ class CommLedger:
         self.entries.clear()
 
 
-class LocalRouter:
-    """In-process mesh of FIFO queues for one run of three parties."""
-
-    def __init__(self, timeout: float = 300.0):
-        self.queues = {(s, d): queue.SimpleQueue() for s in (1, 2, 3) for d in (1, 2, 3) if s != d}
-        self.timeout = timeout
-
-
 class _Sequenced:
     """Per-peer frame sequence numbers and the receive path both transports
     share: each peer's frames arrive on a queue, where None marks a closed
@@ -137,15 +129,18 @@ class _Sequenced:
 
 
 class LocalTransport(_Sequenced):
-    def __init__(self, pid: int, router: LocalRouter):
-        super().__init__(pid, [p for p in (1, 2, 3) if p != pid], router.timeout)
-        self.router = router
+    """One party's end of an in-process mesh: ``queues[(src, dst)]`` carries
+    the frames from party src to party dst."""
+
+    def __init__(self, pid: int, queues: dict, timeout: float):
+        super().__init__(pid, [p for p in (1, 2, 3) if p != pid], timeout)
+        self.queues = queues
 
     def send(self, dst: int, label_id: int, words: np.ndarray):
-        self.router.queues[(self.pid, dst)].put((label_id, next(self._send_seq[dst]), words))
+        self.queues[(self.pid, dst)].put((label_id, next(self._send_seq[dst]), words))
 
     def recv(self, src: int) -> tuple[int, np.ndarray]:
-        return self._take(self.router.queues[(src, self.pid)], src, f"peer {src} aborted")
+        return self._take(self.queues[(src, self.pid)], src, f"peer {src} aborted")
 
     def close(self):
         pass
@@ -430,8 +425,8 @@ def run_parties(body, master_seed: int, fp: FixedPointConfig, timeout: float = 6
     error that is not a peer's ProtocolAbort (its party and label path), else
     by the first abort.
     """
-    router = LocalRouter(timeout=timeout)
-    parties = [Party(pid, LocalTransport(pid, router), master_seed, fp) for pid in (1, 2, 3)]
+    queues = {(s, d): queue.SimpleQueue() for s in (1, 2, 3) for d in (1, 2, 3) if s != d}
+    parties = [Party(pid, LocalTransport(pid, queues, timeout), master_seed, fp) for pid in (1, 2, 3)]
     results: list = [None, None, None]
     errors: list = []  # (party index, exception) in the order they were raised
 
@@ -440,7 +435,7 @@ def run_parties(body, master_seed: int, fp: FixedPointConfig, timeout: float = 6
             results[i] = body(parties[i])
         except BaseException as exc:  # propagate to the caller thread
             errors.append((i, exc))
-            for q in router.queues.values():
+            for q in queues.values():
                 q.put(None)  # unblock peers waiting on this party
 
     threads = [threading.Thread(target=runner, args=(i,)) for i in range(3)]

@@ -320,7 +320,7 @@ def clear_pipeline(datasets, threshold_rows, config):
     genes = np.concatenate([fx.encode(g, f) for g, _ in datasets], axis=0)
     labels = np.concatenate([l for _, l in datasets])
     n, d = genes.shape
-    sigma_q = calibrate(config.eps_s, config.delta_s, measurement_count(d)).sigma_q
+    sigma_q = calibrate(config.eps_s, config.delta_s, measurement_count(d))
     noise = NoiseReplay(config.seed, f)
     thr = fx.encode(np.asarray(threshold_rows, dtype=np.float64), f)  # (C, 2)
     k = config.k_folds

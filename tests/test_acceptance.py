@@ -147,11 +147,11 @@ def test_criterion_4_dp_noise_and_calibration():
     crit = float(scipy.stats.chi2.ppf(0.99, 19))
     assert chi2 < crit, f"chi-square {chi2:.1f} >= {crit:.1f}"
 
-    cal = calibrate(1.0, 1e-5, 1)
+    sigma_q = calibrate(1.0, 1e-5, 1)
     closed_form = math.sqrt(2.0 * math.log(1.25 / 1e-5))
-    assert abs(cal.sigma_q - closed_form) <= 5e-4
+    assert abs(sigma_q - closed_form) <= 5e-4
     report(4, f"mean {mean:+.4f}, var {var:.4f}, chi2 {chi2:.1f} < {crit:.1f}, "
-              f"sigma_q {cal.sigma_q:.4f} matches closed form {closed_form:.4f}")
+              f"sigma_q {sigma_q:.4f} matches closed form {closed_form:.4f}")
 
 
 def test_criterion_5_wle_properties(rng):
@@ -398,7 +398,7 @@ def local_binning_publish(datasets, config):
     binned_all = np.vstack(binned_blocks)
     labels_all = np.concatenate([l for _, l in datasets])
     from silosynth.marginals import measurement_count
-    sigma_q = calibrate(config.eps_s, config.delta_s, measurement_count(d)).sigma_q
+    sigma_q = calibrate(config.eps_s, config.delta_s, measurement_count(d))
     noise = ref.NoiseReplay(config.seed, f)
     mg, ml, mt = ref.clear_noisy_marginals(binned_all, labels_all, sigma_q, noise, f)
     synth = generate_synthetic(fx.decode(mg, f), fx.decode(ml, f), fx.decode(mt, f),

@@ -260,6 +260,9 @@ def test_config_parse_errors(tmp_path):
         parse_config("nonsense line")
     with pytest.raises(ConfigError):
         parse_config("unknown_key = 5")
+    # a stray second line must not silently change the privacy budget
+    with pytest.raises(ConfigError, match="line 3: key 'eps_s' repeats line 1"):
+        parse_config("eps_s = 5.0\nk_folds = 2\neps_s = 0.5\n")
     with pytest.raises(ValueError):
         parse_config("k_folds = 1")
     for line, key in (("synthetic_rows = -5", "synthetic_rows"), ("lr_epochs = -1", "lr_epochs"),

@@ -1,4 +1,5 @@
-"""Every top-level function, class and constant in src/silosynth has a production user.
+"""Every top-level function, class and constant in src/silosynth, and every
+dataclass field, has a production user.
 
 A definition counts as used when its name appears in some src/ module other
 than as its own definition, or in a perfbench/ file (which wraps functions
@@ -6,7 +7,9 @@ by name). The package's ``__init__.py`` does not count: a re-export in it,
 or a name in ``__all__``, is not a use. Tests do not count either: code
 that only tests use belongs in tests/. Module-level assignments count as
 definitions too, dunders such as ``__all__`` excepted, so that a table
-orphaned by a deleted loop fails here.
+orphaned by a deleted loop fails here. A dataclass field counts as used
+when some src/ module other than ``__init__.py`` reads it as an attribute
+(``x.field``), or a perfbench/ file names it.
 """
 
 import ast
@@ -42,17 +45,46 @@ def _defined(tree: ast.Module) -> list[str]:
     return out
 
 
-def unused_definitions(root: Path) -> list[str]:
+def _dataclass_fields(tree: ast.Module) -> list[tuple[str, str]]:
+    """(class, field) for every annotated field of a top-level @dataclass."""
+    def is_dataclass(dec):
+        node = dec.func if isinstance(dec, ast.Call) else dec
+        return (node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)) == "dataclass"
+    return [(node.name, item.target.id) for node in tree.body
+            if isinstance(node, ast.ClassDef) and any(is_dataclass(d) for d in node.decorator_list)
+            for item in node.body if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)]
+
+
+def _sources(root: Path):
+    """The src/ module trees, and the names every perfbench/ file mentions."""
     trees = {p: ast.parse(p.read_text()) for p in sorted((root / "src" / "silosynth").glob("*.py"))}
-    used = set()
+    bench = set()
+    for p in sorted((root / "perfbench").rglob("*.py")):
+        bench |= _names(ast.parse(p.read_text()), strings=True)
+    return trees, bench
+
+
+def unused_definitions(root: Path) -> list[str]:
+    trees, used = _sources(root)
     for p, tree in trees.items():
         if p.name != "__init__.py":
             used |= _names(tree)
-    for p in sorted((root / "perfbench").rglob("*.py")):
-        used |= _names(ast.parse(p.read_text()), strings=True)
     return [f"{p.stem}.{name}" for p, tree in trees.items() for name in _defined(tree)
             if name not in used and not name.startswith("__")]
 
 
+def unread_fields(root: Path) -> list[str]:
+    trees, used = _sources(root)
+    for p, tree in trees.items():
+        if p.name != "__init__.py":
+            used |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    return [f"{p.stem}.{cls}.{field}" for p, tree in trees.items() for cls, field in _dataclass_fields(tree)
+            if field not in used]
+
+
 def test_every_src_definition_has_a_user():
     assert unused_definitions(ROOT) == []
+
+
+def test_every_dataclass_field_is_read():
+    assert unread_fields(ROOT) == []

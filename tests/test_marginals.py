@@ -205,14 +205,10 @@ def test_noisy_marginals_match_mirror_at_the_ring_bound(f):
 
 
 def test_calibration_closed_form():
-    cal = calibrate(1917.0, 1917e-5, 1917)
-    assert cal.eps_q == 1.0
-    assert abs(cal.delta_q - 1e-5) < 1e-12
-    assert abs(cal.sigma_q - math.sqrt(2 * math.log(1.25e5))) < 1e-9
-    one = calibrate(5.0, 1e-5, 1)
-    assert one.eps_q == 5.0
-    half = calibrate(2.5, 1e-5, 1)
-    assert abs(half.sigma_q - 2 * one.sigma_q) < 1e-9
+    """1917 measurements of (1917, 1917e-5) get (1, 1e-5) each; halving eps_s doubles sigma_q."""
+    assert abs(calibrate(1917.0, 1917e-5, 1917) - math.sqrt(2 * math.log(1.25e5))) < 1e-9
+    assert abs(calibrate(5.0, 1e-5, 1) - math.sqrt(2 * math.log(1.25e5)) / 5.0) < 1e-12
+    assert abs(calibrate(2.5, 1e-5, 1) - 2 * calibrate(5.0, 1e-5, 1)) < 1e-9
 
 
 def test_calibration_rejects_bad_budget():

@@ -341,7 +341,7 @@ def test_random_shapes_match_mirror_and_keep_ledgers():
         config, thresholds, rows, datasets = random_shape(draw)
         n, k, f = sum(rows), config.k_folds, config.frac_bits
         d = datasets()[0][0].shape[1]
-        sigma_q = marginals.calibrate(config.eps_s, config.delta_s, marginals.measurement_count(d)).sigma_q
+        sigma_q = marginals.calibrate(config.eps_s, config.delta_s, marginals.measurement_count(d))
         bad_folds = n // k < 1 or n - -(-n // k) < 2
         bad_noise = (n << 2 * f) + (6 << f) * sigma_q * (1 << f) >= 1 << 63
         if bad_folds or bad_noise:

@@ -23,12 +23,11 @@ from silosynth.primitives import (
     gauss01,
     is_negative,
     lt,
-    rand_uniform01,
     select_max,
     sort_columns,
 )
 from silosynth.rng import CounterStream, derive_key
-from silosynth.runtime import run_parties
+from silosynth.runtime import Party, run_parties
 
 FP = FixedPointConfig()
 
@@ -638,30 +637,13 @@ def test_sort_sentinel_above_every_encodable_input(frac_bits):
     assert np.array_equal(second, np.sort(fx.signed(vals[:4])))
 
 
-def test_uniform01_statistics():
-    def body(p):
-        return rand_uniform01(p, 100_000)
-
-    results, _ = run3(body, seed=2024)
-    u = fx.decode(open_result(results))
-    assert np.all(u >= 0.0) and np.all(u < 1.0)
-    assert 0.495 <= float(u.mean()) <= 0.505
-
-
-def test_uniform01_reproducible():
-    def body(p):
-        return rand_uniform01(p, 50)
-
-    r1, _ = run3(body, seed=31)
-    r2, _ = run3(body, seed=31)
-    assert np.array_equal(open_result(r1), open_result(r2))
-
-
 def test_gauss_forced_uniforms_hit_zero(monkeypatch):
-    def halves(party, n):
-        return party.const_share(np.full(n, np.uint64(fx.encode_scalar(0.5)), dtype=np.uint64))
+    """Random words whose low f bits read 0.5 make every uniform 0.5, so
+    the sum of 12 less 6 is exactly 0."""
+    def halves(party, shape):
+        return party.const_share(np.full(shape, np.uint64(fx.encode_scalar(0.5)), dtype=np.uint64))
 
-    monkeypatch.setattr(primitives, "rand_uniform01", halves)
+    monkeypatch.setattr(Party, "shared_random_words", halves)
 
     def body(p):
         return gauss01(p, 4, 1)

@@ -1,3 +1,4 @@
+import queue
 import socket
 import threading
 import time
@@ -11,7 +12,6 @@ from silosynth.circuits import mul_shares
 from silosynth.fixedpoint import FixedPointConfig
 from silosynth.runtime import (
     AccountingError,
-    LocalRouter,
     LocalTransport,
     Party,
     ProtocolAbort,
@@ -48,9 +48,9 @@ def test_handshake_rejects_config_mismatch():
 
 def test_handshake_rejects_frac_bits_mismatch():
     fp = config_fingerprint("config A")
-    router = LocalRouter(timeout=10.0)
+    queues = {(s, d): queue.SimpleQueue() for s in (1, 2, 3) for d in (1, 2, 3) if s != d}
     parties = [
-        Party(pid, LocalTransport(pid, router), 5,
+        Party(pid, LocalTransport(pid, queues, 10.0), 5,
               FixedPointConfig(16 if pid != 3 else 18))
         for pid in (1, 2, 3)
     ]
@@ -64,7 +64,7 @@ def test_handshake_rejects_frac_bits_mismatch():
         except ProtocolAbort:
             pass
         finally:
-            for q in router.queues.values():
+            for q in queues.values():
                 q.put(None)
 
     threads = [threading.Thread(target=runner, args=(p,)) for p in parties]

@@ -5,7 +5,7 @@ from conftest import IntegrityError, reconstruct, reconstruct_xor, share_values,
 from silosynth import fixedpoint as fx
 from silosynth.fixedpoint import FixedPointConfig
 from silosynth.rng import CounterStream, derive_key
-from silosynth.runtime import LocalRouter, LocalTransport, Party
+from silosynth.runtime import Party
 from silosynth.sharing import ShareVector
 
 
@@ -70,8 +70,8 @@ def test_public_scaling_fixed_point():
 
 
 def three_parties():
-    router = LocalRouter()
-    return [Party(pid, LocalTransport(pid, router), 3, FixedPointConfig()) for pid in (1, 2, 3)]
+    """Parties for local share algebra only: they have no transport."""
+    return [Party(pid, None, 3, FixedPointConfig()) for pid in (1, 2, 3)]
 
 
 def test_add_public_linearity():

@@ -574,3 +574,56 @@ def test_custodian_upload_is_three_component_streams(rng):
     total = comp_data[0] + comp_data[1] + comp_data[2]
     from silosynth import fixedpoint as fx
     assert np.array_equal(fx.decode(total[:, :10]), fx.decode(fx.encode(genes)))
+
+
+def test_cli_custodian_masks_are_fresh(setup_files):
+    """Three fake servers read what a CLI custodian uploads. Its data blocks
+    sum to the encoded cells, server 1's block is not the one the public
+    config seed derives, and a second upload of the same file draws other
+    masks: no server's block plus the config rebuilds the custodian's rows."""
+    from silosynth import fixedpoint as fx
+    from silosynth.config import load_config
+    from silosynth.datafile import read_dataset
+    from silosynth.ingest import custodian_components
+    from silosynth.runtime import LABEL_IDS, read_exact, read_frame, write_frame
+
+    tmp_path, cfg, data_paths, (thr0, _, _) = setup_files
+    config = load_config(str(cfg))
+    genes, labels = read_dataset(str(data_paths[0]))
+
+    def upload():
+        listeners = [socket.create_server(("127.0.0.1", 0)) for _ in range(3)]
+        blocks = [None] * 3
+
+        def serve(i):
+            conn, _ = listeners[i].accept()
+            with conn:
+                conn.settimeout(30)
+                read_exact(conn, 2)   # the hello
+                header, data, _ = (read_frame(conn)[2] for _ in range(3))
+                blocks[i] = data.reshape(int(header[0]), int(header[1]) + 1)
+                if i == 0:   # the decision: no-publish
+                    write_frame(conn, LABEL_IDS["publish"], 0, np.array([0, 0, header[1]], dtype=np.uint64))
+
+        threads = [threading.Thread(target=serve, args=(i,), daemon=True) for i in range(3)]
+        for t in threads:
+            t.start()
+        servers = ",".join(f"127.0.0.1:{s.getsockname()[1]}" for s in listeners)
+        try:
+            code = main(["custodian", "--data", str(data_paths[0]), "--thresholds", str(thr0),
+                         "--servers", servers, "--config", str(cfg), "--index", "0", "--timeout", "30"])
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            for s in listeners:
+                s.close()
+        assert code == 0
+        return blocks
+
+    first, second = upload(), upload()
+    cells = np.column_stack([fx.encode(genes, config.frac_bits), labels.astype(np.uint64)])
+    assert np.array_equal(first[0] + first[1] + first[2], cells)
+    assert np.array_equal(second[0] + second[1] + second[2], cells)
+    seeded = custodian_components(genes, labels, [1000.0, 0.0], config.frac_bits, config.seed, 0)[0]
+    assert not np.array_equal(first[0], seeded[0])
+    assert not np.array_equal(second[0], first[0])
