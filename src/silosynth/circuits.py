@@ -337,7 +337,7 @@ SIGN_OFFSET = np.uint64(1) << np.uint64(63)
 
 
 def trunc_shares(party: Party, x: ShareVector, shift) -> ShareVector:
-    """Exact arithmetic right shift of the signed secret by ``shift`` bits.
+    """Exact arithmetic right shift of the signed secret by ``shift`` >= 1 bits.
 
     Local per-share logical shifts give the high parts; the two carries that
     cross the cut (carry-save majority and adder generate at position
@@ -346,11 +346,8 @@ def trunc_shares(party: Party, x: ShareVector, shift) -> ShareVector:
     result is exactly floor(signed(x) / 2^shift) with no failure probability.
     The four correction bits are converted as one weighted b2a_sum.
     """
-    shift_arr = np.asarray(shift)
-    if shift_arr.ndim == 0 and int(shift_arr) == 0:
-        return x.copy()
     offset = party.add_public(x, SIGN_OFFSET)
-    sh = to_u64(shift_arr)
+    sh = to_u64(shift)
     _, maj, carry = add_components(party, offset)
     low_pos = sh - ONE
     lanes = [bit_extract(maj, low_pos), bit_extract(carry, low_pos),

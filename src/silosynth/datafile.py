@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from .marginals import LABEL_DOMAIN
+
 LABEL_COLUMN = "label"
-LABEL_RANGE = range(5)
 THRESHOLD_FIELDS = ("max_wle", "min_accuracy")
 
 
@@ -42,8 +43,8 @@ def read_dataset(path: str) -> tuple[np.ndarray, np.ndarray]:
             label = int(parts[d])
         except ValueError:
             raise DatasetError(f"{path}: row {row}: label {parts[d]!r} is not an integer") from None
-        if label not in LABEL_RANGE:
-            raise DatasetError(f"{path}: row {row}: label {label} outside 0..4")
+        if not 0 <= label < LABEL_DOMAIN:
+            raise DatasetError(f"{path}: row {row}: label {label} outside 0..{LABEL_DOMAIN - 1}")
         labels[row - 1] = label
     if not np.all(np.isfinite(genes)):
         bad = int(np.argwhere(~np.isfinite(genes))[0][0]) + 1

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import fixedpoint as fx
 from .circuits import b2a, lockstep, matmul_shares, program, select, trunc_shares
-from .marginals import COUNT_BITS, measurement_count, split_marginals
+from .marginals import COUNT_BITS, LABEL_DOMAIN, measurement_count, split_marginals
 from .primitives import div_public, eq_zero, is_negative, select_max
 from .runtime import Party
 from .sharing import ShareMatrix, ShareVector, concat_shares
@@ -40,9 +40,8 @@ from .sharing import ShareMatrix, ShareVector, concat_shares
 EXP_POLY = (1.0, 1.0, 0.49851800548831027, 0.16104815581810794,
             0.03400828206221408, 0.003579794786255805)
 SOFTMAX_FLOOR = -8.0
-N_CLASSES = 5
 # Every exponential lies in [0, 1] and the row maximum's is exactly 1.0, so
-# a softmax denominator lies in [1, N_CLASSES]. x0 = RECIP_ALPHA -
+# a softmax denominator lies in [1, LABEL_DOMAIN]. x0 = RECIP_ALPHA -
 # RECIP_BETA * den is the minimax linear guess of 1/den there.
 RECIP_ALPHA = 6 / 7
 RECIP_BETA = 1 / 7
@@ -73,12 +72,12 @@ wle = program(wle_steps, "wle")
 
 
 def _softmax(z: np.ndarray, f: int) -> np.ndarray:
-    """Row softmax of (n, N_CLASSES) logit words on the scale-f grid.
+    """Row softmax of (n, LABEL_DOMAIN) logit words on the scale-f grid.
 
     exp(t), t = max(z - row max, SOFTMAX_FLOOR), is p(t/4)^4 with p by
     Estrin: (1 + u) + u^2 (c2 + c3 u) + u^4 (c4 + c5 u), u = t/4, the
     public-coefficient terms at scale 2f and their products at scale 3f.
-    The row sum, in [1, N_CLASSES], is divided out from the linear guess
+    The row sum, in [1, LABEL_DOMAIN], is divided out from the linear guess
     x0 = alpha - beta den by Goldschmidt steps that carry GUARD_BITS extra
     fractional bits; the last step rounds to nearest.
     """
@@ -110,15 +109,15 @@ def lr_train(party: Party, rows: np.ndarray, epochs: int, learning_rate: float) 
     """The enclave's trainer: full-batch softmax regression on sampled rows
     (n, d+1), binned genes then the label, in the clear on ring words.
 
-    Returns the (d+1, N_CLASSES) weights at scale f: gene rows, then the
+    Returns the (d+1, LABEL_DOMAIN) weights at scale f: gene rows, then the
     bias row. The step is learning_rate / n. Deterministic.
     """
     f = party.fp.frac_bits
     x = rows.astype(np.uint64)
     x[:, -1] = 1                                           # the label column becomes the bias
-    onehot = (rows[:, -1:] == np.arange(N_CLASSES)).astype(np.uint64) << np.uint64(f)
+    onehot = (rows[:, -1:] == np.arange(LABEL_DOMAIN)).astype(np.uint64) << np.uint64(f)
     eta = np.uint64(fx.encode_scalar(learning_rate / len(rows), f))
-    w = np.zeros((x.shape[1], N_CLASSES), dtype=np.uint64)
+    w = np.zeros((x.shape[1], LABEL_DOMAIN), dtype=np.uint64)
     for _ in range(epochs):
         grad = x.T @ (_softmax(x @ w, f) - onehot)         # scale f
         w -= fx.truncate(grad * eta, f)
@@ -135,7 +134,7 @@ def accuracy_steps(party: Party, weights: ShareVector, test: ShareMatrix) -> Sha
     if np.any(test.rows == 0):
         raise ValueError("empty test set")
     logits = matmul_shares(party, _with_bias(party, test), weights)
-    predicted = yield from select_max.steps(party, logits, np.arange(N_CLASSES))
+    predicted = yield from select_max.steps(party, logits, np.arange(LABEL_DOMAIN))
     hits = b2a(party, eq_zero(party, predicted - test.labels())).scale_by(test.mask)
     return (yield from div_public.steps(party, hits.sum(axis=1), test.rows))
 

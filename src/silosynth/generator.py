@@ -26,7 +26,7 @@ import numpy as np
 
 from . import fixedpoint as fx
 from .circuits import reshare
-from .evaluation import N_CLASSES, lr_train
+from .evaluation import lr_train
 from .marginals import GENE_DOMAIN, LABEL_DOMAIN, cell_counts, split_marginals
 from .rng import CounterStream, derive_key
 from .runtime import Party
@@ -130,10 +130,10 @@ def generate_bridge(party: Party, ms: ShareVector, rows, iterations: int, master
     cell order, and the weights ``lr_train`` fits to them (K, d+1, 5)."""
     k, n_cells = ms.shape
     d = split_marginals(ms)[0].shape[1]
-    shares = _enclave(party, ms, rows, iterations, master_seed, contexts, (n_cells + (d + 1) * N_CLASSES,),
+    shares = _enclave(party, ms, rows, iterations, master_seed, contexts, (n_cells + (d + 1) * LABEL_DOMAIN,),
                       lambda synth: np.concatenate([cell_counts(synth),
                                                     lr_train(party, synth, epochs, learning_rate).ravel()]))
-    return shares[:, :n_cells], shares[:, n_cells:].reshape(k, d + 1, N_CLASSES)
+    return shares[:, :n_cells], shares[:, n_cells:].reshape(k, d + 1, LABEL_DOMAIN)
 
 
 def generate_rows(party: Party, ms: ShareVector, n_out: int, iterations: int,

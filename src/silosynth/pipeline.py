@@ -36,7 +36,7 @@ from .evaluation import evaluate
 from .generator import generate_bridge, generate_rows
 from .ingest import IngestionError
 from .marginals import calibrate, measurement_count, noisy_marginal_steps, noisy_marginals, scaled_onehots
-from .primitives import and_all, lt, select_max
+from .primitives import GAUSS_BOUND, and_all, lt, select_max
 from .rng import CounterStream, derive_key
 from .runtime import Party
 from .sharing import ShareMatrix, ShareVector, concat_shares, stack_shares
@@ -84,8 +84,9 @@ class PipelineConfig:
             raise ValueError("synthesis privacy budget must be positive")
         if self.eps_p < 0 or not 0 <= self.delta_p < 1:
             raise ValueError("preprocessing privacy budget must be non-negative")
-        if self.n_custodians < 1:
-            raise ValueError("need at least one custodian")
+        if not 1 <= self.n_custodians <= 256:
+            raise ValueError(f"n_custodians = {self.n_custodians} is outside 1..256: a custodian's hello "
+                             "names its index in one byte")
         if self.mode not in (FIRST_PASS, EXHAUSTIVE):
             raise ValueError(f"unknown mode {self.mode!r}")
         fx.FixedPointConfig(self.frac_bits)
@@ -159,7 +160,7 @@ def preflight(rows: list[int], genes: list[int], config: PipelineConfig):
             f"row count times 2^frac_bits, which must stay below 2^(2 frac_bits), so at most "
             f"{(1 << f) - 1} rows fit")
     sigma_q = calibrate(config.eps_s, config.delta_s, measurement_count(genes[0]))
-    room = ((1 << 63) - 1 - (n << 2 * f)) // (6 << f)      # the largest encode(sigma_q) that fits
+    room = ((1 << 63) - 1 - (n << 2 * f)) // (GAUSS_BOUND << f)    # the largest encode(sigma_q) that fits
     try:
         fits = fx.encode_scalar(sigma_q, f) <= room
     except fx.RangeError:
@@ -168,7 +169,7 @@ def preflight(rows: list[int], genes: list[int], config: PipelineConfig):
         raise IngestionError(
             f"eps_s = {config.eps_s:g} and delta_s = {config.delta_s:g} give a noise scale "
             f"sigma_q = {sigma_q:.6g} per marginal, past the ring: the noisy marginals hold "
-            f"n*2^(2 frac_bits) + 6*2^frac_bits*encode(sigma_q), which must stay below 2^63, so "
+            f"n*2^(2 frac_bits) + {GAUSS_BOUND}*2^frac_bits*encode(sigma_q), which must stay below 2^63, so "
             f"at {n} rows and frac_bits = {f} sigma_q must be at most {room / (1 << f):.6g}")
 
 

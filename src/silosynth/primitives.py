@@ -148,11 +148,12 @@ def reciprocal_fx(party: Party, count: ShareVector, n: int) -> ShareVector:
 def div_fx(party: Party, a: ShareVector, count: ShareVector, n: int, fallback: ShareVector) -> ShareVector:
     """Fixed-point a / (max(count, 1) 2^f) for secret integers 0 <= count <= n,
     plus ``fallback`` where count is 0 (a must be 0 there): q = a r, the
-    residual a - q denom, denom = (count + empty) 2^f, and the correction
-    residual r, each truncated by f. empty * fallback rides in q's gate."""
+    residual a - q denom, denom = count 2^f, and the correction residual r,
+    each truncated by f. Where count is 0, a and so q are 0, so the residual
+    is 0 whatever denom is. empty * fallback rides in q's gate."""
     f = party.fp.frac_bits
     empty, r = reciprocal_fx(party, count, n)
-    denom = (count + empty).scale_by(ONE << np.uint64(f))
+    denom = count.scale_by(ONE << np.uint64(f))
     prod = mul_shares(party, stack_shares([a, empty]), stack_shares([r, fallback]))
     q = trunc_shares(party, prod[0], f)
     return q + mul_fx(party, a - mul_fx(party, q, denom), r) + prod[1]
@@ -241,8 +242,6 @@ def sort_columns(party: Party, matrix: ShareVector, rows, read) -> ShareVector:
     read = np.broadcast_to(read, lead + (n,))
     plan = _sort_plan(rows, read.reshape(rows.size, n))
     arr = matrix.reshape(-1, d).copy()
-    if not plan:
-        return arr.reshape(*matrix.shape)
     hit = np.zeros(arr.shape[0], dtype=bool)
     for p, q in plan:
         hit[p] = hit[q] = True
@@ -266,6 +265,9 @@ def sort_columns(party: Party, matrix: ShareVector, rows, read) -> ShareVector:
 
 # -- shared randomness -----------------------------------------------------------
 
+GAUSS_BOUND = 6  # gauss01 sums 12 uniforms on [0, 1) and subtracts their mean: |sample| <= 6
+
+
 def gauss01(party: Party, n: int, folds: int) -> ShareVector:
     """(folds, n) standard normal samples by the 12-uniform sum approximation.
 
@@ -279,4 +281,4 @@ def gauss01(party: Party, n: int, folds: int) -> ShareVector:
     words = party.shared_random_words((folds * 12 * n,))
     u = b2a_sum(party, [bit_extract(words, t) for t in range(f)],
                 [np.uint64(1) << np.uint64(t) for t in range(f)]).reshape(folds, 12, n)
-    return party.add_public(u.sum(axis=1), fx.neg_const(fx.encode_scalar(6.0, f)))
+    return party.add_public(u.sum(axis=1), fx.neg_const(GAUSS_BOUND << f))

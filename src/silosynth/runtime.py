@@ -22,7 +22,7 @@ import struct
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -42,7 +42,7 @@ WORD = 8  # payload bytes per ring element
 
 
 class ProtocolAbort(RuntimeError):
-    """A protocol failed mid-run; carries the party's ledger snapshot."""
+    """A protocol failed mid-run; ``run_parties`` adds the failing party's ledger snapshot."""
 
     def __init__(self, message, ledger_snapshot=None):
         super().__init__(message)
@@ -65,41 +65,20 @@ class LedgerEntry:
     seconds: float = 0.0
 
 
-class CommLedger:
-    """Per-protocol-label accounting of one party's outgoing traffic.
+class CommLedger(dict):
+    """Per-protocol-label accounting of one party's outgoing traffic: each
+    label maps to its ``LedgerEntry``, made on first use.
 
     Bytes, messages, rounds and seconds are all exclusive: a nested label's
     share is not counted again in the enclosing label, so totals add up.
     """
 
-    def __init__(self):
-        self.entries: dict[str, LedgerEntry] = {}
-
-    def entry(self, label: str) -> LedgerEntry:
-        if label not in self.entries:
-            self.entries[label] = LedgerEntry()
-        return self.entries[label]
-
-    def record_send(self, label: str, n_words: int):
-        e = self.entry(label)
-        e.bytes_sent += n_words * WORD
-        e.messages_sent += 1
-
-    def record_round(self, label: str):
-        self.entry(label).rounds += 1
-
-    def add_time(self, label: str, dt: float):
-        self.entry(label).seconds += dt
+    def __missing__(self, label: str) -> LedgerEntry:
+        entry = self[label] = LedgerEntry()
+        return entry
 
     def snapshot(self) -> dict:
-        return {
-            k: {"bytes_sent": e.bytes_sent, "messages_sent": e.messages_sent,
-                "rounds": e.rounds, "seconds": round(e.seconds, 6)}
-            for k, e in sorted(self.entries.items())
-        }
-
-    def reset(self):
-        self.entries.clear()
+        return {k: {**asdict(e), "seconds": round(e.seconds, 6)} for k, e in sorted(self.items())}
 
 
 class _Sequenced:
@@ -185,16 +164,13 @@ def read_frame(sock: socket.socket, check=lambda words: None):
 class TcpTransport(_Sequenced):
     """One party's mesh endpoint: a socket per peer plus reader threads."""
 
-    def __init__(self, pid: int, peer_sockets: dict[int, socket.socket], timeout: float = 300.0):
+    def __init__(self, pid: int, peer_sockets: dict[int, socket.socket], timeout: float):
         super().__init__(pid, peer_sockets, timeout)
         self.sockets = peer_sockets
         self._queues = {p: queue.Queue() for p in peer_sockets}
         self._send_locks = {p: threading.Lock() for p in peer_sockets}
-        self._readers = []
         for p, s in peer_sockets.items():
-            t = threading.Thread(target=self._reader, args=(p, s), daemon=True)
-            t.start()
-            self._readers.append(t)
+            threading.Thread(target=self._reader, args=(p, s), daemon=True).start()
 
     def _reader(self, src: int, sock: socket.socket):
         try:
@@ -242,7 +218,7 @@ class Party:
         self.opening_log: list[tuple[str, int]] = []
         self.reveal_log: list[tuple[str, int]] = []
         self._label_stack: list[str] = []
-        self._child_seconds: list[float] = []  # per open label: time inside nested labels
+        self._stack_changed = time.perf_counter()  # when the label stack last changed
         self._sent_since_round = False
         self.failed_in: str | None = None  # label path the first exception left
 
@@ -260,6 +236,14 @@ class Party:
     def current_label(self) -> str:
         return self._label_stack[-1] if self._label_stack else "adhoc"
 
+    def _charge_seconds(self):
+        """Charge the seconds since the label stack last changed to the
+        innermost label; time outside any label goes nowhere."""
+        now = time.perf_counter()
+        if self._label_stack:
+            self.ledger[self._label_stack[-1]].seconds += now - self._stack_changed
+        self._stack_changed = now
+
     @contextmanager
     def protocol(self, label: str):
         """Scope traffic to ``label``, which must be in ``PROTOCOL_LABELS``; its
@@ -269,9 +253,8 @@ class Party:
             raise AccountingError(f"unregistered protocol label {label!r}")
         if label in self._label_stack:
             raise AccountingError(f"nested identical protocol label {label!r}")
+        self._charge_seconds()
         self._label_stack.append(label)
-        self._child_seconds.append(0.0)
-        t0 = time.perf_counter()
         try:
             yield
         except BaseException:
@@ -279,11 +262,8 @@ class Party:
                 self.failed_in = "/".join(self._label_stack)
             raise
         finally:
-            dt = time.perf_counter() - t0
+            self._charge_seconds()
             self._label_stack.pop()
-            self.ledger.add_time(label, dt - self._child_seconds.pop())
-            if self._child_seconds:
-                self._child_seconds[-1] += dt
 
     # -- transport ---------------------------------------------------------
 
@@ -293,7 +273,9 @@ class Party:
         peer's share."""
         words.setflags(write=False)
         label = self.current_label
-        self.ledger.record_send(label, int(np.asarray(words).size))
+        entry = self.ledger[label]
+        entry.bytes_sent += words.size * WORD
+        entry.messages_sent += 1
         self.transport.send(dst, LABEL_IDS[label], words)
         self._sent_since_round = True
 
@@ -301,16 +283,13 @@ class Party:
         """Next frame from ``src``; it must carry the label this party is in."""
         label = self.current_label
         if self._sent_since_round:
-            self.ledger.record_round(label)
+            self.ledger[label].rounds += 1
             self._sent_since_round = False
-        try:
-            label_id, words = self.transport.recv(src)
-        except ProtocolAbort as exc:
-            raise ProtocolAbort(str(exc), self.ledger.snapshot()) from None
+        label_id, words = self.transport.recv(src)
         if label_id != LABEL_IDS[label]:
             theirs = dict(enumerate(PROTOCOL_LABELS)).get(label_id, label_id)
             raise ProtocolAbort(f"party {self.pid}: frame from party {src} has label {theirs!r}, "
-                                f"expected {label!r}", self.ledger.snapshot())
+                                f"expected {label!r}")
         return words
 
     def failure(self, exc: BaseException) -> str:
@@ -414,7 +393,7 @@ def setup_handshake(party: Party, fingerprint: np.ndarray):
                 raise SetupError(f"config hash mismatch with party {src}")
             if int(theirs[-1]) != party.fp.frac_bits:
                 raise SetupError(f"frac_bits mismatch with party {src}")
-    party.ledger.reset()
+    party.ledger.clear()
 
 
 def run_parties(body, master_seed: int, fp: FixedPointConfig, timeout: float = 600.0):
@@ -423,7 +402,7 @@ def run_parties(body, master_seed: int, fp: FixedPointConfig, timeout: float = 6
     ``body(party)`` returns that party's result; returns the list of results
     indexed by party. Any party's exception aborts the run, named by the first
     error that is not a peer's ProtocolAbort (its party and label path), else
-    by the first abort.
+    by the first abort, with that party's ledger snapshot.
     """
     queues = {(s, d): queue.SimpleQueue() for s in (1, 2, 3) for d in (1, 2, 3) if s != d}
     parties = [Party(pid, LocalTransport(pid, queues, timeout), master_seed, fp) for pid in (1, 2, 3)]
@@ -443,11 +422,10 @@ def run_parties(body, master_seed: int, fp: FixedPointConfig, timeout: float = 6
         t.start()
     for t in threads:
         t.join(timeout=timeout)
-    for i, exc in errors:
-        if not isinstance(exc, ProtocolAbort):
-            raise ProtocolAbort(parties[i].failure(exc), parties[i].ledger.snapshot()) from exc
     if errors:
-        raise errors[0][1]
+        i, exc = next(((i, e) for i, e in errors if not isinstance(e, ProtocolAbort)), errors[0])
+        message = str(exc) if isinstance(exc, ProtocolAbort) else parties[i].failure(exc)
+        raise ProtocolAbort(message, parties[i].ledger.snapshot()) from exc
     for t in threads:
         if t.is_alive():
             raise ProtocolAbort("party deadlocked or timed out", parties[0].ledger.snapshot())

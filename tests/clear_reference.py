@@ -18,7 +18,6 @@ from silosynth.evaluation import (
     EXP_POLY,
     GOLDSCHMIDT_STEPS,
     GUARD_BITS,
-    N_CLASSES,
     RECIP_ALPHA,
     RECIP_BETA,
     SOFTMAX_FLOOR,
@@ -174,8 +173,8 @@ def clear_lr_train(genes_binned: np.ndarray, labels: np.ndarray, epochs: int,
     """Mirror of the secure trainer on plain ring words; same grid arithmetic."""
     n, d = genes_binned.shape
     x = np.concatenate([fx.to_u64(genes_binned), np.ones((n, 1), dtype=np.uint64)], axis=1)
-    onehot = ((labels[:, None] == np.arange(N_CLASSES)).astype(np.uint64) << np.uint64(f))
-    w = np.zeros((d + 1, N_CLASSES), dtype=np.uint64)
+    onehot = ((labels[:, None] == np.arange(LABEL_DOMAIN)).astype(np.uint64) << np.uint64(f))
+    w = np.zeros((d + 1, LABEL_DOMAIN), dtype=np.uint64)
     eta = np.uint64(fx.encode_scalar(learning_rate / n, f))
     xt = x.T.copy()
     for _ in range(epochs):

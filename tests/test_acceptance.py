@@ -232,11 +232,11 @@ def test_criterion_7_communication_invariants(rng):
     def body(p):
         with p.protocol("adhoc"):
             mul_shares(p, sx[p.pid - 1], sy[p.pid - 1])
-        return p.ledger.entry("adhoc")
+        return p.ledger["adhoc"]
 
     _, parties = run3(body)
-    total_bytes = sum(p.ledger.entry("adhoc").bytes_sent for p in parties)
-    total_msgs = sum(p.ledger.entry("adhoc").messages_sent for p in parties)
+    total_bytes = sum(p.ledger["adhoc"].bytes_sent for p in parties)
+    total_msgs = sum(p.ledger["adhoc"].messages_sent for p in parties)
     assert total_bytes == 24 and total_msgs == 3
 
     # (b) whole-pipeline ledgers identical across different same-shape inputs

@@ -161,7 +161,7 @@ def test_bin_test_with_train_cuts(rng):
     # held-out rows add no sort traffic: the sort entry is that of the training rows alone
     _, train_only = run3(lambda p: bin_train(p, train_mats[p.pid - 1], no_rows(train_mats[p.pid - 1])))
     for with_test, alone in zip(parties, train_only):
-        got, want = with_test.ledger.entry("sort"), alone.ledger.entry("sort")
+        got, want = with_test.ledger["sort"], alone.ledger["sort"]
         assert want.rounds > 0
         assert (got.bytes_sent, got.messages_sent, got.rounds) == \
             (want.bytes_sent, want.messages_sent, want.rounds)
@@ -216,12 +216,12 @@ def test_bin_test_ledger_is_two_lt_one_select_one_b2a_per_cell(rng):
 
     _, parties_lt = run3(body_lt)
     for pb, pl in zip(parties_bin, parties_lt):
-        got = pb.ledger.entry("adhoc")
-        want = pl.ledger.entry("adhoc")
+        got = pb.ledger["adhoc"]
+        want = pl.ledger["adhoc"]
         assert (got.bytes_sent, got.messages_sent, got.rounds) == \
             (want.bytes_sent, want.messages_sent, want.rounds)
         assert got.rounds == 20
-        assert "sort" not in pb.ledger.entries
+        assert "sort" not in pb.ledger
 
 
 def test_bin_train_with_full_batch_and_test_folds_matches_mirror(rng):
@@ -248,7 +248,7 @@ def test_bin_train_with_full_batch_and_test_folds_matches_mirror(rng):
         assert np.array_equal(cuts[j], want_cuts)
     for j, (_, idx) in enumerate(plan):
         assert np.array_equal(test[j, : idx.size, :3], ref.clear_bin_test(enc[idx], cuts[j]))
-    assert all(p.ledger.entry("bin").rounds == 30 for p in parties)
+    assert all(p.ledger["bin"].rounds == 30 for p in parties)
 
 
 def test_bin_test_empty_split():
@@ -322,7 +322,7 @@ def test_inv_bin_picks_each_one_hots_mean(rng):
 
     def body(p):
         out = inv_bin(p, so[p.pid - 1], sm[p.pid - 1])
-        return out, (p.ledger.entry("inv_bin").rounds, p.ledger.entry("inv_bin").bytes_sent)
+        return out, (p.ledger["inv_bin"].rounds, p.ledger["inv_bin"].bytes_sent)
 
     results, _ = run3(body)
     want = np.take_along_axis(means[:, None], bins[..., None], axis=3)[..., 0]    # (K, N, d)
@@ -361,7 +361,7 @@ def test_bin_means_and_inv_bin_cost_pinned(rng):
 
     _, parties = run3(body)
     for p in parties:
-        cost = {label: (p.ledger.entry(label).rounds, p.ledger.entry(label).bytes_sent)
+        cost = {label: (p.ledger[label].rounds, p.ledger[label].bytes_sent)
                 for label in ("bin", "inv_bin")}
         assert cost == {"bin": (56, 2388 * 8), "inv_bin": (1, 54 * 8)}
 

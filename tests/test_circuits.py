@@ -48,7 +48,7 @@ def test_mul_shares_random_pairs():
     assert np.array_equal(reconstruct(results), x * y)
     results, parties = run3(lambda p: mul_shares(p, sbx[p.pid - 1], sby[p.pid - 1]))
     assert np.array_equal(reconstruct(results), bx * by)
-    assert [p.ledger.entry("adhoc").bytes_sent for p in parties] == [4 * 5 * 3 * 8] * 3
+    assert [p.ledger["adhoc"].bytes_sent for p in parties] == [4 * 5 * 3 * 8] * 3
 
 
 def test_mul_costs_three_ring_elements():
@@ -60,11 +60,11 @@ def test_mul_costs_three_ring_elements():
 
     results, parties = run3(body)
     assert int(reconstruct(results)[0]) == 12
-    total_bytes = sum(p.ledger.entry("adhoc").bytes_sent for p in parties)
-    total_msgs = sum(p.ledger.entry("adhoc").messages_sent for p in parties)
+    total_bytes = sum(p.ledger["adhoc"].bytes_sent for p in parties)
+    total_msgs = sum(p.ledger["adhoc"].messages_sent for p in parties)
     assert total_bytes == 3 * 8
     assert total_msgs == 3
-    assert all(p.ledger.entry("adhoc").rounds == 1 for p in parties)
+    assert all(p.ledger["adhoc"].rounds == 1 for p in parties)
 
 
 def test_mul_by_zero():
@@ -105,7 +105,7 @@ def test_and_packed_truth():
     assert np.array_equal(reconstruct_xor(results), x & y)
     results, parties = run3(lambda p: and_packed(p, sbx[p.pid - 1], sby[p.pid - 1]))
     assert np.array_equal(reconstruct_xor(results), bx & by)
-    assert [p.ledger.entry("adhoc").bytes_sent for p in parties] == [4 * 5 * 3 * 8] * 3
+    assert [p.ledger["adhoc"].bytes_sent for p in parties] == [4 * 5 * 3 * 8] * 3
 
 
 def shared_xor_input(values, tag):
@@ -171,7 +171,7 @@ def test_add_components_costs_eight_rounds_and_eight_words():
     def body(p):
         with p.protocol("adhoc"):
             add_components(p, sx[p.pid - 1])
-        e = p.ledger.entry("adhoc")
+        e = p.ledger["adhoc"]
         return e.rounds, e.bytes_sent
 
     results, _ = run3(body)
@@ -193,7 +193,7 @@ def test_carry_prefix_matches_numpy_carries():
     def body(p):
         with p.protocol("adhoc"):
             carry = _carry_prefix(p, sa[p.pid - 1], sb[p.pid - 1])
-        e = p.ledger.entry("adhoc")
+        e = p.ledger["adhoc"]
         return carry, (e.rounds, e.bytes_sent)
 
     results, _ = run3(body)
@@ -238,7 +238,7 @@ def test_less_than_bits_matches_numpy_unsigned_and_signed():
     def body(p):
         with p.protocol("adhoc"):
             unsigned = less_than_bits(p, sx[p.pid - 1], sy[p.pid - 1])
-        e = p.ledger.entry("adhoc")
+        e = p.ledger["adhoc"]
         cost = e.rounds, e.bytes_sent
         return unsigned, less_than_bits(p, flipped_x[p.pid - 1], flipped_y[p.pid - 1]), cost
 
@@ -281,7 +281,7 @@ def test_b2a_sum_matches_weighted_numpy_sum():
             lane_shares = [bit_extract(sb[p.pid - 1][t], 0) for t in range(lanes)]
             with p.protocol("adhoc"):
                 out = b2a_sum(p, lane_shares, weights)
-            e = p.ledger.entry("adhoc")
+            e = p.ledger["adhoc"]
             return out, (e.rounds, e.bytes_sent)
 
         results, _ = run3(body)

@@ -265,6 +265,9 @@ def test_config_parse_errors(tmp_path):
         parse_config("eps_s = 5.0\nk_folds = 2\neps_s = 0.5\n")
     with pytest.raises(ValueError):
         parse_config("k_folds = 1")
+    # a custodian's hello carries its index in one byte
+    with pytest.raises(ConfigError, match=r"n_custodians = 300 is outside 1\.\.256: .* one byte"):
+        parse_config("n_custodians = 300")
     for line, key in (("synthetic_rows = -5", "synthetic_rows"), ("lr_epochs = -1", "lr_epochs"),
                       ("hyperparams = 0, -4", "hyperparams")):
         with pytest.raises(ConfigError, match=f"{key} must be >= 0"):
@@ -272,3 +275,23 @@ def test_config_parse_errors(tmp_path):
     assert parse_config("hyperparams = 0\nlr_epochs = 0\nsynthetic_rows = 0").hyperparams == (0,)
     cfg = parse_config(CONFIG)
     assert cfg.k_folds == 2 and cfg.hyperparams == (10, 15)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("max_loops = 0", "max_loops must be >= 1"),
+    ("hyperparams =", "hyperparams must be non-empty"),
+    ("eps_s = 0", "synthesis privacy budget must be positive"),
+    ("delta_s = 0", "synthesis privacy budget must be positive"),
+    ("delta_s = 1", "synthesis privacy budget must be positive"),
+    ("eps_p = -1", "preprocessing privacy budget must be non-negative"),
+    ("delta_p = -1e-9", "preprocessing privacy budget must be non-negative"),
+    ("n_custodians = 0", "n_custodians = 0 is outside 1..256"),
+    ("n_custodians = 257", "n_custodians = 257 is outside 1..256"),
+    ("mode = fastest", "unknown mode 'fastest'"),
+    ("k_folds = 2\nmax_loops = two", "line 2: invalid literal for int()"),
+])
+def test_config_refuses(text, message):
+    from silosynth.config import ConfigError, parse_config
+    with pytest.raises(ConfigError) as info:
+        parse_config(text)
+    assert str(info.value).startswith(message)

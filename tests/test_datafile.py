@@ -1,10 +1,11 @@
 """The dataset writer's bytes: every cell as ``repr(float)``, whatever the
-values repeat, so that run-local and custodian files stay identical."""
+values repeat, so that run-local and custodian files stay identical; and the
+readers' refusals, each naming the file and the offending row."""
 
 import numpy as np
 import pytest
 
-from silosynth.datafile import read_dataset, write_dataset
+from silosynth.datafile import DatasetError, read_dataset, read_thresholds, write_dataset
 
 
 def per_cell(genes, labels) -> str:
@@ -40,3 +41,23 @@ def test_signed_zero_survives_a_round_trip(tmp_path):
     write_dataset(str(path), genes, np.zeros(2, dtype=np.int64))
     back, _ = read_dataset(str(path))
     assert np.array_equal(np.signbit(back), np.signbit(genes))
+
+
+@pytest.mark.parametrize("reader, text, message", [
+    (read_dataset, "\n\n", "empty dataset"),
+    (read_dataset, "g1,g2\n1.0,2.0\n", "last column must be 'label'"),
+    (read_dataset, "g1,label\n1.0,1\nabc,2\n", "row 2: could not convert string to float: 'abc'"),
+    (read_dataset, "g1,label\n1.0,1.5\n", "row 1: label '1.5' is not an integer"),
+    (read_dataset, "g1,label\n1.0,5\n", "row 1: label 5 outside 0..4"),
+    (read_dataset, "g1,label\n1.0,1\ninf,2\n", "row 2: non-finite gene value"),
+    (read_thresholds, "", "empty thresholds file"),
+    (read_thresholds, "max_wle,min_accuracy\n1.0,0.5\n1.0\n", "row 2: expected 2 metric thresholds"),
+    (read_thresholds, "max_wle,min_accuracy\n1.0,high\n", "row 1: could not convert string to float: 'high'"),
+], ids=["empty", "no label column", "non-numeric gene", "non-integer label", "label past the domain",
+        "non-finite gene", "empty thresholds", "threshold cell count", "non-numeric threshold"])
+def test_readers_refuse_malformed_files(tmp_path, reader, text, message):
+    path = tmp_path / "input.csv"
+    path.write_text(text)
+    with pytest.raises(DatasetError) as info:
+        reader(str(path))
+    assert str(info.value) == f"{path}: {message}"

@@ -6,7 +6,6 @@ from conftest import reconstruct, run3, shared, shared_matrix
 
 from silosynth import fixedpoint as fx
 from silosynth.evaluation import (
-    N_CLASSES,
     SOFTMAX_FLOOR,
     _softmax,
     evaluate,
@@ -15,7 +14,7 @@ from silosynth.evaluation import (
     wle,
 )
 from silosynth.fixedpoint import FixedPointConfig
-from silosynth.marginals import COUNT_BITS, marginal_counts, scaled_onehots
+from silosynth.marginals import COUNT_BITS, LABEL_DOMAIN, marginal_counts, scaled_onehots
 from silosynth.runtime import Party, run_parties
 from silosynth.sharing import ShareMatrix
 
@@ -23,7 +22,7 @@ ULP = 2.0**-16
 # Every exponential lies in [0, 1] and the row maximum's is exactly 1.0, so a
 # softmax denominator lies in [1, DENOM_MAX], the range RECIP_ALPHA and
 # RECIP_BETA are fitted to.
-DENOM_MAX = float(N_CLASSES)
+DENOM_MAX = float(LABEL_DOMAIN)
 
 
 def open_scalar(results):
@@ -201,7 +200,7 @@ def test_lr_accuracy_tie_break_lowest_class(rng):
     labels[:5] = 0
     labels[5:] = rng.integers(1, 5, size=7)
     mats = shared_matrix(genes.astype(np.uint64), labels, 103)
-    zero = shared(np.zeros((1, 3, N_CLASSES), dtype=np.uint64), 120)
+    zero = shared(np.zeros((1, 3, LABEL_DOMAIN), dtype=np.uint64), 120)
 
     def body(p):
         return lr_accuracy(p, zero[p.pid - 1], mats[p.pid - 1])
@@ -217,9 +216,9 @@ def test_lr_accuracy_255_rows_at_f8_matches_mirror(rng):
     every row a hit, none a hit, and random labels equals the mirror's
     division word for word."""
     genes = rng.integers(0, 4, size=(255, 3))
-    w = fx.encode(rng.normal(0.0, 1.0, size=(4, N_CLASSES)), 8)
+    w = fx.encode(rng.normal(0.0, 1.0, size=(4, LABEL_DOMAIN)), 8)
     predicted = ref.clear_lr_predict(w, genes)
-    cases = [predicted, (predicted + 1) % N_CLASSES, rng.integers(0, N_CLASSES, size=255)]
+    cases = [predicted, (predicted + 1) % LABEL_DOMAIN, rng.integers(0, LABEL_DOMAIN, size=255)]
     tests = [shared_matrix(genes.astype(np.uint64), labels, 130 + i) for i, labels in enumerate(cases)]
     sw = shared(w[None], 133)
 
@@ -235,7 +234,7 @@ def test_lr_accuracy_255_rows_at_f8_matches_mirror(rng):
 
 def test_lr_accuracy_rejects_empty():
     empty = shared_matrix(np.zeros((0, 2), dtype=np.uint64), np.zeros(0, dtype=np.int64), 105)
-    zero = shared(np.zeros((1, 3, N_CLASSES), dtype=np.uint64), 121)
+    zero = shared(np.zeros((1, 3, LABEL_DOMAIN), dtype=np.uint64), 121)
 
     def body(p):
         return lr_accuracy(p, zero[p.pid - 1], empty[p.pid - 1])
@@ -289,8 +288,8 @@ def test_evaluate_identity_synthetic(rng):
     assert int(np.atleast_1d(reconstruct([r[0] for r in results]))[0]) == 0
     # the ledger splits wle and acc under separate labels; nothing trains on shares
     for p in parties:
-        assert {"wle", "acc"} <= set(p.ledger.entries)
-        assert "lr" not in p.ledger.entries
+        assert {"wle", "acc"} <= set(p.ledger)
+        assert "lr" not in p.ledger
     want_acc = ref.clear_lr_accuracy(ref.clear_lr_train(genes, labels, 20, 0.05), test_g, test_l)
     got_acc = int(np.atleast_1d(reconstruct([r[1] for r in results]))[0])
     assert got_acc == int(want_acc)
@@ -320,7 +319,7 @@ def test_evaluate_unequal_folds_match_mirror_in_32_rounds(rng):
     def body(p):
         i = p.pid - 1
         real_counts, synth_counts = counts_of(p, real[i]), counts_of(p, synth[i])
-        p.ledger.reset()
+        p.ledger.clear()
         return evaluate(p, real_counts, synth_counts, real[i].rows, sw[i], test[i])
 
     results, parties = run3(body)
@@ -344,7 +343,7 @@ def test_exp_exhaustive_grid_bounds():
     one = fx.encode_scalar(1.0)
     assert values[0] == one
     assert values.min() >= 0 and values.max() <= one
-    assert N_CLASSES * values.max() <= fx.encode_scalar(DENOM_MAX)
+    assert LABEL_DOMAIN * values.max() <= fx.encode_scalar(DENOM_MAX)
     # the polynomial tracks exp to within its fit error plus rounding
     assert np.max(np.abs(fx.decode(values) - np.exp(fx.decode(grid)))) <= 16 * ULP
 
@@ -358,13 +357,13 @@ def test_bounded_div_sweep_within_four_ulp():
     assert np.max(np.abs(fx.decode(recip) - 1.0 / fx.decode(den))) <= 4 * ULP
 
     sample = den[::97]
-    num = fx.encode(np.linspace(0.0, 1.0, N_CLASSES)) * np.ones((sample.size, 1), dtype=np.uint64)
+    num = fx.encode(np.linspace(0.0, 1.0, LABEL_DOMAIN)) * np.ones((sample.size, 1), dtype=np.uint64)
     got = ref.clear_bounded_div(num, sample)
     assert np.max(np.abs(fx.decode(got) - fx.decode(num) / fx.decode(sample)[:, None])) <= 4 * ULP
 
 
 def test_softmax_random_logits_vs_float(rng):
-    z = fx.encode(rng.normal(0.0, 3.0, size=(400, N_CLASSES)))
+    z = fx.encode(rng.normal(0.0, 3.0, size=(400, LABEL_DOMAIN)))
     got = _softmax(z, 16)
     assert np.array_equal(got, ref.clear_softmax(z))
     zf = fx.decode(z)
@@ -378,7 +377,7 @@ def test_softmax_matches_mirror_on_wide_logits(rng):
     plus rows with t at the floor and one ulp either side: the output words
     equal the mirror's at both ends of the frac_bits range."""
     scale = 2.0 ** rng.integers(0, 19, size=(300, 1))
-    wide = fx.encode(np.clip(rng.normal(0.0, 4.0, size=(300, N_CLASSES)) * scale, -2**20, 2**20))
+    wide = fx.encode(np.clip(rng.normal(0.0, 4.0, size=(300, LABEL_DOMAIN)) * scale, -2**20, 2**20))
     floor = np.uint64(fx.encode_scalar(SOFTMAX_FLOOR))
     edge = fx.to_u64(np.array([0, -1, 0, 1, 0])) + np.array([0, floor, floor, floor, 0], dtype=np.uint64)
     edge = edge + fx.encode(rng.normal(0.0, 4.0, size=(20, 1)))
@@ -396,10 +395,10 @@ def test_accuracy_rounds_pinned(rng):
     genes = rng.integers(0, 4, size=(12, 3))
     labels = rng.integers(0, 5, size=12)
     test = shared_matrix(genes.astype(np.uint64), labels, 116)
-    w = shared(fx.encode(rng.normal(0.0, 1.0, size=(1, 4, N_CLASSES))), 117)
+    w = shared(fx.encode(rng.normal(0.0, 1.0, size=(1, 4, LABEL_DOMAIN))), 117)
 
     def body(p):
         lr_accuracy(p, w[p.pid - 1], test[p.pid - 1])
 
     _, parties = run3(body)
-    assert [p.ledger.entry("acc").rounds for p in parties] == [32, 32, 32]
+    assert [p.ledger["acc"].rounds for p in parties] == [32, 32, 32]

@@ -112,7 +112,7 @@ def test_bridge_reshares_enclave_output(rng):
     # per marginal cell
     reshare_bytes = 30 * (4 * 3 + 1) * 8
     marginal_bytes = (3 * 4 + 5 + 3 * 20) * 8
-    assert [p.ledger.entry("sdg").bytes_sent for p in parties] == [
+    assert [p.ledger["sdg"].bytes_sent for p in parties] == [
         reshare_bytes, reshare_bytes + marginal_bytes, reshare_bytes]
 
 
@@ -167,7 +167,7 @@ def test_bridge_reshares_counts_and_weights(rng):
     # every party re-shares one word per count and weight, the revealing party
     # also one per marginal cell; one reveal, nothing opened
     reshare_bytes = 3 * (cells.shape[1] + (d + 1) * 5) * 8
-    assert [p.ledger.entry("sdg").bytes_sent for p in parties] == [
+    assert [p.ledger["sdg"].bytes_sent for p in parties] == [
         reshare_bytes, reshare_bytes + cells.size * 8, reshare_bytes]
     for p in parties:
         assert p.opening_log == []

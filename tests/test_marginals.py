@@ -164,7 +164,7 @@ def test_marginal_counts_share_numerator_rounds(rng):
             marginal_counts(p, scaled_onehots(p, mats[p.pid - 1]))
 
     _, parties = run3(body)
-    entries = [p.ledger.entry("adhoc") for p in parties]
+    entries = [p.ledger["adhoc"] for p in parties]
     assert [e.rounds for e in entries] == [3, 3, 3]
     assert [e.messages_sent for e in entries] == [3, 3, 3]
     assert [e.bytes_sent for e in entries] == [824, 824, 824]

@@ -76,7 +76,7 @@ def test_ingest_stacks_custodians_in_one_round(rng):
     assert np.array_equal(thr, np.stack([sum(u[1]) for u in uploads]))
     assert np.array_equal(fx.decode(thr), fx.decode(fx.encode(thresholds)))
     for p in parties:
-        entry = p.ledger.entry("ingest")
+        entry = p.ledger["ingest"]
         assert (entry.rounds, entry.messages_sent) == (1, 1)
 
 
@@ -190,7 +190,7 @@ def test_secret_vote_rounds(n_cust):
     results, parties = run3(body)
     assert results == [1, 1, 1]
     for p in parties:
-        assert p.ledger.entry("vote").rounds == 8 + (2 * n_cust - 1).bit_length() + 1
+        assert p.ledger["vote"].rounds == 8 + (2 * n_cust - 1).bit_length() + 1
         assert p.opening_log == [("vote", 1)]
 
 
@@ -466,7 +466,7 @@ def test_first_pass_publish_sorts_once(rng, monkeypatch):
     results, parties = run_full(config, datasets, thresholds)
     assert results[0].publish
     assert calls == [[12, 12, 24]]
-    assert all(p.ledger.entry("sort").rounds == 8 + 8 * 15 + 2 for p in parties)
+    assert all(p.ledger["sort"].rounds == 8 + 8 * 15 + 2 for p in parties)
 
 
 def test_no_publish_run_pays_full_sort_in_first_loop(rng, monkeypatch):
@@ -481,9 +481,9 @@ def test_no_publish_run_pays_full_sort_in_first_loop(rng, monkeypatch):
     assert not results[0].publish
     assert calls == [[12, 12, 24], [12, 12]]
     for p in parties:
-        assert p.ledger.entry("sort").rounds == (8 + 8 * 15 + 2) + (8 + 8 * 10 + 2)
-        assert p.ledger.entry("bin").rounds == 2 * 30      # quantiles and binning only
-        assert not {"inv_bin", "publish"} & set(p.ledger.entries)
+        assert p.ledger["sort"].rounds == (8 + 8 * 15 + 2) + (8 + 8 * 10 + 2)
+        assert p.ledger["bin"].rounds == 2 * 30      # quantiles and binning only
+        assert not {"inv_bin", "publish"} & set(p.ledger)
 
 
 def test_publish_builds_scaled_onehots_once_for_both_readers(rng, monkeypatch):

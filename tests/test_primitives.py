@@ -114,7 +114,7 @@ def test_eq_zero_edges_and_cost():
     def body(p):
         with p.protocol("adhoc"):
             bit = eq_zero(p, sv[p.pid - 1])
-        e = p.ledger.entry("adhoc")
+        e = p.ledger["adhoc"]
         return bit, (e.rounds, e.bytes_sent)
 
     results, _ = run3(body)
@@ -163,10 +163,10 @@ def test_and_all_matches_numpy_all():
     def body(p):
         out = {}
         for w, sb in shares.items():
-            p.ledger.reset()
+            p.ledger.clear()
             with p.protocol("adhoc"):
                 out[w] = and_all(p, sb[p.pid - 1])
-            out[w] = (out[w], p.ledger.entry("adhoc").rounds)
+            out[w] = (out[w], p.ledger["adhoc"].rounds)
         return out
 
     results, _ = run3(body)
@@ -188,10 +188,10 @@ def test_select_max_matches_numpy():
         out = {}
         for w, sz in shares.items():
             z = sz[p.pid - 1]
-            p.ledger.reset()
+            p.ledger.clear()
             with p.protocol("adhoc"):
                 out[w] = (select_max(p, z, values[w]), select_max(p, -z, values[w]))
-            out[w] += (p.ledger.entry("adhoc").rounds,)
+            out[w] += (p.ledger["adhoc"].rounds,)
         return out
 
     results, _ = run3(body)
@@ -235,7 +235,7 @@ def test_select_max_bytes_pinned():
     def body(p):
         with p.protocol("adhoc"):
             select_max(p, sz[p.pid - 1], np.arange(5))
-        return p.ledger.entry("adhoc").bytes_sent
+        return p.ledger["adhoc"].bytes_sent
 
     results, _ = run3(body)
     assert results == [101 * 30 * 8] * 3
@@ -256,7 +256,7 @@ def test_select_injection_matches_numpy():
         i = p.pid - 1
         bit = bit_extract(sbits[i], 0)           # 0/1 components, as lt hands them over
         same = select(p, bit, sx[i], sy[i])
-        cost = (p.ledger.entry("adhoc").rounds, p.ledger.entry("adhoc").bytes_sent)
+        cost = (p.ledger["adhoc"].rounds, p.ledger["adhoc"].bytes_sent)
         return same, select(p, bit, sx[i], sstack[i]), cost
 
     results, _ = run3(body)
@@ -341,7 +341,7 @@ def test_reciprocal_lookup_returns_the_clear_table(n):
         i = p.pid - 1
         with p.protocol("adhoc"):
             row = primitives.reciprocal_fx(p, sc[i], n)
-        cost = (p.ledger.entry("adhoc").rounds, p.ledger.entry("adhoc").bytes_sent)
+        cost = (p.ledger["adhoc"].rounds, p.ledger["adhoc"].bytes_sent)
         return row, div_fx(p, ss[i], sc[i], n, sf[i]), cost
 
     results, _ = run3(body)
@@ -391,7 +391,7 @@ def test_div_public_every_count_below_2_to_8_matches_mirror():
     results, parties = run_parties(body, master_seed=77, fp=FixedPointConfig(8), timeout=120.0)
     one = np.uint64(1) << np.uint64(8)
     assert np.array_equal(open_result(results), ref.clear_div(hits * one, n * one, 8))
-    assert [p.ledger.entry("adhoc").rounds for p in parties] == [10, 10, 10]
+    assert [p.ledger["adhoc"].rounds for p in parties] == [10, 10, 10]
 
 
 def test_sort_small_example():
@@ -462,7 +462,7 @@ def test_sort_bytes_pinned():
     results, parties = run3(body)
     assert np.array_equal(fx.signed(reconstruct(results)), np.sort(fx.signed(vals), axis=1))
     for p in parties:
-        e = p.ledger.entry("adhoc")
+        e = p.ledger["adhoc"]
         assert (e.rounds, e.bytes_sent) == (234, (100 * (8 + 65) + 1077 * 8) * 8)
 
 
@@ -491,7 +491,7 @@ def test_sort_uneven_batches_one_call():
     for k, r in enumerate(rows):
         assert np.array_equal(got[k, :r], np.sort(fx.signed(vals[k, :r]), axis=0))
     for p in parties:
-        together, separate = p.ledger.entry("adhoc"), p.ledger.entry("sort")
+        together, separate = p.ledger["adhoc"], p.ledger["sort"]
         assert together.rounds == 8 + 8 * 36 + 2
         assert together.bytes_sent == separate.bytes_sent == (307 * (8 + 65) + 3914 * 8) * 8
 
@@ -521,7 +521,7 @@ def test_sort_cone_sorts_read_positions():
     want = np.sort(fx.signed(vals[0]), axis=0)
     assert np.array_equal(got[read[0]], want[read[0]])
     for p in parties:
-        e = p.ledger.entry("adhoc")
+        e = p.ledger["adhoc"]
         assert (e.rounds, e.bytes_sent) == (234, (100 * 8 + 945 * 8 + 6 * 65) * 2 * 8)
 
 

@@ -96,7 +96,7 @@ def test_batched_multiply_is_one_round():
     def body(p):
         with p.protocol("adhoc"):
             mul_shares(p, x[p.pid - 1], y[p.pid - 1])
-        return p.ledger.entry("adhoc").rounds
+        return p.ledger["adhoc"].rounds
 
     results, _ = run3(body)
     assert results == [1, 1, 1]
@@ -311,7 +311,7 @@ def test_nested_label_seconds_are_exclusive():
                 time.sleep(0.1)
             with p.protocol("acc"):
                 time.sleep(0.02)
-        return time.perf_counter() - t0, {k: e.seconds for k, e in p.ledger.entries.items()}
+        return time.perf_counter() - t0, {k: e.seconds for k, e in p.ledger.items()}
 
     results, _ = run3(body)
     for wall, seconds in results:

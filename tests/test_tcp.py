@@ -263,6 +263,18 @@ def test_custodian_refuses_out_of_range_index_before_connecting(setup_files, ind
     assert f"custodian index {index} is outside 0..1" in capsys.readouterr().err
 
 
+def test_custodian_past_the_hello_index_byte_exits_2(setup_files, capsys):
+    """Index 256 does not fit the hello's one index byte: a config with 300
+    custodians is refused before any socket, with exit 2, not a traceback."""
+    tmp_path, cfg, data_paths, (thr0, _, _) = setup_files
+    cfg.write_text(CONFIG.replace("n_custodians = 2", "n_custodians = 300"))
+    servers = ",".join(f"127.0.0.1:{port}" for port in free_ports(3))
+    code = main(["custodian", "--data", str(data_paths[0]), "--thresholds", str(thr0), "--servers", servers,
+                 "--config", str(cfg), "--index=256", "--timeout", "30"])
+    assert code == 2
+    assert "n_custodians = 300 is outside 1..256" in capsys.readouterr().err
+
+
 def test_custodian_refuses_gene_value_beyond_encodable_range_before_connecting(setup_files, rng, capsys):
     """A gene value of 2e9 at frac_bits 16 exits 2 at once, naming the file
     and the bound 2^30, though no server listens at the given addresses."""
