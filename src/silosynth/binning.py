@@ -10,7 +10,8 @@ arithmetic shares of those positions, so the quantiles and the binning stay
 arithmetic. Held-out rows are binned with their fold's cuts in the same
 comparisons as the training rows. Strict less-than follows the comparison
 primitive, so a value equal to a cut is not below it. Per-bin means, for
-inverse discretization, are computed only for the data that is published.
+inverse discretization, are computed only for the full data, beside the
+first tuning loop (``pipeline.run_fold``).
 """
 
 from __future__ import annotations
@@ -18,9 +19,18 @@ from __future__ import annotations
 import numpy as np
 
 from . import fixedpoint as fx
-from .circuits import b2a_sum, matmul_shares, matmul_term, program, reshare, select, trunc_shares
+from .circuits import (
+    b2a_sum,
+    matmul_shares,
+    matmul_term,
+    program,
+    reshare_steps,
+    select,
+    trunc_shares,
+    trunc_shares_steps,
+)
 from .marginals import GENE_BITS
-from .primitives import div_fx, lt, sort_columns
+from .primitives import div_fx_steps, lt, sort_columns
 from .runtime import Party
 from .sharing import ShareMatrix, ShareVector, concat_shares
 
@@ -83,7 +93,7 @@ def bin_columns(party: Party, data: ShareVector, cuts: ShareVector, batch: np.nd
 def bin_means_steps(party: Party, onehots: ShareVector, originals: ShareVector,
                     cuts: ShareVector) -> ShareVector:
     """Secret per-bin means, shape (K, d, 4), of the originals (K, N, d) by
-    the cells' bin one-hots times 2^GENE_BITS = 2 (``scaled_onehots``,
+    the cells' bin one-hots times 2^GENE_BITS = 2 (``scaled_onehots_steps``,
     (K, N, d, 4), padding rows 0), with oblivious empty-bin fallback to cut
     midpoints.
 
@@ -91,22 +101,22 @@ def bin_means_steps(party: Party, onehots: ShareVector, originals: ShareVector,
     originals gives 2 S_b, and the one-hots' sums twice the counts: with the
     midpoints' 2 mid = c_j + c_(j+1), one exact truncation by GENE_BITS
     divides all three. It needs |S_b| < 2^62: encoded genes stay below
-    2^(62-f) and the preflight admits fewer than 2^f rows. On the publish
-    path the matmul and the truncation are ``lockstep`` requests that the
-    noisy marginals' counts and truncation join.
+    2^(62-f) and the preflight admits fewer than 2^f rows.
 
     ``div_fx`` looks up each count in [0, N] in a public table, 4d(N + 1)
-    words per batch, and takes 46 rounds after the 11 of the sums. An empty
-    bin's sum is 0, so its raw mean is exactly 0 and adding empty *
+    words per batch, and takes 46 rounds after the 11 of the sums: 57. The
+    first tuning loop runs them beside its own tail from the counts to the
+    vote, the sums in the full data's counts' round (``pipeline.run_fold``).
+    An empty bin's sum is 0, so its raw mean is exactly 0 and adding empty *
     fallback selects the fallback.
     """
     lhs = onehots.map(np.transpose, (0, 2, 3, 1))                     # (K, d, 4, N)
     rhs = originals.map(lambda w: np.swapaxes(w, 1, 2)[..., None])    # (K, d, N, 1)
-    sums = yield reshare, matmul_term(lhs, rhs)
+    sums = yield from reshare_steps(party, matmul_term(lhs, rhs))
     acc = concat_shares([sums[..., 0], lhs.sum(axis=3), cuts[..., :2] + cuts[..., 1:]], axis=2)   # (K, d, 10)
-    exact = yield trunc_shares, acc, GENE_BITS
+    exact = yield from trunc_shares_steps(party, acc, GENE_BITS)
     fallback = concat_shares([cuts[..., :1], exact[..., 8:], cuts[..., 2:]], axis=2)
-    return div_fx(party, exact[..., :4], exact[..., 4:8], onehots.shape[1], fallback)
+    return (yield from div_fx_steps(party, exact[..., :4], exact[..., 4:8], onehots.shape[1], fallback))
 
 
 compute_bin_means = program(bin_means_steps)

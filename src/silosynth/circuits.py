@@ -8,10 +8,17 @@ The boolean AND is the same dance in GF(2) on bit-packed words (64 bit
 lanes per ring word), which gives the comparison/truncation circuits
 word-level SIMD for free. A caller that needs several independent products
 in one round concatenates their operands (``concat_shares``) into one gate
-and slices the result. Steps that live in different functions share rounds
-as ``lockstep`` programs: generators that yield their elementwise gates
-(``reshare``, ``primitives.is_negative``, ``trunc_shares``), so that the
-same gate of two programs runs as one call on their concatenated operands.
+and slices the result.
+
+Steps that live in different functions share rounds as programs: a
+``*_steps`` generator yields the messages of each round it spends (a
+masked replicate term, or the send and receive of an open or a reveal,
+``runtime.Message``) and is sent their results. ``Party.run`` drives one
+program alone, which is what each gate's plain call does (``program``);
+``lockstep`` runs several side by side, each round the union of their
+messages, so steps of any gates and lengths share rounds, and it is a
+program itself, so locksteps nest. Programs call each other's ``*_steps``
+by name, never through a plain call, which runs its rounds on its own.
 
 Share splitting: the three additive components of x are each known to
 exactly the two parties that replicate them, so XOR (or arithmetic)
@@ -33,100 +40,101 @@ weights (``b2a`` weight 1); both take two rounds.
 from __future__ import annotations
 
 import functools
-from contextlib import nullcontext
 
 import numpy as np
 
 from .fixedpoint import MASK, to_u64
 from .runtime import Party
-from .sharing import ShareVector, concat_shares
+from .sharing import ShareVector
 
 ALL_ONES = np.uint64(MASK)
 ONE = np.uint64(1)
 
 
-# -- re-sharing ---------------------------------------------------------------
+# -- programs -------------------------------------------------------------------
 
-def reshare(party: Party, z: np.ndarray) -> ShareVector:
-    """Replicate a local additive term after masking it with a zero sharing
-    (in place, so ``z`` must be a fresh array). One round."""
-    return party.replicate(party.add_zero_sharing(z))
-
-
-def reshare_xor(party: Party, z: np.ndarray) -> ShareVector:
-    """``reshare`` for XOR sharings of packed words."""
-    return party.replicate(party.xor_zero_sharing(z))
+def _labelled(party: Party, label: str, steps):
+    with party.protocol(label):
+        return (yield from steps)
 
 
-# -- lockstep programs ------------------------------------------------------------
+def lockstep_steps(party: Party, programs, labels):
+    """Run protocol programs side by side, as one program; their results, in order.
 
-def _flat(x, shape):
-    """Operand x broadcast to ``shape`` and flattened: a share, or public words."""
-    if isinstance(x, ShareVector):
-        return ShareVector(np.broadcast_to(x.a, shape).ravel(), np.broadcast_to(x.b, shape).ravel())
-    return np.broadcast_to(to_u64(x), shape).ravel()
-
-
-def _joint(party: Party, gate, requests) -> list:
-    """One call of an elementwise ``gate`` on the requests' operands, each
-    request's broadcast to its output shape, flattened and concatenated in
-    request order; the output split back into those shapes."""
-    if len(requests) == 1:
-        return [gate(party, *requests[0])]
-    shapes = [np.broadcast_shapes(*(np.shape(x.a if isinstance(x, ShareVector) else x) for x in args))
-              for args in requests]
-    columns = [[_flat(x, shape) for x, shape in zip(operands, shapes)] for operands in zip(*requests)]
-    out = gate(party, *(concat_shares(c) if isinstance(c[0], ShareVector) else np.concatenate(c)
-                        for c in columns))
-    ends = np.cumsum([int(np.prod(shape)) for shape in shapes])
-    return [out[end - int(np.prod(shape)):end].reshape(shape) for shape, end in zip(shapes, ends)]
-
-
-def lockstep(party: Party, programs, labels) -> list:
-    """Run protocol programs side by side; their results, in order.
-
-    A program is a generator that yields requests (gate, *operands) for an
-    elementwise gate and is sent the gate's output. Each step serves the
-    first unfinished program's request, joined by every other program's
-    request for the same gate as one ``_joint`` call, so they share its
-    rounds; a program whose request differs waits. The schedule depends on
-    the programs' code and public shapes only. Each program runs, and a
-    request that no other joins, under its label in ``labels`` (None: the
-    caller's); joined calls run under the caller's label.
+    A program is a generator that yields the messages of one round (a list
+    of ``runtime.Message``) and is sent their results. Each round of the
+    lockstep yields the union of its live programs' messages, in program
+    order, so steps of any gates and lengths share rounds, and a lockstep
+    nests inside another. Each program runs on a label stack of its own:
+    the caller's, with its label in ``labels`` (None: none) pushed, swapped
+    in whenever it resumes, so a label it holds across a yield is kept, and
+    each of its messages counts under it. The schedule depends on the
+    programs' code and public shapes only.
     """
-    results, waiting = [None] * len(programs), {}
-
-    def scope(label):
-        return party.protocol(label) if label else nullcontext()
+    programs = [_labelled(party, label, p) if label else p for p, label in zip(programs, labels)]
+    stacks = [list(party.label_stack) for _ in programs]
+    results, live = [None] * len(programs), {}
 
     def resume(i, value):
-        with scope(labels[i]):
-            try:
-                waiting[i] = programs[i].send(value)
-            except StopIteration as done:
-                waiting.pop(i, None)
-                results[i] = done.value
+        outer = party.swap_labels(stacks[i])
+        try:
+            live[i] = programs[i].send(value)
+        except StopIteration as done:
+            live.pop(i, None)
+            results[i] = done.value
+        finally:
+            party.swap_labels(outer)
 
-    for i in range(len(programs)):
-        resume(i, None)
-    while waiting:
-        gate = waiting[min(waiting)][0]
-        joined = [i for i in sorted(waiting) if waiting[i][0] is gate]
-        with scope(labels[joined[0]] if len(joined) == 1 else None):
-            outs = _joint(party, gate, [waiting[i][1:] for i in joined])
-        for i, out in zip(joined, outs):
-            resume(i, out)
+    try:
+        for i in range(len(programs)):
+            resume(i, None)
+        while live:
+            sizes = [(i, len(live[i])) for i in sorted(live)]
+            replies = yield [m for i, _ in sizes for m in live[i]]
+            for i, n in sizes:
+                resume(i, replies[:n])
+                replies = replies[n:]
+    finally:
+        for i in live:                      # after an error: unwind each program's own labels
+            outer = party.swap_labels(stacks[i])
+            try:
+                programs[i].close()
+            finally:
+                party.swap_labels(outer)
     return results
 
 
 def program(steps, label=None):
     """The plain call of the program ``steps``: it runs alone, under
-    ``label`` if given. ``.steps`` keeps the generator for ``yield from``."""
+    ``label`` if given, with no scheduler (``Party.run``)."""
     @functools.wraps(steps)
-    def call(party: Party, *args):
-        return lockstep(party, [steps(party, *args)], [label])[0]
-    call.steps = steps
+    def call(party: Party, *args, **kwargs):
+        body = steps(party, *args, **kwargs)
+        del args, kwargs                    # the program alone holds them, and may free them early
+        if label is None:
+            return party.run(body)
+        with party.protocol(label):
+            return party.run(body)
     return call
+
+
+lockstep = program(lockstep_steps)
+
+
+# -- re-sharing ---------------------------------------------------------------
+
+def reshare_steps(party: Party, z: np.ndarray) -> ShareVector:
+    """Replicate a local additive term after masking it with a zero sharing
+    (in place, so ``z`` must be a fresh array). One round."""
+    return (yield [party.replicate_message(party.add_zero_sharing(z))])[0]
+
+
+def reshare_xor_steps(party: Party, z: np.ndarray) -> ShareVector:
+    """``reshare_steps`` for XOR sharings of packed words."""
+    return (yield [party.replicate_message(party.xor_zero_sharing(z))])[0]
+
+
+reshare = program(reshare_steps)
 
 
 # -- arithmetic multiplication ------------------------------------------------
@@ -138,11 +146,14 @@ def _cross(x: ShareVector, y: ShareVector, out: np.ndarray):
     out += x.b * y.a
 
 
-def mul_shares(party: Party, x: ShareVector, y: ShareVector) -> ShareVector:
+def mul_shares_steps(party: Party, x: ShareVector, y: ShareVector) -> ShareVector:
     """Integer ring product (shapes broadcast); one ring element sent per party."""
     out = np.empty(np.broadcast_shapes(x.shape, y.shape), dtype=np.uint64)
     _cross(x, y, out)
-    return reshare(party, out)
+    return (yield from reshare_steps(party, out))
+
+
+mul_shares = program(mul_shares_steps)
 
 
 def matmul_term(x: ShareVector, y: ShareVector) -> np.ndarray:
@@ -167,10 +178,13 @@ def _cross_and(x: ShareVector, y: ShareVector, out: np.ndarray):
     out ^= x.b & y.a
 
 
-def and_packed(party: Party, x: ShareVector, y: ShareVector) -> ShareVector:
+def and_packed_steps(party: Party, x: ShareVector, y: ShareVector) -> ShareVector:
     out = np.empty(np.broadcast_shapes(x.shape, y.shape), dtype=np.uint64)
     _cross_and(x, y, out)
-    return reshare_xor(party, out)
+    return (yield from reshare_xor_steps(party, out))
+
+
+and_packed = program(and_packed_steps)
 
 
 # Sklansky prefix levels: the span w = 2^j, the upper half of every 2w-lane
@@ -181,7 +195,7 @@ _PREFIX_LEVELS = [(1 << j,
                    np.uint64((1 << (1 << j)) - 1)) for j in range(6)]
 
 
-def _carry_prefix(party: Party, a: ShareVector, b: ShareVector) -> ShareVector:
+def _carry_prefix_steps(party: Party, a: ShareVector, b: ShareVector) -> ShareVector:
     """Carry word of a + b for XOR-shared words: lane t holds the carry out of lane t.
 
     Generate G = a b is one AND word and propagate P = a ^ b is local. The
@@ -192,7 +206,7 @@ def _carry_prefix(party: Party, a: ShareVector, b: ShareVector) -> ShareVector:
     halves by a mask and a multiply by 2^w - 1, all local on XOR shares.
     7 rounds and 7 words per element.
     """
-    g = and_packed(party, a, b)
+    g = yield from and_packed_steps(party, a, b)
     # G and P hold both components on a leading axis; each level runs in
     # place on them and on three scratch arrays
     big_g = np.stack((g.a, g.b))
@@ -214,7 +228,7 @@ def _carry_prefix(party: Party, a: ShareVector, b: ShareVector) -> ShareVector:
             tmp >>= w - 1
             rhs |= tmp
         rhs *= spread                                   # each spread over its half
-        prod = and_packed(party, ShareVector(*lhs), ShareVector(*rhs))
+        prod = yield from and_packed_steps(party, ShareVector(*lhs), ShareVector(*rhs))
         for k, r in enumerate((prod.a, prod.b)):
             np.bitwise_and(r, upper, out=tmp[k])
         big_g ^= tmp
@@ -227,7 +241,10 @@ def _carry_prefix(party: Party, a: ShareVector, b: ShareVector) -> ShareVector:
     return ShareVector(*big_g)
 
 
-def add_components(party: Party, x: ShareVector):
+_carry_prefix = program(_carry_prefix_steps)
+
+
+def add_components_steps(party: Party, x: ShareVector):
     """Bits and carries of x1 + x2 + x3 via carry-save + a Sklansky prefix adder.
 
     Returns (sum_bits, maj, carry) packed words where ``sum_bits`` holds the
@@ -242,10 +259,13 @@ def add_components(party: Party, x: ShareVector):
     and the shifted majority then meet in ``_carry_prefix``: 8 rounds and
     8 words per element.
     """
-    maj = reshare_xor(party, x.a & x.b)
-    carry = _carry_prefix(party, x, maj << 1)
+    maj = yield from reshare_xor_steps(party, x.a & x.b)
+    carry = yield from _carry_prefix_steps(party, x, maj << 1)
     sum_bits = x ^ (maj << 1) ^ (carry << 1)
     return sum_bits, maj, carry
+
+
+add_components = program(add_components_steps)
 
 
 def less_than_bits(party: Party, x: ShareVector, y: ShareVector) -> ShareVector:
@@ -269,8 +289,7 @@ def bit_extract(x: ShareVector, position) -> ShareVector:
     return ShareVector((x.a >> pos) & one, (x.b >> pos) & one)
 
 
-@program
-def b2a_sum(party: Party, lanes: list[ShareVector], weights) -> ShareVector:
+def b2a_sum_steps(party: Party, lanes: list[ShareVector], weights) -> ShareVector:
     """Arithmetic sum of ``weights[t] * lanes[t]`` for XOR-shared 0/1 lanes of one shape.
 
     Bit injection of public weights (lane components 0/1, as bit_extract
@@ -283,20 +302,23 @@ def b2a_sum(party: Party, lanes: list[ShareVector], weights) -> ShareVector:
     the ring arithmetic stays on arrays, where numpy wraps without a warning.
     """
     if not lanes[0].shape:
-        out = yield from b2a_sum.steps(party, [lane.reshape(1) for lane in lanes], weights)
+        out = yield from b2a_sum_steps(party, [lane.reshape(1) for lane in lanes], weights)
         return out.reshape(np.shape(weights[0]))
     u = np.empty((len(lanes),) + lanes[0].shape, dtype=np.uint64)
     thirds = [None] * len(lanes)
     for t, lane in enumerate(lanes):
         u[t], thirds[t] = party.split(lane, xor=True)
-    u = party.pair_term((yield reshare, u))
+    u = party.pair_term((yield from reshare_steps(party, u)))
     shape = np.broadcast_shapes(lanes[0].shape, np.shape(weights[0]))
     out, cw_sum = np.zeros(shape, dtype=np.uint64), np.zeros(shape, dtype=np.uint64)
     for u_t, c3, w in zip(u, thirds, map(to_u64, weights)):
         cw = c3 * w
         cw_sum += cw
         out += u_t * (w - (cw << ONE))
-    return (yield reshare, out) + party.const_share(cw_sum, 3)
+    return (yield from reshare_steps(party, out)) + party.const_share(cw_sum, 3)
+
+
+b2a_sum = program(b2a_sum_steps)
 
 
 def b2a(party: Party, bits: ShareVector) -> ShareVector:
@@ -304,8 +326,7 @@ def b2a(party: Party, bits: ShareVector) -> ShareVector:
     return b2a_sum(party, [bits], [ONE])
 
 
-@program
-def select(party: Party, bit: ShareVector, x: ShareVector, y: ShareVector) -> ShareVector:
+def select_steps(party: Party, bit: ShareVector, x: ShareVector, y: ShareVector) -> ShareVector:
     """y where the XOR-shared 0/1 bit is 1, x elsewhere (shapes broadcast):
     x plus the bit injected into d = y - x, in two rounds.
 
@@ -323,12 +344,15 @@ def select(party: Party, bit: ShareVector, x: ShareVector, y: ShareVector) -> Sh
     part = party.pair_term(d)
     cd = c3 * part
     np.subtract(part, cd << ONE, out=e_term)
-    sent = yield reshare, terms
+    sent = yield from reshare_steps(party, terms)
     u, e = sent[:bit.size].reshape(bit.shape), sent[bit.size:].reshape(shape)
     out = np.empty(shape, dtype=np.uint64)
     _cross(u, e, out)
     out += cd
-    return x + (yield reshare, out)
+    return x + (yield from reshare_steps(party, out))
+
+
+select = program(select_steps)
 
 
 # -- deterministic truncation -----------------------------------------------------
@@ -336,7 +360,7 @@ def select(party: Party, bit: ShareVector, x: ShareVector, y: ShareVector) -> Sh
 SIGN_OFFSET = np.uint64(1) << np.uint64(63)
 
 
-def trunc_shares(party: Party, x: ShareVector, shift) -> ShareVector:
+def trunc_shares_steps(party: Party, x: ShareVector, shift) -> ShareVector:
     """Exact arithmetic right shift of the signed secret by ``shift`` >= 1 bits.
 
     Local per-share logical shifts give the high parts; the two carries that
@@ -348,7 +372,7 @@ def trunc_shares(party: Party, x: ShareVector, shift) -> ShareVector:
     """
     offset = party.add_public(x, SIGN_OFFSET)
     sh = to_u64(shift)
-    _, maj, carry = add_components(party, offset)
+    _, maj, carry = yield from add_components_steps(party, offset)
     low_pos = sh - ONE
     lanes = [bit_extract(maj, low_pos), bit_extract(carry, low_pos),
              bit_extract(maj, 63), bit_extract(carry, 63)]
@@ -356,5 +380,8 @@ def trunc_shares(party: Party, x: ShareVector, shift) -> ShareVector:
     neg_wrap = np.negative(ONE << (np.uint64(64) - sh))
     res = offset >> sh
     del offset
-    res += b2a_sum(party, lanes, [ONE, ONE, neg_wrap, neg_wrap])
+    res += yield from b2a_sum_steps(party, lanes, [ONE, ONE, neg_wrap, neg_wrap])
     return party.add_public(res, np.negative(ONE << (np.uint64(63) - sh)))
+
+
+trunc_shares = program(trunc_shares_steps)

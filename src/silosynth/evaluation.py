@@ -17,10 +17,10 @@ reach scale 3f, which is why frac_bits stays at most 20. The accuracy is 32
 rounds on its own: the logits 1, the argmax over the 5 classes
 (``select_max``) 12, the hits 9, and their division by the public test-row
 count (``div_public``) one truncation, 10. The workload error is 20: a sign
-8, a selection 2 and a truncation 10. Both are ``lockstep`` programs, and
-``evaluate`` runs them side by side: the sign joins the argmax's
-comparison, the selection its read-out, and the two truncations become
-one, so a loop's evaluation takes the accuracy's 32 rounds.
+8, a selection 2 and a truncation 10. Both are programs (``wle_steps``,
+``accuracy_steps``), and ``evaluate_steps`` runs them in ``lockstep``, so
+a loop's evaluation takes the accuracy's 32 rounds; it is a program too,
+one step of a tuning loop's tail (``pipeline.run_fold``).
 """
 
 from __future__ import annotations
@@ -28,9 +28,18 @@ from __future__ import annotations
 import numpy as np
 
 from . import fixedpoint as fx
-from .circuits import b2a, lockstep, matmul_shares, program, select, trunc_shares
+from .circuits import (
+    ONE,
+    b2a_sum_steps,
+    lockstep_steps,
+    matmul_term,
+    program,
+    reshare_steps,
+    select_steps,
+    trunc_shares_steps,
+)
 from .marginals import COUNT_BITS, LABEL_DOMAIN, measurement_count, split_marginals
-from .primitives import div_public, eq_zero, is_negative, select_max
+from .primitives import div_public_steps, eq_zero_steps, is_negative_steps, select_max_steps
 from .runtime import Party
 from .sharing import ShareMatrix, ShareVector, concat_shares
 
@@ -61,11 +70,11 @@ def wle_steps(party: Party, real: ShareVector, synth: ShareVector, rows) -> Shar
     """
     f = party.fp.frac_bits
     diff = (real - synth).scale_by(fx.encode(1.0 / np.asarray(rows), f)[:, None])
-    negative = yield is_negative, diff
-    total = (yield from select.steps(party, negative, diff, -diff)).sum(axis=1)
+    negative = yield from is_negative_steps(party, diff)
+    total = (yield from select_steps(party, negative, diff, -diff)).sum(axis=1)
     d = split_marginals(real)[0].shape[1]
     inv_count = fx.encode_scalar(1.0 / measurement_count(d), f)
-    return (yield trunc_shares, total.scale_by(inv_count), f + COUNT_BITS)
+    return (yield from trunc_shares_steps(party, total.scale_by(inv_count), f + COUNT_BITS))
 
 
 wle = program(wle_steps, "wle")
@@ -133,27 +142,30 @@ def accuracy_steps(party: Party, weights: ShareVector, test: ShareMatrix) -> Sha
     """Secret fraction of each fold's test rows whose predicted class equals the label: (K,)."""
     if np.any(test.rows == 0):
         raise ValueError("empty test set")
-    logits = matmul_shares(party, _with_bias(party, test), weights)
-    predicted = yield from select_max.steps(party, logits, np.arange(LABEL_DOMAIN))
-    hits = b2a(party, eq_zero(party, predicted - test.labels())).scale_by(test.mask)
-    return (yield from div_public.steps(party, hits.sum(axis=1), test.rows))
+    logits = yield from reshare_steps(party, matmul_term(_with_bias(party, test), weights))
+    predicted = yield from select_max_steps(party, logits, np.arange(LABEL_DOMAIN))
+    hit = yield from eq_zero_steps(party, predicted - test.labels())
+    hits = (yield from b2a_sum_steps(party, [hit], [ONE])).scale_by(test.mask)
+    return (yield from div_public_steps(party, hits.sum(axis=1), test.rows))
 
 
 lr_accuracy = program(accuracy_steps, "acc")
 
 
-def evaluate(party: Party, real_counts: ShareVector, synth_counts: ShareVector, rows,
-             weights: ShareVector, real_test: ShareMatrix) -> tuple[ShareVector, ShareVector]:
+def evaluate_steps(party: Party, real_counts: ShareVector, synth_counts: ShareVector, rows,
+                   weights: ShareVector, real_test: ShareMatrix) -> tuple[ShareVector, ShareVector]:
     """Fidelity (workload error between the exact marginal counts of the real
     training folds and of the synthetic folds, ``rows`` rows each) and
     utility (accuracy on the held-out real rows of the weights the enclave
     trained on the synthetic rows), per fold: secret (K,) workload errors
     and accuracies, never opened inside the tuning loop.
 
-    The accuracy leads the ``lockstep`` and the workload error joins its
-    sign, selection and truncation: 32 rounds. Steps of one metric alone
-    count under ``acc`` or ``wle``, the shared ones under ``eval``."""
+    The accuracy and the workload error run in ``lockstep``: the 20 rounds
+    of the workload error share the accuracy's 32. A round counts under the
+    label of the first metric that receives in it, the accuracy's ``acc``
+    while it runs, so ``eval`` itself counts none."""
     with party.protocol("eval"):
-        acc, fidelity = lockstep(party, [accuracy_steps(party, weights, real_test),
-                                         wle_steps(party, real_counts, synth_counts, rows)], ["acc", "wle"])
+        acc, fidelity = yield from lockstep_steps(party, [accuracy_steps(party, weights, real_test),
+                                                          wle_steps(party, real_counts, synth_counts, rows)],
+                                                  ["acc", "wle"])
     return fidelity, acc

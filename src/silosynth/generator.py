@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import fixedpoint as fx
-from .circuits import reshare
+from .circuits import program, reshare_steps
 from .evaluation import lr_train
 from .marginals import GENE_DOMAIN, LABEL_DOMAIN, cell_counts, split_marginals
 from .rng import CounterStream, derive_key
@@ -105,35 +105,40 @@ def generator_rng(master_seed: int, context: tuple[int, ...]) -> np.random.Gener
     return CounterStream(derive_key(master_seed, "generator", *context)).generator_at()
 
 
-def _enclave(party: Party, ms: ShareVector, rows, iterations: int, master_seed: int,
-             contexts, shape, derive) -> ShareVector:
+def _enclave_steps(party: Party, ms: ShareVector, rows, iterations: int, master_seed: int,
+                   contexts, shape, derive) -> ShareVector:
     """Reveal the (K, 24d+5) noisy marginal cells to the party-1 enclave,
     sample fold k's rows[k] rows from the generator stream of contexts[k],
     and re-share ``derive(rows)`` of every fold, (K, *shape), in one round."""
     with party.protocol("sdg"):
-        opened = party.reveal_to(ms, 1, "noisy-marginals")
+        opened, = yield [party.reveal_message(ms, 1, "noisy-marginals")]
         out = np.zeros((len(contexts),) + shape, dtype=np.uint64)
         if opened is not None:
             gene, label, two_way = split_marginals(fx.decode(opened, party.fp.frac_bits))
             for j, context in enumerate(contexts):
                 out[j] = derive(generate_synthetic(gene[j], label[j], two_way[j], int(rows[j]), iterations,
                                                    generator_rng(master_seed, context)))
-        return reshare(party, out)
+        return (yield from reshare_steps(party, out))
 
 
-def generate_bridge(party: Party, ms: ShareVector, rows, iterations: int, master_seed: int,
-                    contexts: list[tuple[int, ...]], epochs: int,
-                    learning_rate: float) -> tuple[ShareVector, ShareVector]:
+def generate_bridge_steps(party: Party, ms: ShareVector, rows, iterations: int, master_seed: int,
+                          contexts: list[tuple[int, ...]], epochs: int,
+                          learning_rate: float) -> tuple[ShareVector, ShareVector]:
     """A tuning loop's enclave step. Fold k's rows[k] synthetic rows are
     re-shared only as what evaluation reads of them: their exact marginal
     counts times 2^COUNT_BITS (``cell_counts``, K, 24d+5), in the canonical
     cell order, and the weights ``lr_train`` fits to them (K, d+1, 5)."""
     k, n_cells = ms.shape
     d = split_marginals(ms)[0].shape[1]
-    shares = _enclave(party, ms, rows, iterations, master_seed, contexts, (n_cells + (d + 1) * LABEL_DOMAIN,),
-                      lambda synth: np.concatenate([cell_counts(synth),
-                                                    lr_train(party, synth, epochs, learning_rate).ravel()]))
+    def derive(synth):
+        return np.concatenate([cell_counts(synth), lr_train(party, synth, epochs, learning_rate).ravel()])
+
+    shares = yield from _enclave_steps(party, ms, rows, iterations, master_seed, contexts,
+                                       (n_cells + (d + 1) * LABEL_DOMAIN,), derive)
     return shares[:, :n_cells], shares[:, n_cells:].reshape(k, d + 1, LABEL_DOMAIN)
+
+
+generate_bridge = program(generate_bridge_steps)
 
 
 def generate_rows(party: Party, ms: ShareVector, n_out: int, iterations: int,
@@ -143,6 +148,8 @@ def generate_rows(party: Party, ms: ShareVector, n_out: int, iterations: int,
     cell's bin as a 0/1 one-hot (1, n_out, d, 4), and the labels (1, n_out)."""
     d = split_marginals(ms)[0].shape[1]
     bins = np.arange(GENE_DOMAIN)
-    shares = _enclave(party, ms, [n_out], iterations, master_seed, [context], (n_out, d * GENE_DOMAIN + 1),
-                      lambda synth: np.column_stack([(synth[:, :d, None] == bins).reshape(n_out, -1), synth[:, d]]))
+    shares = party.run(_enclave_steps(party, ms, [n_out], iterations, master_seed, [context],
+                                      (n_out, d * GENE_DOMAIN + 1),
+                                      lambda synth: np.column_stack([(synth[:, :d, None] == bins).reshape(n_out, -1),
+                                                                     synth[:, d]])))
     return shares[..., :-1].reshape(1, n_out, d, GENE_DOMAIN), shares[..., -1]

@@ -5,7 +5,7 @@ polynomial of a domain point b is 1 at b and 0 at the rest of the domain.
 Its numerator N_b(x) = prod_{j != b} (x - j) has degree at most 4, so it is
 a public integer combination of the powers x, x^2, x^3 and x^4: the powers
 are the only secret products (two rounds for any number of inputs).
-``scaled_onehots`` is the one place that knows the basis: it folds each
+``scaled_onehots_steps`` is the one place that knows the basis: it folds each
 divisor N_b(b) = 2^v_b * o_b (o_b odd) into the public coefficients, which
 then give exactly 2^v [x = b] in the ring, v the largest v_b of the domain:
 2^GENE_BITS = 2 for the genes, 2^LABEL_BITS = 8 for the labels. Every
@@ -38,8 +38,8 @@ import math
 import numpy as np
 
 from . import fixedpoint as fx
-from .circuits import ONE, matmul_term, mul_shares, program, reshare, trunc_shares
-from .primitives import gauss01
+from .circuits import ONE, matmul_term, mul_shares_steps, program, reshare_steps, trunc_shares_steps
+from .primitives import gauss01_steps
 from .runtime import Party
 from .sharing import ShareMatrix, ShareVector, concat_shares, stack_shares
 
@@ -99,7 +99,7 @@ def _combine(party: Party, powers: list[ShareVector], basis: np.ndarray, mask: n
     return stack_shares(rows, axis=-1)
 
 
-def scaled_onehots(party: Party, matrix: ShareMatrix) -> tuple[ShareVector, ShareVector]:
+def scaled_onehots_steps(party: Party, matrix: ShareMatrix) -> tuple[ShareVector, ShareVector]:
     """Every binned gene cell's one-hot times 2^GENE_BITS, (K, N, d, 4), and
     every label's one-hot times 2^LABEL_BITS, (K, N, 5); padding rows are 0.
 
@@ -110,8 +110,8 @@ def scaled_onehots(party: Party, matrix: ShareMatrix) -> tuple[ShareVector, Shar
     labels, genes, mask = matrix.labels(), matrix.genes(), matrix.mask
     nl = labels.size
     x = concat_shares([labels.reshape(-1), genes.reshape(-1)])
-    x2 = mul_shares(party, x, x)
-    higher = mul_shares(party, concat_shares([x2, x2[:nl]]), concat_shares([x, x2[:nl]]))
+    x2 = yield from mul_shares_steps(party, x, x)
+    higher = yield from mul_shares_steps(party, concat_shares([x2, x2[:nl]]), concat_shares([x, x2[:nl]]))
     x3, x4 = higher[:x.size], higher[x.size:]
     gene_powers = [p[nl:].reshape(genes.shape) for p in (x, x2, x3)]
     label_powers = [p[:nl].reshape(labels.shape) for p in (x, x2, x3, x4)]
@@ -121,7 +121,7 @@ def scaled_onehots(party: Party, matrix: ShareMatrix) -> tuple[ShareVector, Shar
 
 def marginal_count_steps(party: Party, onehots: tuple[ShareVector, ShareVector]) -> ShareVector:
     """Exact secret counts times 2^COUNT_BITS of the measured workload, per
-    fold, in the canonical cell order: (K, 24d+5), from ``scaled_onehots``.
+    fold, in the canonical cell order: (K, 24d+5), from ``scaled_onehots_steps``.
 
     The gene sums (scale 2^GENE_BITS) are scaled by 2^(COUNT_BITS -
     GENE_BITS), the label sums (2^LABEL_BITS) by 2^(COUNT_BITS -
@@ -133,7 +133,7 @@ def marginal_count_steps(party: Party, onehots: tuple[ShareVector, ShareVector])
     genes, labels = onehots
     k, n, d = genes.shape[:3]
     lhs = genes.map(lambda w: w.transpose(0, 2, 3, 1).reshape(k, d * GENE_DOMAIN, n))   # (K, 4d, N)
-    two_way = yield reshare, matmul_term(lhs, labels)
+    two_way = yield from reshare_steps(party, matmul_term(lhs, labels))
     return concat_shares([lhs.sum(axis=2).scale_by(ONE << np.uint64(COUNT_BITS - GENE_BITS)),
                           labels.sum(axis=1).scale_by(ONE << np.uint64(COUNT_BITS - LABEL_BITS)),
                           two_way.reshape(k, -1)], axis=1)
@@ -165,26 +165,32 @@ def cell_counts(rows: np.ndarray) -> np.ndarray:
 
 
 def noisy_marginal_steps(party: Party, onehots: tuple[ShareVector, ShareVector], sigma_q: float):
-    """Exact counts of the ``scaled_onehots`` lifted to fixed-point scale
-    plus independent Gaussian noise.
+    """The ``marginal_counts`` (times 2^COUNT_BITS) of ``scaled_onehots_steps``
+    and their noisy marginals (``add_noise_steps``), both (K, 24d+5), so the
+    workload error can reuse the counts: 13 rounds, the counts 1 and the
+    noise 12."""
+    counts = yield from marginal_count_steps(party, onehots)
+    return counts, (yield from add_noise_steps(party, counts, sigma_q))
 
-    Returns the ``marginal_counts`` (times 2^COUNT_BITS) and the noisy
-    marginals, both (K, 24d+5), so the workload error can reuse the counts.
+
+noisy_marginals = program(noisy_marginal_steps, "noisy_marg")
+
+
+def add_noise_steps(party: Party, counts: ShareVector, sigma_q: float) -> ShareVector:
+    """Exact ``marginal_counts`` (K, 24d+5) lifted to fixed-point scale plus
+    independent Gaussian noise.
+
     One exact truncation by f of counts * 2^(2f - COUNT_BITS) + noise *
     encode(sigma_q) gives count * 2^f + floor(noise * sigma_q / 2^f) word for
-    word, since adding a multiple of 2^f commutes with the floor. Alone that
-    is 13 rounds: the counts 1, the noise draw 2 and the truncation 10; the
-    publish path's bin means join the counts' round and the truncation.
+    word, since adding a multiple of 2^f commutes with the floor: the noise
+    draw 2 rounds and the truncation 10. The first loop counts the full data
+    beside its folds' tail, so the publish path pays only these 12.
     The noise lies in [-6, 6], so that holds while n * 2^(2f) + 6 * 2^f *
     encode(sigma_q) < 2^63 for cells of at most n rows, which
     ``pipeline.preflight`` checks. At sigma_q = 0 the noise term is 0 and
     the counts come back at scale f unchanged.
     """
     f = party.fp.frac_bits
-    counts = yield from marginal_count_steps(party, onehots)
-    noise = gauss01(party, counts.shape[1], counts.shape[0])
+    noise = yield from gauss01_steps(party, counts.shape[1], counts.shape[0])
     lifted = counts.scale_by(ONE << np.uint64(2 * f - COUNT_BITS))
-    return counts, (yield trunc_shares, lifted + noise.scale_by(fx.encode_scalar(sigma_q, f)), f)
-
-
-noisy_marginals = program(noisy_marginal_steps, "noisy_marg")
+    return (yield from trunc_shares_steps(party, lifted + noise.scale_by(fx.encode_scalar(sigma_q, f)), f))

@@ -9,11 +9,12 @@ them, and evaluate. The K folds of a loop are independent once
 the public plan is fixed, so they run as one batch on a leading fold axis,
 padded to the longest fold, and every round serves all of them. The first
 loop bins the full data as one more batch beside its folds: the publish
-path needs its bins and cuts whichever loop passes, so the run sorts once,
-and publishing adds only the bin means, the marginals, the generation, the
-de-binning and the reveal. Fold
-metrics are summed and the unanimous threshold vote compares the sums
-against K-scaled thresholds (met-at-equality semantics, exact). The only
+path needs its bins and cuts whichever loop passes, so the run sorts once.
+That loop also computes the full data's marginal counts and bin means in
+``lockstep`` beside its folds' tail, in rounds the tail spends anyway, so
+publishing adds only the noise, the generation, the de-binning and the
+reveal. Fold metrics are summed and the unanimous threshold vote compares
+the sums against K-scaled thresholds (met-at-equality semantics, exact). The only
 value ever opened during tuning is the per-loop vote bit; at publish,
 additionally the final de-binned synthetic matrix.
 
@@ -31,12 +32,19 @@ import numpy as np
 
 from . import fixedpoint as fx
 from .binning import bin_means_steps, bin_train, inv_bin
-from .circuits import bit_extract, lockstep, not_packed
-from .evaluation import evaluate
-from .generator import generate_bridge, generate_rows
+from .circuits import bit_extract, lockstep, lockstep_steps, not_packed, program
+from .evaluation import evaluate_steps
+from .generator import generate_bridge_steps, generate_rows
 from .ingest import IngestionError
-from .marginals import calibrate, measurement_count, noisy_marginal_steps, noisy_marginals, scaled_onehots
-from .primitives import GAUSS_BOUND, and_all, lt, select_max
+from .marginals import (
+    add_noise_steps,
+    calibrate,
+    marginal_count_steps,
+    measurement_count,
+    noisy_marginal_steps,
+    scaled_onehots_steps,
+)
+from .primitives import GAUSS_BOUND, and_all_steps, lt_steps, select_max
 from .rng import CounterStream, derive_key
 from .runtime import Party
 from .sharing import ShareMatrix, ShareVector, concat_shares, stack_shares
@@ -181,8 +189,8 @@ def kfold_split(matrix: ShareMatrix, plan, extra):
             _fold_rows(matrix, [t for _, t in plan]))
 
 
-def secret_vote(party: Party, wle_sum: ShareVector, acc_sum: ShareVector,
-                thresholds: ThresholdSet, k_folds: int) -> int:
+def secret_vote_steps(party: Party, wle_sum: ShareVector, acc_sum: ShareVector,
+                      thresholds: ThresholdSet, k_folds: int) -> int:
     """Unanimous vote on fold-summed metrics vs K-scaled secret thresholds.
 
     A custodian's vote survives only if both metrics meet its bars, where
@@ -195,32 +203,68 @@ def secret_vote(party: Party, wle_sum: ShareVector, acc_sum: ShareVector,
         scaled = thresholds.shares.scale_by(np.uint64(k_folds))
         wle, acc = (m.map(np.broadcast_to, (n_cust,)) for m in (wle_sum, acc_sum))
         # one comparison for both bars: cap strictly below the metric, metric strictly below the floor
-        fail = lt(party, stack_shares([scaled[:, 0], acc]), stack_shares([wle, scaled[:, 1]]))
+        fail = yield from lt_steps(party, stack_shares([scaled[:, 0], acc]), stack_shares([wle, scaled[:, 1]]))
         # unanimous when no custodian fails a bar: the AND of the negated fail bits
-        unanimous = bit_extract(and_all(party, not_packed(party, fail).reshape(1, -1)), 0)
-        bit = party.open(unanimous, "vote", xor=True)
+        unanimous = bit_extract((yield from and_all_steps(party, not_packed(party, fail).reshape(1, -1))), 0)
+        bit, = yield [party.open_message(unanimous, "vote", xor=True)]
     return int(bit[0])
 
 
-def run_fold(party: Party, matrix: ShareMatrix, plan, loop_index: int,
-             h: int, config: PipelineConfig, sigma_q: float
-             ) -> tuple[ShareVector, ShareVector, tuple[ShareMatrix, ShareVector] | None]:
-    """Every fold of one tuning loop in one round schedule: the (K,) workload
-    errors and accuracies, and on the first loop the full data binned, with
-    its cuts, from the same sort (None on later loops)."""
+secret_vote = program(secret_vote_steps)
+
+
+def _loop_steps(party: Party, binned: ShareMatrix, test: ShareMatrix, loop_index: int, h: int,
+                config: PipelineConfig, sigma_q: float, thresholds: ThresholdSet):
+    """One tuning loop's K binned training folds and held-out folds from the
+    noisy marginals to the vote, as a program: the vote bit and the secret
+    fold-summed workload error. Fold averaging folds into the vote: sums
+    compare against K-scaled thresholds, which keeps met-at-equality
+    semantics exact."""
+    k = binned.folds
+    with party.protocol("noisy_marg"):
+        onehots = yield from scaled_onehots_steps(party, binned)
+        counts, ms = yield from noisy_marginal_steps(party, onehots, sigma_q)
+    synth_counts, weights = yield from generate_bridge_steps(party, ms, binned.rows, h, config.seed,
+                                                             [(loop_index, j) for j in range(k)],
+                                                             config.lr_epochs, config.lr_rate)
+    wle, accuracy = yield from evaluate_steps(party, counts, synth_counts, binned.rows, weights, test)
+    wle_sum = wle.sum(keepdims=True)
+    bit = yield from secret_vote_steps(party, wle_sum, accuracy.sum(keepdims=True), thresholds, config.k_folds)
+    return bit, wle_sum
+
+
+def _full_data_steps(party: Party, binned: ShareMatrix, originals: ShareVector, cuts: ShareVector):
+    """What the publish path reads of the full data, binned with ``cuts``,
+    as a program: its exact marginal counts and its bin means, from one
+    build of its one-hots, the counts and the bin sums in one round."""
+    with party.protocol("noisy_marg"):
+        onehots = yield from scaled_onehots_steps(party, binned)
+        return (yield from lockstep_steps(party, [marginal_count_steps(party, onehots),
+                                                  bin_means_steps(party, onehots[0], originals, cuts)], [None, "bin"]))
+
+
+def run_fold(party: Party, matrix: ShareMatrix, plan, loop_index: int, h: int, config: PipelineConfig,
+             sigma_q: float, thresholds: ThresholdSet) -> tuple[int, ShareVector, tuple | None]:
+    """One tuning loop, every fold in one round schedule: the vote bit, the
+    secret fold-summed workload error, and on the first loop the full
+    data's marginal counts and bin means for the publish path (None on
+    later loops).
+
+    The first loop bins the full data beside its folds, from the same sort,
+    and runs the full data's one-hots, counts and bin means (59 rounds) in
+    ``lockstep`` beside its folds' tail from their one-hots to the vote (59,
+    and the enclave's reveal, a round that counts once the bin means send
+    in it). A run that never publishes pays their bytes."""
     k = len(plan)
     extra = [np.arange(matrix.n_rows)] if loop_index == 0 else []
     train, test = kfold_split(matrix, plan, extra)
     binned, cuts, binned_test = bin_train(party, train, test)
-    binned_train = binned.batches(slice(k))
-    with party.protocol("noisy_marg"):
-        onehots = scaled_onehots(party, binned_train)
-    counts, ms = noisy_marginals(party, onehots, sigma_q)
-    synth_counts, weights = generate_bridge(party, ms, binned_train.rows, h, config.seed,
-                                            [(loop_index, j) for j in range(k)],
-                                            config.lr_epochs, config.lr_rate)
-    wle, accuracy = evaluate(party, counts, synth_counts, binned_train.rows, weights, binned_test)
-    return wle, accuracy, (binned.batches(slice(k, None)), cuts[k:]) if extra else None
+    loop = _loop_steps(party, binned.batches(slice(k)), binned_test, loop_index, h, config, sigma_q, thresholds)
+    if not extra:
+        return party.run(loop) + (None,)
+    (bit, wle_sum), full = lockstep(party, [loop, _full_data_steps(party, binned.batches(slice(k, None)),
+                                                                    matrix.genes(), cuts[k:])], [None, None])
+    return bit, wle_sum, full
 
 
 def _select_lowest(party: Party, candidates: list[tuple[int, ShareVector]]) -> int:
@@ -232,21 +276,16 @@ def _select_lowest(party: Party, candidates: list[tuple[int, ShareVector]]) -> i
         return int(party.open(best, "h-select"))
 
 
-def publish_path(party: Party, matrix: ShareMatrix, binned: ShareMatrix, cuts: ShareVector,
+def publish_path(party: Party, counts: ShareVector, means: ShareVector, n_rows: int,
                  h_selected: int, config: PipelineConfig, sigma_q: float) -> np.ndarray:
-    """Generate from the full data, binned with ``cuts`` on the first loop,
-    at the loops' noise scale ``sigma_q``, de-bin with its bin means, and
-    reveal the synthetic rows: opened ring words, shape (rows, d+1).
-
-    The noisy marginals and the bin means read the same one-hots and run in
-    ``lockstep``: the bin sums join the counts' round and the bin means'
-    truncation the noise's, and the bin means' division follows under
-    ``bin``. 64 rounds with the generation, de-binning and reveal."""
+    """Generate from the full data's marginal ``counts`` at the loops' noise
+    scale ``sigma_q``, de-bin with its bin ``means`` (both from the first
+    loop, ``run_fold``), and reveal the synthetic rows: opened ring words,
+    shape (rows, d+1). 15 rounds: the noise 12, the generation, de-binning
+    and reveal 1 each."""
     with party.protocol("noisy_marg"):
-        onehots = scaled_onehots(party, binned)
-        (_, ms), means = lockstep(party, [noisy_marginal_steps(party, onehots, sigma_q),
-                                          bin_means_steps(party, onehots[0], matrix.genes(), cuts)], [None, "bin"])
-    n_out = config.synthetic_rows or matrix.n_rows
+        ms = party.run(add_noise_steps(party, counts, sigma_q))
+    n_out = config.synthetic_rows or n_rows
     onehot, labels = generate_rows(party, ms, n_out, h_selected, config.seed, PUBLISH_CONTEXT)
     debinned = concat_shares([inv_bin(party, onehot, means), labels[..., None]], axis=2)
     with party.protocol("publish"):
@@ -275,13 +314,9 @@ def run_pipeline(party: Party, combined: ShareMatrix,
     loops, passed, h_selected = [], [], None   # passed: (loop idx, secret wle sum)
     for loop_index, h in enumerate(config.hyperparams[:config.max_loops]):
         plan = fold_plan(config.seed, loop_index, combined.n_rows, config.k_folds)
-        wle, accuracy, full = run_fold(party, combined, plan, loop_index, h, config, sigma_q)
+        bit, wle_sum, full = run_fold(party, combined, plan, loop_index, h, config, sigma_q, thresholds)
         if loop_index == 0:
-            binned, cuts = full
-        # fold averaging folds into the vote: sums compare against K-scaled
-        # thresholds, which keeps met-at-equality semantics exact
-        wle_sum = wle.sum(keepdims=True)
-        bit = secret_vote(party, wle_sum, accuracy.sum(keepdims=True), thresholds, config.k_folds)
+            counts, means = full
         loops.append(LoopRecord(h, bit))
         if bit == 1:
             if config.mode == FIRST_PASS:
@@ -292,7 +327,7 @@ def run_pipeline(party: Party, combined: ShareMatrix,
         h_selected = config.hyperparams[_select_lowest(party, passed)]
     synthetic = None
     if h_selected is not None:
-        synthetic = publish_path(party, combined, binned, cuts, h_selected, config, sigma_q)
+        synthetic = publish_path(party, counts, means, combined.n_rows, h_selected, config, sigma_q)
     return RunResult(
         publish=h_selected is not None,
         h_selected=h_selected,

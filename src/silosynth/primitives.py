@@ -25,15 +25,18 @@ from .circuits import (
     ONE,
     SIGN_OFFSET,
     add_components,
+    add_components_steps,
     and_packed,
+    and_packed_steps,
     b2a_sum,
+    b2a_sum_steps,
     bit_extract,
     less_than_bits,
-    mul_shares,
+    mul_shares_steps,
     not_packed,
     program,
-    reshare_xor,
-    trunc_shares,
+    reshare_xor_steps,
+    trunc_shares_steps,
 )
 from .runtime import Party
 from .sharing import ShareVector, concat_shares, stack_shares
@@ -43,18 +46,21 @@ RECIP_INIT = 2.9142
 NR_ITERATIONS = 5
 
 
-def is_negative(party: Party, x: ShareVector) -> ShareVector:
+def is_negative_steps(party: Party, x: ShareVector) -> ShareVector:
     """XOR-shared secret bit: 1 iff x < 0 under the signed interpretation."""
-    sum_bits, _, _ = add_components(party, x)
+    sum_bits, _, _ = yield from add_components_steps(party, x)
     return bit_extract(sum_bits, 63)
 
 
-def lt(party: Party, x: ShareVector, y: ShareVector) -> ShareVector:
+def lt_steps(party: Party, x: ShareVector, y: ShareVector) -> ShareVector:
     """XOR-shared secret bit: 1 iff x < y under the signed interpretation (strict)."""
-    return is_negative(party, x - y)
+    return (yield from is_negative_steps(party, x - y))
 
 
-def eq_zero(party: Party, x: ShareVector) -> ShareVector:
+lt = program(lt_steps)
+
+
+def eq_zero_steps(party: Party, x: ShareVector) -> ShareVector:
     """XOR-shared secret bit: 1 iff x == 0.
 
     x == 0 iff a = x1 + x2 equals b = -x3. Party 1 holds a and re-shares it
@@ -63,24 +69,26 @@ def eq_zero(party: Party, x: ShareVector) -> ShareVector:
     in 6 rounds: 7 rounds and 7 words per element.
     """
     lead, third = party.split(x)
-    a = reshare_xor(party, lead if lead.flags.writeable else lead.copy())   # copies only a zero view
+    a = yield from reshare_xor_steps(party, lead if lead.flags.writeable else lead.copy())   # copies only a zero view
     t = not_packed(party, a ^ party.const_share(np.negative(third), 3))
     for k in (32, 16, 8, 4, 2, 1):
-        t = and_packed(party, t, t >> k)
+        t = yield from and_packed_steps(party, t, t >> k)
     return bit_extract(t, 0)
 
 
-def and_all(party: Party, words: ShareVector) -> ShareVector:
+eq_zero = program(eq_zero_steps)
+
+
+def and_all_steps(party: Party, words: ShareVector) -> ShareVector:
     """XOR-shared words: their lane-wise AND over the last axis, in ceil(log2 W) rounds."""
     while words.shape[-1] > 1:
         half = words.shape[-1] // 2
-        prod = and_packed(party, words[..., :half], words[..., half:2 * half])
+        prod = yield from and_packed_steps(party, words[..., :half], words[..., half:2 * half])
         words = concat_shares([prod, words[..., 2 * half:]], axis=-1)
     return words[..., 0]
 
 
-@program
-def select_max(party: Party, z: ShareVector, values) -> ShareVector:
+def select_max_steps(party: Party, z: ShareVector, values) -> ShareVector:
     """The public values[m], secret-shared over z's leading shape, at the
     lowest index m of z's last axis that attains its maximum.
 
@@ -95,20 +103,27 @@ def select_max(party: Party, z: ShareVector, values) -> ShareVector:
     if w == 1:
         return party.const_share(np.full(z.shape[:-1], values[0], dtype=np.uint64))
     lo, hi = np.triu_indices(w, 1)
-    less = yield is_negative, z[..., lo] - z[..., hi]       # [z_lo < z_hi] per pair
+    less = yield from is_negative_steps(party, z[..., lo] - z[..., hi])     # [z_lo < z_hi] per pair
     # factor (m, c) for each c != m: the pair's bit, negated when c > m
     pair = np.zeros((w, w), dtype=np.int64)
     pair[lo, hi] = pair[hi, lo] = np.arange(lo.size)
     others = np.array([[c for c in range(w) if c != m] for m in range(w)])
     later = others > np.arange(w)[:, None]
     factors = less[..., pair[np.arange(w)[:, None], others]] ^ party.const_share(later.astype(np.uint64))
-    onehot = bit_extract(and_all(party, factors), 0)
-    return (yield from b2a_sum.steps(party, [onehot[..., m] for m in range(w)], values))
+    onehot = bit_extract((yield from and_all_steps(party, factors)), 0)
+    return (yield from b2a_sum_steps(party, [onehot[..., m] for m in range(w)], values))
 
 
-def mul_fx(party: Party, x: ShareVector, y: ShareVector) -> ShareVector:
+select_max = program(select_max_steps)
+
+
+def mul_fx_steps(party: Party, x: ShareVector, y: ShareVector) -> ShareVector:
     """Fixed-point product: integer multiply then exact truncation."""
-    return trunc_shares(party, mul_shares(party, x, y), party.fp.frac_bits)
+    product = yield from mul_shares_steps(party, x, y)
+    return (yield from trunc_shares_steps(party, product, party.fp.frac_bits))
+
+
+mul_fx = program(mul_fx_steps)
 
 
 def public_reciprocal(b: np.ndarray, f: int) -> np.ndarray:
@@ -125,7 +140,7 @@ def public_reciprocal(b: np.ndarray, f: int) -> np.ndarray:
     return fx.truncate(x * factor, f)
 
 
-def reciprocal_fx(party: Party, count: ShareVector, n: int) -> ShareVector:
+def reciprocal_fx_steps(party: Party, count: ShareVector, n: int) -> ShareVector:
     """Row ``count``, shape (2,) + count.shape, of the public table over
     j in [0, n] of [j = 0] and the ``public_reciprocal`` of max(j, 1) 2^f, for
     secret integers 0 <= count <= n: the count's bits (8 rounds); its one-hot
@@ -135,32 +150,38 @@ def reciprocal_fx(party: Party, count: ShareVector, n: int) -> ShareVector:
     (2 rounds), which sends n + 1 words per count."""
     f = party.fp.frac_bits
     ell = max(n.bit_length(), 1)
-    bits = bit_extract(add_components(party, count)[0][..., None, None], np.arange(ell))
+    bits = bit_extract((yield from add_components_steps(party, count))[0][..., None, None], np.arange(ell))
     lane_bits = np.arange(64 * (n // 64 + 1), dtype=np.uint64) >> np.arange(ell, dtype=np.uint64)[:, None] & ONE
     set_lanes = np.packbits(lane_bits.astype(np.uint8), axis=1, bitorder="little").view("<u8").T   # (words, l)
-    onehot = and_all(party, -bits ^ party.const_share(ALL_ONES ^ set_lanes))
+    onehot = yield from and_all_steps(party, -bits ^ party.const_share(ALL_ONES ^ set_lanes))
     onehot = bit_extract(onehot[..., None], np.arange(64)).reshape(*count.shape, -1)
     j = np.arange(n + 1, dtype=np.uint64).reshape(-1, *[1] * len(count.shape))    # lane j's row
     table = np.stack([j == 0, public_reciprocal(np.maximum(j, ONE) << np.uint64(f), f)], axis=1)
-    return b2a_sum(party, [onehot[..., k] for k in range(n + 1)], table)
+    return (yield from b2a_sum_steps(party, [onehot[..., k] for k in range(n + 1)], table))
 
 
-def div_fx(party: Party, a: ShareVector, count: ShareVector, n: int, fallback: ShareVector) -> ShareVector:
+reciprocal_fx = program(reciprocal_fx_steps)
+
+
+def div_fx_steps(party: Party, a: ShareVector, count: ShareVector, n: int, fallback: ShareVector) -> ShareVector:
     """Fixed-point a / (max(count, 1) 2^f) for secret integers 0 <= count <= n,
     plus ``fallback`` where count is 0 (a must be 0 there): q = a r, the
     residual a - q denom, denom = count 2^f, and the correction residual r,
     each truncated by f. Where count is 0, a and so q are 0, so the residual
     is 0 whatever denom is. empty * fallback rides in q's gate."""
     f = party.fp.frac_bits
-    empty, r = reciprocal_fx(party, count, n)
+    empty, r = yield from reciprocal_fx_steps(party, count, n)
     denom = count.scale_by(ONE << np.uint64(f))
-    prod = mul_shares(party, stack_shares([a, empty]), stack_shares([r, fallback]))
-    q = trunc_shares(party, prod[0], f)
-    return q + mul_fx(party, a - mul_fx(party, q, denom), r) + prod[1]
+    prod = yield from mul_shares_steps(party, stack_shares([a, empty]), stack_shares([r, fallback]))
+    q = yield from trunc_shares_steps(party, prod[0], f)
+    residual = a - (yield from mul_fx_steps(party, q, denom))
+    return q + (yield from mul_fx_steps(party, residual, r)) + prod[1]
 
 
-@program
-def div_public(party: Party, x: ShareVector, d) -> ShareVector:
+div_fx = program(div_fx_steps)
+
+
+def div_public_steps(party: Party, x: ShareVector, d) -> ShareVector:
     """Fixed-point x/d of secret integers x by public integers d (shapes
     broadcast), for 0 <= x <= d < 2^f: word for word what ``div_fx`` returns
     for x 2^f over d 2^f, in one truncation (10 rounds).
@@ -172,7 +193,7 @@ def div_public(party: Party, x: ShareVector, d) -> ShareVector:
     r = public_reciprocal(fx.to_u64(d) << np.uint64(f), f)
     q = x.scale_by(r)
     residual = x.scale_by(ONE << np.uint64(f)) - q.scale_by(d)
-    return q + (yield trunc_shares, residual.scale_by(r), f)
+    return q + (yield from trunc_shares_steps(party, residual.scale_by(r), f))
 
 
 # -- oblivious sorting ---------------------------------------------------------
@@ -268,7 +289,7 @@ def sort_columns(party: Party, matrix: ShareVector, rows, read) -> ShareVector:
 GAUSS_BOUND = 6  # gauss01 sums 12 uniforms on [0, 1) and subtracts their mean: |sample| <= 6
 
 
-def gauss01(party: Party, n: int, folds: int) -> ShareVector:
+def gauss01_steps(party: Party, n: int, folds: int) -> ShareVector:
     """(folds, n) standard normal samples by the 12-uniform sum approximation.
 
     Each uniform lies on the 2^-f grid of [0, 1): the three pairwise streams
@@ -279,6 +300,9 @@ def gauss01(party: Party, n: int, folds: int) -> ShareVector:
     """
     f = party.fp.frac_bits
     words = party.shared_random_words((folds * 12 * n,))
-    u = b2a_sum(party, [bit_extract(words, t) for t in range(f)],
-                [np.uint64(1) << np.uint64(t) for t in range(f)]).reshape(folds, 12, n)
-    return party.add_public(u.sum(axis=1), fx.neg_const(GAUSS_BOUND << f))
+    u = yield from b2a_sum_steps(party, [bit_extract(words, t) for t in range(f)],
+                                 [np.uint64(1) << np.uint64(t) for t in range(f)])
+    return party.add_public(u.reshape(folds, 12, n).sum(axis=1), fx.neg_const(GAUSS_BOUND << f))
+
+
+gauss01 = program(gauss01_steps)

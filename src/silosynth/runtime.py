@@ -1,12 +1,18 @@
 """Party runtime: transports, communication accounting, and session setup.
 
 Each of the three parties runs the same straight-line protocol program.
-Sends are non-blocking, receives block; a "round" is counted whenever a
-party blocks on a receive after having sent since the previous round.
-Every frame carries the sender's protocol label, and a receive under a
-different label aborts the run. ``Party.replicate`` is the one step that
-turns a party's local additive term into a replicated sharing: gate
-outputs, custodian uploads and the generator's rows all end with it.
+Communication comes in rounds (``Party.exchange``): a round is a list of
+messages, each a send to one peer, a receive from one, or both, and a
+party sends every message of a round before it receives any. Sends are
+non-blocking, receives block; a "round" is counted whenever a party blocks
+on a receive after having sent since the previous round, so a round that
+several messages share counts once. Every message carries the protocol
+label it was made under, bytes and messages count under it, and a receive
+under a different label than the sender's aborts the run. A shared round,
+and the seconds spent in it, count under the label of its first message
+that receives. ``Party.replicate`` is the one step that turns a party's
+local additive term into a replicated sharing: gate outputs, custodian
+uploads and the generator's rows all end with it.
 Protocol outputs are a function of (inputs, seeds) only — the in-process
 and TCP transports are interchangeable.
 """
@@ -23,6 +29,7 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -63,6 +70,20 @@ class LedgerEntry:
     messages_sent: int = 0
     rounds: int = 0
     seconds: float = 0.0
+
+
+@dataclass
+class Message:
+    """One message of a round, made under protocol ``label``: ``words`` sent
+    to ``dst`` and words received from ``src`` (either None when this party
+    has no such part), and ``done``, which turns the received words (None if
+    none) into the message's result."""
+
+    label: str
+    dst: int | None
+    words: np.ndarray | None
+    src: int | None
+    done: Callable
 
 
 class CommLedger(dict):
@@ -217,7 +238,7 @@ class Party:
         self.streams_b = SeedStreams(seeds[pid % 3])
         self.opening_log: list[tuple[str, int]] = []
         self.reveal_log: list[tuple[str, int]] = []
-        self._label_stack: list[str] = []
+        self.label_stack: list[str] = []      # the labels this party is in, innermost last
         self._stack_changed = time.perf_counter()  # when the label stack last changed
         self._sent_since_round = False
         self.failed_in: str | None = None  # label path the first exception left
@@ -234,15 +255,23 @@ class Party:
 
     @property
     def current_label(self) -> str:
-        return self._label_stack[-1] if self._label_stack else "adhoc"
+        return self.label_stack[-1] if self.label_stack else "adhoc"
 
-    def _charge_seconds(self):
-        """Charge the seconds since the label stack last changed to the
-        innermost label; time outside any label goes nowhere."""
+    def _charge_seconds(self, label: str | None = None):
+        """Charge the seconds since the label stack last changed to ``label``,
+        by default the innermost label; time outside any label goes nowhere."""
         now = time.perf_counter()
-        if self._label_stack:
-            self.ledger[self._label_stack[-1]].seconds += now - self._stack_changed
+        label = label or (self.label_stack[-1] if self.label_stack else None)
+        if label:
+            self.ledger[label].seconds += now - self._stack_changed
         self._stack_changed = now
+
+    def swap_labels(self, stack: list[str]) -> list[str]:
+        """Make ``stack`` the label stack, a program's own (see
+        ``circuits.lockstep``); the stack it replaces."""
+        self._charge_seconds()
+        outer, self.label_stack = self.label_stack, stack
+        return outer
 
     @contextmanager
     def protocol(self, label: str):
@@ -251,37 +280,38 @@ class Party:
         label records its path in ``failed_in``."""
         if label not in LABEL_IDS:
             raise AccountingError(f"unregistered protocol label {label!r}")
-        if label in self._label_stack:
+        if label in self.label_stack:
             raise AccountingError(f"nested identical protocol label {label!r}")
         self._charge_seconds()
-        self._label_stack.append(label)
+        self.label_stack.append(label)
         try:
             yield
         except BaseException:
             if self.failed_in is None:
-                self.failed_in = "/".join(self._label_stack)
+                self.failed_in = "/".join(self.label_stack)
             raise
         finally:
             self._charge_seconds()
-            self._label_stack.pop()
+            self.label_stack.pop()
 
     # -- transport ---------------------------------------------------------
 
-    def send_words(self, dst: int, words: np.ndarray):
-        """Send ``words``, which become read-only: in-process the receiver
-        holds this very array, so a later in-place write would rewrite a
-        peer's share."""
+    def send_words(self, dst: int, words: np.ndarray, label: str | None = None):
+        """Send ``words`` under ``label`` (by default the current one); they
+        become read-only: in-process the receiver holds this very array, so a
+        later in-place write would rewrite a peer's share."""
         words.setflags(write=False)
-        label = self.current_label
+        label = label or self.current_label
         entry = self.ledger[label]
         entry.bytes_sent += words.size * WORD
         entry.messages_sent += 1
         self.transport.send(dst, LABEL_IDS[label], words)
         self._sent_since_round = True
 
-    def recv_words(self, src: int) -> np.ndarray:
-        """Next frame from ``src``; it must carry the label this party is in."""
-        label = self.current_label
+    def recv_words(self, src: int, label: str | None = None) -> np.ndarray:
+        """Next frame from ``src``; it must carry ``label`` (by default the
+        current one)."""
+        label = label or self.current_label
         if self._sent_since_round:
             self.ledger[label].rounds += 1
             self._sent_since_round = False
@@ -297,12 +327,48 @@ class Party:
         where = f" in {self.failed_in}" if self.failed_in else ""
         return f"party {self.pid} failed: {exc!r}{where}"
 
-    def replicate(self, z: np.ndarray) -> ShareVector:
+    def exchange(self, messages: list[Message]) -> list:
+        """One round: every message's send, then every message's receive, in
+        order; the messages' results. The round and its seconds count under
+        the label of the first message that receives."""
+        for m in messages:
+            if m.dst is not None:
+                self.send_words(m.dst, m.words, m.label)
+        out, label = [], None
+        for m in messages:
+            if m.src is None:
+                out.append(m.done(None))
+            else:
+                label = label or m.label
+                out.append(m.done(self.recv_words(m.src, m.label)))
+        self._charge_seconds(label or messages[0].label)
+        return out
+
+    def run(self, steps):
+        """Drive the program ``steps`` alone (see ``circuits.lockstep``):
+        exchange each round it yields and send it the results; its value."""
+        try:
+            messages = next(steps)
+            while True:
+                try:
+                    replies = self.exchange(messages)
+                except BaseException as exc:         # raised at the program's yield, through its labels
+                    messages = steps.throw(exc)
+                else:
+                    messages = steps.send(replies)
+        except StopIteration as done:
+            return done.value
+
+    def replicate_message(self, z: np.ndarray) -> Message:
         """Make the local additive term z replicated: send it to the previous
-        party and pair it with the next party's term. One round; z must be
-        uniformly random or masked by a zero sharing first."""
-        self.send_words(self.prev_pid, z)
-        return ShareVector(z, self.recv_words(self.next_pid).reshape(z.shape))
+        party and pair it with the next party's term. z must be uniformly
+        random or masked by a zero sharing first."""
+        return Message(self.current_label, self.prev_pid, z, self.next_pid,
+                       lambda theirs: ShareVector(z, theirs.reshape(z.shape)))
+
+    def replicate(self, z: np.ndarray) -> ShareVector:
+        """``replicate_message`` as a round of its own."""
+        return self.exchange([self.replicate_message(z)])[0]
 
     # -- correlated randomness ----------------------------------------------
 
@@ -356,24 +422,27 @@ class Party:
 
     # -- openings ------------------------------------------------------------
 
-    def open(self, x: ShareVector, reason: str, xor: bool = False) -> np.ndarray:
+    def open_message(self, x: ShareVector, reason: str, xor: bool = False) -> Message:
         """Public opening to all parties (of an XOR sharing if ``xor``);
         audited via the opening log."""
-        self.send_words(self.next_pid, x.a)
-        missing = self.recv_words(self.prev_pid).reshape(x.shape)
-        self.opening_log.append((reason, int(x.size)))
-        return x.a ^ x.b ^ missing if xor else x.a + x.b + missing
+        def done(missing):
+            self.opening_log.append((reason, int(x.size)))
+            missing = missing.reshape(x.shape)
+            return x.a ^ x.b ^ missing if xor else x.a + x.b + missing
+        return Message(self.current_label, self.next_pid, x.a, self.prev_pid, done)
 
-    def reveal_to(self, x: ShareVector, receiver: int, reason: str) -> np.ndarray | None:
-        """Directed reveal to one party only (logged separately from opens)."""
+    def open(self, x: ShareVector, reason: str, xor: bool = False) -> np.ndarray:
+        """``open_message`` as a round of its own."""
+        return self.exchange([self.open_message(x, reason, xor)])[0]
+
+    def reveal_message(self, x: ShareVector, receiver: int, reason: str) -> Message:
+        """Directed reveal to one party only (logged separately from opens):
+        the receiver's result is x, the others' None."""
         self.reveal_log.append((reason, int(x.size)))
-        if self.pid == receiver % 3 + 1:
-            self.send_words(receiver, x.b)
-            return None
-        if self.pid == receiver:
-            missing = self.recv_words(self.next_pid).reshape(x.shape)
-            return x.a + x.b + missing
-        return None
+        sender = receiver % 3 + 1
+        return Message(self.current_label, receiver if self.pid == sender else None, x.b,
+                       self.next_pid if self.pid == receiver else None,
+                       lambda missing: None if missing is None else x.a + x.b + missing.reshape(x.shape))
 
 
 def config_fingerprint(text: str) -> np.ndarray:

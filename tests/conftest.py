@@ -4,7 +4,7 @@ import pytest
 from silosynth import fixedpoint as fx
 from silosynth.circuits import trunc_shares
 from silosynth.fixedpoint import FixedPointConfig
-from silosynth.marginals import GENE_BITS, GENE_DOMAIN, LABEL_BITS, scaled_onehots
+from silosynth.marginals import GENE_BITS, GENE_DOMAIN, LABEL_BITS, scaled_onehots_steps
 from silosynth.primitives import sort_columns
 from silosynth.rng import CounterStream, derive_key
 from silosynth.runtime import run_parties
@@ -47,9 +47,10 @@ def indicator(party, x: ShareVector, m: int) -> ShareVector:
     cells = x.reshape(1, -1, 1)
     if m == GENE_DOMAIN:
         zeros = party.const_share(np.zeros(cells.shape, np.uint64))
-        onehot, v = scaled_onehots(party, ShareMatrix(concat_shares([cells, zeros], axis=2), 1))[0], GENE_BITS
+        matrix = ShareMatrix(concat_shares([cells, zeros], axis=2), 1)
+        onehot, v = party.run(scaled_onehots_steps(party, matrix))[0], GENE_BITS
     else:
-        onehot, v = scaled_onehots(party, ShareMatrix(cells, 0))[1], LABEL_BITS
+        onehot, v = party.run(scaled_onehots_steps(party, ShareMatrix(cells, 0)))[1], LABEL_BITS
     return trunc_shares(party, onehot, v).map(lambda w: np.moveaxis(w.reshape(x.shape + (m,)), -1, 0))
 
 

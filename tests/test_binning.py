@@ -14,7 +14,7 @@ from silosynth.binning import (
     inv_bin,
 )
 from silosynth.fixedpoint import FixedPointConfig
-from silosynth.marginals import scaled_onehots
+from silosynth.marginals import scaled_onehots_steps
 from silosynth.pipeline import fold_plan, kfold_split
 from silosynth.runtime import run_parties
 from silosynth.sharing import ShareMatrix
@@ -23,7 +23,7 @@ from silosynth.sharing import ShareMatrix
 def bin_with_means(p, matrix):
     """Binning of a dataset and its bin means, as the publish path computes them."""
     binned, cuts, _ = bin_train(p, matrix, no_rows(matrix))
-    return binned, cuts, compute_bin_means(p, scaled_onehots(p, binned)[0], matrix.genes(), cuts)
+    return binned, cuts, compute_bin_means(p, p.run(scaled_onehots_steps(p, binned))[0], matrix.genes(), cuts)
 
 
 def run_bin_train(genes, labels, tag):
@@ -354,7 +354,7 @@ def test_bin_means_and_inv_bin_cost_pinned(rng):
 
     def body(p):
         i = p.pid - 1
-        bin_onehots = scaled_onehots(p, bins[i])[0]
+        bin_onehots = p.run(scaled_onehots_steps(p, bins[i]))[0]
         with p.protocol("bin"):
             compute_bin_means(p, bin_onehots, originals[i], cuts[i])
         inv_bin(p, cells[i], means[i])
@@ -388,7 +388,7 @@ def test_bin_means_and_inv_bin_at_the_sum_bound(sign):
 
     def body(p):
         i = p.pid - 1
-        means = compute_bin_means(p, scaled_onehots(p, sb[i])[0], sg[i], sc[i])
+        means = compute_bin_means(p, p.run(scaled_onehots_steps(p, sb[i]))[0], sg[i], sc[i])
         return means, inv_bin(p, cells[i], means)
 
     results, _ = run_parties(body, master_seed=7, fp=FixedPointConfig(f))

@@ -5,18 +5,25 @@ from conftest import reconstruct, reconstruct_xor, share_values
 
 from silosynth import fixedpoint as fx
 from silosynth.circuits import (
+    ONE,
     _carry_prefix,
     add_components,
     and_packed,
     b2a,
     b2a_sum,
+    b2a_sum_steps,
     bit_extract,
     less_than_bits,
+    lockstep,
+    lockstep_steps,
     matmul_shares,
     mul_shares,
+    mul_shares_steps,
     trunc_shares,
+    trunc_shares_steps,
 )
 from silosynth.fixedpoint import FixedPointConfig
+from silosynth.primitives import eq_zero_steps, is_negative_steps
 from silosynth.rng import CounterStream, derive_key
 from silosynth.runtime import run_parties
 from silosynth.sharing import ShareVector
@@ -360,3 +367,107 @@ def test_bit_extract_positions():
     assert int(reconstruct_xor(got)[0]) == 1
     got = [bit_extract(s, 2) for s in sx]
     assert int(reconstruct_xor(got)[0]) == 0
+
+
+# -- lockstep programs -------------------------------------------------------------
+
+def eq_zero_b2a_steps(party, x):
+    """An eq_zero (7 rounds) and the b2a of its bit (2): 9 rounds of other
+    gates than a truncation's."""
+    bit = yield from eq_zero_steps(party, x)
+    return (yield from b2a_sum_steps(party, [bit], [ONE]))
+
+
+def scheduler_inputs():
+    rng = np.random.default_rng(31)
+    x = rng.integers(-2**40, 2**40, size=7)
+    y = rng.integers(0, 3, size=(2, 5))
+    return x, y, shared_input(x, 31), shared_input(y, 32)
+
+
+def side_by_side(sx, sy):
+    """A trunc_shares by 12 (10 rounds) beside an eq_zero -> b2a chain (9) in lockstep, under adhoc."""
+    def body(p):
+        with p.protocol("adhoc"):
+            return lockstep(p, [trunc_shares_steps(p, sx[p.pid - 1], 12), eq_zero_b2a_steps(p, sy[p.pid - 1])],
+                            [None, None])
+    return body
+
+
+def test_lockstep_takes_the_longer_programs_rounds():
+    """Two programs of different gates, shapes and lengths in lockstep take
+    the longer one's 10 rounds at every party, not the 19 of their plain
+    calls one after the other, send the same bytes in one message each a
+    round, and return what the plain calls return."""
+    x, y, sx, sy = scheduler_inputs()
+
+    def one_by_one(p):
+        with p.protocol("adhoc"):
+            return [trunc_shares(p, sx[p.pid - 1], 12), p.run(eq_zero_b2a_steps(p, sy[p.pid - 1]))]
+
+    together, joint = run3(side_by_side(sx, sy))
+    apart, alone = run3(one_by_one)
+    for k, want in enumerate((fx.to_u64(x >> 12), (y == 0).astype(np.uint64))):
+        assert np.array_equal(reconstruct([r[k] for r in together]), want)
+        assert np.array_equal(reconstruct([r[k] for r in apart]), want)
+    assert [p.ledger["adhoc"].rounds for p in alone] == [19] * 3
+    assert [p.ledger["adhoc"].rounds for p in joint] == [10] * 3
+    for a, j in zip(alone, joint):
+        assert (j.ledger["adhoc"].bytes_sent, j.ledger["adhoc"].messages_sent) == \
+            (a.ledger["adhoc"].bytes_sent, a.ledger["adhoc"].messages_sent)
+
+
+def test_nested_lockstep_composes():
+    """A lockstep is a program: the pair above run beside an is_negative (8
+    rounds) takes 10 rounds, and each result is the plain call's."""
+    x, y, sx, sy = scheduler_inputs()
+    z = np.array([-3, 0, 5, -(2**62)])
+    sz = shared_input(z, 33)
+
+    def body(p):
+        with p.protocol("adhoc"):
+            pair = lockstep_steps(p, [trunc_shares_steps(p, sx[p.pid - 1], 12), eq_zero_b2a_steps(p, sy[p.pid - 1])],
+                                  [None, None])
+            return lockstep(p, [pair, is_negative_steps(p, sz[p.pid - 1])], [None, None])
+
+    results, parties = run3(body)
+    assert np.array_equal(reconstruct([r[0][0] for r in results]), fx.to_u64(x >> 12))
+    assert np.array_equal(reconstruct([r[0][1] for r in results]), (y == 0).astype(np.uint64))
+    assert np.array_equal(reconstruct_xor([r[1] for r in results]), (z < 0).astype(np.uint64))
+    assert [p.ledger["adhoc"].rounds for p in parties] == [10] * 3
+
+
+def test_lockstep_program_keeps_its_label_across_yields():
+    """A program that holds a label across its yields keeps it while the
+    other program's rounds run, and the caller's label comes back after:
+    each program resumes on its own label stack. Each message counts under
+    its own program's label, so every label sends its program's bytes; a
+    shared round counts once, under its first receiver."""
+    x, y, sx, sy = scheduler_inputs()
+
+    def squares(p, v):
+        seen = []
+        with p.protocol("wle"):
+            for _ in range(3):
+                v = yield from mul_shares_steps(p, v, v)
+                seen.append(p.current_label)
+        return seen
+
+    def body(p):
+        with p.protocol("eval"):
+            seen, _ = lockstep(p, [squares(p, sy[p.pid - 1]), trunc_shares_steps(p, sx[p.pid - 1], 12)],
+                               [None, "acc"])
+            return seen, p.current_label
+
+    def alone(p):
+        p.run(squares(p, sy[p.pid - 1]))
+        with p.protocol("acc"):
+            trunc_shares(p, sx[p.pid - 1], 12)
+
+    results, parties = run3(body)
+    _, apart = run3(alone)
+    assert results == [(["wle"] * 3, "eval")] * 3
+    for p, a in zip(parties, apart):
+        assert {k: e.bytes_sent for k, e in p.ledger.items()} == \
+            {"eval": 0, "wle": a.ledger["wle"].bytes_sent, "acc": a.ledger["acc"].bytes_sent}
+        assert {k: e.rounds for k, e in p.ledger.items()} == {"eval": 0, "wle": 3, "acc": 7}

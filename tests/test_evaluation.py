@@ -8,13 +8,13 @@ from silosynth import fixedpoint as fx
 from silosynth.evaluation import (
     SOFTMAX_FLOOR,
     _softmax,
-    evaluate,
+    evaluate_steps,
     lr_accuracy,
     lr_train,
     wle,
 )
 from silosynth.fixedpoint import FixedPointConfig
-from silosynth.marginals import COUNT_BITS, LABEL_DOMAIN, marginal_counts, scaled_onehots
+from silosynth.marginals import COUNT_BITS, LABEL_DOMAIN, marginal_counts, scaled_onehots_steps
 from silosynth.runtime import Party, run_parties
 from silosynth.sharing import ShareMatrix
 
@@ -31,7 +31,7 @@ def open_scalar(results):
 
 def counts_of(p, matrix):
     """A batch's exact counts times 2^COUNT_BITS, from its scaled one-hots."""
-    return marginal_counts(p, scaled_onehots(p, matrix))
+    return marginal_counts(p, p.run(scaled_onehots_steps(p, matrix)))
 
 
 def wle_of(p, real, synth):
@@ -281,8 +281,8 @@ def test_evaluate_identity_synthetic(rng):
     sw = shared(w[None], 122)
 
     def body(p):
-        return evaluate(p, counts_of(p, real[p.pid - 1]), counts_of(p, synth[p.pid - 1]),
-                        real[p.pid - 1].rows, sw[p.pid - 1], test[p.pid - 1])
+        return p.run(evaluate_steps(p, counts_of(p, real[p.pid - 1]), counts_of(p, synth[p.pid - 1]),
+                        real[p.pid - 1].rows, sw[p.pid - 1], test[p.pid - 1]))
 
     results, parties = run3(body)
     assert int(np.atleast_1d(reconstruct([r[0] for r in results]))[0]) == 0
@@ -299,9 +299,9 @@ def test_evaluate_unequal_folds_match_mirror_in_32_rounds(rng):
     """evaluate over K = 3 folds of 7, 5 and 6 training rows and 3, 2 and 4
     test rows, each batch padded to its longest fold: every fold's workload
     error equals clear_wle and its accuracy clear_lr_accuracy word for word,
-    and the two metrics take the accuracy's 32 rounds at every party, 12
-    under acc alone and 20 under eval, where the workload error's sign,
-    selection and truncation join the accuracy's."""
+    and the two metrics take the accuracy's 32 rounds at every party, all
+    under acc: each of the workload error's 20 rounds shares one of the
+    accuracy's, and a shared round counts under its first receiver."""
     d, train_rows, test_rows = 2, [7, 5, 6], [3, 2, 4]
 
     def batch(rows, tag):
@@ -320,7 +320,7 @@ def test_evaluate_unequal_folds_match_mirror_in_32_rounds(rng):
         i = p.pid - 1
         real_counts, synth_counts = counts_of(p, real[i]), counts_of(p, synth[i])
         p.ledger.clear()
-        return evaluate(p, real_counts, synth_counts, real[i].rows, sw[i], test[i])
+        return p.run(evaluate_steps(p, real_counts, synth_counts, real[i].rows, sw[i], test[i]))
 
     results, parties = run3(body)
     wle_words = reconstruct([r[0] for r in results])
@@ -329,7 +329,7 @@ def test_evaluate_unequal_folds_match_mirror_in_32_rounds(rng):
         assert wle_words[k] == ref.clear_wle(real_g[k, :n], real_l[k, :n], synth_g[k, :n], synth_l[k, :n])
         assert acc_words[k] == ref.clear_lr_accuracy(w[k], test_g[k, :t], test_l[k, :t])
     for p in parties:
-        assert {label: e["rounds"] for label, e in p.ledger.snapshot().items()} == {"acc": 12, "eval": 20, "wle": 0}
+        assert {label: e["rounds"] for label, e in p.ledger.snapshot().items()} == {"acc": 32, "eval": 0, "wle": 0}
 
 
 # -- softmax arithmetic ---------------------------------------------------------

@@ -17,7 +17,7 @@ from silosynth.marginals import (
     marginal_counts,
     measurement_count,
     noisy_marginals,
-    scaled_onehots,
+    scaled_onehots_steps,
     split_marginals,
 )
 from silosynth.runtime import run_parties
@@ -89,7 +89,7 @@ def marginals_sigma0(genes_binned, labels, tag):
     mats = shared_matrix(genes_binned.astype(np.uint64), labels, tag)
 
     def body(p):
-        return noisy_marginals(p, scaled_onehots(p, mats[p.pid - 1]), 0.0)[1]
+        return noisy_marginals(p, p.run(scaled_onehots_steps(p, mats[p.pid - 1])), 0.0)[1]
 
     results, _ = run3(body)
     gene, label, two = split_marginals(fx.decode(reconstruct(results)))
@@ -144,7 +144,7 @@ def test_scaled_onehots_exact_with_zero_padding(rng, rows):
     cells = np.concatenate([genes, labels[..., None]], axis=2)
     mats = [ShareMatrix(s, 4, np.array(rows)) for s in shared(cells, 75)]
 
-    results, _ = run3(lambda p: scaled_onehots(p, mats[p.pid - 1]))
+    results, _ = run3(lambda p: p.run(scaled_onehots_steps(p, mats[p.pid - 1])))
     gene = reconstruct([r[0] for r in results])
     label = reconstruct([r[1] for r in results])
     data = (np.arange(6) < np.array(rows)[:, None]).astype(np.uint64)
@@ -161,7 +161,7 @@ def test_marginal_counts_share_numerator_rounds(rng):
 
     def body(p):
         with p.protocol("adhoc"):
-            marginal_counts(p, scaled_onehots(p, mats[p.pid - 1]))
+            marginal_counts(p, p.run(scaled_onehots_steps(p, mats[p.pid - 1])))
 
     _, parties = run3(body)
     entries = [p.ledger["adhoc"] for p in parties]
@@ -179,7 +179,7 @@ def test_marginal_counts_one_flat_sharing(rng):
     mats = shared_matrix(genes.astype(np.uint64), labels, 73)
 
     def body(p):
-        return marginal_counts(p, scaled_onehots(p, mats[p.pid - 1]))
+        return marginal_counts(p, p.run(scaled_onehots_steps(p, mats[p.pid - 1])))
 
     results, _ = run3(body)
     assert results[0].shape == (1, 24 * d + 5)
@@ -199,7 +199,8 @@ def test_noisy_marginals_match_mirror_at_the_ring_bound(f):
     assert fx.encode_scalar(sigma_q, f) == top
     genes, labels = np.zeros((n, d), dtype=np.int64), np.zeros(n, dtype=np.int64)
     mats = shared_matrix(genes.astype(np.uint64), labels, 74)
-    results, _ = run_parties(lambda p: noisy_marginals(p, scaled_onehots(p, mats[p.pid - 1]), sigma_q)[1], seed, FixedPointConfig(f))
+    results, _ = run_parties(lambda p: noisy_marginals(p, p.run(scaled_onehots_steps(p, mats[p.pid - 1])), sigma_q)[1],
+                             seed, FixedPointConfig(f))
     want = ref.clear_noisy_marginals(genes, labels, sigma_q, ref.NoiseReplay(seed, f), f)
     assert np.array_equal(reconstruct(results)[0], np.concatenate([m.ravel() for m in want]))
 
@@ -229,7 +230,7 @@ def test_noise_changes_cells_and_is_seeded(rng):
     mats = shared_matrix(genes.astype(np.uint64), labels, 72)
 
     def body(p):
-        return noisy_marginals(p, scaled_onehots(p, mats[p.pid - 1]), 3.0)[1]
+        return noisy_marginals(p, p.run(scaled_onehots_steps(p, mats[p.pid - 1])), 3.0)[1]
 
     r1, _ = run3(body, seed=101)
     r2, _ = run3(body, seed=101)
@@ -251,7 +252,7 @@ def test_noise_independence_across_cells(rng):
         mats = shared_matrix(genes.astype(np.uint64), labels, 300 + trial)
 
         def body(p):
-            return noisy_marginals(p, scaled_onehots(p, mats[p.pid - 1]), 1.0)[1]
+            return noisy_marginals(p, p.run(scaled_onehots_steps(p, mats[p.pid - 1])), 1.0)[1]
 
         results, _ = run3(body, seed=5000 + trial)
         gene, label, _ = split_marginals(fx.decode(reconstruct(results)))

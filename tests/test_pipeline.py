@@ -385,17 +385,21 @@ def test_loop_lr_rounds_do_not_grow_with_folds(rng):
     def rounds(run, labels):
         return [sum(ledger[label][0] for label in labels) for ledger in traffic[run]]
 
-    for labels, want in ((("eval", "wle", "acc"), 32), (("sdg",), 2)):
-        assert rounds((2, 2), labels) == rounds((3, 2), labels) == [want] * 3
+    # party 1 receives the loop's reveal, in a round the full data's bin
+    # means share, so it counts that round under sdg and parties 2 and 3
+    # under bin
+    for labels, want in ((("eval", "wle", "acc"), [32] * 3), (("sdg",), [3, 2, 2])):
+        assert rounds((2, 2), labels) == rounds((3, 2), labels) == want
     assert traffic[3, 2] == traffic[3, 7]
 
 
 # (rounds, bytes sent) per party, summed over the ledger labels
-PINNED_TINY_TRAFFIC = [(284, 575472), (284, 577320), (284, 575472)]
-# each label's own rounds (nested labels excluded) at parties 1, 2 and 3
+PINNED_TINY_TRAFFIC = [(236, 575472), (236, 577320), (236, 575472)]
+# each label's own rounds (nested labels excluded) at parties 1, 2 and 3; a
+# round that several labels' messages share counts under its first receiver
 PINNED_TINY_ROUNDS = {
-    "ingest": [1] * 3, "sort": [130] * 3, "bin": [76] * 3, "noisy_marg": [30] * 3,
-    "sdg": [2] * 3, "eval": [20] * 3, "wle": [0] * 3, "acc": [12] * 3, "vote": [11] * 3,
+    "ingest": [1] * 3, "sort": [130] * 3, "bin": [30, 31, 31], "noisy_marg": [27] * 3,
+    "sdg": [3, 2, 2], "eval": [0] * 3, "wle": [0] * 3, "acc": [32] * 3, "vote": [11] * 3,
     "inv_bin": [1] * 3, "publish": [1] * 3,
 }
 
@@ -417,11 +421,10 @@ def test_tiny_run_traffic_pinned(rng):
 
 
 def test_publish_path_rounds_pinned(rng, monkeypatch):
-    """The publish path of the 2x12x3 run takes 64 rounds at every party:
-    the full data's one-hots 2, its counts and bin sums in one round, the
-    noise draw 2 and one truncation 10 for the noisy marginals and the bin
-    means (15 under noisy_marg), the bin means' division 46 (bin), and the
-    generation, de-binning and reveal 1 each."""
+    """The publish path of the 2x12x3 run takes 15 rounds at every party:
+    the noise draw 2 and its truncation 10 (noisy_marg), and the generation,
+    de-binning and reveal 1 each. The full data's one-hots, counts and bin
+    means ran beside the first loop."""
     real, costs = pipeline.publish_path, {}
 
     def spy(party, *args):
@@ -436,8 +439,8 @@ def test_publish_path_rounds_pinned(rng, monkeypatch):
     config = small_config(k_folds=2, hyperparams=(10,), max_loops=1, lr_epochs=2)
     results, _ = run_full(config, two_datasets(rng, n_each=12), np.array([[1000.0, 0.0], [1000.0, 0.0]]))
     assert results[0].publish
-    want = {"noisy_marg": 15, "bin": 46, "sdg": 1, "inv_bin": 1, "publish": 1}
-    assert costs == {1: want, 2: want, 3: want} and sum(want.values()) == 64
+    want = {"noisy_marg": 12, "sdg": 1, "inv_bin": 1, "publish": 1}
+    assert costs == {1: want, 2: want, 3: want} and sum(want.values()) == 15
 
 
 def spy_sorts(monkeypatch):
@@ -471,8 +474,11 @@ def test_first_pass_publish_sorts_once(rng, monkeypatch):
 
 def test_no_publish_run_pays_full_sort_in_first_loop(rng, monkeypatch):
     """A run that publishes nothing still sorts and bins the full data in its
-    first loop (later loops sort only their folds) and never enters the
-    publish path: no bin means, de-binning or reveal."""
+    first loop (later loops sort only their folds), and computes the full
+    data's one-hots, counts and bin means beside that loop, in rounds the
+    loop spends anyway: 13,296 bytes per party, 11,088 of them under bin.
+    It never enters the publish path: no noise of its own, de-binning or
+    reveal."""
     calls = spy_sorts(monkeypatch)
     datasets = two_datasets(rng, n_each=12)
     thresholds = np.array([[1000.0, 2.0], [1000.0, 2.0]])
@@ -482,32 +488,38 @@ def test_no_publish_run_pays_full_sort_in_first_loop(rng, monkeypatch):
     assert calls == [[12, 12, 24], [12, 12]]
     for p in parties:
         assert p.ledger["sort"].rounds == (8 + 8 * 15 + 2) + (8 + 8 * 10 + 2)
-        assert p.ledger["bin"].rounds == 2 * 30      # quantiles and binning only
+        # quantiles and binning 30 a loop; parties 2 and 3 count under bin the
+        # loop's reveal round, which only party 1 receives in
+        assert p.ledger["bin"].rounds == 2 * 30 + (p.pid != 1)
+        # the binning's bytes, then the bin means'; the one-hots and counts
+        # of the full data are the rest of the 13,296
+        assert p.ledger["bin"].bytes_sent == 68_040 + 11_088
+        assert p.ledger["noisy_marg"].bytes_sent == 540_064 + 2_208
         assert not {"inv_bin", "publish"} & set(p.ledger)
 
 
 def test_publish_builds_scaled_onehots_once_for_both_readers(rng, monkeypatch):
     """A first-pass run that publishes on loop 1 builds the scaled one-hots
-    once per loop (its 2 training folds) and once at publish (the full
-    data), where the bin means and the marginals both read them; every
-    build is counted under noisy_marg, so none runs inside compute_bin_means
-    (which the publish path counts under bin)."""
+    of its 2 training folds and of the full data once each, both in loop 1
+    (before its vote is opened): the full data's marginal counts and bin
+    means both read the one build. Every build is counted under
+    noisy_marg, so none runs inside the bin means (counted under bin)."""
     calls = []
-    real = marginals.scaled_onehots
+    real = marginals.scaled_onehots_steps
 
     def spy(party, matrix):
         if party.pid == 1:
-            calls.append((party.current_label, matrix.folds))
+            calls.append((party.current_label, matrix.folds, len(party.opening_log)))
         return real(party, matrix)
 
     for module in (marginals, binning, pipeline):
-        monkeypatch.setattr(module, "scaled_onehots", spy, raising=False)
+        monkeypatch.setattr(module, "scaled_onehots_steps", spy, raising=False)
     datasets = two_datasets(rng, n_each=12)
     thresholds = np.array([[1000.0, 0.0], [1000.0, 0.0]])
     config = small_config(k_folds=2, hyperparams=(10,), max_loops=1, lr_epochs=2)
     results, _ = run_full(config, datasets, thresholds)
     assert results[0].publish
-    assert calls == [("noisy_marg", 2), ("noisy_marg", 1)]
+    assert calls == [("noisy_marg", 2, 0), ("noisy_marg", 1, 0)]
 
 
 @pytest.mark.parametrize("mode", [pipeline.FIRST_PASS, EXHAUSTIVE])
@@ -532,16 +544,16 @@ def test_publish_after_failed_first_loop_reads_its_bins(rng, monkeypatch, mode):
     every published gene value is one of its gene's four bin means. Each
     party's first vote runs and is then reported as 0."""
     calls = spy_sorts(monkeypatch)
-    real, voted = pipeline.secret_vote, set()
+    real, voted = pipeline.secret_vote_steps, set()
 
     def vote(party, *args):
-        bit = real(party, *args)
+        bit = yield from real(party, *args)
         if party.pid in voted:
             return bit
         voted.add(party.pid)
         return 0
 
-    monkeypatch.setattr(pipeline, "secret_vote", vote)
+    monkeypatch.setattr(pipeline, "secret_vote_steps", vote)
     datasets = two_datasets(rng, n_each=12)
     thresholds = np.array([[1000.0, 0.0], [1000.0, 0.0]])
     config = small_config(hyperparams=(10, 15), lr_epochs=2, mode=mode)

@@ -14,14 +14,14 @@ from silosynth import primitives
 from silosynth.binning import compute_bin_means
 from silosynth.circuits import bit_extract, select
 from silosynth.fixedpoint import FixedPointConfig
-from silosynth.marginals import scaled_onehots
+from silosynth.marginals import scaled_onehots_steps
 from silosynth.primitives import (
-    and_all,
+    and_all_steps,
     div_fx,
-    div_public,
+    div_public_steps,
     eq_zero,
     gauss01,
-    is_negative,
+    is_negative_steps,
     lt,
     select_max,
     sort_columns,
@@ -42,7 +42,7 @@ def shared(values, tag):
 
 def abs_shares(p, x):
     """|x| the way the workload error takes it: x where x >= 0, else -x."""
-    return select(p, is_negative(p, x), x, -x)
+    return select(p, p.run(is_negative_steps(p, x)), x, -x)
 
 
 def open_result(results):
@@ -165,7 +165,7 @@ def test_and_all_matches_numpy_all():
         for w, sb in shares.items():
             p.ledger.clear()
             with p.protocol("adhoc"):
-                out[w] = and_all(p, sb[p.pid - 1])
+                out[w] = p.run(and_all_steps(p, sb[p.pid - 1]))
             out[w] = (out[w], p.ledger["adhoc"].rounds)
         return out
 
@@ -386,7 +386,7 @@ def test_div_public_every_count_below_2_to_8_matches_mirror():
 
     def body(p):
         with p.protocol("adhoc"):
-            return div_public(p, sh[p.pid - 1], n)
+            return p.run(div_public_steps(p, sh[p.pid - 1], n))
 
     results, parties = run_parties(body, master_seed=77, fp=FixedPointConfig(8), timeout=120.0)
     one = np.uint64(1) << np.uint64(8)
@@ -706,7 +706,7 @@ def test_obliviousness_ledgers_match_across_inputs():
                 abs_shares(p, sv[i])
                 div_fx(p, sv[i], sc[i], 40, so[i])
                 sort_rows(p, sv[i].reshape(-1, 1))
-                compute_bin_means(p, scaled_onehots(p, sbins[i])[0], sv[i].reshape(1, 40, 1), scuts[i])
+                compute_bin_means(p, p.run(scaled_onehots_steps(p, sbins[i]))[0], sv[i].reshape(1, 40, 1), scuts[i])
             return None
 
         _, parties = run3(body)

@@ -222,9 +222,9 @@ def test_transcripts_reproducible_across_runs():
         sent = []
         orig = p.send_words
 
-        def spy(dst, words):
+        def spy(dst, words, label=None):
             sent.append(np.asarray(words).copy())
-            orig(dst, words)
+            orig(dst, words, label)
 
         p.send_words = spy
         lt(p, x[p.pid - 1], x[p.pid - 1])

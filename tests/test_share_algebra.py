@@ -5,8 +5,8 @@ Outside sharing.py, code updates a sharing through ShareVector's own
 operations (``x[idx] = y``, ``x + y``, ...), never by assigning into one
 component array, which would let the two components of a party's pair
 drift apart. A local additive term becomes a replicated sharing by one
-step, sending it to the previous party; only ``Party.replicate`` does that
-(``setup_handshake`` also sends its probe there).
+step, sending it to the previous party; only ``Party.replicate_message``
+makes that message (``setup_handshake`` also sends its probe there).
 
 Which party holds which component is known to ``Party`` alone
 (``const_share``, ``add_public``, ``split``, ``pair_term``): protocol code
@@ -65,17 +65,29 @@ def test_scan_finds_component_writes(tmp_path):
     assert component_writes(tmp_path) == ["mod:1", "mod:2", "mod:5"]
 
 
+def _dst(call: ast.Call):
+    """The destination argument of a send (its first) or a ``Message`` (its second, or ``dst=``)."""
+    func = call.func
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    if name in ("send_words", "send"):
+        return call.args[0] if call.args else None
+    if name == "Message":
+        return call.args[1] if len(call.args) > 1 else next((k.value for k in call.keywords if k.arg == "dst"), None)
+    return None
+
+
 def prev_senders(root: Path) -> list[str]:
-    """``module:[Class.]function`` of every src/ function that sends to ``prev_pid``."""
+    """``module:[Class.]function`` of every src/ function that sends, or
+    makes a message that sends, to ``prev_pid``."""
     hits = set()
 
     def visit(node, stem, scope):
         for child in ast.iter_child_nodes(node):
             inner = scope + [child.name] if isinstance(child, (ast.FunctionDef, ast.ClassDef)) else scope
-            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
-                    and child.func.attr in ("send_words", "send") and child.args
-                    and isinstance(child.args[0], ast.Attribute) and child.args[0].attr == "prev_pid"):
-                hits.add(f"{stem}:{'.'.join(scope)}")
+            if isinstance(child, ast.Call):
+                dst = _dst(child)
+                if isinstance(dst, ast.Attribute) and dst.attr == "prev_pid":
+                    hits.add(f"{stem}:{'.'.join(scope)}")
             visit(child, stem, inner)
 
     for p in sorted((root / "src" / "silosynth").glob("*.py")):
@@ -84,7 +96,7 @@ def prev_senders(root: Path) -> list[str]:
 
 
 def test_only_replicate_sends_to_prev():
-    assert prev_senders(ROOT) == ["runtime:Party.replicate", "runtime:setup_handshake"]
+    assert prev_senders(ROOT) == ["runtime:Party.replicate_message", "runtime:setup_handshake"]
 
 
 def test_scan_finds_prev_senders(tmp_path):
@@ -95,8 +107,11 @@ def test_scan_finds_prev_senders(tmp_path):
         "def g(party, z):\n    party.send_words(party.next_pid, z)\n"
         "class P:\n    def h(self, z):\n"
         "        def inner():\n            self.transport.send(self.prev_pid, 0, z)\n"
+        "def m(party, z):\n    return Message('adhoc', party.prev_pid, z, party.next_pid, None)\n"
+        "def k(party, z):\n    return Message('adhoc', dst=party.prev_pid, words=z, src=None, done=None)\n"
+        "def n(party, z):\n    return Message('adhoc', party.next_pid, z, party.prev_pid, None)\n"
     )
-    assert prev_senders(tmp_path) == ["mod:P.h.inner", "mod:f"]
+    assert prev_senders(tmp_path) == ["mod:P.h.inner", "mod:f", "mod:k", "mod:m"]
 
 
 PID_READERS = ("runtime", "generator", "cli")

@@ -10,9 +10,13 @@ import time
 
 import numpy as np
 import pytest
+from conftest import reconstruct
+from test_circuits import scheduler_inputs, side_by_side
 
 from silosynth.cli import _connect_with_retry, main
 from silosynth.datafile import write_dataset, write_thresholds
+from silosynth.fixedpoint import FixedPointConfig
+from silosynth.runtime import Party, TcpTransport, run_parties
 
 CONFIG = """
 k_folds = 2
@@ -639,3 +643,39 @@ def test_cli_custodian_masks_are_fresh(setup_files):
     seeded = custodian_components(genes, labels, [1000.0, 0.0], config.frac_bits, config.seed, 0)[0]
     assert not np.array_equal(first[0], seeded[0])
     assert not np.array_equal(second[0], first[0])
+
+
+def test_lockstep_over_tcp_counts_as_in_process():
+    """The lockstep of test_circuits (a truncation beside an eq_zero -> b2a
+    chain) over three TcpTransport endpoints on socketpairs: every round
+    sends all its frames before it reads one, so it neither deadlocks nor
+    counts differently: the same results and ledgers (10 rounds) as in-process."""
+    _, _, sx, sy = scheduler_inputs()
+    body, fp = side_by_side(sx, sy), FixedPointConfig()
+    local, local_parties = run_parties(body, 99, fp, timeout=60.0)
+    socks = {pid: {} for pid in (1, 2, 3)}
+    for i, j in ((1, 2), (1, 3), (2, 3)):
+        socks[i][j], socks[j][i] = socket.socketpair()
+    parties = [Party(pid, TcpTransport(pid, socks[pid], timeout=30.0), 99, fp) for pid in (1, 2, 3)]
+    results = [None] * 3
+
+    def runner(i):
+        results[i] = body(parties[i])
+
+    threads = [threading.Thread(target=runner, args=(i,)) for i in range(3)]
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        for p in parties:
+            p.transport.close()
+    for k in range(2):
+        assert np.array_equal(reconstruct([r[k] for r in results]), reconstruct([r[k] for r in local]))
+
+    def counts(party):
+        return {label: (e.rounds, e.bytes_sent, e.messages_sent) for label, e in party.ledger.items()}
+
+    assert [counts(p) for p in parties] == [counts(p) for p in local_parties]
+    assert [p.ledger["adhoc"].rounds for p in parties] == [10] * 3
